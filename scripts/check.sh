@@ -121,24 +121,27 @@ cmp build/loadgen_a.json build/loadgen_b.json
 grep -q '"protocol_errors": 0' build/loadgen_a.json
 echo "gateway loopback smoke byte-identical across runs"
 
-echo "== gateway smoke: live TCP daemon round trip =="
-rm -f build/gatewayd_port build/gatewayd_metrics.json
-# Background ONLY the daemon command ($! must be the daemon, not a
-# compound-statement subshell, or the TERM below orphans it).
-./build/agilla_gatewayd --grid 8x8 --seed 7 --listen 127.0.0.1:0 \
-  --port-file build/gatewayd_port --metrics build/gatewayd_metrics.json &
-GWPID=$!
-for _ in $(seq 1 100); do
-  [ -s build/gatewayd_port ] && break
-  sleep 0.1
+echo "== gateway smoke: live TCP daemon round trip (shards 1 and 4) =="
+for shards in 1 4; do
+  rm -f build/gatewayd_port build/gatewayd_metrics.json
+  # Background ONLY the daemon command ($! must be the daemon, not a
+  # compound-statement subshell, or the TERM below orphans it).
+  ./build/agilla_gatewayd --grid 8x8 --seed 7 --listen 127.0.0.1:0 \
+    --param sim_shards="$shards" --port-file build/gatewayd_port \
+    --metrics build/gatewayd_metrics.json &
+  GWPID=$!
+  for _ in $(seq 1 100); do
+    [ -s build/gatewayd_port ] && break
+    sleep 0.1
+  done
+  [ -s build/gatewayd_port ] || { echo "gatewayd never published its port"; kill "$GWPID"; exit 1; }
+  ./build/agilla_loadgen --connect "127.0.0.1:$(cat build/gatewayd_port)" \
+    --clients 64 --smoke --out build/loadgen_tcp.json > /dev/null
+  kill -TERM "$GWPID"
+  wait "$GWPID"
+  grep -q '"protocol_errors": 0' build/loadgen_tcp.json
+  # Graceful TERM: the daemon drains sessions and flushes its metrics.
+  [ -s build/gatewayd_metrics.json ]
+  grep -q '"sessions_opened"' build/gatewayd_metrics.json
+  echo "gateway TCP smoke clean at sim_shards=$shards; daemon drained on SIGTERM"
 done
-[ -s build/gatewayd_port ] || { echo "gatewayd never published its port"; kill "$GWPID"; exit 1; }
-./build/agilla_loadgen --connect "127.0.0.1:$(cat build/gatewayd_port)" \
-  --clients 64 --smoke --out build/loadgen_tcp.json > /dev/null
-kill -TERM "$GWPID"
-wait "$GWPID"
-grep -q '"protocol_errors": 0' build/loadgen_tcp.json
-# Graceful TERM: the daemon drains sessions and flushes its metrics.
-[ -s build/gatewayd_metrics.json ]
-grep -q '"sessions_opened"' build/gatewayd_metrics.json
-echo "gateway TCP smoke clean; daemon drained on SIGTERM"

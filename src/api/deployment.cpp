@@ -20,7 +20,8 @@ Deployment::Deployment(DeploymentOptions options,
                        .spacing = 1.0,
                        .eight_connected = false,
                        .packet_loss = options.packet_loss,
-                       .per_byte_loss = options.per_byte_loss})) {
+                       .per_byte_loss = options.per_byte_loss})),
+      bus_(&simulator_) {
   for (Observer* observer : observers) {
     bus_.subscribe(*observer);
   }
@@ -31,13 +32,7 @@ Deployment::Deployment(DeploymentOptions options,
   topology_ = sim::make_grid(network_, options_.width, options_.height);
 
   // Shard the event engine while the world is still inert: every node
-  // exists, no node-affine event is scheduled yet. The EventBus contract
-  // (subscription-order dispatch on one thread) cannot hold when taps
-  // fire from shard workers, so observers and sharding are exclusive.
-  if (options_.sim_shards > 1 && !observers.empty()) {
-    throw std::invalid_argument(
-        "sim_shards > 1 is incompatible with bus observers");
-  }
+  // exists, no node-affine event is scheduled yet.
   network_.configure_shards(options_.sim_shards);
   shard_deaths_.resize(simulator_.shard_count());
   shard_reboots_.assign(simulator_.shard_count(), 0);
@@ -85,38 +80,22 @@ Deployment::Deployment(DeploymentOptions options,
   for (const sim::NodeId id : topology_.nodes) {
     motes_.push_back(std::make_unique<core::AgillaMiddleware>(
         network_, id, &environment_, options_.config));
-    wire_instrumentation();
     motes_.back()->start();
   }
 
   // Node lifecycle: deaths tear the mote's middleware down through the
   // same path the failure-injection tests use; reboots bring it back
-  // with empty RAM. The death log stays a facade responsibility; the
-  // bus re-publishes both transitions to subscribers.
+  // with empty RAM. The death log stays a facade responsibility (the
+  // network emits the kNodeDown/kNodeUp records itself).
   network_.set_node_down_handler(
       [this](sim::NodeId id, sim::NodeDownReason reason) {
         shard_deaths_[simulator_.shard_of(id)].push_back(
             DeathEvent{id, simulator_.now(), reason});
         motes_.at(id.value)->power_down();
-        bus_.publish_node_down(
-            NodeLifecycleEvent{simulator_.now(), id, reason});
       });
   network_.set_node_up_handler([this](sim::NodeId id) {
     ++shard_reboots_[simulator_.shard_of(id)];
     motes_.at(id.value)->power_up();
-    bus_.publish_node_up(NodeLifecycleEvent{simulator_.now(), id, {}});
-  });
-  network_.set_frame_tx_tap([this](const sim::Frame& frame) {
-    bus_.publish_frame_tx(
-        FrameEvent{simulator_.now(), &frame, sim::NodeId{}, false});
-  });
-  network_.set_frame_rx_tap(
-      [this](const sim::Frame& frame, sim::NodeId receiver, bool lost) {
-        bus_.publish_frame_rx(
-            FrameEvent{simulator_.now(), &frame, receiver, lost});
-      });
-  network_.set_settle_tap([this] {
-    bus_.publish_battery_settle(BatterySettleEvent{simulator_.now()});
   });
   if (options_.churn_rate > 0.0) {
     network_.enable_churn(sim::ChurnOptions{
@@ -129,48 +108,6 @@ Deployment::Deployment(DeploymentOptions options,
   if (options_.warmup > 0) {
     simulator_.run_for(options_.warmup);
   }
-}
-
-/// Wires the just-created mote's lifecycle and tuple taps onto the bus
-/// (called before start(), so context-seeding tuple ops are observed).
-void Deployment::wire_instrumentation() {
-  core::AgillaMiddleware& mote = *motes_.back();
-  const sim::NodeId id = mote.node_id();
-  mote.engine().set_hooks(core::EngineHooks{
-      .on_spawn =
-          [this, id](core::AgentId agent, bool via_migration) {
-            bus_.publish_agent_spawn(AgentSpawnEvent{
-                simulator_.now(), id, agent.value, via_migration});
-          },
-      .on_kill =
-          [this, id](core::AgentId agent, std::string_view reason) {
-            bus_.publish_agent_kill(AgentKillEvent{
-                simulator_.now(), id, agent.value, reason});
-          },
-      .on_migrate =
-          [this, id](core::AgentId agent, sim::Location dest) {
-            bus_.publish_agent_migrate(AgentMigrateEvent{
-                simulator_.now(), id, agent.value, dest});
-          },
-      .on_block =
-          [this, id](core::AgentId agent, std::string_view reason) {
-            bus_.publish_agent_block(AgentBlockEvent{
-                simulator_.now(), id, agent.value, reason});
-          },
-      .on_resume =
-          [this, id](core::AgentId agent) {
-            bus_.publish_agent_resume(
-                AgentResumeEvent{simulator_.now(), id, agent.value});
-          },
-      // The instruction taps stay unset here: tools (agilla_grade, the
-      // trace tests) add them later through engine().hooks().
-      .on_pre_insn = {},
-      .on_post_insn = {}});
-  mote.tuple_space().set_op_tap(
-      [this, id](ts::TupleSpaceOp op, const ts::Tuple& tuple) {
-        bus_.publish_tuple_op(
-            TupleOpEvent{simulator_.now(), id, op, &tuple});
-      });
 }
 
 std::optional<core::AgentId> Deployment::inject_file(

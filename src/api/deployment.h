@@ -86,9 +86,8 @@ struct DeploymentOptions {
   /// mesh is split into contiguous x-strips, each drained by its own
   /// worker inside conservative lookahead epochs. 1 = the exact serial
   /// loop; any K produces byte-identical results (DESIGN.md "Sharded
-  /// event engine"). Only host speed differs. Incompatible with bus
-  /// observers (the EventBus is not thread-safe): Deployment throws if
-  /// both are requested.
+  /// event engine"), observer-derived ones included. Only host speed
+  /// differs.
   std::size_t sim_shards = 1;
 };
 
@@ -98,7 +97,7 @@ struct DeploymentOptions {
 class Deployment {
  public:
   /// Builds and warms up the mesh. `observers` are subscribed to the
-  /// event bus before any wiring, so they see warm-up traffic too.
+  /// event bus before any mote exists, so they see warm-up traffic too.
   explicit Deployment(DeploymentOptions options,
                       std::vector<Observer*> observers = {});
 
@@ -113,9 +112,9 @@ class Deployment {
   [[nodiscard]] const sim::Topology& topology() const { return topology_; }
   [[nodiscard]] const DeploymentOptions& options() const { return options_; }
 
-  /// The instrumentation bus. Subscribe/unsubscribe at any point; events
-  /// are dispatched in subscription order (determinism contract in
-  /// api/events.h).
+  /// The instrumentation bus. Subscribe/unsubscribe at any point (from
+  /// the driving thread); records are dispatched in subscription order
+  /// (determinism contract in api/events.h).
   [[nodiscard]] EventBus& bus() { return bus_; }
 
   [[nodiscard]] std::size_t mote_count() const { return motes_.size(); }
@@ -180,8 +179,6 @@ class Deployment {
   [[nodiscard]] double total_drained_mj(energy::EnergyComponent component);
 
  private:
-  void wire_instrumentation();
-
   DeploymentOptions options_;
   sim::Simulator simulator_;
   sim::Network network_;

@@ -4,13 +4,25 @@
 
 namespace agilla::api {
 
-Observer::~Observer() = default;
+EventBus::EventBus(sim::Simulator* source) : source_(source) {}
+
+EventBus::~EventBus() {
+  observers_.clear();
+  update_source();
+}
+
+void EventBus::update_source() {
+  if (source_ != nullptr) {
+    source_->set_sink(observer_count() > 0 ? this : nullptr);
+  }
+}
 
 void EventBus::subscribe(Observer& observer) {
   if (std::find(observers_.begin(), observers_.end(), &observer) ==
       observers_.end()) {
     observers_.push_back(&observer);
   }
+  update_source();
 }
 
 void EventBus::unsubscribe(Observer& observer) {
@@ -24,9 +36,10 @@ void EventBus::unsubscribe(Observer& observer) {
         pending_compact_ = true;
       }
     }
-    return;
+  } else {
+    std::erase(observers_, &observer);
   }
-  std::erase(observers_, &observer);
+  update_source();
 }
 
 std::size_t EventBus::observer_count() const {
@@ -35,19 +48,11 @@ std::size_t EventBus::observer_count() const {
                     [](const Observer* o) { return o != nullptr; }));
 }
 
-template <typename Fn>
-void EventBus::dispatch(Fn&& deliver) {
-  if (observers_.empty()) {
-    // Zero-subscriber publishes also arrive concurrently from shard
-    // worker threads (Deployment rejects observers when sim_shards > 1,
-    // so the list is immutable-empty there); the reentrancy bookkeeping
-    // below must not run on that path.
-    return;
-  }
+void EventBus::publish(const sim::Event& event) {
   ++dispatch_depth_;
   for (std::size_t i = 0; i < observers_.size(); ++i) {
     if (Observer* observer = observers_[i]) {
-      deliver(*observer);
+      observer->on_event(event);
     }
   }
   --dispatch_depth_;
@@ -57,53 +62,47 @@ void EventBus::dispatch(Fn&& deliver) {
   }
 }
 
-void EventBus::publish_agent_spawn(const AgentSpawnEvent& event) {
-  dispatch([&](Observer& o) { o.on_agent_spawn(event); });
-}
-
-void EventBus::publish_agent_kill(const AgentKillEvent& event) {
-  dispatch([&](Observer& o) { o.on_agent_kill(event); });
-}
-
-void EventBus::publish_agent_migrate(const AgentMigrateEvent& event) {
-  dispatch([&](Observer& o) { o.on_agent_migrate(event); });
-}
-
-void EventBus::publish_agent_block(const AgentBlockEvent& event) {
-  dispatch([&](Observer& o) { o.on_agent_block(event); });
-}
-
-void EventBus::publish_agent_resume(const AgentResumeEvent& event) {
-  dispatch([&](Observer& o) { o.on_agent_resume(event); });
-}
-
-void EventBus::publish_tuple_op(const TupleOpEvent& event) {
-  dispatch([&](Observer& o) { o.on_tuple_op(event); });
-}
-
-void EventBus::publish_frame_tx(const FrameEvent& event) {
-  dispatch([&](Observer& o) {
-    o.on_frame_tx(event);
-    if (event.frame->am == sim::AmType::kBeacon) {
-      o.on_beacon(event);
-    }
-  });
-}
-
-void EventBus::publish_frame_rx(const FrameEvent& event) {
-  dispatch([&](Observer& o) { o.on_frame_rx(event); });
-}
-
-void EventBus::publish_node_down(const NodeLifecycleEvent& event) {
-  dispatch([&](Observer& o) { o.on_node_down(event); });
-}
-
-void EventBus::publish_node_up(const NodeLifecycleEvent& event) {
-  dispatch([&](Observer& o) { o.on_node_up(event); });
-}
-
-void EventBus::publish_battery_settle(const BatterySettleEvent& event) {
-  dispatch([&](Observer& o) { o.on_battery_settle(event); });
+void EventCounter::on_event(const sim::Event& event) {
+  switch (event.kind) {
+    case sim::EventKind::kAgentSpawn:
+      ++agent_spawns;
+      break;
+    case sim::EventKind::kAgentKill:
+      ++agent_kills;
+      break;
+    case sim::EventKind::kAgentMigrate:
+      ++agent_migrations;
+      break;
+    case sim::EventKind::kAgentBlock:
+      ++agent_blocks;
+      break;
+    case sim::EventKind::kAgentResume:
+      ++agent_resumes;
+      break;
+    case sim::EventKind::kTupleOp:
+      ++tuple_ops;
+      break;
+    case sim::EventKind::kFrameTx:
+      ++frames_tx;
+      if (event.frame.am == sim::AmType::kBeacon) {
+        ++beacons;
+      }
+      break;
+    case sim::EventKind::kFrameRx:
+      ++frames_rx;
+      break;
+    case sim::EventKind::kNodeDown:
+      ++nodes_down;
+      break;
+    case sim::EventKind::kNodeUp:
+      ++nodes_up;
+      break;
+    case sim::EventKind::kBatterySettle:
+      ++battery_settles;
+      break;
+    case sim::EventKind::kCount:
+      break;
+  }
 }
 
 }  // namespace agilla::api

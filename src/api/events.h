@@ -1,143 +1,52 @@
-// The instrumentation side of the embedding API: a typed event vocabulary
-// covering every externally observable state change in a deployment
-// (agent lifecycle, tuple operations, radio traffic, node lifecycle,
-// battery settling), an Observer interface with no-op defaults, and the
-// EventBus that fans events out.
+// The instrumentation side of the embedding API. Every externally
+// observable state change in a deployment (agent lifecycle, tuple
+// operations, radio traffic, node lifecycle, battery settling) is one
+// sim::Event record (sim/event.h); an Observer receives them through one
+// callback, and the EventBus fans each record out to its observers.
 //
-// Determinism contract: events are published from inside the
-// single-threaded simulation, in virtual-time order, and the bus
-// dispatches to observers in subscription order — so any metric derived
-// from observer callbacks is a pure function of the deployment options
-// and the seed, exactly like the built-in NetworkStats counters. The
-// harness determinism gates (threads 1 vs N byte-identical JSON) hold
-// for observer-derived metrics too; tests/test_api.cpp proves it.
+// Determinism contract: records reach observers on the driving thread,
+// in the serial engine's execution order, whatever sim_shards is — the
+// simulator merges shard buffers at every epoch barrier (DESIGN.md
+// "Embedding API"). The bus dispatches in subscription order, so any
+// metric derived from observer callbacks is a pure function of the
+// deployment options and the seed, exactly like the built-in
+// NetworkStats counters; tests/test_api.cpp and tests/test_shard_engine.cpp
+// prove it across thread and shard counts.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
-#include "sim/network.h"
-#include "sim/types.h"
-#include "tuplespace/tuple.h"
-#include "tuplespace/tuple_space.h"
+#include "sim/event.h"
+#include "sim/simulator.h"
 
 namespace agilla::api {
 
-/// Agent creation: a base-station/test injection (`via_migration` false)
-/// or an arrival installed by the migration protocol (true — clones and
-/// custody resumes included).
-struct AgentSpawnEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  std::uint16_t agent = 0;
-  bool via_migration = false;
-};
+/// Instrumentation interface: override on_event and switch on the kind.
+/// Callbacks run on the driving thread, inside the simulator's event loop
+/// or at an epoch barrier, with now() equal to the record's `at` — keep
+/// them cheap and never schedule or run the simulator from one.
+using Observer = sim::EventSink;
 
-/// Agent death on this node. `reason` is a stable short string: "halt"
-/// (voluntary), "power" (node death/reboot), "migrated" (strong/weak move
-/// departed successfully), or a VM error message.
-struct AgentKillEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  std::uint16_t agent = 0;
-  std::string_view reason;
-};
-
-/// A migration left `node` toward `dest` (moves and clones; fires at
-/// protocol start, before the outcome is known).
-struct AgentMigrateEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  std::uint16_t agent = 0;
-  sim::Location dest;
-};
-
-/// An agent left the ready queue. `reason` is a stable short string:
-/// "sleep", "wait", "tuple" (blocked in/rd), "migrate" (awaiting the
-/// migration protocol's outcome), or "remote" (remote tuple-space op in
-/// flight); valid only during dispatch.
-struct AgentBlockEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  std::uint16_t agent = 0;
-  std::string_view reason;
-};
-
-/// A previously blocked agent re-entered the ready queue (timer expiry,
-/// tuple insertion, reaction delivery, or protocol completion).
-struct AgentResumeEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  std::uint16_t agent = 0;
-};
-
-/// A state-changing local tuple-space operation completed on `node`.
-/// `tuple` points at the affected tuple and is valid only during dispatch.
-struct TupleOpEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  ts::TupleSpaceOp op = ts::TupleSpaceOp::kOut;
-  const ts::Tuple* tuple = nullptr;
-};
-
-/// A frame left a radio (tx) or was decoded by a receiver (rx). `frame`
-/// is valid only during dispatch. For rx, `receiver` is the decoding
-/// node and `lost` tells whether the channel then corrupted the frame
-/// (the radio pays for lost frames too, so observers see them).
-struct FrameEvent {
-  sim::SimTime at = 0;
-  const sim::Frame* frame = nullptr;
-  sim::NodeId receiver;  ///< rx only; invalid for tx
-  bool lost = false;     ///< rx only
-};
-
-/// A node left the network (battery depletion or churn crash) or came
-/// back (churn reboot with empty RAM).
-struct NodeLifecycleEvent {
-  sim::SimTime at = 0;
-  sim::NodeId node;
-  sim::NodeDownReason reason = sim::NodeDownReason::kBatteryDepleted;
-};
-
-/// The periodic battery-settle tick ran: every battery's idle draw is
-/// folded in up to `at` and depletion was checked. Fires only when the
-/// energy subsystem is attached.
-struct BatterySettleEvent {
-  sim::SimTime at = 0;
-};
-
-/// Instrumentation interface: subclass and override what you care about.
-/// Callbacks run synchronously inside the simulation event loop — keep
-/// them cheap and never re-enter the simulator from one.
-class Observer {
- public:
-  virtual ~Observer();
-
-  virtual void on_agent_spawn(const AgentSpawnEvent&) {}
-  virtual void on_agent_kill(const AgentKillEvent&) {}
-  virtual void on_agent_migrate(const AgentMigrateEvent&) {}
-  virtual void on_agent_block(const AgentBlockEvent&) {}
-  virtual void on_agent_resume(const AgentResumeEvent&) {}
-  virtual void on_tuple_op(const TupleOpEvent&) {}
-  virtual void on_frame_tx(const FrameEvent&) {}
-  virtual void on_frame_rx(const FrameEvent&) {}
-  /// Beacon transmissions, pre-classified (also reported as on_frame_tx).
-  virtual void on_beacon(const FrameEvent&) {}
-  virtual void on_node_down(const NodeLifecycleEvent&) {}
-  virtual void on_node_up(const NodeLifecycleEvent&) {}
-  virtual void on_battery_settle(const BatterySettleEvent&) {}
-};
-
-/// Fans one event out to every subscribed observer, in subscription
-/// order. Owned by a Deployment; publishing is internal to the facade.
+/// Fans one record out to every subscribed observer, in subscription
+/// order. A Deployment owns one, bound to its simulator: the bus installs
+/// itself as the simulator's sink exactly while it has observers, so an
+/// unobserved run pays one branch per emit site.
 ///
 /// Re-entrancy: both calls are safe from inside an observer callback.
 /// An observer subscribed mid-dispatch starts receiving immediately
-/// (including the event being dispatched); one unsubscribed
-/// mid-dispatch receives nothing further, the in-flight event included.
-class EventBus {
+/// (including the record being dispatched); one unsubscribed
+/// mid-dispatch receives nothing further, the in-flight record included.
+class EventBus final : public sim::EventSink {
  public:
+  /// `source` is the simulator whose records the bus relays; nullptr for
+  /// a standalone bus fed only through publish().
+  explicit EventBus(sim::Simulator* source = nullptr);
+  ~EventBus() override;
+
+  EventBus(const EventBus&) = delete;
+  EventBus& operator=(const EventBus&) = delete;
+
   /// Subscribes `observer` (no ownership taken; it must outlive the bus
   /// or unsubscribe first). Dispatch order is subscription order.
   void subscribe(Observer& observer);
@@ -145,33 +54,26 @@ class EventBus {
 
   [[nodiscard]] std::size_t observer_count() const;
 
-  // Publish helpers (called by Deployment's internal taps).
-  void publish_agent_spawn(const AgentSpawnEvent& event);
-  void publish_agent_kill(const AgentKillEvent& event);
-  void publish_agent_migrate(const AgentMigrateEvent& event);
-  void publish_agent_block(const AgentBlockEvent& event);
-  void publish_agent_resume(const AgentResumeEvent& event);
-  void publish_tuple_op(const TupleOpEvent& event);
-  void publish_frame_tx(const FrameEvent& event);
-  void publish_frame_rx(const FrameEvent& event);
-  void publish_node_down(const NodeLifecycleEvent& event);
-  void publish_node_up(const NodeLifecycleEvent& event);
-  void publish_battery_settle(const BatterySettleEvent& event);
+  /// Delivers `event` to every observer.
+  void publish(const sim::Event& event);
+  void on_event(const sim::Event& event) override { publish(event); }
 
  private:
+  /// Installs or removes this bus as the source's sink to match
+  /// whether anyone is listening.
+  void update_source();
+
+  sim::Simulator* source_;
   /// Index-based fan-out tolerating (un)subscription from callbacks:
   /// unsubscribing mid-dispatch nulls the slot (compacted once the
   /// outermost dispatch unwinds); subscribing appends, which the index
   /// loop picks up without invalidating anything.
-  template <typename Fn>
-  void dispatch(Fn&& deliver);
-
   std::vector<Observer*> observers_;
   int dispatch_depth_ = 0;
   bool pending_compact_ = false;
 };
 
-/// Ready-made observer that counts every event kind — the "thin metrics
+/// Ready-made observer that counts every record kind — the "thin metrics
 /// subscriber" building block used by tests and examples.
 class EventCounter : public Observer {
  public:
@@ -183,29 +85,12 @@ class EventCounter : public Observer {
   std::uint64_t tuple_ops = 0;
   std::uint64_t frames_tx = 0;
   std::uint64_t frames_rx = 0;
-  std::uint64_t beacons = 0;
+  std::uint64_t beacons = 0;  ///< beacon transmissions (also in frames_tx)
   std::uint64_t nodes_down = 0;
   std::uint64_t nodes_up = 0;
   std::uint64_t battery_settles = 0;
 
-  void on_agent_spawn(const AgentSpawnEvent&) override { ++agent_spawns; }
-  void on_agent_kill(const AgentKillEvent&) override { ++agent_kills; }
-  void on_agent_migrate(const AgentMigrateEvent&) override {
-    ++agent_migrations;
-  }
-  void on_agent_block(const AgentBlockEvent&) override { ++agent_blocks; }
-  void on_agent_resume(const AgentResumeEvent&) override {
-    ++agent_resumes;
-  }
-  void on_tuple_op(const TupleOpEvent&) override { ++tuple_ops; }
-  void on_frame_tx(const FrameEvent&) override { ++frames_tx; }
-  void on_frame_rx(const FrameEvent&) override { ++frames_rx; }
-  void on_beacon(const FrameEvent&) override { ++beacons; }
-  void on_node_down(const NodeLifecycleEvent&) override { ++nodes_down; }
-  void on_node_up(const NodeLifecycleEvent&) override { ++nodes_up; }
-  void on_battery_settle(const BatterySettleEvent&) override {
-    ++battery_settles;
-  }
+  void on_event(const sim::Event& event) override;
 };
 
 }  // namespace agilla::api

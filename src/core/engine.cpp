@@ -27,7 +27,7 @@ AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
                            CodePool& code_pool, ts::TupleSpace& tuple_space,
                            ContextManager& context, SensorBoard& sensors,
                            MigrationManager& migration,
-                           RemoteTsManager& remote_ts, sim::Trace* trace)
+                           RemoteTsManager& remote_ts)
     : sim_(sim),
       node_(node),
       options_(options),
@@ -38,16 +38,18 @@ AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
       sensors_(sensors),
       migration_(migration),
       remote_ts_(remote_ts),
-      trace_(trace),
       dispatcher_(std::make_unique<VmDispatcher>(*this)) {}
 
 AgillaEngine::~AgillaEngine() = default;
 
-void AgillaEngine::trace_agent(const Agent& agent,
-                               const std::string& message) {
-  if (trace_ != nullptr) {
-    trace_->emit(sim_.now(), sim::TraceCategory::kAgent, node_,
-                 "agent#" + std::to_string(agent.id().value) + " " + message);
+void AgillaEngine::emit_agent(sim::EventKind kind, AgentId agent,
+                              const char* reason, sim::Location dest) {
+  if (sim_.observed()) {
+    sim::Event event(kind, sim_.now(), node_);
+    event.agent = agent.value;
+    event.reason = reason;
+    event.dest = dest;
+    sim_.emit(event);
   }
 }
 
@@ -66,10 +68,7 @@ std::optional<AgentId> AgillaEngine::launch(
   }
   agent->set_decoded_program(dispatcher_->on_code_stored(*handle, code));
   stats_.agents_launched++;
-  trace_agent(*agent, "launched");
-  if (hooks_.on_spawn) {
-    hooks_.on_spawn(agent->id(), /*via_migration=*/false);
-  }
+  emit_agent(sim::EventKind::kAgentSpawn, agent->id(), "inject");
   make_ready(*agent);
   return agent->id();
 }
@@ -97,17 +96,11 @@ bool AgillaEngine::install(AgentImage image, bool reached_dest) {
     }
     for (ts::Reaction reaction : image.reactions) {
       reaction.agent_id = image.agent_id;
-      if (!tuple_space_.register_reaction(std::move(reaction))) {
-        trace_agent(*agent, "reaction registry full on arrival");
-      }
+      tuple_space_.register_reaction(std::move(reaction));
     }
   }
   stats_.agents_installed++;
-  trace_agent(*agent, reached_dest ? "installed at destination"
-                                   : "installed (custody resume)");
-  if (hooks_.on_spawn) {
-    hooks_.on_spawn(agent->id(), /*via_migration=*/true);
-  }
+  emit_agent(sim::EventKind::kAgentSpawn, agent->id(), "migration");
   make_ready(*agent);
   return true;
 }
@@ -118,8 +111,8 @@ void AgillaEngine::make_ready(Agent& agent) {
   }
   const bool was_blocked = agent.run_state() != AgentRunState::kReady;
   agent.set_run_state(AgentRunState::kReady);
-  if (was_blocked && hooks_.on_resume) {
-    hooks_.on_resume(agent.id());
+  if (was_blocked) {
+    emit_agent(sim::EventKind::kAgentResume, agent.id());
   }
   ready_.push_back(agent.id());
   // Deliver one queued reaction now that the agent can accept it.
@@ -142,11 +135,9 @@ void AgillaEngine::make_ready(Agent& agent) {
 }
 
 void AgillaEngine::block_agent(Agent& agent, AgentRunState state,
-                               std::string_view reason) {
+                               const char* reason) {
   agent.set_run_state(state);
-  if (hooks_.on_block) {
-    hooks_.on_block(agent.id(), reason);
-  }
+  emit_agent(sim::EventKind::kAgentBlock, agent.id(), reason);
 }
 
 void AgillaEngine::set_energy(energy::Battery* battery,
@@ -163,9 +154,7 @@ void AgillaEngine::kill_all_agents() {
   }
   for (const AgentId id : ids) {
     stats_.agents_power_lost++;
-    if (hooks_.on_kill) {
-      hooks_.on_kill(id, "power");
-    }
+    emit_agent(sim::EventKind::kAgentKill, id, "power");
     destroy(id, /*drop_reactions=*/true);
   }
 }
@@ -276,12 +265,9 @@ void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
   std::erase(ready_, id);
 }
 
-void AgillaEngine::die(Agent& agent, const std::string& reason) {
+void AgillaEngine::die(Agent& agent, const char* reason) {
   stats_.vm_errors++;
-  trace_agent(agent, "vm error: " + reason);
-  if (hooks_.on_kill) {
-    hooks_.on_kill(agent.id(), reason);
-  }
+  emit_agent(sim::EventKind::kAgentKill, agent.id(), reason);
   destroy(agent.id(), true);
 }
 
@@ -387,8 +373,6 @@ void AgillaEngine::on_reaction(const ts::Reaction& reaction,
       auto& queue = pending_reactions_[reaction.agent_id];
       if (queue.size() < kMaxPendingReactions) {
         queue.push_back(PendingReaction{reaction, tuple});
-      } else {
-        trace_agent(*agent, "pending reaction queue full; dropped");
       }
       return;
     }
@@ -414,8 +398,6 @@ void AgillaEngine::deliver_reaction(Agent& agent,
     return;
   }
   agent.set_pc(reaction.handler_pc);
-  trace_agent(agent, "reaction fired -> pc " +
-                         std::to_string(reaction.handler_pc));
 }
 
 }  // namespace agilla::core

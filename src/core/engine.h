@@ -15,8 +15,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +28,6 @@
 #include "energy/battery.h"
 #include "energy/energy_model.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace agilla::core {
 
@@ -92,23 +89,10 @@ struct TraceRecord {
   std::uint8_t opcode = 0;
 };
 
-/// Pure-observation taps on the agent lifecycle, wired by the embedding
-/// facade (api::Deployment). All optional; never affect VM behaviour.
+/// Per-engine instruction taps for tools (debugger, grader). The agent
+/// lifecycle is observed through sim::Event records instead (spawn, kill,
+/// migrate, block, resume — emitted on the engine's simulator).
 struct EngineHooks {
-  /// Agent created: injection (`via_migration` false) or migration
-  /// arrival — clone installs and custody resumes included (true).
-  std::function<void(AgentId, bool via_migration)> on_spawn;
-  /// Agent destroyed on this node. `reason` is "halt", "power",
-  /// "migrated", or a VM error message; valid only during the call.
-  std::function<void(AgentId, std::string_view reason)> on_kill;
-  /// A migration protocol run started (moves and clones), before the
-  /// outcome is known.
-  std::function<void(AgentId, sim::Location dest)> on_migrate;
-  /// Agent left the ready state. `reason` is "sleep", "wait", "tuple"
-  /// (blocked in/rd), "migrate", or "remote"; valid only during the call.
-  std::function<void(AgentId, std::string_view reason)> on_block;
-  /// A previously blocked agent re-entered the ready queue.
-  std::function<void(AgentId)> on_resume;
   /// About to dispatch one instruction (fires for undefined/truncated
   /// encodings too — they are dispatched and kill the agent). Purely
   /// observational: no simulated cost, no RNG, so sweeps stay
@@ -140,7 +124,7 @@ class AgillaEngine {
                AgentManager& agents, CodePool& code_pool,
                ts::TupleSpace& tuple_space, ContextManager& context,
                SensorBoard& sensors, MigrationManager& migration,
-               RemoteTsManager& remote_ts, sim::Trace* trace = nullptr);
+               RemoteTsManager& remote_ts);
   ~AgillaEngine();
 
   AgillaEngine(const AgillaEngine&) = delete;
@@ -167,12 +151,7 @@ class AgillaEngine {
   /// dropped, code blocks released, pending wakeups cancelled.
   void kill_all_agents();
 
-  /// Installs the lifecycle instrumentation taps (api::EventBus seam).
-  void set_hooks(EngineHooks hooks) { hooks_ = std::move(hooks); }
-
-  /// Mutable hook access, so a tool (debugger, grader) can add the
-  /// instruction taps without replacing the lifecycle taps the embedding
-  /// facade already installed.
+  /// The instruction taps, for a tool (debugger, grader) to set.
   [[nodiscard]] EngineHooks& hooks() { return hooks_; }
 
   /// Keeps the last `capacity` dispatched instructions in a bounded ring
@@ -225,17 +204,19 @@ class AgillaEngine {
   void note_post_insn(AgentId id, std::uint16_t pc, std::uint8_t opcode);
 
   void make_ready(Agent& agent);
-  void block_agent(Agent& agent, AgentRunState state,
-                   std::string_view reason);
+  /// Emits one agent-lifecycle record for this node (`reason` must be a
+  /// static string; see sim::EventKind).
+  void emit_agent(sim::EventKind kind, AgentId agent,
+                  const char* reason = nullptr, sim::Location dest = {});
+  void block_agent(Agent& agent, AgentRunState state, const char* reason);
   void schedule_tick(sim::SimTime delay);
   void tick();
   void charge_cpu(sim::SimTime cost);
-  void die(Agent& agent, const std::string& reason);
+  void die(Agent& agent, const char* reason);
   void destroy(AgentId id, bool drop_reactions);
 
   void deliver_reaction(Agent& agent, const ts::Reaction& reaction,
                         const ts::Tuple& tuple);
-  void trace_agent(const Agent& agent, const std::string& message);
 
   sim::Simulator& sim_;
   sim::NodeId node_;
@@ -247,7 +228,6 @@ class AgillaEngine {
   SensorBoard& sensors_;
   MigrationManager& migration_;
   RemoteTsManager& remote_ts_;
-  sim::Trace* trace_;
   energy::Battery* battery_ = nullptr;
   energy::CpuEnergyModel cpu_energy_{};
   EngineHooks hooks_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "core/agent_library.h"
@@ -132,99 +133,107 @@ const char kHelp[] =
     "  status\n"
     "  help";
 
+/// One record as console text ("spawn t=.. node=.. agent=..", ...).
+std::string format_record(const sim::Event& e) {
+  const std::string t = "t=" + std::to_string(e.at);
+  const std::string node = " node=" + std::to_string(e.node.value);
+  std::string text;
+  switch (e.kind) {
+    case sim::EventKind::kAgentSpawn:
+      text = "spawn " + t + node + " agent=" + std::to_string(e.agent) +
+             (std::strcmp(e.reason, "migration") == 0 ? " migrated" : "");
+      break;
+    case sim::EventKind::kAgentKill:
+      text = "kill " + t + node + " agent=" + std::to_string(e.agent) +
+             " reason=" + e.reason;
+      break;
+    case sim::EventKind::kAgentMigrate:
+      text = "migrate " + t + node + " agent=" + std::to_string(e.agent) +
+             " dest=" + format_location(e.dest);
+      break;
+    case sim::EventKind::kTupleOp: {
+      net::Reader reader(e.tuple_bytes());
+      const std::optional<ts::Tuple> tuple = ts::Tuple::decode(reader);
+      text = std::string(e.tuple_op == sim::TupleOp::kOut ? "out " : "inp ") +
+             t + node + " " + (tuple ? tuple->to_string() : "<?>");
+      break;
+    }
+    case sim::EventKind::kFrameTx:
+      text = "tx " + t + " src=" + std::to_string(e.frame.src.value) +
+             " dst=" + std::to_string(e.frame.dst.value) +
+             " am=" + std::to_string(static_cast<int>(e.frame.am)) +
+             " bytes=" + std::to_string(e.frame.payload_bytes);
+      break;
+    case sim::EventKind::kFrameRx:
+      text = "rx " + t + " src=" + std::to_string(e.frame.src.value) +
+             " rx=" + std::to_string(e.frame.receiver.value) +
+             (e.frame.lost ? " lost" : "");
+      break;
+    case sim::EventKind::kNodeDown:
+      text = "down " + t + node +
+             (e.down == sim::NodeDownReason::kChurnCrash ? " reason=churn"
+                                                         : " reason=battery");
+      break;
+    case sim::EventKind::kNodeUp:
+      text = "up " + t + node;
+      break;
+    default:  // kBatterySettle
+      text = "settle " + t;
+      break;
+  }
+  return text;
+}
+
 }  // namespace
 
 /// Bridges the api::EventBus onto the console's sinks: one observer per
 /// console, subscribed to the bus only while at least one event kind is
 /// subscribed. Formatting happens only for subscribed kinds, so an idle
-/// console costs one set lookup per event.
+/// console costs one set lookup per record.
 class GatewayConsole::BusBridge final : public api::Observer {
  public:
   explicit BusBridge(GatewayConsole& console) : console_(console) {}
 
-  void on_agent_spawn(const api::AgentSpawnEvent& e) override {
-    if (console_.subscribed("agent")) {
-      console_.deliver_event(
-          "agent", "spawn t=" + std::to_string(e.at) +
-                       " node=" + std::to_string(e.node.value) +
-                       " agent=" + std::to_string(e.agent) +
-                       (e.via_migration ? " migrated" : ""));
+  void on_event(const sim::Event& e) override {
+    const char* kind = console_kind(e.kind);
+    if (kind == nullptr || !console_.subscribed(kind)) {
+      return;
     }
-  }
-  void on_agent_kill(const api::AgentKillEvent& e) override {
-    if (console_.subscribed("agent")) {
-      console_.deliver_event(
-          "agent", "kill t=" + std::to_string(e.at) +
-                       " node=" + std::to_string(e.node.value) +
-                       " agent=" + std::to_string(e.agent) + " reason=" +
-                       std::string(e.reason));
+    // The bus hands one record to every console's bridge in turn and the
+    // text depends on the record alone, so format it once per record.
+    thread_local sim::Event last;
+    thread_local std::string text;
+    if (text.empty() || !(last == e)) {
+      text = format_record(e);
+      last = e;
     }
-  }
-  void on_agent_migrate(const api::AgentMigrateEvent& e) override {
-    if (console_.subscribed("agent")) {
-      console_.deliver_event(
-          "agent", "migrate t=" + std::to_string(e.at) +
-                       " node=" + std::to_string(e.node.value) +
-                       " agent=" + std::to_string(e.agent) + " dest=" +
-                       format_location(e.dest));
-    }
-  }
-  void on_tuple_op(const api::TupleOpEvent& e) override {
-    if (console_.subscribed("tuple")) {
-      console_.deliver_event(
-          "tuple",
-          std::string(e.op == ts::TupleSpaceOp::kOut ? "out" : "inp") +
-              " t=" + std::to_string(e.at) +
-              " node=" + std::to_string(e.node.value) + " " +
-              e.tuple->to_string());
-    }
-  }
-  void on_frame_tx(const api::FrameEvent& e) override {
-    if (console_.subscribed("frame")) {
-      console_.deliver_event(
-          "frame",
-          "tx t=" + std::to_string(e.at) +
-              " src=" + std::to_string(e.frame->src.value) +
-              " dst=" + std::to_string(e.frame->dst.value) + " am=" +
-              std::to_string(static_cast<int>(e.frame->am)) + " bytes=" +
-              std::to_string(e.frame->payload.size()));
-    }
-  }
-  void on_frame_rx(const api::FrameEvent& e) override {
-    if (console_.subscribed("frame")) {
-      console_.deliver_event(
-          "frame",
-          "rx t=" + std::to_string(e.at) +
-              " src=" + std::to_string(e.frame->src.value) + " rx=" +
-              std::to_string(e.receiver.value) +
-              (e.lost ? " lost" : ""));
-    }
-  }
-  void on_node_down(const api::NodeLifecycleEvent& e) override {
-    if (console_.subscribed("node")) {
-      console_.deliver_event(
-          "node", "down t=" + std::to_string(e.at) +
-                      " node=" + std::to_string(e.node.value) +
-                      (e.reason == sim::NodeDownReason::kChurnCrash
-                           ? " reason=churn"
-                           : " reason=battery"));
-    }
-  }
-  void on_node_up(const api::NodeLifecycleEvent& e) override {
-    if (console_.subscribed("node")) {
-      console_.deliver_event("node",
-                             "up t=" + std::to_string(e.at) + " node=" +
-                                 std::to_string(e.node.value));
-    }
-  }
-  void on_battery_settle(const api::BatterySettleEvent& e) override {
-    if (console_.subscribed("battery")) {
-      console_.deliver_event("battery",
-                             "settle t=" + std::to_string(e.at));
-    }
+    console_.deliver_event(kind, text, e.at);
   }
 
  private:
+  /// The `subscribe` kind a record belongs to; nullptr for records the
+  /// console does not stream (agent block/resume).
+  static const char* console_kind(sim::EventKind kind) {
+    switch (kind) {
+      case sim::EventKind::kAgentSpawn:
+      case sim::EventKind::kAgentKill:
+      case sim::EventKind::kAgentMigrate:
+        return "agent";
+      case sim::EventKind::kTupleOp:
+        return "tuple";
+      case sim::EventKind::kFrameTx:
+      case sim::EventKind::kFrameRx:
+        return "frame";
+      case sim::EventKind::kNodeDown:
+      case sim::EventKind::kNodeUp:
+        return "node";
+      case sim::EventKind::kBatterySettle:
+        return "battery";
+      default:
+        return nullptr;
+    }
+  }
+
   GatewayConsole& console_;
 };
 
@@ -261,17 +270,28 @@ void GatewayConsole::emit(const std::string& line) {
 
 void GatewayConsole::deliver_async(std::uint64_t id, bool ok,
                                    const std::string& text) {
-  ++async_results_;
-  if (async_sink_) {
-    async_sink_(id, ok, text);
-  }
-  emit("async#" + std::to_string(id) + ": " + text);
+  // Completions run inside the gateway mote's events — on a shard worker
+  // under sim_shards > 1 — so results join the bus records' serial order
+  // (and the driving thread) through defer().
+  base_.gateway().simulator().defer(
+      [this, alive = std::weak_ptr<bool>(alive_), id, ok, text] {
+        const auto guard = alive.lock();
+        if (guard == nullptr || !*guard) {
+          return;
+        }
+        ++async_results_;
+        if (async_sink_) {
+          async_sink_(id, ok, text);
+        }
+        emit("async#" + std::to_string(id) + ": " + text);
+      });
 }
 
 void GatewayConsole::deliver_event(const std::string& kind,
-                                   const std::string& text) {
+                                   const std::string& text,
+                                   sim::SimTime at) {
   if (event_sink_) {
-    event_sink_(kind, text);
+    event_sink_(kind, text, at);
   }
   emit("event: " + kind + " " + text);
 }

@@ -48,10 +48,10 @@ class GatewayConsole {
   /// Structured async-result sink: `id` is the originating command's id.
   using AsyncSink =
       std::function<void(std::uint64_t id, bool ok, const std::string&)>;
-  /// Structured subscription sink: one call per bus event whose kind this
-  /// console is subscribed to.
-  using EventSink =
-      std::function<void(const std::string& kind, const std::string&)>;
+  /// Structured subscription sink: one call per bus record whose kind
+  /// this console is subscribed to; `at` is the record's virtual time.
+  using EventSink = std::function<void(const std::string& kind,
+                                       const std::string&, sim::SimTime at)>;
 
   explicit GatewayConsole(BaseStation& base, OutputSink output = nullptr);
   ~GatewayConsole();
@@ -118,8 +118,9 @@ class GatewayConsole {
   /// Fans one async result out to the sinks, tagged with the originating
   /// command's id.
   void deliver_async(std::uint64_t id, bool ok, const std::string& text);
-  /// Fans one subscribed bus event out to the sinks (BusBridge calls it).
-  void deliver_event(const std::string& kind, const std::string& text);
+  /// Fans one subscribed bus record out to the sinks (BusBridge calls it).
+  void deliver_event(const std::string& kind, const std::string& text,
+                     sim::SimTime at);
 
   BaseStation& base_;
   OutputSink output_;

@@ -4,34 +4,32 @@ namespace agilla::core {
 
 AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
                                    const sim::SensorEnvironment* environment,
-                                   AgillaConfig config, sim::Trace* trace)
+                                   AgillaConfig config)
     : network_(network),
       self_(self),
       location_(network.info(self).location),
       config_(config),
-      tuple_space_(config.tuple_space),
+      tuple_space_(config.tuple_space, &network.simulator(), self),
       code_pool_(config.code_pool_blocks),
       agents_(self, config.agents),
       sensors_(environment, location_) {
-  link_ = std::make_unique<net::LinkLayer>(network_, self_, config_.link,
-                                           trace);
+  link_ = std::make_unique<net::LinkLayer>(network_, self_, config_.link);
   neighbors_ = std::make_unique<net::NeighborTable>(
-      network_, *link_, location_, config_.neighbors, trace);
+      network_, *link_, location_, config_.neighbors);
   router_ = std::make_unique<net::GeoRouter>(network_, *link_, *neighbors_,
-                                             location_, config_.routing,
-                                             trace);
+                                             location_, config_.routing);
   context_ = std::make_unique<ContextManager>(location_, *neighbors_);
   migration_ = std::make_unique<MigrationManager>(
-      network_, *link_, *router_, location_, config_.migration, trace);
+      network_, *link_, *router_, location_, config_.migration);
   remote_ts_ = std::make_unique<RemoteTsManager>(
       network_.simulator(), *router_, tuple_space_, location_,
-      config_.remote_ts, trace);
+      config_.remote_ts);
   region_ops_ = std::make_unique<RegionOps>(network_, *link_, *router_,
                                             tuple_space_, location_,
-                                            config_.region, trace);
+                                            config_.region);
   engine_ = std::make_unique<AgillaEngine>(
       network_.simulator(), self_, config_.engine, agents_, code_pool_,
-      tuple_space_, *context_, sensors_, *migration_, *remote_ts_, trace);
+      tuple_space_, *context_, sensors_, *migration_, *remote_ts_);
 
   // Wire the upcalls: reactions and wakeups flow from the tuple space to
   // the engine; arriving agents flow from the migration manager.

@@ -41,8 +41,7 @@ class AgillaMiddleware {
   /// nullptr (no sensors). The instance must outlive the simulation run.
   AgillaMiddleware(sim::Network& network, sim::NodeId self,
                    const sim::SensorEnvironment* environment,
-                   AgillaConfig config = AgillaConfig(),
-                   sim::Trace* trace = nullptr);
+                   AgillaConfig config = AgillaConfig());
 
   AgillaMiddleware(const AgillaMiddleware&) = delete;
   AgillaMiddleware& operator=(const AgillaMiddleware&) = delete;
@@ -66,6 +65,7 @@ class AgillaMiddleware {
 
   [[nodiscard]] sim::NodeId node_id() const { return self_; }
   [[nodiscard]] sim::Location location() const { return location_; }
+  [[nodiscard]] sim::Simulator& simulator() { return network_.simulator(); }
 
   [[nodiscard]] AgillaEngine& engine() { return *engine_; }
   [[nodiscard]] const AgillaEngine& engine() const { return *engine_; }

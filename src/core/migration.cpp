@@ -17,14 +17,12 @@ constexpr sim::AmType kMigrationTypes[] = {
 MigrationManager::MigrationManager(sim::Network& network,
                                    net::LinkLayer& link,
                                    const net::GeoRouter& router,
-                                   sim::Location self, Options options,
-                                   sim::Trace* trace)
+                                   sim::Location self, Options options)
     : network_(network),
       link_(link),
       router_(router),
       self_(self),
-      options_(options),
-      trace_(trace) {
+      options_(options) {
   for (const sim::AmType am : kMigrationTypes) {
     link_.register_handler(
         am, [this, am](sim::NodeId from, std::span<const std::uint8_t> p) {
@@ -38,12 +36,6 @@ void MigrationManager::deliver(AgentImage image, bool reached_dest) {
     stats_.arrivals++;
   } else {
     stats_.custody_resumes++;
-  }
-  if (trace_ != nullptr) {
-    trace_->emit(network_.simulator().now(), sim::TraceCategory::kMigration,
-                 link_.self(),
-                 std::string(reached_dest ? "arrival" : "custody-resume") +
-                     " agent#" + std::to_string(image.agent_id));
   }
   if (arrival_) {
     arrival_(std::move(image), reached_dest);
@@ -188,11 +180,6 @@ void MigrationManager::abort_incoming(std::uint16_t agent_id) {
     return;
   }
   stats_.receiver_aborts++;
-  if (trace_ != nullptr) {
-    trace_->emit(network_.simulator().now(), sim::TraceCategory::kMigration,
-                 link_.self(),
-                 "receiver abort agent#" + std::to_string(agent_id));
-  }
   incoming_.erase(it);
 }
 

@@ -52,7 +52,7 @@ class MigrationManager {
 
   MigrationManager(sim::Network& network, net::LinkLayer& link,
                    const net::GeoRouter& router, sim::Location self,
-                   Options options, sim::Trace* trace = nullptr);
+                   Options options);
 
   MigrationManager(const MigrationManager&) = delete;
   MigrationManager& operator=(const MigrationManager&) = delete;
@@ -113,7 +113,6 @@ class MigrationManager {
   const net::GeoRouter& router_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   energy::Battery* battery_ = nullptr;
   double per_message_mj_ = 0.0;
   ArrivalHandler arrival_;

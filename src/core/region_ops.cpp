@@ -22,14 +22,13 @@ RegionOps::RegionOps(sim::Network& network, net::LinkLayer& link,
 
 RegionOps::RegionOps(sim::Network& network, net::LinkLayer& link,
                      net::GeoRouter& router, ts::TupleSpace& space,
-                     sim::Location self, Options options, sim::Trace* trace)
+                     sim::Location self, Options options)
     : network_(network),
       link_(link),
       router_(router),
       space_(space),
       self_(self),
-      options_(options),
-      trace_(trace) {
+      options_(options) {
   router_.register_handler(
       sim::AmType::kRegionOut,
       [this](const net::GeoHeader& h, std::span<const std::uint8_t> p) {
@@ -123,11 +122,6 @@ void RegionOps::handle_region_payload(std::span<const std::uint8_t> payload,
   const auto tuple = ref.materialize();  // encoded_size() proved decodable
   if (space_.out(*tuple)) {
     stats_.tuples_inserted++;
-  }
-  if (trace_ != nullptr) {
-    trace_->emit(network_.simulator().now(), sim::TraceCategory::kTupleSpace,
-                 link_.self(),
-                 "region out " + tuple->to_string());
   }
 
   if (mode == RegionMode::kAllNodes && ttl > 0) {

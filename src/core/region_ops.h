@@ -54,8 +54,7 @@ class RegionOps {
             sim::Location self);
   RegionOps(sim::Network& network, net::LinkLayer& link,
             net::GeoRouter& router, ts::TupleSpace& space,
-            sim::Location self, Options options,
-            sim::Trace* trace = nullptr);
+            sim::Location self, Options options);
 
   RegionOps(const RegionOps&) = delete;
   RegionOps& operator=(const RegionOps&) = delete;
@@ -83,7 +82,6 @@ class RegionOps {
   ts::TupleSpace& space_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   std::deque<std::uint64_t> seen_;
   std::uint16_t next_flood_id_ = 1;
   Stats stats_;

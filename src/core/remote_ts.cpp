@@ -29,13 +29,12 @@ const char* to_string(RemoteOp op) {
 
 RemoteTsManager::RemoteTsManager(sim::Simulator& sim, net::GeoRouter& router,
                                  ts::TupleSpace& local, sim::Location self,
-                                 Options options, sim::Trace* trace)
+                                 Options options)
     : sim_(sim),
       router_(router),
       local_(local),
       self_(self),
-      options_(options),
-      trace_(trace) {
+      options_(options) {
   router_.register_handler(
       sim::AmType::kTsRequest,
       [this](const net::GeoHeader& h, std::span<const std::uint8_t> p) {

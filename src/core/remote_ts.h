@@ -57,8 +57,7 @@ class RemoteTsManager {
       std::function<void(bool success, std::optional<ts::Tuple> result)>;
 
   RemoteTsManager(sim::Simulator& sim, net::GeoRouter& router,
-                  ts::TupleSpace& local, sim::Location self, Options options,
-                  sim::Trace* trace = nullptr);
+                  ts::TupleSpace& local, sim::Location self, Options options);
 
   RemoteTsManager(const RemoteTsManager&) = delete;
   RemoteTsManager& operator=(const RemoteTsManager&) = delete;
@@ -102,7 +101,6 @@ class RemoteTsManager {
   ts::TupleSpace& local_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   std::unordered_map<std::uint16_t, Pending> pending_;
   std::deque<CachedReply> replay_;
   std::uint16_t next_request_id_ = 1;

@@ -6,14 +6,6 @@
 #include "core/engine.h"
 #include "net/packet.h"
 
-// Labels-as-values needs a GNU-compatible compiler; everything else takes
-// the handler-pointer table fallback below.
-#if defined(__GNUC__) || defined(__clang__)
-#define AGILLA_COMPUTED_GOTO 1
-#else
-#define AGILLA_COMPUTED_GOTO 0
-#endif
-
 namespace agilla::core {
 namespace {
 
@@ -284,6 +276,9 @@ void VmDispatcher::on_code_released(CodeHandle handle) {
 // --------------------------------------------------------------------------
 
 void VmDispatcher::run_slice(Agent& agent, sim::SimTime& cost) {
+#if defined(__GNUC__)
+  // The threaded loop needs labels-as-values (GCC and Clang); any other
+  // compiler runs the reference switch, with identical simulated results.
   if (e_.options_.dispatch == DispatchMode::kThreaded) {
     // The stack copy pins the template for the whole slice: a handler that
     // destroys the agent (halt, completed smove) releases the code handle
@@ -296,6 +291,7 @@ void VmDispatcher::run_slice(Agent& agent, sim::SimTime& cost) {
       return;
     }
   }
+#endif
   run_slice_switch(agent, cost);
 }
 
@@ -359,6 +355,7 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
   }
 }
 
+#if defined(__GNUC__)
 void VmDispatcher::run_slice_threaded(Agent& agent,
                                       const DecodedProgram& program,
                                       sim::SimTime& cost) {
@@ -370,7 +367,6 @@ void VmDispatcher::run_slice_threaded(Agent& agent,
   const AgentId insn_agent = agent.id();
   std::size_t executed = 0;
 
-#if AGILLA_COMPUTED_GOTO
   // Label table indexed by OpClass — order must match the enum exactly.
   static const void* const kLabels[] = {
       &&lbl_halt,    &&lbl_loc,     &&lbl_aid,      &&lbl_rand,
@@ -457,62 +453,8 @@ insn_done : {
   }
   return;
 }
-#else
-  // Handler-pointer table fallback for compilers without labels-as-values.
-  using Handler = StepResult (VmDispatcher::*)(Agent&, const DecodedInsn&,
-                                               sim::SimTime&);
-  static constexpr Handler kHandlers[] = {
-      &VmDispatcher::h_halt,      &VmDispatcher::h_loc,
-      &VmDispatcher::h_aid,       &VmDispatcher::h_rand,
-      &VmDispatcher::h_numnbrs,   &VmDispatcher::h_sense,
-      &VmDispatcher::h_sleep,     &VmDispatcher::h_putled,
-      &VmDispatcher::h_copy,      &VmDispatcher::h_pop,
-      &VmDispatcher::h_swap,      &VmDispatcher::h_wait,
-      &VmDispatcher::h_jumps,     &VmDispatcher::h_depth,
-      &VmDispatcher::h_clear,     &VmDispatcher::h_cpush,
-      &VmDispatcher::h_arith,     &VmDispatcher::h_not,
-      &VmDispatcher::h_incdec,    &VmDispatcher::h_migrate,
-      &VmDispatcher::h_getnbr,    &VmDispatcher::h_randnbr,
-      &VmDispatcher::h_compare,   &VmDispatcher::h_rjump,
-      &VmDispatcher::h_rjumpc,    &VmDispatcher::h_jump,
-      &VmDispatcher::h_tuple,     &VmDispatcher::h_remote,
-      &VmDispatcher::h_getvar,    &VmDispatcher::h_setvar,
-      &VmDispatcher::h_push,      &VmDispatcher::h_undefined,
-      &VmDispatcher::h_truncated,
-  };
-  static_assert(sizeof(kHandlers) / sizeof(kHandlers[0]) ==
-                static_cast<std::size_t>(OpClass::kCount));
-
-  StepResult result = StepResult::kContinue;
-  while (true) {
-    const std::uint16_t pc = agent.pc();
-    if (pc >= program.size()) {
-      e_.die(agent, "program counter out of range");
-      return;
-    }
-    const DecodedInsn& d = program.at(pc);
-    if (taps) {
-      e_.note_pre_insn(insn_agent, pc, d.raw);
-    }
-    const sim::SimTime cost_before = cost;
-    if (d.cls != OpClass::kUndefined && d.cls != OpClass::kTruncated) {
-      agent.set_pc(static_cast<std::uint16_t>(pc + d.length));
-      e_.stats_.instructions++;
-    }
-    result = (this->*kHandlers[static_cast<std::size_t>(d.cls)])(agent, d,
-                                                                 cost);
-    OpcodeProfile& entry = e_.profile_[d.profile_key];
-    entry.count++;
-    entry.total_cost += cost - cost_before;
-    if (taps && result != StepResult::kGone) {
-      e_.note_post_insn(insn_agent, pc, d.raw);
-    }
-    if (result != StepResult::kContinue || ++executed >= per_slice) {
-      return;
-    }
-  }
-#endif
 }
+#endif
 
 VmDispatcher::StepResult VmDispatcher::execute(Agent& agent,
                                                const DecodedInsn& d,
@@ -605,10 +547,7 @@ VmDispatcher::StepResult VmDispatcher::h_halt(Agent& agent,
                                               const DecodedInsn& /*d*/,
                                               sim::SimTime& /*cost*/) {
   e_.stats_.agents_halted++;
-  e_.trace_agent(agent, "halt");
-  if (e_.hooks_.on_kill) {
-    e_.hooks_.on_kill(agent.id(), "halt");
-  }
+  e_.emit_agent(sim::EventKind::kAgentKill, agent.id(), "halt");
   e_.destroy(agent.id(), true);
   return StepResult::kGone;
 }
@@ -696,7 +635,6 @@ VmDispatcher::StepResult VmDispatcher::h_sleep(Agent& agent,
       e_.make_ready(*a);
     }
   });
-  e_.trace_agent(agent, "sleep " + std::to_string(ticks) + " ticks");
   return StepResult::kBlocked;
 }
 
@@ -705,7 +643,6 @@ VmDispatcher::StepResult VmDispatcher::h_putled(Agent& agent,
                                                 sim::SimTime& cost) {
   cost += d.precharge;
   e_.leds_ = static_cast<std::uint8_t>(agent.pop().as_number() & 0x7);
-  e_.trace_agent(agent, "leds=" + std::to_string(e_.leds_));
   return StepResult::kContinue;
 }
 
@@ -752,7 +689,6 @@ VmDispatcher::StepResult VmDispatcher::h_wait(Agent& agent,
                                               sim::SimTime& cost) {
   cost += d.precharge;
   e_.block_agent(agent, AgentRunState::kWaitingRxn, "wait");
-  e_.trace_agent(agent, "wait");
   return StepResult::kBlocked;
 }
 
@@ -1219,16 +1155,13 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
   }
 
   e_.stats_.migrations_started++;
-  if (e_.hooks_.on_migrate) {
-    e_.hooks_.on_migrate(agent.id(), dest);
-  }
+  e_.emit_agent(sim::EventKind::kAgentMigrate, agent.id(), nullptr, dest);
   AgentImage image = make_image(agent, mop, dest);
   if (is_clone(mop)) {
     image.agent_id = e_.agents_.next_id().value;
   }
   e_.block_agent(agent, AgentRunState::kBlockedOp, "migrate");
   const AgentId id = agent.id();
-  e_.trace_agent(agent, std::string(to_string(mop)) + " ->");
   e_.migration_.send(std::move(image), [this, id, mop](bool success) {
     Agent* a = e_.agents_.find(id);
     if (a == nullptr) {
@@ -1246,9 +1179,7 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
     }
     // Moves: on success the agent now lives on the next hop.
     if (success) {
-      if (e_.hooks_.on_kill) {
-        e_.hooks_.on_kill(id, "migrated");
-      }
+      e_.emit_agent(sim::EventKind::kAgentKill, id, "migrated");
       e_.destroy(id, /*drop_reactions=*/true);
       return;
     }

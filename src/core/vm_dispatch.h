@@ -128,7 +128,8 @@ class DecodedProgram {
 ///   - run_slice_switch: fetches byte-by-byte through the CodePool chain
 ///     and dispatches through a switch — the reference interpreter.
 ///   - run_slice_threaded: walks the DecodedProgram with computed-goto
-///     labels-as-values (GCC/Clang) or a handler-pointer table fallback.
+///     labels-as-values. GCC/Clang only: other compilers run every slice
+///     through the switch, whatever the dispatch mode.
 /// Both produce byte-identical simulated behaviour; only host speed
 /// differs.
 class VmDispatcher {

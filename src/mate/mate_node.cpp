@@ -5,14 +5,12 @@
 namespace agilla::mate {
 
 MateNode::MateNode(sim::Network& network, sim::NodeId self,
-                   const sim::SensorEnvironment* environment, Options options,
-                   sim::Trace* trace)
+                   const sim::SensorEnvironment* environment, Options options)
     : network_(network),
       self_(self),
       environment_(environment),
       options_(options),
-      trace_(trace),
-      link_(network, self, net::LinkLayer::Options{}, trace) {
+      link_(network, self, net::LinkLayer::Options{}) {
   link_.register_handler(
       sim::AmType::kMateCapsule,
       [this](sim::NodeId from, std::span<const std::uint8_t> p) {
@@ -40,12 +38,6 @@ void MateNode::install(const Capsule& capsule) {
   }
   capsules_[slot] = capsule;
   stats_.capsules_installed++;
-  if (trace_ != nullptr) {
-    trace_->emit(network_.simulator().now(), sim::TraceCategory::kMate,
-                 self_,
-                 "installed capsule type " + std::to_string(slot) +
-                     " v" + std::to_string(capsule.version));
-  }
 }
 
 const Capsule* MateNode::capsule(CapsuleType type) const {

@@ -33,8 +33,7 @@ class MateNode {
   };
 
   MateNode(sim::Network& network, sim::NodeId self,
-           const sim::SensorEnvironment* environment, Options options,
-           sim::Trace* trace = nullptr);
+           const sim::SensorEnvironment* environment, Options options);
 
   MateNode(const MateNode&) = delete;
   MateNode& operator=(const MateNode&) = delete;
@@ -60,7 +59,6 @@ class MateNode {
   sim::NodeId self_;
   const sim::SensorEnvironment* environment_;
   Options options_;
-  sim::Trace* trace_;
   net::LinkLayer link_;
   std::array<std::optional<Capsule>, kCapsuleTypes> capsules_;
   sim::EventHandle clock_;

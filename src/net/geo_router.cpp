@@ -5,19 +5,17 @@
 namespace agilla::net {
 
 GeoRouter::GeoRouter(sim::Network& network, LinkLayer& link,
-                     const NeighborTable& neighbors, sim::Location self,
-                     sim::Trace* trace)
-    : GeoRouter(network, link, neighbors, self, Options{}, trace) {}
+                     const NeighborTable& neighbors, sim::Location self)
+    : GeoRouter(network, link, neighbors, self, Options{}) {}
 
 GeoRouter::GeoRouter(sim::Network& network, LinkLayer& link,
                      const NeighborTable& neighbors, sim::Location self,
-                     Options options, sim::Trace* trace)
+                     Options options)
     : network_(network),
       link_(link),
       neighbors_(neighbors),
       self_(self),
-      options_(options),
-      trace_(trace) {
+      options_(options) {
   link_.register_handler(
       sim::AmType::kGeo,
       [this](sim::NodeId from, std::span<const std::uint8_t> payload) {
@@ -132,11 +130,6 @@ void GeoRouter::forward(const GeoHeader& header,
     }
     case Decision::Kind::kNoRoute: {
       stats_.no_route++;
-      if (trace_ != nullptr) {
-        trace_->emit(network_.simulator().now(),
-                     sim::TraceCategory::kRouting, link_.self(),
-                     "no route toward destination");
-      }
       return;
     }
   }

@@ -59,11 +59,10 @@ class GeoRouter {
                                      std::span<const std::uint8_t>)>;
 
   GeoRouter(sim::Network& network, LinkLayer& link,
-            const NeighborTable& neighbors, sim::Location self,
-            sim::Trace* trace = nullptr);
+            const NeighborTable& neighbors, sim::Location self);
   GeoRouter(sim::Network& network, LinkLayer& link,
             const NeighborTable& neighbors, sim::Location self,
-            Options options, sim::Trace* trace = nullptr);
+            Options options);
 
   GeoRouter(const GeoRouter&) = delete;
   GeoRouter& operator=(const GeoRouter&) = delete;
@@ -104,7 +103,6 @@ class GeoRouter {
   const NeighborTable& neighbors_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   std::unordered_map<sim::AmType, Handler> handlers_;
   Stats stats_;
 };

@@ -9,9 +9,8 @@ namespace agilla::net {
 LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self)
     : LinkLayer(network, self, Options{}) {}
 
-LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self, Options options,
-                     sim::Trace* trace)
-    : network_(network), self_(self), options_(options), trace_(trace) {
+LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self, Options options)
+    : network_(network), self_(self), options_(options) {
   dedup_.reserve(options_.dedup_cache);
 }
 
@@ -90,20 +89,12 @@ void LinkLayer::on_timeout(std::uint8_t seq) {
   }
   Pending& p = it->second;
   if (p.attempts <= options_.max_retries) {
-    if (trace_ != nullptr) {
-      trace_->emit(network_.simulator().now(), sim::TraceCategory::kLink,
-                   self_, "retransmit seq=" + std::to_string(seq));
-    }
     transmit(seq);
     return;
   }
   stats_.send_failures++;
   auto done = std::move(p.done);
   pending_.erase(it);
-  if (trace_ != nullptr) {
-    trace_->emit(network_.simulator().now(), sim::TraceCategory::kLink,
-                 self_, "give up seq=" + std::to_string(seq));
-  }
   if (done) {
     done(false);
   }

@@ -14,7 +14,6 @@
 
 #include "net/packet.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 namespace agilla::net {
 
@@ -65,8 +64,7 @@ class LinkLayer {
       std::function<void(sim::NodeId from, std::span<const std::uint8_t>)>;
 
   LinkLayer(sim::Network& network, sim::NodeId self);
-  LinkLayer(sim::Network& network, sim::NodeId self, Options options,
-            sim::Trace* trace = nullptr);
+  LinkLayer(sim::Network& network, sim::NodeId self, Options options);
 
   LinkLayer(const LinkLayer&) = delete;
   LinkLayer& operator=(const LinkLayer&) = delete;
@@ -126,7 +124,6 @@ class LinkLayer {
   sim::Network& network_;
   sim::NodeId self_;
   Options options_;
-  sim::Trace* trace_;
   struct DedupEntry {
     std::uint64_t key = 0;  // (src << 8) | seq
     bool acked = false;

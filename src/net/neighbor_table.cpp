@@ -11,13 +11,11 @@ NeighborTable::NeighborTable(sim::Network& network, LinkLayer& link,
     : NeighborTable(network, link, self, Options{}) {}
 
 NeighborTable::NeighborTable(sim::Network& network, LinkLayer& link,
-                             sim::Location self, Options options,
-                             sim::Trace* trace)
+                             sim::Location self, Options options)
     : network_(network),
       link_(link),
       self_(self),
-      options_(options),
-      trace_(trace) {
+      options_(options) {
   link_.register_handler(
       sim::AmType::kBeacon,
       [this](sim::NodeId from, std::span<const std::uint8_t> payload) {
@@ -189,10 +187,6 @@ void NeighborTable::upsert(sim::NodeId id, const BeaconPayload& beacon) {
             [](const NeighborEntry& a, const NeighborEntry& b) {
               return a.id < b.id;
             });
-  if (trace_ != nullptr) {
-    trace_->emit(now, sim::TraceCategory::kNeighbor, link_.self(),
-                 "discovered n" + std::to_string(id.value));
-  }
   if (discovery_) {
     discovery_(id, beacon.location);
   }

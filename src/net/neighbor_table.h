@@ -26,7 +26,6 @@
 
 #include "net/link_layer.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 
 namespace agilla::net {
 
@@ -80,7 +79,7 @@ class NeighborTable {
 
   NeighborTable(sim::Network& network, LinkLayer& link, sim::Location self);
   NeighborTable(sim::Network& network, LinkLayer& link, sim::Location self,
-                Options options, sim::Trace* trace = nullptr);
+                Options options);
 
   /// Start periodic beaconing (first beacon after a random sub-period
   /// offset so co-located nodes do not synchronize).
@@ -150,7 +149,6 @@ class NeighborTable {
   LinkLayer& link_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   SelfStateFn self_state_;
   DiscoveryHandler discovery_;
   std::vector<NeighborEntry> entries_;

@@ -261,9 +261,7 @@ void Network::schedule_settle_tick() {
         kill_node(node.info.id, NodeDownReason::kBatteryDepleted);
       }
     }
-    if (settle_tap_) {
-      settle_tap_();
-    }
+    sim_.emit(Event(EventKind::kBatterySettle, sim_.now()));
     schedule_settle_tick();
   });
 }
@@ -341,6 +339,11 @@ void Network::kill_node(NodeId id, NodeDownReason reason) {
   if (node_down_) {
     node_down_(id, reason);
   }
+  if (sim_.observed()) {
+    Event event(EventKind::kNodeDown, sim_.now(), id);
+    event.down = reason;
+    sim_.emit(event);
+  }
 }
 
 void Network::revive_node(NodeId id) {
@@ -364,6 +367,7 @@ void Network::revive_node(NodeId id) {
   if (node_up_) {
     node_up_(id);
   }
+  sim_.emit(Event(EventKind::kNodeUp, sim_.now(), id));
 }
 
 bool Network::alive(NodeId id) const {
@@ -452,7 +456,7 @@ void Network::launch_frame(NodeState& node, SimTime arrival) {
     // in-range radio decodes the unicast frame before its address filter
     // drops it, and pays RX for the decode. Pure energy accounting — not
     // counted in frames_heard (filtered frames are not traffic the
-    // adaptive-LPL controller acts on), no taps, no randomness.
+    // adaptive-LPL controller acts on), no records, no randomness.
     if (energy_ && energy_->options.overhearing) {
       for_each_in_range(sender, [&](const NodeState& other) {
         if (other.info.id == sender.id || other.info.id == frame->dst ||
@@ -499,11 +503,22 @@ void Network::finish_tx(NodeId id) {
                timing_.serialization_time(frame.payload.size()) +
                preamble_for(node, frame)));
   }
-  if (tx_tap_) {
-    tx_tap_(frame);
-  }
+  emit_frame(EventKind::kFrameTx, frame, id, false);
   node.in_flight.reset();
   try_start_tx(node);
+}
+
+void Network::emit_frame(EventKind kind, const Frame& frame, NodeId node,
+                         bool lost) {
+  if (!sim_.observed()) {
+    return;
+  }
+  Event event(kind, sim_.now(), node);
+  event.frame = FrameSummary{
+      frame.src, frame.dst, frame.am,
+      static_cast<std::uint16_t>(frame.payload.size()),
+      kind == EventKind::kFrameRx ? node : NodeId{}, lost};
+  sim_.emit(event);
 }
 
 void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
@@ -535,15 +550,11 @@ void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
   if (sim_.node_rng(rx_id).chance(
           radio_->loss_probability(sender_info, rx.info, on_air))) {
     stats_for(rx_id).frames_lost++;
-    if (rx_tap_) {
-      rx_tap_(*frame, rx_id, /*lost=*/true);
-    }
+    emit_frame(EventKind::kFrameRx, *frame, rx_id, /*lost=*/true);
     return;
   }
   stats_for(rx_id).frames_delivered++;
-  if (rx_tap_) {
-    rx_tap_(*frame, rx_id, /*lost=*/false);
-  }
+  emit_frame(EventKind::kFrameRx, *frame, rx_id, /*lost=*/false);
   if (rx.receiver) {
     rx.receiver(*frame);
   }

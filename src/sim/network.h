@@ -27,7 +27,8 @@
 // set_radio_enabled() uses for failure injection. enable_churn() adds
 // Poisson crash (and optional reboot) events on top. Node death and
 // rebirth are surfaced through the node-down/up handlers so the
-// middleware layer can drop agents and reseed state.
+// middleware layer can drop agents and reseed state. Frames, node
+// transitions, and settle ticks are also emitted as sim::Event records.
 #pragma once
 
 #include <cstdint>
@@ -88,12 +89,6 @@ struct NetworkStats {
   void reset() { *this = NetworkStats{}; }
 };
 
-/// Why a node left (or re-joined) the network.
-enum class NodeDownReason : std::uint8_t {
-  kBatteryDepleted,
-  kChurnCrash,
-};
-
 struct ChurnOptions {
   /// Poisson crash intensity per node, in crashes per virtual second.
   double crash_rate_per_node_s = 0.0;
@@ -110,16 +105,6 @@ class Network {
   using ReceiveHandler = std::function<void(const Frame&)>;
   using NodeDownHandler = std::function<void(NodeId, NodeDownReason)>;
   using NodeUpHandler = std::function<void(NodeId)>;
-  /// Pure-observation taps for the api::EventBus instrumentation seam.
-  /// Tx fires once per frame that actually left a radio; rx fires per
-  /// decoding receiver (with `lost` telling whether the channel then
-  /// corrupted the frame); the settle tap fires after each battery
-  /// settle tick. None of them consume randomness or affect delivery.
-  /// Under sim_shards > 1, tx/rx taps fire from shard worker threads.
-  using FrameTxTap = std::function<void(const Frame&)>;
-  using FrameRxTap = std::function<void(const Frame&, NodeId receiver,
-                                        bool lost)>;
-  using SettleTap = std::function<void()>;
 
   Network(Simulator& sim, std::unique_ptr<RadioModel> radio,
           RadioTiming timing = {});
@@ -190,8 +175,9 @@ class Network {
   void enable_churn(ChurnOptions options);
 
   /// Kills a node now: radio off, queued-but-unstarted frames dropped,
-  /// idle draw stopped, node-down handler invoked. A frame already on the
-  /// air completes (fate sealed at start). Idempotent.
+  /// idle draw stopped, node-down handler invoked, kNodeDown emitted. A
+  /// frame already on the air completes (fate sealed at start).
+  /// Idempotent.
   void kill_node(NodeId id, NodeDownReason reason);
 
   /// Reboots a killed node (fresh radio state). No-op if the node is
@@ -207,9 +193,6 @@ class Network {
   void set_node_up_handler(NodeUpHandler handler) {
     node_up_ = std::move(handler);
   }
-  void set_frame_tx_tap(FrameTxTap tap) { tx_tap_ = std::move(tap); }
-  void set_frame_rx_tap(FrameRxTap tap) { rx_tap_ = std::move(tap); }
-  void set_settle_tap(SettleTap tap) { settle_tap_ = std::move(tap); }
 
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -263,6 +246,8 @@ class Network {
   /// sender-side finish, all at `arrival`.
   void launch_frame(NodeState& node, SimTime arrival);
   void finish_tx(NodeId id);
+  /// kFrameTx (node = sender) or kFrameRx (node = receiver) record.
+  void emit_frame(EventKind kind, const Frame& frame, NodeId node, bool lost);
   /// Receiver-side delivery: runs in the receiver's stream at arrival
   /// time — alive/radio checks, loss draw from the receiver's RNG, RX
   /// energy, stats, and the upcall.
@@ -299,9 +284,6 @@ class Network {
   ChurnOptions churn_;
   NodeDownHandler node_down_;
   NodeUpHandler node_up_;
-  FrameTxTap tx_tap_;
-  FrameRxTap rx_tap_;
-  SettleTap settle_tap_;
   /// One counter block per shard; stats() sums them.
   std::vector<NetworkStats> shard_stats_{1};
 

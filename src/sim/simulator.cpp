@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 namespace agilla::sim {
@@ -214,7 +215,7 @@ void Simulator::configure_shards(std::size_t shard_count,
 
 void Simulator::run_shard(std::uint32_t shard_idx, const EventKey& bound) {
   Shard& shard = shards_[shard_idx];
-  ExecContext ctx{this, shard_idx, kKernelStream, now_};
+  ExecContext ctx{this, shard_idx, kKernelStream, now_, EventKey{}, 0};
   tls_exec_ctx = &ctx;
   for (;;) {
     const EventKey* key = shard.queue.peek_key();
@@ -224,6 +225,8 @@ void Simulator::run_shard(std::uint32_t shard_idx, const EventKey& bound) {
     EventQueue::Fired fired = shard.queue.pop();
     ctx.now = fired.key.time;
     ctx.stream = fired.target;
+    ctx.key = fired.key;
+    ctx.emitted = 0;
     fired.callback();
     shard.max_executed = fired.key.time;
     ++shard.fired;
@@ -240,6 +243,67 @@ void Simulator::merge_outboxes() {
                                              std::move(out.callback));
     }
     shard.outbox.clear();
+  }
+}
+
+void Simulator::deliver(const Event& event) {
+  ExecContext* ctx = current_context();
+  if (ctx == nullptr || shards_.size() == 1) {
+    sink_->on_event(event);
+    return;
+  }
+  shards_[ctx->shard].emitted.push_back(
+      Emitted{ctx->key, ctx->emitted++, event, nullptr});
+}
+
+void Simulator::defer(std::function<void()> call) {
+  ExecContext* ctx = current_context();
+  if (ctx == nullptr || shards_.size() == 1) {
+    call();
+    return;
+  }
+  shards_[ctx->shard].emitted.push_back(
+      Emitted{ctx->key, ctx->emitted++, Event{}, std::move(call)});
+}
+
+void Simulator::flush_emitted() {
+  // The serial engine executes events in key order and an event's records
+  // in emission order, so merging the per-shard buffers (each already in
+  // that order) by (key, index) replays exactly the K=1 sequence.
+  if (std::all_of(shards_.begin(), shards_.end(),
+                  [](const Shard& s) { return s.emitted.empty(); })) {
+    return;
+  }
+  std::vector<std::size_t> cursor(shards_.size(), 0);
+  for (;;) {
+    const Emitted* next = nullptr;
+    std::size_t from = 0;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (cursor[s] == shards_[s].emitted.size()) {
+        continue;
+      }
+      const Emitted& head = shards_[s].emitted[cursor[s]];
+      if (next == nullptr ||
+          std::tie(head.key, head.index) < std::tie(next->key, next->index)) {
+        next = &head;
+        from = s;
+      }
+    }
+    if (next == nullptr) {
+      break;
+    }
+    ++cursor[from];
+    // The clock follows the replay, so now() inside a sink or deferred
+    // call reads the emitting event's time, exactly as at K=1.
+    now_ = std::max(now_, next->key.time);
+    if (next->call) {
+      next->call();
+    } else if (sink_ != nullptr) {  // the sink may uninstall itself
+      sink_->on_event(next->event);
+    }
+  }
+  for (Shard& shard : shards_) {
+    shard.emitted.clear();
   }
 }
 
@@ -292,6 +356,7 @@ std::size_t Simulator::drain(SimTime deadline) {
       }
       pool_->run_epoch(bound);
       merge_outboxes();
+      flush_emitted();
     } else {
       run_shard(0, bound);
     }

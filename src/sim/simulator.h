@@ -24,14 +24,21 @@
 //    channel loss, churn, the VM rand instruction) draws from node_rng(),
 //    keeping draw sequences independent of shard count. The root rng() is
 //    for setup and tests only and must not be consumed from node events.
+//  - Observation is one path: components emit() sim::Event records to the
+//    single installed sink. Inside a K>1 epoch each shard buffers its
+//    records tagged (executing event's key, emission index); the barrier
+//    merges them by that tag — exactly the serial execution order — and
+//    dispatches on the driving thread, so the sink sees the K=1 sequence.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "sim/event.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/types.h"
@@ -114,6 +121,29 @@ class Simulator {
   /// not count). Call between run() calls, not from inside events.
   [[nodiscard]] std::size_t pending_events() const;
 
+  /// Installs the observation sink (nullptr removes it). Driving thread
+  /// only: setup, between run() calls, or from inside the sink itself.
+  void set_sink(EventSink* sink) { sink_ = sink; }
+
+  /// True while a sink is installed; emitters that must build a costly
+  /// payload check this first.
+  [[nodiscard]] bool observed() const { return sink_ != nullptr; }
+
+  /// Emits one record: a no-op without a sink; dispatched synchronously
+  /// from kernel context or with one shard; buffered and replayed in
+  /// serial order at the next barrier inside a K>1 epoch.
+  void emit(const Event& event) {
+    if (sink_ != nullptr) {
+      deliver(event);
+    }
+  }
+
+  /// Runs a host-side effect of the current event (a gateway reply, say)
+  /// at its place in the same serial order as emit(): at once from
+  /// kernel context or with one shard, at the next barrier, on the
+  /// driving thread, inside a K>1 epoch.
+  void defer(std::function<void()> call);
+
  private:
   struct Stream {
     Rng rng;
@@ -130,9 +160,21 @@ class Simulator {
     EventQueue::Callback callback;
   };
 
-  struct Shard {
+  /// A record (or deferred call) from inside a K>1 epoch, tagged with its
+  /// serial position.
+  struct Emitted {
+    EventKey key;         ///< the emitting event's intrinsic key
+    std::uint32_t index;  ///< emission order within that event
+    Event event;
+    std::function<void()> call;  ///< set for defer(), empty for emit()
+  };
+
+  /// Cache-line aligned: each worker writes its shard's counters on every
+  /// event, and a neighbour sharing the line would slow both down.
+  struct alignas(64) Shard {
     EventQueue queue;
     std::vector<Outgoing> outbox;
+    std::vector<Emitted> emitted;
     SimTime max_executed = 0;
     std::size_t fired = 0;
   };
@@ -146,6 +188,8 @@ class Simulator {
     std::uint32_t shard = 0;
     StreamId stream = kKernelStream;
     SimTime now = 0;
+    EventKey key;               ///< the executing event's key
+    std::uint32_t emitted = 0;  ///< records it has emitted so far
   };
 
   [[nodiscard]] ExecContext* current_context() const;
@@ -156,6 +200,10 @@ class Simulator {
   /// single-shard path.
   void run_shard(std::uint32_t shard, const EventKey& bound);
   void merge_outboxes();
+  void deliver(const Event& event);
+  /// Dispatches the epoch's buffered records and deferred calls, k-way
+  /// merged by tag.
+  void flush_emitted();
 
   std::uint64_t seed_;
   EventQueue kernel_queue_;
@@ -165,6 +213,7 @@ class Simulator {
   SimTime now_ = 0;
   bool running_ = false;
   bool shards_configured_ = false;
+  EventSink* sink_ = nullptr;
   std::unique_ptr<WorkerPool> pool_;
 };
 

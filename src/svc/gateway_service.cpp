@@ -294,9 +294,10 @@ void GatewayService::handle_hello(ConnId conn, ConnState& state,
                 false);
       });
   session->console().set_event_sink(
-      [this, session](const std::string& kind, const std::string& text) {
+      [this, session](const std::string& kind, const std::string& text,
+                      sim::SimTime at) {
         wire::Message event{wire::MsgType::kEvent,
-                            session->subscribe_id(kind), now(),
+                            session->subscribe_id(kind), at,
                             kind + " " + text};
         if (session->enqueue(std::move(event), /*droppable=*/true)) {
           ++session->stats().events_enqueued;

@@ -1,5 +1,9 @@
 #include "tuplespace/tuple_space.h"
 
+#include <algorithm>
+
+#include "sim/simulator.h"
+
 namespace agilla::ts {
 
 std::unique_ptr<TupleStore> make_store(StoreKind kind,
@@ -35,9 +39,26 @@ std::optional<StoreKind> store_kind_from_string(std::string_view name) {
 
 TupleSpace::TupleSpace() : TupleSpace(Options{}) {}
 
-TupleSpace::TupleSpace(Options options)
+TupleSpace::TupleSpace(Options options, sim::Simulator* sim,
+                       sim::NodeId node)
     : store_(make_store(options.store_kind, options.store_capacity_bytes)),
-      registry_(options.registry) {}
+      registry_(options.registry),
+      sim_(sim),
+      node_(node) {}
+
+void TupleSpace::emit(sim::TupleOp op, const Tuple& tuple) const {
+  static_assert(sim::kEventTupleBytes == kMaxTupleWireBytes);
+  if (sim_ == nullptr || !sim_->observed()) {
+    return;
+  }
+  sim::Event event(sim::EventKind::kTupleOp, sim_->now(), node_);
+  event.tuple_op = op;
+  net::Writer w;
+  tuple.encode(w);
+  event.tuple_len = static_cast<std::uint8_t>(w.size());
+  std::copy(w.data().begin(), w.data().end(), event.tuple.begin());
+  sim_->emit(event);
+}
 
 bool TupleSpace::out(const Tuple& tuple) {
   if (!store_->insert(tuple)) {
@@ -53,16 +74,14 @@ bool TupleSpace::out(const Tuple& tuple) {
   if (on_insertion_) {
     on_insertion_(tuple);
   }
-  if (op_tap_) {
-    op_tap_(TupleSpaceOp::kOut, tuple);
-  }
+  emit(sim::TupleOp::kOut, tuple);
   return true;
 }
 
 std::optional<Tuple> TupleSpace::inp(const CompiledTemplate& templ) {
   std::optional<Tuple> taken = store_->take(templ);
-  if (taken.has_value() && op_tap_) {
-    op_tap_(TupleSpaceOp::kInp, *taken);
+  if (taken.has_value()) {
+    emit(sim::TupleOp::kInp, *taken);
   }
   return taken;
 }

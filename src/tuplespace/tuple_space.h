@@ -12,20 +12,20 @@
 #include <optional>
 #include <vector>
 
+#include "sim/event.h"
+#include "sim/types.h"
 #include "tuplespace/indexed_store.h"
 #include "tuplespace/reaction.h"
 #include "tuplespace/store.h"
+
+namespace agilla::sim {
+class Simulator;
+}  // namespace agilla::sim
 
 namespace agilla::ts {
 
 // StoreKind (which TupleStore implementation backs the space) lives in
 // store_interface.h next to the make_store() seam.
-
-/// The state-changing Linda operations, for instrumentation taps.
-enum class TupleSpaceOp : std::uint8_t {
-  kOut,  ///< tuple inserted
-  kInp,  ///< tuple removed
-};
 
 class TupleSpace {
  public:
@@ -42,14 +42,12 @@ class TupleSpace {
   /// Called after every successful insertion; the engine uses it to wake
   /// agents blocked in `in`/`rd` so they can re-probe.
   using InsertionCallback = std::function<void(const Tuple&)>;
-  /// Pure-observation tap, fired after every successful state-changing
-  /// operation (out/inp) — the api::EventBus instrumentation seam. Kept
-  /// separate from the engine's insertion callback so embedders cannot
-  /// displace the VM's wake-up path.
-  using OpTap = std::function<void(TupleSpaceOp, const Tuple&)>;
 
   TupleSpace();
-  explicit TupleSpace(Options options);
+  /// With `sim`, every successful out/inp emits a kTupleOp record for
+  /// `node` (after the reactions and insertion hook have run).
+  explicit TupleSpace(Options options, sim::Simulator* sim = nullptr,
+                      sim::NodeId node = {});
 
   /// Linda out: insert. Fires matching reactions and the insertion hook.
   /// Returns false when the store rejects the tuple (full / oversized).
@@ -82,17 +80,19 @@ class TupleSpace {
   void set_insertion_callback(InsertionCallback cb) {
     on_insertion_ = std::move(cb);
   }
-  void set_op_tap(OpTap tap) { op_tap_ = std::move(tap); }
 
   [[nodiscard]] const TupleStore& store() const { return *store_; }
   [[nodiscard]] TupleStore& store() { return *store_; }
 
  private:
+  void emit(sim::TupleOp op, const Tuple& tuple) const;
+
   std::unique_ptr<TupleStore> store_;
   ReactionRegistry registry_;
   ReactionCallback on_reaction_;
   InsertionCallback on_insertion_;
-  OpTap op_tap_;
+  sim::Simulator* sim_;
+  sim::NodeId node_;
 };
 
 }  // namespace agilla::ts

@@ -2,7 +2,10 @@
 // middleware stacks over a (possibly lossy) simulated radio.
 #pragma once
 
+#include <cstring>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/injector.h"
@@ -10,6 +13,45 @@
 #include "sim/topology.h"
 
 namespace agilla::testing {
+
+/// Every record a simulator emits, in delivery order.
+struct EventLog final : sim::EventSink {
+  std::vector<sim::Event> records;
+
+  void on_event(const sim::Event& event) override {
+    records.push_back(event);
+  }
+
+  /// Records of `kind`, optionally only those with this `reason`.
+  [[nodiscard]] std::size_t count(sim::EventKind kind,
+                                  const char* reason = nullptr) const {
+    std::size_t n = 0;
+    for (const sim::Event& e : records) {
+      n += e.kind == kind &&
+                   (reason == nullptr ||
+                    (e.reason != nullptr && std::strcmp(e.reason, reason) == 0))
+               ? 1
+               : 0;
+    }
+    return n;
+  }
+};
+
+/// One line holding every field of `e` (diffable, hashable).
+inline std::string to_text(const sim::Event& e) {
+  std::ostringstream out;
+  out << static_cast<int>(e.kind) << " t=" << e.at << " n=" << e.node.value
+      << " a=" << e.agent << " r=" << (e.reason != nullptr ? e.reason : "-")
+      << " d=" << e.dest << " op=" << static_cast<int>(e.tuple_op) << " ts=";
+  for (const std::uint8_t b : e.tuple_bytes()) {
+    out << static_cast<int>(b) << ".";
+  }
+  out << " f=" << e.frame.src.value << ">" << e.frame.dst.value << ":"
+      << static_cast<int>(e.frame.am) << ":" << e.frame.payload_bytes << ":"
+      << e.frame.receiver.value << ":" << e.frame.lost
+      << " down=" << static_cast<int>(e.down);
+  return out.str();
+}
 
 struct MeshOptions {
   std::size_t width = 3;
@@ -27,10 +69,11 @@ class AgillaMesh {
         net(sim, std::make_unique<sim::GridNeighborRadio>(
                      sim::GridNeighborRadio::Options{
                          .spacing = 1.0, .packet_loss = options.packet_loss})) {
+    sim.set_sink(&events);
     topo = sim::make_grid(net, options.width, options.height);
     for (sim::NodeId id : topo.nodes) {
       nodes.push_back(std::make_unique<core::AgillaMiddleware>(
-          net, id, &env, options.config, &trace));
+          net, id, &env, options.config));
       if (options.start) {
         nodes.back()->start();
       }
@@ -60,9 +103,9 @@ class AgillaMesh {
     return n;
   }
 
+  EventLog events;  ///< installed as the simulator's sink at construction
   sim::Simulator sim;
   sim::Network net;
-  sim::Trace trace;
   sim::SensorEnvironment env;
   sim::Topology topo;
   std::vector<std::unique_ptr<core::AgillaMiddleware>> nodes;

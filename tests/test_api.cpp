@@ -187,10 +187,13 @@ TEST(EventBus, ObservesAgentBlockAndResume) {
   struct BlockLog : Observer {
     std::vector<std::string> reasons;
     std::uint64_t resumes = 0;
-    void on_agent_block(const AgentBlockEvent& event) override {
-      reasons.emplace_back(event.reason);
+    void on_event(const sim::Event& event) override {
+      if (event.kind == sim::EventKind::kAgentBlock) {
+        reasons.emplace_back(event.reason);
+      } else if (event.kind == sim::EventKind::kAgentResume) {
+        ++resumes;
+      }
     }
-    void on_agent_resume(const AgentResumeEvent&) override { ++resumes; }
   };
   BlockLog log;
   auto net = SimulationBuilder()
@@ -222,7 +225,11 @@ TEST(EventBus, DispatchFollowsSubscriptionOrder) {
     std::vector<int>* log;
     int tag;
     Tagger(std::vector<int>* l, int t) : log(l), tag(t) {}
-    void on_frame_tx(const FrameEvent&) override { log->push_back(tag); }
+    void on_event(const sim::Event& event) override {
+      if (event.kind == sim::EventKind::kFrameTx) {
+        log->push_back(tag);
+      }
+    }
   };
   std::vector<int> log;
   Tagger first(&log, 1);
@@ -251,7 +258,10 @@ TEST(EventBus, UnsubscribeFromInsideACallbackIsSafe) {
   struct StopAfterOne : Observer {
     EventBus* bus = nullptr;
     std::uint64_t seen = 0;
-    void on_frame_tx(const FrameEvent&) override {
+    void on_event(const sim::Event& event) override {
+      if (event.kind != sim::EventKind::kFrameTx) {
+        return;
+      }
       ++seen;
       bus->unsubscribe(*this);  // re-entrant: must not break dispatch
     }
@@ -267,6 +277,28 @@ TEST(EventBus, UnsubscribeFromInsideACallbackIsSafe) {
   EXPECT_GT(counter.frames_tx, 1u)
       << "later subscribers keep receiving after a mid-dispatch erase";
   EXPECT_EQ(net->bus().observer_count(), 1u);
+}
+
+TEST(EventBus, WithoutObserversNothingIsInstalledOrDelivered) {
+  // A standalone bus with nobody listening drops what it is handed.
+  EventBus standalone;
+  standalone.publish(sim::Event(sim::EventKind::kNodeUp, 0));
+  EXPECT_EQ(standalone.observer_count(), 0u);
+
+  // A deployment's bus is the simulator's sink only while observed, so
+  // an unobserved run builds no records at all.
+  auto net = SimulationBuilder().grid(2, 1).seed(5).warmup(0).build();
+  EXPECT_FALSE(net->simulator().observed());
+  EventCounter counter;
+  net->bus().subscribe(counter);
+  EXPECT_TRUE(net->simulator().observed());
+  net->run_for(2 * sim::kSecond);
+  EXPECT_GT(counter.frames_tx, 0u);
+  net->bus().unsubscribe(counter);
+  EXPECT_FALSE(net->simulator().observed());
+  const std::uint64_t frozen = counter.frames_tx;
+  net->run_for(2 * sim::kSecond);
+  EXPECT_EQ(counter.frames_tx, frozen);
 }
 
 TEST(Deployment, OverhearingIsPureEnergyAccounting) {

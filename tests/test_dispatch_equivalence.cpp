@@ -1,6 +1,6 @@
 // Cross-dispatch equivalence: the pre-decoded threaded dispatch
 // (core/vm_dispatch.h) must be byte-identical in simulated behaviour to
-// the reference switch interpreter — same traces, same stats, same final
+// the reference switch interpreter — same records, same stats, same final
 // tuple-space state, same agent registers — over hand-written programs, a
 // random-bytecode corpus, and a full harness sweep. Only host-side speed
 // may differ (bench_vm_throughput measures that).
@@ -33,8 +33,7 @@ std::vector<std::uint8_t> random_bytes(sim::Rng& rng, std::size_t max_len) {
 
 /// Everything observable about one mote after a run, rendered to text so
 /// failures diff readably.
-std::string observable_state(core::AgillaMiddleware& mote,
-                             const sim::TraceRecorder& recorder) {
+std::string observable_state(core::AgillaMiddleware& mote) {
   std::ostringstream out;
   const core::EngineStats& s = mote.engine().stats();
   out << "instructions=" << s.instructions << " slices=" << s.slices
@@ -64,14 +63,11 @@ std::string observable_state(core::AgillaMiddleware& mote,
   for (const ts::Tuple& tuple : mote.tuple_space().store().snapshot()) {
     out << "tuple " << tuple.to_string() << "\n";
   }
-  for (const sim::TraceRecord& record : recorder.records()) {
-    out << sim::format(record) << "\n";
-  }
   return out.str();
 }
 
 /// Runs `programs` on a fresh mesh under `mode` and returns the merged
-/// observable state of every mote.
+/// observable state of every mote, then the mesh's whole record log.
 std::string run_mesh(core::DispatchMode mode,
                      const std::vector<std::vector<std::uint8_t>>& programs,
                      std::size_t width, std::size_t height,
@@ -82,8 +78,6 @@ std::string run_mesh(core::DispatchMode mode,
   options.seed = 7;
   options.config.engine.dispatch = mode;
   AgillaMesh mesh(options);
-  sim::TraceRecorder recorder;
-  recorder.attach(mesh.trace);
   mesh.warm();
   for (const auto& program : programs) {
     mesh.at(0).inject(program);
@@ -92,8 +86,10 @@ std::string run_mesh(core::DispatchMode mode,
   std::string merged;
   for (std::size_t i = 0; i < mesh.nodes.size(); ++i) {
     merged += "--- node " + std::to_string(i) + "\n";
-    merged += observable_state(mesh.at(i), recorder);
-    recorder.clear();  // records were already folded into node 0's block
+    merged += observable_state(mesh.at(i));
+  }
+  for (const sim::Event& event : mesh.events.records) {
+    merged += testing::to_text(event) + "\n";
   }
   return merged;
 }
@@ -238,8 +234,7 @@ TEST(DispatchEquivalence, BatchSizeDoesNotChangeOutcomes) {
       mesh.at(0).inject(program);
     }
     mesh.sim.run_for(30 * sim::kSecond);
-    const sim::TraceRecorder no_trace;
-    return observable_state(mesh.at(0), no_trace);
+    return observable_state(mesh.at(0));
   };
   const std::string batch1 = run_with_batch(1);
   EXPECT_EQ(batch1, run_with_batch(8));

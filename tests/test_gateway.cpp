@@ -173,9 +173,21 @@ TEST(Gateway, SubscribeBridgesBusEvents) {
   f.console.attach_bus(bus);
   std::vector<std::string> events;
   f.console.set_event_sink(
-      [&](const std::string& kind, const std::string& text) {
+      [&](const std::string& kind, const std::string& text, sim::SimTime) {
         events.push_back(kind + "|" + text);
       });
+  const auto node_down = [](sim::SimTime at, sim::NodeDownReason reason) {
+    sim::Event event(sim::EventKind::kNodeDown, at, sim::NodeId{3});
+    event.down = reason;
+    return event;
+  };
+  const auto spawn = [](sim::SimTime at, std::uint32_t node,
+                        std::uint16_t agent, const char* reason) {
+    sim::Event event(sim::EventKind::kAgentSpawn, at, sim::NodeId{node});
+    event.agent = agent;
+    event.reason = reason;
+    return event;
+  };
 
   EXPECT_NE(f.console.execute("subscribe bogus").find("error"),
             std::string::npos);
@@ -184,23 +196,21 @@ TEST(Gateway, SubscribeBridgesBusEvents) {
   EXPECT_TRUE(f.console.subscribed("node"));
   EXPECT_EQ(bus.observer_count(), 1u);
 
-  bus.publish_node_down(api::NodeLifecycleEvent{
-      7, sim::NodeId{3}, sim::NodeDownReason::kChurnCrash});
-  bus.publish_agent_spawn(api::AgentSpawnEvent{9, sim::NodeId{1}, 4, false});
+  bus.publish(node_down(7, sim::NodeDownReason::kChurnCrash));
+  bus.publish(spawn(9, 1, 4, "inject"));
   ASSERT_EQ(events.size(), 1u);  // agent events filtered: not subscribed
   EXPECT_EQ(events[0], "node|down t=7 node=3 reason=churn");
   EXPECT_TRUE(f.saw("event: node down t=7 node=3 reason=churn"));
 
   EXPECT_NE(f.console.execute("subscribe agent").find("ok"),
             std::string::npos);
-  bus.publish_agent_spawn(api::AgentSpawnEvent{11, sim::NodeId{2}, 5, true});
+  bus.publish(spawn(11, 2, 5, "migration"));
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1], "agent|spawn t=11 node=2 agent=5 migrated");
 
   EXPECT_NE(f.console.execute("unsubscribe node").find("ok"),
             std::string::npos);
-  bus.publish_node_down(api::NodeLifecycleEvent{
-      13, sim::NodeId{3}, sim::NodeDownReason::kBatteryDepleted});
+  bus.publish(node_down(13, sim::NodeDownReason::kBatteryDepleted));
   EXPECT_EQ(events.size(), 2u);
 
   // Bare unsubscribe drops everything and detaches the bridge.

@@ -3,6 +3,7 @@
 // multi-client end-to-end runs over the loopback transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -147,20 +148,25 @@ TEST(WireCodec, MutationFuzzRejectsCorruptHeaders) {
 
 // ------------------------------------------------- service over loopback
 
+sim::Event settle(sim::SimTime at) {
+  return sim::Event(sim::EventKind::kBatterySettle, at);
+}
+
 /// A deployment + loopback transport + service, plus a protocol-speaking
 /// test client: send typed requests, pump, and collect typed responses.
+/// A `width` x 3 mesh; 4 columns give each of 4 shards its own strip.
+api::SimulationBuilder grid(std::size_t width, std::uint64_t seed = 1,
+                            std::size_t shards = 1) {
+  api::SimulationBuilder builder;
+  builder.grid(width, 3).seed(seed);
+  builder.set("sim_shards", static_cast<double>(shards));
+  return builder;
+}
+
 struct ServiceFixture {
   explicit ServiceFixture(ServiceOptions options = {},
-                          std::uint64_t seed = 1)
-      : deployment(make_deployment(seed)),
-        service(*deployment, transport, options) {}
-
-  static std::unique_ptr<api::Deployment> make_deployment(
-      std::uint64_t seed) {
-    api::SimulationBuilder builder;
-    builder.grid(3, 3).seed(seed);
-    return builder.build();
-  }
+                          const api::SimulationBuilder& mesh = grid(3))
+      : deployment(mesh.build()), service(*deployment, transport, options) {}
 
   struct TestClient {
     LoopbackTransport::Client io;
@@ -297,20 +303,24 @@ TEST(GatewayService, SubscribeStreamsEventsWithSubscribeId) {
   const std::uint32_t sub_id = frames[0].request_id;
 
   // A tuple op anywhere in the mesh reaches the subscribed session.
-  const ts::Tuple tuple{ts::Value::number(3)};
-  f.deployment->bus().publish_tuple_op(
-      api::TupleOpEvent{5, sim::NodeId{4}, ts::TupleSpaceOp::kOut, &tuple});
+  sim::Event tuple_op(sim::EventKind::kTupleOp, 5, sim::NodeId{4});
+  net::Writer w;
+  ts::Tuple{ts::Value::number(3)}.encode(w);
+  tuple_op.tuple_len = static_cast<std::uint8_t>(w.size());
+  std::copy(w.data().begin(), w.data().end(), tuple_op.tuple.begin());
+  f.deployment->bus().publish(tuple_op);
   frames = f.exchange(client);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, wire::MsgType::kEvent);
   EXPECT_EQ(frames[0].request_id, sub_id);
-  EXPECT_EQ(frames[0].payload.rfind("tuple ", 0), 0u) << frames[0].payload;
+  EXPECT_EQ(frames[0].payload, "tuple out t=5 node=4 <3>");
+  EXPECT_EQ(frames[0].vtime, 5u) << "events carry the record's time";
 
   f.send(client, wire::MsgType::kUnsubscribe, "tuple");
   frames = f.exchange(client);
   ASSERT_EQ(frames.size(), 1u);
-  f.deployment->bus().publish_tuple_op(
-      api::TupleOpEvent{9, sim::NodeId{4}, ts::TupleSpaceOp::kOut, &tuple});
+  tuple_op.at = 9;
+  f.deployment->bus().publish(tuple_op);
   EXPECT_TRUE(f.exchange(client).empty());
 }
 
@@ -327,7 +337,7 @@ TEST(GatewayService, BackpressureDropsEventsNeverReplies) {
   // Flood 32 events without letting the service flush in between: the
   // outbox caps at 4; the rest are counted drops, not errors.
   for (std::uint64_t i = 0; i < 32; ++i) {
-    f.deployment->bus().publish_battery_settle(api::BatterySettleEvent{i});
+    f.deployment->bus().publish(settle(i));
   }
   const auto frames = f.exchange(client);
   EXPECT_EQ(frames.size(), 4u);
@@ -365,8 +375,8 @@ TEST(GatewayService, ReconnectResumesSessionAndBacklog) {
   f.service.pump();
   EXPECT_EQ(f.service.session_count(), 1u);
   EXPECT_EQ(f.service.bound_session_count(), 0u);
-  f.deployment->bus().publish_battery_settle(api::BatterySettleEvent{41});
-  f.deployment->bus().publish_battery_settle(api::BatterySettleEvent{42});
+  f.deployment->bus().publish(settle(41));
+  f.deployment->bus().publish(settle(42));
 
   // Resume by token on a fresh connection: welcome says resumed=1 and
   // the queued backlog flushes in order.
@@ -453,8 +463,10 @@ TEST(GatewayService, ShutdownDrainsEverySession) {
 
 /// Runs a fixed 6-client script (commands, subscriptions, a mid-script
 /// reconnect) and returns every client's full transcript, serialized.
-std::vector<std::string> run_scripted_session(std::uint64_t seed) {
-  ServiceFixture f({}, seed);
+std::vector<std::string> run_scripted_session(std::uint64_t seed,
+                                              std::size_t shards = 1) {
+  ServiceFixture f({}, grid(4, seed, shards));
+  EXPECT_EQ(f.deployment->simulator().shard_count(), shards);
   constexpr std::size_t kClients = 6;
   std::vector<ServiceFixture::TestClient> clients;
   for (std::size_t i = 0; i < kClients; ++i) {
@@ -464,10 +476,13 @@ std::vector<std::string> run_scripted_session(std::uint64_t seed) {
   for (auto& client : clients) {
     f.exchange(client);
   }
-  // Everybody subscribes to tuple traffic; client 0 drives remote outs.
+  // Everybody subscribes to tuple traffic; client 0 drives remote outs
+  // and also streams frames, so its async results interleave with the
+  // frame records of the very events that complete them.
   for (auto& client : clients) {
     f.send(client, wire::MsgType::kSubscribe, "tuple");
   }
+  f.send(clients[0], wire::MsgType::kSubscribe, "frame");
   for (std::size_t round = 0; round < 4; ++round) {
     f.send(clients[0], wire::MsgType::kCommand,
            "rout 2 2 str:rnd num:" + std::to_string(round));
@@ -531,6 +546,13 @@ TEST(GatewayService, MultiClientTranscriptsAreByteIdenticalAcrossRuns) {
     any_difference = any_difference || first[i] != other[i];
   }
   EXPECT_TRUE(any_difference);
+  // The sharded engine serves the same script byte-identically: event
+  // frames arrive in serial order, stamped with their record's time.
+  const auto sharded = run_scripted_session(7, 4);
+  ASSERT_EQ(sharded.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(sharded[i], first[i]) << "client " << i << " at 4 shards";
+  }
 }
 
 }  // namespace

@@ -61,14 +61,12 @@ TEST(Middleware, CustomConfigHonored) {
   EXPECT_EQ(mesh.at(0).tuple_space().store().capacity_bytes(), 100u);
 }
 
-TEST(Middleware, TraceReceivesAgentEvents) {
+TEST(Middleware, AgentLifecycleReachesTheEventLog) {
   AgillaMesh mesh(MeshOptions{.width = 1, .height = 1});
-  sim::TraceRecorder recorder;
-  recorder.attach(mesh.trace);
   mesh.at(0).inject(assemble_or_die("halt"));
   mesh.sim.run_for(100 * sim::kMillisecond);
-  EXPECT_GE(recorder.count_containing("launched"), 1u);
-  EXPECT_GE(recorder.count_containing("halt"), 1u);
+  EXPECT_EQ(mesh.events.count(sim::EventKind::kAgentSpawn, "inject"), 1u);
+  EXPECT_EQ(mesh.events.count(sim::EventKind::kAgentKill, "halt"), 1u);
 }
 
 TEST(Middleware, NodesAreIsolatedStacks) {

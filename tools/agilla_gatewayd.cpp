@@ -155,12 +155,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (builder.options().sim_shards > 1) {
-    // The gateway's event subscriptions ride the EventBus, which the
-    // sharded engine cannot dispatch safely (api/events.h).
-    return fail("sim_shards > 1 is incompatible with the gateway service");
-  }
-
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 

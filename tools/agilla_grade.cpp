@@ -175,8 +175,7 @@ bool run_program(const fs::path& program, std::string* dump_out) {
     return false;
   }
 
-  // Trace collection through the engine's instruction taps: the grader
-  // adds on_pre_insn without disturbing the facade's lifecycle hooks.
+  // Trace collection through the engine's per-engine instruction taps.
   struct TraceEvent {
     std::size_t mote;
     std::uint16_t agent;
