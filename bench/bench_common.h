@@ -1,6 +1,6 @@
 // Shared infrastructure for the paper-reproduction benches, built on the
 // src/harness experiment subsystem: the 5x5 experimental testbed of paper
-// Fig. 3 (a harness::Mesh with the paper's channel calibration), and
+// Fig. 3 (an api::Deployment with the paper's channel calibration), and
 // table/ASCII-plot printing.
 #pragma once
 
@@ -9,7 +9,7 @@
 
 #include "core/agent_library.h"
 #include "core/assembler.h"
-#include "harness/mesh.h"
+#include "api/deployment.h"
 #include "sim/stats.h"
 
 namespace agilla::bench {
@@ -19,20 +19,19 @@ namespace agilla::bench {
 /// calibrated so the Fig. 9 anchors land near the paper: smove ~90 % and
 /// rout ~80-88 % at 5 hops (see DESIGN.md). A 37-byte data frame loses
 /// ~8 % of packets; a 10-byte ack ~3.6 %.
-inline constexpr double kExperimentLoss = harness::kDefaultLoss;
-inline constexpr double kExperimentPerByteLoss =
-    harness::kDefaultPerByteLoss;
+inline constexpr double kExperimentLoss = api::kDefaultLoss;
+inline constexpr double kExperimentPerByteLoss = api::kDefaultPerByteLoss;
 
-/// The paper's testbed: a 5x5 MICA2 grid, lower-left node at (1,1). A
-/// compatibility shim over harness::Mesh preserving the historical
-/// positional constructor used across the bench suite.
-class Testbed : public harness::Mesh {
+/// The paper's testbed: a 5x5 MICA2 grid, lower-left node at (1,1): an
+/// api::Deployment with the historical positional constructor used across
+/// the benches.
+class Testbed : public api::Deployment {
  public:
   explicit Testbed(std::uint64_t seed, double packet_loss = kExperimentLoss,
                    core::AgillaConfig config = core::AgillaConfig(),
                    std::size_t width = 5, std::size_t height = 5,
                    double per_byte_loss = 0.0)
-      : harness::Mesh(harness::MeshOptions{
+      : api::Deployment(api::DeploymentOptions{
             .width = width,
             .height = height,
             .packet_loss = packet_loss,

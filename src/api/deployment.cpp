@@ -1,8 +1,6 @@
 #include "api/deployment.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <tuple>
 
 #include "api/knob_registry.h"
 #include "core/assembler.h"
@@ -22,6 +20,8 @@ Deployment::Deployment(DeploymentOptions options,
                        .packet_loss = options.packet_loss,
                        .per_byte_loss = options.per_byte_loss})),
       bus_(&simulator_) {
+  bus_.subscribe(lifecycle_, sim::mask_of(sim::EventKind::kNodeDown,
+                                          sim::EventKind::kNodeUp));
   for (Observer* observer : observers) {
     bus_.subscribe(*observer);
   }
@@ -34,8 +34,6 @@ Deployment::Deployment(DeploymentOptions options,
   // Shard the event engine while the world is still inert: every node
   // exists, no node-affine event is scheduled yet.
   network_.configure_shards(options_.sim_shards);
-  shard_deaths_.resize(simulator_.shard_count());
-  shard_reboots_.assign(simulator_.shard_count(), 0);
 
   // Routing policy (the route_policy / energy_weight knobs).
   options_.config.routing.policy =
@@ -85,18 +83,14 @@ Deployment::Deployment(DeploymentOptions options,
 
   // Node lifecycle: deaths tear the mote's middleware down through the
   // same path the failure-injection tests use; reboots bring it back
-  // with empty RAM. The death log stays a facade responsibility (the
-  // network emits the kNodeDown/kNodeUp records itself).
+  // with empty RAM. The death log reads the network's kNodeDown/kNodeUp
+  // records off the bus (lifecycle_).
   network_.set_node_down_handler(
-      [this](sim::NodeId id, sim::NodeDownReason reason) {
-        shard_deaths_[simulator_.shard_of(id)].push_back(
-            DeathEvent{id, simulator_.now(), reason});
+      [this](sim::NodeId id, sim::NodeDownReason /*reason*/) {
         motes_.at(id.value)->power_down();
       });
-  network_.set_node_up_handler([this](sim::NodeId id) {
-    ++shard_reboots_[simulator_.shard_of(id)];
-    motes_.at(id.value)->power_up();
-  });
+  network_.set_node_up_handler(
+      [this](sim::NodeId id) { motes_.at(id.value)->power_up(); });
   if (options_.churn_rate > 0.0) {
     network_.enable_churn(sim::ChurnOptions{
         .crash_rate_per_node_s = options_.churn_rate,
@@ -173,28 +167,12 @@ std::size_t Deployment::agent_count() const {
   return count;
 }
 
-std::vector<Deployment::DeathEvent> Deployment::death_log() const {
-  std::vector<DeathEvent> merged;
-  for (const auto& shard : shard_deaths_) {
-    merged.insert(merged.end(), shard.begin(), shard.end());
+void Deployment::LifecycleLog::on_event(const sim::Event& event) {
+  if (event.kind == sim::EventKind::kNodeDown) {
+    deaths.push_back(DeathEvent{event.node, event.at, event.down});
+  } else {
+    ++reboots;
   }
-  // (time, node) is exactly the serial emission order: same-time deaths
-  // execute in stream order (= node order), and a settle tick kills in
-  // node order — so the merge is shard-count invariant.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const DeathEvent& a, const DeathEvent& b) {
-                     return std::tie(a.at, a.node.value) <
-                            std::tie(b.at, b.node.value);
-                   });
-  return merged;
-}
-
-std::size_t Deployment::reboot_count() const {
-  std::size_t total = 0;
-  for (const std::size_t count : shard_reboots_) {
-    total += count;
-  }
-  return total;
 }
 
 double Deployment::total_drained_mj(energy::EnergyComponent component) {

@@ -167,29 +167,37 @@ class Deployment {
     sim::NodeDownReason reason = sim::NodeDownReason::kBatteryDepleted;
   };
 
-  /// Node deaths (battery + churn) across the whole run, ordered by
-  /// (time, node) — the order the serial engine emits them. Recorded per
-  /// shard (handlers fire on shard workers under sim_shards > 1) and
-  /// merged here; call between run() calls.
-  [[nodiscard]] std::vector<DeathEvent> death_log() const;
-  [[nodiscard]] std::size_t reboot_count() const;
+  /// Node deaths (battery + churn) across the whole run, in the serial
+  /// engine's order whatever sim_shards is: an internal bus observer
+  /// records the kNodeDown records. Call between run() calls.
+  [[nodiscard]] std::vector<DeathEvent> death_log() const {
+    return lifecycle_.deaths;
+  }
+  [[nodiscard]] std::size_t reboot_count() const {
+    return lifecycle_.reboots;
+  }
 
   /// Network-wide drain for one ledger component, batteries settled to
   /// now() first. 0 when energy is disabled.
   [[nodiscard]] double total_drained_mj(energy::EnergyComponent component);
 
  private:
+  /// Observes node deaths and reboots (kNodeDown/kNodeUp) off the bus.
+  struct LifecycleLog final : Observer {
+    std::vector<DeathEvent> deaths;
+    std::size_t reboots = 0;
+
+    void on_event(const sim::Event& event) override;
+  };
+
   DeploymentOptions options_;
   sim::Simulator simulator_;
   sim::Network network_;
   sim::SensorEnvironment environment_;
   sim::Topology topology_;
+  LifecycleLog lifecycle_;  ///< declared before the bus: outlives it
   EventBus bus_;
   std::vector<std::unique_ptr<core::AgillaMiddleware>> motes_;
-  /// One lifecycle log per shard: node-down/up handlers run in the dying
-  /// node's shard context, so each worker appends only to its own slot.
-  std::vector<std::vector<DeathEvent>> shard_deaths_;
-  std::vector<std::size_t> shard_reboots_;
 };
 
 /// Fluent assembly of a Deployment. Typed setters for the structural

@@ -13,14 +13,26 @@ EventBus::~EventBus() {
 
 void EventBus::update_source() {
   if (source_ != nullptr) {
-    source_->set_sink(observer_count() > 0 ? this : nullptr);
+    sim::EventKindMask wanted = 0;
+    for (const Subscription& sub : observers_) {
+      wanted |= sub.kinds;
+    }
+    source_->set_sink(this, wanted);
   }
 }
 
-void EventBus::subscribe(Observer& observer) {
-  if (std::find(observers_.begin(), observers_.end(), &observer) ==
-      observers_.end()) {
-    observers_.push_back(&observer);
+void EventBus::subscribe(Observer& observer, sim::EventKindMask kinds) {
+  if (kinds == 0) {
+    unsubscribe(observer);
+    return;
+  }
+  const auto it = std::find_if(
+      observers_.begin(), observers_.end(),
+      [&](const Subscription& sub) { return sub.observer == &observer; });
+  if (it != observers_.end()) {
+    it->kinds = kinds;
+  } else {
+    observers_.push_back(Subscription{&observer, kinds});
   }
   update_source();
 }
@@ -30,34 +42,41 @@ void EventBus::unsubscribe(Observer& observer) {
     // Mid-dispatch: erasing would shift the vector under the index loop.
     // Null the slot (ending delivery to this observer immediately) and
     // compact when the outermost dispatch unwinds.
-    for (Observer*& slot : observers_) {
-      if (slot == &observer) {
-        slot = nullptr;
+    for (Subscription& sub : observers_) {
+      if (sub.observer == &observer) {
+        sub = Subscription{nullptr, 0};
         pending_compact_ = true;
       }
     }
   } else {
-    std::erase(observers_, &observer);
+    std::erase_if(observers_, [&](const Subscription& sub) {
+      return sub.observer == &observer;
+    });
   }
   update_source();
 }
 
 std::size_t EventBus::observer_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(observers_.begin(), observers_.end(),
-                    [](const Observer* o) { return o != nullptr; }));
+  return static_cast<std::size_t>(std::count_if(
+      observers_.begin(), observers_.end(),
+      [](const Subscription& sub) { return sub.observer != nullptr; }));
 }
 
 void EventBus::publish(const sim::Event& event) {
+  const sim::EventKindMask kind = sim::mask_of(event.kind);
   ++dispatch_depth_;
   for (std::size_t i = 0; i < observers_.size(); ++i) {
-    if (Observer* observer = observers_[i]) {
-      observer->on_event(event);
+    // A copy: a callback that subscribes may reallocate the vector.
+    const Subscription sub = observers_[i];
+    if ((sub.kinds & kind) != 0) {
+      sub.observer->on_event(event);
     }
   }
   --dispatch_depth_;
   if (dispatch_depth_ == 0 && pending_compact_) {
-    std::erase(observers_, static_cast<Observer*>(nullptr));
+    std::erase_if(observers_, [](const Subscription& sub) {
+      return sub.observer == nullptr;
+    });
     pending_compact_ = false;
   }
 }
@@ -100,6 +119,7 @@ void EventCounter::on_event(const sim::Event& event) {
     case sim::EventKind::kBatterySettle:
       ++battery_settles;
       break;
+    case sim::EventKind::kInsn:
     case sim::EventKind::kCount:
       break;
   }

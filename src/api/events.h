@@ -28,10 +28,11 @@ namespace agilla::api {
 /// them cheap and never schedule or run the simulator from one.
 using Observer = sim::EventSink;
 
-/// Fans one record out to every subscribed observer, in subscription
-/// order. A Deployment owns one, bound to its simulator: the bus installs
-/// itself as the simulator's sink exactly while it has observers, so an
-/// unobserved run pays one branch per emit site.
+/// Fans one record out to every observer that asked for its kind, in
+/// subscription order. A Deployment owns one, bound to its simulator: the
+/// bus installs itself as the simulator's sink for the kinds its
+/// observers want, so a kind nobody wants costs one mask test per emit
+/// site.
 ///
 /// Re-entrancy: both calls are safe from inside an observer callback.
 /// An observer subscribed mid-dispatch starts receiving immediately
@@ -47,20 +48,30 @@ class EventBus final : public sim::EventSink {
   EventBus(const EventBus&) = delete;
   EventBus& operator=(const EventBus&) = delete;
 
-  /// Subscribes `observer` (no ownership taken; it must outlive the bus
-  /// or unsubscribe first). Dispatch order is subscription order.
-  void subscribe(Observer& observer);
+  /// Subscribes `observer` to the record kinds in `kinds` (no ownership
+  /// taken; it must outlive the bus or unsubscribe first). Dispatch order
+  /// is subscription order. Subscribing an observer again replaces its
+  /// mask in place, keeping its dispatch position; an empty mask
+  /// unsubscribes it.
+  void subscribe(Observer& observer,
+                 sim::EventKindMask kinds = sim::kDefaultKinds);
   void unsubscribe(Observer& observer);
 
   [[nodiscard]] std::size_t observer_count() const;
 
-  /// Delivers `event` to every observer.
+  /// Delivers `event` to every observer whose mask holds its kind.
   void publish(const sim::Event& event);
   void on_event(const sim::Event& event) override { publish(event); }
 
  private:
-  /// Installs or removes this bus as the source's sink to match
-  /// whether anyone is listening.
+  struct Subscription {
+    Observer* observer;  ///< nullptr once unsubscribed mid-dispatch
+    sim::EventKindMask kinds;
+  };
+
+  /// Installs this bus as the source's sink for the union of its
+  /// observers' masks (removes it when nobody listens), so the simulator
+  /// builds only records somebody wants.
   void update_source();
 
   sim::Simulator* source_;
@@ -68,13 +79,13 @@ class EventBus final : public sim::EventSink {
   /// unsubscribing mid-dispatch nulls the slot (compacted once the
   /// outermost dispatch unwinds); subscribing appends, which the index
   /// loop picks up without invalidating anything.
-  std::vector<Observer*> observers_;
+  std::vector<Subscription> observers_;
   int dispatch_depth_ = 0;
   bool pending_compact_ = false;
 };
 
-/// Ready-made observer that counts every record kind — the "thin metrics
-/// subscriber" building block used by tests and examples.
+/// Ready-made observer that counts every default record kind — the "thin
+/// metrics subscriber" building block used by tests and examples.
 class EventCounter : public Observer {
  public:
   std::uint64_t agent_spawns = 0;

@@ -44,7 +44,7 @@ AgillaEngine::~AgillaEngine() = default;
 
 void AgillaEngine::emit_agent(sim::EventKind kind, AgentId agent,
                               const char* reason, sim::Location dest) {
-  if (sim_.observed()) {
+  if (sim_.observes(kind)) {
     sim::Event event(kind, sim_.now(), node_);
     event.agent = agent.value;
     event.reason = reason;
@@ -280,54 +280,6 @@ AgillaEngine::opcode_profile() const {
     }
   }
   return out;
-}
-
-// --------------------------------------------------------------------------
-// Instruction trace taps (pre/post hooks + bounded ring)
-// --------------------------------------------------------------------------
-
-void AgillaEngine::enable_trace_ring(std::size_t capacity) {
-  trace_capacity_ = capacity;
-  trace_ring_.clear();
-  trace_ring_.shrink_to_fit();
-  trace_ring_.reserve(capacity);
-  trace_next_ = 0;
-}
-
-std::vector<TraceRecord> AgillaEngine::trace_ring() const {
-  if (trace_ring_.size() < trace_capacity_) {
-    return trace_ring_;  // not yet wrapped: already oldest-first
-  }
-  std::vector<TraceRecord> out;
-  out.reserve(trace_ring_.size());
-  out.insert(out.end(), trace_ring_.begin() + trace_next_,
-             trace_ring_.end());
-  out.insert(out.end(), trace_ring_.begin(),
-             trace_ring_.begin() + trace_next_);
-  return out;
-}
-
-void AgillaEngine::note_pre_insn(AgentId id, std::uint16_t pc,
-                                 std::uint8_t opcode) {
-  if (trace_capacity_ != 0) {
-    const TraceRecord rec{sim_.now(), id, pc, opcode};
-    if (trace_ring_.size() < trace_capacity_) {
-      trace_ring_.push_back(rec);
-    } else {
-      trace_ring_[trace_next_] = rec;
-      trace_next_ = (trace_next_ + 1) % trace_capacity_;
-    }
-  }
-  if (hooks_.on_pre_insn) {
-    hooks_.on_pre_insn(InsnEvent{id, pc, opcode});
-  }
-}
-
-void AgillaEngine::note_post_insn(AgentId id, std::uint16_t pc,
-                                  std::uint8_t opcode) {
-  if (hooks_.on_post_insn) {
-    hooks_.on_post_insn(InsnEvent{id, pc, opcode});
-  }
 }
 
 // --------------------------------------------------------------------------

@@ -5,15 +5,16 @@
 // sense, wait, migration, remote tuple-space ops, blocked in/rd).
 //
 // This header is the embedding-facing surface: lifecycle (launch/install),
-// hooks, stats, and knob-style Options. The decode/execute machinery lives
-// in the engine-internal core/vm_dispatch.h and must not leak through here
-// (enforced by the api_header_selfcheck gate).
+// stats, and knob-style Options. Agent lifecycle and every dispatched
+// instruction are observed as sim::Event records on the simulator. The
+// decode/execute machinery lives in the engine-internal core/vm_dispatch.h
+// and must not leak through here (enforced by the api_header_selfcheck
+// gate).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -73,36 +74,6 @@ struct EngineStats {
   std::uint64_t reactions_fired = 0;
 };
 
-/// One dispatched instruction, as seen by the pre/post taps and the trace
-/// ring. `pc` is the instruction's own address (before the advance).
-struct InsnEvent {
-  AgentId agent{};
-  std::uint16_t pc = 0;
-  std::uint8_t opcode = 0;  ///< raw opcode byte (getvar/setvar keep slot)
-};
-
-/// One executed instruction kept by the bounded trace ring.
-struct TraceRecord {
-  sim::SimTime at = 0;
-  AgentId agent{};
-  std::uint16_t pc = 0;
-  std::uint8_t opcode = 0;
-};
-
-/// Per-engine instruction taps for tools (debugger, grader). The agent
-/// lifecycle is observed through sim::Event records instead (spawn, kill,
-/// migrate, block, resume — emitted on the engine's simulator).
-struct EngineHooks {
-  /// About to dispatch one instruction (fires for undefined/truncated
-  /// encodings too — they are dispatched and kill the agent). Purely
-  /// observational: no simulated cost, no RNG, so sweeps stay
-  /// byte-identical whether set or not, in both dispatch modes.
-  std::function<void(const InsnEvent&)> on_pre_insn;
-  /// The instruction retired and the agent survived it (skipped after
-  /// halt, fatal VM errors, and completed migrations — the agent is gone).
-  std::function<void(const InsnEvent&)> on_post_insn;
-};
-
 class AgillaEngine {
  public:
   struct Options {
@@ -151,24 +122,6 @@ class AgillaEngine {
   /// dropped, code blocks released, pending wakeups cancelled.
   void kill_all_agents();
 
-  /// The instruction taps, for a tool (debugger, grader) to set.
-  [[nodiscard]] EngineHooks& hooks() { return hooks_; }
-
-  /// Keeps the last `capacity` dispatched instructions in a bounded ring
-  /// (0 disables and drops the buffer). Observational only: simulated
-  /// behaviour is unchanged whether the ring is on or off.
-  void enable_trace_ring(std::size_t capacity);
-
-  /// Ring contents, oldest first (at most the configured capacity).
-  [[nodiscard]] std::vector<TraceRecord> trace_ring() const;
-
-  /// Caps execution at one instruction per scheduler slice (debugger
-  /// stepping). Slice accounting — context-switch costs, yields — is
-  /// unchanged; each slice simply retires a single instruction, so
-  /// simulated timing stretches but per-instruction behaviour does not.
-  void set_single_step(bool on) { single_step_ = on; }
-  [[nodiscard]] bool single_step() const { return single_step_; }
-
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
 
   /// Per-opcode execution profile (key: raw opcode byte; getvar/setvar
@@ -192,16 +145,6 @@ class AgillaEngine {
 
  private:
   friend class VmDispatcher;
-
-  /// One branch per instruction when everything is off: the dispatch
-  /// loops hoist this per slice and skip both note_* calls entirely.
-  [[nodiscard]] bool insn_taps_active() const {
-    return trace_capacity_ != 0 ||
-           static_cast<bool>(hooks_.on_pre_insn) ||
-           static_cast<bool>(hooks_.on_post_insn);
-  }
-  void note_pre_insn(AgentId id, std::uint16_t pc, std::uint8_t opcode);
-  void note_post_insn(AgentId id, std::uint16_t pc, std::uint8_t opcode);
 
   void make_ready(Agent& agent);
   /// Emits one agent-lifecycle record for this node (`reason` must be a
@@ -230,7 +173,6 @@ class AgillaEngine {
   RemoteTsManager& remote_ts_;
   energy::Battery* battery_ = nullptr;
   energy::CpuEnergyModel cpu_energy_{};
-  EngineHooks hooks_;
   std::unique_ptr<VmDispatcher> dispatcher_;
 
   std::deque<AgentId> ready_;
@@ -245,10 +187,6 @@ class AgillaEngine {
       pending_reactions_;
   std::uint8_t leds_ = 0;
   EngineStats stats_;
-  bool single_step_ = false;
-  std::size_t trace_capacity_ = 0;
-  std::vector<TraceRecord> trace_ring_;
-  std::size_t trace_next_ = 0;  ///< overwrite cursor once the ring is full
   /// Flat per-opcode-byte table: O(1) updates on the instruction hot path.
   std::array<OpcodeProfile, 256> profile_{};
 };

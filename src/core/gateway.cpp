@@ -184,21 +184,53 @@ std::string format_record(const sim::Event& e) {
   return text;
 }
 
+/// A `subscribe` kind and the record kinds it streams (agent block/resume
+/// and instruction records are not streamed to consoles).
+struct ConsoleKind {
+  const char* name;
+  sim::EventKindMask kinds;
+};
+
+constexpr ConsoleKind kConsoleKinds[] = {
+    {"agent", sim::mask_of(sim::EventKind::kAgentSpawn,
+                           sim::EventKind::kAgentKill,
+                           sim::EventKind::kAgentMigrate)},
+    {"tuple", sim::mask_of(sim::EventKind::kTupleOp)},
+    {"node", sim::mask_of(sim::EventKind::kNodeDown, sim::EventKind::kNodeUp)},
+    {"frame", sim::mask_of(sim::EventKind::kFrameTx, sim::EventKind::kFrameRx)},
+    {"battery", sim::mask_of(sim::EventKind::kBatterySettle)},
+};
+
+/// nullptr for a name `subscribe` does not accept.
+const ConsoleKind* find_console_kind(const std::string& name) {
+  for (const ConsoleKind& kind : kConsoleKinds) {
+    if (name == kind.name) {
+      return &kind;
+    }
+  }
+  return nullptr;
+}
+
+/// The `subscribe` kind a streamed record belongs to.
+const char* console_kind_name(sim::EventKind kind) {
+  for (const ConsoleKind& entry : kConsoleKinds) {
+    if ((entry.kinds & sim::mask_of(kind)) != 0) {
+      return entry.name;
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 /// Bridges the api::EventBus onto the console's sinks: one observer per
-/// console, subscribed to the bus only while at least one event kind is
-/// subscribed. Formatting happens only for subscribed kinds, so an idle
-/// console costs one set lookup per record.
+/// console, subscribed to the bus for exactly the console's record kinds,
+/// so the bus filters and an idle console costs nothing per record.
 class GatewayConsole::BusBridge final : public api::Observer {
  public:
   explicit BusBridge(GatewayConsole& console) : console_(console) {}
 
   void on_event(const sim::Event& e) override {
-    const char* kind = console_kind(e.kind);
-    if (kind == nullptr || !console_.subscribed(kind)) {
-      return;
-    }
     // The bus hands one record to every console's bridge in turn and the
     // text depends on the record alone, so format it once per record.
     thread_local sim::Event last;
@@ -207,59 +239,44 @@ class GatewayConsole::BusBridge final : public api::Observer {
       text = format_record(e);
       last = e;
     }
-    console_.deliver_event(kind, text, e.at);
+    console_.deliver_event(console_kind_name(e.kind), text, e.at);
   }
 
  private:
-  /// The `subscribe` kind a record belongs to; nullptr for records the
-  /// console does not stream (agent block/resume).
-  static const char* console_kind(sim::EventKind kind) {
-    switch (kind) {
-      case sim::EventKind::kAgentSpawn:
-      case sim::EventKind::kAgentKill:
-      case sim::EventKind::kAgentMigrate:
-        return "agent";
-      case sim::EventKind::kTupleOp:
-        return "tuple";
-      case sim::EventKind::kFrameTx:
-      case sim::EventKind::kFrameRx:
-        return "frame";
-      case sim::EventKind::kNodeDown:
-      case sim::EventKind::kNodeUp:
-        return "node";
-      case sim::EventKind::kBatterySettle:
-        return "battery";
-      default:
-        return nullptr;
-    }
-  }
-
   GatewayConsole& console_;
 };
 
 GatewayConsole::GatewayConsole(BaseStation& base, OutputSink output)
-    : base_(base), output_(std::move(output)) {}
+    : base_(base),
+      output_(std::move(output)),
+      bridge_(std::make_unique<BusBridge>(*this)) {}
 
 GatewayConsole::~GatewayConsole() {
   *alive_ = false;  // in-flight remote-op completions become no-ops
-  if (bridge_subscribed_ && bus_ != nullptr) {
+  if (bus_ != nullptr && subscriptions_ != 0) {
     bus_->unsubscribe(*bridge_);
   }
 }
 
 void GatewayConsole::attach_bus(api::EventBus& bus) {
-  if (bridge_subscribed_ && bus_ != nullptr) {
+  if (bus_ != nullptr && subscriptions_ != 0) {
     bus_->unsubscribe(*bridge_);
-    bridge_subscribed_ = false;
   }
   bus_ = &bus;
-  if (!subscriptions_.empty()) {
-    if (bridge_ == nullptr) {
-      bridge_ = std::make_unique<BusBridge>(*this);
-    }
-    bus_->subscribe(*bridge_);
-    bridge_subscribed_ = true;
+  bus_->subscribe(*bridge_, subscriptions_);
+}
+
+bool GatewayConsole::subscribed(const std::string& kind) const {
+  const ConsoleKind* entry = find_console_kind(kind);
+  return entry != nullptr && (subscriptions_ & entry->kinds) != 0;
+}
+
+std::size_t GatewayConsole::subscription_count() const {
+  std::size_t count = 0;
+  for (const ConsoleKind& kind : kConsoleKinds) {
+    count += (subscriptions_ & kind.kinds) != 0 ? 1 : 0;
   }
+  return count;
 }
 
 void GatewayConsole::emit(const std::string& line) {
@@ -294,12 +311,6 @@ void GatewayConsole::deliver_event(const std::string& kind,
     event_sink_(kind, text, at);
   }
   emit("event: " + kind + " " + text);
-}
-
-const std::vector<std::string>& GatewayConsole::event_kinds() {
-  static const std::vector<std::string> kinds = {
-      "agent", "tuple", "node", "frame", "battery"};
-  return kinds;
 }
 
 bool GatewayConsole::parse_tuple(const std::vector<std::string>& tokens,
@@ -533,46 +544,31 @@ std::string GatewayConsole::cmd_subscribe(
   }
   if (!subscribe && tokens.size() < 2) {
     // Bare `unsubscribe` drops everything.
-    subscriptions_.clear();
-    if (bridge_subscribed_) {
-      bus_->unsubscribe(*bridge_);
-      bridge_subscribed_ = false;
-    }
+    subscriptions_ = 0;
+    bus_->unsubscribe(*bridge_);
     return "ok: unsubscribed all";
   }
   if (tokens.size() < 2) {
     return "error: subscribe <agent|tuple|node|frame|battery>";
   }
   const std::string& kind = tokens[1];
-  bool known = false;
-  for (const std::string& candidate : event_kinds()) {
-    known = known || candidate == kind;
-  }
-  if (!known) {
+  const ConsoleKind* entry = find_console_kind(kind);
+  if (entry == nullptr) {
     return "error: unknown event kind '" + kind +
            "' (agent|tuple|node|frame|battery)";
   }
-  if (subscribe) {
-    if (!subscriptions_.insert(kind).second) {
-      return "ok: already subscribed " + kind;
-    }
-    if (!bridge_subscribed_) {
-      if (bridge_ == nullptr) {
-        bridge_ = std::make_unique<BusBridge>(*this);
-      }
-      bus_->subscribe(*bridge_);
-      bridge_subscribed_ = true;
-    }
-    return "ok: subscribed " + kind;
+  const bool was_subscribed = (subscriptions_ & entry->kinds) != 0;
+  if (subscribe && was_subscribed) {
+    return "ok: already subscribed " + kind;
   }
-  if (subscriptions_.erase(kind) == 0) {
+  if (!subscribe && !was_subscribed) {
     return "error: not subscribed to '" + kind + "'";
   }
-  if (subscriptions_.empty() && bridge_subscribed_) {
-    bus_->unsubscribe(*bridge_);
-    bridge_subscribed_ = false;
-  }
-  return "ok: unsubscribed " + kind;
+  subscriptions_ ^= entry->kinds;
+  // In place: the bridge keeps its dispatch position while any kind stays
+  // subscribed; an empty mask takes it off the bus.
+  bus_->subscribe(*bridge_, subscriptions_);
+  return (subscribe ? "ok: subscribed " : "ok: unsubscribed ") + kind;
 }
 
 std::string GatewayConsole::execute(const std::string& line) {

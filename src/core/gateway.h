@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -89,18 +88,12 @@ class GatewayConsole {
                              std::size_t first, ts::Template* out,
                              std::string* error);
 
-  /// The event kinds `subscribe` accepts, in stable order.
-  [[nodiscard]] static const std::vector<std::string>& event_kinds();
-
   /// Number of async results delivered so far (for tests).
   [[nodiscard]] std::size_t async_results() const { return async_results_; }
 
-  [[nodiscard]] bool subscribed(const std::string& kind) const {
-    return subscriptions_.count(kind) != 0;
-  }
-  [[nodiscard]] std::size_t subscription_count() const {
-    return subscriptions_.size();
-  }
+  /// Whether `subscribe <kind>` is in effect; how many kinds are.
+  [[nodiscard]] bool subscribed(const std::string& kind) const;
+  [[nodiscard]] std::size_t subscription_count() const;
 
  private:
   class BusBridge;
@@ -128,8 +121,9 @@ class GatewayConsole {
   EventSink event_sink_;
   api::EventBus* bus_ = nullptr;
   std::unique_ptr<BusBridge> bridge_;
-  bool bridge_subscribed_ = false;
-  std::set<std::string> subscriptions_;
+  /// The record kinds of every subscribed console kind: also the bridge's
+  /// mask on the bus (empty = not subscribed there).
+  sim::EventKindMask subscriptions_ = 0;
   std::uint64_t next_id_ = 0;
   std::size_t async_results_ = 0;
   /// Liveness token captured (weakly) by remote-op completions: the

@@ -318,13 +318,20 @@ bool VmDispatcher::fetch_decode(Agent& agent, DecodedInsn* out) {
   return true;
 }
 
+void VmDispatcher::emit_insn(const Agent& agent, std::uint16_t pc,
+                             std::uint8_t raw) {
+  sim::Event event(sim::EventKind::kInsn, e_.sim_.now(), e_.node_);
+  event.agent = agent.id().value;
+  event.pc = pc;
+  event.opcode = raw;
+  e_.sim_.emit(event);
+}
+
 void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
-  const std::size_t per_slice =
-      e_.single_step_ ? 1 : e_.options_.instructions_per_slice;
-  // Hoisted per slice: with no taps installed this is the only branch the
-  // trace machinery costs on the hot path.
-  const bool taps = e_.insn_taps_active();
-  const AgentId insn_agent = agent.id();
+  const std::size_t per_slice = e_.options_.instructions_per_slice;
+  // Hoisted per slice: with nobody observing instructions this is the
+  // only branch the instruction stream costs on the hot path.
+  const bool trace = e_.sim_.observes(sim::EventKind::kInsn);
   StepResult result = StepResult::kContinue;
   for (std::size_t i = 0; i < per_slice && result == StepResult::kContinue;
        ++i) {
@@ -332,9 +339,8 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
     if (!fetch_decode(agent, &d)) {
       return;  // PC out of range: the agent died, nothing is profiled
     }
-    const std::uint16_t insn_pc = agent.pc();
-    if (taps) {
-      e_.note_pre_insn(insn_agent, insn_pc, d.raw);
+    if (trace) {
+      emit_insn(agent, agent.pc(), d.raw);
     }
     const sim::SimTime cost_before = cost;
     if (d.cls != OpClass::kUndefined && d.cls != OpClass::kTruncated) {
@@ -347,11 +353,6 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
     OpcodeProfile& entry = e_.profile_[d.profile_key];
     entry.count++;
     entry.total_cost += cost - cost_before;
-    if (taps && result != StepResult::kGone) {
-      // kGone means the instruction destroyed the agent (halt, fatal
-      // error, completed migration): no post tap for a dead agent.
-      e_.note_post_insn(insn_agent, insn_pc, d.raw);
-    }
   }
 }
 
@@ -359,32 +360,20 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
 void VmDispatcher::run_slice_threaded(Agent& agent,
                                       const DecodedProgram& program,
                                       sim::SimTime& cost) {
-  const std::size_t per_slice =
-      e_.single_step_ ? 1 : e_.options_.instructions_per_slice;
-  // Hoisted per slice, exactly as in run_slice_switch: one branch per
-  // instruction when no taps are installed.
-  const bool taps = e_.insn_taps_active();
-  const AgentId insn_agent = agent.id();
+  const std::size_t per_slice = e_.options_.instructions_per_slice;
+  // Hoisted per slice, exactly as in run_slice_switch.
+  const bool trace = e_.sim_.observes(sim::EventKind::kInsn);
   std::size_t executed = 0;
 
-  // Label table indexed by OpClass — order must match the enum exactly.
+  // Label table indexed by OpClass, generated from the same list.
   static const void* const kLabels[] = {
-      &&lbl_halt,    &&lbl_loc,     &&lbl_aid,      &&lbl_rand,
-      &&lbl_numnbrs, &&lbl_sense,   &&lbl_sleep,    &&lbl_putled,
-      &&lbl_copy,    &&lbl_pop,     &&lbl_swap,     &&lbl_wait,
-      &&lbl_jumps,   &&lbl_depth,   &&lbl_clear,    &&lbl_cpush,
-      &&lbl_arith,   &&lbl_not,     &&lbl_incdec,   &&lbl_migrate,
-      &&lbl_getnbr,  &&lbl_randnbr, &&lbl_compare,  &&lbl_rjump,
-      &&lbl_rjumpc,  &&lbl_jump,    &&lbl_tuple,    &&lbl_remote,
-      &&lbl_getvar,  &&lbl_setvar,  &&lbl_push,     &&lbl_undefined,
-      &&lbl_truncated,
+#define AGILLA_OP_CLASS_LABEL(cls, handler) &&lbl_##handler,
+      AGILLA_OP_CLASSES(AGILLA_OP_CLASS_LABEL)
+#undef AGILLA_OP_CLASS_LABEL
   };
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                static_cast<std::size_t>(OpClass::kCount));
 
   const DecodedInsn* d = nullptr;
   sim::SimTime cost_before = 0;
-  std::uint16_t insn_pc = 0;
   StepResult result = StepResult::kContinue;
 
 next_insn : {
@@ -394,9 +383,8 @@ next_insn : {
     return;
   }
   d = &program.at(pc);
-  insn_pc = pc;
-  if (taps) {
-    e_.note_pre_insn(insn_agent, pc, d->raw);
+  if (trace) {
+    emit_insn(agent, pc, d->raw);
   }
   cost_before = cost;
   if (d->cls != OpClass::kUndefined && d->cls != OpClass::kTruncated) {
@@ -405,49 +393,16 @@ next_insn : {
   }
   goto* kLabels[static_cast<std::size_t>(d->cls)];
 }
-  // clang-format off
-lbl_halt:      result = h_halt(agent, *d, cost);      goto insn_done;
-lbl_loc:       result = h_loc(agent, *d, cost);       goto insn_done;
-lbl_aid:       result = h_aid(agent, *d, cost);       goto insn_done;
-lbl_rand:      result = h_rand(agent, *d, cost);      goto insn_done;
-lbl_numnbrs:   result = h_numnbrs(agent, *d, cost);   goto insn_done;
-lbl_sense:     result = h_sense(agent, *d, cost);     goto insn_done;
-lbl_sleep:     result = h_sleep(agent, *d, cost);     goto insn_done;
-lbl_putled:    result = h_putled(agent, *d, cost);    goto insn_done;
-lbl_copy:      result = h_copy(agent, *d, cost);      goto insn_done;
-lbl_pop:       result = h_pop(agent, *d, cost);       goto insn_done;
-lbl_swap:      result = h_swap(agent, *d, cost);      goto insn_done;
-lbl_wait:      result = h_wait(agent, *d, cost);      goto insn_done;
-lbl_jumps:     result = h_jumps(agent, *d, cost);     goto insn_done;
-lbl_depth:     result = h_depth(agent, *d, cost);     goto insn_done;
-lbl_clear:     result = h_clear(agent, *d, cost);     goto insn_done;
-lbl_cpush:     result = h_cpush(agent, *d, cost);     goto insn_done;
-lbl_arith:     result = h_arith(agent, *d, cost);     goto insn_done;
-lbl_not:       result = h_not(agent, *d, cost);       goto insn_done;
-lbl_incdec:    result = h_incdec(agent, *d, cost);    goto insn_done;
-lbl_migrate:   result = h_migrate(agent, *d, cost);   goto insn_done;
-lbl_getnbr:    result = h_getnbr(agent, *d, cost);    goto insn_done;
-lbl_randnbr:   result = h_randnbr(agent, *d, cost);   goto insn_done;
-lbl_compare:   result = h_compare(agent, *d, cost);   goto insn_done;
-lbl_rjump:     result = h_rjump(agent, *d, cost);     goto insn_done;
-lbl_rjumpc:    result = h_rjumpc(agent, *d, cost);    goto insn_done;
-lbl_jump:      result = h_jump(agent, *d, cost);      goto insn_done;
-lbl_tuple:     result = h_tuple(agent, *d, cost);     goto insn_done;
-lbl_remote:    result = h_remote(agent, *d, cost);    goto insn_done;
-lbl_getvar:    result = h_getvar(agent, *d, cost);    goto insn_done;
-lbl_setvar:    result = h_setvar(agent, *d, cost);    goto insn_done;
-lbl_push:      result = h_push(agent, *d, cost);      goto insn_done;
-lbl_undefined: result = h_undefined(agent, *d, cost); goto insn_done;
-lbl_truncated: result = h_truncated(agent, *d, cost); goto insn_done;
-  // clang-format on
+#define AGILLA_OP_CLASS_LABEL(cls, handler)              \
+  lbl_##handler : result = h_##handler(agent, *d, cost); \
+  goto insn_done;
+  AGILLA_OP_CLASSES(AGILLA_OP_CLASS_LABEL)
+#undef AGILLA_OP_CLASS_LABEL
 
 insn_done : {
   OpcodeProfile& entry = e_.profile_[d->profile_key];
   entry.count++;
   entry.total_cost += cost - cost_before;
-  if (taps && result != StepResult::kGone) {
-    e_.note_post_insn(insn_agent, insn_pc, d->raw);
-  }
   if (result == StepResult::kContinue && ++executed < per_slice) {
     goto next_insn;
   }
@@ -460,71 +415,11 @@ VmDispatcher::StepResult VmDispatcher::execute(Agent& agent,
                                                const DecodedInsn& d,
                                                sim::SimTime& cost) {
   switch (d.cls) {
-    case OpClass::kHalt:
-      return h_halt(agent, d, cost);
-    case OpClass::kLoc:
-      return h_loc(agent, d, cost);
-    case OpClass::kAid:
-      return h_aid(agent, d, cost);
-    case OpClass::kRand:
-      return h_rand(agent, d, cost);
-    case OpClass::kNumNbrs:
-      return h_numnbrs(agent, d, cost);
-    case OpClass::kSense:
-      return h_sense(agent, d, cost);
-    case OpClass::kSleep:
-      return h_sleep(agent, d, cost);
-    case OpClass::kPutLed:
-      return h_putled(agent, d, cost);
-    case OpClass::kCopy:
-      return h_copy(agent, d, cost);
-    case OpClass::kPop:
-      return h_pop(agent, d, cost);
-    case OpClass::kSwap:
-      return h_swap(agent, d, cost);
-    case OpClass::kWait:
-      return h_wait(agent, d, cost);
-    case OpClass::kJumps:
-      return h_jumps(agent, d, cost);
-    case OpClass::kDepth:
-      return h_depth(agent, d, cost);
-    case OpClass::kClear:
-      return h_clear(agent, d, cost);
-    case OpClass::kCpush:
-      return h_cpush(agent, d, cost);
-    case OpClass::kArith:
-      return h_arith(agent, d, cost);
-    case OpClass::kNot:
-      return h_not(agent, d, cost);
-    case OpClass::kIncDec:
-      return h_incdec(agent, d, cost);
-    case OpClass::kMigrate:
-      return h_migrate(agent, d, cost);
-    case OpClass::kGetNbr:
-      return h_getnbr(agent, d, cost);
-    case OpClass::kRandNbr:
-      return h_randnbr(agent, d, cost);
-    case OpClass::kCompare:
-      return h_compare(agent, d, cost);
-    case OpClass::kRjump:
-      return h_rjump(agent, d, cost);
-    case OpClass::kRjumpc:
-      return h_rjumpc(agent, d, cost);
-    case OpClass::kJump:
-      return h_jump(agent, d, cost);
-    case OpClass::kTupleOp:
-      return h_tuple(agent, d, cost);
-    case OpClass::kRemote:
-      return h_remote(agent, d, cost);
-    case OpClass::kGetVar:
-      return h_getvar(agent, d, cost);
-    case OpClass::kSetVar:
-      return h_setvar(agent, d, cost);
-    case OpClass::kPush:
-      return h_push(agent, d, cost);
-    case OpClass::kUndefined:
-      return h_undefined(agent, d, cost);
-    case OpClass::kTruncated:
+#define AGILLA_OP_CLASS_CASE(cls, handler) \
+  case OpClass::k##cls:                    \
+    return h_##handler(agent, d, cost);
+    AGILLA_OP_CLASSES(AGILLA_OP_CLASS_CASE)
+#undef AGILLA_OP_CLASS_CASE
     case OpClass::kCount:
       break;
   }

@@ -29,43 +29,55 @@ namespace agilla::core {
 
 class AgillaEngine;
 
+// clang-format off
+/// The one list of op classes: X(Class, handler) per entry, in dispatch
+/// order. It generates the OpClass enumerators (k##Class), the handler
+/// declarations (h_##handler), the threaded loop's label table and labels,
+/// and the reference switch in execute() — so the four cannot disagree.
+/// Which opcode byte maps to which class is decided by classify() in
+/// vm_dispatch.cpp.
+#define AGILLA_OP_CLASSES(X)                                               \
+  X(Halt, halt)                                                            \
+  X(Loc, loc)                                                              \
+  X(Aid, aid)                                                              \
+  X(Rand, rand)                                                            \
+  X(NumNbrs, numnbrs)                                                      \
+  X(Sense, sense)                                                          \
+  X(Sleep, sleep)                                                          \
+  X(PutLed, putled)                                                        \
+  X(Copy, copy)                                                            \
+  X(Pop, pop)                                                              \
+  X(Swap, swap)                                                            \
+  X(Wait, wait)                                                            \
+  X(Jumps, jumps)                                                          \
+  X(Depth, depth)                                                          \
+  X(Clear, clear)                                                          \
+  X(Cpush, cpush)                                                          \
+  X(Arith, arith)      /* add/sub/and/or/mod/mul/eq, selected by `raw` */  \
+  X(Not, not)                                                              \
+  X(IncDec, incdec)    /* inc/dec, selected by `raw` */                    \
+  X(Migrate, migrate)  /* smove/wmove/sclone/wclone */                     \
+  X(GetNbr, getnbr)                                                        \
+  X(RandNbr, randnbr)                                                      \
+  X(Compare, compare)  /* ceq/clt/cgt, selected by `raw` */                \
+  X(Rjump, rjump)                                                          \
+  X(Rjumpc, rjumpc)                                                        \
+  X(Jump, jump)                                                            \
+  X(TupleOp, tuple)    /* out/inp/rdp/in/rd/tcount/regrxn/deregrxn */      \
+  X(Remote, remote)    /* rout/rinp/rrdp */                                \
+  X(GetVar, getvar)                                                        \
+  X(SetVar, setvar)                                                        \
+  X(Push, push)        /* pushc/pushcl/pushn/pusht/pushrt/pushloc */       \
+  X(Undefined, undefined)  /* no such opcode: "undefined opcode" */        \
+  X(Truncated, truncated)  /* operands run past the code end */
+// clang-format on
+
 /// Dense semantic classes behind the sparse opcode byte. Every opcode maps
-/// onto one class; the threaded loop indexes its label table with this, so
-/// the order here must match the label tables in vm_dispatch.cpp.
+/// onto one class; the threaded loop indexes its label table with this.
 enum class OpClass : std::uint8_t {
-  kHalt = 0,
-  kLoc,
-  kAid,
-  kRand,
-  kNumNbrs,
-  kSense,
-  kSleep,
-  kPutLed,
-  kCopy,
-  kPop,
-  kSwap,
-  kWait,
-  kJumps,
-  kDepth,
-  kClear,
-  kCpush,
-  kArith,    ///< add/sub/and/or/mod/mul/eq — selected by `raw`
-  kNot,
-  kIncDec,   ///< inc/dec — selected by `raw`
-  kMigrate,  ///< smove/wmove/sclone/wclone
-  kGetNbr,
-  kRandNbr,
-  kCompare,  ///< ceq/clt/cgt — selected by `raw`
-  kRjump,
-  kRjumpc,
-  kJump,
-  kTupleOp,  ///< out/inp/rdp/in/rd/tcount/regrxn/deregrxn
-  kRemote,   ///< rout/rinp/rrdp
-  kGetVar,
-  kSetVar,
-  kPush,       ///< pushc/pushcl/pushn/pusht/pushrt/pushloc via prebuilt imm
-  kUndefined,  ///< no such opcode: dies with "undefined opcode"
-  kTruncated,  ///< operands run past the code end: "truncated instruction"
+#define AGILLA_OP_CLASS_ENUM(cls, handler) k##cls,
+  AGILLA_OP_CLASSES(AGILLA_OP_CLASS_ENUM)
+#undef AGILLA_OP_CLASS_ENUM
   kCount,
 };
 
@@ -174,54 +186,13 @@ class VmDispatcher {
   }
 
  private:
-  // Shared opcode handlers: each mirrors one case of the historical
-  // engine switch, byte-for-byte in simulated effect.
-  StepResult h_halt(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_loc(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_aid(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_rand(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_numnbrs(Agent& agent, const DecodedInsn& d,
-                       sim::SimTime& cost);
-  StepResult h_sense(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_sleep(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_putled(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_copy(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_pop(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_swap(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_wait(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_jumps(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_depth(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_clear(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_cpush(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_arith(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_not(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_incdec(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_migrate(Agent& agent, const DecodedInsn& d,
-                       sim::SimTime& cost);
-  StepResult h_getnbr(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_randnbr(Agent& agent, const DecodedInsn& d,
-                       sim::SimTime& cost);
-  StepResult h_compare(Agent& agent, const DecodedInsn& d,
-                       sim::SimTime& cost);
-  StepResult h_rjump(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_rjumpc(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_jump(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_tuple(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_remote(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_getvar(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_setvar(Agent& agent, const DecodedInsn& d,
-                      sim::SimTime& cost);
-  StepResult h_push(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
-  StepResult h_undefined(Agent& agent, const DecodedInsn& d,
+  // Shared opcode handlers, one per op class: each mirrors one case of
+  // the historical engine switch, byte-for-byte in simulated effect.
+#define AGILLA_OP_CLASS_HANDLER(cls, handler)               \
+  StepResult h_##handler(Agent& agent, const DecodedInsn& d, \
                          sim::SimTime& cost);
-  StepResult h_truncated(Agent& agent, const DecodedInsn& d,
-                         sim::SimTime& cost);
+  AGILLA_OP_CLASSES(AGILLA_OP_CLASS_HANDLER)
+#undef AGILLA_OP_CLASS_HANDLER
 
   // Composite instruction groups (moved out of the historical engine).
   StepResult exec_tuple_op(Agent& agent, Opcode op, sim::SimTime& cost);
@@ -230,6 +201,9 @@ class VmDispatcher {
   bool pop_fields(Agent& agent, std::vector<ts::Value>* out);
   AgentImage make_image(Agent& agent, MigrationOp op, sim::Location dest);
   bool push_or_die(Agent& agent, const ts::Value& v);
+
+  /// Emits the kInsn record for the instruction about to execute.
+  void emit_insn(const Agent& agent, std::uint16_t pc, std::uint8_t raw);
 
   /// Dispatches one decoded instruction through the reference switch.
   StepResult execute(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);

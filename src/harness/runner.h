@@ -1,7 +1,7 @@
 // The deterministic multi-trial experiment runner.
 //
 // run_experiment() expands the spec's parameter grid into independent
-// trials, executes them on a pool of worker threads (one Mesh-style
+// trials, executes them on a pool of worker threads (one api::Deployment
 // simulation per trial, each seeded from derive_trial_seed), and folds
 // the per-trial metrics into per-cell aggregates IN TRIAL ORDER — so the
 // result, and its JSON rendering, is a pure function of the spec:

@@ -12,7 +12,6 @@
 #include "core/isa.h"
 #include "core/vm_costs.h"
 #include "energy/battery.h"
-#include "harness/mesh.h"
 #include "sim/environment.h"
 #include "sim/stats.h"
 
@@ -24,9 +23,8 @@ ts::Template marker_template(const char* tag) {
                       ts::Value::type_wildcard(ts::ValueType::kLocation)};
 }
 
-void record_network_stats(const Mesh& mesh, const sim::Network& network,
+void record_network_stats(const sim::Network& network,
                           TrialMetrics& metrics) {
-  (void)mesh;
   const sim::NetworkStats& stats = network.stats();
   metrics.set("frames_sent", static_cast<double>(stats.frames_sent));
   metrics.set("frames_lost", static_cast<double>(stats.frames_lost));
@@ -44,7 +42,7 @@ void record_network_stats(const Mesh& mesh, const sim::Network& network,
 }
 
 /// Network-wide per-component energy draw, when batteries are attached.
-void record_energy_stats(Mesh& mesh, TrialMetrics& metrics) {
+void record_energy_stats(api::Deployment& mesh, TrialMetrics& metrics) {
   if (mesh.network().energy_options() == nullptr) {
     return;
   }
@@ -70,7 +68,7 @@ void record_energy_stats(Mesh& mesh, TrialMetrics& metrics) {
 /// gateway's own neighbours die" and hide what routing policy does to
 /// the corridor between the regions. (With gateway_powered=false there
 /// is no mains node and every mote participates.)
-bool mesh_partitioned(Mesh& mesh) {
+bool mesh_partitioned(api::Deployment& mesh) {
   const sim::Network& network = mesh.network();
   const bool skip_gateway = network.energy_options() != nullptr &&
                             network.energy_options()->gateway_powered;
@@ -109,7 +107,7 @@ bool mesh_partitioned(Mesh& mesh) {
 
 /// Residual-energy spread across surviving batteries: how evenly the
 /// routing policy drained the mesh (max-min should lift the minimum).
-void record_residual_stats(Mesh& mesh, TrialMetrics& metrics) {
+void record_residual_stats(api::Deployment& mesh, TrialMetrics& metrics) {
   mesh.network().settle_batteries();
   sim::Summary residuals;
   for (const sim::NodeId id : mesh.topology().nodes) {
@@ -154,7 +152,7 @@ sim::FireField::Options fire_options_for(const TrialSpec& trial,
 /// FIRETRACKER swarm marks the perimeter. Success = the first <"trk", loc>
 /// perimeter mark appears before the trial ends.
 TrialMetrics run_fire_tracking(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   const sim::SimTime inject_time = mesh.simulator().now();
   const sim::FireField::Options fire_options =
       fire_options_for(trial, inject_time);
@@ -214,7 +212,7 @@ TrialMetrics run_fire_tracking(const TrialSpec& trial) {
                 static_cast<double>(burning_tracked) /
                     static_cast<double>(burning));
   }
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -235,7 +233,7 @@ sim::MovingBumpField::Options intruder_options_for(const TrialSpec& trial) {
 }
 
 /// The pursuer is wherever two agents share a node (sentinel + pursuer).
-std::optional<sim::Location> pursuer_location(Mesh& mesh) {
+std::optional<sim::Location> pursuer_location(api::Deployment& mesh) {
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
     if (mesh.mote(i).agents().count() >= 2) {
       return mesh.mote(i).location();
@@ -246,7 +244,7 @@ std::optional<sim::Location> pursuer_location(Mesh& mesh) {
 
 /// Injects the sentinel flood, lets it claim the grid, then releases the
 /// pursuer (the shared opening of both pursuit scenarios).
-void deploy_pursuit_agents(Mesh& mesh) {
+void deploy_pursuit_agents(api::Deployment& mesh) {
   core::BaseStation base = mesh.base();
   base.inject(core::agents::sentinel(/*sample_ticks=*/8));
   mesh.simulator().run_for(30 * sim::kSecond);  // sentinels claim the grid
@@ -257,7 +255,7 @@ void deploy_pursuit_agents(Mesh& mesh) {
 /// one PURSUER chases the loudest signal. The intruder patrols the mesh
 /// perimeter; metrics score how closely the pursuer shadows it.
 TrialMetrics run_intruder_pursuit(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   const sim::MovingBumpField::Options intruder_options =
       intruder_options_for(trial);
   mesh.environment().set_field(
@@ -297,7 +295,7 @@ TrialMetrics run_intruder_pursuit(const TrialSpec& trial) {
                     static_cast<double>(samples));
   }
   metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -330,7 +328,7 @@ int default_hops(const GridSize& grid) {
 /// mesh + one agent; success when the round trip completes. Latency is
 /// halved for the double migration (paper Sec. 4).
 TrialMetrics run_smove(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   // Clamp unrealizable hop counts and report the realized value, so a
   // cell whose axis asks for more hops than the grid has is
   // self-describing in the JSON rather than silently mislabeled.
@@ -362,14 +360,14 @@ TrialMetrics run_smove(const TrialSpec& trial) {
     metrics.set("latency_ms",
                 static_cast<double>(*done - start) / 1000.0 / 2.0);
   }
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
 /// Fig. 8 (bottom): rout a tuple onto the node `hops` away; success when
 /// the acknowledged remote op completes.
 TrialMetrics run_rout(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   const int hops = std::min(
       static_cast<int>(trial.param("hops", default_hops(trial.grid))),
       max_hops(trial.grid));
@@ -396,7 +394,7 @@ TrialMetrics run_rout(const TrialSpec& trial) {
   if (done) {
     metrics.set("latency_ms", static_cast<double>(*done - start) / 1000.0);
   }
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -472,7 +470,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
   // ~70 s always-on — deaths land inside the default 120 s trial, and
   // duty-cycled cells visibly outlive always-on ones.
   trial.params.try_emplace("battery_mj", 2000.0);
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   const std::size_t nodes = mesh.mote_count();
 
   const sim::SimTime inject_time = mesh.simulator().now();
@@ -529,7 +527,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
   // Lifetime accounting: node lifetimes (virtual seconds from boot to
   // death) across this trial's deaths, in death order.
   sim::Summary lifetimes;
-  for (const Mesh::DeathEvent& death : mesh.death_log()) {
+  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
     lifetimes.add(static_cast<double>(death.at) / 1e6);
   }
   metrics.set("deaths", static_cast<double>(lifetimes.count()));
@@ -555,7 +553,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
   metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
   record_residual_stats(mesh, metrics);
   record_energy_stats(mesh, metrics);
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -570,7 +568,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
 /// mesh still works, partition and residual spread measure what the
 /// policy did to the corridor.
 TrialMetrics run_report_collection(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   const double report_s = trial.param("report_s", 4.0);
   const int report_ticks =
       std::max(1, static_cast<int>(report_s * 8.0));
@@ -624,7 +622,7 @@ TrialMetrics run_report_collection(const TrialSpec& trial) {
                 static_cast<double>(*first_partition - start) / 1e6);
   }
   sim::Summary lifetimes;
-  for (const Mesh::DeathEvent& death : mesh.death_log()) {
+  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
     lifetimes.add(static_cast<double>(death.at) / 1e6);
   }
   metrics.set("deaths", static_cast<double>(lifetimes.count()));
@@ -637,7 +635,7 @@ TrialMetrics run_report_collection(const TrialSpec& trial) {
   metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
   record_residual_stats(mesh, metrics);
   record_energy_stats(mesh, metrics);
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -653,7 +651,7 @@ TrialMetrics run_churn_pursuit(const TrialSpec& trial_in) {
   // ~0.004 crashes/node/s on a 5x5 mesh = one crash every ~10 s.
   trial.params.try_emplace("churn_rate", 0.004);
   trial.params.try_emplace("churn_reboot_s", 20.0);
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   const sim::MovingBumpField::Options intruder_options =
       intruder_options_for(trial);
   mesh.environment().set_field(
@@ -740,7 +738,7 @@ TrialMetrics run_churn_pursuit(const TrialSpec& trial_in) {
   metrics.set("agents_power_lost", agents_power_lost);
   metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
   record_energy_stats(mesh, metrics);
-  record_network_stats(mesh, mesh.network(), metrics);
+  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -787,6 +785,19 @@ std::vector<ScenarioInfo>& registry() {
 }
 
 }  // namespace
+
+api::DeploymentOptions deployment_options(const TrialSpec& trial) {
+  api::DeploymentOptions options;
+  options.width = trial.grid.width;
+  options.height = trial.grid.height;
+  options.packet_loss = trial.packet_loss;
+  options.per_byte_loss = trial.per_byte_loss;
+  options.seed = trial.seed;
+  options.store = trial.store;
+  options.config.tuple_space.store_kind = trial.store;
+  api::apply_knobs(options, trial.params);
+  return options;
+}
 
 const std::vector<ScenarioInfo>& scenarios() { return registry(); }
 

@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "api/deployment.h"
 #include "harness/experiment.h"
 
 namespace agilla::harness {
@@ -56,6 +57,11 @@ struct ScenarioInfo {
   /// CLI). Empty = accept anything (externally registered scenarios).
   std::vector<std::string> knobs;
 };
+
+/// The deployment one trial runs on: grid/loss/store/seed from the spec
+/// by hand, every named knob through api::apply_knobs (the registry seam).
+[[nodiscard]] api::DeploymentOptions deployment_options(
+    const TrialSpec& trial);
 
 /// All registered scenarios, built-ins first, in registration order.
 [[nodiscard]] const std::vector<ScenarioInfo>& scenarios();

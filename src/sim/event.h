@@ -1,8 +1,9 @@
 // The one observation record. Every externally observable state change in
 // a deployment — agent lifecycle, tuple operations, radio traffic, node
-// lifecycle, battery settling — is emitted as a plain sim::Event through
-// Simulator::emit and reaches the single installed EventSink (api::EventBus
-// fans it out to observers). The record is trivially copyable, with an
+// lifecycle, battery settling, instruction dispatch — is emitted as a plain
+// sim::Event through Simulator::emit and reaches the single installed
+// EventSink (api::EventBus fans it out to observers, each filtered by the
+// kinds it asked for). The record is trivially copyable, with an
 // inline payload and no owned memory, so shard workers can buffer it by
 // value and the kernel can replay it at the epoch barrier in serial order
 // (DESIGN.md "Embedding API").
@@ -56,8 +57,31 @@ enum class EventKind : std::uint8_t {
   kNodeUp,    ///< churn reboot with empty RAM
   /// The periodic battery-settle tick ran (kernel context; no node).
   kBatterySettle,
+  /// An agent is about to execute the instruction at `pc` (`opcode` is the
+  /// raw byte; undefined and truncated encodings included — they execute
+  /// and kill the agent). One per instruction: only observers that ask
+  /// for this kind receive it.
+  kInsn,
   kCount,
 };
+
+/// A set of event kinds, one bit per EventKind: what an observer wants
+/// delivered (EventBus::subscribe) and what a simulator builds records for
+/// (Simulator::set_sink).
+using EventKindMask = std::uint32_t;
+static_assert(static_cast<unsigned>(EventKind::kCount) <
+              8 * sizeof(EventKindMask));
+
+/// The mask holding exactly `kinds`.
+template <typename... Kinds>
+constexpr EventKindMask mask_of(Kinds... kinds) {
+  return ((EventKindMask{1} << static_cast<unsigned>(kinds)) | ...);
+}
+
+/// An observer's default interest: every kind but the per-instruction
+/// kInsn stream.
+inline constexpr EventKindMask kDefaultKinds =
+    (mask_of(EventKind::kCount) - 1) & ~mask_of(EventKind::kInsn);
 
 /// What an observer sees of a frame: addressing, size, and — for rx —
 /// who decoded it and whether it was lost.
@@ -86,6 +110,8 @@ struct Event {
   SimTime at = 0;
   NodeId node;
   std::uint16_t agent = 0;
+  std::uint16_t pc = 0;      ///< kInsn: the instruction's address
+  std::uint8_t opcode = 0;   ///< kInsn: the raw opcode byte
   /// Static string (a literal): never owned, valid forever.
   const char* reason = nullptr;
   Location dest;

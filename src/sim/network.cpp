@@ -339,7 +339,7 @@ void Network::kill_node(NodeId id, NodeDownReason reason) {
   if (node_down_) {
     node_down_(id, reason);
   }
-  if (sim_.observed()) {
+  if (sim_.observes(EventKind::kNodeDown)) {
     Event event(EventKind::kNodeDown, sim_.now(), id);
     event.down = reason;
     sim_.emit(event);
@@ -510,7 +510,7 @@ void Network::finish_tx(NodeId id) {
 
 void Network::emit_frame(EventKind kind, const Frame& frame, NodeId node,
                          bool lost) {
-  if (!sim_.observed()) {
+  if (!sim_.observes(kind)) {
     return;
   }
   Event event(kind, sim_.now(), node);

@@ -25,10 +25,12 @@
 //    keeping draw sequences independent of shard count. The root rng() is
 //    for setup and tests only and must not be consumed from node events.
 //  - Observation is one path: components emit() sim::Event records to the
-//    single installed sink. Inside a K>1 epoch each shard buffers its
-//    records tagged (executing event's key, emission index); the barrier
-//    merges them by that tag — exactly the serial execution order — and
-//    dispatches on the driving thread, so the sink sees the K=1 sequence.
+//    single installed sink, for the kinds it asked for (one mask test per
+//    emit; unwanted records are never built). Inside a K>1 epoch each
+//    shard buffers its records tagged (executing event's key, emission
+//    index); the barrier merges them by that tag — exactly the serial
+//    execution order — and dispatches on the driving thread, so the sink
+//    sees the K=1 sequence.
 #pragma once
 
 #include <cassert>
@@ -121,19 +123,25 @@ class Simulator {
   /// not count). Call between run() calls, not from inside events.
   [[nodiscard]] std::size_t pending_events() const;
 
-  /// Installs the observation sink (nullptr removes it). Driving thread
-  /// only: setup, between run() calls, or from inside the sink itself.
-  void set_sink(EventSink* sink) { sink_ = sink; }
+  /// Installs the observation sink for the record kinds in `kinds`
+  /// (nullptr or an empty mask removes it). Driving thread only: setup,
+  /// between run() calls, or from inside the sink itself.
+  void set_sink(EventSink* sink, EventKindMask kinds = kDefaultKinds) {
+    sink_ = kinds != 0 ? sink : nullptr;
+    kinds_ = sink_ != nullptr ? kinds : 0;
+  }
 
-  /// True while a sink is installed; emitters that must build a costly
-  /// payload check this first.
-  [[nodiscard]] bool observed() const { return sink_ != nullptr; }
+  /// True while the sink wants records of `kind`; emitters that must
+  /// build a costly payload check this first.
+  [[nodiscard]] bool observes(EventKind kind) const {
+    return (kinds_ & mask_of(kind)) != 0;
+  }
 
-  /// Emits one record: a no-op without a sink; dispatched synchronously
-  /// from kernel context or with one shard; buffered and replayed in
-  /// serial order at the next barrier inside a K>1 epoch.
+  /// Emits one record: a no-op unless the sink wants its kind; dispatched
+  /// synchronously from kernel context or with one shard; buffered and
+  /// replayed in serial order at the next barrier inside a K>1 epoch.
   void emit(const Event& event) {
-    if (sink_ != nullptr) {
+    if (observes(event.kind)) {
       deliver(event);
     }
   }
@@ -214,6 +222,7 @@ class Simulator {
   bool running_ = false;
   bool shards_configured_ = false;
   EventSink* sink_ = nullptr;
+  EventKindMask kinds_ = 0;  ///< non-zero only while sink_ is set
   std::unique_ptr<WorkerPool> pool_;
 };
 

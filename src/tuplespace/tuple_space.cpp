@@ -48,7 +48,7 @@ TupleSpace::TupleSpace(Options options, sim::Simulator* sim,
 
 void TupleSpace::emit(sim::TupleOp op, const Tuple& tuple) const {
   static_assert(sim::kEventTupleBytes == kMaxTupleWireBytes);
-  if (sim_ == nullptr || !sim_->observed()) {
+  if (sim_ == nullptr || !sim_->observes(sim::EventKind::kTupleOp)) {
     return;
   }
   sim::Event event(sim::EventKind::kTupleOp, sim_->now(), node_);

@@ -41,7 +41,9 @@ struct EventLog final : sim::EventSink {
 inline std::string to_text(const sim::Event& e) {
   std::ostringstream out;
   out << static_cast<int>(e.kind) << " t=" << e.at << " n=" << e.node.value
-      << " a=" << e.agent << " r=" << (e.reason != nullptr ? e.reason : "-")
+      << " a=" << e.agent << " pc=" << e.pc
+      << " o=" << static_cast<int>(e.opcode)
+      << " r=" << (e.reason != nullptr ? e.reason : "-")
       << " d=" << e.dest << " op=" << static_cast<int>(e.tuple_op) << " ts=";
   for (const std::uint8_t b : e.tuple_bytes()) {
     out << static_cast<int>(b) << ".";

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "harness/json_writer.h"
-#include "harness/mesh.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
 
@@ -245,7 +244,18 @@ TEST(EventBus, DispatchFollowsSubscriptionOrder) {
     EXPECT_EQ(log[i], 1);
     EXPECT_EQ(log[i + 1], 2);
   }
-  // Late subscription works too, and unsubscribe stops delivery.
+  // Subscribing again only updates the mask: `first` keeps its place
+  // ahead of `second`.
+  net->bus().subscribe(first, sim::mask_of(sim::EventKind::kFrameTx,
+                                           sim::EventKind::kFrameRx));
+  const std::size_t before_update = log.size();
+  net->run_for(2 * sim::kSecond);
+  ASSERT_GT(log.size(), before_update);
+  for (std::size_t i = before_update; i + 1 < log.size(); i += 2) {
+    EXPECT_EQ(log[i], 1);
+    EXPECT_EQ(log[i + 1], 2);
+  }
+  // Unsubscribe stops delivery.
   net->bus().unsubscribe(first);
   const std::size_t frozen = log.size();
   net->run_for(2 * sim::kSecond);
@@ -267,6 +277,7 @@ TEST(EventBus, UnsubscribeFromInsideACallbackIsSafe) {
     }
   };
   auto net = SimulationBuilder().grid(2, 1).seed(5).build();
+  const std::size_t internal = net->bus().observer_count();
   StopAfterOne quitter;
   quitter.bus = &net->bus();
   EventCounter counter;
@@ -276,7 +287,7 @@ TEST(EventBus, UnsubscribeFromInsideACallbackIsSafe) {
   EXPECT_EQ(quitter.seen, 1u);
   EXPECT_GT(counter.frames_tx, 1u)
       << "later subscribers keep receiving after a mid-dispatch erase";
-  EXPECT_EQ(net->bus().observer_count(), 1u);
+  EXPECT_EQ(net->bus().observer_count(), internal + 1);
 }
 
 TEST(EventBus, WithoutObserversNothingIsInstalledOrDelivered) {
@@ -285,17 +296,35 @@ TEST(EventBus, WithoutObserversNothingIsInstalledOrDelivered) {
   standalone.publish(sim::Event(sim::EventKind::kNodeUp, 0));
   EXPECT_EQ(standalone.observer_count(), 0u);
 
-  // A deployment's bus is the simulator's sink only while observed, so
-  // an unobserved run builds no records at all.
+  // The simulator builds only the kinds somebody wants. A fresh
+  // deployment wants node down/up (its death log) and nothing else.
   auto net = SimulationBuilder().grid(2, 1).seed(5).warmup(0).build();
-  EXPECT_FALSE(net->simulator().observed());
+  const sim::Simulator& simulator = net->simulator();
+  const auto observed_kinds = [&] {
+    std::vector<sim::EventKind> kinds;
+    for (std::size_t k = 0;
+         k < static_cast<std::size_t>(sim::EventKind::kCount); ++k) {
+      if (simulator.observes(static_cast<sim::EventKind>(k))) {
+        kinds.push_back(static_cast<sim::EventKind>(k));
+      }
+    }
+    return kinds;
+  };
+  const std::vector<sim::EventKind> start = {sim::EventKind::kNodeDown,
+                                             sim::EventKind::kNodeUp};
+  EXPECT_EQ(observed_kinds(), start);
+
+  // A default-mask observer adds every kind but the instruction stream.
   EventCounter counter;
   net->bus().subscribe(counter);
-  EXPECT_TRUE(net->simulator().observed());
+  EXPECT_TRUE(simulator.observes(sim::EventKind::kFrameTx));
+  EXPECT_TRUE(simulator.observes(sim::EventKind::kTupleOp));
+  EXPECT_FALSE(simulator.observes(sim::EventKind::kInsn));
   net->run_for(2 * sim::kSecond);
   EXPECT_GT(counter.frames_tx, 0u);
+
   net->bus().unsubscribe(counter);
-  EXPECT_FALSE(net->simulator().observed());
+  EXPECT_EQ(observed_kinds(), start);
   const std::uint64_t frozen = counter.frames_tx;
   net->run_for(2 * sim::kSecond);
   EXPECT_EQ(counter.frames_tx, frozen);
@@ -408,7 +437,7 @@ TEST(Deployment, OverhearingChargesFilteringReceivers) {
 /// differ between thread counts.
 harness::TrialMetrics run_observer_probe(const harness::TrialSpec& trial) {
   EventCounter counter;
-  harness::Mesh mesh(trial);
+  Deployment mesh(harness::deployment_options(trial));
   mesh.bus().subscribe(counter);
   mesh.base().inject(core::agents::sentinel(/*sample_ticks=*/8));
   mesh.simulator().run_for(trial.duration);

@@ -11,7 +11,7 @@
 #include "energy/battery.h"
 #include "energy/duty_cycler.h"
 #include "energy/energy_model.h"
-#include "harness/mesh.h"
+#include "api/deployment.h"
 #include "sim/environment.h"
 
 namespace agilla {
@@ -193,8 +193,8 @@ TEST(RadioEnergyModel, DutyCycledListenDrawInterpolates) {
 
 // ------------------------------------------- integration: conservation
 
-harness::MeshOptions conservation_options(ts::StoreKind store) {
-  harness::MeshOptions options;
+api::DeploymentOptions conservation_options(ts::StoreKind store) {
+  api::DeploymentOptions options;
   options.width = 3;
   options.height = 1;
   options.packet_loss = 0.0;
@@ -210,7 +210,7 @@ harness::MeshOptions conservation_options(ts::StoreKind store) {
 TEST(EnergyConservation, ComponentDrawsEqualTotalDropCrossBackend) {
   for (const ts::StoreKind store :
        {ts::StoreKind::kLinear, ts::StoreKind::kIndexed}) {
-    harness::Mesh mesh(conservation_options(store));
+    api::Deployment mesh(conservation_options(store));
     mesh.environment().set_field(sim::SensorType::kTemperature,
                                  std::make_unique<sim::ConstantField>(20.0));
     // A sampling loop on mote 1: sense + arithmetic + tuple churn.
@@ -271,8 +271,8 @@ TEST(EnergyConservation, ComponentDrawsEqualTotalDropCrossBackend) {
 
 // ------------------------------------- integration: battery-driven death
 
-harness::MeshOptions two_node_options() {
-  harness::MeshOptions options;
+api::DeploymentOptions two_node_options() {
+  api::DeploymentOptions options;
   options.width = 2;
   options.height = 1;
   options.packet_loss = 0.0;
@@ -281,7 +281,7 @@ harness::MeshOptions two_node_options() {
 }
 
 TEST(BatteryDeath, DepletedNodeDiesNeighborsEvictAndMigrationsFail) {
-  harness::Mesh mesh(two_node_options());
+  api::Deployment mesh(two_node_options());
   const sim::NodeId victim = mesh.topology().nodes[1];
   energy::Battery* battery = mesh.network().battery(victim);
   ASSERT_NE(battery, nullptr);
@@ -328,11 +328,11 @@ TEST(BatteryDeath, RelayDyingMidForwardDoesNotResurrectTheAgent) {
   // image lived in its RAM: the hop-failure path must NOT install the
   // agent back onto the dead node (a "zombie" that would run code and
   // write tuples into supposedly wiped memory).
-  harness::MeshOptions options;
+  api::DeploymentOptions options;
   options.width = 4;
   options.height = 1;
   options.packet_loss = 0.0;
-  harness::Mesh mesh(options);
+  api::Deployment mesh(options);
   mesh.mote(0).inject(core::assemble_or_die(R"(
       pushloc 4 1
       smove
@@ -365,8 +365,8 @@ TEST(BatteryDeath, RelayDyingMidForwardDoesNotResurrectTheAgent) {
 
 // ------------------------------------------------- integration: churn
 
-harness::MeshOptions churn_options(std::uint64_t seed) {
-  harness::MeshOptions options;
+api::DeploymentOptions churn_options(std::uint64_t seed) {
+  api::DeploymentOptions options;
   options.width = 3;
   options.height = 3;
   options.seed = seed;
@@ -376,8 +376,8 @@ harness::MeshOptions churn_options(std::uint64_t seed) {
 }
 
 TEST(Churn, CrashScheduleIsDeterministicForAFixedSeed) {
-  harness::Mesh a(churn_options(42));
-  harness::Mesh b(churn_options(42));
+  api::Deployment a(churn_options(42));
+  api::Deployment b(churn_options(42));
   a.simulator().run_for(60 * sim::kSecond);
   b.simulator().run_for(60 * sim::kSecond);
   ASSERT_GT(a.death_log().size(), 0u);
@@ -394,11 +394,11 @@ TEST(Churn, CrashScheduleIsDeterministicForAFixedSeed) {
 }
 
 TEST(Churn, RebootedNodeRejoinsWithEmptyRam) {
-  harness::MeshOptions options;
+  api::DeploymentOptions options;
   options.width = 2;
   options.height = 1;
   options.packet_loss = 0.0;
-  harness::Mesh mesh(options);
+  api::Deployment mesh(options);
 
   // Put an agent and a tuple on node 1, then crash and reboot it.
   mesh.mote(1).inject(
@@ -435,12 +435,12 @@ TEST(Churn, RebootedNodeRejoinsWithEmptyRam) {
 
 TEST(DutyCycle, LplStretchesDeliveryLatency) {
   const auto one_hop_latency = [](double duty) {
-    harness::MeshOptions options;
+    api::DeploymentOptions options;
     options.width = 2;
     options.height = 1;
     options.packet_loss = 0.0;
     options.duty_cycle = duty;
-    harness::Mesh mesh(options);
+    api::Deployment mesh(options);
     const sim::SimTime start = mesh.simulator().now();
     mesh.mote(0).inject(core::assemble_or_die(R"(
         pushc 7
@@ -465,7 +465,7 @@ TEST(DutyCycle, LplStretchesDeliveryLatency) {
 
 TEST(AdaptiveLpl, QuietMeshWidensTowardTheFloorBusyMeshDoesNot) {
   const auto fraction_at = [](bool busy) {
-    harness::MeshOptions options;
+    api::DeploymentOptions options;
     options.width = 2;
     options.height = 1;
     options.packet_loss = 0.0;
@@ -473,7 +473,7 @@ TEST(AdaptiveLpl, QuietMeshWidensTowardTheFloorBusyMeshDoesNot) {
     options.adaptive_lpl = true;
     options.duty_min = 0.02;
     options.duty_max = 0.5;
-    harness::Mesh mesh(options);
+    api::Deployment mesh(options);
     if (busy) {
       // A chatty agent on mote 0: one remote out per VM tick keeps the
       // receiving mote's channel-sample busy every settle tick.
@@ -505,7 +505,7 @@ TEST(AdaptiveLpl, SendersTrackTheReceiversAdvertisedPeriod) {
   // Under per-receiver preamble tracking, a frame to a widened receiver
   // pays that receiver's long preamble even though the SENDER's own
   // schedule may be narrow — visible as delivery latency.
-  harness::MeshOptions options;
+  api::DeploymentOptions options;
   options.width = 2;
   options.height = 1;
   options.packet_loss = 0.0;
@@ -513,7 +513,7 @@ TEST(AdaptiveLpl, SendersTrackTheReceiversAdvertisedPeriod) {
   options.adaptive_lpl = true;
   options.duty_min = 0.02;
   options.duty_max = 0.5;
-  harness::Mesh mesh(options);
+  api::Deployment mesh(options);
   // Let the idle mesh converge: both nodes widen to the 0.02 floor
   // (400 ms check period) and advertise it in their beacons.
   mesh.simulator().run_for(60 * sim::kSecond);
@@ -533,11 +533,11 @@ TEST(AdaptiveLpl, SendersTrackTheReceiversAdvertisedPeriod) {
 /// middleware inserts when the rebooted node re-enters the acquaintance
 /// list, and re-clones the deployment onto it.
 TEST(Reflood, RebootedNodeGetsTheDeploymentAgentBack) {
-  harness::MeshOptions options;
+  api::DeploymentOptions options;
   options.width = 3;
   options.height = 1;
   options.packet_loss = 0.0;
-  harness::Mesh mesh(options);
+  api::Deployment mesh(options);
   mesh.mote(0).inject(
       core::assemble_or_die(core::agents::sentinel(/*sample_ticks=*/8)));
   mesh.simulator().run_for(15 * sim::kSecond);

@@ -218,6 +218,18 @@ TEST(Gateway, SubscribeBridgesBusEvents) {
             std::string::npos);
   EXPECT_EQ(f.console.subscription_count(), 0u);
   EXPECT_EQ(bus.observer_count(), 0u);
+
+  // On a simulator's bus, the console's kinds are what the simulator
+  // builds: tuple records, but no frame records nobody asked for.
+  api::EventBus sim_bus(&f.mesh.sim);
+  GatewayConsole console(f.base);
+  console.attach_bus(sim_bus);
+  EXPECT_NE(console.execute("subscribe tuple").find("ok"), std::string::npos);
+  EXPECT_TRUE(f.mesh.sim.observes(sim::EventKind::kTupleOp));
+  EXPECT_FALSE(f.mesh.sim.observes(sim::EventKind::kFrameTx));
+  EXPECT_NE(console.execute("unsubscribe").find("ok"), std::string::npos);
+  EXPECT_FALSE(f.mesh.sim.observes(sim::EventKind::kTupleOp));
+  EXPECT_FALSE(f.mesh.sim.observes(sim::EventKind::kFrameTx));
 }
 
 TEST(Gateway, ConsoleDestructionDetachesBridgeAndCompletions) {

@@ -9,7 +9,7 @@
 #include <set>
 
 #include "harness/json_writer.h"
-#include "harness/mesh.h"
+#include "harness/scenario.h"
 
 namespace agilla::harness {
 namespace {
@@ -44,7 +44,7 @@ TEST(Runner, JsonStableAcrossRepeatedRuns) {
   spec.scenario = "smove";
   spec.grids = {{5, 5}};
   spec.loss_rates = {0.05};
-  spec.per_byte_loss = kDefaultPerByteLoss;
+  spec.per_byte_loss = api::kDefaultPerByteLoss;
   spec.axes = {{"hops", {1, 3}}};
   spec.trials = 4;
   spec.base_seed = 11;
@@ -230,13 +230,13 @@ TEST(JsonWriter, NonFiniteDoublesStayValidJson) {
             "1e308");
 }
 
-TEST(Mesh, BuildsArbitraryGridWithSelectedStore) {
+TEST(TrialDeployment, BuildsArbitraryGridWithSelectedStore) {
   TrialSpec trial;
   trial.grid = {3, 2};
   trial.packet_loss = 0.0;
   trial.store = ts::StoreKind::kIndexed;
   trial.seed = 5;
-  Mesh mesh(trial);
+  api::Deployment mesh(deployment_options(trial));
   EXPECT_EQ(mesh.mote_count(), 6u);
   // The store seam propagated to every mote's tuple space.
   EXPECT_EQ(mesh.mote(0).config().tuple_space.store_kind,

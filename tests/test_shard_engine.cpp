@@ -201,7 +201,8 @@ TEST(ShardEngine, ChurnAndEnergyOutcomeInvariantAcrossShardCounts) {
 
 /// The churn mesh plus a wandering agent (tuple writes, sleeps, strong
 /// moves to random neighbours), observed through the bus: every record as
-/// delivered, and an EventCounter subscribed after the log.
+/// delivered, instructions included, and an EventCounter subscribed after
+/// the log.
 struct ObservedRun {
   testing::EventLog log;
   api::EventCounter counter;
@@ -211,6 +212,9 @@ struct ObservedRun {
       : mesh(std::make_unique<api::Deployment>(
             churn_mesh(shards),
             std::vector<api::Observer*>{&log, &counter})) {
+    // Widen the log's mask in place (it stays ahead of the counter).
+    mesh->bus().subscribe(
+        log, sim::kDefaultKinds | sim::mask_of(sim::EventKind::kInsn));
     mesh->mote(0).inject(core::assemble_or_die(
         "LOOP pushc 7\npushc 1\nout\npushc 4\nsleep\n"
         "randnbr\nsmove\njump LOOP\n"));

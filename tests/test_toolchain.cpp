@@ -136,18 +136,27 @@ TEST(Disassembler, MidInstructionTargetStaysNumeric) {
   EXPECT_EQ(core::assemble(listing).code, code);
 }
 
-// ------------------------------------------------------------- trace taps
+// ------------------------------------------------------- instruction records
 
-struct TapLog {
-  std::vector<std::string> events;
+/// Every kInsn record a simulator emits.
+struct InsnLog final : sim::EventSink {
+  std::vector<sim::Event> records;
 
-  void attach(core::AgillaEngine& engine, std::size_t mote) {
-    engine.hooks().on_pre_insn = [this, mote](const core::InsnEvent& e) {
+  void attach(sim::Simulator& simulator) {
+    simulator.set_sink(this, sim::mask_of(sim::EventKind::kInsn));
+  }
+  void on_event(const sim::Event& e) override { records.push_back(e); }
+
+  /// One line per record: mote, agent, pc, opcode.
+  [[nodiscard]] std::vector<std::string> lines() const {
+    std::vector<std::string> out;
+    for (const sim::Event& e : records) {
       std::ostringstream os;
-      os << "m" << mote << " a" << e.agent.value << " pc" << e.pc << " op"
+      os << "m" << e.node.value << " a" << e.agent << " pc" << e.pc << " op"
          << static_cast<int>(e.opcode);
-      events.push_back(os.str());
-    };
+      out.push_back(os.str());
+    }
+    return out;
   }
 };
 
@@ -159,18 +168,16 @@ std::vector<std::string> traced_run(core::DispatchMode mode,
   options.seed = 7;
   options.config.engine.dispatch = mode;
   AgillaMesh mesh(options);
-  TapLog log;
-  for (std::size_t i = 0; i < mesh.nodes.size(); ++i) {
-    log.attach(mesh.at(i).engine(), i);
-  }
+  InsnLog log;
+  log.attach(mesh.sim);
   mesh.warm();
   mesh.at(0).inject(code);
   mesh.sim.run_for(30 * sim::kSecond);
-  return std::move(log.events);
+  return log.lines();
 }
 
-TEST(TraceTaps, IdenticalAcrossDispatchModes) {
-  // Every corpus program, switch vs threaded: the pre-instruction event
+TEST(InsnRecords, IdenticalAcrossDispatchModes) {
+  // Every corpus program, switch vs threaded: the instruction record
   // stream (mote, agent, pc, opcode) must match exactly.
   for (const fs::path& file : corpus_files()) {
     const core::AssemblyResult r = core::assemble_file(file.string());
@@ -182,23 +189,23 @@ TEST(TraceTaps, IdenticalAcrossDispatchModes) {
   }
 }
 
-TEST(TraceTaps, PostInsnSkipsDestroyedAgents) {
+TEST(InsnRecords, OneRecordPerDispatchedInstruction) {
   MeshOptions options;
   options.width = 1;
   options.height = 1;
   AgillaMesh mesh(options);
-  std::vector<std::uint8_t> pre_ops;
-  std::vector<std::uint8_t> post_ops;
-  mesh.at(0).engine().hooks().on_pre_insn =
-      [&](const core::InsnEvent& e) { pre_ops.push_back(e.opcode); };
-  mesh.at(0).engine().hooks().on_post_insn =
-      [&](const core::InsnEvent& e) { post_ops.push_back(e.opcode); };
-  // halt destroys the agent: pre fires, post must not.
+  InsnLog log;
+  log.attach(mesh.sim);
   mesh.at(0).inject(core::assemble_or_die("pushc 1\nhalt"));
   mesh.sim.run_for(sim::kSecond);
-  ASSERT_EQ(pre_ops.size(), 2u);
-  ASSERT_EQ(post_ops.size(), 1u);
-  EXPECT_EQ(post_ops[0], pre_ops[0]);  // only pushc got a post event
+  ASSERT_EQ(log.records.size(), 2u);
+  EXPECT_EQ(log.records[0].pc, 0);
+  EXPECT_EQ(log.records[0].opcode,
+            static_cast<std::uint8_t>(core::Opcode::kPushc));
+  EXPECT_EQ(log.records[1].pc, 2);
+  EXPECT_EQ(log.records[1].opcode,
+            static_cast<std::uint8_t>(core::Opcode::kHalt));
+  EXPECT_EQ(log.records[0].agent, log.records[1].agent);
 }
 
 std::string final_state(core::DispatchMode mode, bool trace,
@@ -209,8 +216,9 @@ std::string final_state(core::DispatchMode mode, bool trace,
   options.seed = 7;
   options.config.engine.dispatch = mode;
   AgillaMesh mesh(options);
+  InsnLog log;
   if (trace) {
-    mesh.at(0).engine().enable_trace_ring(16);
+    log.attach(mesh.sim);
   }
   mesh.warm();
   mesh.at(0).inject(code);
@@ -222,10 +230,11 @@ std::string final_state(core::DispatchMode mode, bool trace,
   for (const ts::Tuple& t : mesh.at(0).tuple_space().store().snapshot()) {
     os << t.to_string() << "\n";
   }
+  EXPECT_EQ(log.records.empty(), !trace);
   return os.str();
 }
 
-TEST(TraceTaps, TracingDoesNotPerturbSimulation) {
+TEST(InsnRecords, TracingDoesNotPerturbSimulation) {
   const auto code = core::assemble_file(
       (fs::path(AGILLA_SOURCE_DIR) / "tests/agents/arith.aga").string());
   ASSERT_TRUE(code.ok());
@@ -235,65 +244,6 @@ TEST(TraceTaps, TracingDoesNotPerturbSimulation) {
                                      code.code);
   EXPECT_EQ(off, on);
   EXPECT_EQ(final_state(core::DispatchMode::kSwitch, false, code.code), off);
-}
-
-TEST(TraceTaps, RingIsBoundedAndOldestFirst) {
-  MeshOptions options;
-  options.width = 1;
-  options.height = 1;
-  AgillaMesh mesh(options);
-  std::vector<std::uint16_t> all_pcs;
-  mesh.at(0).engine().hooks().on_pre_insn =
-      [&](const core::InsnEvent& e) { all_pcs.push_back(e.pc); };
-  mesh.at(0).engine().enable_trace_ring(8);
-  const auto code = core::assemble_file(
-      (fs::path(AGILLA_SOURCE_DIR) / "tests/agents/arith.aga").string());
-  ASSERT_TRUE(code.ok());
-  mesh.at(0).inject(code.code);
-  mesh.sim.run_for(5 * sim::kSecond);
-
-  const std::vector<core::TraceRecord> ring =
-      mesh.at(0).engine().trace_ring();
-  ASSERT_GT(all_pcs.size(), 8u);
-  ASSERT_EQ(ring.size(), 8u);  // bounded at capacity
-  // Oldest-first: the ring holds exactly the last 8 events, in order.
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(ring[i].pc, all_pcs[all_pcs.size() - 8 + i]) << i;
-  }
-  // Monotonic timestamps.
-  for (std::size_t i = 1; i < ring.size(); ++i) {
-    EXPECT_LE(ring[i - 1].at, ring[i].at);
-  }
-}
-
-TEST(TraceTaps, SingleStepLimitsSlicesToOneInstruction) {
-  const auto code = core::assemble_file(
-      (fs::path(AGILLA_SOURCE_DIR) / "tests/agents/heap_macro.aga").string());
-  ASSERT_TRUE(code.ok());
-  auto run = [&](bool single_step) {
-    MeshOptions options;
-    options.width = 1;
-    options.height = 1;
-    AgillaMesh mesh(options);
-    mesh.at(0).engine().set_single_step(single_step);
-    mesh.at(0).inject(code.code);
-    mesh.sim.run_for(20 * sim::kSecond);
-    const core::EngineStats& s = mesh.at(0).engine().stats();
-    std::string tuples;
-    for (const ts::Tuple& t : mesh.at(0).tuple_space().store().snapshot()) {
-      tuples += t.to_string();
-    }
-    return std::tuple(s.instructions, s.slices, tuples);
-  };
-  const auto [insn_fast, slices_fast, tuples_fast] = run(false);
-  const auto [insn_step, slices_step, tuples_step] = run(true);
-  // Same program outcome either way...
-  EXPECT_EQ(insn_fast, insn_step);
-  EXPECT_EQ(tuples_fast, tuples_step);
-  EXPECT_EQ(tuples_step, "<\"fac\", 120>");
-  // ...but single-stepping takes one slice per instruction.
-  EXPECT_EQ(slices_step, insn_step);
-  EXPECT_LT(slices_fast, slices_step);
 }
 
 // ------------------------------------------------------------ inject_file

@@ -159,6 +159,29 @@ bool run_program(const fs::path& program, std::string* dump_out) {
     return false;
   }
 
+  // Trace collection: one bus observer for the kInsn records. Declared
+  // before the deployment, so it outlives the bus it is subscribed to.
+  struct TraceLog final : agilla::api::Observer {
+    explicit TraceLog(const RunSpec& run) : spec(run) {}
+
+    const RunSpec& spec;
+    std::vector<agilla::sim::Event> events;
+    bool truncated = false;
+
+    void on_event(const agilla::sim::Event& e) override {
+      if (std::find(spec.trace.begin(), spec.trace.end(),
+                    base_mnemonic(e.opcode)) == spec.trace.end()) {
+        return;
+      }
+      if (events.size() >= spec.trace_max) {
+        truncated = true;
+        return;
+      }
+      events.push_back(e);
+    }
+  };
+  TraceLog trace(spec);
+
   DeploymentOptions options;
   options.width = spec.width;
   options.height = spec.height;
@@ -174,32 +197,9 @@ bool run_program(const fs::path& program, std::string* dump_out) {
                  deployment.mote_count());
     return false;
   }
-
-  // Trace collection through the engine's per-engine instruction taps.
-  struct TraceEvent {
-    std::size_t mote;
-    std::uint16_t agent;
-    std::uint16_t pc;
-    std::uint8_t opcode;
-  };
-  std::vector<TraceEvent> events;
-  bool truncated = false;
   if (!spec.trace.empty()) {
-    for (std::size_t m = 0; m < deployment.mote_count(); ++m) {
-      deployment.mote(m).engine().hooks().on_pre_insn =
-          [m, &spec, &events, &truncated](
-              const agilla::core::InsnEvent& e) {
-            if (std::find(spec.trace.begin(), spec.trace.end(),
-                          base_mnemonic(e.opcode)) == spec.trace.end()) {
-              return;
-            }
-            if (events.size() >= spec.trace_max) {
-              truncated = true;
-              return;
-            }
-            events.push_back({m, e.agent.value, e.pc, e.opcode});
-          };
-    }
+    deployment.bus().subscribe(
+        trace, agilla::sim::mask_of(agilla::sim::EventKind::kInsn));
   }
 
   try {
@@ -250,11 +250,11 @@ bool run_program(const fs::path& program, std::string* dump_out) {
   }
   if (!spec.trace.empty()) {
     dump << "[trace]\n";
-    for (const TraceEvent& e : events) {
-      dump << "mote " << e.mote << " agent " << e.agent << " pc " << e.pc
-           << " " << base_mnemonic(e.opcode) << "\n";
+    for (const agilla::sim::Event& e : trace.events) {
+      dump << "mote " << e.node.value << " agent " << e.agent << " pc "
+           << e.pc << " " << base_mnemonic(e.opcode) << "\n";
     }
-    if (truncated) {
+    if (trace.truncated) {
       dump << "(trace truncated at " << spec.trace_max << " events)\n";
     }
   }

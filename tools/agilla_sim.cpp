@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "api/knob_registry.h"
-#include "harness/mesh.h"
 #include "harness/runner.h"
 
 using namespace agilla;
@@ -369,7 +368,7 @@ int main(int argc, char** argv) {
     spec.grids.push_back(harness::GridSize{5, 5});
   }
   if (spec.loss_rates.empty()) {
-    spec.loss_rates.push_back(harness::kDefaultLoss);
+    spec.loss_rates.push_back(api::kDefaultLoss);
   }
   if (spec.stores.empty()) {
     spec.stores.push_back(ts::StoreKind::kLinear);
