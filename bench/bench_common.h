@@ -37,7 +37,6 @@ class Testbed : public api::Deployment {
             .packet_loss = packet_loss,
             .per_byte_loss = per_byte_loss,
             .seed = seed,
-            .store = config.tuple_space.store_kind,
             .config = config,
             .warmup = 5 * sim::kSecond}) {}
 };

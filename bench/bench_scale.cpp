@@ -41,9 +41,9 @@ CellResult run_cell(std::size_t side, std::size_t shards,
   options.height = side;
   options.seed = 11;
   options.warmup = 2 * sim::kSecond;
-  options.battery_mj = 2000.0;
-  options.churn_rate = 0.001;
-  options.churn_reboot_s = 10.0;
+  options.energy.battery_mj = 2000.0;
+  options.churn.crash_rate_per_node_s = 0.001;
+  options.churn.reboot_after = 10 * sim::kSecond;
   options.sim_shards = shards;
   api::Deployment mesh(options);
 

@@ -145,3 +145,10 @@ for shards in 1 4; do
   grep -q '"sessions_opened"' build/gatewayd_metrics.json
   echo "gateway TCP smoke clean at sim_shards=$shards; daemon drained on SIGTERM"
 done
+
+echo "== benchmark suite smoke (bench_suite built from src/) =="
+# bench/suite compiles src/ in its own Release build and drives the
+# public API; an API change that breaks it must fail here, not only in
+# the post-merge benchmark run.
+python3 bench/suite/run.py --smoke > build/bench_smoke.txt
+echo "bench_suite smoke clean"

@@ -25,37 +25,16 @@ Deployment::Deployment(DeploymentOptions options,
   for (Observer* observer : observers) {
     bus_.subscribe(*observer);
   }
-  options_.config.tuple_space.store_kind = options_.store;
-  options_.config.engine.dispatch = options_.vm_dispatch == 0
-                                        ? core::DispatchMode::kSwitch
-                                        : core::DispatchMode::kThreaded;
   topology_ = sim::make_grid(network_, options_.width, options_.height);
 
   // Shard the event engine while the world is still inert: every node
   // exists, no node-affine event is scheduled yet.
   network_.configure_shards(options_.sim_shards);
 
-  // Routing policy (the route_policy / energy_weight knobs).
-  options_.config.routing.policy =
-      options_.route_policy == 1 ? net::RoutePolicy::kMaxMinResidual
-                                 : net::RoutePolicy::kGreedyGeo;
-  options_.config.routing.energy_weight = options_.energy_weight;
-
-  const bool lpl_active =
-      options_.duty_cycle < 1.0 || options_.adaptive_lpl;
-  const bool wants_energy = options_.battery_mj > 0.0 || lpl_active;
-  if (wants_energy) {
-    energy::EnergyOptions energy;
-    energy.battery_mj = options_.battery_mj;
-    energy.duty.listen_fraction = options_.duty_cycle;
-    energy.duty.adaptive = options_.adaptive_lpl;
-    energy.duty.min_fraction = options_.duty_min;
-    energy.duty.max_fraction = options_.duty_max;
-    energy.duty.tx_busy_depth =
-        static_cast<std::uint32_t>(options_.lpl_tx_busy);
-    energy.gateway_powered = options_.gateway_powered;
-    energy.overhearing = options_.overhearing;
-    network_.attach_energy(energy);
+  // The energy subsystem runs only when there is a battery to drain or
+  // an LPL schedule to model.
+  if (options_.energy.battery_mj > 0.0 || options_.energy.duty.active()) {
+    network_.attach_energy(options_.energy);
     // LPL stretches every frame by one preamble extension; the per-hop
     // and end-to-end timers must absorb a data frame plus its ack, or
     // every exchange degenerates into retransmissions. Under adaptive
@@ -68,11 +47,6 @@ Deployment::Deployment(DeploymentOptions options,
       options_.config.remote_ts.reply_timeout += 4 * ext;
     }
   }
-  // Beacon suppression defaults to on exactly when LPL makes beacons
-  // expensive (each one pays the preamble extension).
-  options_.config.neighbors.suppression =
-      options_.beacon_suppression == 1 ||
-      (options_.beacon_suppression == -1 && lpl_active);
 
   motes_.reserve(topology_.nodes.size());
   for (const sim::NodeId id : topology_.nodes) {
@@ -91,13 +65,8 @@ Deployment::Deployment(DeploymentOptions options,
       });
   network_.set_node_up_handler(
       [this](sim::NodeId id) { motes_.at(id.value)->power_up(); });
-  if (options_.churn_rate > 0.0) {
-    network_.enable_churn(sim::ChurnOptions{
-        .crash_rate_per_node_s = options_.churn_rate,
-        .reboot_after = static_cast<sim::SimTime>(
-            options_.churn_reboot_s * 1e6),
-        .spare_gateway = options_.gateway_powered});
-  }
+  network_.enable_churn(options_.churn,
+                        /*spare_gateway=*/options_.energy.gateway_powered);
 
   if (options_.warmup > 0) {
     simulator_.run_for(options_.warmup);
@@ -208,11 +177,6 @@ SimulationBuilder& SimulationBuilder::per_byte_loss(double loss) {
 
 SimulationBuilder& SimulationBuilder::seed(std::uint64_t seed) {
   options_.seed = seed;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::store(ts::StoreKind kind) {
-  options_.store = kind;
   return *this;
 }
 

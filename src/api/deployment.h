@@ -8,14 +8,16 @@
 // programs), the experiment harness' scenarios, and future backends all
 // program against this class.
 //
-// DeploymentOptions is populated three ways, all equivalent:
-//   1. directly, by designated initializer;
-//   2. through SimulationBuilder's typed setters;
-//   3. by name through the KnobRegistry (SimulationBuilder::set,
-//      api::apply_knobs) — the path the CLI's --axis/--param take.
-// The registry (api/knob_registry.h) is the single definition of every
-// named knob: defaults here and ranges/units/docs there are asserted
-// consistent by tests/test_api.cpp.
+// DeploymentOptions holds the mesh's structure (grid, radio loss, seed,
+// warm-up, shards) and, nested, the option struct of each layer that
+// reads a setting: core::AgillaConfig, energy::EnergyOptions and
+// sim::ChurnOptions. Every setting has exactly one field. It is set
+// directly, through SimulationBuilder, or by name through the
+// KnobRegistry (api/knob_registry.h; SimulationBuilder::set and
+// api::apply_knobs, the path the CLI's --axis/--param take), whose
+// accessors address the nested field. The constructor overwrites none of
+// them: it only derives (attaches energy when needed, stretches protocol
+// timeouts under LPL).
 #pragma once
 
 #include <cstdint>
@@ -47,41 +49,18 @@ struct DeploymentOptions {
   double packet_loss = kDefaultLoss;
   double per_byte_loss = 0.0;
   std::uint64_t seed = 1;
-  ts::StoreKind store = ts::StoreKind::kLinear;
+  /// Every mote's middleware settings: tuple store, VM dispatch, routing
+  /// policy, beacon suppression, protocol timeouts.
   core::AgillaConfig config{};
   /// Neighbour-discovery warm-up run before the constructor returns.
   sim::SimTime warmup = 5 * sim::kSecond;
-  // Energy & lifetime (src/energy/): 0 / 1.0 / 0 keeps the classic
-  // immortal, always-on mesh. The registry knobs battery_mj / duty_cycle
-  // / churn_rate land here via apply_knobs().
-  double battery_mj = 0.0;   ///< per-node battery; <= 0 = immortal
-  double duty_cycle = 1.0;   ///< LPL listen fraction; >= 1 = always on
-  double churn_rate = 0.0;   ///< Poisson crashes per node per second
-  double churn_reboot_s = 0.0;  ///< crashed nodes reboot after this; 0 = never
-  // Energy-aware networking (registry knobs route_policy / energy_weight /
-  // adaptive_lpl / duty_min / duty_max / beacon_suppression).
-  int route_policy = 0;      ///< 0 = greedy-geo, 1 = max-min residual
-  double energy_weight = 0.5;   ///< distance/energy weight for max-min
-  bool adaptive_lpl = false;    ///< per-node traffic-adaptive LPL
-  double duty_min = 0.02;       ///< adaptive controller duty floor
-  double duty_max = 0.5;        ///< adaptive controller duty ceiling
-  /// Congestion coupling for adaptive LPL (registry knob lpl_tx_busy):
-  /// a settle tick with at least this many pending TX frames counts as
-  /// busy, so a backlogged node keeps its duty up. 0 = off.
-  int lpl_tx_busy = 0;
-  /// Beacon suppression (backoff + piggyback): -1 = auto (on whenever
-  /// LPL is active), 0 = off, 1 = on.
-  int beacon_suppression = -1;
-  /// Mains-powered gateway: node 0 gets no battery and is spared from
-  /// churn. False makes the sink a battery mote like every other node.
-  bool gateway_powered = true;
-  /// Charge RX to awake in-range nodes that filter a unicast frame out
-  /// (off = the paper model; needs batteries to have any effect).
-  bool overhearing = false;
-  /// VM bytecode execution strategy (registry knob vm_dispatch): 0 = the
-  /// reference switch interpreter, 1 = pre-decoded threaded dispatch.
-  /// Simulated behaviour is byte-identical; only host speed differs.
-  int vm_dispatch = 1;
+  /// Batteries, LPL duty cycling, overhearing, a mains-powered gateway.
+  /// Attached only when there is a battery or LPL is on, so the defaults
+  /// keep the classic immortal, always-on mesh.
+  energy::EnergyOptions energy{};
+  /// Poisson crash/reboot churn; a zero rate keeps every node up. The
+  /// gateway is spared while energy.gateway_powered.
+  sim::ChurnOptions churn{};
   /// Spatial shards of the event engine (registry knob sim_shards): the
   /// mesh is split into contiguous x-strips, each drained by its own
   /// worker inside conservative lookahead epochs. 1 = the exact serial
@@ -210,7 +189,6 @@ class SimulationBuilder {
   SimulationBuilder& packet_loss(double loss);
   SimulationBuilder& per_byte_loss(double loss);
   SimulationBuilder& seed(std::uint64_t seed);
-  SimulationBuilder& store(ts::StoreKind kind);
   SimulationBuilder& warmup(sim::SimTime duration);
   SimulationBuilder& config(const core::AgillaConfig& config);
 

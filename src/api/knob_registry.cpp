@@ -91,72 +91,91 @@ std::vector<KnobInfo> build_registry() {
       "battery_mj", KnobType::kDouble, "mJ", 0.0, 0.0, kInf, false,
       "per-node battery capacity; 0 = immortal nodes (network_lifetime "
       "overrides to 2000)",
-      [](DeploymentOptions& o, double v) { o.battery_mj = v; },
-      [](const DeploymentOptions& o) { return o.battery_mj; }));
+      [](DeploymentOptions& o, double v) { o.energy.battery_mj = v; },
+      [](const DeploymentOptions& o) { return o.energy.battery_mj; }));
   knobs.push_back(shared_knob(
       "duty_cycle", KnobType::kDouble, "fraction", 1.0, 0.0, 1.0, true,
       "LPL listen fraction; 1 = always-on radio; check period = 8 ms / "
       "fraction, every frame pays the period as extra preamble",
-      [](DeploymentOptions& o, double v) { o.duty_cycle = v; },
-      [](const DeploymentOptions& o) { return o.duty_cycle; }));
+      [](DeploymentOptions& o, double v) {
+        o.energy.duty.listen_fraction = v;
+      },
+      [](const DeploymentOptions& o) {
+        return o.energy.duty.listen_fraction;
+      }));
   knobs.push_back(shared_knob(
       "churn_rate", KnobType::kDouble, "crashes/node/s", 0.0, 0.0, kInf,
       false,
       "Poisson crash intensity per node (gateway spared while "
       "gateway_powered=1; churn_pursuit overrides to 0.004)",
-      [](DeploymentOptions& o, double v) { o.churn_rate = v; },
-      [](const DeploymentOptions& o) { return o.churn_rate; }));
+      [](DeploymentOptions& o, double v) {
+        o.churn.crash_rate_per_node_s = v;
+      },
+      [](const DeploymentOptions& o) {
+        return o.churn.crash_rate_per_node_s;
+      }));
   knobs.push_back(shared_knob(
       "churn_reboot_s", KnobType::kDouble, "s", 0.0, 0.0, kInf, false,
       "crashed nodes reboot with empty RAM after this long; 0 = never "
       "(churn_pursuit overrides to 20)",
-      [](DeploymentOptions& o, double v) { o.churn_reboot_s = v; },
-      [](const DeploymentOptions& o) { return o.churn_reboot_s; }));
+      [](DeploymentOptions& o, double v) {
+        o.churn.reboot_after = static_cast<sim::SimTime>(v * 1e6);
+      },
+      [](const DeploymentOptions& o) {
+        return static_cast<double>(o.churn.reboot_after) / 1e6;
+      }));
   knobs.push_back(shared_knob(
       "route_policy", KnobType::kInt, "enum", 0.0, 0.0, 1.0, false,
       "0 = greedy-geo (paper), 1 = max-min residual (energy-aware; "
       "DESIGN.md Routing & LPL)",
       [](DeploymentOptions& o, double v) {
-        o.route_policy = static_cast<int>(v);
+        o.config.routing.policy = v == 1.0 ? net::RoutePolicy::kMaxMinResidual
+                                           : net::RoutePolicy::kGreedyGeo;
       },
       [](const DeploymentOptions& o) {
-        return static_cast<double>(o.route_policy);
+        return static_cast<double>(o.config.routing.policy);
       }));
   knobs.push_back(shared_knob(
       "energy_weight", KnobType::kDouble, "fraction", 0.5, 0.0, 1.0,
       false,
       "max-min score weight: 0 = pure forward progress, 1 = pure "
       "residual energy",
-      [](DeploymentOptions& o, double v) { o.energy_weight = v; },
-      [](const DeploymentOptions& o) { return o.energy_weight; }));
+      [](DeploymentOptions& o, double v) {
+        o.config.routing.energy_weight = v;
+      },
+      [](const DeploymentOptions& o) {
+        return o.config.routing.energy_weight;
+      }));
   knobs.push_back(shared_knob(
       "adaptive_lpl", KnobType::kBool, "bool", 0.0, 0.0, 1.0, false,
       "per-node traffic-adaptive LPL controller; senders size preambles "
       "from each receiver's advertised check period",
-      [](DeploymentOptions& o, double v) { o.adaptive_lpl = v != 0.0; },
+      [](DeploymentOptions& o, double v) {
+        o.energy.duty.adaptive = v != 0.0;
+      },
       [](const DeploymentOptions& o) {
-        return o.adaptive_lpl ? 1.0 : 0.0;
+        return o.energy.duty.adaptive ? 1.0 : 0.0;
       }));
   knobs.push_back(shared_knob(
       "duty_min", KnobType::kDouble, "fraction", 0.02, 0.0, 1.0, true,
       "adaptive controller's duty floor (quiet channel)",
-      [](DeploymentOptions& o, double v) { o.duty_min = v; },
-      [](const DeploymentOptions& o) { return o.duty_min; }));
+      [](DeploymentOptions& o, double v) { o.energy.duty.min_fraction = v; },
+      [](const DeploymentOptions& o) { return o.energy.duty.min_fraction; }));
   knobs.push_back(shared_knob(
       "duty_max", KnobType::kDouble, "fraction", 0.5, 0.0, 1.0, true,
       "adaptive controller's duty ceiling (busy channel)",
-      [](DeploymentOptions& o, double v) { o.duty_max = v; },
-      [](const DeploymentOptions& o) { return o.duty_max; }));
+      [](DeploymentOptions& o, double v) { o.energy.duty.max_fraction = v; },
+      [](const DeploymentOptions& o) { return o.energy.duty.max_fraction; }));
   knobs.push_back(shared_knob(
       "lpl_tx_busy", KnobType::kInt, "frames", 0.0, 0.0, kInf, false,
       "adaptive LPL congestion coupling: a settle tick with >= this many "
       "pending TX frames counts as busy (keeps duty up under backlog); 0 "
       "= off",
       [](DeploymentOptions& o, double v) {
-        o.lpl_tx_busy = static_cast<int>(v);
+        o.energy.duty.tx_busy_depth = static_cast<std::uint32_t>(v);
       },
       [](const DeploymentOptions& o) {
-        return static_cast<double>(o.lpl_tx_busy);
+        return static_cast<double>(o.energy.duty.tx_busy_depth);
       }));
   knobs.push_back(shared_knob(
       "beacon_suppression", KnobType::kInt, "tristate", -1.0, -1.0, 1.0,
@@ -164,28 +183,28 @@ std::vector<KnobInfo> build_registry() {
       "-1 = auto (on whenever LPL is active), 0 = force 1 Hz beacons, 1 "
       "= force exponential backoff + piggyback",
       [](DeploymentOptions& o, double v) {
-        o.beacon_suppression = static_cast<int>(v);
+        o.config.neighbors.suppression = static_cast<net::Suppression>(v);
       },
       [](const DeploymentOptions& o) {
-        return static_cast<double>(o.beacon_suppression);
+        return static_cast<double>(o.config.neighbors.suppression);
       }));
   knobs.push_back(shared_knob(
       "gateway_powered", KnobType::kBool, "bool", 1.0, 0.0, 1.0, false,
       "1 = node 0 is mains-powered (no battery, never churned); 0 = the "
       "sink is a battery mote like every other node",
       [](DeploymentOptions& o, double v) {
-        o.gateway_powered = v != 0.0;
+        o.energy.gateway_powered = v != 0.0;
       },
       [](const DeploymentOptions& o) {
-        return o.gateway_powered ? 1.0 : 0.0;
+        return o.energy.gateway_powered ? 1.0 : 0.0;
       }));
   knobs.push_back(shared_knob(
       "overhearing", KnobType::kBool, "bool", 0.0, 0.0, 1.0, false,
       "charge RX to awake in-range nodes that filter a unicast frame "
       "out; 0 = paper model (only addressed receivers pay)",
-      [](DeploymentOptions& o, double v) { o.overhearing = v != 0.0; },
+      [](DeploymentOptions& o, double v) { o.energy.overhearing = v != 0.0; },
       [](const DeploymentOptions& o) {
-        return o.overhearing ? 1.0 : 0.0;
+        return o.energy.overhearing ? 1.0 : 0.0;
       }));
   knobs.push_back(shared_knob(
       "vm_dispatch", KnobType::kInt, "enum", 1.0, 0.0, 1.0, false,
@@ -193,10 +212,11 @@ std::vector<KnobInfo> build_registry() {
       "dispatch (DESIGN.md VM dispatch); simulated behaviour is "
       "byte-identical, only host speed differs",
       [](DeploymentOptions& o, double v) {
-        o.vm_dispatch = static_cast<int>(v);
+        o.config.engine.dispatch = v == 0.0 ? core::DispatchMode::kSwitch
+                                            : core::DispatchMode::kThreaded;
       },
       [](const DeploymentOptions& o) {
-        return static_cast<double>(o.vm_dispatch);
+        return static_cast<double>(o.config.engine.dispatch);
       }));
   knobs.push_back(shared_knob(
       "sim_shards", KnobType::kInt, "shards", 1.0, 1.0, 256.0, false,

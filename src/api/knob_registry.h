@@ -1,17 +1,20 @@
 // The single source of truth for every named experiment knob.
 //
 // Each KnobInfo carries the knob's type, unit, default, valid range,
-// doc string, owning scenarios, and — for knobs that map onto
-// DeploymentOptions — apply/read accessors. Everything that deals in
-// knobs derives from this table:
+// doc string, owning scenarios, and — for shared mesh knobs — apply/read
+// accessors that write and read the one layer field the knob names
+// (o.energy.duty.listen_fraction, o.config.routing.policy, ...). A knob
+// is a name for that field, not a second copy of it. Everything that
+// deals in knobs derives from this table:
 //   - DeploymentOptions population (apply_knobs / SimulationBuilder::set)
 //   - per-scenario knob lists (scenario_knob_names -> ScenarioInfo.knobs)
 //   - CLI --axis/--param validation, including range checks
 //   - the `agilla_sim --list-knobs` listing, and through it the
 //     generated knob table in docs/MANUAL.md (CI docs-consistency gate)
+//   - the fallback of every scenario-read knob without auto_default
 // Adding a knob means adding ONE entry here; tests/test_api.cpp asserts
 // the registry round-trips (settable, readable, listed) and that every
-// default matches the DeploymentOptions field initializer.
+// shared knob's default equals its layer field's initializer.
 #pragma once
 
 #include <map>
@@ -46,8 +49,9 @@ struct KnobInfo {
   /// mesh-backed scenario understands.
   const char* scenarios = "";
   const char* doc = "";
-  /// Mapping onto DeploymentOptions; nullptr for scenario-read knobs
-  /// (the scenario fetches them from TrialSpec::param itself).
+  /// Writes/reads the layer field inside DeploymentOptions; nullptr for
+  /// scenario-read knobs (the scenario fetches them from TrialSpec::param
+  /// itself; the fallback is `def`, or a computed value when auto_default).
   void (*apply)(DeploymentOptions&, double) = nullptr;
   double (*read)(const DeploymentOptions&) = nullptr;
 

@@ -246,10 +246,8 @@ class GatewayConsole::BusBridge final : public api::Observer {
   GatewayConsole& console_;
 };
 
-GatewayConsole::GatewayConsole(BaseStation& base, OutputSink output)
-    : base_(base),
-      output_(std::move(output)),
-      bridge_(std::make_unique<BusBridge>(*this)) {}
+GatewayConsole::GatewayConsole(BaseStation& base)
+    : base_(base), bridge_(std::make_unique<BusBridge>(*this)) {}
 
 GatewayConsole::~GatewayConsole() {
   *alive_ = false;  // in-flight remote-op completions become no-ops
@@ -279,12 +277,6 @@ std::size_t GatewayConsole::subscription_count() const {
   return count;
 }
 
-void GatewayConsole::emit(const std::string& line) {
-  if (output_) {
-    output_(line);
-  }
-}
-
 void GatewayConsole::deliver_async(std::uint64_t id, bool ok,
                                    const std::string& text) {
   // Completions run inside the gateway mote's events — on a shard worker
@@ -300,7 +292,6 @@ void GatewayConsole::deliver_async(std::uint64_t id, bool ok,
         if (async_sink_) {
           async_sink_(id, ok, text);
         }
-        emit("async#" + std::to_string(id) + ": " + text);
       });
 }
 
@@ -310,7 +301,6 @@ void GatewayConsole::deliver_event(const std::string& kind,
   if (event_sink_) {
     event_sink_(kind, text, at);
   }
-  emit("event: " + kind + " " + text);
 }
 
 bool GatewayConsole::parse_tuple(const std::vector<std::string>& tokens,
@@ -582,26 +572,25 @@ std::string GatewayConsole::execute(const std::string& line,
     return "";
   }
   const std::string& cmd = tokens[0];
-  std::string response;
   if (cmd == "help") {
-    response = kHelp;
-  } else if (cmd == "inject") {
-    response = cmd_inject(tokens, line, id);
-  } else if (cmd == "rout" || cmd == "rinp" || cmd == "rrdp") {
-    response = cmd_remote(cmd, tokens, id);
-  } else if (cmd == "region") {
-    response = cmd_region(tokens);
-  } else if (cmd == "status") {
-    response = cmd_status();
-  } else if (cmd == "subscribe") {
-    response = cmd_subscribe(tokens, true);
-  } else if (cmd == "unsubscribe") {
-    response = cmd_subscribe(tokens, false);
-  } else {
-    response = "error: unknown command '" + cmd + "' (try help)";
+    return kHelp;
   }
-  emit(response);
-  return response;
+  if (cmd == "inject") {
+    return cmd_inject(tokens, line, id);
+  }
+  if (cmd == "rout" || cmd == "rinp" || cmd == "rrdp") {
+    return cmd_remote(cmd, tokens, id);
+  }
+  if (cmd == "region") {
+    return cmd_region(tokens);
+  }
+  if (cmd == "status") {
+    return cmd_status();
+  }
+  if (cmd == "subscribe" || cmd == "unsubscribe") {
+    return cmd_subscribe(tokens, cmd == "subscribe");
+  }
+  return "error: unknown command '" + cmd + "' (try help)";
 }
 
 }  // namespace agilla::core

@@ -17,15 +17,14 @@
 //   status
 //
 // Every executed command gets an id (caller-supplied on the wire surface,
-// auto-assigned otherwise); asynchronous results (remote-op replies,
-// remote-injection outcomes) are delivered to the sinks tagged with the
-// originating command's id, as "async#<id>: ..." on the text sink and as
-// (id, ok, text) on the structured AsyncSink.
+// auto-assigned otherwise) and returns its immediate response text;
+// asynchronous results (remote-op replies, remote-injection outcomes)
+// reach the AsyncSink as (id, ok, text), tagged with the originating
+// command's id.
 //
 // `subscribe <kind>` / `unsubscribe [<kind>]` bridge an attached
-// api::EventBus onto the same sinks ("event: <kind> <text>" /
-// EventSink), so the text surface and the wire surface share one verb
-// set. Kinds: agent, tuple, node, frame, battery.
+// api::EventBus onto the EventSink, so the text surface and the wire
+// surface share one verb set. Kinds: agent, tuple, node, frame, battery.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +40,6 @@ namespace agilla::core {
 
 class GatewayConsole {
  public:
-  /// `output` receives one line per event (command echo, async results,
-  /// subscribed bus events).
-  using OutputSink = std::function<void(const std::string&)>;
   /// Structured async-result sink: `id` is the originating command's id.
   using AsyncSink =
       std::function<void(std::uint64_t id, bool ok, const std::string&)>;
@@ -52,7 +48,7 @@ class GatewayConsole {
   using EventSink = std::function<void(const std::string& kind,
                                        const std::string&, sim::SimTime at)>;
 
-  explicit GatewayConsole(BaseStation& base, OutputSink output = nullptr);
+  explicit GatewayConsole(BaseStation& base);
   ~GatewayConsole();
 
   // The bus bridge registers `this`; moving would dangle it.
@@ -107,16 +103,15 @@ class GatewayConsole {
   std::string cmd_status() const;
   std::string cmd_subscribe(const std::vector<std::string>& tokens,
                             bool subscribe);
-  void emit(const std::string& line);
-  /// Fans one async result out to the sinks, tagged with the originating
-  /// command's id.
+  /// Hands one async result to the AsyncSink, tagged with the
+  /// originating command's id.
   void deliver_async(std::uint64_t id, bool ok, const std::string& text);
-  /// Fans one subscribed bus record out to the sinks (BusBridge calls it).
+  /// Hands one subscribed bus record to the EventSink (BusBridge calls
+  /// it).
   void deliver_event(const std::string& kind, const std::string& text,
                      sim::SimTime at);
 
   BaseStation& base_;
-  OutputSink output_;
   AsyncSink async_sink_;
   EventSink event_sink_;
   api::EventBus* bus_ = nullptr;

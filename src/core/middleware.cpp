@@ -76,7 +76,7 @@ void AgillaMiddleware::start() {
     state.period_units = network_.node_duty(self_).period_units();
     return state;
   });
-  if (config_.neighbors.suppression) {
+  if (neighbors_->suppressing()) {
     // Beacon suppression: data frames double as beacons.
     link_->set_piggyback(
         [this] { return neighbors_->make_piggyback(); },

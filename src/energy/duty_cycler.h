@@ -44,6 +44,12 @@ class DutyCycler {
     /// backlog (and its neighbours' retries) drain instead of paying
     /// ever-longer preambles. 0 disables the signal.
     std::uint32_t tx_busy_depth = 0;
+
+    /// True when low-power listening is on: a static fraction below 1,
+    /// or the adaptive controller.
+    [[nodiscard]] bool active() const {
+      return listen_fraction < 1.0 || adaptive;
+    }
   };
 
   DutyCycler() = default;

@@ -18,6 +18,12 @@
 namespace agilla::harness {
 namespace {
 
+/// A scenario-read knob's value: the trial's override, else the
+/// registry default (the knob's one home).
+double knob_param(const TrialSpec& trial, const char* name) {
+  return trial.param(name, api::find_knob(name)->def);
+}
+
 ts::Template marker_template(const char* tag) {
   return ts::Template{ts::Value::string(tag),
                       ts::Value::type_wildcard(ts::ValueType::kLocation)};
@@ -162,8 +168,7 @@ TrialMetrics run_fire_tracking(const TrialSpec& trial) {
       std::make_unique<sim::FireField>(fire_options));
   const sim::FireField fire(fire_options);  // ground truth for metrics
 
-  const int threshold =
-      static_cast<int>(trial.param("alert_threshold", 180));
+  const int threshold = static_cast<int>(knob_param(trial, "alert_threshold"));
   core::BaseStation base = mesh.base();
   base.inject(core::agents::fire_tracker(threshold, /*nap_ticks=*/16));
   base.inject(core::agents::fire_detector(/*alert_to=*/{1, 1},
@@ -225,7 +230,7 @@ sim::MovingBumpField::Options intruder_options_for(const TrialSpec& trial) {
   const double h = static_cast<double>(trial.grid.height);
   return sim::MovingBumpField::Options{
       .waypoints = {{1, 1}, {w, 1}, {w, h}, {1, h}},
-      .speed = trial.param("intruder_speed", 0.05),
+      .speed = knob_param(trial, "intruder_speed"),
       .peak = 400.0,
       .sigma = 1.0,
       .ambient = 5.0,
@@ -404,7 +409,7 @@ TrialMetrics run_rout(const TrialSpec& trial) {
 /// the selected store backend with `fillers` tuples in front of the
 /// target, in the simulated microseconds the VM cost model charges.
 TrialMetrics run_store_ops(const TrialSpec& trial) {
-  const int fillers = static_cast<int>(trial.param("fillers", 20));
+  const int fillers = static_cast<int>(knob_param(trial, "fillers"));
   const core::VmCostModel costs;
   const auto fill = [](ts::TupleStore& store, int n) {
     for (std::int16_t i = 0; i < n; ++i) {
@@ -480,13 +485,12 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
       sim::SensorType::kTemperature,
       std::make_unique<sim::FireField>(fire_options));
 
-  const int threshold =
-      static_cast<int>(trial.param("alert_threshold", 180));
+  const int threshold = static_cast<int>(knob_param(trial, "alert_threshold"));
   // Periodic sense-and-report: burning nodes re-alert every
   // `alert_repeat_s` (converge-cast toward the gateway corner — the
   // relay-corridor load the route_policy axis redistributes). 0 restores
   // the paper's alert-once detector.
-  const double alert_repeat_s = trial.param("alert_repeat_s", 4.0);
+  const double alert_repeat_s = knob_param(trial, "alert_repeat_s");
   core::BaseStation base = mesh.base();
   base.inject(core::agents::fire_tracker(threshold, /*nap_ticks=*/16));
   base.inject(core::agents::fire_detector(
@@ -569,7 +573,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
 /// policy did to the corridor.
 TrialMetrics run_report_collection(const TrialSpec& trial) {
   api::Deployment mesh(deployment_options(trial));
-  const double report_s = trial.param("report_s", 4.0);
+  const double report_s = knob_param(trial, "report_s");
   const int report_ticks =
       std::max(1, static_cast<int>(report_s * 8.0));
   char source[128];
@@ -793,7 +797,6 @@ api::DeploymentOptions deployment_options(const TrialSpec& trial) {
   options.packet_loss = trial.packet_loss;
   options.per_byte_loss = trial.per_byte_loss;
   options.seed = trial.seed;
-  options.store = trial.store;
   options.config.tuple_space.store_kind = trial.store;
   api::apply_knobs(options, trial.params);
   return options;

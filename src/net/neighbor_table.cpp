@@ -38,12 +38,20 @@ void NeighborTable::start() {
           options_.beacon_period);
   beacon_timer_ = network_.simulator().schedule_in(
       offset, link_.self(), [this] { send_beacon(); });
-  if (options_.suppression) {
+  if (suppressing()) {
     // Backed-off beacons check for expiry too rarely: sweep on the base
     // cadence so a silenced-then-dead neighbour is still evicted after
     // `expiry_periods` of ITS advertised interval.
     schedule_expiry_sweep();
   }
+}
+
+bool NeighborTable::suppressing() const {
+  if (options_.suppression != Suppression::kAuto) {
+    return options_.suppression == Suppression::kOn;
+  }
+  const energy::EnergyOptions* energy = network_.energy_options();
+  return energy != nullptr && energy->duty.active();
 }
 
 void NeighborTable::stop() {
@@ -85,7 +93,7 @@ void NeighborTable::send_beacon() {
     return;
   }
   const BeaconSelfState state = advertised_state();
-  if (options_.suppression) {
+  if (suppressing()) {
     // Stability check: any membership change, or a material self-state
     // change (period moved, or the residual dropped a rebeacon step),
     // snaps the period back to the base; otherwise keep backing off.

@@ -53,6 +53,13 @@ struct BeaconSelfState {
   std::uint8_t period_units = 1;
 };
 
+/// Beacon suppression setting (the `beacon_suppression` knob's values).
+enum class Suppression : std::int8_t {
+  kAuto = -1,  ///< on exactly when the network runs LPL
+  kOff = 0,
+  kOn = 1,
+};
+
 class NeighborTable {
  public:
   struct Options {
@@ -62,7 +69,9 @@ class NeighborTable {
     std::uint32_t expiry_periods = 3;
     std::size_t capacity = 16;  ///< acquaintance-list slots on the mote
     /// Beacon suppression: exponential backoff while stable + piggyback.
-    bool suppression = false;
+    /// Auto turns it on when LPL makes every beacon pay the preamble
+    /// extension.
+    Suppression suppression = Suppression::kAuto;
     sim::SimTime max_beacon_period = 8 * sim::kSecond;
     /// A residual drop of at least this many quantization steps (13/255
     /// ~ 5 %) is "material": it resets the beacon backoff so routers
@@ -133,6 +142,10 @@ class NeighborTable {
   [[nodiscard]] sim::SimTime current_beacon_interval() const;
 
   [[nodiscard]] const Options& options() const { return options_; }
+
+  /// Options::suppression with kAuto resolved against the network's LPL
+  /// state.
+  [[nodiscard]] bool suppressing() const;
 
  private:
   void send_beacon();

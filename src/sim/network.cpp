@@ -287,13 +287,11 @@ void Network::charge(NodeState& node, energy::EnergyComponent component,
 
 // ------------------------------------------------------ death and churn
 
-void Network::enable_churn(ChurnOptions options) {
+void Network::enable_churn(ChurnOptions options, bool spare_gateway) {
   churn_ = options;
   if (churn_.crash_rate_per_node_s <= 0.0) {
     return;
   }
-  const bool spare_gateway = churn_.spare_gateway.value_or(
-      !energy_ || energy_->options.gateway_powered);
   for (const NodeState& node : nodes_) {
     if (spare_gateway && node.info.id.value == 0) {
       continue;

@@ -94,10 +94,6 @@ struct ChurnOptions {
   double crash_rate_per_node_s = 0.0;
   /// Crashed nodes reboot after this long; 0 means they stay down.
   SimTime reboot_after = 0;
-  /// Whether node 0 is exempt from churn. nullopt derives the answer
-  /// from the energy options (mains-powered gateway is spared; that is
-  /// also the default when energy is not attached).
-  std::optional<bool> spare_gateway;
 };
 
 class Network {
@@ -147,7 +143,7 @@ class Network {
   /// Creates per-node batteries (unless battery_mj <= 0) and starts
   /// charging TX/RX/idle energy. Call once, after all nodes are added;
   /// nodes added later get no battery. With gateway_powered, node 0 is
-  /// mains-powered (no battery, never churned).
+  /// mains-powered (no battery).
   void attach_energy(const energy::EnergyOptions& options);
 
   /// The node's battery; nullptr when energy is not attached, for the
@@ -169,10 +165,10 @@ class Network {
   [[nodiscard]] const energy::DutyCycler& node_duty(NodeId id) const;
 
   // ------------------------------------------------- node death & churn
-  /// Starts Poisson per-node crash (and optional reboot) events. Requires
-  /// nodes to exist; the gateway is spared when energy options say so (or
-  /// always, when energy is not attached).
-  void enable_churn(ChurnOptions options);
+  /// Starts Poisson per-node crash (and optional reboot) events; a zero
+  /// rate starts none. Requires nodes to exist. Node 0 is exempt while
+  /// `spare_gateway` (a mains-powered gateway).
+  void enable_churn(ChurnOptions options, bool spare_gateway);
 
   /// Kills a node now: radio off, queued-but-unstarted frames dropped,
   /// idle draw stopped, node-down handler invoked, kNodeDown emitted. A

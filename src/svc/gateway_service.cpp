@@ -160,13 +160,11 @@ void GatewayService::handle_message(ConnId conn, ConnState& state,
   switch (message.type) {
     case wire::MsgType::kCommand: {
       ++stats_.commands;
-      ++session->stats().commands;
       const std::string reply =
           session->console().execute(message.payload, message.request_id);
-      ++session->stats().replies;
-      enqueue(*session, wire::Message{wire::MsgType::kReply,
-                                      message.request_id, now(), reply},
-              false);
+      session->enqueue(wire::Message{wire::MsgType::kReply,
+                                     message.request_id, now(), reply},
+                       false);
       break;
     }
     case wire::MsgType::kSubscribe: {
@@ -176,9 +174,9 @@ void GatewayService::handle_message(ConnId conn, ConnState& state,
       if (reply.rfind("ok", 0) == 0) {
         session->set_subscribe_id(message.payload, message.request_id);
       }
-      enqueue(*session, wire::Message{wire::MsgType::kReply,
-                                      message.request_id, now(), reply},
-              false);
+      session->enqueue(wire::Message{wire::MsgType::kReply,
+                                     message.request_id, now(), reply},
+                       false);
       break;
     }
     case wire::MsgType::kUnsubscribe: {
@@ -194,24 +192,23 @@ void GatewayService::handle_message(ConnId conn, ConnState& state,
           session->clear_subscribe_id(message.payload);
         }
       }
-      enqueue(*session, wire::Message{wire::MsgType::kReply,
-                                      message.request_id, now(), reply},
-              false);
+      session->enqueue(wire::Message{wire::MsgType::kReply,
+                                     message.request_id, now(), reply},
+                       false);
       break;
     }
     case wire::MsgType::kPing: {
       ++stats_.pings;
-      enqueue(*session,
-              wire::Message{wire::MsgType::kPong, message.request_id, now(),
-                            "drops=" + std::to_string(
-                                           session->stats().events_dropped)},
-              false);
+      session->enqueue(
+          wire::Message{wire::MsgType::kPong, message.request_id, now(),
+                        "drops=" + std::to_string(session->events_dropped())},
+          false);
       break;
     }
     case wire::MsgType::kBye: {
-      enqueue(*session, wire::Message{wire::MsgType::kByeAck,
-                                      message.request_id, now(), "bye"},
-              false);
+      session->enqueue(wire::Message{wire::MsgType::kByeAck,
+                                     message.request_id, now(), "bye"},
+                       false);
       // Flush this session's backlog (byeack last), then close.
       while (!session->outbox().empty()) {
         send_now(conn, session->outbox().front());
@@ -257,7 +254,6 @@ void GatewayService::handle_hello(ConnId conn, ConnState& state,
     }
     session.bind(conn);
     state.session = &session;
-    ++session.stats().resumes;
     ++stats_.sessions_resumed;
     // Straight to the wire, not the outbox: the backlog queued while the
     // session was unbound flushes right after, and the welcome must
@@ -286,12 +282,10 @@ void GatewayService::handle_hello(ConnId conn, ConnState& state,
   session->console().set_async_sink(
       [this, session](std::uint64_t cmd_id, bool ok, const std::string& text) {
         ++stats_.async_results;
-        ++session->stats().async_results;
-        enqueue(*session,
-                wire::Message{wire::MsgType::kAsyncResult,
-                              static_cast<std::uint32_t>(cmd_id), now(),
-                              (ok ? "ok " : "err ") + text},
-                false);
+        session->enqueue(wire::Message{wire::MsgType::kAsyncResult,
+                                       static_cast<std::uint32_t>(cmd_id),
+                                       now(), (ok ? "ok " : "err ") + text},
+                         false);
       });
   session->console().set_event_sink(
       [this, session](const std::string& kind, const std::string& text,
@@ -300,7 +294,6 @@ void GatewayService::handle_hello(ConnId conn, ConnState& state,
                             session->subscribe_id(kind), at,
                             kind + " " + text};
         if (session->enqueue(std::move(event), /*droppable=*/true)) {
-          ++session->stats().events_enqueued;
           ++stats_.events_sent;
         } else {
           ++stats_.events_dropped;
@@ -311,11 +304,11 @@ void GatewayService::handle_hello(ConnId conn, ConnState& state,
   sessions_by_token_[token] = id;
   sessions_.emplace(id, std::move(owned));
   ++stats_.sessions_opened;
-  enqueue(*session,
-          wire::Message{wire::MsgType::kWelcome, message.request_id, now(),
-                        "session=" + std::to_string(id) +
-                            " token=" + session->token_hex() + " resumed=0"},
-          false);
+  session->enqueue(
+      wire::Message{wire::MsgType::kWelcome, message.request_id, now(),
+                    "session=" + std::to_string(id) +
+                        " token=" + session->token_hex() + " resumed=0"},
+      false);
 }
 
 void GatewayService::fail_conn(ConnId conn, std::uint32_t request_id,
@@ -356,11 +349,6 @@ void GatewayService::send_now(ConnId conn, const wire::Message& message) {
   ++stats_.frames_out;
   stats_.bytes_out += bytes.size();
   transport_.send(conn, bytes.data(), bytes.size());
-}
-
-void GatewayService::enqueue(Session& session, wire::Message message,
-                             bool droppable) {
-  session.enqueue(std::move(message), droppable);
 }
 
 std::string GatewayService::metrics_json() const {

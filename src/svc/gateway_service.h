@@ -114,7 +114,6 @@ class GatewayService {
   void flush();
   /// Encodes and hands one frame to the transport immediately.
   void send_now(ConnId conn, const wire::Message& message);
-  void enqueue(Session& session, wire::Message message, bool droppable);
   [[nodiscard]] std::uint64_t token_for(std::uint32_t session_id) const;
   [[nodiscard]] std::uint64_t now() const;
 

@@ -18,7 +18,7 @@ std::string Session::token_hex() const {
 
 bool Session::enqueue(wire::Message message, bool droppable) {
   if (droppable && outbox_.size() >= queue_cap_) {
-    ++stats_.events_dropped;
+    ++events_dropped_;
     return false;
   }
   outbox_.push_back(std::move(message));

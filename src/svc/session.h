@@ -22,15 +22,6 @@
 
 namespace agilla::svc {
 
-struct SessionStats {
-  std::uint64_t commands = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t async_results = 0;
-  std::uint64_t events_enqueued = 0;
-  std::uint64_t events_dropped = 0;
-  std::uint64_t resumes = 0;
-};
-
 class Session {
  public:
   Session(std::uint32_t id, std::uint64_t token, core::BaseStation base,
@@ -75,8 +66,10 @@ class Session {
     return it == subscribe_ids_.end() ? 0 : it->second;
   }
 
-  [[nodiscard]] SessionStats& stats() { return stats_; }
-  [[nodiscard]] const SessionStats& stats() const { return stats_; }
+  /// Events this session refused at capacity (what `pong` reports).
+  [[nodiscard]] std::uint64_t events_dropped() const {
+    return events_dropped_;
+  }
 
  private:
   std::uint32_t id_;
@@ -90,7 +83,7 @@ class Session {
   std::map<std::string, std::uint32_t> subscribe_ids_;
   bool bound_ = false;
   ConnId conn_ = 0;
-  SessionStats stats_;
+  std::uint64_t events_dropped_ = 0;
 };
 
 }  // namespace agilla::svc

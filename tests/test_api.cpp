@@ -1,7 +1,8 @@
 // The embedding API's contracts: the KnobRegistry is the single source
-// of truth (defaults match DeploymentOptions, every knob is settable,
-// readable, and listed; ranges reject bad values), SimulationBuilder
-// composes working deployments, the EventBus observes every advertised
+// of truth (defaults match the nested layer fields, every knob is
+// settable, readable, and listed; ranges reject bad values), each
+// setting has one home (nested config fields reach every mote),
+// SimulationBuilder composes working deployments, the EventBus observes every advertised
 // event kind with deterministic dispatch order, and observer-derived
 // metrics survive the harness determinism gate (threads 1 vs 8
 // byte-identical JSON).
@@ -153,6 +154,45 @@ TEST(KnobRegistry, ApplyKnobsMatchesBuilderSet) {
   }
   // The scenario-read knob landed in the builder's param map instead.
   EXPECT_EQ(builder.params().at("spread_speed"), 0.5);
+}
+
+TEST(SimulationBuilder, NestedConfigFieldsReachEveryMote) {
+  // Each setting has one home: a non-default nested field handed in
+  // through config() arrives on every mote unchanged.
+  core::AgillaConfig config;
+  config.routing.policy = net::RoutePolicy::kMaxMinResidual;
+  config.routing.energy_weight = 0.8;
+  config.engine.dispatch = core::DispatchMode::kSwitch;
+  config.tuple_space.store_kind = ts::StoreKind::kIndexed;
+  config.neighbors.suppression = net::Suppression::kOn;
+  auto mesh =
+      SimulationBuilder().grid(2, 2).seed(3).warmup(0).config(config).build();
+  ASSERT_EQ(mesh->mote_count(), 4u);
+  for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
+    const core::AgillaConfig& got = mesh->mote(i).config();
+    EXPECT_EQ(got.routing.policy, net::RoutePolicy::kMaxMinResidual) << i;
+    EXPECT_EQ(got.routing.energy_weight, 0.8) << i;
+    EXPECT_EQ(got.engine.dispatch, core::DispatchMode::kSwitch) << i;
+    EXPECT_EQ(got.tuple_space.store_kind, ts::StoreKind::kIndexed) << i;
+    EXPECT_EQ(got.neighbors.suppression, net::Suppression::kOn) << i;
+    EXPECT_TRUE(mesh->mote(i).neighbors().suppressing()) << i;
+  }
+}
+
+TEST(Deployment, AutoBeaconSuppressionFollowsLpl) {
+  const auto suppressing = [](double duty_cycle, double setting) {
+    auto mesh = SimulationBuilder()
+                    .grid(2, 1)
+                    .warmup(0)
+                    .set("duty_cycle", duty_cycle)
+                    .set("beacon_suppression", setting)
+                    .build();
+    return mesh->mote(1).neighbors().suppressing();
+  };
+  EXPECT_FALSE(suppressing(1.0, -1.0)) << "auto, always-on radio";
+  EXPECT_TRUE(suppressing(0.2, -1.0)) << "auto, LPL";
+  EXPECT_FALSE(suppressing(0.2, 0.0)) << "forced off under LPL";
+  EXPECT_TRUE(suppressing(1.0, 1.0)) << "forced on without LPL";
 }
 
 // ---------------------------------------------------------- event bus

@@ -198,9 +198,8 @@ api::DeploymentOptions conservation_options(ts::StoreKind store) {
   options.width = 3;
   options.height = 1;
   options.packet_loss = 0.0;
-  options.store = store;
   options.config.tuple_space.store_kind = store;
-  options.battery_mj = 5000.0;
+  options.energy.battery_mj = 5000.0;
   return options;
 }
 
@@ -276,7 +275,7 @@ api::DeploymentOptions two_node_options() {
   options.width = 2;
   options.height = 1;
   options.packet_loss = 0.0;
-  options.battery_mj = 1000.0;
+  options.energy.battery_mj = 1000.0;
   return options;
 }
 
@@ -370,8 +369,8 @@ api::DeploymentOptions churn_options(std::uint64_t seed) {
   options.width = 3;
   options.height = 3;
   options.seed = seed;
-  options.churn_rate = 0.05;
-  options.churn_reboot_s = 5.0;
+  options.churn.crash_rate_per_node_s = 0.05;
+  options.churn.reboot_after = 5 * sim::kSecond;
   return options;
 }
 
@@ -439,7 +438,7 @@ TEST(DutyCycle, LplStretchesDeliveryLatency) {
     options.width = 2;
     options.height = 1;
     options.packet_loss = 0.0;
-    options.duty_cycle = duty;
+    options.energy.duty.listen_fraction = duty;
     api::Deployment mesh(options);
     const sim::SimTime start = mesh.simulator().now();
     mesh.mote(0).inject(core::assemble_or_die(R"(
@@ -469,10 +468,10 @@ TEST(AdaptiveLpl, QuietMeshWidensTowardTheFloorBusyMeshDoesNot) {
     options.width = 2;
     options.height = 1;
     options.packet_loss = 0.0;
-    options.duty_cycle = 0.1;
-    options.adaptive_lpl = true;
-    options.duty_min = 0.02;
-    options.duty_max = 0.5;
+    options.energy.duty.listen_fraction = 0.1;
+    options.energy.duty.adaptive = true;
+    options.energy.duty.min_fraction = 0.02;
+    options.energy.duty.max_fraction = 0.5;
     api::Deployment mesh(options);
     if (busy) {
       // A chatty agent on mote 0: one remote out per VM tick keeps the
@@ -509,10 +508,10 @@ TEST(AdaptiveLpl, SendersTrackTheReceiversAdvertisedPeriod) {
   options.width = 2;
   options.height = 1;
   options.packet_loss = 0.0;
-  options.duty_cycle = 0.5;  // start narrow
-  options.adaptive_lpl = true;
-  options.duty_min = 0.02;
-  options.duty_max = 0.5;
+  options.energy.duty.listen_fraction = 0.5;  // start narrow
+  options.energy.duty.adaptive = true;
+  options.energy.duty.min_fraction = 0.02;
+  options.energy.duty.max_fraction = 0.5;
   api::Deployment mesh(options);
   // Let the idle mesh converge: both nodes widen to the 0.02 floor
   // (400 ms check period) and advertise it in their beacons.

@@ -155,7 +155,7 @@ TEST(NeighborTable, BeaconCarriesEnergyStateToListeners) {
 }
 
 TEST(NeighborTable, SuppressionBacksBeaconsOffWhileStable) {
-  Mesh mesh(2, 1, NeighborTable::Options{.suppression = true});
+  Mesh mesh(2, 1, NeighborTable::Options{.suppression = Suppression::kOn});
   // Discovery settles in the first seconds; after that the table is
   // stable and the period walks 1 s -> 8 s.
   mesh.sim.run_for(10 * sim::kSecond);
@@ -172,7 +172,7 @@ TEST(NeighborTable, SuppressionBacksBeaconsOffWhileStable) {
 }
 
 TEST(NeighborTable, SuppressedTableStillEvictsTheDead) {
-  Mesh mesh(2, 1, NeighborTable::Options{.suppression = true});
+  Mesh mesh(2, 1, NeighborTable::Options{.suppression = Suppression::kOn});
   mesh.sim.run_for(40 * sim::kSecond);  // fully backed off
   ASSERT_EQ(mesh.tables[0]->size(), 1u);
   mesh.net.set_radio_enabled(mesh.topo.nodes[1], false);
@@ -183,7 +183,7 @@ TEST(NeighborTable, SuppressedTableStillEvictsTheDead) {
 }
 
 TEST(NeighborTable, ResidualDropResetsTheBackoff) {
-  Mesh mesh(2, 1, NeighborTable::Options{.suppression = true});
+  Mesh mesh(2, 1, NeighborTable::Options{.suppression = Suppression::kOn});
   std::uint8_t residual = 255;
   mesh.tables[1]->set_self_state([&residual] {
     return BeaconSelfState{residual, 1};

@@ -127,9 +127,9 @@ api::DeploymentOptions churn_mesh(std::size_t shards) {
   options.height = 6;
   options.seed = 7;
   options.warmup = 2 * sim::kSecond;
-  options.battery_mj = 500.0;  // dies in tens of virtual seconds
-  options.churn_rate = 0.02;   // plus steady crash/reboot churn
-  options.churn_reboot_s = 5.0;
+  options.energy.battery_mj = 500.0;  // dies in tens of virtual seconds
+  options.churn.crash_rate_per_node_s = 0.02;  // plus crash/reboot churn
+  options.churn.reboot_after = 5 * sim::kSecond;
   options.sim_shards = shards;
   return options;
 }
