@@ -1,4 +1,5 @@
-// Canonical agents from the paper, in assembly source form.
+// Canonical agents from the paper, in assembly source form: each is one
+// `.macro` in agent_library.cpp, and a wrapper only passes its arguments.
 //
 // The smove/rout test agents reproduce paper Fig. 8 (the reliability and
 // latency experiments of Sec. 4); FIREDETECTOR reproduces Fig. 13;
@@ -20,10 +21,6 @@ std::string move_once(const std::string& mnemonic, sim::Location there);
 
 /// Fig. 8 (bottom): rout the tuple <1> onto the node at `there`.
 std::string rout_once(sim::Location there);
-
-/// Remote probe (rinp/rrdp) of template <NUMBER> on the node at `there`.
-std::string remote_probe_once(const std::string& mnemonic,
-                              sim::Location there);
 
 /// Fig. 13 FIREDETECTOR with the omitted bootstrapping code filled in:
 /// flood-clones over the network claiming nodes with a <"det", loc> marker,
@@ -67,5 +64,17 @@ std::string sentinel(int sample_ticks = 8);
 /// whichever node hears the intruder best, dropping a <"pur", loc>
 /// breadcrumb at every stop.
 std::string pursuer(int nap_ticks = 8);
+
+/// smove scenario trial agent: strong-move to `there` and back to (1,1),
+/// halting if either hop fails, then drop <7> on the origin.
+std::string smove_trial(sim::Location there);
+
+/// rout scenario trial agent: rout <7> onto the node at `there`; on an
+/// acknowledged success drop <"ack", 7> on the origin.
+std::string rout_trial(sim::Location there);
+
+/// report_collection scenario agent: rout <"rpt", loc> to the gateway at
+/// (1,1) every `report_ticks` ticks, forever.
+std::string reporter(int report_ticks);
 
 }  // namespace agilla::core::agents

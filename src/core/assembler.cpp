@@ -331,6 +331,11 @@ class Expander {
         fail(file, line, ".include needs one file name", context);
         return;
       }
+      if (file.empty()) {  // console text must not read host files
+        fail(file, line, ".include is only allowed in file sources",
+             context);
+        return;
+      }
       include_file(unquote(tokens[1]), file, line, depth, context);
       return;
     }
@@ -584,11 +589,13 @@ class Emitter {
   std::vector<std::uint8_t>& code_;
 };
 
-AssemblyResult assemble_impl(std::string_view source,
-                             const std::string& file_name) {
+}  // namespace
+
+AssemblyResult assemble(std::string_view source,
+                        std::string_view file_name) {
   AssemblyResult result;
   Expander expander(result.errors);
-  expander.expand_source(source, file_name, 0);
+  expander.expand_source(source, std::string(file_name), 0);
   expander.finish();
 
   // --- pass 1: size and collect labels -------------------------------------
@@ -658,7 +665,8 @@ AssemblyResult assemble_impl(std::string_view source,
     result.errors.push_back({last != nullptr ? last->line : 0,
                              "label '" + *pending_label +
                                  "' has no instruction",
-                             last != nullptr ? last->file : file_name});
+                             last != nullptr ? last->file
+                                             : std::string(file_name)});
   }
   if (!result.ok()) {
     return result;
@@ -855,8 +863,6 @@ AssemblyResult assemble_impl(std::string_view source,
   return result;
 }
 
-}  // namespace
-
 std::string AssemblyResult::error_text() const {
   std::ostringstream os;
   for (const auto& e : errors) {
@@ -869,15 +875,6 @@ std::string AssemblyResult::error_text() const {
   return os.str();
 }
 
-AssemblyResult assemble(std::string_view source) {
-  return assemble_impl(source, "");
-}
-
-AssemblyResult assemble(std::string_view source,
-                        std::string_view file_name) {
-  return assemble_impl(source, std::string(file_name));
-}
-
 AssemblyResult assemble_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -888,7 +885,7 @@ AssemblyResult assemble_file(const std::string& path) {
   }
   std::ostringstream content;
   content << in.rdbuf();
-  return assemble_impl(content.str(), path);
+  return assemble(content.str(), path);
 }
 
 std::vector<std::uint8_t> assemble_or_die(std::string_view source) {

@@ -12,9 +12,10 @@
 //     pushrt/pushc (TEMPERATURE, PHOTO, MIC, MAGNETOMETER, ACCEL), and
 //     `x y` coordinate pairs for pushloc (fractions allowed).
 //
-// Directives (file-based sources; all usable from strings too):
+// Directives (all but .include usable from string sources too):
 //   .include "file"        splice another source file (cycle-checked,
-//                          resolved relative to the including file)
+//                          resolved relative to the including file;
+//                          file-named sources only)
 //   .const NAME value      named integer constant, usable wherever a
 //                          number is (also spelled .equ)
 //   .macro NAME p1 p2 ...  record lines up to .endm; invoking `NAME a b`
@@ -63,13 +64,11 @@ struct AssemblyResult {
   [[nodiscard]] std::string error_text() const;
 };
 
-/// Assembles `source` into Agilla bytecode. `.include` paths resolve
-/// relative to the working directory.
-AssemblyResult assemble(std::string_view source);
-
-/// Assembles `source` under the name `file_name`: errors carry it and
-/// `.include` paths resolve relative to its directory.
-AssemblyResult assemble(std::string_view source, std::string_view file_name);
+/// Assembles `source` into Agilla bytecode. Under a `file_name`, errors
+/// carry it and `.include` paths resolve relative to its directory; with
+/// none, `.include` is an error (a string source must not read files).
+AssemblyResult assemble(std::string_view source,
+                        std::string_view file_name = {});
 
 /// Reads and assembles a `.aga` source file (errors carry file:line).
 AssemblyResult assemble_file(const std::string& path);

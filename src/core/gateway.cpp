@@ -1,5 +1,6 @@
 #include "core/gateway.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -356,9 +357,9 @@ std::string GatewayConsole::cmd_inject(
     }
     const std::string& name = tokens[2];
     sim::Location where{1, 1};
-    if (tokens.size() >= 5) {
-      parse_number(tokens[3], &where.x);
-      parse_number(tokens[4], &where.y);
+    if (tokens.size() >= 5 && (!parse_number(tokens[3], &where.x) ||
+                               !parse_number(tokens[4], &where.y))) {
+      return "error: bad destination";
     }
     std::string source;
     if (name == "firedetector") {
@@ -385,27 +386,18 @@ std::string GatewayConsole::cmd_inject(
   }
 
   if (tokens[1] == "asm" || (tokens[1] == "at" && tokens.size() >= 5)) {
-    std::string code_text;
+    const bool remote = tokens[1] == "at";
     sim::Location dest{0, 0};
-    bool remote = false;
-    if (tokens[1] == "asm") {
-      const auto pos = raw_line.find("asm");
-      code_text = raw_line.substr(pos + 3);
-    } else {
-      parse_number(tokens[2], &dest.x);
-      parse_number(tokens[3], &dest.y);
-      const auto pos = raw_line.find("asm");
-      if (pos == std::string::npos) {
-        return "error: inject at <x> <y> asm <code>";
-      }
-      code_text = raw_line.substr(pos + 3);
-      remote = true;
+    if (remote && (!parse_number(tokens[2], &dest.x) ||
+                   !parse_number(tokens[3], &dest.y))) {
+      return "error: bad destination";
     }
-    for (char& c : code_text) {
-      if (c == ';') {
-        c = '\n';
-      }
+    const auto pos = raw_line.find("asm");
+    if (pos == std::string::npos) {
+      return "error: inject at <x> <y> asm <code>";
     }
+    std::string code_text = raw_line.substr(pos + 3);
+    std::replace(code_text.begin(), code_text.end(), ';', '\n');
     const AssemblyResult assembled = assemble(code_text);
     if (!assembled.ok()) {
       return "error: " + assembled.error_text();

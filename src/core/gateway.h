@@ -16,6 +16,9 @@
 //   subscribe node
 //   status
 //
+// `inject asm` code is a string source, so `.include` is refused (a
+// client cannot read host files).
+//
 // Every executed command gets an id (caller-supplied on the wire surface,
 // auto-assigned otherwise) and returns its immediate response text;
 // asynchronous results (remote-op replies, remote-injection outcomes)

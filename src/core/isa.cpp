@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <string_view>
+#include <unordered_map>
 
 namespace agilla::core {
 namespace {
@@ -85,15 +87,19 @@ const OpcodeInfo* opcode_info(std::uint8_t raw) {
 }
 
 std::optional<Opcode> opcode_by_mnemonic(const std::string& mnemonic) {
+  static const auto by_mnemonic = [] {
+    std::unordered_map<std::string_view, Opcode> map;
+    for (const auto& info : kOpcodeTable) {
+      map.emplace(info.mnemonic, info.opcode);
+    }
+    return map;
+  }();
   std::string lower(mnemonic);
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  for (const auto& info : kOpcodeTable) {
-    if (lower == info.mnemonic) {
-      return info.opcode;
-    }
-  }
-  return std::nullopt;
+  const auto it = by_mnemonic.find(lower);
+  return it == by_mnemonic.end() ? std::nullopt
+                                 : std::optional<Opcode>(it->second);
 }
 
 bool is_getvar(std::uint8_t raw, std::uint8_t* slot) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <initializer_list>
 #include <utility>
 
@@ -341,18 +340,8 @@ TrialMetrics run_smove(const TrialSpec& trial) {
       static_cast<int>(trial.param("hops", default_hops(trial.grid))),
       max_hops(trial.grid));
   const sim::Location target = hop_target(hops, trial.grid);
-  char source[256];
-  std::snprintf(source, sizeof(source),
-                "pushloc %g %g\n"
-                "smove\n"
-                "rjumpc OK1\nhalt\n"
-                "OK1 pushloc 1 1\n"
-                "smove\n"
-                "rjumpc OK2\nhalt\n"
-                "OK2 pushc 7\npushc 1\nout\nhalt\n",
-                target.x, target.y);
   const sim::SimTime start = mesh.simulator().now();
-  mesh.mote(0).inject(core::assemble_or_die(source));
+  mesh.base().inject(core::agents::smove_trial(target));
   const sim::SimTime timeout = static_cast<sim::SimTime>(
       trial.param("timeout_s", 15.0) * 1e6);
   const auto done = mesh.await_tuple(
@@ -377,16 +366,8 @@ TrialMetrics run_rout(const TrialSpec& trial) {
       static_cast<int>(trial.param("hops", default_hops(trial.grid))),
       max_hops(trial.grid));
   const sim::Location target = hop_target(hops, trial.grid);
-  char source[256];
-  std::snprintf(source, sizeof(source),
-                "pushc 7\npushc 1\n"
-                "pushloc %g %g\n"
-                "rout\n"
-                "rjumpc OK\nhalt\n"
-                "OK pushn ack\npushc 7\npushc 2\nout\nhalt\n",
-                target.x, target.y);
   const sim::SimTime start = mesh.simulator().now();
-  mesh.mote(0).inject(core::assemble_or_die(source));
+  mesh.base().inject(core::agents::rout_trial(target));
   const sim::SimTime timeout = static_cast<sim::SimTime>(
       trial.param("timeout_s", 10.0) * 1e6);
   const auto done = mesh.await_tuple(
@@ -576,18 +557,8 @@ TrialMetrics run_report_collection(const TrialSpec& trial) {
   const double report_s = knob_param(trial, "report_s");
   const int report_ticks =
       std::max(1, static_cast<int>(report_s * 8.0));
-  char source[128];
-  std::snprintf(source, sizeof(source),
-                "LOOP pushn rpt\n"
-                "loc\n"
-                "pushc 2\n"
-                "pushloc 1 1\n"
-                "rout\n"
-                "pushcl %d\n"
-                "sleep\n"
-                "jump LOOP\n",
-                report_ticks);
-  const std::vector<std::uint8_t> reporter = core::assemble_or_die(source);
+  const std::vector<std::uint8_t> reporter =
+      core::assemble_or_die(core::agents::reporter(report_ticks));
   for (std::size_t i = 1; i < mesh.mote_count(); ++i) {
     mesh.mote(i).inject(reporter);
   }

@@ -431,6 +431,30 @@ TEST_F(AssemblerIncludeTest, IncludeCycleDetected) {
       << r.error_text();
 }
 
+TEST_F(AssemblerIncludeTest, StringSourceRefusesInclude) {
+  // A string source (console text, a remote client's agent) must not
+  // read host files: .include is refused before any path is opened,
+  // whether the file exists or not, and from inside a macro body too.
+  const fs::path lib = write("lib/util.aga", "halt\n");
+  for (const std::string& source :
+       {".include \"" + lib.string() + "\"\n",
+        ".include \"" + (dir_ / "gone.aga").string() + "\"\n",
+        ".macro INC\n.include \"" + lib.string() + "\"\n.endm\nINC\n"}) {
+    const AssemblyResult r = assemble(source);
+    ASSERT_FALSE(r.ok()) << source;
+    EXPECT_NE(r.error_text().find("only allowed in file sources"),
+              std::string::npos)
+        << r.error_text();
+    EXPECT_EQ(r.error_text().find("cannot open"), std::string::npos)
+        << r.error_text();
+  }
+  // Named sources keep .include.
+  const AssemblyResult named = assemble(".include \"lib/util.aga\"\n",
+                                        (dir_ / "main.aga").string());
+  ASSERT_TRUE(named.ok()) << named.error_text();
+  EXPECT_EQ(named.code, (std::vector<std::uint8_t>{0x00}));
+}
+
 TEST_F(AssemblerIncludeTest, MissingIncludeReportsIncludingLine) {
   const fs::path main = write("main.aga", "halt\n.include \"gone.aga\"\n");
   const AssemblyResult r = assemble_file(main.string());

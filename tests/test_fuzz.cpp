@@ -3,7 +3,12 @@
 // rejected or contained (a dying agent frees everything it held).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "agilla_test_helpers.h"
+#include "core/agent_library.h"
 #include "core/agent_serializer.h"
 #include "core/assembler.h"
 #include "mate/capsule.h"
@@ -106,6 +111,75 @@ TEST_P(ParserFuzz, AssemblerSurvivesRandomText) {
       core::disassemble(result.code);
     }
   }
+}
+
+TEST_P(ParserFuzz, AgentSourceMutantsRoundTrip) {
+  // Mutants of every library agent's source (helper macros included):
+  // dropped, duplicated and swapped lines plus flipped bytes. The
+  // assembler must never crash, and every mutant that assembles must
+  // survive disassemble -> assemble byte for byte.
+  sim::Rng rng(GetParam() + 6);
+  namespace agents = core::agents;
+  const std::vector<std::string> seeds = {
+      agents::smove_round_trip({5, 1}, {1, 1}),
+      agents::move_once("wclone", {2, 1}),
+      agents::rout_once({5, 1}),
+      agents::fire_detector({1.5, 2}, 200, 32, 0),
+      agents::fire_detector({1, 1}, 180, 8, 32),
+      agents::fire_tracker(180, 16),
+      agents::habitat_monitor(40),
+      agents::blinker(8),
+      agents::sentinel(8),
+      agents::pursuer(8),
+      agents::smove_trial({4, 3}),
+      agents::rout_trial({5, 1}),
+      agents::reporter(8)};
+  int assembled = 0;
+  for (const std::string& seed : seeds) {
+    for (int mutant = 0; mutant < 30; ++mutant) {
+      std::vector<std::string> lines;
+      std::istringstream in(seed);
+      for (std::string line; std::getline(in, line);) {
+        lines.push_back(line);
+      }
+      for (int edit = 0; edit < 3; ++edit) {
+        const std::size_t at = rng.uniform(lines.size());
+        switch (rng.uniform(4)) {
+          case 0:
+            lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+            break;
+          case 1:
+            lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                         lines[at]);
+            break;
+          case 2:
+            std::swap(lines[at], lines[rng.uniform(lines.size())]);
+            break;
+          default:
+            if (!lines[at].empty()) {
+              lines[at][rng.uniform(lines[at].size())] ^=
+                  static_cast<char>(1 + rng.uniform(255));
+            }
+            break;
+        }
+      }
+      std::string source;
+      for (const std::string& line : lines) {
+        source += line + "\n";
+      }
+      const core::AssemblyResult result = core::assemble(source);
+      if (!result.ok()) {
+        continue;
+      }
+      ++assembled;
+      const core::AssemblyResult again =
+          core::assemble(core::disassemble(result.code));
+      ASSERT_TRUE(again.ok()) << again.error_text() << "\nmutant:\n"
+                              << source;
+      ASSERT_EQ(again.code, result.code) << "mutant:\n" << source;
+    }
+  }
+  EXPECT_GT(assembled, 0);
 }
 
 TEST_P(ParserFuzz, VmContainsRandomBytecode) {

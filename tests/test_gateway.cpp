@@ -1,6 +1,9 @@
 // The base-station command console (paper Sec. 3.1's interactive laptop).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+
 #include "agilla_test_helpers.h"
 #include "core/gateway.h"
 
@@ -73,6 +76,32 @@ TEST(Gateway, InjectNamedAgent) {
   EXPECT_NE(f.mesh.at(0).engine().leds(), 0u);
   EXPECT_NE(f.console.execute("inject agent nosuch").find("error"),
             std::string::npos);
+}
+
+TEST(Gateway, InjectAsmCannotReadHostFiles) {
+  ConsoleFixture f;
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "agilla_console.aga";
+  std::ofstream(path) << "xyzzy_private_line\n";
+  const std::string include = " asm .include \"" + path.string() + "\"";
+  for (const std::string& command :
+       {"inject" + include, "inject at 3 1" + include}) {
+    const std::string response = f.console.execute(command);
+    EXPECT_EQ(response.rfind("error", 0), 0u) << response;
+    EXPECT_EQ(response.find("xyzzy"), std::string::npos) << response;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Gateway, InjectRejectsMalformedCoordinates) {
+  ConsoleFixture f;
+  for (const char* command :
+       {"inject agent firedetector abc 2", "inject at 3x 1 asm halt",
+        "rout abc 1 num:1"}) {
+    EXPECT_EQ(f.console.execute(command), "error: bad destination")
+        << command;
+  }
+  EXPECT_EQ(f.mesh.at(0).agents().count(), 0u);
 }
 
 TEST(Gateway, RemoteInjectAt) {
