@@ -1,9 +1,10 @@
 // Host-side scaling of the sharded event engine (DESIGN.md "Sharded
-// event engine"): motes vs wall-clock vs peak RSS, across grid sizes and
-// sim_shards values. Every cell runs in a forked child so ru_maxrss is
-// per-configuration, not the process-lifetime maximum; the parent also
-// cross-checks an outcome checksum so the table doubles as a determinism
-// gate (same grid, any shard count => same simulated outcome).
+// event engine"): motes vs wall-clock vs peak RSS (total and per mote),
+// across grid sizes and sim_shards values. Every cell runs in a forked
+// child so ru_maxrss is per-configuration, not the process-lifetime
+// maximum; the parent also cross-checks an outcome checksum so the table
+// doubles as a determinism gate (same grid, any shard count => same
+// simulated outcome).
 //
 // Usage:
 //   bench_scale [--duration S] [--grid N, repeatable]   full table
@@ -126,9 +127,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("| grid | motes | shards | wall s | events/s | peak "
-              "RSS MiB | speedup | outcome |\n");
+              "RSS MiB | KiB/mote | speedup | outcome |\n");
   std::printf("|------|-------|--------|--------|----------|------"
-              "--------|---------|----------|\n");
+              "--------|----------|---------|----------|\n");
   bool ok = true;
   for (const std::size_t side : sides) {
     double serial_wall = 0.0;
@@ -147,11 +148,13 @@ int main(int argc, char** argv) {
       }
       const bool same = cell.checksum == serial_checksum;
       ok = ok && same;
-      std::printf("| %zux%zu | %zu | %zu | %.2f | %.0f | %.0f | %.2fx | "
-                  "%s |\n",
+      std::printf("| %zux%zu | %zu | %zu | %.2f | %.0f | %.0f | %.1f | "
+                  "%.2fx | %s |\n",
                   side, side, side * side, shards, cell.wall_s,
                   static_cast<double>(cell.events) / cell.wall_s,
                   static_cast<double>(cell.maxrss_kb) / 1024.0,
+                  static_cast<double>(cell.maxrss_kb) /
+                      static_cast<double>(side * side),
                   serial_wall / cell.wall_s,
                   same ? "identical" : "DIVERGED");
       std::fflush(stdout);

@@ -206,7 +206,7 @@ void AgillaEngine::tick() {
           static_cast<std::uint8_t>(probe.remove ? Opcode::kIn : Opcode::kRd);
       const sim::SimTime probe_cost = options_.costs.instruction_cost(
           probe_raw, tuple_space_.store().last_op_bytes_touched(), true);
-      OpcodeProfile& entry = profile_[probe_raw];
+      OpcodeProfile& entry = profile_[opcode_index(probe_raw)];
       entry.count++;
       entry.total_cost += probe_cost;
       cost += probe_cost;
@@ -262,7 +262,7 @@ void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
     code_pool_.release(agent->code());
     agents_.destroy(id);
   }
-  std::erase(ready_, id);
+  ready_.erase(id);
 }
 
 void AgillaEngine::die(Agent& agent, const char* reason) {
@@ -274,10 +274,14 @@ void AgillaEngine::die(Agent& agent, const char* reason) {
 std::unordered_map<std::uint8_t, OpcodeProfile>
 AgillaEngine::opcode_profile() const {
   std::unordered_map<std::uint8_t, OpcodeProfile> out;
-  for (std::size_t raw = 0; raw < profile_.size(); ++raw) {
-    if (profile_[raw].count > 0) {
-      out.emplace(static_cast<std::uint8_t>(raw), profile_[raw]);
+  for (std::size_t index = 0; index < kDefinedOpcodes; ++index) {
+    if (profile_[index].count > 0) {
+      out.emplace(static_cast<std::uint8_t>(opcode_at(index)),
+                  profile_[index]);
     }
+  }
+  for (const auto& [raw, count] : undefined_profile_) {
+    out.emplace(raw, OpcodeProfile{count, 0});
   }
   return out;
 }

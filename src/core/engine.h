@@ -14,20 +14,22 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/agent_manager.h"
 #include "core/agent_serializer.h"
 #include "core/context_manager.h"
+#include "core/isa.h"
 #include "core/migration.h"
 #include "core/remote_ts.h"
 #include "core/sensors.h"
 #include "core/vm_costs.h"
 #include "energy/battery.h"
 #include "energy/energy_model.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 
 namespace agilla::core {
@@ -126,7 +128,8 @@ class AgillaEngine {
 
   /// Per-opcode execution profile (key: raw opcode byte; getvar/setvar
   /// collapse onto their base opcode). Materialized from the engine's
-  /// flat per-byte table; only executed opcodes appear.
+  /// dense per-opcode table and its undefined-byte list; only executed
+  /// opcodes appear.
   [[nodiscard]] std::unordered_map<std::uint8_t, OpcodeProfile>
   opcode_profile() const;
 
@@ -175,7 +178,7 @@ class AgillaEngine {
   energy::CpuEnergyModel cpu_energy_{};
   std::unique_ptr<VmDispatcher> dispatcher_;
 
-  std::deque<AgentId> ready_;
+  sim::Fifo<AgentId> ready_;
   bool tick_scheduled_ = false;
   bool in_tick_ = false;  ///< make_ready defers scheduling to the batch end
   std::unordered_map<std::uint16_t, sim::EventHandle> sleep_timers_;
@@ -183,12 +186,17 @@ class AgillaEngine {
     ts::Reaction reaction;
     ts::Tuple tuple;
   };
-  std::unordered_map<std::uint16_t, std::deque<PendingReaction>>
+  std::unordered_map<std::uint16_t, sim::Fifo<PendingReaction>>
       pending_reactions_;
   std::uint8_t leds_ = 0;
   EngineStats stats_;
-  /// Flat per-opcode-byte table: O(1) updates on the instruction hot path.
-  std::array<OpcodeProfile, 256> profile_{};
+  /// One slot per defined opcode, indexed by opcode_index() (precomputed
+  /// as DecodedInsn::profile_key): a single indexed add on the instruction
+  /// hot path. The extra last slot absorbs undefined bytes, whose exact
+  /// per-byte counts live in undefined_profile_ (they kill the agent and
+  /// cost nothing, so a count per byte is the whole record).
+  std::array<OpcodeProfile, kDefinedOpcodes + 1> profile_{};
+  std::vector<std::pair<std::uint8_t, std::uint64_t>> undefined_profile_;
 };
 
 }  // namespace agilla::core

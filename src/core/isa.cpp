@@ -69,21 +69,32 @@ constexpr std::array kOpcodeTable = {
     OpcodeInfo{Opcode::kPushrt, "pushrt", 1, CostClass::kMemory},
 };
 
-}  // namespace
+static_assert(kOpcodeTable.size() == kDefinedOpcodes);
 
-const OpcodeInfo* opcode_info(std::uint8_t raw) {
-  std::uint8_t slot = 0;
-  if (is_getvar(raw, &slot)) {
-    raw = static_cast<std::uint8_t>(Opcode::kGetVar0);
-  } else if (is_setvar(raw, &slot)) {
-    raw = static_cast<std::uint8_t>(Opcode::kSetVar0);
-  }
-  for (const auto& info : kOpcodeTable) {
-    if (static_cast<std::uint8_t>(info.opcode) == raw) {
-      return &info;
+/// Raw byte -> index into kOpcodeTable (kDefinedOpcodes when undefined).
+constexpr auto kIndexByRaw = [] {
+  std::array<std::uint8_t, 256> index{};
+  index.fill(static_cast<std::uint8_t>(kDefinedOpcodes));
+  for (std::size_t i = 0; i < kOpcodeTable.size(); ++i) {
+    const auto base = static_cast<std::size_t>(kOpcodeTable[i].opcode);
+    const bool heap_op = kOpcodeTable[i].opcode == Opcode::kGetVar0 ||
+                         kOpcodeTable[i].opcode == Opcode::kSetVar0;
+    for (std::size_t slot = 0; slot < (heap_op ? kHeapSlots : 1); ++slot) {
+      index[base + slot] = static_cast<std::uint8_t>(i);
     }
   }
-  return nullptr;
+  return index;
+}();
+
+}  // namespace
+
+std::size_t opcode_index(std::uint8_t raw) { return kIndexByRaw[raw]; }
+
+Opcode opcode_at(std::size_t index) { return kOpcodeTable[index].opcode; }
+
+const OpcodeInfo* opcode_info(std::uint8_t raw) {
+  const std::size_t index = opcode_index(raw);
+  return index < kDefinedOpcodes ? &kOpcodeTable[index] : nullptr;
 }
 
 std::optional<Opcode> opcode_by_mnemonic(const std::string& mnemonic) {

@@ -11,6 +11,7 @@
 // bytes for pushing 16-bit variables onto the stack").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -114,6 +115,17 @@ struct OpcodeInfo {
 /// Metadata for `op`; nullptr for undefined opcodes. getvar/setvar report
 /// the metadata of their 0x40/0x50 base.
 const OpcodeInfo* opcode_info(std::uint8_t raw);
+
+/// How many opcodes are defined, counting getvar and setvar once each:
+/// the size of a dense per-opcode table.
+inline constexpr std::size_t kDefinedOpcodes = 57;
+
+/// Dense index of `raw` in [0, kDefinedOpcodes), with getvar/setvar folded
+/// onto their base; kDefinedOpcodes for an undefined byte.
+std::size_t opcode_index(std::uint8_t raw);
+
+/// The (base) opcode at dense index `index` < kDefinedOpcodes.
+Opcode opcode_at(std::size_t index);
 
 /// Lookup by mnemonic ("smove", case-insensitive); nullopt if unknown.
 /// getvar/setvar resolve to their base opcodes.

@@ -20,10 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "net/geo_router.h"
+#include "sim/fifo.h"
 #include "tuplespace/tuple_space.h"
 
 namespace agilla::core {
@@ -82,7 +82,7 @@ class RegionOps {
   ts::TupleSpace& space_;
   sim::Location self_;
   Options options_;
-  std::deque<std::uint64_t> seen_;
+  sim::Fifo<std::uint64_t> seen_;
   std::uint16_t next_flood_id_ = 1;
   Stats stats_;
 };

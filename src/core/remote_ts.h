@@ -13,13 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
 #include <variant>
 
 #include "net/geo_router.h"
+#include "sim/fifo.h"
 #include "tuplespace/tuple_space.h"
 
 namespace agilla::core {
@@ -102,7 +102,7 @@ class RemoteTsManager {
   sim::Location self_;
   Options options_;
   std::unordered_map<std::uint16_t, Pending> pending_;
-  std::deque<CachedReply> replay_;
+  sim::Fifo<CachedReply> replay_;
   std::uint16_t next_request_id_ = 1;
   Stats stats_;
 };

@@ -164,15 +164,11 @@ DecodedInsn decode_insn(std::uint8_t raw,
                         const VmCostModel& costs) {
   DecodedInsn d;
   d.raw = raw;
-  d.profile_key = raw;
+  d.profile_key = static_cast<std::uint8_t>(opcode_index(raw));
   d.operand = operand;
-  std::uint8_t slot = 0;
-  if (is_getvar(raw, &slot)) {
-    d.profile_key = static_cast<std::uint8_t>(Opcode::kGetVar0);
-    d.slot = slot;
-  } else if (is_setvar(raw, &slot)) {
-    d.profile_key = static_cast<std::uint8_t>(Opcode::kSetVar0);
-    d.slot = slot;
+  // getvar/setvar carry their heap slot in the opcode byte.
+  if (!is_getvar(raw, &d.slot)) {
+    is_setvar(raw, &d.slot);
   }
   const std::size_t length = instruction_length(raw);
   if (length == 0) {
@@ -821,8 +817,19 @@ VmDispatcher::StepResult VmDispatcher::h_push(Agent& agent,
 }
 
 VmDispatcher::StepResult VmDispatcher::h_undefined(Agent& agent,
-                                                   const DecodedInsn& /*d*/,
+                                                   const DecodedInsn& d,
                                                    sim::SimTime& /*cost*/) {
+  // The dispatch epilogue counts this into the shared undefined slot; the
+  // per-byte record opcode_profile() reports is kept here.
+  auto& undefined = e_.undefined_profile_;
+  const auto seen = std::find_if(
+      undefined.begin(), undefined.end(),
+      [&](const auto& entry) { return entry.first == d.raw; });
+  if (seen != undefined.end()) {
+    seen->second++;
+  } else {
+    undefined.emplace_back(d.raw, 1);
+  }
   e_.die(agent, "undefined opcode");
   return StepResult::kGone;
 }

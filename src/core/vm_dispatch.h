@@ -88,7 +88,7 @@ struct DecodedInsn {
   OpClass cls = OpClass::kUndefined;
   std::uint8_t raw = 0;
   std::uint8_t length = 1;       ///< bytes consumed (1 for undefined)
-  std::uint8_t profile_key = 0;  ///< raw, with getvar/setvar folded to base
+  std::uint8_t profile_key = 0;  ///< opcode_index(raw): engine profile slot
   std::uint8_t slot = 0;         ///< heap slot for getvar/setvar
   std::array<std::uint8_t, 4> operand{};
   sim::SimTime precharge = 0;  ///< instruction_cost(raw, 0, false)

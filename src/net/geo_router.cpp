@@ -25,7 +25,7 @@ GeoRouter::GeoRouter(sim::Network& network, LinkLayer& link,
 }
 
 void GeoRouter::register_handler(sim::AmType inner_am, Handler handler) {
-  handlers_[inner_am] = std::move(handler);
+  handlers_.set(inner_am, std::move(handler));
 }
 
 std::optional<sim::NodeId> GeoRouter::max_min_next_hop(
@@ -108,10 +108,7 @@ void GeoRouter::forward(const GeoHeader& header,
   switch (decision.kind) {
     case Decision::Kind::kDeliverLocal: {
       stats_.delivered++;
-      const auto it = handlers_.find(header.inner_am);
-      if (it != handlers_.end() && it->second) {
-        it->second(header, inner);
-      }
+      handlers_.dispatch(header.inner_am, header, inner);
       return;
     }
     case Decision::Kind::kForward: {

@@ -12,8 +12,8 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 
+#include "net/am_table.h"
 #include "net/neighbor_table.h"
 #include "net/packet.h"
 
@@ -67,7 +67,8 @@ class GeoRouter {
   GeoRouter(const GeoRouter&) = delete;
   GeoRouter& operator=(const GeoRouter&) = delete;
 
-  /// Register the upcall for an inner AM type (kTsRequest / kTsReply).
+  /// Register the upcall for an inner AM type (kTsRequest / kTsReply),
+  /// replacing any earlier one. Not from inside a handler (asserted).
   void register_handler(sim::AmType inner_am, Handler handler);
 
   /// Originate a geographically-addressed datagram toward `dest`.
@@ -103,7 +104,7 @@ class GeoRouter {
   const NeighborTable& neighbors_;
   sim::Location self_;
   Options options_;
-  std::unordered_map<sim::AmType, Handler> handlers_;
+  AmTable<Handler> handlers_;
   Stats stats_;
 };
 

@@ -10,9 +10,7 @@ LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self)
     : LinkLayer(network, self, Options{}) {}
 
 LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self, Options options)
-    : network_(network), self_(self), options_(options) {
-  dedup_.reserve(options_.dedup_cache);
-}
+    : network_(network), self_(self), options_(options) {}
 
 void LinkLayer::attach() {
   network_.set_receiver(self_,
@@ -20,7 +18,7 @@ void LinkLayer::attach() {
 }
 
 void LinkLayer::register_handler(sim::AmType am, Handler handler) {
-  handlers_[am] = std::move(handler);
+  handlers_.set(am, std::move(handler));
 }
 
 std::vector<std::uint8_t> LinkLayer::frame_payload(
@@ -176,12 +174,8 @@ void LinkLayer::on_frame(const sim::Frame& frame) {
       piggyback_sink_(frame.src, piggyback);
     }
   }
-  const auto it = handlers_.find(frame.am);
-
   if (!header.wants_ack) {
-    if (it != handlers_.end() && it->second) {
-      it->second(frame.src, inner);
-    }
+    handlers_.dispatch(frame.am, frame.src, inner);
     return;
   }
 
@@ -195,9 +189,7 @@ void LinkLayer::on_frame(const sim::Frame& frame) {
     }
     return;
   }
-  const bool accepted =
-      (it != handlers_.end() && it->second) ? it->second(frame.src, inner)
-                                            : false;
+  const bool accepted = handlers_.dispatch(frame.am, frame.src, inner);
   if (accepted) {
     send_ack(frame.src, header.seq);
   }

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/am_table.h"
 #include "net/packet.h"
 #include "sim/network.h"
 
@@ -69,6 +70,8 @@ class LinkLayer {
   LinkLayer(const LinkLayer&) = delete;
   LinkLayer& operator=(const LinkLayer&) = delete;
 
+  /// Registers the upcall for `am`, replacing any earlier one. Not from
+  /// inside a handler (asserted): nodes register while they are built.
   void register_handler(sim::AmType am, Handler handler);
 
   /// Fire-and-forget send (no ack, no retransmission). `dst` may be
@@ -130,7 +133,7 @@ class LinkLayer {
     sim::SimTime seen_at = 0;
   };
 
-  std::unordered_map<sim::AmType, Handler> handlers_;
+  AmTable<Handler> handlers_;
   PreambleOracle preamble_oracle_;
   PiggybackProvider piggyback_provider_;
   PiggybackSink piggyback_sink_;

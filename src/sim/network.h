@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -41,6 +40,7 @@
 
 #include "energy/battery.h"
 #include "energy/energy_model.h"
+#include "sim/fifo.h"
 #include "sim/radio_model.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
@@ -211,7 +211,7 @@ class Network {
   struct NodeState {
     NodeInfo info;
     ReceiveHandler receiver;
-    std::deque<Frame> tx_queue;
+    Fifo<Frame> tx_queue;
     /// The frame currently on the air (shared with its per-receiver
     /// delivery events). Non-null == transmitting.
     std::shared_ptr<const Frame> in_flight;

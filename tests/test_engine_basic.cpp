@@ -2,6 +2,11 @@
 // Agents report results by `out`-ing tuples that the test inspects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <tuple>
+#include <vector>
+
 #include "agilla_test_helpers.h"
 #include "core/assembler.h"
 
@@ -330,6 +335,93 @@ TEST(EngineBasic, ExecutionTakesSimulatedTime) {
   s.mesh.sim.run_for(15 * sim::kMillisecond);
   EXPECT_EQ(s.node().engine().stats().agents_halted, 1u);
 }
+
+// ---------------------------------------------------------------------------
+// opcode_profile(): the data behind bench_fig12_local_ops. The expected maps
+// are literals, so any change to how the engine keys or charges its profile
+// (getvar/setvar folding, the blocked in/rd probe, truncated and undefined
+// bytes) shows up here under both dispatch modes.
+
+/// (raw opcode byte, count, total simulated cost), ascending by byte.
+using ProfileRow = std::tuple<int, std::uint64_t, sim::SimTime>;
+
+std::vector<ProfileRow> sorted_profile(const AgillaEngine& engine) {
+  std::vector<ProfileRow> rows;
+  for (const auto& [raw, entry] : engine.opcode_profile()) {
+    rows.emplace_back(raw, entry.count, entry.total_cost);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Injects every program in `agents` on a lone node, runs a second,
+/// applies `then` (if any) and runs another second.
+std::vector<ProfileRow> profile_after(
+    DispatchMode mode, const std::vector<std::vector<std::uint8_t>>& agents,
+    const std::function<void(AgillaMesh&)>& then = {}) {
+  MeshOptions options{.width = 1, .height = 1};
+  options.config.engine.dispatch = mode;
+  AgillaMesh mesh(options);
+  for (const auto& code : agents) {
+    EXPECT_TRUE(mesh.at(0).inject(code).has_value());
+  }
+  mesh.sim.run_for(1 * sim::kSecond);
+  if (then) {
+    then(mesh);
+    mesh.sim.run_for(1 * sim::kSecond);
+  }
+  return sorted_profile(mesh.at(0).engine());
+}
+
+class OpcodeProfilePin : public ::testing::TestWithParam<DispatchMode> {};
+
+TEST_P(OpcodeProfilePin, GetVarAndSetVarFoldOntoTheirBase) {
+  const auto rows = profile_after(
+      GetParam(), {assemble_or_die("pushc 9\nsetvar 7\ngetvar 7\nsetvar 3\n"
+                                   "getvar 3\ngetvar 3\nadd\nsetvar 11\n"
+                                   "halt")});
+  EXPECT_EQ(rows, (std::vector<ProfileRow>{{0x00, 1, 0},
+                                           {0x10, 1, 72},
+                                           {0x40, 3, 414},
+                                           {0x50, 3, 414},
+                                           {0x60, 1, 72}}));
+}
+
+TEST_P(OpcodeProfilePin, BlockedInProbesAreProfiled) {
+  // The first insertion does not match, so the woken agent re-probes and
+  // blocks again; the second one satisfies it.
+  const auto rows = profile_after(
+      GetParam(),
+      {assemble_or_die("pusht NUMBER\npushc 1\nin\npushc 1\nout\nhalt")},
+      [](AgillaMesh& mesh) {
+        mesh.at(0).tuple_space().out(ts::Tuple{ts::Value::string("no")});
+        mesh.sim.run_for(1 * sim::kSecond);
+        mesh.at(0).tuple_space().out(ts::Tuple{ts::Value::number(55)});
+      });
+  EXPECT_EQ(rows, (std::vector<ProfileRow>{{0x00, 1, 0},
+                                           {0x33, 1, 242},
+                                           {0x36, 3, 809},
+                                           {0x60, 2, 144},
+                                           {0x63, 1, 138}}));
+}
+
+TEST_P(OpcodeProfilePin, TruncatedPushclKeysOnItsOpcode) {
+  // pushc 1, then a pushcl with one of its two operand bytes.
+  const auto rows = profile_after(GetParam(), {{0x60, 0x01, 0x61, 0x02}});
+  EXPECT_EQ(rows, (std::vector<ProfileRow>{{0x60, 1, 72}, {0x61, 1, 0}}));
+}
+
+TEST_P(OpcodeProfilePin, UndefinedBytesKeepTheirRawKey) {
+  // 0x4c sits just past getvar's twelve slots; 0xff twice.
+  const auto rows = profile_after(
+      GetParam(), {{0x60, 0x05, 0xff}, {0xff}, {0x60, 0x01, 0x4c}});
+  EXPECT_EQ(rows, (std::vector<ProfileRow>{
+                      {0x4c, 1, 0}, {0x60, 2, 144}, {0xff, 2, 0}}));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDispatchModes, OpcodeProfilePin,
+                         ::testing::Values(DispatchMode::kSwitch,
+                                           DispatchMode::kThreaded));
 
 }  // namespace
 }  // namespace agilla::core

@@ -75,6 +75,37 @@ TEST(GeoRouter, DeliversAcrossMultipleHops) {
   EXPECT_EQ(mesh.routers[4]->stats().delivered, 1u);
 }
 
+TEST(GeoRouter, ReRegistrationReplacesTheHandler) {
+  RoutedMesh mesh(3, 1);
+  int first = 0;
+  int second = 0;
+  mesh.routers[2]->register_handler(
+      sim::AmType::kTsRequest,
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++first; });
+  mesh.routers[0]->send({3, 1}, 0.3, sim::AmType::kTsRequest, {1}, {1, 1});
+  mesh.sim.run_for(1 * sim::kSecond);
+  mesh.routers[2]->register_handler(
+      sim::AmType::kTsRequest,
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++second; });
+  mesh.routers[0]->send({3, 1}, 0.3, sim::AmType::kTsRequest, {2}, {1, 1});
+  mesh.sim.run_for(1 * sim::kSecond);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(GeoRouter, UnregisteredInnerAmReachesNoHandler) {
+  RoutedMesh mesh(3, 1);
+  int requests = 0;
+  mesh.routers[2]->register_handler(
+      sim::AmType::kTsRequest,
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++requests; });
+  mesh.routers[0]->send({3, 1}, 0.3, sim::AmType::kTsReply, {1}, {1, 1});
+  mesh.sim.run_for(1 * sim::kSecond);
+  EXPECT_EQ(requests, 0);
+  // Routing still counts the arrival; only the upcall is missing.
+  EXPECT_EQ(mesh.routers[2]->stats().delivered, 1u);
+}
+
 TEST(GeoRouter, RoutesAroundTwoDimensions) {
   RoutedMesh mesh(4, 4);
   int delivered = 0;

@@ -239,5 +239,52 @@ TEST(LinkLayer, DuplicateWithinWindowStillSuppressed) {
   EXPECT_GT(f.link_b->stats().duplicates_dropped, 0u);
 }
 
+TEST(LinkLayer, ReRegistrationReplacesTheHandler) {
+  LinkFixture f;
+  int first = 0;
+  int second = 0;
+  f.link_b->register_handler(
+      sim::AmType::kTsRequest,
+      [&](sim::NodeId, std::span<const std::uint8_t>) {
+        ++first;
+        return true;
+      });
+  f.link_a->send_unacked(f.b, sim::AmType::kTsRequest, {1});
+  f.sim.run();
+  f.link_b->register_handler(
+      sim::AmType::kTsRequest,
+      [&](sim::NodeId, std::span<const std::uint8_t>) {
+        ++second;
+        return true;
+      });
+  f.link_a->send_unacked(f.b, sim::AmType::kTsRequest, {2});
+  f.sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(LinkLayer, AckedFrameForUnregisteredAmIsNeitherDeliveredNorAcked) {
+  LinkFixture f;
+  int handled = 0;
+  f.link_b->register_handler(
+      sim::AmType::kAgentState,
+      [&](sim::NodeId, std::span<const std::uint8_t>) {
+        ++handled;
+        return true;
+      });
+  bool called = false;
+  bool delivered = true;
+  f.link_a->send_acked(f.b, sim::AmType::kAgentCode, {1}, [&](bool ok) {
+    called = true;
+    delivered = ok;
+  });
+  f.sim.run();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(f.link_b->stats().acks_sent, 0u);
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(f.link_a->stats().send_failures, 1u);
+}
+
 }  // namespace
 }  // namespace agilla::net

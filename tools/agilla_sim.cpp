@@ -28,10 +28,13 @@ using namespace agilla;
 
 namespace {
 
-// Rough per-mote host footprint (middleware + queues + streams), used
-// only to warn before very large meshes are attempted — the sharded
-// engine handles 100k-mote grids, but they need host RAM.
-constexpr double kApproxBytesPerMote = 12.0 * 1024.0;
+// Rough per-mote host footprint, used only to warn before very large
+// meshes are attempted — the sharded engine handles 100k-mote grids, but
+// they need host RAM. `bench_scale --grid 100 --grid 200` (battery + churn
+// mesh, no agents; x86-64 Release, glibc malloc) peaks at 6.7-6.8 KiB per
+// mote at 100x100 and 6.5-6.6 KiB at 200x200 over shards 1-8. Motes that
+// host agents add their decoded programs on top.
+constexpr double kApproxBytesPerMote = 7.0 * 1024.0;
 constexpr std::size_t kWarnGridMotes = 64 * 64;
 
 void print_usage() {
