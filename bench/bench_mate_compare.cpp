@@ -88,8 +88,8 @@ Outcome run_mate(std::uint64_t seed) {
   sim::SensorEnvironment environment;
   std::vector<std::unique_ptr<mate::MateNode>> nodes;
   for (const sim::NodeId id : grid.nodes) {
-    nodes.push_back(std::make_unique<mate::MateNode>(
-        network, id, &environment, mate::MateNode::Options{}));
+    nodes.push_back(
+        std::make_unique<mate::MateNode>(network, id, &environment));
     nodes.back()->start();
   }
   // Version 1 runs everywhere first (the incumbent application).

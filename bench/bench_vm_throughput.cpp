@@ -1,7 +1,7 @@
 // Host-side VM throughput (ROADMAP item 4): executed instructions per
 // wall-clock second on one isolated mote, for the reference switch
 // interpreter vs the pre-decoded threaded dispatch (core/vm_dispatch.h).
-// This measures the simulator's own speed — the simulated VmCostModel
+// This measures the simulator's own speed — the simulated VM cost
 // clock is identical in both modes (tests/test_dispatch_equivalence.cpp).
 //
 // Usage:

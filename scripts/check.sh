@@ -64,6 +64,27 @@ sed '/"vm_dispatch":/d' build/dispatch_threaded.json > build/dispatch_threaded_n
 cmp build/dispatch_switch_norm.json build/dispatch_threaded_norm.json
 echo "fire_tracking sweep byte-identical across dispatch modes"
 
+echo "== harness determinism (fire_tracking 8x8, threads 2 vs 1) =="
+./build/agilla_sim --trials 4 --grid 8x8 --threads 2 \
+  --out build/harness_t2.json > /dev/null
+./build/agilla_sim --trials 4 --grid 8x8 --threads 1 \
+  --out build/harness_t1.json > /dev/null
+cmp build/harness_t2.json build/harness_t1.json
+echo "harness sweep byte-identical across thread counts"
+
+echo "== energy determinism (network_lifetime 6x6, threads 8 vs 1) =="
+# Node deaths, battery draws and churn bookkeeping must not depend on the
+# worker count.
+energy_sweep() {  # $1 = threads, $2 = out file
+  ./build/agilla_sim --scenario network_lifetime --grid 6x6 --trials 2 \
+    --duration 80 --param battery_mj=1200 --threads "$1" \
+    --out "$2" > /dev/null
+}
+energy_sweep 8 build/energy_t8.json
+energy_sweep 1 build/energy_t1.json
+cmp build/energy_t8.json build/energy_t1.json
+echo "energy sweep byte-identical across thread counts"
+
 echo "== routing-sweep determinism (threads 1 vs 8) =="
 routing_sweep() {  # $1 = threads, $2 = out file
   ./build/agilla_sim --scenario report_collection --grid 4x4 --trials 2 \
@@ -90,6 +111,32 @@ sed '/"sim_shards":/d' build/shards_4.json > build/shards_4_norm.json
 cmp build/shards_1_norm.json build/shards_4_norm.json
 ./build/bench_scale --smoke > /dev/null
 echo "fire_tracking sweep byte-identical across shard counts"
+
+echo "== shards and threads compose (sim_shards=2, threads 8 vs 1) =="
+compose_sweep() {  # $1 = threads, $2 = out file
+  ./build/agilla_sim --scenario fire_tracking --grid 16x16 --trials 4 \
+    --duration 30 --threads "$1" --param sim_shards=2 --out "$2" > /dev/null
+}
+compose_sweep 8 build/shards2_t8.json
+compose_sweep 1 build/shards2_t1.json
+cmp build/shards2_t8.json build/shards2_t1.json
+echo "sharded sweep byte-identical across thread counts"
+
+echo "== numeric flag validation (exit 2 on a bad value) =="
+# A non-numeric or meaningless value must be rejected by name, not
+# silently read as 0.
+expect_usage_error() {  # $@ = command line
+  local status=0
+  "$@" > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || { echo "expected exit 2 from: $* (got $status)"; exit 1; }
+}
+expect_usage_error ./build/agilla_sim --seed abc --out build/bad_flag.json
+expect_usage_error ./build/agilla_loadgen --loopback --smoke --ops 5x \
+  --out build/bad_flag.json
+# The daemon would otherwise start serving; the timeout bounds that case.
+expect_usage_error timeout 10 ./build/agilla_gatewayd \
+  --listen 127.0.0.1:0 --queue-cap 12x
+echo "bad numeric flags exit 2 in agilla_sim, agilla_loadgen, agilla_gatewayd"
 
 echo "== agent toolchain: corpus round trip + conformance grade =="
 # Every corpus program must survive assemble -> disassemble -> reassemble

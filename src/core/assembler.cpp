@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -72,7 +73,7 @@ std::optional<double> parse_double(const std::string& token) {
   }
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) {
+  if (end != token.c_str() + token.size() || !std::isfinite(v)) {
     return std::nullopt;
   }
   return v;
@@ -802,7 +803,7 @@ AssemblyResult assemble(std::string_view source,
         const auto x = parse_double(line.operands[0]);
         const auto y = parse_double(line.operands[1]);
         if (!x.has_value() || !y.has_value()) {
-          fail("pushloc takes two numeric coordinates");
+          fail("pushloc takes two finite numeric coordinates");
           break;
         }
         emit.byte(static_cast<std::uint8_t>(op));

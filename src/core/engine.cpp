@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/vm_dispatch.h"
+#include "energy/energy_model.h"
 
 namespace agilla::core {
 namespace {
@@ -140,12 +141,6 @@ void AgillaEngine::block_agent(Agent& agent, AgentRunState state,
   emit_agent(sim::EventKind::kAgentBlock, agent.id(), reason);
 }
 
-void AgillaEngine::set_energy(energy::Battery* battery,
-                              energy::CpuEnergyModel cpu) {
-  battery_ = battery;
-  cpu_energy_ = cpu;
-}
-
 void AgillaEngine::kill_all_agents() {
   std::vector<AgentId> ids;
   ids.reserve(agents_.count());
@@ -161,8 +156,7 @@ void AgillaEngine::kill_all_agents() {
 
 void AgillaEngine::charge_cpu(sim::SimTime cost) {
   if (battery_ != nullptr && cost > 0) {
-    battery_->drain(energy::EnergyComponent::kCpu,
-                    cpu_energy_.mj_for(cost));
+    battery_->drain(energy::EnergyComponent::kCpu, energy::cpu_mj(cost));
   }
 }
 
@@ -204,7 +198,7 @@ void AgillaEngine::tick() {
                                        : tuple_space_.rdp(probe.templ);
       const auto probe_raw =
           static_cast<std::uint8_t>(probe.remove ? Opcode::kIn : Opcode::kRd);
-      const sim::SimTime probe_cost = options_.costs.instruction_cost(
+      const sim::SimTime probe_cost = instruction_cost(
           probe_raw, tuple_space_.store().last_op_bytes_touched(), true);
       OpcodeProfile& entry = profile_[opcode_index(probe_raw)];
       entry.count++;
@@ -235,7 +229,7 @@ void AgillaEngine::tick() {
         after != nullptr && after->run_state() == AgentRunState::kReady) {
       ready_.push_back(id);
     }
-    cost += options_.costs.context_switch_cost();
+    cost += kContextSwitchCost;
     drained++;
   }
   in_tick_ = false;

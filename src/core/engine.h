@@ -28,7 +28,6 @@
 #include "core/sensors.h"
 #include "core/vm_costs.h"
 #include "energy/battery.h"
-#include "energy/energy_model.h"
 #include "sim/fifo.h"
 #include "sim/simulator.h"
 
@@ -78,16 +77,17 @@ struct EngineStats {
 
 class AgillaEngine {
  public:
+  /// Instructions an agent runs before the round-robin switch (paper
+  /// default, as in Mate).
+  static constexpr std::size_t kInstructionsPerSlice = 4;
+
   struct Options {
-    std::size_t instructions_per_slice = 4;  ///< paper default (as in Mate)
-    VmCostModel costs;
-    double epsilon = 0.3;  ///< location-addressing tolerance
     /// Bytecode execution strategy; see DispatchMode.
     DispatchMode dispatch = DispatchMode::kThreaded;
     /// Ready-queue slices drained per engine wakeup. Batching amortizes
     /// the host-side event-queue overhead across slices; every slice still
     /// pays its full simulated cost (instructions + context switch), so
-    /// the VmCostModel ledger is unaffected. The clock advances once per
+    /// the VM cost ledger is unaffected. The clock advances once per
     /// batch, so timer timestamps can shift by microseconds relative to
     /// batch_slices = 1; outcomes are invariant (tested).
     std::size_t batch_slices = 8;
@@ -118,7 +118,7 @@ class AgillaEngine {
   /// Connects the node's battery so every simulated CPU microsecond the
   /// cost model charges also drains energy (and sense drains per sample).
   /// `battery` may be nullptr (mains-powered / energy disabled).
-  void set_energy(energy::Battery* battery, energy::CpuEnergyModel cpu);
+  void set_energy(energy::Battery* battery) { battery_ = battery; }
 
   /// Kills every agent on this node (node death / reboot): reactions are
   /// dropped, code blocks released, pending wakeups cancelled.
@@ -135,7 +135,6 @@ class AgillaEngine {
 
   [[nodiscard]] std::uint8_t leds() const { return leds_; }
   [[nodiscard]] AgentManager& agents() { return agents_; }
-  [[nodiscard]] const Options& options() const { return options_; }
 
   /// The decode/execute layer (engine-internal; include
   /// core/vm_dispatch.h to use it, e.g. to read template-cache stats).
@@ -175,7 +174,6 @@ class AgillaEngine {
   MigrationManager& migration_;
   RemoteTsManager& remote_ts_;
   energy::Battery* battery_ = nullptr;
-  energy::CpuEnergyModel cpu_energy_{};
   std::unique_ptr<VmDispatcher> dispatcher_;
 
   sim::Fifo<AgentId> ready_;

@@ -1,9 +1,11 @@
 #include "core/gateway.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "core/agent_library.h"
@@ -21,10 +23,25 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
+/// A finite number spanning the whole token (no nan, no inf).
 bool parse_number(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && !text.empty();
+  return end == text.c_str() + text.size() && !text.empty() &&
+         std::isfinite(*out);
+}
+
+/// A number whose truncation fits Int: the cast is undefined otherwise.
+template <typename Int>
+bool parse_integral(const std::string& text, Int* out) {
+  double v = 0;
+  if (!parse_number(text, &v) ||
+      !(v > std::numeric_limits<Int>::min() - 1.0 &&
+        v < std::numeric_limits<Int>::max() + 1.0)) {
+    return false;
+  }
+  *out = static_cast<Int>(v);
+  return true;
 }
 
 /// Parses one "kind:payload" field token into a value.
@@ -38,12 +55,12 @@ bool parse_field(const std::string& token, ts::Value* out,
   const std::string kind = token.substr(0, colon);
   const std::string payload = token.substr(colon + 1);
   if (kind == "num") {
-    double v = 0;
-    if (!parse_number(payload, &v)) {
-      *error = "bad number '" + payload + "'";
+    std::int16_t v = 0;
+    if (!parse_integral(payload, &v)) {
+      *error = "bad number '" + payload + "' (want int16)";
       return false;
     }
-    *out = ts::Value::number(static_cast<std::int16_t>(v));
+    *out = ts::Value::number(v);
     return true;
   }
   if (kind == "str") {
@@ -68,26 +85,26 @@ bool parse_field(const std::string& token, ts::Value* out,
     return true;
   }
   if (kind == "agent") {
-    double v = 0;
-    if (!parse_number(payload, &v)) {
-      *error = "bad agent id '" + payload + "'";
+    std::uint16_t v = 0;
+    if (!parse_integral(payload, &v)) {
+      *error = "bad agent id '" + payload + "' (want uint16)";
       return false;
     }
-    *out = ts::Value::agent_id(static_cast<std::uint16_t>(v));
+    *out = ts::Value::agent_id(v);
     return true;
   }
   if (kind == "reading") {
     const auto comma = payload.find(',');
-    double sensor = 0;
-    double v = 0;
+    std::uint8_t sensor = 0;
+    std::int16_t v = 0;
     if (comma == std::string::npos ||
-        !parse_number(payload.substr(0, comma), &sensor) ||
-        !parse_number(payload.substr(comma + 1), &v)) {
+        !parse_integral(payload.substr(0, comma), &sensor) ||
+        sensor >= sim::kNumSensorTypes ||
+        !parse_integral(payload.substr(comma + 1), &v)) {
       *error = "bad reading '" + payload + "' (want reading:sensor,value)";
       return false;
     }
-    *out = ts::Value::reading(static_cast<sim::SensorType>(sensor),
-                              static_cast<std::int16_t>(v));
+    *out = ts::Value::reading(static_cast<sim::SensorType>(sensor), v);
     return true;
   }
   *error = "unknown field kind '" + kind + "'";

@@ -25,8 +25,7 @@ AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
       network_.simulator(), *router_, tuple_space_, location_,
       config_.remote_ts);
   region_ops_ = std::make_unique<RegionOps>(network_, *link_, *router_,
-                                            tuple_space_, location_,
-                                            config_.region);
+                                            tuple_space_, location_);
   engine_ = std::make_unique<AgillaEngine>(
       network_.simulator(), self_, config_.engine, agents_, code_pool_,
       tuple_space_, *context_, sensors_, *migration_, *remote_ts_);
@@ -91,17 +90,15 @@ void AgillaMiddleware::start() {
   // mains-powered gateway — charging no-ops).
   if (const energy::EnergyOptions* energy = network_.energy_options();
       energy != nullptr) {
-    engine_->set_energy(network_.battery(self_), energy->cpu);
-    migration_->set_energy(network_.battery(self_),
-                           energy->cpu.migration_msg_mj);
+    engine_->set_energy(network_.battery(self_));
+    migration_->set_energy(network_.battery(self_));
     if (energy->duty.adaptive) {
       // Per-receiver preamble tracking: size each frame's preamble for
       // the destination's advertised check period instead of a global
       // constant (the sender's own schedule is the broadcast fallback).
-      link_->set_preamble_oracle(
-          [this, wake = energy->duty.wake_time](sim::NodeId dst) {
-            return neighbors_->preamble_extension_for(dst, wake);
-          });
+      link_->set_preamble_oracle([this](sim::NodeId dst) {
+        return neighbors_->preamble_extension_for(dst);
+      });
     }
   }
 }
@@ -147,15 +144,15 @@ MemoryBudget AgillaMiddleware::memory_budget() const {
                  " x " + std::to_string(per_agent) + ")",
              config_.agents.max_agents * per_agent);
   budget.add("acquaintance list (" +
-                 std::to_string(config_.neighbors.capacity) + " entries)",
-             config_.neighbors.capacity * kNeighborBytes);
+                 std::to_string(net::NeighborTable::kCapacity) + " entries)",
+             net::NeighborTable::kCapacity * kNeighborBytes);
   budget.add("link layer (dedup cache + pending)",
-             config_.link.dedup_cache * 4 + 64);
+             net::LinkLayer::kDedupCache * 4 + 64);
   budget.add("migration assembler buffer",
              kStateMessageBytes + config_.code_pool_blocks / 2 * 2 +
                  Agent::kStackDepth * kValueBytes / 2 + 128);
   budget.add("remote-op replay cache",
-             config_.remote_ts.replay_cache * 32);
+             RemoteTsManager::kReplayCache * 32);
   budget.add("radio tx/rx buffers (2 x 48 + queue)", 2 * 48 + 96);
   budget.add("engine (ready queue, timers, misc)", 96);
   // Energy subsystem state (src/energy/): the battery ledger (capacity +

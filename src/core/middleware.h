@@ -30,9 +30,8 @@ struct AgillaConfig {
   net::NeighborTable::Options neighbors{};
   net::GeoRouter::Options routing{};         ///< greedy-geo vs max-min residual
   MigrationManager::Options migration{};     ///< 0.25 s receiver abort
-  RemoteTsManager::Options remote_ts{};      ///< 2 s timeout, 2 retries
-  RegionOps::Options region{};               ///< Sec. 2.2 region extension
-  AgillaEngine::Options engine{};            ///< 4-instruction slices
+  RemoteTsManager::Options remote_ts{};      ///< 2 s reply timeout
+  AgillaEngine::Options engine{};            ///< dispatch mode, batching
 };
 
 class AgillaMiddleware {

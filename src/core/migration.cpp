@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "energy/energy_model.h"
+
 namespace agilla::core {
 namespace {
 
@@ -44,7 +46,7 @@ void MigrationManager::deliver(AgentImage image, bool reached_dest) {
 
 void MigrationManager::send(AgentImage image, HopCompletion done) {
   stats_.transfers_started++;
-  const auto decision = router_.decide(image.dest, options_.epsilon);
+  const auto decision = router_.decide(image.dest, sim::kAddressEpsilon);
   using Kind = net::GeoRouter::Decision::Kind;
   switch (decision.kind) {
     case Kind::kDeliverLocal: {
@@ -105,7 +107,7 @@ void MigrationManager::send_next(std::list<Outgoing>::iterator it) {
   const MigrationMessage& msg = transfer.messages[transfer.next];
   stats_.messages_sent++;
   if (battery_ != nullptr) {
-    battery_->drain(energy::EnergyComponent::kCpu, per_message_mj_);
+    battery_->drain(energy::EnergyComponent::kCpu, energy::kMigrationMsgMj);
   }
   link_.send_acked(
       transfer.hop, msg.am, msg.payload, [this, it](bool delivered) {
@@ -136,7 +138,7 @@ bool MigrationManager::on_message(sim::AmType am, sim::NodeId /*from*/,
     return false;
   }
   if (battery_ != nullptr) {
-    battery_->drain(energy::EnergyComponent::kCpu, per_message_mj_);
+    battery_->drain(energy::EnergyComponent::kCpu, energy::kMigrationMsgMj);
   }
 
   auto it = incoming_.find(agent_id);
@@ -189,7 +191,7 @@ void MigrationManager::finish_incoming(std::uint16_t agent_id) {
   AgentImage image = it->second.assembler.take();
   incoming_.erase(it);
 
-  if (within(self_, image.dest, options_.epsilon)) {
+  if (within(self_, image.dest, sim::kAddressEpsilon)) {
     deliver(std::move(image), true);
     return;
   }

@@ -25,7 +25,6 @@ class MigrationManager {
  public:
   struct Options {
     sim::SimTime receiver_abort = 250 * sim::kMillisecond;  ///< paper value
-    double epsilon = 0.3;  ///< location-addressing tolerance
   };
 
   struct Stats {
@@ -62,12 +61,9 @@ class MigrationManager {
   }
 
   /// Connects the node's battery: every migration message built or
-  /// accepted charges `per_message_mj` of CPU (serialization work) on top
-  /// of the radio energy the network layer already bills per frame.
-  void set_energy(energy::Battery* battery, double per_message_mj) {
-    battery_ = battery;
-    per_message_mj_ = per_message_mj;
-  }
+  /// accepted charges energy::kMigrationMsgMj of CPU (serialization work)
+  /// on top of the radio energy the network layer already bills per frame.
+  void set_energy(energy::Battery* battery) { battery_ = battery; }
 
   /// Starts moving `image` toward image.dest. `done` reports the first-hop
   /// outcome; pass nullptr for forwarded transfers.
@@ -114,7 +110,6 @@ class MigrationManager {
   sim::Location self_;
   Options options_;
   energy::Battery* battery_ = nullptr;
-  double per_message_mj_ = 0.0;
   ArrivalHandler arrival_;
   std::list<Outgoing> outgoing_;
   std::unordered_map<std::uint16_t, Incoming> incoming_;  // by agent id

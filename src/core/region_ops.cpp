@@ -18,17 +18,11 @@ std::uint64_t flood_key(sim::Location origin, std::uint16_t flood_id) {
 RegionOps::RegionOps(sim::Network& network, net::LinkLayer& link,
                      net::GeoRouter& router, ts::TupleSpace& space,
                      sim::Location self)
-    : RegionOps(network, link, router, space, self, Options{}) {}
-
-RegionOps::RegionOps(sim::Network& network, net::LinkLayer& link,
-                     net::GeoRouter& router, ts::TupleSpace& space,
-                     sim::Location self, Options options)
     : network_(network),
       link_(link),
       router_(router),
       space_(space),
-      self_(self),
-      options_(options) {
+      self_(self) {
   router_.register_handler(
       sim::AmType::kRegionOut,
       [this](const net::GeoHeader& h, std::span<const std::uint8_t> p) {
@@ -49,7 +43,7 @@ bool RegionOps::remember(std::uint64_t key) {
     }
   }
   seen_.push_back(key);
-  while (seen_.size() > options_.flood_dedup_cache) {
+  while (seen_.size() > kFloodDedupCache) {
     seen_.pop_front();
   }
   return true;
@@ -64,7 +58,7 @@ void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
   net::write_location(w, center);
   w.u8(net::encode_epsilon(radius));
   w.u8(static_cast<std::uint8_t>(mode));
-  w.u8(options_.flood_ttl);
+  w.u8(kFloodTtl);
   tuple.encode(w);
 
   // Widening the geo epsilon to the region radius makes "deliver to the

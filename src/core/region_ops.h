@@ -35,10 +35,10 @@ enum class RegionMode : std::uint8_t {
 
 class RegionOps {
  public:
-  struct Options {
-    std::size_t flood_dedup_cache = 16;
-    std::uint8_t flood_ttl = 8;  ///< bounds the in-region rebroadcast depth
-  };
+  /// Flood ids remembered for duplicate suppression.
+  static constexpr std::size_t kFloodDedupCache = 16;
+  /// Bounds the in-region rebroadcast depth.
+  static constexpr std::uint8_t kFloodTtl = 8;
 
   struct Stats {
     std::uint64_t originated = 0;
@@ -52,9 +52,6 @@ class RegionOps {
   RegionOps(sim::Network& network, net::LinkLayer& link,
             net::GeoRouter& router, ts::TupleSpace& space,
             sim::Location self);
-  RegionOps(sim::Network& network, net::LinkLayer& link,
-            net::GeoRouter& router, ts::TupleSpace& space,
-            sim::Location self, Options options);
 
   RegionOps(const RegionOps&) = delete;
   RegionOps& operator=(const RegionOps&) = delete;
@@ -81,7 +78,6 @@ class RegionOps {
   net::GeoRouter& router_;
   ts::TupleSpace& space_;
   sim::Location self_;
-  Options options_;
   sim::Fifo<std::uint64_t> seen_;
   std::uint16_t next_flood_id_ = 1;
   Stats stats_;

@@ -101,8 +101,8 @@ void RemoteTsManager::transmit(std::uint16_t request_id) {
   // inside send() — `p` must not be touched once send() returns.
   p.timer = sim_.schedule_in(options_.reply_timeout,
                              [this, request_id] { on_timeout(request_id); });
-  router_.send(p.dest, options_.epsilon, sim::AmType::kTsRequest, p.request,
-               self_);
+  router_.send(p.dest, sim::kAddressEpsilon, sim::AmType::kTsRequest,
+               p.request, self_);
 }
 
 void RemoteTsManager::on_timeout(std::uint16_t request_id) {
@@ -111,7 +111,7 @@ void RemoteTsManager::on_timeout(std::uint16_t request_id) {
     return;
   }
   Pending& p = it->second;
-  if (p.attempts <= options_.max_retries) {
+  if (p.attempts <= kMaxRetries) {
     p.attempts++;
     stats_.retransmissions++;
     transmit(request_id);
@@ -140,7 +140,7 @@ void RemoteTsManager::on_request(const net::GeoHeader& header,
   for (const CachedReply& cached : replay_) {
     if (cached.key == key) {
       stats_.duplicates_replayed++;
-      router_.send(header.origin, options_.epsilon, sim::AmType::kTsReply,
+      router_.send(header.origin, sim::kAddressEpsilon, sim::AmType::kTsReply,
                    cached.reply, self_);
       return;
     }
@@ -180,10 +180,10 @@ void RemoteTsManager::on_request(const net::GeoHeader& header,
   stats_.requests_served++;
   stats_.replies_sent++;
   replay_.push_back(CachedReply{key, reply.data()});
-  while (replay_.size() > options_.replay_cache) {
+  while (replay_.size() > kReplayCache) {
     replay_.pop_front();
   }
-  router_.send(header.origin, options_.epsilon, sim::AmType::kTsReply,
+  router_.send(header.origin, sim::kAddressEpsilon, sim::AmType::kTsReply,
                reply.take(), self_);
 }
 

@@ -34,11 +34,13 @@ enum class RemoteOp : std::uint8_t {
 
 class RemoteTsManager {
  public:
+  /// Retransmissions after the first request (paper value).
+  static constexpr int kMaxRetries = 2;
+  /// Replies the responder remembers for retransmitted requests.
+  static constexpr std::size_t kReplayCache = 8;
+
   struct Options {
     sim::SimTime reply_timeout = 2 * sim::kSecond;  ///< paper value
-    int max_retries = 2;                            ///< paper value
-    double epsilon = 0.3;
-    std::size_t replay_cache = 8;
   };
 
   struct Stats {

@@ -2,30 +2,30 @@
 
 namespace agilla::core {
 
-sim::SimTime VmCostModel::instruction_cost(std::uint8_t raw_opcode,
-                                           std::size_t bytes_touched,
-                                           bool blocking_wrapper) const {
+sim::SimTime instruction_cost(std::uint8_t raw_opcode,
+                              std::size_t bytes_touched,
+                              bool blocking_wrapper) {
   const OpcodeInfo* info = opcode_info(raw_opcode);
   if (info == nullptr) {
-    return to_time(simple_us);
+    return to_time(kSimpleUs);
   }
   double us = 0.0;
   switch (info->cost) {
     case CostClass::kSimple:
-      us = simple_us;
+      us = kSimpleUs;
       break;
     case CostClass::kMemory:
-      us = memory_us;
+      us = kMemoryUs;
       break;
     case CostClass::kTupleOp:
-      us = tuple_base_us + per_byte_us * static_cast<double>(bytes_touched);
+      us = kTupleBaseUs + kPerByteUs * static_cast<double>(bytes_touched);
       break;
     case CostClass::kLongRun:
-      us = long_run_us;
+      us = kLongRunUs;
       break;
   }
   if (blocking_wrapper) {
-    us += blocking_extra_us;
+    us += kBlockingExtraUs;
   }
   return to_time(us);
 }

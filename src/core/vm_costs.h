@@ -14,31 +14,33 @@
 
 namespace agilla::core {
 
-struct VmCostModel {
-  double simple_us = 72.0;
-  double memory_us = 138.0;
-  double tuple_base_us = 240.0;
-  double per_byte_us = 0.33;      ///< per byte scanned/moved by TS ops
-  double blocking_extra_us = 28.0;///< in/rd wrap inp/rdp (paper Sec. 4)
-  double long_run_us = 120.0;     ///< issue cost of sense/sleep/migration
-  double sense_latency_us = 210.0;///< simulated ADC acquisition
-  double context_switch_us = 9.0; ///< round-robin switch between slices
+// Simulated microseconds; the first three are the per-class bases
+// (calibration in DESIGN.md).
+inline constexpr double kSimpleUs = 72.0;
+inline constexpr double kMemoryUs = 138.0;
+inline constexpr double kTupleBaseUs = 240.0;
+/// Per byte scanned/moved by tuple-space ops.
+inline constexpr double kPerByteUs = 0.33;
+/// in/rd wrap inp/rdp (paper Sec. 4).
+inline constexpr double kBlockingExtraUs = 28.0;
+/// Issue cost of sense/sleep/migration.
+inline constexpr double kLongRunUs = 120.0;
+/// Simulated ADC acquisition.
+inline constexpr double kSenseLatencyUs = 210.0;
+/// Round-robin switch between slices.
+inline constexpr double kContextSwitchUs = 9.0;
 
-  /// Cost of one instruction; `bytes_touched` only matters for kTupleOp.
-  [[nodiscard]] sim::SimTime instruction_cost(std::uint8_t raw_opcode,
-                                              std::size_t bytes_touched,
-                                              bool blocking_wrapper) const;
+/// Rounds simulated microseconds to the SimTime tick (negatives are 0).
+[[nodiscard]] constexpr sim::SimTime to_time(double us) {
+  return us <= 0.0 ? 0 : static_cast<sim::SimTime>(us + 0.5);
+}
 
-  [[nodiscard]] sim::SimTime context_switch_cost() const {
-    return to_time(context_switch_us);
-  }
-  [[nodiscard]] sim::SimTime sense_cost() const {
-    return to_time(sense_latency_us);
-  }
+/// Cost of one instruction; `bytes_touched` only matters for kTupleOp.
+[[nodiscard]] sim::SimTime instruction_cost(std::uint8_t raw_opcode,
+                                            std::size_t bytes_touched,
+                                            bool blocking_wrapper);
 
-  [[nodiscard]] static sim::SimTime to_time(double us) {
-    return us <= 0.0 ? 0 : static_cast<sim::SimTime>(us + 0.5);
-  }
-};
+inline constexpr sim::SimTime kContextSwitchCost = to_time(kContextSwitchUs);
+inline constexpr sim::SimTime kSenseCost = to_time(kSenseLatencyUs);
 
 }  // namespace agilla::core

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/engine.h"
+#include "energy/energy_model.h"
 #include "net/packet.h"
 
 namespace agilla::core {
@@ -160,8 +161,7 @@ ts::Value make_push_value(Opcode op,
 
 DecodedInsn decode_insn(std::uint8_t raw,
                         const std::array<std::uint8_t, 4>& operand,
-                        std::size_t operands_available,
-                        const VmCostModel& costs) {
+                        std::size_t operands_available) {
   DecodedInsn d;
   d.raw = raw;
   d.profile_key = static_cast<std::uint8_t>(opcode_index(raw));
@@ -182,7 +182,7 @@ DecodedInsn decode_insn(std::uint8_t raw,
     return d;
   }
   d.cls = classify(raw);
-  d.precharge = costs.instruction_cost(raw, 0, false);
+  d.precharge = instruction_cost(raw, 0, false);
   if (d.cls == OpClass::kPush) {
     d.imm = make_push_value(static_cast<Opcode>(raw), operand);
   }
@@ -198,8 +198,7 @@ std::uint64_t hash_code_bytes(std::span<const std::uint8_t> code) {
   return h;
 }
 
-DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code,
-                               const VmCostModel& costs)
+DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code)
     : bytes_(code.begin(), code.end()), hash_(hash_code_bytes(code)) {
   insns_.reserve(bytes_.size());
   for (std::size_t pc = 0; pc < bytes_.size(); ++pc) {
@@ -209,7 +208,7 @@ DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code,
     for (std::size_t i = 0; i < available; ++i) {
       operand[i] = bytes_[pc + 1 + i];
     }
-    insns_.push_back(decode_insn(bytes_[pc], operand, available, costs));
+    insns_.push_back(decode_insn(bytes_[pc], operand, available));
   }
 }
 
@@ -234,7 +233,7 @@ std::shared_ptr<const DecodedProgram> VmDispatcher::on_code_stored(
     }
   }
   if (program == nullptr) {
-    program = std::make_shared<DecodedProgram>(code, e_.options_.costs);
+    program = std::make_shared<DecodedProgram>(code);
     chain.push_back(program);
     cache_stats_.programs_compiled++;
   }
@@ -310,7 +309,7 @@ bool VmDispatcher::fetch_decode(Agent& agent, DecodedInsn* out) {
     }
     ++operands_available;
   }
-  *out = decode_insn(raw, operand, operands_available, e_.options_.costs);
+  *out = decode_insn(raw, operand, operands_available);
   return true;
 }
 
@@ -324,7 +323,7 @@ void VmDispatcher::emit_insn(const Agent& agent, std::uint16_t pc,
 }
 
 void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
-  const std::size_t per_slice = e_.options_.instructions_per_slice;
+  const std::size_t per_slice = AgillaEngine::kInstructionsPerSlice;
   // Hoisted per slice: with nobody observing instructions this is the
   // only branch the instruction stream costs on the hot path.
   const bool trace = e_.sim_.observes(sim::EventKind::kInsn);
@@ -356,7 +355,7 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
 void VmDispatcher::run_slice_threaded(Agent& agent,
                                       const DecodedProgram& program,
                                       sim::SimTime& cost) {
-  const std::size_t per_slice = e_.options_.instructions_per_slice;
+  const std::size_t per_slice = AgillaEngine::kInstructionsPerSlice;
   // Hoisted per slice, exactly as in run_slice_switch.
   const bool trace = e_.sim_.observes(sim::EventKind::kInsn);
   std::size_t executed = 0;
@@ -491,10 +490,10 @@ VmDispatcher::StepResult VmDispatcher::h_sense(Agent& agent,
           ? designator.sensor()
           : static_cast<sim::SensorType>(designator.as_number());
   const auto reading = e_.sensors_.read(sensor, e_.sim_.now());
-  cost += e_.options_.costs.sense_cost();
+  cost += kSenseCost;
   if (e_.battery_ != nullptr) {
     e_.battery_->drain(energy::EnergyComponent::kSense,
-                       e_.cpu_energy_.sense_mj_per_sample);
+                       energy::kSenseMjPerSample);
   }
   if (reading.has_value()) {
     agent.set_condition(1);
@@ -891,7 +890,7 @@ AgentImage VmDispatcher::make_image(Agent& agent, MigrationOp op,
 VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
                                                      sim::SimTime& cost) {
   auto charge = [&](bool blocking) {
-    cost += e_.options_.costs.instruction_cost(
+    cost += instruction_cost(
         static_cast<std::uint8_t>(op),
         e_.tuple_space_.store().last_op_bytes_touched(), blocking);
   };
@@ -990,8 +989,7 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
       }
       const bool ok = e_.tuple_space_.register_reaction(std::move(reaction));
       agent.set_condition(ok ? 1 : 0);
-      cost += e_.options_.costs.instruction_cost(
-          static_cast<std::uint8_t>(op), 0, false);
+      cost += instruction_cost(static_cast<std::uint8_t>(op), 0, false);
       return StepResult::kContinue;
     }
     case Opcode::kDeregRxn: {
@@ -1006,8 +1004,7 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
       const bool ok =
           e_.tuple_space_.deregister_reaction(agent.id().value, templ);
       agent.set_condition(ok ? 1 : 0);
-      cost += e_.options_.costs.instruction_cost(
-          static_cast<std::uint8_t>(op), 0, false);
+      cost += instruction_cost(static_cast<std::uint8_t>(op), 0, false);
       return StepResult::kContinue;
     }
     default:
@@ -1044,7 +1041,7 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
   }
 
   // Destination is this node: moves are no-ops, clones fork locally.
-  if (within(e_.context_.location(), dest, e_.options_.epsilon)) {
+  if (within(e_.context_.location(), dest, sim::kAddressEpsilon)) {
     if (is_clone(mop)) {
       AgentImage image = make_image(agent, mop, dest);
       image.agent_id = e_.agents_.next_id().value;

@@ -100,8 +100,7 @@ struct DecodedInsn {
 /// opcode; fewer than the instruction needs yields OpClass::kTruncated.
 DecodedInsn decode_insn(std::uint8_t raw,
                         const std::array<std::uint8_t, 4>& operand,
-                        std::size_t operands_available,
-                        const VmCostModel& costs);
+                        std::size_t operands_available);
 
 /// FNV-1a over the code bytes: the template-cache key.
 [[nodiscard]] std::uint64_t hash_code_bytes(
@@ -113,8 +112,7 @@ DecodedInsn decode_insn(std::uint8_t raw,
 /// with ≤440-byte images, one DecodedInsn per offset is cheap.
 class DecodedProgram {
  public:
-  DecodedProgram(std::span<const std::uint8_t> code,
-                 const VmCostModel& costs);
+  explicit DecodedProgram(std::span<const std::uint8_t> code);
 
   [[nodiscard]] std::uint16_t size() const {
     return static_cast<std::uint16_t>(insns_.size());
@@ -174,7 +172,7 @@ class VmDispatcher {
   /// once no live handle references its template.
   void on_code_released(CodeHandle handle);
 
-  /// Runs one scheduler slice (up to instructions_per_slice instructions)
+  /// Runs one scheduler slice (up to kInstructionsPerSlice instructions)
   /// for a ready agent, accumulating simulated cost into `cost`.
   void run_slice(Agent& agent, sim::SimTime& cost);
 

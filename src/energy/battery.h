@@ -22,7 +22,7 @@ enum class EnergyComponent : std::uint8_t {
   kRadioTx = 0,    ///< frame transmissions (incl. LPL preamble, startup)
   kRadioRx = 1,    ///< frame receptions (decode time at the receiver)
   kRadioIdle = 2,  ///< idle listening / sleep baseline, via settle()
-  kCpu = 3,        ///< VM instruction execution (VmCostModel microseconds)
+  kCpu = 3,        ///< VM instruction execution (core/vm_costs.h microseconds)
   kSense = 4,      ///< ADC acquisitions issued by the sense instruction
 };
 

@@ -13,35 +13,34 @@ DutyCycler::DutyCycler(Options options) : options_(options) {
   }
 }
 
-sim::SimTime DutyCycler::period_for(sim::SimTime wake, double fraction) {
-  return static_cast<sim::SimTime>(static_cast<double>(wake) / fraction);
+sim::SimTime DutyCycler::period_for(double fraction) {
+  return static_cast<sim::SimTime>(static_cast<double>(kWakeTime) / fraction);
 }
 
 sim::SimTime DutyCycler::check_period() const {
   if (!enabled()) {
-    return options_.wake_time;
+    return kWakeTime;
   }
-  return period_for(options_.wake_time, fraction_);
+  return period_for(fraction_);
 }
 
 sim::SimTime DutyCycler::preamble_extension() const {
   if (!enabled()) {
     return 0;
   }
-  return check_period() - options_.wake_time;
+  return check_period() - kWakeTime;
 }
 
 std::uint8_t DutyCycler::period_units() const {
   const double units =
       std::round(static_cast<double>(check_period()) /
-                 static_cast<double>(options_.wake_time));
+                 static_cast<double>(kWakeTime));
   return static_cast<std::uint8_t>(std::clamp(units, 1.0, 255.0));
 }
 
 sim::SimTime DutyCycler::max_preamble_extension() const {
   if (options_.adaptive) {
-    return period_for(options_.wake_time, options_.min_fraction) -
-           options_.wake_time;
+    return period_for(options_.min_fraction) - kWakeTime;
   }
   return preamble_extension();
 }
@@ -54,7 +53,7 @@ bool DutyCycler::observe(std::uint32_t frames_heard,
   const bool congested =
       options_.tx_busy_depth > 0 && tx_pending >= options_.tx_busy_depth;
   const double before = fraction_;
-  if (frames_heard >= options_.busy_frames || congested) {
+  if (frames_heard >= kBusyFrames || congested) {
     fraction_ = std::min(fraction_ * 2.0, options_.max_fraction);
   } else if (frames_heard == 0) {
     fraction_ = std::max(fraction_ / 2.0, options_.min_fraction);

@@ -13,7 +13,7 @@
 // controller: each settle tick the node feeds observe() the number of
 // frames it heard, and the controller halves the listen fraction (doubles
 // the check period) after a silent tick and doubles it (halves the
-// period) when traffic exceeds `busy_frames`, clamped to
+// period) when a tick hears at least kBusyFrames frames, clamped to
 // [min_fraction, max_fraction]. The control law and its stability bound
 // are documented in DESIGN.md ("Routing & LPL").
 #pragma once
@@ -22,6 +22,13 @@
 
 namespace agilla::energy {
 
+/// Channel-sample duration per wakeup (B-MAC default scale); the check
+/// period is kWakeTime / listen fraction.
+inline constexpr sim::SimTime kWakeTime = 8 * sim::kMillisecond;
+/// Frames heard per settle tick at or above which the adaptive controller
+/// narrows the check period; a tick with zero frames widens it.
+inline constexpr std::uint32_t kBusyFrames = 4;
+
 class DutyCycler {
  public:
   struct Options {
@@ -29,15 +36,10 @@ class DutyCycler {
     /// (ignored as a disable switch when `adaptive` is set — it is then
     /// the controller's starting point, clamped into the bounds).
     double listen_fraction = 1.0;
-    /// Channel-sample duration per wakeup (B-MAC default scale).
-    sim::SimTime wake_time = 8 * sim::kMillisecond;
     /// Traffic-adaptive control (per node; bounds below).
     bool adaptive = false;
     double min_fraction = 0.02;  ///< duty floor when the channel is quiet
     double max_fraction = 0.5;   ///< duty ceiling under sustained load
-    /// Frames heard per settle tick at or above which the controller
-    /// narrows the check period; a tick with zero frames widens it.
-    std::uint32_t busy_frames = 4;
     /// Congestion coupling (`lpl_tx_busy` knob): a settle tick whose TX
     /// queue depth is at or above this counts as busy even if nothing
     /// was heard — a congested node keeps its radio duty up so its own
@@ -65,11 +67,11 @@ class DutyCycler {
     return enabled() ? fraction_ : 1.0;
   }
 
-  /// Interval between channel samples: wake_time / fraction.
+  /// Interval between channel samples: kWakeTime / fraction.
   [[nodiscard]] sim::SimTime check_period() const;
 
   /// Extra on-air time every frame pays for its long preamble
-  /// (check_period - wake_time); 0 when duty cycling is off.
+  /// (check_period - kWakeTime); 0 when duty cycling is off.
   [[nodiscard]] sim::SimTime preamble_extension() const;
 
   /// The check period quantized to wake-time units for the 1-byte beacon
@@ -87,11 +89,8 @@ class DutyCycler {
   /// the idle draw). No-op unless `adaptive`.
   bool observe(std::uint32_t frames_heard, std::uint32_t tx_pending = 0);
 
-  [[nodiscard]] const Options& options() const { return options_; }
-
  private:
-  [[nodiscard]] static sim::SimTime period_for(sim::SimTime wake,
-                                               double fraction);
+  [[nodiscard]] static sim::SimTime period_for(double fraction);
 
   Options options_;
   double fraction_ = 1.0;  ///< current listen fraction (moves if adaptive)

@@ -13,52 +13,51 @@
 
 namespace agilla::energy {
 
-/// Radio draw: per-frame TX/RX charges from on-air time, continuous
-/// listen/sleep draw for the idle baseline.
-struct RadioEnergyModel {
-  double tx_mw = 49.5;        ///< CC1000 TX at 0 dBm, 3 V
-  double rx_mw = 28.8;        ///< CC1000 RX / idle listen
-  double sleep_mw = 0.003;    ///< CC1000 power-down (~1 uA)
-  /// Per-frame TX fixed cost: preamble + sync + oscillator turnaround.
-  double tx_startup_mj = 0.1;
+// Radio draw: per-frame TX/RX charges from on-air time, continuous
+// listen/sleep draw for the idle baseline.
+inline constexpr double kRadioTxMw = 49.5;      ///< CC1000 TX at 0 dBm, 3 V
+inline constexpr double kRadioRxMw = 28.8;      ///< CC1000 RX / idle listen
+inline constexpr double kRadioSleepMw = 0.003;  ///< CC1000 power-down (~1 uA)
+/// Per-frame TX fixed cost: preamble + sync + oscillator turnaround.
+inline constexpr double kRadioTxStartupMj = 0.1;
 
-  /// Energy to transmit for `on_air` microseconds (data + LPL preamble).
-  [[nodiscard]] double tx_mj(sim::SimTime on_air) const {
-    return tx_startup_mj + tx_mw * static_cast<double>(on_air) / 1e6;
-  }
-  /// Energy to receive/decode a frame of `on_air` microseconds.
-  [[nodiscard]] double rx_mj(sim::SimTime on_air) const {
-    return rx_mw * static_cast<double>(on_air) / 1e6;
-  }
-  /// Continuous draw while awake a `listen_fraction` of the time (duty
-  /// cycling mixes listen and sleep power).
-  [[nodiscard]] double listen_mw(double listen_fraction) const {
-    return rx_mw * listen_fraction + sleep_mw * (1.0 - listen_fraction);
-  }
-};
+/// Energy to transmit for `on_air` microseconds (data + LPL preamble).
+[[nodiscard]] inline double radio_tx_mj(sim::SimTime on_air) {
+  return kRadioTxStartupMj + kRadioTxMw * static_cast<double>(on_air) / 1e6;
+}
+/// Energy to receive/decode a frame of `on_air` microseconds.
+[[nodiscard]] inline double radio_rx_mj(sim::SimTime on_air) {
+  return kRadioRxMw * static_cast<double>(on_air) / 1e6;
+}
+/// Continuous draw while awake a `listen_fraction` of the time (duty
+/// cycling mixes listen and sleep power).
+[[nodiscard]] inline double radio_listen_mw(double listen_fraction) {
+  return kRadioRxMw * listen_fraction +
+         kRadioSleepMw * (1.0 - listen_fraction);
+}
 
-/// The bridge from VmCostModel's simulated microseconds to millijoules,
-/// plus the fixed per-event CPU charges the VM issues.
-struct CpuEnergyModel {
-  double active_mw = 24.0;          ///< ATmega128L active at 8 MHz, 3 V
-  double sense_mj_per_sample = 0.02;  ///< ADC + sensor-board acquisition
-  /// Serialization/deserialization work per migration message.
-  double migration_msg_mj = 0.004;
+// The bridge from the VM cost model's simulated microseconds to
+// millijoules, plus the fixed per-event CPU charges the VM issues.
+inline constexpr double kCpuActiveMw = 24.0;  ///< ATmega128L at 8 MHz, 3 V
+inline constexpr double kSenseMjPerSample = 0.02;  ///< ADC + sensor board
+/// Serialization/deserialization work per migration message.
+inline constexpr double kMigrationMsgMj = 0.004;
 
-  /// Energy for `us` microseconds of active CPU (what the VM cost model
-  /// charged for a slice).
-  [[nodiscard]] double mj_for(sim::SimTime us) const {
-    return active_mw * static_cast<double>(us) / 1e6;
-  }
-};
+/// Energy for `us` microseconds of active CPU (what the VM cost model
+/// charged for a slice).
+[[nodiscard]] inline double cpu_mj(sim::SimTime us) {
+  return kCpuActiveMw * static_cast<double>(us) / 1e6;
+}
+
+/// Idle-draw settling + depletion-check cadence (also the adaptive LPL
+/// controller's observation tick).
+inline constexpr sim::SimTime kSettlePeriod = 1 * sim::kSecond;
 
 /// Everything sim::Network needs to run the energy subsystem.
 struct EnergyOptions {
   /// Battery capacity per node; <= 0 means no batteries (immortal nodes,
   /// but duty-cycle latency still applies if configured).
   double battery_mj = 0.0;
-  RadioEnergyModel radio{};
-  CpuEnergyModel cpu{};
   DutyCycler::Options duty{};
   /// Node 0 (the paper's base-station / gateway mote) is mains-powered:
   /// no battery, never churned. False puts the gateway on battery like
@@ -68,8 +67,6 @@ struct EnergyOptions {
   /// to filter it out by address — real radios pay for overheard traffic.
   /// Off by default (the paper model charges only connected receivers).
   bool overhearing = false;
-  /// Idle-draw settling + depletion-check cadence.
-  sim::SimTime settle_period = 1 * sim::kSecond;
 };
 
 }  // namespace agilla::energy

@@ -391,7 +391,6 @@ TrialMetrics run_rout(const TrialSpec& trial) {
 /// target, in the simulated microseconds the VM cost model charges.
 TrialMetrics run_store_ops(const TrialSpec& trial) {
   const int fillers = static_cast<int>(knob_param(trial, "fillers"));
-  const core::VmCostModel costs;
   const auto fill = [](ts::TupleStore& store, int n) {
     for (std::int16_t i = 0; i < n; ++i) {
       if (i % 2 == 0) {
@@ -418,7 +417,7 @@ TrialMetrics run_store_ops(const TrialSpec& trial) {
     metrics.set("rdp_bytes",
                 static_cast<double>(store->last_op_bytes_touched()));
     metrics.set("rdp_cost_us",
-                static_cast<double>(costs.instruction_cost(
+                static_cast<double>(core::instruction_cost(
                     static_cast<std::uint8_t>(core::Opcode::kRdp),
                     store->last_op_bytes_touched(), false)));
   }
@@ -435,7 +434,7 @@ TrialMetrics run_store_ops(const TrialSpec& trial) {
     metrics.set("inp_bytes",
                 static_cast<double>(store->last_op_bytes_touched()));
     metrics.set("inp_cost_us",
-                static_cast<double>(costs.instruction_cost(
+                static_cast<double>(core::instruction_cost(
                     static_cast<std::uint8_t>(core::Opcode::kInp),
                     store->last_op_bytes_touched(), false)));
   }

@@ -5,12 +5,11 @@
 namespace agilla::mate {
 
 MateNode::MateNode(sim::Network& network, sim::NodeId self,
-                   const sim::SensorEnvironment* environment, Options options)
+                   const sim::SensorEnvironment* environment)
     : network_(network),
       self_(self),
       environment_(environment),
-      options_(options),
-      link_(network, self, net::LinkLayer::Options{}) {
+      link_(network, self) {
   link_.register_handler(
       sim::AmType::kMateCapsule,
       [this](sim::NodeId from, std::span<const std::uint8_t> p) {
@@ -26,7 +25,7 @@ void MateNode::start() {
   running_ = true;
   link_.attach();
   const sim::SimTime offset =
-      network_.simulator().node_rng(self_).uniform(options_.clock_period);
+      network_.simulator().node_rng(self_).uniform(kClockPeriod);
   clock_ = network_.simulator().schedule_in(offset, self_,
                                             [this] { run_clock(); });
 }
@@ -78,7 +77,7 @@ void MateNode::run_clock() {
       stats_.vm_errors++;
     }
   }
-  clock_ = network_.simulator().schedule_in(options_.clock_period, self_,
+  clock_ = network_.simulator().schedule_in(kClockPeriod, self_,
                                             [this] { run_clock(); });
 }
 
@@ -107,7 +106,7 @@ void MateNode::on_capsule(sim::NodeId /*from*/,
     install(received);
     // Hearing brand-new code is worth reacting to promptly: Mate re-runs
     // the clock capsule (which contains forw) on its own schedule, so the
-    // viral spread is paced by clock_period.
+    // viral spread is paced by kClockPeriod.
   }
 }
 

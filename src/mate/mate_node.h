@@ -21,9 +21,8 @@ namespace agilla::mate {
 
 class MateNode {
  public:
-  struct Options {
-    sim::SimTime clock_period = 1 * sim::kSecond;  ///< clock capsule cadence
-  };
+  /// Clock capsule cadence.
+  static constexpr sim::SimTime kClockPeriod = 1 * sim::kSecond;
 
   struct Stats {
     std::uint64_t capsules_broadcast = 0;
@@ -33,7 +32,7 @@ class MateNode {
   };
 
   MateNode(sim::Network& network, sim::NodeId self,
-           const sim::SensorEnvironment* environment, Options options);
+           const sim::SensorEnvironment* environment);
 
   MateNode(const MateNode&) = delete;
   MateNode& operator=(const MateNode&) = delete;
@@ -58,7 +57,6 @@ class MateNode {
   sim::Network& network_;
   sim::NodeId self_;
   const sim::SensorEnvironment* environment_;
-  Options options_;
   net::LinkLayer link_;
   std::array<std::optional<Capsule>, kCapsuleTypes> capsules_;
   sim::EventHandle clock_;

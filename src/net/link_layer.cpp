@@ -114,7 +114,7 @@ bool* LinkLayer::find_duplicate(sim::NodeId from, std::uint8_t seq,
       std::find_if(dedup_.begin(), dedup_.end(),
                    [key](const DedupEntry& e) { return e.key == key; });
   if (it != dedup_.end()) {
-    if (now - it->seen_at <= options_.dedup_window) {
+    if (now - it->seen_at <= kDedupWindow) {
       it->seen_at = now;
       return &it->acked;
     }
@@ -122,7 +122,7 @@ bool* LinkLayer::find_duplicate(sim::NodeId from, std::uint8_t seq,
     *it = DedupEntry{key, acked, now};
     return nullptr;
   }
-  if (dedup_.size() < options_.dedup_cache) {
+  if (dedup_.size() < kDedupCache) {
     dedup_.push_back(DedupEntry{key, acked, now});
   } else if (!dedup_.empty()) {
     dedup_[dedup_next_] = DedupEntry{key, acked, now};

@@ -20,16 +20,18 @@ namespace agilla::net {
 
 class LinkLayer {
  public:
+  /// Remembered (src, seq) pairs.
+  static constexpr std::size_t kDedupCache = 16;
+  /// Entries older than this are ignored: duplicates only ever arrive
+  /// within the retransmission window (max_retries x ack_timeout), and
+  /// the 8-bit sequence number wraps, so a stale entry would otherwise
+  /// falsely suppress (and falsely re-ack) a NEW message that happens to
+  /// reuse the sequence value — silently losing it.
+  static constexpr sim::SimTime kDedupWindow = 3 * sim::kSecond;
+
   struct Options {
     sim::SimTime ack_timeout = 100 * sim::kMillisecond;
     int max_retries = 4;          ///< retransmissions after the first send
-    std::size_t dedup_cache = 16; ///< remembered (src, seq) pairs
-    /// Entries older than this are ignored: duplicates only ever arrive
-    /// within the retransmission window (max_retries x ack_timeout), and
-    /// the 8-bit sequence number wraps, so a stale entry would otherwise
-    /// falsely suppress (and falsely re-ack) a NEW message that happens to
-    /// reuse the sequence value — silently losing it.
-    sim::SimTime dedup_window = 3 * sim::kSecond;
   };
 
   struct Stats {

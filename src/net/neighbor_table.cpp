@@ -35,13 +35,13 @@ void NeighborTable::start() {
   // events must run in this node's shard.
   const sim::SimTime offset =
       network_.simulator().node_rng(link_.self()).uniform(
-          options_.beacon_period);
+          kBeaconPeriod);
   beacon_timer_ = network_.simulator().schedule_in(
       offset, link_.self(), [this] { send_beacon(); });
   if (suppressing()) {
     // Backed-off beacons check for expiry too rarely: sweep on the base
     // cadence so a silenced-then-dead neighbour is still evicted after
-    // `expiry_periods` of ITS advertised interval.
+    // kExpiryPeriods of ITS advertised interval.
     schedule_expiry_sweep();
   }
 }
@@ -62,7 +62,7 @@ void NeighborTable::stop() {
 
 void NeighborTable::schedule_expiry_sweep() {
   expiry_timer_ = network_.simulator().schedule_in(
-      options_.beacon_period, link_.self(), [this] {
+      kBeaconPeriod, link_.self(), [this] {
         if (!running_) {
           return;
         }
@@ -78,10 +78,10 @@ BeaconSelfState NeighborTable::advertised_state() const {
 sim::SimTime NeighborTable::interval_for_exp(std::uint32_t exp) const {
   // The exponent can arrive off the wire (0-255): clamp before shifting
   // (a shift >= 64 is UB, and anything past ~32 is already beyond every
-  // plausible max_beacon_period).
-  const sim::SimTime interval = options_.beacon_period
+  // plausible kMaxBeaconPeriod).
+  const sim::SimTime interval = kBeaconPeriod
                                 << std::min<std::uint32_t>(exp, 32);
-  return std::min(interval, options_.max_beacon_period);
+  return std::min(interval, kMaxBeaconPeriod);
 }
 
 sim::SimTime NeighborTable::current_beacon_interval() const {
@@ -101,7 +101,7 @@ void NeighborTable::send_beacon() {
         state.period_units != last_advertised_.period_units ||
         std::abs(static_cast<int>(state.residual) -
                  static_cast<int>(last_advertised_.residual)) >=
-            static_cast<int>(options_.residual_restep);
+            static_cast<int>(kResidualRestep);
     if (table_changed_ || material) {
       backoff_exp_ = 0;
     } else if (interval_for_exp(backoff_exp_ + 1) >
@@ -180,7 +180,7 @@ void NeighborTable::upsert(sim::NodeId id, const BeaconPayload& beacon) {
     return;
   }
   table_changed_ = true;
-  if (entries_.size() >= options_.capacity) {
+  if (entries_.size() >= kCapacity) {
     // Evict the stalest entry (mote memory is fixed; paper Sec. 3.2).
     auto stalest = std::min_element(
         entries_.begin(), entries_.end(),
@@ -209,9 +209,9 @@ void NeighborTable::expire() {
     // to at least the base period; the max() only defends entries built
     // outside that path.
     const sim::SimTime interval =
-        std::max(e.beacon_interval, options_.beacon_period);
+        std::max(e.beacon_interval, kBeaconPeriod);
     const sim::SimTime horizon =
-        static_cast<sim::SimTime>(options_.expiry_periods) * interval;
+        static_cast<sim::SimTime>(kExpiryPeriods) * interval;
     return now > e.last_heard && now - e.last_heard > horizon;
   });
   if (entries_.size() != before) {
@@ -261,9 +261,9 @@ std::optional<NeighborEntry> NeighborTable::closest_to(
 }
 
 std::optional<sim::SimTime> NeighborTable::preamble_extension_for(
-    sim::NodeId dst, sim::SimTime wake_time) const {
-  const auto extension_of = [wake_time](const NeighborEntry& e) {
-    return static_cast<sim::SimTime>(e.period_units - 1) * wake_time;
+    sim::NodeId dst) const {
+  const auto extension_of = [](const NeighborEntry& e) {
+    return static_cast<sim::SimTime>(e.period_units - 1) * energy::kWakeTime;
   };
   if (dst.is_broadcast()) {
     // A broadcast must outlast the slowest sampler in range.

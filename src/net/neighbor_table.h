@@ -8,7 +8,7 @@
 // and under `Options::suppression` the table implements the two
 // beacon-budget optimisations DESIGN.md's "Routing & LPL" chapter
 // documents:
-//  * exponential beacon backoff (base period -> max_beacon_period) while
+//  * exponential beacon backoff (kBeaconPeriod -> kMaxBeaconPeriod) while
 //    the acquaintance list and the advertised self-state are stable; any
 //    membership change or a material residual/period change resets the
 //    period to the base. The current backoff exponent is advertised in
@@ -62,21 +62,25 @@ enum class Suppression : std::int8_t {
 
 class NeighborTable {
  public:
+  /// Base beacon period (and the expiry-sweep cadence).
+  static constexpr sim::SimTime kBeaconPeriod = 1 * sim::kSecond;
+  /// Entries older than `kExpiryPeriods * (sender's advertised beacon
+  /// interval)` are evicted.
+  static constexpr std::uint32_t kExpiryPeriods = 3;
+  /// Acquaintance-list slots on the mote.
+  static constexpr std::size_t kCapacity = 16;
+  /// Ceiling of the exponential beacon backoff.
+  static constexpr sim::SimTime kMaxBeaconPeriod = 8 * sim::kSecond;
+  /// A residual drop of at least this many quantization steps (13/255
+  /// ~ 5 %) is "material": it resets the beacon backoff so routers learn
+  /// about draining relays promptly.
+  static constexpr std::uint8_t kResidualRestep = 13;
+
   struct Options {
-    sim::SimTime beacon_period = 1 * sim::kSecond;
-    /// Entries older than `expiry_periods * (sender's advertised beacon
-    /// interval)` are evicted.
-    std::uint32_t expiry_periods = 3;
-    std::size_t capacity = 16;  ///< acquaintance-list slots on the mote
     /// Beacon suppression: exponential backoff while stable + piggyback.
     /// Auto turns it on when LPL makes every beacon pay the preamble
     /// extension.
     Suppression suppression = Suppression::kAuto;
-    sim::SimTime max_beacon_period = 8 * sim::kSecond;
-    /// A residual drop of at least this many quantization steps (13/255
-    /// ~ 5 %) is "material": it resets the beacon backoff so routers
-    /// learn about draining relays promptly.
-    std::uint8_t residual_restep = 13;
   };
 
   using SelfStateFn = std::function<BeaconSelfState()>;
@@ -119,7 +123,7 @@ class NeighborTable {
   /// nullopt when nothing is known — the sender falls back to its own
   /// schedule.
   [[nodiscard]] std::optional<sim::SimTime> preamble_extension_for(
-      sim::NodeId dst, sim::SimTime wake_time) const;
+      sim::NodeId dst) const;
 
   /// The node's current beacon payload bytes (piggyback provider).
   [[nodiscard]] std::vector<std::uint8_t> make_piggyback() const;
@@ -140,8 +144,6 @@ class NeighborTable {
 
   /// The interval until this node's next beacon (base << backoff).
   [[nodiscard]] sim::SimTime current_beacon_interval() const;
-
-  [[nodiscard]] const Options& options() const { return options_; }
 
   /// Options::suppression with kAuto resolved against the network's LPL
   /// state.

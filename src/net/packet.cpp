@@ -6,6 +6,9 @@
 namespace agilla::net {
 
 std::int16_t encode_coordinate(double v) {
+  if (std::isnan(v)) {
+    return 0;  // std::clamp passes NaN through; the cast would be undefined
+  }
   const double scaled = std::round(v * 64.0);
   const double clamped = std::clamp(scaled, -32768.0, 32767.0);
   return static_cast<std::int16_t>(clamped);
@@ -27,6 +30,9 @@ sim::Location read_location(Reader& r) {
 }
 
 std::uint8_t encode_epsilon(double eps) {
+  if (std::isnan(eps)) {
+    return 0;
+  }
   const double scaled = std::round(std::clamp(eps, 0.0, 15.9) * 16.0);
   return static_cast<std::uint8_t>(scaled);
 }

@@ -78,7 +78,7 @@ struct AckPayload {
 struct BeaconPayload {
   sim::Location location;
   std::uint8_t residual = kResidualFull;  ///< encode_residual(remaining)
-  std::uint8_t period_units = 1;          ///< check period / wake_time
+  std::uint8_t period_units = 1;          ///< check period / kWakeTime
   std::uint8_t backoff_exp = 0;           ///< beacon period = base << exp
 
   /// Mains-powered or battery-less senders advertise a full battery.

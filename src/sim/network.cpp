@@ -23,20 +23,15 @@ std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
 
 }  // namespace
 
-SimTime RadioTiming::air_time(std::size_t payload_bytes) const {
-  return per_packet_overhead + serialization_time(payload_bytes);
-}
-
-SimTime RadioTiming::serialization_time(std::size_t payload_bytes) const {
+SimTime serialization_time(std::size_t payload_bytes) {
   const double bits =
-      static_cast<double>((payload_bytes + header_bytes) * 8);
-  const double seconds = bits / bit_rate_bps;
+      static_cast<double>((payload_bytes + kHeaderBytes) * 8);
+  const double seconds = bits / kBitRateBps;
   return static_cast<SimTime>(seconds * static_cast<double>(kSecond));
 }
 
-Network::Network(Simulator& sim, std::unique_ptr<RadioModel> radio,
-                 RadioTiming timing)
-    : sim_(sim), radio_(std::move(radio)), timing_(timing) {
+Network::Network(Simulator& sim, std::unique_ptr<RadioModel> radio)
+    : sim_(sim), radio_(std::move(radio)) {
   assert(radio_ != nullptr);
 }
 
@@ -61,8 +56,7 @@ void Network::set_radio_enabled(NodeId id, bool enabled) {
     // Pause/resume the idle-listen draw across the outage.
     node.battery->settle(sim_.now());
     node.battery->set_idle_draw_mw(
-        enabled ? energy_->options.radio.listen_mw(
-                      node.duty.listen_fraction())
+        enabled ? energy::radio_listen_mw(node.duty.listen_fraction())
                 : 0.0);
   }
   node.info.radio_enabled = enabled;
@@ -204,7 +198,7 @@ void Network::attach_energy(const energy::EnergyOptions& options) {
         std::make_unique<energy::Battery>(options.battery_mj, sim_.now());
     node.battery->set_idle_draw_mw(
         node.info.radio_enabled
-            ? options.radio.listen_mw(node.duty.listen_fraction())
+            ? energy::radio_listen_mw(node.duty.listen_fraction())
             : 0.0);
   }
   schedule_settle_tick();
@@ -236,7 +230,7 @@ void Network::schedule_settle_tick() {
   // The settle tick walks every node, so it stays a kernel-stream event:
   // it runs at an epoch barrier with all shards quiescent, in exact node
   // order, exactly as the serial loop ran it.
-  sim_.schedule_in(energy_->options.settle_period, [this] {
+  sim_.schedule_in(energy::kSettlePeriod, [this] {
     for (NodeState& node : nodes_) {
       // Adaptive LPL: fold this tick's traffic into the node's schedule
       // and re-base the idle draw when the listen fraction moved.
@@ -254,7 +248,7 @@ void Network::schedule_settle_tick() {
       }
       node.battery->settle(sim_.now());
       if (fraction_changed && node.info.radio_enabled) {
-        node.battery->set_idle_draw_mw(energy_->options.radio.listen_mw(
+        node.battery->set_idle_draw_mw(energy::radio_listen_mw(
             node.duty.listen_fraction()));
       }
       if (node.alive && node.battery->depleted()) {
@@ -420,13 +414,11 @@ void Network::try_start_tx(NodeState& node) {
       std::make_shared<const Frame>(std::move(node.tx_queue.front()));
   node.tx_queue.pop_front();
   const Frame& frame = *node.in_flight;
-  SimTime duration = timing_.air_time(frame.payload.size()) +
-                     preamble_for(node, frame);
-  if (timing_.max_jitter > 0) {
-    // MAC jitter from the sender's stream: every duration is therefore
-    // >= min_frame_latency(), the sharded engine's lookahead.
-    duration += sim_.node_rng(frame.src).uniform(timing_.max_jitter + 1);
-  }
+  // MAC jitter from the sender's stream: every duration is therefore
+  // >= min_frame_latency(), the sharded engine's lookahead.
+  const SimTime duration = air_time(frame.payload.size()) +
+                           preamble_for(node, frame) +
+                           sim_.node_rng(frame.src).uniform(kMaxJitter + 1);
   launch_frame(node, sim_.now() + duration);
 }
 
@@ -488,7 +480,7 @@ void Network::finish_tx(NodeId id) {
   NetworkStats& stats = stats_for(id);
   stats.frames_sent++;
   stats.sent_by_type[frame.am]++;
-  stats.bytes_on_air += frame.payload.size() + timing_.header_bytes;
+  stats.bytes_on_air += frame.payload.size() + kHeaderBytes;
   if (!frame.dst.is_broadcast()) {
     if (frame.dst.value >= nodes_.size() ||
         !radio_->connected(node.info, nodes_[frame.dst.value].info)) {
@@ -497,9 +489,8 @@ void Network::finish_tx(NodeId id) {
   }
   if (energy_) {
     charge(node, energy::EnergyComponent::kRadioTx,
-           energy_->options.radio.tx_mj(
-               timing_.serialization_time(frame.payload.size()) +
-               preamble_for(node, frame)));
+           energy::radio_tx_mj(serialization_time(frame.payload.size()) +
+                               preamble_for(node, frame)));
   }
   emit_frame(EventKind::kFrameTx, frame, id, false);
   node.in_flight.reset();
@@ -529,21 +520,21 @@ void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
     return;
   }
   const SimTime decode_time =
-      timing_.serialization_time(frame->payload.size());
+      serialization_time(frame->payload.size());
   if (role == RxRole::kOverhear) {
     charge(rx, energy::EnergyComponent::kRadioRx,
-           energy_->options.radio.rx_mj(decode_time));
+           energy::radio_rx_mj(decode_time));
     return;
   }
   rx.frames_heard++;  // traffic signal for the adaptive controller
   if (energy_) {
     charge(rx, energy::EnergyComponent::kRadioRx,
-           energy_->options.radio.rx_mj(decode_time));
+           energy::radio_rx_mj(decode_time));
   }
   // Loss draws from the receiver's stream: which frames a node loses is a
   // fact about that node's channel, invariant across shard layouts. Only
   // the sender's static location feeds the loss model.
-  const std::size_t on_air = frame->payload.size() + timing_.header_bytes;
+  const std::size_t on_air = frame->payload.size() + kHeaderBytes;
   const NodeInfo& sender_info = nodes_[frame->src.value].info;
   if (sim_.node_rng(rx_id).chance(
           radio_->loss_probability(sender_info, rx.info, on_air))) {

@@ -3,7 +3,7 @@
 //
 // Timing model (calibrated to the MICA2 CC1000 / TinyOS stack, see
 // DESIGN.md): a frame occupies the sender's radio for
-//     per_packet_overhead + on_air_bytes * 8 / bit_rate  (+ MAC jitter)
+//     kPerPacketOverhead + on_air_bytes * 8 / kBitRateBps  (+ MAC jitter)
 // after which it is delivered (or lost) at each receiver. A node transmits
 // one frame at a time; later sends queue behind it — this is what makes a
 // multi-message agent migration take several hundred milliseconds, exactly
@@ -59,22 +59,25 @@ struct Frame {
   std::optional<SimTime> preamble;
 };
 
-struct RadioTiming {
-  double bit_rate_bps = 38'400.0;        ///< CC1000 on MICA2
-  /// CC1000 preamble + TinyOS MAC backoff + task handoff. Calibrated so a
-  /// one-hop rout round trip lands near the paper's ~55 ms and a one-hop
-  /// strong migration (4 acked messages) near ~200 ms (see DESIGN.md).
-  SimTime per_packet_overhead = 18 * kMillisecond;
-  SimTime max_jitter = 3 * kMillisecond; ///< uniform extra backoff
-  std::size_t header_bytes = 7;          ///< TOS_Msg header + CRC
+// Radio timing.
+inline constexpr double kBitRateBps = 38'400.0;  ///< CC1000 on MICA2
+/// CC1000 preamble + TinyOS MAC backoff + task handoff. Calibrated so a
+/// one-hop rout round trip lands near the paper's ~55 ms and a one-hop
+/// strong migration (4 acked messages) near ~200 ms (see DESIGN.md).
+inline constexpr SimTime kPerPacketOverhead = 18 * kMillisecond;
+inline constexpr SimTime kMaxJitter = 3 * kMillisecond;  ///< uniform backoff
+inline constexpr std::size_t kHeaderBytes = 7;  ///< TOS_Msg header + CRC
 
-  [[nodiscard]] SimTime air_time(std::size_t payload_bytes) const;
+/// The serialization time alone (header + payload bits on the air),
+/// without the MAC overhead — what the radio actually spends powered in
+/// TX, and what receivers spend decoding. Energy charges use this.
+[[nodiscard]] SimTime serialization_time(std::size_t payload_bytes);
 
-  /// The serialization time alone (header + payload bits on the air),
-  /// without the MAC overhead — what the radio actually spends powered in
-  /// TX, and what receivers spend decoding. Energy charges use this.
-  [[nodiscard]] SimTime serialization_time(std::size_t payload_bytes) const;
-};
+/// MAC overhead plus serialization: a frame's air time before preamble
+/// and jitter.
+[[nodiscard]] inline SimTime air_time(std::size_t payload_bytes) {
+  return kPerPacketOverhead + serialization_time(payload_bytes);
+}
 
 struct NetworkStats {
   std::uint64_t frames_sent = 0;
@@ -102,8 +105,7 @@ class Network {
   using NodeDownHandler = std::function<void(NodeId, NodeDownReason)>;
   using NodeUpHandler = std::function<void(NodeId)>;
 
-  Network(Simulator& sim, std::unique_ptr<RadioModel> radio,
-          RadioTiming timing = {});
+  Network(Simulator& sim, std::unique_ptr<RadioModel> radio);
 
   /// Register a node at `loc`. Returns its dense id.
   NodeId add_node(Location loc);
@@ -135,9 +137,7 @@ class Network {
   /// The minimum virtual latency of any frame (MAC overhead plus an empty
   /// payload's serialization time, no preamble, no jitter): the sharded
   /// engine's lookahead window.
-  [[nodiscard]] SimTime min_frame_latency() const {
-    return timing_.air_time(0);
-  }
+  [[nodiscard]] static SimTime min_frame_latency() { return air_time(0); }
 
   // ------------------------------------------------------------- energy
   /// Creates per-node batteries (unless battery_mj <= 0) and starts
@@ -193,7 +193,6 @@ class Network {
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] const RadioModel& radio() const { return *radio_; }
-  [[nodiscard]] const RadioTiming& timing() const { return timing_; }
   [[nodiscard]] Simulator& simulator() { return sim_; }
 
   /// Ground-truth connectivity (what the channel permits), ascending by
@@ -274,7 +273,6 @@ class Network {
 
   Simulator& sim_;
   std::unique_ptr<RadioModel> radio_;
-  RadioTiming timing_;
   std::vector<NodeState> nodes_;
   std::optional<EnergyState> energy_;
   ChurnOptions churn_;

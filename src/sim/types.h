@@ -65,6 +65,12 @@ struct Location {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+/// The location-addressing tolerance every Agilla operation uses: the
+/// engine's local-destination test, migration's arrival test and the
+/// remote tuple-space routes. Under a grid unit, so an integer address
+/// names exactly one mote.
+inline constexpr double kAddressEpsilon = 0.3;
+
 /// True when `a` is within `epsilon` of `b` (paper: location addressing
 /// "allows an error epsilon when specifying the address").
 [[nodiscard]] inline bool within(const Location& a, const Location& b,

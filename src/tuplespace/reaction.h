@@ -30,9 +30,11 @@ struct Reaction {
 
 class ReactionRegistry {
  public:
+  /// Fixed ledger charge per registered reaction.
+  static constexpr std::size_t kBytesPerReaction = 40;
+
   struct Options {
     std::size_t capacity_bytes = 400;
-    std::size_t bytes_per_reaction = 40;  ///< fixed ledger charge per entry
   };
 
   ReactionRegistry();
@@ -64,7 +66,7 @@ class ReactionRegistry {
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const {
-    return options_.capacity_bytes / options_.bytes_per_reaction;
+    return options_.capacity_bytes / kBytesPerReaction;
   }
 
  private:

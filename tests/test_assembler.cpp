@@ -182,6 +182,18 @@ TEST(Assembler, UnknownJumpTargetRejected) {
   EXPECT_FALSE(assemble("rjump NOWHERE").ok());
 }
 
+TEST(Assembler, PushlocRejectsNonFiniteCoordinates) {
+  // NaN would reach the fixed-point cast in net::encode_coordinate.
+  for (const char* source :
+       {"pushloc nan 1", "pushloc 1 NaN", "pushloc inf 1", "pushloc 1 -inf",
+        "pushloc 1e999 1"}) {
+    const AssemblyResult r = assemble(source);
+    ASSERT_FALSE(r.ok()) << source;
+    EXPECT_NE(r.error_text().find("finite"), std::string::npos) << source;
+  }
+  EXPECT_TRUE(assemble("pushloc -511.5 511.5").ok());
+}
+
 TEST(Assembler, OperandCountValidated) {
   EXPECT_FALSE(assemble("pushc").ok());
   EXPECT_FALSE(assemble("pushc 1 2").ok());

@@ -77,14 +77,12 @@ TEST(DutyCycler, AlwaysOnHasNoPreamble) {
 }
 
 TEST(DutyCycler, PeriodScalesInverselyWithFraction) {
-  const DutyCycler lpl{DutyCycler::Options{
-      .listen_fraction = 0.1, .wake_time = 8 * sim::kMillisecond}};
+  const DutyCycler lpl{DutyCycler::Options{.listen_fraction = 0.1}};
   EXPECT_TRUE(lpl.enabled());
   EXPECT_EQ(lpl.check_period(), 80 * sim::kMillisecond);
   EXPECT_EQ(lpl.preamble_extension(), 72 * sim::kMillisecond);
   // Halving the fraction doubles the check period (and the preamble).
-  const DutyCycler lpl2{DutyCycler::Options{
-      .listen_fraction = 0.05, .wake_time = 8 * sim::kMillisecond}};
+  const DutyCycler lpl2{DutyCycler::Options{.listen_fraction = 0.05}};
   EXPECT_EQ(lpl2.check_period(), 160 * sim::kMillisecond);
 }
 
@@ -92,8 +90,7 @@ TEST(DutyCycler, AdaptiveObserveWidensWhenQuietNarrowsUnderLoad) {
   DutyCycler lpl{DutyCycler::Options{.listen_fraction = 0.1,
                                      .adaptive = true,
                                      .min_fraction = 0.02,
-                                     .max_fraction = 0.4,
-                                     .busy_frames = 4}};
+                                     .max_fraction = 0.4}};
   const sim::SimTime initial = lpl.check_period();
   // A silent tick halves the listen fraction (doubles the period)...
   EXPECT_TRUE(lpl.observe(0));
@@ -101,7 +98,7 @@ TEST(DutyCycler, AdaptiveObserveWidensWhenQuietNarrowsUnderLoad) {
   // ...moderate traffic holds steady...
   EXPECT_FALSE(lpl.observe(2));
   EXPECT_EQ(lpl.check_period(), 2 * initial);
-  // ...and load at busy_frames snaps it back.
+  // ...and load at kBusyFrames snaps it back.
   EXPECT_TRUE(lpl.observe(4));
   EXPECT_EQ(lpl.check_period(), initial);
 }
@@ -131,7 +128,6 @@ TEST(DutyCycler, CongestedTxQueueCountsAsBusy) {
                                      .adaptive = true,
                                      .min_fraction = 0.02,
                                      .max_fraction = 0.4,
-                                     .busy_frames = 4,
                                      .tx_busy_depth = 3}};
   const sim::SimTime initial = lpl.check_period();
   // A silent tick with a congested TX queue NARROWS the period (the
@@ -146,8 +142,7 @@ TEST(DutyCycler, CongestedTxQueueCountsAsBusy) {
   DutyCycler uncoupled{DutyCycler::Options{.listen_fraction = 0.1,
                                            .adaptive = true,
                                            .min_fraction = 0.02,
-                                           .max_fraction = 0.4,
-                                           .busy_frames = 4}};
+                                           .max_fraction = 0.4}};
   const sim::SimTime start = uncoupled.check_period();
   EXPECT_TRUE(uncoupled.observe(0, /*tx_pending=*/100));
   EXPECT_EQ(uncoupled.check_period(), 2 * start);
@@ -161,8 +156,7 @@ TEST(DutyCycler, PropertyConvergedPeriodMonotoneInOfferedLoad) {
     DutyCycler lpl{DutyCycler::Options{.listen_fraction = 0.1,
                                        .adaptive = true,
                                        .min_fraction = 0.02,
-                                       .max_fraction = 0.5,
-                                       .busy_frames = 4}};
+                                       .max_fraction = 0.5}};
     for (int tick = 0; tick < 64; ++tick) {
       lpl.observe(frames_per_tick);
     }
@@ -184,11 +178,11 @@ TEST(DutyCycler, PropertyConvergedPeriodMonotoneInOfferedLoad) {
 }
 
 TEST(RadioEnergyModel, DutyCycledListenDrawInterpolates) {
-  const energy::RadioEnergyModel radio;
-  EXPECT_DOUBLE_EQ(radio.listen_mw(1.0), radio.rx_mw);
-  EXPECT_DOUBLE_EQ(radio.listen_mw(0.0), radio.sleep_mw);
-  EXPECT_LT(radio.listen_mw(0.1), radio.rx_mw * 0.2);
-  EXPECT_GT(radio.tx_mj(10 * sim::kMillisecond), radio.tx_startup_mj);
+  EXPECT_DOUBLE_EQ(energy::radio_listen_mw(1.0), energy::kRadioRxMw);
+  EXPECT_DOUBLE_EQ(energy::radio_listen_mw(0.0), energy::kRadioSleepMw);
+  EXPECT_LT(energy::radio_listen_mw(0.1), energy::kRadioRxMw * 0.2);
+  EXPECT_GT(energy::radio_tx_mj(10 * sim::kMillisecond),
+            energy::kRadioTxStartupMj);
 }
 
 // ------------------------------------------- integration: conservation
@@ -520,7 +514,7 @@ TEST(AdaptiveLpl, SendersTrackTheReceiversAdvertisedPeriod) {
       mesh.network().node_duty(mesh.topology().nodes[1]);
   EXPECT_DOUBLE_EQ(receiver_duty.listen_fraction(), 0.02);
   const auto advertised = mesh.mote(0).neighbors().preamble_extension_for(
-      mesh.topology().nodes[1], receiver_duty.options().wake_time);
+      mesh.topology().nodes[1]);
   ASSERT_TRUE(advertised.has_value());
   EXPECT_EQ(*advertised, receiver_duty.preamble_extension());
 }

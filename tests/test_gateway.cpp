@@ -95,13 +95,55 @@ TEST(Gateway, InjectAsmCannotReadHostFiles) {
 
 TEST(Gateway, InjectRejectsMalformedCoordinates) {
   ConsoleFixture f;
+  // Non-finite coordinates would reach net::encode_coordinate as NaN.
   for (const char* command :
        {"inject agent firedetector abc 2", "inject at 3x 1 asm halt",
-        "rout abc 1 num:1"}) {
+        "rout abc 1 num:1", "rout nan 1 num:1", "rrdp 1 inf ?num",
+        "inject at nan 1 asm halt", "inject agent firedetector 1 nan"}) {
     EXPECT_EQ(f.console.execute(command), "error: bad destination")
         << command;
   }
   EXPECT_EQ(f.mesh.at(0).agents().count(), 0u);
+}
+
+TEST(Gateway, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // Each value would reach an undefined float-to-integer cast: NaN through
+  // the coordinate/epsilon encoders, the rest through the field casts.
+  ConsoleFixture f;
+  const std::pair<const char*, const char*> cases[] = {
+      {"region 1 1 inf all num:1", "error: bad region geometry"},
+      {"region nan 1 1 any num:1", "error: bad region geometry"},
+      {"rout 2 1 num:70000", "error: bad number '70000' (want int16)"},
+      {"rout 2 1 num:-32769", "error: bad number '-32769' (want int16)"},
+      {"rout 2 1 num:nan", "error: bad number 'nan' (want int16)"},
+      {"rout 2 1 agent:-1", "error: bad agent id '-1' (want uint16)"},
+      {"rout 2 1 agent:65536", "error: bad agent id '65536' (want uint16)"},
+      {"rout 2 1 reading:0,40000",
+       "error: bad reading '0,40000' (want reading:sensor,value)"},
+      {"rout 2 1 reading:9,1",
+       "error: bad reading '9,1' (want reading:sensor,value)"},
+  };
+  for (const auto& [command, expected] : cases) {
+    EXPECT_EQ(f.console.execute(command), expected) << command;
+  }
+  const std::string asm_nan = f.console.execute("inject asm pushloc nan 1");
+  EXPECT_EQ(asm_nan.rfind("error", 0), 0u) << asm_nan;
+  EXPECT_EQ(f.mesh.at(0).agents().count(), 0u);
+
+  // The edges of each range still parse, truncating toward zero.
+  ts::Tuple tuple;
+  std::string error;
+  ASSERT_TRUE(GatewayConsole::parse_tuple(
+      {"x", "num:32767.9", "num:-32768", "agent:65535", "agent:-0.5",
+       "reading:4,-7.5"},
+      1, &tuple, &error))
+      << error;
+  EXPECT_EQ(tuple.field(0).as_number(), 32767);
+  EXPECT_EQ(tuple.field(1).as_number(), -32768);
+  EXPECT_EQ(tuple.field(2), ts::Value::agent_id(65535));
+  EXPECT_EQ(tuple.field(3), ts::Value::agent_id(0));
+  EXPECT_EQ(tuple.field(4),
+            ts::Value::reading(sim::SensorType::kAccelerometer, -7));
 }
 
 TEST(Gateway, RemoteInjectAt) {

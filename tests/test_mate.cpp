@@ -22,8 +22,7 @@ struct MateMesh {
                      sim::GridNeighborRadio::Options{.spacing = 1.0})) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
-      nodes.push_back(std::make_unique<MateNode>(
-          net, id, &env, MateNode::Options{}));
+      nodes.push_back(std::make_unique<MateNode>(net, id, &env));
       nodes.back()->start();
     }
   }

@@ -21,8 +21,8 @@ TEST(Middleware, DefaultsMatchPaper) {
   EXPECT_EQ(config.link.max_retries, 4);
   EXPECT_EQ(config.migration.receiver_abort, 250 * sim::kMillisecond);
   EXPECT_EQ(config.remote_ts.reply_timeout, 2 * sim::kSecond);
-  EXPECT_EQ(config.remote_ts.max_retries, 2);
-  EXPECT_EQ(config.engine.instructions_per_slice, 4u);
+  EXPECT_EQ(RemoteTsManager::kMaxRetries, 2);
+  EXPECT_EQ(AgillaEngine::kInstructionsPerSlice, 4u);
 }
 
 TEST(Middleware, LocationComesFromNetwork) {

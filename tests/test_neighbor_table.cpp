@@ -118,16 +118,17 @@ TEST(NeighborTable, CapacityEvictsStalest) {
   sim::Network net(sim, std::make_unique<sim::PerfectRadio>());
   const sim::NodeId id = net.add_node({0, 0});
   LinkLayer link(net, id);
-  NeighborTable table(net, link, {0, 0},
-                      NeighborTable::Options{.capacity = 2});
-  table.insert(sim::NodeId{1}, {1, 0});
-  sim.run_for(1);
-  table.insert(sim::NodeId{2}, {2, 0});
-  sim.run_for(1);
-  table.insert(sim::NodeId{3}, {3, 0});  // evicts node 1 (stalest)
-  EXPECT_EQ(table.size(), 2u);
+  NeighborTable table(net, link, {0, 0});
+  // Fill every slot, one tick apart, so node 1 is the stalest entry.
+  constexpr auto kFull = static_cast<std::uint32_t>(NeighborTable::kCapacity);
+  for (std::uint32_t i = 1; i <= kFull; ++i) {
+    table.insert(sim::NodeId{i}, {static_cast<double>(i), 0});
+    sim.run_for(1);
+  }
+  table.insert(sim::NodeId{kFull + 1}, {kFull + 1.0, 0});  // evicts node 1
+  EXPECT_EQ(table.size(), NeighborTable::kCapacity);
   EXPECT_FALSE(table.by_id(sim::NodeId{1}).has_value());
-  EXPECT_TRUE(table.by_id(sim::NodeId{3}).has_value());
+  EXPECT_TRUE(table.by_id(sim::NodeId{kFull + 1}).has_value());
 }
 
 TEST(NeighborTable, BeaconCarriesEnergyStateToListeners) {
@@ -143,15 +144,12 @@ TEST(NeighborTable, BeaconCarriesEnergyStateToListeners) {
   EXPECT_EQ(entry->period_units, 10);
   EXPECT_NEAR(entry->residual_frac(), 0.5, 0.01);
   // The sender sizes a unicast preamble from the advertised period.
-  const auto ext = mesh.tables[0]->preamble_extension_for(
-      mesh.topo.nodes[1], 8 * sim::kMillisecond);
+  const auto ext = mesh.tables[0]->preamble_extension_for(mesh.topo.nodes[1]);
   ASSERT_TRUE(ext.has_value());
   EXPECT_EQ(*ext, 9 * 8 * sim::kMillisecond);
   // An unknown destination falls back to the sender's own schedule.
-  EXPECT_FALSE(mesh.tables[0]
-                   ->preamble_extension_for(sim::NodeId{77},
-                                            8 * sim::kMillisecond)
-                   .has_value());
+  EXPECT_FALSE(
+      mesh.tables[0]->preamble_extension_for(sim::NodeId{77}).has_value());
 }
 
 TEST(NeighborTable, SuppressionBacksBeaconsOffWhileStable) {

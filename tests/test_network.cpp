@@ -14,25 +14,20 @@ struct NetFixture {
   Simulator sim{1234};
   Network net;
 
-  explicit NetFixture(double loss = 0.0, RadioTiming timing = RadioTiming())
-      : net(sim,
-            std::make_unique<GridNeighborRadio>(
-                GridNeighborRadio::Options{.spacing = 1.0,
-                                           .packet_loss = loss}),
-            timing) {}
+  explicit NetFixture(double loss = 0.0)
+      : net(sim, std::make_unique<GridNeighborRadio>(GridNeighborRadio::Options{
+                     .spacing = 1.0, .packet_loss = loss})) {}
 };
 
 TEST(RadioTiming, AirTimeMatchesBitrate) {
-  RadioTiming timing;
   // 36-byte payload + 7-byte header = 43 bytes = 344 bits at 38.4 kbps
   // ~= 8958 us, plus the per-packet MAC overhead.
-  const SimTime t = timing.air_time(36);
-  EXPECT_EQ(t, timing.per_packet_overhead + 8958);
+  const SimTime t = air_time(36);
+  EXPECT_EQ(t, kPerPacketOverhead + 8958);
 }
 
 TEST(RadioTiming, LargerFramesTakeLonger) {
-  RadioTiming timing;
-  EXPECT_LT(timing.air_time(4), timing.air_time(40));
+  EXPECT_LT(air_time(4), air_time(40));
 }
 
 TEST(Network, UnicastDeliversToNeighbor) {
@@ -57,7 +52,7 @@ TEST(Network, DeliveryTakesAirTime) {
   f.net.set_receiver(b, [&](const Frame&) { arrival = f.sim.now(); });
   f.net.send(Frame{a, b, AmType::kBeacon, {0}});
   f.sim.run();
-  EXPECT_GE(arrival, f.net.timing().air_time(1));
+  EXPECT_GE(arrival, air_time(1));
 }
 
 TEST(Network, NonNeighborUnreachable) {
@@ -99,8 +94,7 @@ TEST(Network, TransmissionsSerializePerNode) {
   f.sim.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // The second frame waits for the first to finish transmitting.
-  EXPECT_GE(arrivals[1] - arrivals[0], f.net.timing().air_time(1) -
-                                           f.net.timing().max_jitter);
+  EXPECT_GE(arrivals[1] - arrivals[0], air_time(1) - kMaxJitter);
 }
 
 TEST(Network, LossyChannelDropsRoughlyAtConfiguredRate) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace agilla::net {
 namespace {
 
@@ -30,6 +32,16 @@ TEST(Location, WireRoundTrip) {
   const sim::Location loc = read_location(r);
   EXPECT_DOUBLE_EQ(loc.x, 3.0);
   EXPECT_DOUBLE_EQ(loc.y, 4.5);
+}
+
+TEST(Coordinate, EncodersAreTotalOverNonFiniteInput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(encode_coordinate(nan), 0);
+  EXPECT_EQ(encode_coordinate(inf), 32767);
+  EXPECT_EQ(encode_coordinate(-inf), -32768);
+  EXPECT_EQ(encode_epsilon(nan), 0);
+  EXPECT_EQ(encode_epsilon(inf), encode_epsilon(15.9));
 }
 
 TEST(Epsilon, RoundTripsSixteenths) {

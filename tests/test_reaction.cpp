@@ -174,9 +174,7 @@ TEST(ReactionRegistry, CapacityRejectionAcrossMixedArities) {
 }
 
 TEST(ReactionRegistry, CustomBudget) {
-  ReactionRegistry reg(
-      ReactionRegistry::Options{.capacity_bytes = 80,
-                                .bytes_per_reaction = 40});
+  ReactionRegistry reg(ReactionRegistry::Options{.capacity_bytes = 80});
   EXPECT_EQ(reg.capacity(), 2u);
   EXPECT_TRUE(reg.add(make(1, 1, 0)));
   EXPECT_TRUE(reg.add(make(1, 2, 0)));

@@ -23,6 +23,8 @@
 #include "svc/gateway_service.h"
 #include "svc/tcp_transport.h"
 
+#include "cli_args.h"
+
 using namespace agilla;
 
 namespace {
@@ -87,11 +89,11 @@ int main(int argc, char** argv) {
       }
       builder.grid(width, height);
     } else if (arg == "--seed") {
-      const char* value = next();
-      if (value == nullptr) {
+      const auto seed = tools::parse_u64(next());
+      if (!seed) {
         return fail("--seed expects a number");
       }
-      builder.seed(std::strtoull(value, nullptr, 10));
+      builder.seed(*seed);
     } else if (arg == "--listen") {
       const char* value = next();
       if (value == nullptr) {
@@ -103,10 +105,11 @@ int main(int argc, char** argv) {
         return fail("--listen expects HOST:PORT");
       }
       listen_host = spec.substr(0, colon);
-      listen_port = std::atoi(spec.c_str() + colon + 1);
-      if (listen_port < 0 || listen_port > 65535) {
-        return fail("--listen port out of range");
+      const auto port = tools::parse_u64(spec.substr(colon + 1));
+      if (!port || *port > 65535) {
+        return fail("--listen port must be a number in [0, 65535]");
       }
+      listen_port = static_cast<int>(*port);
     } else if (arg == "--port-file") {
       const char* value = next();
       if (value == nullptr) {
@@ -120,31 +123,33 @@ int main(int argc, char** argv) {
       }
       metrics_file = value;
     } else if (arg == "--max-sessions") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail("--max-sessions expects a number");
+      const auto sessions = tools::parse_u64(next());
+      if (!sessions || *sessions == 0) {
+        return fail("--max-sessions expects a positive number");
       }
-      service_options.max_sessions = std::strtoull(value, nullptr, 10);
+      service_options.max_sessions = *sessions;
     } else if (arg == "--queue-cap") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail("--queue-cap expects a number");
+      const auto cap = tools::parse_u64(next());
+      if (!cap || *cap == 0) {
+        return fail("--queue-cap expects a positive number");
       }
-      service_options.queue_cap = std::strtoull(value, nullptr, 10);
+      service_options.queue_cap = *cap;
     } else if (arg == "--slice-ms") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail("--slice-ms expects a number");
+      const auto ms = tools::parse_u64(next());
+      if (!ms || *ms == 0) {
+        return fail("--slice-ms expects a positive number");
       }
-      slice = std::strtoull(value, nullptr, 10) * sim::kMillisecond;
+      slice = *ms * sim::kMillisecond;
     } else if (arg == "--param") {
       const char* value = next();
       const char* eq = value == nullptr ? nullptr : std::strchr(value, '=');
-      if (eq == nullptr) {
-        return fail("--param expects NAME=VALUE");
+      const auto number =
+          eq == nullptr ? std::nullopt : tools::parse_finite(eq + 1);
+      if (!number) {
+        return fail("--param expects NAME=VALUE with a numeric VALUE");
       }
       try {
-        builder.set(std::string(value, eq), std::atof(eq + 1));
+        builder.set(std::string(value, eq), *number);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "agilla_gatewayd: %s\n", e.what());
         return 2;

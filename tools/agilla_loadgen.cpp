@@ -47,6 +47,8 @@
 #include "svc/transport.h"
 #include "svc/wire.h"
 
+#include "cli_args.h"
+
 using namespace agilla;
 namespace wire = agilla::svc::wire;
 
@@ -202,8 +204,9 @@ Op make_op(std::size_t i, std::size_t j, std::size_t w, std::size_t h) {
   if (j == 0 && i % 16 == 0) {
     return Op{wire::MsgType::kSubscribe, "tuple", false, false};
   }
-  const std::size_t x = (i + j) % w;
-  const std::size_t y = (i * 3 + j) % h;
+  // The grid's origin is (1,1): destinations span x in [1,w], y in [1,h].
+  const std::size_t x = (i + j) % w + 1;
+  const std::size_t y = (i * 3 + j) % h + 1;
   const std::string dest =
       std::to_string(x) + " " + std::to_string(y);
   switch ((i + j) % 6) {
@@ -497,18 +500,18 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     } else if (arg == "--clients") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail_usage("--clients expects a number");
+      const auto n = tools::parse_u64(next());
+      if (!n || *n == 0) {
+        return fail_usage("--clients expects a positive number");
       }
-      clients_n = std::strtoull(value, nullptr, 10);
+      clients_n = *n;
       clients_set = true;
     } else if (arg == "--ops") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail_usage("--ops expects a number");
+      const auto n = tools::parse_u64(next());
+      if (!n || *n == 0) {
+        return fail_usage("--ops expects a positive number");
       }
-      ops = std::strtoull(value, nullptr, 10);
+      ops = *n;
       ops_set = true;
     } else if (arg == "--loopback") {
       connect_spec.clear();
@@ -526,23 +529,23 @@ int main(int argc, char** argv) {
         return fail_usage("--grid expects WxH");
       }
     } else if (arg == "--seed") {
-      const char* value = next();
-      if (value == nullptr) {
+      const auto n = tools::parse_u64(next());
+      if (!n) {
         return fail_usage("--seed expects a number");
       }
-      seed = std::strtoull(value, nullptr, 10);
+      seed = *n;
     } else if (arg == "--queue-cap") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail_usage("--queue-cap expects a number");
+      const auto n = tools::parse_u64(next());
+      if (!n || *n == 0) {
+        return fail_usage("--queue-cap expects a positive number");
       }
-      queue_cap = std::strtoull(value, nullptr, 10);
+      queue_cap = *n;
     } else if (arg == "--slice-ms") {
-      const char* value = next();
-      if (value == nullptr) {
-        return fail_usage("--slice-ms expects a number");
+      const auto n = tools::parse_u64(next());
+      if (!n || *n == 0) {
+        return fail_usage("--slice-ms expects a positive number");
       }
-      slice = std::strtoull(value, nullptr, 10) * sim::kMillisecond;
+      slice = *n * sim::kMillisecond;
     } else if (arg == "--out") {
       const char* value = next();
       if (value == nullptr) {
@@ -564,10 +567,6 @@ int main(int argc, char** argv) {
       ops = 8;
     }
   }
-  if (clients_n == 0 || ops == 0) {
-    return fail_usage("--clients and --ops must be positive");
-  }
-
   const bool loopback = connect_spec.empty();
   std::string tcp_host;
   std::uint16_t tcp_port = 0;
@@ -577,8 +576,11 @@ int main(int argc, char** argv) {
       return fail_usage("--connect expects HOST:PORT");
     }
     tcp_host = connect_spec.substr(0, colon);
-    tcp_port = static_cast<std::uint16_t>(
-        std::atoi(connect_spec.c_str() + colon + 1));
+    const auto port = tools::parse_u64(connect_spec.substr(colon + 1));
+    if (!port || *port == 0 || *port > 65535) {
+      return fail_usage("--connect port must be a number in [1, 65535]");
+    }
+    tcp_port = static_cast<std::uint16_t>(*port);
   }
 
   // Loopback world: deployment + service + transport, all in-process.

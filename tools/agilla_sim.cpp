@@ -17,12 +17,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "api/knob_registry.h"
 #include "harness/runner.h"
+
+#include "cli_args.h"
 
 using namespace agilla;
 
@@ -103,25 +106,12 @@ void print_knob_lines() {
   }
 }
 
-std::optional<double> parse_double(std::string_view s) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(s), &used);
-    if (used != s.size()) {
-      return std::nullopt;
-    }
-    return v;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
 std::vector<double> parse_double_list(std::string_view s, bool& ok) {
   std::vector<double> values;
   while (!s.empty()) {
     const std::size_t comma = s.find(',');
     const std::string_view item = s.substr(0, comma);
-    const auto v = parse_double(item);
+    const auto v = tools::parse_finite(item);
     if (!v) {
       ok = false;
       return values;
@@ -220,18 +210,21 @@ int main(int argc, char** argv) {
       }
       spec.grids.push_back(*grid);
     } else if (arg == "--trials") {
-      spec.trials = std::atoi(std::string(value).c_str());
-      if (spec.trials <= 0) {
+      const auto trials = tools::parse_u64(value);
+      if (!trials || *trials == 0 ||
+          *trials > static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
         return fail("bad --trials: " + std::string(value));
       }
+      spec.trials = static_cast<int>(*trials);
     } else if (arg == "--loss") {
-      const auto loss = parse_double(value);
+      const auto loss = tools::parse_finite(value);
       if (!loss || *loss < 0.0 || *loss >= 1.0) {
         return fail("bad --loss (want [0,1)): " + std::string(value));
       }
       spec.loss_rates.push_back(*loss);
     } else if (arg == "--per-byte-loss") {
-      const auto loss = parse_double(value);
+      const auto loss = tools::parse_finite(value);
       if (!loss || *loss < 0.0) {
         return fail("bad --per-byte-loss: " + std::string(value));
       }
@@ -266,7 +259,7 @@ int main(int argc, char** argv) {
       const std::size_t eq = value.find('=');
       std::optional<double> v;
       if (eq != std::string_view::npos && eq > 0) {
-        v = parse_double(value.substr(eq + 1));
+        v = tools::parse_finite(value.substr(eq + 1));
       }
       if (!v) {
         return fail("bad --param (want name=value): " +
@@ -274,17 +267,24 @@ int main(int argc, char** argv) {
       }
       spec.params[std::string(value.substr(0, eq))] = *v;
     } else if (arg == "--seed") {
-      spec.base_seed =
-          std::strtoull(std::string(value).c_str(), nullptr, 10);
+      const auto seed = tools::parse_u64(value);
+      if (!seed) {
+        return fail("bad --seed: " + std::string(value));
+      }
+      spec.base_seed = *seed;
     } else if (arg == "--duration") {
-      const auto seconds = parse_double(value);
+      const auto seconds = tools::parse_finite(value);
       if (!seconds || *seconds <= 0.0) {
         return fail("bad --duration: " + std::string(value));
       }
       spec.duration = static_cast<sim::SimTime>(*seconds * 1e6);
     } else if (arg == "--threads") {
-      runner.threads =
-          static_cast<unsigned>(std::atoi(std::string(value).c_str()));
+      // 0 is meaningful here: one worker per hardware thread.
+      const auto threads = tools::parse_u64(value);
+      if (!threads || *threads > std::numeric_limits<unsigned>::max()) {
+        return fail("bad --threads: " + std::string(value));
+      }
+      runner.threads = static_cast<unsigned>(*threads);
     } else if (arg == "--name") {
       name_override = value;
     } else if (arg == "--out") {
