@@ -141,7 +141,7 @@ echo "bad numeric flags exit 2 in agilla_sim, agilla_loadgen, agilla_gatewayd"
 echo "== agent toolchain: corpus round trip + conformance grade =="
 # Every corpus program must survive assemble -> disassemble -> reassemble
 # byte-identically, and the grader must reproduce every .expect dump.
-./build/agilla_as --check tests/agents/*.aga
+./build/agilla_as --check tests/agents/*.aga bench/suite/agents/*.aga
 ./build/agilla_grade tests/agents
 # The xfail program's deliberately wrong .expect must make the grader
 # exit non-zero (with a diff on stdout) when the inversion is disabled:

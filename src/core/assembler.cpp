@@ -11,7 +11,7 @@
 #include <set>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "net/packet.h"
 #include "sim/environment.h"
@@ -38,30 +38,25 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
-std::optional<long> parse_int(const std::string& token) {
-  if (token.empty()) {
-    return std::nullopt;
+/// One optional leading '-', then decimal digits or 0x + hex digits.
+std::optional<long> parse_int(std::string_view token) {
+  const bool negative = token.starts_with('-');
+  if (negative) {
+    token.remove_prefix(1);
   }
   int base = 10;
-  std::size_t start = 0;
-  bool negative = false;
-  if (token[0] == '-') {
-    negative = true;
-    start = 1;
-  }
-  std::string_view body(token);
-  body.remove_prefix(start);
-  if (body.starts_with("0x") || body.starts_with("0X")) {
+  if (token.starts_with("0x") || token.starts_with("0X")) {
     base = 16;
-    body.remove_prefix(2);
+    token.remove_prefix(2);
   }
-  if (body.empty()) {
+  // from_chars would take a second sign itself.
+  if (token.empty() || token.front() == '-') {
     return std::nullopt;
   }
   long value = 0;
   const auto [ptr, ec] =
-      std::from_chars(body.data(), body.data() + body.size(), value, base);
-  if (ec != std::errc{} || ptr != body.data() + body.size()) {
+      std::from_chars(token.data(), token.data() + token.size(), value, base);
+  if (ec != std::errc{} || ptr != token.data() + token.size()) {
     return std::nullopt;
   }
   return negative ? -value : value;
@@ -79,43 +74,56 @@ std::optional<double> parse_double(const std::string& token) {
   return v;
 }
 
-std::optional<std::uint8_t> sensor_constant(const std::string& token) {
-  static const std::unordered_map<std::string, sim::SensorType> kSensors = {
-      {"TEMPERATURE", sim::SensorType::kTemperature},
-      {"TEMP", sim::SensorType::kTemperature},
-      {"PHOTO", sim::SensorType::kPhoto},
-      {"LIGHT", sim::SensorType::kPhoto},
-      {"MIC", sim::SensorType::kMicrophone},
-      {"MICROPHONE", sim::SensorType::kMicrophone},
-      {"SOUND", sim::SensorType::kMicrophone},
-      {"MAGNETOMETER", sim::SensorType::kMagnetometer},
-      {"MAG", sim::SensorType::kMagnetometer},
-      {"ACCEL", sim::SensorType::kAccelerometer},
-      {"ACCELEROMETER", sim::SensorType::kAccelerometer},
-  };
-  const auto it = kSensors.find(to_upper(token));
-  if (it == kSensors.end()) {
-    return std::nullopt;
+// Operand names, each table read in both directions: every spelling
+// parses (case-insensitively), and a value prints as its first spelling.
+constexpr std::pair<const char*, sim::SensorType> kSensorNames[] = {
+    {"TEMPERATURE", sim::SensorType::kTemperature},
+    {"TEMP", sim::SensorType::kTemperature},
+    {"PHOTO", sim::SensorType::kPhoto},
+    {"LIGHT", sim::SensorType::kPhoto},
+    {"MIC", sim::SensorType::kMicrophone},
+    {"MICROPHONE", sim::SensorType::kMicrophone},
+    {"SOUND", sim::SensorType::kMicrophone},
+    {"MAGNETOMETER", sim::SensorType::kMagnetometer},
+    {"MAG", sim::SensorType::kMagnetometer},
+    {"ACCEL", sim::SensorType::kAccelerometer},
+    {"ACCELEROMETER", sim::SensorType::kAccelerometer},
+};
+
+/// Field types a pusht wildcard can name (kInvalid and kTypeWildcard have
+/// no spelling).
+constexpr std::pair<const char*, ts::ValueType> kFieldTypeNames[] = {
+    {"NUMBER", ts::ValueType::kNumber},
+    {"VALUE", ts::ValueType::kNumber},
+    {"INT", ts::ValueType::kNumber},
+    {"STRING", ts::ValueType::kString},
+    {"LOCATION", ts::ValueType::kLocation},
+    {"READING", ts::ValueType::kReading},
+    {"AGENTID", ts::ValueType::kAgentId},
+    {"READINGTYPE", ts::ValueType::kReadingType},
+};
+
+template <typename Names>
+std::optional<std::uint8_t> named_value(const Names& names,
+                                        std::string_view token) {
+  const std::string upper = to_upper(token);
+  for (const auto& [name, value] : names) {
+    if (upper == name) {
+      return static_cast<std::uint8_t>(value);
+    }
   }
-  return static_cast<std::uint8_t>(it->second);
+  return std::nullopt;
 }
 
-std::optional<std::uint8_t> field_type_constant(const std::string& token) {
-  static const std::unordered_map<std::string, ts::ValueType> kTypes = {
-      {"NUMBER", ts::ValueType::kNumber},
-      {"VALUE", ts::ValueType::kNumber},
-      {"INT", ts::ValueType::kNumber},
-      {"STRING", ts::ValueType::kString},
-      {"LOCATION", ts::ValueType::kLocation},
-      {"READING", ts::ValueType::kReading},
-      {"AGENTID", ts::ValueType::kAgentId},
-      {"READINGTYPE", ts::ValueType::kReadingType},
-  };
-  const auto it = kTypes.find(to_upper(token));
-  if (it == kTypes.end()) {
-    return std::nullopt;
+/// The first spelling of `value`; nullptr when it has none.
+template <typename Names>
+const char* value_name(const Names& names, std::uint8_t value) {
+  for (const auto& [name, v] : names) {
+    if (static_cast<std::uint8_t>(v) == value) {
+      return name;
+    }
   }
-  return static_cast<std::uint8_t>(it->second);
+  return nullptr;
 }
 
 void strip_comment(std::string& line) {
@@ -475,11 +483,11 @@ class Expander {
         pushes.push_back({"loc"});
         continue;
       }
-      if (field_type_constant(text).has_value()) {
+      if (named_value(kFieldTypeNames, text).has_value()) {
         pushes.push_back({"pusht", text});
         continue;
       }
-      if (sensor_constant(text).has_value()) {
+      if (named_value(kSensorNames, text).has_value()) {
         pushes.push_back({"pushrt", text});
         continue;
       }
@@ -522,8 +530,8 @@ class Expander {
 // Pass 1 sizing / pass 2 emission
 // --------------------------------------------------------------------------
 
-/// getvar/setvar embed the heap slot in the opcode; .byte is one byte per
-/// operand; everything else takes instruction_length() of its base opcode.
+/// .byte is one byte per operand; an instruction takes instruction_length()
+/// of its (base) opcode.
 std::optional<std::size_t> line_size(const ParsedLine& line,
                                      std::string* error) {
   if (line.mnemonic == ".byte") {
@@ -537,9 +545,6 @@ std::optional<std::size_t> line_size(const ParsedLine& line,
   if (!op.has_value()) {
     *error = "unknown instruction '" + line.mnemonic + "'";
     return std::nullopt;
-  }
-  if (*op == Opcode::kGetVar0 || *op == Opcode::kSetVar0) {
-    return 1;
   }
   return instruction_length(static_cast<std::uint8_t>(*op));
 }
@@ -701,128 +706,115 @@ AssemblyResult assemble(std::string_view source,
       continue;
     }
 
-    const Opcode op = *opcode_by_mnemonic(line.mnemonic);
-    switch (op) {
-      case Opcode::kGetVar0:
-      case Opcode::kSetVar0: {
-        if (!want_operands(1)) {
-          break;
-        }
-        const auto slot = emit.int_or_const(line.operands[0]);
+    const OpcodeInfo& info = *opcode_info(
+        static_cast<std::uint8_t>(*opcode_by_mnemonic(line.mnemonic)));
+    const auto opcode = static_cast<std::uint8_t>(info.opcode);
+    if (!want_operands(info.operand == OperandKind::kNone       ? 0
+                       : info.operand == OperandKind::kLocation ? 2
+                                                                : 1)) {
+      continue;
+    }
+    const std::string text =
+        line.operands.empty() ? std::string() : line.operands[0];
+    if (info.operand != OperandKind::kHeapSlot) {
+      emit.byte(opcode);  // any error discards the whole image
+    }
+    switch (info.operand) {
+      case OperandKind::kNone:
+        break;
+      case OperandKind::kHeapSlot: {
+        const auto slot = emit.int_or_const(text);
         if (!slot.has_value() || *slot < 0 ||
             *slot >= static_cast<long>(kHeapSlots)) {
           fail("heap slot must be 0.." + std::to_string(kHeapSlots - 1));
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(static_cast<std::uint8_t>(op) +
-                                            *slot));
+        emit.byte(static_cast<std::uint8_t>(opcode + *slot));
         break;
       }
-      case Opcode::kPushc: {
-        if (!want_operands(1)) {
-          break;
-        }
-        std::optional<long> v = emit.value_or_label(line.operands[0]);
+      case OperandKind::kU8: {
+        std::optional<long> v = emit.value_or_label(text);
         if (!v.has_value()) {
-          if (const auto s = sensor_constant(line.operands[0])) {
-            v = *s;
-          }
+          v = named_value(kSensorNames, text);
         }
         if (!v.has_value() || *v < 0 || *v > 255) {
-          fail("pushc operand must be 0..255, a sensor name, or a label");
+          fail(line.mnemonic +
+               " operand must be 0..255, a sensor name, or a label");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
         emit.byte(static_cast<std::uint8_t>(*v));
         break;
       }
-      case Opcode::kPushcl: {
-        if (!want_operands(1)) {
-          break;
-        }
-        const auto v = emit.value_or_label(line.operands[0]);
+      case OperandKind::kS16: {
+        const auto v = emit.value_or_label(text);
         if (!v.has_value() || *v < -32768 || *v > 65535) {
-          fail("pushcl operand must be a 16-bit value or label");
+          fail(line.mnemonic + " operand must be a 16-bit value or label");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
         emit.word(static_cast<std::uint16_t>(*v));
         break;
       }
-      case Opcode::kPushn: {
-        if (!want_operands(1)) {
+      case OperandKind::kPackedString: {
+        const std::string chars = unquote(text);
+        if (chars.empty() || chars.size() > 3) {
+          fail(line.mnemonic + " takes a 1..3 character string");
           break;
         }
-        const std::string text = unquote(line.operands[0]);
-        if (text.empty() || text.size() > 3) {
-          fail("pushn takes a 1..3 character string");
-          break;
-        }
-        emit.byte(static_cast<std::uint8_t>(op));
-        emit.word(ts::pack_string(text));
+        emit.word(ts::pack_string(chars));
         break;
       }
-      case Opcode::kPusht: {
-        if (!want_operands(1)) {
-          break;
-        }
-        const auto t = field_type_constant(line.operands[0]);
+      case OperandKind::kFieldType: {
+        const auto t = named_value(kFieldTypeNames, text);
         if (!t.has_value()) {
-          fail("pusht operand must be a field type "
-               "(NUMBER/STRING/LOCATION/READING/AGENTID/READINGTYPE)");
+          std::string names;
+          for (const auto& [name, value] : kFieldTypeNames) {
+            if (value_name(kFieldTypeNames,
+                           static_cast<std::uint8_t>(value)) == name) {
+              names += (names.empty() ? "" : "/") + std::string(name);
+            }
+          }
+          fail(line.mnemonic + " operand must be a field type (" + names +
+               ")");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
         emit.byte(*t);
         break;
       }
-      case Opcode::kPushrt: {
-        if (!want_operands(1)) {
-          break;
-        }
-        auto s = sensor_constant(line.operands[0]);
-        if (!s.has_value()) {
-          if (const auto n = emit.int_or_const(line.operands[0]);
+      case OperandKind::kSensor: {
+        auto sensor = named_value(kSensorNames, text);
+        if (!sensor.has_value()) {
+          if (const auto n = emit.int_or_const(text);
               n.has_value() && *n >= 0 &&
               *n < static_cast<long>(sim::kNumSensorTypes)) {
-            s = static_cast<std::uint8_t>(*n);
+            sensor = static_cast<std::uint8_t>(*n);
           }
         }
-        if (!s.has_value()) {
-          fail("pushrt operand must be a sensor name or index");
+        if (!sensor.has_value()) {
+          fail(line.mnemonic + " operand must be a sensor name or index");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
-        emit.byte(*s);
+        emit.byte(*sensor);
         break;
       }
-      case Opcode::kPushloc: {
-        if (!want_operands(2)) {
-          break;
-        }
+      case OperandKind::kLocation: {
         const auto x = parse_double(line.operands[0]);
         const auto y = parse_double(line.operands[1]);
         if (!x.has_value() || !y.has_value()) {
-          fail("pushloc takes two finite numeric coordinates");
+          fail(line.mnemonic + " takes two finite numeric coordinates");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
         emit.word(static_cast<std::uint16_t>(net::encode_coordinate(*x)));
         emit.word(static_cast<std::uint16_t>(net::encode_coordinate(*y)));
         break;
       }
-      case Opcode::kRjump:
-      case Opcode::kRjumpc: {
-        if (!want_operands(1)) {
-          break;
-        }
-        const auto target = emit.value_or_label(line.operands[0]);
+      case OperandKind::kRel8: {
+        const auto target = emit.value_or_label(text);
         if (!target.has_value()) {
-          fail("unknown jump target '" + line.operands[0] + "'");
+          fail("unknown jump target '" + text + "'");
           break;
         }
         long offset = *target;
-        if (emit.is_label(line.operands[0])) {
+        if (emit.is_label(text)) {
           // Label targets are absolute; encode relative to the next
           // instruction.
           offset = *target - (static_cast<long>(line.address) + 2);
@@ -832,28 +824,16 @@ AssemblyResult assemble(std::string_view source,
                std::to_string(offset) + ")");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
         emit.byte(static_cast<std::uint8_t>(static_cast<std::int8_t>(offset)));
         break;
       }
-      case Opcode::kJump: {
-        if (!want_operands(1)) {
-          break;
-        }
-        const auto target = emit.value_or_label(line.operands[0]);
+      case OperandKind::kAbs8: {
+        const auto target = emit.value_or_label(text);
         if (!target.has_value() || *target < 0 || *target > 255) {
           fail("jump target must be a label or address 0..255");
           break;
         }
-        emit.byte(static_cast<std::uint8_t>(op));
         emit.byte(static_cast<std::uint8_t>(*target));
-        break;
-      }
-      default: {
-        if (!want_operands(0)) {
-          break;
-        }
-        emit.byte(static_cast<std::uint8_t>(op));
         break;
       }
     }
@@ -914,61 +894,39 @@ struct DisRecord {
   bool raw_bytes = false;  ///< emit as .byte
 };
 
-const char* field_type_name(std::uint8_t t) {
-  switch (static_cast<ts::ValueType>(t)) {
-    case ts::ValueType::kNumber:
-      return "NUMBER";
-    case ts::ValueType::kString:
-      return "STRING";
-    case ts::ValueType::kReading:
-      return "READING";
-    case ts::ValueType::kLocation:
-      return "LOCATION";
-    case ts::ValueType::kAgentId:
-      return "AGENTID";
-    case ts::ValueType::kReadingType:
-      return "READINGTYPE";
-    default:
-      return nullptr;  // kInvalid / kTypeWildcard have no pusht spelling
-  }
-}
-
-const char* sensor_name(std::uint8_t s) {
-  switch (static_cast<sim::SensorType>(s)) {
-    case sim::SensorType::kTemperature:
-      return "TEMPERATURE";
-    case sim::SensorType::kPhoto:
-      return "PHOTO";
-    case sim::SensorType::kMicrophone:
-      return "MIC";
-    case sim::SensorType::kMagnetometer:
-      return "MAGNETOMETER";
-    case sim::SensorType::kAccelerometer:
-      return "ACCEL";
-    default:
-      return nullptr;
-  }
-}
-
 /// True when the assembler would regenerate exactly these operand bytes
 /// from the instruction's textual spelling.
-bool operands_canonical(std::uint8_t raw,
+bool operands_canonical(OperandKind kind,
                         std::span<const std::uint8_t> operand) {
-  switch (static_cast<Opcode>(raw)) {
-    case Opcode::kPusht:
-      return field_type_name(operand[0]) != nullptr;
-    case Opcode::kPushrt:
-      return sensor_name(operand[0]) != nullptr;
-    case Opcode::kPushn: {
+  switch (kind) {
+    case OperandKind::kFieldType:
+      return value_name(kFieldTypeNames, operand[0]) != nullptr;
+    case OperandKind::kSensor:
+      return value_name(kSensorNames, operand[0]) != nullptr;
+    case OperandKind::kPackedString: {
       const std::uint16_t packed =
           static_cast<std::uint16_t>(operand[0] | (operand[1] << 8));
       const std::string text = ts::unpack_string(packed);
       return !text.empty() && ts::pack_string(text) == packed;
     }
     default:
-      // pushc/pushcl/pushloc/jumps accept every byte value; coordinates
-      // are exact in double (1/64 fixed point), so they re-encode exactly.
+      // Numbers, slots and jumps accept every byte value; coordinates are
+      // exact in double (1/64 fixed point), so they re-encode exactly.
       return true;
+  }
+}
+
+/// The code address the decoded instruction at `addr` jumps to; -1 when
+/// it is no jump.
+long jump_target(std::span<const std::uint8_t> code, std::size_t addr) {
+  switch (opcode_info(code[addr])->operand) {
+    case OperandKind::kRel8:
+      return static_cast<long>(addr) + 2 +
+             static_cast<std::int8_t>(code[addr + 1]);
+    case OperandKind::kAbs8:
+      return code[addr + 1];
+    default:
+      return -1;
   }
 }
 
@@ -979,15 +937,15 @@ std::string disassemble(std::span<const std::uint8_t> code) {
   std::vector<DisRecord> records;
   std::size_t pc = 0;
   while (pc < code.size()) {
-    const std::uint8_t raw = code[pc];
-    const std::size_t length = instruction_length(raw);
-    if (length == 0 || pc + length > code.size()) {
+    const OpcodeInfo* info = opcode_info(code[pc]);
+    const std::size_t length = instruction_length(code[pc]);
+    if (info == nullptr || pc + length > code.size()) {
       records.push_back({pc, 1, true});
       ++pc;
       continue;
     }
     const bool canonical =
-        operands_canonical(raw, code.subspan(pc + 1, length - 1));
+        operands_canonical(info->operand, code.subspan(pc + 1, length - 1));
     records.push_back({pc, length, !canonical});
     pc += length;
   }
@@ -1003,16 +961,7 @@ std::string disassemble(std::span<const std::uint8_t> code) {
     if (rec.raw_bytes) {
       continue;
     }
-    const Opcode op = static_cast<Opcode>(code[rec.addr]);
-    long target = -1;
-    if (op == Opcode::kRjump || op == Opcode::kRjumpc) {
-      target = static_cast<long>(rec.addr) + 2 +
-               static_cast<std::int8_t>(code[rec.addr + 1]);
-    } else if (op == Opcode::kJump) {
-      target = code[rec.addr + 1];
-    } else {
-      continue;
-    }
+    const long target = jump_target(code, rec.addr);
     if (target >= 0 && boundaries.contains(static_cast<std::size_t>(target))) {
       label_addrs.insert(static_cast<std::size_t>(target));
     }
@@ -1043,69 +992,54 @@ std::string disassemble(std::span<const std::uint8_t> code) {
         text += buf;
       }
     } else {
-      std::uint8_t slot = 0;
-      char buf[64];
-      if (is_getvar(raw, &slot)) {
-        std::snprintf(buf, sizeof(buf), "getvar %u", slot);
-        text = buf;
-      } else if (is_setvar(raw, &slot)) {
-        std::snprintf(buf, sizeof(buf), "setvar %u", slot);
-        text = buf;
-      } else {
-        const std::uint8_t* operand = code.data() + rec.addr + 1;
-        switch (static_cast<Opcode>(raw)) {
-          case Opcode::kPushc:
-            std::snprintf(buf, sizeof(buf), "pushc %u", operand[0]);
-            break;
-          case Opcode::kPushcl:
-            std::snprintf(buf, sizeof(buf), "pushcl %d",
-                          static_cast<std::int16_t>(
-                              operand[0] | (operand[1] << 8)));
-            break;
-          case Opcode::kPushn:
-            std::snprintf(buf, sizeof(buf), "pushn %s",
-                          ts::unpack_string(static_cast<std::uint16_t>(
-                                                operand[0] |
-                                                (operand[1] << 8)))
-                              .c_str());
-            break;
-          case Opcode::kPusht:
-            std::snprintf(buf, sizeof(buf), "pusht %s",
-                          field_type_name(operand[0]));
-            break;
-          case Opcode::kPushrt:
-            std::snprintf(buf, sizeof(buf), "pushrt %s",
-                          sensor_name(operand[0]));
-            break;
-          case Opcode::kPushloc:
-            std::snprintf(
-                buf, sizeof(buf), "pushloc %.10g %.10g",
-                net::decode_coordinate(static_cast<std::int16_t>(
-                    operand[0] | (operand[1] << 8))),
-                net::decode_coordinate(static_cast<std::int16_t>(
-                    operand[2] | (operand[3] << 8))));
-            break;
-          case Opcode::kRjump:
-          case Opcode::kRjumpc: {
-            const long offset = static_cast<std::int8_t>(operand[0]);
-            const long target = static_cast<long>(rec.addr) + 2 + offset;
-            std::snprintf(buf, sizeof(buf), "%s %s",
-                          raw == static_cast<std::uint8_t>(Opcode::kRjump)
-                              ? "rjump"
-                              : "rjumpc",
-                          jump_operand(target, offset).c_str());
-            break;
-          }
-          case Opcode::kJump:
-            std::snprintf(buf, sizeof(buf), "jump %s",
-                          jump_operand(operand[0], operand[0]).c_str());
-            break;
-          default:
-            std::snprintf(buf, sizeof(buf), "%s",
-                          opcode_info(raw)->mnemonic);
-            break;
+      const OpcodeInfo& info = *opcode_info(raw);
+      const std::uint8_t* operand = code.data() + rec.addr + 1;
+      const auto u16 = [&](std::size_t at) {
+        return static_cast<std::uint16_t>(operand[at] |
+                                          (operand[at + 1] << 8));
+      };
+      std::string arg;
+      switch (info.operand) {
+        case OperandKind::kNone:
+          break;
+        case OperandKind::kHeapSlot:
+          arg = std::to_string(raw - static_cast<unsigned>(info.opcode));
+          break;
+        case OperandKind::kU8:
+          arg = std::to_string(operand[0]);
+          break;
+        case OperandKind::kS16:
+          arg = std::to_string(static_cast<std::int16_t>(u16(0)));
+          break;
+        case OperandKind::kPackedString:
+          arg = ts::unpack_string(u16(0));
+          break;
+        case OperandKind::kFieldType:
+          arg = value_name(kFieldTypeNames, operand[0]);
+          break;
+        case OperandKind::kSensor:
+          arg = value_name(kSensorNames, operand[0]);
+          break;
+        case OperandKind::kLocation: {
+          char buf[64];
+          std::snprintf(
+              buf, sizeof(buf), "%.10g %.10g",
+              net::decode_coordinate(static_cast<std::int16_t>(u16(0))),
+              net::decode_coordinate(static_cast<std::int16_t>(u16(2))));
+          arg = buf;
+          break;
         }
-        text = buf;
+        case OperandKind::kRel8:
+          arg = jump_operand(jump_target(code, rec.addr),
+                             static_cast<std::int8_t>(operand[0]));
+          break;
+        case OperandKind::kAbs8:
+          arg = jump_operand(operand[0], operand[0]);
+          break;
+      }
+      text = info.mnemonic;
+      if (!arg.empty()) {
+        text += " " + arg;
       }
     }
     char addr_comment[32];

@@ -6,11 +6,12 @@
 //   * one instruction per line; `//`, `#` or `;` start a comment;
 //   * an optional leading label — either `NAME:` or, as printed in the
 //     paper, a bare word that is not a mnemonic (`BEGIN pushn fir`);
-//   * operands: decimal / 0x-hex numbers, named constants, label names,
-//     3-letter strings (for pushn), field-type names for pusht (NUMBER,
-//     STRING, LOCATION, READING, AGENTID, READINGTYPE), sensor names for
-//     pushrt/pushc (TEMPERATURE, PHOTO, MIC, MAGNETOMETER, ACCEL), and
-//     `x y` coordinate pairs for pushloc (fractions allowed).
+//   * operands, parsed by the opcode's OperandKind (core/isa.h): numbers
+//     (an optional `-`, then decimal digits or 0x + hex digits), named
+//     constants, label names, 3-letter strings (for pushn), field-type
+//     names for pusht, sensor names for pushrt/pushc (the name tables in
+//     assembler.cpp, aliases included), and `x y` coordinate pairs for
+//     pushloc (fractions allowed).
 //
 // Directives (all but .include usable from string sources too):
 //   .include "file"        splice another source file (cycle-checked,

@@ -181,7 +181,6 @@ void MigrationManager::abort_incoming(std::uint16_t agent_id) {
   if (it == incoming_.end()) {
     return;
   }
-  stats_.receiver_aborts++;
   incoming_.erase(it);
 }
 

@@ -34,7 +34,6 @@ class MigrationManager {
     std::uint64_t no_route = 0;
     std::uint64_t arrivals = 0;         ///< agents delivered at destination
     std::uint64_t custody_resumes = 0;  ///< resumed mid-route after failure
-    std::uint64_t receiver_aborts = 0;
     std::uint64_t messages_sent = 0;
   };
 

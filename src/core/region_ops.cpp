@@ -51,7 +51,6 @@ bool RegionOps::remember(std::uint64_t key) {
 
 void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
                            double radius, RegionMode mode) {
-  stats_.originated++;
   net::Writer w;
   w.u16(next_flood_id_++);
   net::write_location(w, self_);
@@ -64,7 +63,7 @@ void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
   // Widening the geo epsilon to the region radius makes "deliver to the
   // first node inside the region" fall out of the ordinary routing rule.
   if (within(self_, center, radius)) {
-    handle_region_payload(w.data(), /*from_flood=*/false);
+    handle_region_payload(w.data());
     return;
   }
   router_.send(center, radius, sim::AmType::kRegionOut, w.take(), self_);
@@ -72,16 +71,16 @@ void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
 
 void RegionOps::on_seed(const net::GeoHeader& /*header*/,
                         std::span<const std::uint8_t> payload) {
-  handle_region_payload(payload, /*from_flood=*/false);
+  handle_region_payload(payload);
 }
 
 void RegionOps::on_flood(sim::NodeId /*from*/,
                          std::span<const std::uint8_t> payload) {
-  handle_region_payload(payload, /*from_flood=*/true);
+  handle_region_payload(payload);
 }
 
-void RegionOps::handle_region_payload(std::span<const std::uint8_t> payload,
-                                      bool from_flood) {
+void RegionOps::handle_region_payload(
+    std::span<const std::uint8_t> payload) {
   net::Reader r(payload);
   const std::uint16_t flood_id = r.u16();
   const sim::Location origin = net::read_location(r);
@@ -106,17 +105,11 @@ void RegionOps::handle_region_payload(std::span<const std::uint8_t> payload,
   }
   if (!within(self_, center, radius)) {
     // Region floods stop at the geographic boundary.
-    stats_.out_of_region_dropped++;
     return;
   }
 
-  if (!from_flood) {
-    stats_.seeds_delivered++;
-  }
   const auto tuple = ref.materialize();  // encoded_size() proved decodable
-  if (space_.out(*tuple)) {
-    stats_.tuples_inserted++;
-  }
+  space_.out(*tuple);
 
   if (mode == RegionMode::kAllNodes && ttl > 0) {
     net::Writer w;

@@ -41,12 +41,8 @@ class RegionOps {
   static constexpr std::uint8_t kFloodTtl = 8;
 
   struct Stats {
-    std::uint64_t originated = 0;
-    std::uint64_t seeds_delivered = 0;   ///< geo seed reached the region
     std::uint64_t floods_relayed = 0;
-    std::uint64_t tuples_inserted = 0;
     std::uint64_t duplicates_dropped = 0;
-    std::uint64_t out_of_region_dropped = 0;
   };
 
   RegionOps(sim::Network& network, net::LinkLayer& link,
@@ -69,8 +65,7 @@ class RegionOps {
   void on_seed(const net::GeoHeader& header,
                std::span<const std::uint8_t> payload);
   void on_flood(sim::NodeId from, std::span<const std::uint8_t> payload);
-  void handle_region_payload(std::span<const std::uint8_t> payload,
-                             bool from_flood);
+  void handle_region_payload(std::span<const std::uint8_t> payload);
   [[nodiscard]] bool remember(std::uint64_t key);
 
   sim::Network& network_;

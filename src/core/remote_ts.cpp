@@ -139,7 +139,6 @@ void RemoteTsManager::on_request(const net::GeoHeader& header,
   const std::uint64_t key = replay_key(header.origin, request_id);
   for (const CachedReply& cached : replay_) {
     if (cached.key == key) {
-      stats_.duplicates_replayed++;
       router_.send(header.origin, sim::kAddressEpsilon, sim::AmType::kTsReply,
                    cached.reply, self_);
       return;
@@ -178,7 +177,6 @@ void RemoteTsManager::on_request(const net::GeoHeader& header,
   }
 
   stats_.requests_served++;
-  stats_.replies_sent++;
   replay_.push_back(CachedReply{key, reply.data()});
   while (replay_.size() > kReplayCache) {
     replay_.pop_front();

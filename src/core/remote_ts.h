@@ -47,8 +47,6 @@ class RemoteTsManager {
     std::uint64_t requests_sent = 0;
     std::uint64_t retransmissions = 0;
     std::uint64_t requests_served = 0;
-    std::uint64_t replies_sent = 0;
-    std::uint64_t duplicates_replayed = 0;
     std::uint64_t timeouts = 0;      ///< operations that failed outright
     std::uint64_t completions = 0;   ///< operations that got a reply
   };

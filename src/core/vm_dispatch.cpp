@@ -23,132 +23,40 @@ bool values_equal(const ts::Value& a, const ts::Value& b) {
   return a.as_number() == b.as_number();
 }
 
-OpClass classify(std::uint8_t raw) {
-  if (is_getvar(raw)) {
-    return OpClass::kGetVar;
-  }
-  if (is_setvar(raw)) {
-    return OpClass::kSetVar;
-  }
-  switch (static_cast<Opcode>(raw)) {
-    case Opcode::kHalt:
-      return OpClass::kHalt;
-    case Opcode::kLoc:
-      return OpClass::kLoc;
-    case Opcode::kAid:
-      return OpClass::kAid;
-    case Opcode::kRand:
-      return OpClass::kRand;
-    case Opcode::kNumNbrs:
-      return OpClass::kNumNbrs;
-    case Opcode::kSense:
-      return OpClass::kSense;
-    case Opcode::kSleep:
-      return OpClass::kSleep;
-    case Opcode::kPutLed:
-      return OpClass::kPutLed;
-    case Opcode::kCopy:
-      return OpClass::kCopy;
-    case Opcode::kPop:
-      return OpClass::kPop;
-    case Opcode::kSwap:
-      return OpClass::kSwap;
-    case Opcode::kWait:
-      return OpClass::kWait;
-    case Opcode::kJumps:
-      return OpClass::kJumps;
-    case Opcode::kDepth:
-      return OpClass::kDepth;
-    case Opcode::kClear:
-      return OpClass::kClear;
-    case Opcode::kCpush:
-      return OpClass::kCpush;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kMod:
-    case Opcode::kMul:
-    case Opcode::kEq:
-      return OpClass::kArith;
-    case Opcode::kNot:
-      return OpClass::kNot;
-    case Opcode::kInc:
-    case Opcode::kDec:
-      return OpClass::kIncDec;
-    case Opcode::kSMove:
-    case Opcode::kWMove:
-    case Opcode::kSClone:
-    case Opcode::kWClone:
-      return OpClass::kMigrate;
-    case Opcode::kGetNbr:
-      return OpClass::kGetNbr;
-    case Opcode::kRandNbr:
-      return OpClass::kRandNbr;
-    case Opcode::kCeq:
-    case Opcode::kClt:
-    case Opcode::kCgt:
-      return OpClass::kCompare;
-    case Opcode::kRjump:
-      return OpClass::kRjump;
-    case Opcode::kRjumpc:
-      return OpClass::kRjumpc;
-    case Opcode::kJump:
-      return OpClass::kJump;
-    case Opcode::kOut:
-    case Opcode::kInp:
-    case Opcode::kRdp:
-    case Opcode::kIn:
-    case Opcode::kRd:
-    case Opcode::kTCount:
-    case Opcode::kRegRxn:
-    case Opcode::kDeregRxn:
-      return OpClass::kTupleOp;
-    case Opcode::kROut:
-    case Opcode::kRInp:
-    case Opcode::kRRdp:
-      return OpClass::kRemote;
-    case Opcode::kPushc:
-    case Opcode::kPushcl:
-    case Opcode::kPushn:
-    case Opcode::kPusht:
-    case Opcode::kPushloc:
-    case Opcode::kPushrt:
-      return OpClass::kPush;
-    default:
-      return OpClass::kUndefined;
-  }
-}
+/// Dense opcode index -> handler class: the dispatcher's byte-to-class
+/// map, generated from the instruction table in core/isa.h.
+constexpr std::array<OpClass, kDefinedOpcodes> kClassByIndex = {
+#define AGILLA_OPCODE_CLASS(name, value, mnemonic, operand, cost, cls) \
+  OpClass::k##cls,
+    AGILLA_OPCODES(AGILLA_OPCODE_CLASS)
+#undef AGILLA_OPCODE_CLASS
+};
 
-/// The immediate Value a push instruction will deliver, resolved at decode
-/// time. All Value factories are total, so prebuilding from unreachable or
-/// garbage operand bytes is safe.
-ts::Value make_push_value(Opcode op,
-                          const std::array<std::uint8_t, 4>& operand) {
-  const auto operand_u16 = static_cast<std::uint16_t>(
-      operand[0] | (operand[1] << 8));
-  switch (op) {
-    case Opcode::kPushc:
+/// The Value an operand pushes, resolved at decode time; only the push
+/// handler reads it. All Value factories are total, so prebuilding from
+/// unreachable or garbage operand bytes is safe.
+ts::Value operand_value(OperandKind kind,
+                        const std::array<std::uint8_t, 4>& operand) {
+  const auto u16 = [&](std::size_t at) {
+    return static_cast<std::uint16_t>(operand[at] | (operand[at + 1] << 8));
+  };
+  switch (kind) {
+    case OperandKind::kU8:
       return ts::Value::number(operand[0]);
-    case Opcode::kPushcl:
-      return ts::Value::number(static_cast<std::int16_t>(operand_u16));
-    case Opcode::kPushn:
-      return ts::Value::packed_string(operand_u16);
-    case Opcode::kPusht:
-      return ts::Value::type_wildcard(
-          static_cast<ts::ValueType>(operand[0]));
-    case Opcode::kPushrt:
+    case OperandKind::kS16:
+      return ts::Value::number(static_cast<std::int16_t>(u16(0)));
+    case OperandKind::kPackedString:
+      return ts::Value::packed_string(u16(0));
+    case OperandKind::kFieldType:
+      return ts::Value::type_wildcard(static_cast<ts::ValueType>(operand[0]));
+    case OperandKind::kSensor:
       return ts::Value::reading_type(
           static_cast<sim::SensorType>(operand[0]));
-    case Opcode::kPushloc: {
-      const auto x = static_cast<std::int16_t>(
-          operand[0] | (operand[1] << 8));
-      const auto y = static_cast<std::int16_t>(
-          operand[2] | (operand[3] << 8));
+    case OperandKind::kLocation:
       return ts::Value::location(sim::Location{
-          net::decode_coordinate(x), net::decode_coordinate(y)});
-    }
-    default:
+          net::decode_coordinate(static_cast<std::int16_t>(u16(0))),
+          net::decode_coordinate(static_cast<std::int16_t>(u16(2)))});
+    default:  // no operand, a heap slot or a jump: nothing to push
       return ts::Value();
   }
 }
@@ -166,26 +74,25 @@ DecodedInsn decode_insn(std::uint8_t raw,
   d.raw = raw;
   d.profile_key = static_cast<std::uint8_t>(opcode_index(raw));
   d.operand = operand;
-  // getvar/setvar carry their heap slot in the opcode byte.
-  if (!is_getvar(raw, &d.slot)) {
-    is_setvar(raw, &d.slot);
-  }
-  const std::size_t length = instruction_length(raw);
-  if (length == 0) {
+  const OpcodeInfo* info = opcode_info(raw);
+  if (info == nullptr) {
     d.cls = OpClass::kUndefined;
     d.length = 1;
     return d;
   }
-  d.length = static_cast<std::uint8_t>(length);
-  if (operands_available + 1 < length) {
+  // getvar/setvar carry their heap slot in the opcode byte.
+  if (info->operand == OperandKind::kHeapSlot) {
+    d.slot = static_cast<std::uint8_t>(raw - static_cast<std::uint8_t>(
+                                                 info->opcode));
+  }
+  d.length = static_cast<std::uint8_t>(1 + operand_width(info->operand));
+  if (operands_available + 1 < d.length) {
     d.cls = OpClass::kTruncated;
     return d;
   }
-  d.cls = classify(raw);
+  d.cls = kClassByIndex[d.profile_key];
   d.precharge = instruction_cost(raw, 0, false);
-  if (d.cls == OpClass::kPush) {
-    d.imm = make_push_value(static_cast<Opcode>(raw), operand);
-  }
+  d.imm = operand_value(info->operand, operand);
   return d;
 }
 

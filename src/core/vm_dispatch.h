@@ -34,8 +34,8 @@ class AgillaEngine;
 /// order. It generates the OpClass enumerators (k##Class), the handler
 /// declarations (h_##handler), the threaded loop's label table and labels,
 /// and the reference switch in execute() — so the four cannot disagree.
-/// Which opcode byte maps to which class is decided by classify() in
-/// vm_dispatch.cpp.
+/// Which opcode byte maps to which class is the last column of the
+/// instruction table, AGILLA_OPCODES in core/isa.h.
 #define AGILLA_OP_CLASSES(X)                                               \
   X(Halt, halt)                                                            \
   X(Loc, loc)                                                              \

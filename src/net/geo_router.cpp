@@ -93,7 +93,6 @@ GeoRouter::Decision GeoRouter::decide(sim::Location dest,
 void GeoRouter::send(sim::Location dest, double epsilon,
                      sim::AmType inner_am, std::vector<std::uint8_t> payload,
                      sim::Location origin) {
-  stats_.originated++;
   GeoHeader header;
   header.inner_am = inner_am;
   header.dest = dest;

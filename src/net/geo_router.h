@@ -46,7 +46,6 @@ class GeoRouter {
   };
 
   struct Stats {
-    std::uint64_t originated = 0;
     std::uint64_t forwarded = 0;
     std::uint64_t delivered = 0;
     std::uint64_t no_route = 0;

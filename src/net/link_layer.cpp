@@ -48,7 +48,6 @@ void LinkLayer::send_frame(sim::NodeId dst, sim::AmType am,
 
 void LinkLayer::send_unacked(sim::NodeId dst, sim::AmType am,
                              std::vector<std::uint8_t> payload) {
-  stats_.data_sent++;
   send_frame(dst, am,
              frame_payload(next_seq_++, /*wants_ack=*/false, am, payload));
 }
@@ -71,7 +70,6 @@ void LinkLayer::transmit(std::uint8_t seq) {
   assert(it != pending_.end());
   Pending& p = it->second;
   p.attempts++;
-  stats_.data_sent++;
   if (p.attempts > 1) {
     stats_.retransmissions++;
   }

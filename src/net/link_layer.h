@@ -35,7 +35,6 @@ class LinkLayer {
   };
 
   struct Stats {
-    std::uint64_t data_sent = 0;
     std::uint64_t retransmissions = 0;
     std::uint64_t acks_sent = 0;
     std::uint64_t send_failures = 0;   ///< acked sends that gave up

@@ -43,27 +43,6 @@ double GridNeighborRadio::max_range() const {
   return options_.spacing * diag + kTolerance;
 }
 
-bool UnitDiskRadio::connected(const NodeInfo& from, const NodeInfo& to) const {
-  if (from.id == to.id) {
-    return false;
-  }
-  return distance(from.location, to.location) <= options_.range + kTolerance;
-}
-
-double UnitDiskRadio::loss_probability(const NodeInfo& from,
-                                       const NodeInfo& to,
-                                       std::size_t /*bytes*/) const {
-  const double d = distance(from.location, to.location);
-  if (options_.range <= 0.0) {
-    return 1.0;
-  }
-  const double frac = std::clamp(d / options_.range, 0.0, 1.0);
-  const double p = options_.base_loss +
-                   (options_.max_loss - options_.base_loss) *
-                       std::pow(frac, options_.steepness);
-  return std::clamp(p, 0.0, 1.0);
-}
-
 bool PerfectRadio::connected(const NodeInfo& from, const NodeInfo& to) const {
   if (from.id == to.id) {
     return false;

@@ -3,8 +3,8 @@
 // The paper's testbed is a 5x5 MICA2 grid with a software-modified TinyOS
 // network stack that "filters out all messages except those from immediate
 // neighbors based on the grid topology" (Sec. 4). GridNeighborRadio
-// reproduces exactly that methodology; UnitDiskRadio is the more general
-// distance-based model used by some property tests.
+// reproduces exactly that methodology; PerfectRadio is the lossless
+// distance-based model unit tests use to isolate protocol logic.
 #pragma once
 
 #include <cstddef>
@@ -61,35 +61,6 @@ class GridNeighborRadio final : public RadioModel {
                                         const NodeInfo& to,
                                         std::size_t bytes) const override;
   [[nodiscard]] double max_range() const override;
-
-  [[nodiscard]] const Options& options() const { return options_; }
-
- private:
-  Options options_;
-};
-
-/// Classic unit-disk connectivity; loss grows with distance.
-///
-/// loss(d) = base + (max - base) * (d / range)^steepness, clamped to [0,1].
-class UnitDiskRadio final : public RadioModel {
- public:
-  struct Options {
-    double range = 1.5;
-    double base_loss = 0.0;
-    double max_loss = 0.0;  ///< loss at exactly `range`
-    double steepness = 2.0;
-  };
-
-  explicit UnitDiskRadio(Options options) : options_(options) {}
-
-  [[nodiscard]] bool connected(const NodeInfo& from,
-                               const NodeInfo& to) const override;
-  [[nodiscard]] double loss_probability(const NodeInfo& from,
-                                        const NodeInfo& to,
-                                        std::size_t bytes) const override;
-  [[nodiscard]] double max_range() const override {
-    return options_.range;
-  }
 
   [[nodiscard]] const Options& options() const { return options_; }
 

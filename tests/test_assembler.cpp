@@ -223,6 +223,20 @@ TEST(Assembler, HexLiterals) {
   EXPECT_EQ(r.code[1], 0x1F);
 }
 
+TEST(Assembler, MalformedNumbersRejected) {
+  // One optional leading '-', then decimal digits or 0x + hex digits.
+  for (const char* source :
+       {"pushc --5", "pushc +5", "pushcl 0x-5", "pushcl -0x-5", "pushc 0x",
+        "pushc -", "pushc 5x", "pushc 0x+5", ".byte --1", "getvar --1",
+        "jump -+3", ".const N --2\npushc N"}) {
+    EXPECT_FALSE(assemble(source).ok()) << source;
+  }
+  const AssemblyResult r = assemble("pushcl -0x10\npushc 0X1f\npushcl -7");
+  ASSERT_TRUE(r.ok()) << r.error_text();
+  EXPECT_EQ(r.code, (std::vector<std::uint8_t>{0x61, 0xf0, 0xff, 0x60, 0x1f,
+                                                0x61, 0xf9, 0xff}));
+}
+
 TEST(Assembler, PaperFig2FiretrackerPrologueAssembles) {
   const AssemblyResult r = assemble(R"(
       1: BEGIN pushn fir
@@ -248,6 +262,269 @@ TEST(Disassembler, RoundTripReadable) {
   EXPECT_NE(text.find("pushc"), std::string::npos);
   EXPECT_NE(text.find("smove"), std::string::npos);
   EXPECT_NE(text.find("halt"), std::string::npos);
+}
+
+// Every mnemonic and every operand spelling the assembler accepts —
+// aliases, labels, named constants, hex, .tuple, and .byte runs the
+// disassembler cannot print as instructions (undefined bytes, pusht/
+// pushrt/pushn operands with no canonical spelling, a truncated tail) —
+// and the exact listing disassemble() prints for it.
+constexpr const char* kEverySpelling = R"(.const ANSWER 42
+.const ANSWER_SLOT 7
+START: halt
+  loc
+  aid
+  rand
+  numnbrs
+  sense
+  sleep
+  putled
+  copy
+  pop
+  swap
+  wait
+  jumps
+  depth
+  clear
+  cpush
+  add
+  sub
+  and
+  or
+  not
+  mod
+  inc
+  dec
+  eq
+  mul
+  smove
+  wmove
+  sclone
+  wclone
+  getnbr
+  randnbr
+  ceq
+  clt
+  cgt
+BACK rjump BACK
+  rjumpc FWD
+  rjump -3
+  rjumpc 100
+  jump START
+  jump 0xff
+FWD: out
+  inp
+  rdp
+  in
+  rd
+  tcount
+  rout
+  rinp
+  rrdp
+  regrxn
+  deregrxn
+  getvar 0
+  getvar 0xb
+  setvar 11
+  setvar ANSWER_SLOT
+  pushc 0
+  pushc 255
+  pushc 0x1F
+  pushc ANSWER
+  pushc FWD
+  pushc TEMPERATURE
+  pushc temp
+  pushc PHOTO
+  pushc light
+  pushc MIC
+  pushc microphone
+  pushc sound
+  pushc MAGNETOMETER
+  pushc mag
+  pushc ACCEL
+  pushc accelerometer
+  pushcl -32768
+  pushcl 32767
+  pushcl 65535
+  pushcl -0x10
+  pushcl FWD
+  pushn fir
+  pushn "ab"
+  pushn Z
+  pusht NUMBER
+  pusht value
+  pusht int
+  pusht STRING
+  pusht LOCATION
+  pusht READING
+  pusht AGENTID
+  pusht READINGTYPE
+  pushrt TEMPERATURE
+  pushrt TEMP
+  pushrt PHOTO
+  pushrt LIGHT
+  pushrt MIC
+  pushrt MICROPHONE
+  pushrt SOUND
+  pushrt MAGNETOMETER
+  pushrt MAG
+  pushrt ACCEL
+  pushrt ACCELEROMETER
+  pushrt 4
+  pushloc 3 -2
+  pushloc 1.5 0.015625
+  pushloc -511.984375 511.984375
+  .tuple "abc", 7, 300, LOCATION, PHOTO, loc, x
+  .byte 0xff
+  .byte 0x22 0x23 0x27 0x2b 0x30 0x3c 0x4c 0x5f 0x66
+  .byte 0x63 0x00
+  .byte 0x63 0x03
+  .byte 0x65 0x05
+  .byte 0x62 0x00 0x00
+  .byte 0x62 0xff 0xff
+  .byte 0x61 0x01
+)";
+
+constexpr const char* kEverySpellingListing = R"(L_0:
+  halt                    ; 0x00
+  loc                     ; 0x01
+  aid                     ; 0x02
+  rand                    ; 0x03
+  numnbrs                 ; 0x04
+  sense                   ; 0x05
+  sleep                   ; 0x06
+  putled                  ; 0x07
+  copy                    ; 0x08
+  pop                     ; 0x09
+  swap                    ; 0x0a
+  wait                    ; 0x0b
+  jumps                   ; 0x0c
+  depth                   ; 0x0d
+  clear                   ; 0x0e
+  cpush                   ; 0x0f
+  add                     ; 0x10
+  sub                     ; 0x11
+  and                     ; 0x12
+  or                      ; 0x13
+  not                     ; 0x14
+  mod                     ; 0x15
+  inc                     ; 0x16
+  dec                     ; 0x17
+  eq                      ; 0x18
+  mul                     ; 0x19
+  smove                   ; 0x1a
+  wmove                   ; 0x1b
+  sclone                  ; 0x1c
+  wclone                  ; 0x1d
+  getnbr                  ; 0x1e
+  randnbr                 ; 0x1f
+  ceq                     ; 0x20
+  clt                     ; 0x21
+  cgt                     ; 0x22
+L_35:
+  rjump L_35              ; 0x23
+  rjumpc L_47             ; 0x25
+  rjump -3                ; 0x27
+  rjumpc 100              ; 0x29
+  jump L_0                ; 0x2b
+  jump 255                ; 0x2d
+L_47:
+  out                     ; 0x2f
+  inp                     ; 0x30
+  rdp                     ; 0x31
+  in                      ; 0x32
+  rd                      ; 0x33
+  tcount                  ; 0x34
+  rout                    ; 0x35
+  rinp                    ; 0x36
+  rrdp                    ; 0x37
+  regrxn                  ; 0x38
+  deregrxn                ; 0x39
+  getvar 0                ; 0x3a
+  getvar 11               ; 0x3b
+  setvar 11               ; 0x3c
+  setvar 7                ; 0x3d
+  pushc 0                 ; 0x3e
+  pushc 255               ; 0x40
+  pushc 31                ; 0x42
+  pushc 42                ; 0x44
+  pushc 47                ; 0x46
+  pushc 0                 ; 0x48
+  pushc 0                 ; 0x4a
+  pushc 1                 ; 0x4c
+  pushc 1                 ; 0x4e
+  pushc 2                 ; 0x50
+  pushc 2                 ; 0x52
+  pushc 2                 ; 0x54
+  pushc 3                 ; 0x56
+  pushc 3                 ; 0x58
+  pushc 4                 ; 0x5a
+  pushc 4                 ; 0x5c
+  pushcl -32768           ; 0x5e
+  pushcl 32767            ; 0x61
+  pushcl -1               ; 0x64
+  pushcl -16              ; 0x67
+  pushcl 47               ; 0x6a
+  pushn fir               ; 0x6d
+  pushn ab                ; 0x70
+  pushn z                 ; 0x73
+  pusht NUMBER            ; 0x76
+  pusht NUMBER            ; 0x78
+  pusht NUMBER            ; 0x7a
+  pusht STRING            ; 0x7c
+  pusht LOCATION          ; 0x7e
+  pusht READING           ; 0x80
+  pusht AGENTID           ; 0x82
+  pusht READINGTYPE       ; 0x84
+  pushrt TEMPERATURE      ; 0x86
+  pushrt TEMPERATURE      ; 0x88
+  pushrt PHOTO            ; 0x8a
+  pushrt PHOTO            ; 0x8c
+  pushrt MIC              ; 0x8e
+  pushrt MIC              ; 0x90
+  pushrt MIC              ; 0x92
+  pushrt MAGNETOMETER     ; 0x94
+  pushrt MAGNETOMETER     ; 0x96
+  pushrt ACCEL            ; 0x98
+  pushrt ACCEL            ; 0x9a
+  pushrt ACCEL            ; 0x9c
+  pushloc 3 -2            ; 0x9e
+  pushloc 1.5 0.015625    ; 0xa3
+  pushloc -511.984375 511.984375; 0xa8
+  pushn abc               ; 0xad
+  pushc 7                 ; 0xb0
+  pushcl 300              ; 0xb2
+  pusht LOCATION          ; 0xb5
+  pushrt PHOTO            ; 0xb7
+  loc                     ; 0xb9
+  pushn x                 ; 0xba
+  pushc 7                 ; 0xbd
+  .byte 0xff              ; 0xbf
+  .byte 0x22              ; 0xc0
+  .byte 0x23              ; 0xc1
+  .byte 0x27              ; 0xc2
+  .byte 0x2b              ; 0xc3
+  .byte 0x30              ; 0xc4
+  .byte 0x3c              ; 0xc5
+  .byte 0x4c              ; 0xc6
+  .byte 0x5f              ; 0xc7
+  .byte 0x66              ; 0xc8
+  .byte 0x63 0x00         ; 0xc9
+  .byte 0x63 0x03         ; 0xcb
+  .byte 0x65 0x05         ; 0xcd
+  .byte 0x62 0x00 0x00    ; 0xcf
+  .byte 0x62 0xff 0xff    ; 0xd2
+  .byte 0x61              ; 0xd5
+  loc                     ; 0xd6
+)";
+
+TEST(Disassembler, ListingOfEverySpellingIsPinned) {
+  const AssemblyResult r = assemble(kEverySpelling);
+  ASSERT_TRUE(r.ok()) << r.error_text();
+  EXPECT_EQ(disassemble(r.code), kEverySpellingListing);
+  const AssemblyResult back = assemble(kEverySpellingListing);
+  ASSERT_TRUE(back.ok()) << back.error_text();
+  EXPECT_EQ(back.code, r.code);
 }
 
 TEST(AssembleOrDie, ReturnsCodeForValidSource) {

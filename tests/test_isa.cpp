@@ -44,15 +44,13 @@ TEST(Isa, UndefinedOpcodeHasNoInfo) {
 }
 
 TEST(Isa, GetVarSetVarRanges) {
-  std::uint8_t slot = 0;
-  EXPECT_TRUE(is_getvar(0x40, &slot));
-  EXPECT_EQ(slot, 0);
-  EXPECT_TRUE(is_getvar(0x4b, &slot));
-  EXPECT_EQ(slot, 11);
-  EXPECT_FALSE(is_getvar(0x4c));
-  EXPECT_TRUE(is_setvar(0x55, &slot));
-  EXPECT_EQ(slot, 5);
-  EXPECT_FALSE(is_setvar(0x40));
+  // Each heap op covers kHeapSlots bytes from its base.
+  EXPECT_EQ(opcode_info(0x40)->opcode, Opcode::kGetVar0);
+  EXPECT_EQ(opcode_info(0x4b)->opcode, Opcode::kGetVar0);
+  EXPECT_EQ(opcode_info(0x4c), nullptr);
+  EXPECT_EQ(opcode_info(0x55)->opcode, Opcode::kSetVar0);
+  EXPECT_EQ(opcode_info(0x5b)->opcode, Opcode::kSetVar0);
+  EXPECT_EQ(opcode_info(0x5c), nullptr);
 }
 
 TEST(Isa, GetVarInstructionsAreSingleByte) {
@@ -60,10 +58,20 @@ TEST(Isa, GetVarInstructionsAreSingleByte) {
   EXPECT_EQ(instruction_length(0x57), 1u);
 }
 
-TEST(Isa, NamesIncludeSlotForHeapOps) {
-  EXPECT_EQ(opcode_name(0x42), "getvar[2]");
-  EXPECT_EQ(opcode_name(0x5b), "setvar[11]");
-  EXPECT_EQ(opcode_name(static_cast<std::uint8_t>(Opcode::kSMove)), "smove");
+TEST(Isa, OperandKinds) {
+  const auto kind = [](std::uint8_t raw) { return opcode_info(raw)->operand; };
+  EXPECT_EQ(kind(0x42), OperandKind::kHeapSlot);
+  EXPECT_EQ(kind(0x5b), OperandKind::kHeapSlot);
+  EXPECT_EQ(kind(0x60), OperandKind::kU8);
+  EXPECT_EQ(kind(0x61), OperandKind::kS16);
+  EXPECT_EQ(kind(0x62), OperandKind::kPackedString);
+  EXPECT_EQ(kind(0x63), OperandKind::kFieldType);
+  EXPECT_EQ(kind(0x64), OperandKind::kLocation);
+  EXPECT_EQ(kind(0x65), OperandKind::kSensor);
+  EXPECT_EQ(kind(0x28), OperandKind::kRel8);
+  EXPECT_EQ(kind(0x29), OperandKind::kRel8);
+  EXPECT_EQ(kind(0x2a), OperandKind::kAbs8);
+  EXPECT_EQ(kind(0x1a), OperandKind::kNone);
 }
 
 TEST(Isa, CostClassesMatchPaperGroups) {

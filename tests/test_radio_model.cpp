@@ -68,31 +68,6 @@ TEST(GridNeighborRadio, LossClampedToOne) {
       radio.loss_probability(node(0, 1, 1), node(1, 2, 1), 100), 1.0);
 }
 
-TEST(UnitDiskRadio, ConnectivityWithinRange) {
-  UnitDiskRadio radio({.range = 1.5});
-  EXPECT_TRUE(radio.connected(node(0, 0, 0), node(1, 1, 1)));   // d~1.41
-  EXPECT_FALSE(radio.connected(node(0, 0, 0), node(1, 2, 0)));  // d=2
-}
-
-TEST(UnitDiskRadio, LossGrowsWithDistance) {
-  UnitDiskRadio radio(
-      {.range = 2.0, .base_loss = 0.01, .max_loss = 0.5, .steepness = 2.0});
-  const double near =
-      radio.loss_probability(node(0, 0, 0), node(1, 0.5, 0), 20);
-  const double far =
-      radio.loss_probability(node(0, 0, 0), node(1, 1.9, 0), 20);
-  EXPECT_LT(near, far);
-  EXPECT_GE(near, 0.01);
-  EXPECT_LE(far, 0.5);
-}
-
-TEST(UnitDiskRadio, LossAtRangeEqualsMax) {
-  UnitDiskRadio radio(
-      {.range = 1.0, .base_loss = 0.0, .max_loss = 0.4, .steepness = 1.0});
-  EXPECT_NEAR(radio.loss_probability(node(0, 0, 0), node(1, 1, 0), 20), 0.4,
-              1e-9);
-}
-
 TEST(PerfectRadio, NoLossWithinRange) {
   PerfectRadio radio(1.5);
   EXPECT_TRUE(radio.connected(node(0, 0, 0), node(1, 1, 0)));
