@@ -5,8 +5,11 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "cli_args.h"
 #include "core/agent_library.h"
 #include "core/assembler.h"
 #include "api/deployment.h"
@@ -64,7 +67,9 @@ inline void print_series_row(const std::string& label, double value,
   }
 }
 
-/// Parses "--trials N" / "--loss P" / "--threads N" style overrides.
+/// Parses "--trials N" / "--loss P" / "--seed S" / "--threads N"
+/// overrides. An unknown flag, a missing value or a value that does not
+/// parse whole exits 2 with a named error, as the tools do.
 struct BenchArgs {
   int trials = 100;
   double loss = kExperimentLoss;
@@ -73,20 +78,44 @@ struct BenchArgs {
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
-    for (int i = 1; i + 1 < argc; i += 2) {
+    for (int i = 1; i < argc; i += 2) {
       const std::string key = argv[i];
+      if (key != "--trials" && key != "--loss" && key != "--seed" &&
+          key != "--threads") {
+        usage_error(argv[0], "unknown flag " + key);
+      }
+      if (i + 1 >= argc) {
+        usage_error(argv[0], "missing value for " + key);
+      }
       const std::string value = argv[i + 1];
-      if (key == "--trials") {
-        args.trials = std::stoi(value);
-      } else if (key == "--loss") {
-        args.loss = std::stod(value);
-      } else if (key == "--seed") {
-        args.seed = std::stoull(value);
-      } else if (key == "--threads") {
-        args.threads = static_cast<unsigned>(std::stoi(value));
+      const auto number = tools::parse_u64(value);
+      const auto real = tools::parse_finite(value);
+      if (key == "--trials" && number && *number > 0 &&
+          *number <= static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
+        args.trials = static_cast<int>(*number);
+      } else if (key == "--loss" && real && *real >= 0.0 && *real < 1.0) {
+        args.loss = *real;
+      } else if (key == "--seed" && number) {
+        args.seed = *number;
+      } else if (key == "--threads" && number &&
+                 *number <= std::numeric_limits<unsigned>::max()) {
+        args.threads = static_cast<unsigned>(*number);
+      } else {
+        usage_error(argv[0], "bad " + key + ": " + value);
       }
     }
     return args;
+  }
+
+ private:
+  [[noreturn]] static void usage_error(const char* program,
+                                       const std::string& message) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--trials N] [--loss P in [0,1)] "
+                 "[--seed S] [--threads N]\n",
+                 program, message.c_str(), program);
+    std::exit(2);
   }
 };
 

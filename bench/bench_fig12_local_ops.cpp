@@ -22,7 +22,7 @@ namespace {
 /// runs `source` repeatedly, and returns the engine's opcode profile.
 struct ProfileRig {
   sim::Simulator simulator{123};
-  sim::Network network{simulator, std::make_unique<sim::PerfectRadio>()};
+  sim::Network network{simulator};
   sim::SensorEnvironment environment;
   std::unique_ptr<core::AgillaMiddleware> mote;
 

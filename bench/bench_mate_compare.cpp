@@ -80,10 +80,7 @@ Outcome run_agilla(std::uint64_t seed) {
 
 Outcome run_mate(std::uint64_t seed) {
   sim::Simulator simulator(seed);
-  sim::Network network(
-      simulator, std::make_unique<sim::GridNeighborRadio>(
-                     sim::GridNeighborRadio::Options{.spacing = 1.0,
-                                                     .packet_loss = 0.03}));
+  sim::Network network(simulator, sim::ChannelLoss{.packet_loss = 0.03});
   const sim::Topology grid = sim::make_grid(network, 5, 5);
   sim::SensorEnvironment environment;
   std::vector<std::unique_ptr<mate::MateNode>> nodes;

@@ -4,23 +4,26 @@
 // child so ru_maxrss is per-configuration, not the process-lifetime
 // maximum; the parent also cross-checks an outcome checksum so the table
 // doubles as a determinism gate (same grid, any shard count => same
-// simulated outcome).
+// simulated outcome). Each cell also prints its event count and the
+// checksum in hex, so one grid's outcome can be compared across commits.
 //
 // Usage:
 //   bench_scale [--duration S] [--grid N, repeatable]   full table
 //   bench_scale --smoke    quick CI gate: 24x24, shards {1,4}; exits
 //       nonzero if the sharded outcome diverges from the serial one.
+// A malformed or unknown flag exits 2.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "api/deployment.h"
+#include "cli_args.h"
 
 namespace {
 
@@ -100,21 +103,41 @@ bool run_cell_isolated(std::size_t side, std::size_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr,
+                 "bench_scale: %s\nusage: bench_scale [--smoke] "
+                 "[--duration S] [--grid N]...\n",
+                 message.c_str());
+    return 2;
+  };
   bool smoke = false;
   double duration_s = 20.0;
   std::vector<std::size_t> sides;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--grid") == 0 && i + 1 < argc) {
-      sides.push_back(static_cast<std::size_t>(std::atoi(argv[++i])));
+      continue;
+    }
+    if (arg != "--duration" && arg != "--grid") {
+      return usage_error("unknown flag " + arg);
+    }
+    if (i + 1 >= argc) {
+      return usage_error("missing value for " + arg);
+    }
+    const std::string value = argv[++i];
+    if (arg == "--duration") {
+      const auto seconds = tools::parse_finite(value);
+      if (!seconds || *seconds <= 0.0) {
+        return usage_error("bad --duration: " + value);
+      }
+      duration_s = *seconds;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_scale [--smoke] [--duration S] "
-                   "[--grid N]...\n");
-      return 2;
+      const auto side = tools::parse_u64(value);
+      if (!side || *side == 0 || *side > 4096) {
+        return usage_error("bad --grid: " + value);
+      }
+      sides.push_back(static_cast<std::size_t>(*side));
     }
   }
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
@@ -126,10 +149,10 @@ int main(int argc, char** argv) {
     sides = {32, 64, 100};
   }
 
-  std::printf("| grid | motes | shards | wall s | events/s | peak "
-              "RSS MiB | KiB/mote | speedup | outcome |\n");
-  std::printf("|------|-------|--------|--------|----------|------"
-              "--------|----------|---------|----------|\n");
+  std::printf("| grid | motes | shards | wall s | events | events/s | "
+              "peak RSS MiB | KiB/mote | speedup | outcome |\n");
+  std::printf("|------|-------|--------|--------|--------|----------|"
+              "--------------|----------|---------|---------|\n");
   bool ok = true;
   for (const std::size_t side : sides) {
     double serial_wall = 0.0;
@@ -148,15 +171,15 @@ int main(int argc, char** argv) {
       }
       const bool same = cell.checksum == serial_checksum;
       ok = ok && same;
-      std::printf("| %zux%zu | %zu | %zu | %.2f | %.0f | %.0f | %.1f | "
-                  "%.2fx | %s |\n",
-                  side, side, side * side, shards, cell.wall_s,
+      std::printf("| %zux%zu | %zu | %zu | %.2f | %" PRIu64 " | %.0f | "
+                  "%.0f | %.1f | %.2fx | %s %016" PRIx64 " |\n",
+                  side, side, side * side, shards, cell.wall_s, cell.events,
                   static_cast<double>(cell.events) / cell.wall_s,
                   static_cast<double>(cell.maxrss_kb) / 1024.0,
                   static_cast<double>(cell.maxrss_kb) /
                       static_cast<double>(side * side),
                   serial_wall / cell.wall_s,
-                  same ? "identical" : "DIVERGED");
+                  same ? "identical" : "DIVERGED", cell.checksum);
       std::fflush(stdout);
     }
   }

@@ -8,13 +8,14 @@
 //   bench_vm_throughput [--seconds S] [--reps N]   full table (default)
 //   bench_vm_throughput --smoke                    quick CI gate: exits
 //       nonzero if threaded dispatch is slower than switch anywhere.
+// A malformed or unknown flag exits 2.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/assembler.h"
 #include "core/middleware.h"
 
@@ -55,7 +56,7 @@ std::vector<Workload> make_workloads() {
 double measure(core::DispatchMode mode, const Workload& workload,
                double min_seconds) {
   sim::Simulator simulator{42};
-  sim::Network network{simulator, std::make_unique<sim::PerfectRadio>()};
+  sim::Network network{simulator};
   sim::SensorEnvironment environment;
   core::AgillaConfig config;
   config.engine.dispatch = mode;
@@ -99,16 +100,41 @@ double measure_best(core::DispatchMode mode, const Workload& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr,
+                 "bench_vm_throughput: %s\nusage: bench_vm_throughput "
+                 "[--smoke] [--seconds S] [--reps N]\n",
+                 message.c_str());
+    return 2;
+  };
   bool smoke = false;
   double seconds = 0.4;
   int reps = 3;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::stoi(argv[++i]);
+      continue;
+    }
+    if (arg != "--seconds" && arg != "--reps") {
+      return usage_error("unknown flag " + arg);
+    }
+    if (i + 1 >= argc) {
+      return usage_error("missing value for " + arg);
+    }
+    const std::string value = argv[++i];
+    if (arg == "--seconds") {
+      const auto parsed = tools::parse_finite(value);
+      if (!parsed || *parsed <= 0.0) {
+        return usage_error("bad --seconds: " + value);
+      }
+      seconds = *parsed;
+    } else {
+      const auto parsed = tools::parse_u64(value);
+      if (!parsed || *parsed == 0 || *parsed > 1000) {
+        return usage_error("bad --reps: " + value);
+      }
+      reps = static_cast<int>(*parsed);
     }
   }
   if (smoke) {

@@ -136,7 +136,8 @@ expect_usage_error ./build/agilla_loadgen --loopback --smoke --ops 5x \
 # The daemon would otherwise start serving; the timeout bounds that case.
 expect_usage_error timeout 10 ./build/agilla_gatewayd \
   --listen 127.0.0.1:0 --queue-cap 12x
-echo "bad numeric flags exit 2 in agilla_sim, agilla_loadgen, agilla_gatewayd"
+expect_usage_error ./build/bench_fig9_reliability --trials 2x
+echo "bad numeric flags exit 2 in agilla_sim, agilla_loadgen, agilla_gatewayd, benches"
 
 echo "== agent toolchain: corpus round trip + conformance grade =="
 # Every corpus program must survive assemble -> disassemble -> reassemble

@@ -4,7 +4,6 @@
 
 #include "api/knob_registry.h"
 #include "core/assembler.h"
-#include "sim/radio_model.h"
 
 namespace agilla::api {
 
@@ -12,13 +11,8 @@ Deployment::Deployment(DeploymentOptions options,
                        std::vector<Observer*> observers)
     : options_(options),
       simulator_(options.seed),
-      network_(simulator_,
-               std::make_unique<sim::GridNeighborRadio>(
-                   sim::GridNeighborRadio::Options{
-                       .spacing = 1.0,
-                       .eight_connected = false,
-                       .packet_loss = options.packet_loss,
-                       .per_byte_loss = options.per_byte_loss})),
+      network_(simulator_, sim::ChannelLoss{options.packet_loss,
+                                            options.per_byte_loss}),
       bus_(&simulator_) {
   bus_.subscribe(lifecycle_, sim::mask_of(sim::EventKind::kNodeDown,
                                           sim::EventKind::kNodeUp));

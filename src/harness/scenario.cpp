@@ -33,11 +33,8 @@ void record_network_stats(const sim::Network& network,
   const sim::NetworkStats& stats = network.stats();
   metrics.set("frames_sent", static_cast<double>(stats.frames_sent));
   metrics.set("frames_lost", static_cast<double>(stats.frames_lost));
-  const auto beacons = stats.sent_by_type.find(sim::AmType::kBeacon);
   metrics.set("beacons_sent",
-              beacons == stats.sent_by_type.end()
-                  ? 0.0
-                  : static_cast<double>(beacons->second));
+              static_cast<double>(stats.sent(sim::AmType::kBeacon)));
   const double attempts = static_cast<double>(stats.frames_delivered +
                                               stats.frames_lost);
   if (attempts > 0) {

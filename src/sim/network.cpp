@@ -1,8 +1,10 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace agilla::sim {
@@ -16,9 +18,18 @@ SimTime exponential_delay(Rng& rng, double rate_per_s) {
   return static_cast<SimTime>(seconds * 1e6) + 1;
 }
 
-std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-         static_cast<std::uint32_t>(cy);
+/// Lattice coordinates stay within +-2^30, so a neighbour's coordinate
+/// never overflows std::int32_t.
+constexpr double kMaxCoordinate = 1 << 30;
+
+/// The lattice offsets of a node's receivers, in delivery order: left,
+/// down, up, right. Direction d's reverse is 3 - d.
+constexpr std::array<std::array<std::int32_t, 2>, 4> kLinkOffsets = {
+    {{-1, 0}, {0, -1}, {0, 1}, {1, 0}}};
+
+std::uint64_t lattice_key(std::int32_t x, std::int32_t y) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) << 32) |
+         static_cast<std::uint32_t>(y);
 }
 
 }  // namespace
@@ -30,18 +41,55 @@ SimTime serialization_time(std::size_t payload_bytes) {
   return static_cast<SimTime>(seconds * static_cast<double>(kSecond));
 }
 
-Network::Network(Simulator& sim, std::unique_ptr<RadioModel> radio)
-    : sim_(sim), radio_(std::move(radio)) {
-  assert(radio_ != nullptr);
+double ChannelLoss::probability(std::size_t on_air_bytes) const {
+  return std::clamp(
+      packet_loss + per_byte_loss * static_cast<double>(on_air_bytes), 0.0,
+      1.0);
+}
+
+Network::Network(Simulator& sim, ChannelLoss loss) : sim_(sim), loss_(loss) {}
+
+bool Network::NodeState::hears(NodeId id) const {
+  const auto list = receivers();
+  return std::find(list.begin(), list.end(), id) != list.end();
+}
+
+void Network::NodeState::link(std::size_t dir, NodeId peer) {
+  assert((link_dirs & (1u << dir)) == 0);  // one node per lattice point
+  const auto slot = static_cast<std::size_t>(
+      std::popcount(static_cast<unsigned>(link_dirs & ((1u << dir) - 1))));
+  const std::size_t count = receivers().size();
+  std::copy_backward(links.begin() + slot, links.begin() + count,
+                     links.begin() + count + 1);
+  links[slot] = peer;
+  link_dirs |= static_cast<std::uint8_t>(1u << dir);
 }
 
 NodeId Network::add_node(Location loc) {
+  const auto on_lattice = [](double v) {
+    return v == std::floor(v) && std::abs(v) <= kMaxCoordinate;
+  };
+  if (!on_lattice(loc.x) || !on_lattice(loc.y)) {
+    throw std::invalid_argument("add_node: not an integer lattice point");
+  }
+  const auto x = static_cast<std::int32_t>(loc.x);
+  const auto y = static_cast<std::int32_t>(loc.y);
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
+  if (!placed_.emplace(lattice_key(x, y), id).second) {
+    throw std::invalid_argument("add_node: lattice point already taken");
+  }
   NodeState node;
   node.info = NodeInfo{id, loc, true};
+  for (std::size_t dir = 0; dir < kLinkOffsets.size(); ++dir) {
+    const auto it = placed_.find(
+        lattice_key(x + kLinkOffsets[dir][0], y + kLinkOffsets[dir][1]));
+    if (it != placed_.end()) {
+      node.link(dir, it->second);
+      nodes_[it->second.value].link(3 - dir, id);
+    }
+  }
   nodes_.push_back(std::move(node));
   sim_.ensure_node_streams(nodes_.size());
-  index_dirty_ = true;
   return id;
 }
 
@@ -93,7 +141,6 @@ void Network::configure_shards(std::size_t shards) {
   }
   sim_.configure_shards(shards, std::move(map), min_frame_latency());
   shard_stats_.assign(sim_.shard_count(), NetworkStats{});
-  rebuild_index();
 }
 
 NetworkStats& Network::stats_for(NodeId id) {
@@ -113,53 +160,11 @@ NetworkStats Network::stats() const {
     total.bytes_on_air += shard.bytes_on_air;
     total.node_deaths += shard.node_deaths;
     total.node_reboots += shard.node_reboots;
-    for (const auto& [am, count] : shard.sent_by_type) {
-      total.sent_by_type[am] += count;
+    for (std::size_t am = 0; am < total.sent_by_type.size(); ++am) {
+      total.sent_by_type[am] += shard.sent_by_type[am];
     }
   }
   return total;
-}
-
-// ------------------------------------------- spatial neighbour index
-
-void Network::rebuild_index() const {
-  index_.clear();
-  index_cell_ = std::max(radio_->max_range(), 1e-9);
-  for (const NodeState& node : nodes_) {
-    const auto cx = static_cast<std::int32_t>(
-        std::floor(node.info.location.x / index_cell_));
-    const auto cy = static_cast<std::int32_t>(
-        std::floor(node.info.location.y / index_cell_));
-    index_[cell_key(cx, cy)].push_back(node.info.id);
-  }
-  index_dirty_ = false;
-}
-
-void Network::for_each_in_range(
-    const NodeInfo& from,
-    const std::function<void(const NodeState&)>& fn) const {
-  if (index_dirty_) {
-    // Lazy rebuilds happen only in serial contexts (unit tests adding
-    // nodes ad hoc); sharded deployments build eagerly in
-    // configure_shards before any traffic exists.
-    assert(sim_.shard_count() == 1);
-    rebuild_index();
-  }
-  const auto cx = static_cast<std::int32_t>(
-      std::floor(from.location.x / index_cell_));
-  const auto cy = static_cast<std::int32_t>(
-      std::floor(from.location.y / index_cell_));
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const auto it = index_.find(cell_key(cx + dx, cy + dy));
-      if (it == index_.end()) {
-        continue;
-      }
-      for (const NodeId id : it->second) {
-        fn(nodes_[id.value]);
-      }
-    }
-  }
 }
 
 // --------------------------------------------------------------- energy
@@ -382,18 +387,6 @@ const NodeInfo& Network::info(NodeId id) const {
   return nodes_.at(id.value).info;
 }
 
-std::vector<NodeId> Network::connected_neighbors(NodeId id) const {
-  const auto& self = nodes_.at(id.value).info;
-  std::vector<NodeId> out;
-  for_each_in_range(self, [&](const NodeState& other) {
-    if (other.info.id != id && radio_->connected(self, other.info)) {
-      out.push_back(other.info.id);
-    }
-  });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void Network::send(Frame frame) {
   auto& node = nodes_.at(frame.src.value);
   node.tx_queue.push_back(std::move(frame));
@@ -423,24 +416,17 @@ void Network::try_start_tx(NodeState& node) {
 }
 
 void Network::launch_frame(NodeState& node, SimTime arrival) {
-  // The frame's fate is decided here, at transmit start: candidate
-  // receivers are enumerated from static geometry and each gets a
-  // delivery event in its own stream at the arrival time. Receiver-local
-  // conditions (radio off, channel loss) are evaluated at delivery, in
-  // the receiver's context.
+  // The frame's fate is decided here, at transmit start: each of the
+  // sender's fixed receivers gets a delivery event in its own stream at
+  // the arrival time. Receiver-local conditions (radio off, channel loss)
+  // are evaluated at delivery, in the receiver's context.
   const std::shared_ptr<const Frame> frame = node.in_flight;
-  const NodeInfo& sender = node.info;
   if (frame->dst.is_broadcast()) {
-    for_each_in_range(sender, [&](const NodeState& other) {
-      if (other.info.id == sender.id ||
-          !radio_->connected(sender, other.info)) {
-        return;
-      }
-      const NodeId rx = other.info.id;
+    for (const NodeId rx : node.receivers()) {
       sim_.schedule_at(arrival, rx, [this, frame, rx] {
         deliver_at(frame, rx, RxRole::kBroadcast);
       });
-    });
+    }
   } else {
     // Overhearing (energy option, off in the paper model): every awake
     // in-range radio decodes the unicast frame before its address filter
@@ -448,19 +434,16 @@ void Network::launch_frame(NodeState& node, SimTime arrival) {
     // counted in frames_heard (filtered frames are not traffic the
     // adaptive-LPL controller acts on), no records, no randomness.
     if (energy_ && energy_->options.overhearing) {
-      for_each_in_range(sender, [&](const NodeState& other) {
-        if (other.info.id == sender.id || other.info.id == frame->dst ||
-            !radio_->connected(sender, other.info)) {
-          return;
+      for (const NodeId rx : node.receivers()) {
+        if (rx == frame->dst) {
+          continue;
         }
-        const NodeId rx = other.info.id;
         sim_.schedule_at(arrival, rx, [this, frame, rx] {
           deliver_at(frame, rx, RxRole::kOverhear);
         });
-      });
+      }
     }
-    if (frame->dst.value < nodes_.size() &&
-        radio_->connected(sender, nodes_[frame->dst.value].info)) {
+    if (node.hears(frame->dst)) {
       const NodeId rx = frame->dst;
       sim_.schedule_at(arrival, rx, [this, frame, rx] {
         deliver_at(frame, rx, RxRole::kUnicast);
@@ -469,7 +452,7 @@ void Network::launch_frame(NodeState& node, SimTime arrival) {
     // Out-of-range / invalid destinations are counted unreachable at
     // finish_tx, sender-side.
   }
-  const NodeId src = sender.id;
+  const NodeId src = node.info.id;
   sim_.schedule_at(arrival, src, [this, src] { finish_tx(src); });
 }
 
@@ -479,13 +462,10 @@ void Network::finish_tx(NodeId id) {
   const Frame& frame = *node.in_flight;
   NetworkStats& stats = stats_for(id);
   stats.frames_sent++;
-  stats.sent_by_type[frame.am]++;
+  stats.sent_by_type[static_cast<std::uint8_t>(frame.am)]++;
   stats.bytes_on_air += frame.payload.size() + kHeaderBytes;
-  if (!frame.dst.is_broadcast()) {
-    if (frame.dst.value >= nodes_.size() ||
-        !radio_->connected(node.info, nodes_[frame.dst.value].info)) {
-      stats.frames_unreachable++;
-    }
+  if (!frame.dst.is_broadcast() && !node.hears(frame.dst)) {
+    stats.frames_unreachable++;
   }
   if (energy_) {
     charge(node, energy::EnergyComponent::kRadioTx,
@@ -532,12 +512,9 @@ void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
            energy::radio_rx_mj(decode_time));
   }
   // Loss draws from the receiver's stream: which frames a node loses is a
-  // fact about that node's channel, invariant across shard layouts. Only
-  // the sender's static location feeds the loss model.
+  // fact about that node's channel, invariant across shard layouts.
   const std::size_t on_air = frame->payload.size() + kHeaderBytes;
-  const NodeInfo& sender_info = nodes_[frame->src.value].info;
-  if (sim_.node_rng(rx_id).chance(
-          radio_->loss_probability(sender_info, rx.info, on_air))) {
+  if (sim_.node_rng(rx_id).chance(loss_.probability(on_air))) {
     stats_for(rx_id).frames_lost++;
     emit_frame(EventKind::kFrameRx, *frame, rx_id, /*lost=*/true);
     return;

@@ -1,6 +1,18 @@
 // The simulated radio network: node registry, half-duplex transmit queues,
 // loss, and delivery upcalls.
 //
+// Radio (paper Sec. 4): the testbed software "filters out all messages
+// except those from immediate neighbors based on the grid topology". Every
+// node sits on an integer lattice point, and its receivers are the
+// occupied points one unit away (4-connectivity). add_node works them out
+// once, when the node is placed, and links both ends into a fixed slot
+// array, so no frame ever searches for its receivers. Receivers are always
+// enumerated left, down, up, right: delivery events at one arrival time
+// take their sequence numbers from that order, so it is pinned
+// (Network.BroadcastReachesAllNeighbors) and every simulated output
+// depends on it. A received frame is lost with probability
+// clamp(packet_loss + per_byte_loss * on_air_bytes, 0, 1) (ChannelLoss).
+//
 // Timing model (calibrated to the MICA2 CC1000 / TinyOS stack, see
 // DESIGN.md): a frame occupies the sender's radio for
 //     kPerPacketOverhead + on_air_bytes * 8 / kBitRateBps  (+ MAC jitter)
@@ -10,10 +22,10 @@
 // the effect the paper measures in Figs. 10/11.
 //
 // Sharding model: transmission outcomes are decided receiver-side. When a
-// frame starts, the sender enumerates the (static) candidate receivers and
-// schedules one delivery event per receiver in the RECEIVER's stream at
-// the frame's arrival time; radio-enabled checks, loss draws (from the
-// receiver's RNG), RX energy, and the upcall all happen there. Since every
+// frame starts, the sender walks its (static) receivers and schedules one
+// delivery event per receiver in the RECEIVER's stream at the frame's
+// arrival time; radio-enabled checks, loss draws (from the receiver's
+// RNG), RX energy, and the upcall all happen there. Since every
 // frame costs at least min_frame_latency() of virtual time, that latency
 // is the conservative lookahead window the sharded simulator synchronizes
 // on. A frame's fate is sealed when it starts: a sender killed mid-flight
@@ -31,21 +43,38 @@
 // transitions, and settle ticks are also emitted as sim::Event records.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "energy/battery.h"
 #include "energy/energy_model.h"
 #include "sim/fifo.h"
-#include "sim/radio_model.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
 
 namespace agilla::sim {
+
+struct NodeInfo {
+  NodeId id;
+  Location location;
+  bool radio_enabled = true;
+};
+
+/// The channel's loss model: a received frame of `on_air_bytes` is lost
+/// with probability clamp(packet_loss + per_byte_loss * on_air_bytes, 0, 1).
+struct ChannelLoss {
+  double packet_loss = 0.0;    ///< per-packet Bernoulli loss floor
+  double per_byte_loss = 0.0;  ///< additional loss per on-air byte
+
+  [[nodiscard]] double probability(std::size_t on_air_bytes) const;
+};
 
 /// A radio-level packet. Payload layouts are defined by the net/ layer.
 struct Frame {
@@ -87,8 +116,12 @@ struct NetworkStats {
   std::uint64_t bytes_on_air = 0;
   std::uint64_t node_deaths = 0;      ///< battery depletion + churn crashes
   std::uint64_t node_reboots = 0;
-  std::unordered_map<AmType, std::uint64_t> sent_by_type;
+  /// Frames sent, indexed by the AM type byte.
+  std::array<std::uint64_t, 256> sent_by_type{};
 
+  [[nodiscard]] std::uint64_t sent(AmType am) const {
+    return sent_by_type[static_cast<std::uint8_t>(am)];
+  }
   void reset() { *this = NetworkStats{}; }
 };
 
@@ -105,9 +138,12 @@ class Network {
   using NodeDownHandler = std::function<void(NodeId, NodeDownReason)>;
   using NodeUpHandler = std::function<void(NodeId)>;
 
-  Network(Simulator& sim, std::unique_ptr<RadioModel> radio);
+  explicit Network(Simulator& sim, ChannelLoss loss = {});
 
-  /// Register a node at `loc`. Returns its dense id.
+  /// Registers a node at `loc` and links it with the nodes one unit
+  /// away. Returns its dense id. Throws std::invalid_argument unless
+  /// `loc` is an integer lattice point (coordinates within +-2^30) that
+  /// no other node occupies.
   NodeId add_node(Location loc);
 
   /// Install the (single) receive upcall for a node. The net/ layer
@@ -192,14 +228,15 @@ class Network {
 
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] const RadioModel& radio() const { return *radio_; }
   [[nodiscard]] Simulator& simulator() { return sim_; }
 
-  /// Ground-truth connectivity (what the channel permits), ascending by
-  /// node id. Protocol-level neighbour knowledge comes from beacons in
-  /// net::NeighborTable. Served from the spatial bucket index: O(density)
-  /// per call, not O(node_count).
-  [[nodiscard]] std::vector<NodeId> connected_neighbors(NodeId id) const;
+  /// Ground-truth connectivity (what the channel permits): the node's
+  /// receivers, in delivery order (left, down, up, right); valid until
+  /// the next add_node. Protocol-level neighbour knowledge comes from
+  /// beacons in net::NeighborTable.
+  [[nodiscard]] std::span<const NodeId> connected_neighbors(NodeId id) const {
+    return nodes_.at(id.value).receivers();
+  }
 
   /// Aggregated traffic/lifecycle counters. Counters accumulate per shard
   /// (each in its owning worker's cache line set) and merge here; call
@@ -222,6 +259,18 @@ class Network {
     /// Frames this node's radio decoded since the last settle tick — the
     /// local traffic rate the adaptive controller observes.
     std::uint32_t frames_heard = 0;
+    /// The nodes one lattice unit away, fixed at placement and compacted
+    /// in delivery order; bit d of `link_dirs` marks a neighbour in
+    /// direction d (0 left, 1 down, 2 up, 3 right).
+    std::array<NodeId, 4> links;
+    std::uint8_t link_dirs = 0;
+
+    [[nodiscard]] std::span<const NodeId> receivers() const {
+      return {links.data(), static_cast<std::size_t>(
+                                std::popcount(link_dirs))};
+    }
+    [[nodiscard]] bool hears(NodeId id) const;
+    void link(std::size_t dir, NodeId peer);
   };
 
   struct EnergyState {
@@ -261,29 +310,17 @@ class Network {
   /// The shard-local counter block for events concerning `id`.
   [[nodiscard]] NetworkStats& stats_for(NodeId id);
 
-  // ------------------------------------------- spatial neighbour index
-  /// Node ids bucketed into square cells of the radio's max_range().
-  /// Rebuilt lazily after add_node (single-shard contexts only) and
-  /// eagerly by configure_shards; connectivity itself is still decided by
-  /// RadioModel::connected on the 3x3 candidate cells.
-  void rebuild_index() const;
-  void for_each_in_range(const NodeInfo& from,
-                         const std::function<void(const NodeState&)>& fn)
-      const;
-
   Simulator& sim_;
-  std::unique_ptr<RadioModel> radio_;
+  ChannelLoss loss_;
   std::vector<NodeState> nodes_;
+  /// Lattice point -> the node placed there (see add_node).
+  std::unordered_map<std::uint64_t, NodeId> placed_;
   std::optional<EnergyState> energy_;
   ChurnOptions churn_;
   NodeDownHandler node_down_;
   NodeUpHandler node_up_;
   /// One counter block per shard; stats() sums them.
   std::vector<NetworkStats> shard_stats_{1};
-
-  mutable std::unordered_map<std::uint64_t, std::vector<NodeId>> index_;
-  mutable double index_cell_ = 0.0;
-  mutable bool index_dirty_ = true;
 };
 
 }  // namespace agilla::sim

@@ -6,34 +6,21 @@
 
 namespace agilla::sim {
 
-Topology make_grid(Network& net, std::size_t width, std::size_t height,
-                   double spacing, Location origin) {
+Topology make_grid(Network& net, std::size_t width, std::size_t height) {
   Topology topo;
   topo.nodes.reserve(width * height);
   for (std::size_t row = 0; row < height; ++row) {
     for (std::size_t col = 0; col < width; ++col) {
       topo.nodes.push_back(net.add_node(
-          Location{origin.x + static_cast<double>(col) * spacing,
-                   origin.y + static_cast<double>(row) * spacing}));
+          Location{1.0 + static_cast<double>(col),
+                   1.0 + static_cast<double>(row)}));
     }
   }
   return topo;
 }
 
-Topology make_line(Network& net, std::size_t count, double spacing,
-                   Location origin) {
-  return make_grid(net, count, 1, spacing, origin);
-}
-
-Topology make_random(Network& net, std::size_t count, double width,
-                     double height, Rng& rng) {
-  Topology topo;
-  topo.nodes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    topo.nodes.push_back(net.add_node(
-        Location{rng.uniform01() * width, rng.uniform01() * height}));
-  }
-  return topo;
+Topology make_line(Network& net, std::size_t count) {
+  return make_grid(net, count, 1);
 }
 
 std::optional<std::size_t> hop_distance(const Network& net, NodeId from,

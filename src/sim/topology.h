@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/network.h"
-#include "sim/rng.h"
 #include "sim/types.h"
 
 namespace agilla::sim {
@@ -21,19 +20,12 @@ struct Topology {
   [[nodiscard]] std::size_t size() const { return nodes.size(); }
 };
 
-/// A `width` x `height` grid with pitch `spacing`; node (col,row) sits at
-/// (origin.x + col*spacing, origin.y + row*spacing). Creation order is
-/// row-major from the origin corner.
-Topology make_grid(Network& net, std::size_t width, std::size_t height,
-                   double spacing = 1.0, Location origin = {1.0, 1.0});
+/// A `width` x `height` unit grid; node (col,row) sits at
+/// (1 + col, 1 + row). Creation order is row-major from (1,1).
+Topology make_grid(Network& net, std::size_t width, std::size_t height);
 
-/// A straight line of `count` nodes along +x.
-Topology make_line(Network& net, std::size_t count, double spacing = 1.0,
-                   Location origin = {1.0, 1.0});
-
-/// `count` nodes placed uniformly at random in [0,width] x [0,height].
-Topology make_random(Network& net, std::size_t count, double width,
-                     double height, Rng& rng);
+/// A straight line of `count` nodes along +x from (1,1).
+Topology make_line(Network& net, std::size_t count);
 
 /// BFS hop distance over ground-truth connectivity; nullopt if unreachable.
 std::optional<std::size_t> hop_distance(const Network& net, NodeId from,

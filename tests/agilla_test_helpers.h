@@ -68,9 +68,7 @@ class AgillaMesh {
  public:
   explicit AgillaMesh(const MeshOptions& options = MeshOptions())
       : sim(options.seed),
-        net(sim, std::make_unique<sim::GridNeighborRadio>(
-                     sim::GridNeighborRadio::Options{
-                         .spacing = 1.0, .packet_loss = options.packet_loss})) {
+        net(sim, sim::ChannelLoss{.packet_loss = options.packet_loss}) {
     sim.set_sink(&events);
     topo = sim::make_grid(net, options.width, options.height);
     for (sim::NodeId id : topo.nodes) {

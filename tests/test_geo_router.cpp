@@ -19,9 +19,7 @@ struct RoutedMesh {
   std::vector<std::unique_ptr<GeoRouter>> routers;
 
   RoutedMesh(std::size_t w, std::size_t h, double loss = 0.0)
-      : net(sim, std::make_unique<sim::GridNeighborRadio>(
-                     sim::GridNeighborRadio::Options{.spacing = 1.0,
-                                                     .packet_loss = loss})) {
+      : net(sim, sim::ChannelLoss{.packet_loss = loss}) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
       const sim::Location loc = net.info(id).location;
@@ -227,7 +225,7 @@ struct PolicyFixture {
 
   explicit PolicyFixture(GeoRouter::Options options,
                          sim::Location at = {5, 5})
-      : net(sim, std::make_unique<sim::PerfectRadio>()),
+      : net(sim),
         self(net.add_node(at)),
         link(net, self),
         table(net, link, at),

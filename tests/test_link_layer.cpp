@@ -16,9 +16,7 @@ struct LinkFixture {
   std::unique_ptr<LinkLayer> link_b;
 
   explicit LinkFixture(double loss = 0.0) :
-      net(sim, std::make_unique<sim::GridNeighborRadio>(
-                   sim::GridNeighborRadio::Options{.spacing = 1.0,
-                                                   .packet_loss = loss})) {
+      net(sim, sim::ChannelLoss{.packet_loss = loss}) {
     a = net.add_node({1, 1});
     b = net.add_node({2, 1});
     link_a = std::make_unique<LinkLayer>(net, a);

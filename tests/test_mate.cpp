@@ -18,8 +18,7 @@ struct MateMesh {
   std::vector<std::unique_ptr<MateNode>> nodes;
 
   MateMesh(std::size_t w, std::size_t h)
-      : net(sim, std::make_unique<sim::GridNeighborRadio>(
-                     sim::GridNeighborRadio::Options{.spacing = 1.0})) {
+      : net(sim) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
       nodes.push_back(std::make_unique<MateNode>(net, id, &env));

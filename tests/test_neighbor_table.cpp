@@ -20,8 +20,7 @@ struct Mesh {
 
   Mesh(std::size_t w, std::size_t h,
        NeighborTable::Options options = NeighborTable::Options())
-      : net(sim, std::make_unique<sim::GridNeighborRadio>(
-                     sim::GridNeighborRadio::Options{.spacing = 1.0})) {
+      : net(sim) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
       links.push_back(std::make_unique<LinkLayer>(net, id));
@@ -74,7 +73,7 @@ TEST(NeighborTable, RandomNeighborFromPopulatedTable) {
 
 TEST(NeighborTable, RandomFromEmptyIsNull) {
   sim::Simulator sim{1};
-  sim::Network net(sim, std::make_unique<sim::PerfectRadio>());
+  sim::Network net(sim);
   const sim::NodeId id = net.add_node({0, 0});
   LinkLayer link(net, id);
   NeighborTable table(net, link, {0, 0});
@@ -103,7 +102,7 @@ TEST(NeighborTable, DeadNeighborExpires) {
 
 TEST(NeighborTable, ManualInsertAndUpdate) {
   sim::Simulator sim{1};
-  sim::Network net(sim, std::make_unique<sim::PerfectRadio>());
+  sim::Network net(sim);
   const sim::NodeId id = net.add_node({0, 0});
   LinkLayer link(net, id);
   NeighborTable table(net, link, {0, 0});
@@ -115,7 +114,7 @@ TEST(NeighborTable, ManualInsertAndUpdate) {
 
 TEST(NeighborTable, CapacityEvictsStalest) {
   sim::Simulator sim{1};
-  sim::Network net(sim, std::make_unique<sim::PerfectRadio>());
+  sim::Network net(sim);
   const sim::NodeId id = net.add_node({0, 0});
   LinkLayer link(net, id);
   NeighborTable table(net, link, {0, 0});
@@ -157,11 +156,9 @@ TEST(NeighborTable, SuppressionBacksBeaconsOffWhileStable) {
   // Discovery settles in the first seconds; after that the table is
   // stable and the period walks 1 s -> 8 s.
   mesh.sim.run_for(10 * sim::kSecond);
-  const auto early =
-      mesh.net.stats().sent_by_type[sim::AmType::kBeacon];
+  const auto early = mesh.net.stats().sent(sim::AmType::kBeacon);
   mesh.sim.run_for(40 * sim::kSecond);
-  const auto late =
-      mesh.net.stats().sent_by_type[sim::AmType::kBeacon] - early;
+  const auto late = mesh.net.stats().sent(sim::AmType::kBeacon) - early;
   // 40 s at the 8 s backed-off period: ~5 beacons per node, far below
   // the 40 an unsuppressed node would send.
   EXPECT_LE(late, 2 * 8u);
@@ -232,7 +229,7 @@ TEST(NeighborTable, PiggybackRefreshesEntriesWithoutBeacons) {
 
 TEST(NeighborTable, DiscoveryHandlerFiresOnNewEntriesOnly) {
   sim::Simulator sim{1};
-  sim::Network net(sim, std::make_unique<sim::PerfectRadio>());
+  sim::Network net(sim);
   const sim::NodeId id = net.add_node({0, 0});
   LinkLayer link(net, id);
   NeighborTable table(net, link, {0, 0});
@@ -251,9 +248,9 @@ TEST(NeighborTable, StopHaltsBeaconing) {
   mesh.sim.run_for(3 * sim::kSecond);
   mesh.tables[0]->stop();
   mesh.tables[1]->stop();
-  const auto sent = mesh.net.stats().sent_by_type[sim::AmType::kBeacon];
+  const auto sent = mesh.net.stats().sent(sim::AmType::kBeacon);
   mesh.sim.run_for(5 * sim::kSecond);
-  EXPECT_EQ(mesh.net.stats().sent_by_type[sim::AmType::kBeacon], sent);
+  EXPECT_EQ(mesh.net.stats().sent(sim::AmType::kBeacon), sent);
 }
 
 }  // namespace

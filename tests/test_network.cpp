@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "sim/topology.h"
@@ -15,8 +14,7 @@ struct NetFixture {
   Network net;
 
   explicit NetFixture(double loss = 0.0)
-      : net(sim, std::make_unique<GridNeighborRadio>(GridNeighborRadio::Options{
-                     .spacing = 1.0, .packet_loss = loss})) {}
+      : net(sim, ChannelLoss{.packet_loss = loss}) {}
 };
 
 TEST(RadioTiming, AirTimeMatchesBitrate) {
@@ -151,8 +149,8 @@ TEST(Network, StatsCountByType) {
   f.net.send(Frame{a, b, AmType::kTsRequest, {}});
   f.net.send(Frame{a, b, AmType::kTsRequest, {}});
   f.sim.run();
-  EXPECT_EQ(f.net.stats().sent_by_type.at(AmType::kBeacon), 1u);
-  EXPECT_EQ(f.net.stats().sent_by_type.at(AmType::kTsRequest), 2u);
+  EXPECT_EQ(f.net.stats().sent(AmType::kBeacon), 1u);
+  EXPECT_EQ(f.net.stats().sent(AmType::kTsRequest), 2u);
   EXPECT_EQ(f.net.stats().frames_sent, 3u);
 }
 

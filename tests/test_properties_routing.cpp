@@ -22,8 +22,7 @@ struct RoutedMesh {
 
   RoutedMesh(std::size_t w, std::size_t h, std::uint64_t seed)
       : sim(seed),
-        net(sim, std::make_unique<sim::GridNeighborRadio>(
-                     sim::GridNeighborRadio::Options{.spacing = 1.0})) {
+        net(sim) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
       const sim::Location loc = net.info(id).location;

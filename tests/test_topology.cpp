@@ -2,15 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 namespace agilla::sim {
 namespace {
 
 struct GridFixture {
   Simulator sim{1};
-  Network net{sim, std::make_unique<GridNeighborRadio>(
-                       GridNeighborRadio::Options{.spacing = 1.0})};
+  Network net{sim};
 };
 
 TEST(Topology, GridPlacesPaperCoordinates) {
@@ -28,19 +25,6 @@ TEST(Topology, LineIsOneRow) {
   const Topology topo = make_line(f.net, 6);
   ASSERT_EQ(topo.size(), 6u);
   EXPECT_EQ(f.net.info(topo.nodes[5]).location, (Location{6, 1}));
-}
-
-TEST(Topology, RandomPlacementInsideBounds) {
-  GridFixture f;
-  Rng rng(7);
-  const Topology topo = make_random(f.net, 50, 10.0, 20.0, rng);
-  for (NodeId id : topo.nodes) {
-    const Location loc = f.net.info(id).location;
-    EXPECT_GE(loc.x, 0.0);
-    EXPECT_LT(loc.x, 10.0);
-    EXPECT_GE(loc.y, 0.0);
-    EXPECT_LT(loc.y, 20.0);
-  }
 }
 
 TEST(Topology, HopDistanceAlongLine) {
