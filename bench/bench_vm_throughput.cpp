@@ -30,8 +30,8 @@ struct Workload {
 };
 
 std::vector<Workload> make_workloads() {
-  // A straight-line body long enough (211 bytes) that the switch
-  // interpreter's per-byte CodePool chain walk hurts.
+  // A straight-line body (211 bytes) of short instructions, where the
+  // switch interpreter's fetch-and-decode on every execution dominates.
   std::string straight;
   for (int i = 0; i < 70; ++i) {
     straight += "pushc 1\npop\n";

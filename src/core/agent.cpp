@@ -1,5 +1,7 @@
 #include "core/agent.h"
 
+#include <utility>
+
 namespace agilla::core {
 namespace {
 
@@ -25,7 +27,8 @@ const char* to_string(AgentRunState s) {
   return "unknown";
 }
 
-Agent::Agent(AgentId id, CodeHandle code) : id_(id), code_(code) {
+Agent::Agent(AgentId id, std::shared_ptr<const DecodedProgram> program)
+    : id_(id), program_(std::move(program)) {
   stack_.reserve(kStackDepth);
 }
 

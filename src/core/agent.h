@@ -1,6 +1,11 @@
 // The mobile-agent context (paper Fig. 6): operand stack, 12-slot heap, and
-// the ID / PC / condition registers. The agent is a passive record; the
-// engine interprets it.
+// the ID / PC / condition registers, plus the agent's code. The agent is a
+// passive record; the engine interprets it.
+//
+// The code lives in one place: the immutable DecodedProgram the agent is
+// created holding (core/vm_dispatch.h) — its bytes, one decoded
+// instruction per byte offset, and its content hash. The mote's CodePool
+// only counts the blocks those bytes would occupy.
 #pragma once
 
 #include <array>
@@ -10,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/code_pool.h"
 #include "core/isa.h"
 #include "tuplespace/tuple.h"
 #include "tuplespace/tuple_match.h"
@@ -42,7 +46,7 @@ class Agent {
  public:
   static constexpr std::size_t kStackDepth = 16;  ///< paper Fig. 6
 
-  Agent(AgentId id, CodeHandle code);
+  Agent(AgentId id, std::shared_ptr<const DecodedProgram> program);
 
   // --- registers -----------------------------------------------------------
   [[nodiscard]] AgentId id() const { return id_; }
@@ -51,8 +55,6 @@ class Agent {
   void set_pc(std::uint16_t pc) { pc_ = pc; }
   [[nodiscard]] std::int16_t condition() const { return condition_; }
   void set_condition(std::int16_t c) { condition_ = c; }
-  [[nodiscard]] CodeHandle code() const { return code_; }
-  void set_code(CodeHandle code) { code_ = code; }
 
   // --- operand stack ---------------------------------------------------------
   /// False on overflow (a VM error; the engine kills the agent).
@@ -92,30 +94,22 @@ class Agent {
     blocked_probe_ = std::move(probe);
   }
 
-  /// The pre-decoded template for this agent's code image
-  /// (core/vm_dispatch.h); nullptr under the reference switch dispatch.
-  /// Set when the code is stored, cleared when the agent is destroyed.
-  /// Shared ownership: a handler can destroy the agent (and release its
-  /// code handle) mid-slice, so the dispatch loop pins a copy for the
-  /// duration of the slice.
-  [[nodiscard]] const std::shared_ptr<const DecodedProgram>&
-  decoded_program() const {
-    return decoded_;
-  }
-  void set_decoded_program(std::shared_ptr<const DecodedProgram> program) {
-    decoded_ = std::move(program);
+  /// The agent's code. Shared ownership: a handler can destroy the agent
+  /// mid-slice, so the dispatch loop pins a copy for the duration of the
+  /// slice; clones on one mote share one program.
+  [[nodiscard]] const std::shared_ptr<const DecodedProgram>& program() const {
+    return program_;
   }
 
  private:
   AgentId id_;
   std::uint16_t pc_ = 0;
   std::int16_t condition_ = 0;
-  CodeHandle code_;
   std::vector<ts::Value> stack_;
   std::array<ts::Value, kHeapSlots> heap_{};
   AgentRunState run_state_ = AgentRunState::kReady;
   std::optional<BlockedProbe> blocked_probe_;
-  std::shared_ptr<const DecodedProgram> decoded_;
+  std::shared_ptr<const DecodedProgram> program_;
 };
 
 }  // namespace agilla::core

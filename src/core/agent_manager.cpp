@@ -1,6 +1,7 @@
 #include "core/agent_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace agilla::core {
 
@@ -16,15 +17,12 @@ AgentId AgentManager::next_id() {
   return AgentId{static_cast<std::uint16_t>(high | id_counter_++)};
 }
 
-Agent* AgentManager::create(CodeHandle code) {
-  return create_with_id(next_id(), code);
-}
-
-Agent* AgentManager::create_with_id(AgentId id, CodeHandle code) {
-  if (full() || find(id) != nullptr) {
+Agent* AgentManager::create(AgentId id,
+                           std::shared_ptr<const DecodedProgram> program) {
+  if (!accepts(id)) {
     return nullptr;
   }
-  agents_.push_back(std::make_unique<Agent>(id, code));
+  agents_.push_back(std::make_unique<Agent>(id, std::move(program)));
   return agents_.back().get();
 }
 

@@ -21,14 +21,16 @@ class AgentManager {
 
   AgentManager(sim::NodeId node, Options options);
 
-  /// Creates an agent with a fresh network-unique id. Returns nullptr when
-  /// all slots are taken.
-  Agent* create(CodeHandle code);
+  /// True when a slot is free and no live agent has `id`.
+  [[nodiscard]] bool accepts(AgentId id) const {
+    return !full() && find(id) == nullptr;
+  }
 
-  /// Creates an agent that keeps `id` (arriving strong migration).
-  Agent* create_with_id(AgentId id, CodeHandle code);
+  /// Creates an agent with `id` holding `program`. Returns nullptr unless
+  /// accepts(id).
+  Agent* create(AgentId id, std::shared_ptr<const DecodedProgram> program);
 
-  /// Fresh id for a clone created by this node.
+  /// Fresh network-unique id for an agent created by this node.
   [[nodiscard]] AgentId next_id();
 
   void destroy(AgentId id);

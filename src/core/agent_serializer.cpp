@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/code_pool.h"
 #include "net/packet.h"
 #include "net/serialize.h"
 

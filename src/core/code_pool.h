@@ -3,69 +3,59 @@
 // necessary to store the agent's code. ... By default, the instruction
 // manager is allocated 440 bytes (20 blocks)."
 //
-// Blocks are chained with forward indices; code addresses are resolved by
-// walking the chain, exactly the cost profile the paper describes as "undue
-// forward pointer overhead" for smaller blocks.
+// Only the capacity rule is modelled: an agent whose code needs more
+// blocks than are free is rejected. The code bytes themselves live once,
+// in the agent's DecodedProgram (core/vm_dispatch.h); no simulated cost
+// depends on where the blocks would sit or how they would be chained.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <optional>
-#include <span>
-#include <vector>
+#include <cassert>
+#include <cstddef>
 
 namespace agilla::core {
-
-struct CodeHandle {
-  std::int16_t first_block = -1;
-  std::uint16_t size = 0;
-
-  [[nodiscard]] bool valid() const { return first_block >= 0; }
-  friend bool operator==(CodeHandle, CodeHandle) = default;
-};
 
 class CodePool {
  public:
   static constexpr std::size_t kBlockSize = 22;  ///< paper Sec. 3.2
   static constexpr std::size_t kDefaultBlocks = 20;
 
-  explicit CodePool(std::size_t num_blocks = kDefaultBlocks);
+  explicit CodePool(std::size_t num_blocks = kDefaultBlocks)
+      : total_blocks_(num_blocks) {}
 
-  /// Copies `code` into freshly allocated blocks. Returns nullopt when the
-  /// pool lacks space (the migration receiver then rejects the agent).
-  std::optional<CodeHandle> store(std::span<const std::uint8_t> code);
+  /// Reserves the blocks for `code_bytes` of code. False when the code is
+  /// empty, larger than the pool or than a 16-bit code address reaches, or
+  /// needs more blocks than are free (the receiver then rejects the agent).
+  [[nodiscard]] bool reserve(std::size_t code_bytes) {
+    if (code_bytes == 0 || code_bytes > capacity_bytes() ||
+        code_bytes > 0xFFFF || blocks_needed(code_bytes) > free_blocks()) {
+      return false;
+    }
+    used_blocks_ += blocks_needed(code_bytes);
+    return true;
+  }
 
-  /// Frees the handle's block chain; invalid handles are ignored.
-  void release(CodeHandle handle);
-
-  /// Byte at code address `addr`; 0 with *ok=false when out of range.
-  [[nodiscard]] std::uint8_t fetch(CodeHandle handle, std::uint16_t addr,
-                                   bool* ok = nullptr) const;
-
-  /// Contiguous copy of an agent's code (for migration).
-  [[nodiscard]] std::vector<std::uint8_t> copy_out(CodeHandle handle) const;
+  /// Returns the blocks `reserve(code_bytes)` took.
+  void release(std::size_t code_bytes) {
+    assert(blocks_needed(code_bytes) <= used_blocks_);
+    used_blocks_ -= blocks_needed(code_bytes);
+  }
 
   [[nodiscard]] static std::size_t blocks_needed(std::size_t code_bytes) {
     return (code_bytes + kBlockSize - 1) / kBlockSize;
   }
 
-  [[nodiscard]] std::size_t total_blocks() const { return blocks_.size(); }
-  [[nodiscard]] std::size_t free_blocks() const;
-  [[nodiscard]] std::size_t used_blocks() const {
-    return total_blocks() - free_blocks();
+  [[nodiscard]] std::size_t total_blocks() const { return total_blocks_; }
+  [[nodiscard]] std::size_t used_blocks() const { return used_blocks_; }
+  [[nodiscard]] std::size_t free_blocks() const {
+    return total_blocks_ - used_blocks_;
   }
   [[nodiscard]] std::size_t capacity_bytes() const {
-    return blocks_.size() * kBlockSize;
+    return total_blocks_ * kBlockSize;
   }
 
  private:
-  struct Block {
-    std::array<std::uint8_t, kBlockSize> data{};
-    std::int16_t next = -1;
-    bool used = false;
-  };
-
-  std::vector<Block> blocks_;
+  std::size_t total_blocks_;
+  std::size_t used_blocks_ = 0;
 };
 
 }  // namespace agilla::core

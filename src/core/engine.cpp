@@ -54,20 +54,29 @@ void AgillaEngine::emit_agent(sim::EventKind kind, AgentId agent,
   }
 }
 
+Agent* AgillaEngine::admit(std::span<const std::uint8_t> code,
+                           std::optional<AgentId> id) {
+  // The pool's capacity check comes first, so an image it rejects is
+  // never decoded.
+  if (!code_pool_.reserve(code.size())) {
+    stats_.agents_rejected++;
+    return nullptr;
+  }
+  const AgentId agent_id = id.has_value() ? *id : agents_.next_id();
+  if (!agents_.accepts(agent_id)) {
+    code_pool_.release(code.size());
+    stats_.agents_rejected++;
+    return nullptr;
+  }
+  return agents_.create(agent_id, dispatcher_->program_for(code));
+}
+
 std::optional<AgentId> AgillaEngine::launch(
     std::span<const std::uint8_t> code) {
-  const auto handle = code_pool_.store(code);
-  if (!handle.has_value()) {
-    stats_.agents_rejected++;
-    return std::nullopt;
-  }
-  Agent* agent = agents_.create(*handle);
+  Agent* agent = admit(code, std::nullopt);
   if (agent == nullptr) {
-    code_pool_.release(*handle);
-    stats_.agents_rejected++;
     return std::nullopt;
   }
-  agent->set_decoded_program(dispatcher_->on_code_stored(*handle, code));
   stats_.agents_launched++;
   emit_agent(sim::EventKind::kAgentSpawn, agent->id(), "inject");
   make_ready(*agent);
@@ -75,19 +84,10 @@ std::optional<AgentId> AgillaEngine::launch(
 }
 
 bool AgillaEngine::install(AgentImage image, bool reached_dest) {
-  const auto handle = code_pool_.store(image.code);
-  if (!handle.has_value()) {
-    stats_.agents_rejected++;
-    return false;
-  }
-  Agent* agent = agents_.create_with_id(AgentId{image.agent_id}, *handle);
+  Agent* agent = admit(image.code, AgentId{image.agent_id});
   if (agent == nullptr) {
-    code_pool_.release(*handle);
-    stats_.agents_rejected++;
     return false;
   }
-  agent->set_decoded_program(
-      dispatcher_->on_code_stored(*handle, image.code));
   agent->set_pc(image.pc);
   agent->set_condition(reached_dest ? 1 : 0);
   if (is_strong(image.op)) {
@@ -251,9 +251,7 @@ void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
   }
   if (Agent* agent = agents_.find(id); agent != nullptr) {
     agent->set_run_state(AgentRunState::kDead);
-    agent->set_decoded_program(nullptr);
-    dispatcher_->on_code_released(agent->code());
-    code_pool_.release(agent->code());
+    code_pool_.release(agent->program()->size());
     agents_.destroy(id);
   }
   ready_.erase(id);

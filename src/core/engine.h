@@ -21,6 +21,7 @@
 
 #include "core/agent_manager.h"
 #include "core/agent_serializer.h"
+#include "core/code_pool.h"
 #include "core/context_manager.h"
 #include "core/isa.h"
 #include "core/migration.h"
@@ -38,8 +39,8 @@ class VmDispatcher;
 /// How the engine executes bytecode. Both modes produce byte-identical
 /// simulated behaviour (cost ledger, traces, stats, tuple-space state);
 /// they differ only in host-side speed. kSwitch is the fetch-per-byte
-/// reference interpreter; kThreaded runs images pre-decoded at store time
-/// (DESIGN.md "VM dispatch").
+/// reference interpreter; kThreaded runs the agent's program pre-decoded
+/// when the agent was admitted (DESIGN.md "VM dispatch").
 enum class DispatchMode : std::uint8_t {
   kSwitch = 0,
   kThreaded = 1,
@@ -137,7 +138,7 @@ class AgillaEngine {
   [[nodiscard]] AgentManager& agents() { return agents_; }
 
   /// The decode/execute layer (engine-internal; include
-  /// core/vm_dispatch.h to use it, e.g. to read template-cache stats).
+  /// core/vm_dispatch.h to use it, e.g. to read program-sharing stats).
   [[nodiscard]] const VmDispatcher& dispatcher() const {
     return *dispatcher_;
   }
@@ -148,6 +149,10 @@ class AgillaEngine {
  private:
   friend class VmDispatcher;
 
+  /// Reserves `code`'s blocks and creates its agent (a fresh id unless
+  /// `id` is given) holding its program; nullptr, counted as a rejection,
+  /// when the pool or the agent slots refuse it.
+  Agent* admit(std::span<const std::uint8_t> code, std::optional<AgentId> id);
   void make_ready(Agent& agent);
   /// Emits one agent-lifecycle record for this node (`reason` must be a
   /// static string; see sim::EventKind).

@@ -120,57 +120,25 @@ DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code)
 }
 
 // --------------------------------------------------------------------------
-// Template cache
+// Program sharing
 // --------------------------------------------------------------------------
 
-std::shared_ptr<const DecodedProgram> VmDispatcher::on_code_stored(
-    CodeHandle handle, std::span<const std::uint8_t> code) {
-  if (e_.options_.dispatch != DispatchMode::kThreaded) {
-    return nullptr;
-  }
+std::shared_ptr<const DecodedProgram> VmDispatcher::program_for(
+    std::span<const std::uint8_t> code) {
+  // A live agent on this engine (at most max_agents) may already hold
+  // these bytes: clones share its program. A program dies with its last
+  // holder, so nothing is ever evicted.
   const std::uint64_t hash = hash_code_bytes(code);
-  std::shared_ptr<const DecodedProgram> program;
-  auto& chain = by_hash_[hash];
-  for (const auto& candidate : chain) {
-    if (candidate->bytes().size() == code.size() &&
-        std::equal(code.begin(), code.end(), candidate->bytes().begin())) {
-      program = candidate;
+  for (const auto& agent : e_.agents_.agents()) {
+    const std::shared_ptr<const DecodedProgram>& program = agent->program();
+    if (program->content_hash() == hash &&
+        std::ranges::equal(program->bytes(), code)) {
       cache_stats_.cache_hits++;
-      break;
+      return program;
     }
   }
-  if (program == nullptr) {
-    program = std::make_shared<DecodedProgram>(code);
-    chain.push_back(program);
-    cache_stats_.programs_compiled++;
-  }
-  by_handle_[handle_key(handle)] = program;
-  return program;
-}
-
-void VmDispatcher::on_code_released(CodeHandle handle) {
-  const auto it = by_handle_.find(handle_key(handle));
-  if (it == by_handle_.end()) {
-    return;
-  }
-  const std::shared_ptr<const DecodedProgram> program = it->second;
-  by_handle_.erase(it);
-  // Drop the template once no live handle references it. Ownership count
-  // cannot stand in for handle count: agents hold shared references, and
-  // run_slice pins one across the slice that releases the handle.
-  for (const auto& [key, other] : by_handle_) {
-    if (other == program) {
-      return;
-    }
-  }
-  const auto chain = by_hash_.find(program->content_hash());
-  if (chain == by_hash_.end()) {
-    return;
-  }
-  std::erase(chain->second, program);
-  if (chain->second.empty()) {
-    by_hash_.erase(chain);
-  }
+  cache_stats_.programs_compiled++;
+  return std::make_shared<const DecodedProgram>(code);
 }
 
 // --------------------------------------------------------------------------
@@ -178,43 +146,36 @@ void VmDispatcher::on_code_released(CodeHandle handle) {
 // --------------------------------------------------------------------------
 
 void VmDispatcher::run_slice(Agent& agent, sim::SimTime& cost) {
+  // The stack copy pins the program for the whole slice: a handler that
+  // destroys the agent (halt, completed smove) drops the agent's reference
+  // mid-slice, and the threaded loop's profiling epilogue still reads the
+  // current instruction.
+  const std::shared_ptr<const DecodedProgram> program = agent.program();
 #if defined(__GNUC__)
   // The threaded loop needs labels-as-values (GCC and Clang); any other
   // compiler runs the reference switch, with identical simulated results.
   if (e_.options_.dispatch == DispatchMode::kThreaded) {
-    // The stack copy pins the template for the whole slice: a handler that
-    // destroys the agent (halt, completed smove) releases the code handle
-    // mid-slice, and the dispatch loop's profiling epilogue still reads
-    // the current instruction.
-    if (const std::shared_ptr<const DecodedProgram> program =
-            agent.decoded_program();
-        program != nullptr) {
-      run_slice_threaded(agent, *program, cost);
-      return;
-    }
+    run_slice_threaded(agent, *program, cost);
+    return;
   }
 #endif
-  run_slice_switch(agent, cost);
+  run_slice_switch(agent, *program, cost);
 }
 
-bool VmDispatcher::fetch_decode(Agent& agent, DecodedInsn* out) {
-  bool ok = true;
-  const std::uint8_t raw =
-      e_.code_pool_.fetch(agent.code(), agent.pc(), &ok);
-  if (!ok) {
+bool VmDispatcher::fetch_decode(Agent& agent, const DecodedProgram& program,
+                                DecodedInsn* out) {
+  const std::vector<std::uint8_t>& code = program.bytes();
+  const std::size_t pc = agent.pc();
+  if (pc >= code.size()) {
     e_.die(agent, "program counter out of range");
     return false;
   }
+  const std::uint8_t raw = code[pc];
   std::array<std::uint8_t, 4> operand{};
-  const std::size_t length = instruction_length(raw);
+  const std::size_t end = pc + instruction_length(raw);
   std::size_t operands_available = 0;
-  for (std::size_t i = 1; i < length; ++i) {
-    operand[i - 1] = e_.code_pool_.fetch(
-        agent.code(), static_cast<std::uint16_t>(agent.pc() + i), &ok);
-    if (!ok) {
-      break;
-    }
-    ++operands_available;
+  for (std::size_t at = pc + 1; at < end && at < code.size(); ++at) {
+    operand[operands_available++] = code[at];
   }
   *out = decode_insn(raw, operand, operands_available);
   return true;
@@ -229,7 +190,9 @@ void VmDispatcher::emit_insn(const Agent& agent, std::uint16_t pc,
   e_.sim_.emit(event);
 }
 
-void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
+void VmDispatcher::run_slice_switch(Agent& agent,
+                                    const DecodedProgram& program,
+                                    sim::SimTime& cost) {
   const std::size_t per_slice = AgillaEngine::kInstructionsPerSlice;
   // Hoisted per slice: with nobody observing instructions this is the
   // only branch the instruction stream costs on the hot path.
@@ -238,7 +201,7 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
   for (std::size_t i = 0; i < per_slice && result == StepResult::kContinue;
        ++i) {
     DecodedInsn d;
-    if (!fetch_decode(agent, &d)) {
+    if (!fetch_decode(agent, program, &d)) {
       return;  // PC out of range: the agent died, nothing is profiled
     }
     if (trace) {
@@ -782,7 +745,7 @@ AgentImage VmDispatcher::make_image(Agent& agent, MigrationOp op,
   image.dest = dest;
   image.pc = agent.pc();
   image.condition = agent.condition();
-  image.code = e_.code_pool_.copy_out(agent.code());
+  image.code = agent.program()->bytes();
   if (is_strong(op)) {
     image.stack = agent.stack();
     image.heap = agent.heap_entries();

@@ -1,6 +1,7 @@
-// The engine's decode/execute layer: pre-decoded direct-threaded dispatch
-// with a per-image template cache, plus the fetch-per-byte switch
-// interpreter kept as the reference mode (DESIGN.md "VM dispatch").
+// The engine's decode/execute layer: each agent's immutable decoded
+// program, run by pre-decoded direct-threaded dispatch or by the
+// fetch-and-decode-per-execution switch interpreter kept as the reference
+// mode (DESIGN.md "VM dispatch").
 //
 // This header is engine-internal. It is deliberately excluded from the
 // public include set that `api_header_selfcheck` compiles, and
@@ -15,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/agent.h"
@@ -102,11 +102,13 @@ DecodedInsn decode_insn(std::uint8_t raw,
                         const std::array<std::uint8_t, 4>& operand,
                         std::size_t operands_available);
 
-/// FNV-1a over the code bytes: the template-cache key.
+/// FNV-1a over the code bytes: compared before the bytes when a new agent
+/// looks for a live program to share.
 [[nodiscard]] std::uint64_t hash_code_bytes(
     std::span<const std::uint8_t> code);
 
-/// A code image decoded at EVERY byte offset. Agilla jump targets are
+/// An agent's code: the image bytes, decoded at EVERY byte offset, and
+/// their content hash; immutable once built. Agilla jump targets are
 /// arbitrary byte addresses (jumps pops any number), so pre-decoding only
 /// at instruction boundaries would diverge from the reference interpreter;
 /// with ≤440-byte images, one DecodedInsn per offset is cheap.
@@ -131,12 +133,13 @@ class DecodedProgram {
   std::uint64_t hash_ = 0;
 };
 
-/// Executes agent slices for one engine. Owns the decoded-program cache
-/// (content-hash keyed, so clones of the same agent share one compiled
-/// template) and both dispatch front-ends over a single set of opcode
-/// handlers:
-///   - run_slice_switch: fetches byte-by-byte through the CodePool chain
-///     and dispatches through a switch — the reference interpreter.
+/// Executes agent slices for one engine. Builds each admitted agent's
+/// program (shared with any live agent on this engine that has the same
+/// bytes, so clones decode once) and runs both dispatch front-ends over a
+/// single set of opcode handlers:
+///   - run_slice_switch: fetches the opcode and operand bytes at the PC
+///     from the program's bytes, decodes them on every execution and
+///     dispatches through a switch — the reference interpreter.
 ///   - run_slice_threaded: walks the DecodedProgram with computed-goto
 ///     labels-as-values. GCC/Clang only: other compilers run every slice
 ///     through the switch, whatever the dispatch mode.
@@ -153,7 +156,7 @@ class VmDispatcher {
 
   struct CacheStats {
     std::uint64_t programs_compiled = 0;
-    std::uint64_t cache_hits = 0;  ///< a stored image reused a template
+    std::uint64_t cache_hits = 0;  ///< an admitted image reused a program
   };
 
   explicit VmDispatcher(AgillaEngine& engine) : e_(engine) {}
@@ -161,16 +164,11 @@ class VmDispatcher {
   VmDispatcher(const VmDispatcher&) = delete;
   VmDispatcher& operator=(const VmDispatcher&) = delete;
 
-  /// Called after `code` was stored under `handle`. In threaded mode,
-  /// compiles (or reuses) the decoded template and returns it; in switch
-  /// mode returns nullptr. The agent keeps a shared reference so a
-  /// mid-slice release cannot free a template still being executed.
-  std::shared_ptr<const DecodedProgram> on_code_stored(
-      CodeHandle handle, std::span<const std::uint8_t> code);
-
-  /// Called before `handle`'s blocks are released; drops the cache entry
-  /// once no live handle references its template.
-  void on_code_released(CodeHandle handle);
+  /// The program for a new agent with `code`: a live agent's on this
+  /// engine when one holds equal bytes (hash compared first; counts a
+  /// cache hit), else a fresh decode (counts a compile).
+  std::shared_ptr<const DecodedProgram> program_for(
+      std::span<const std::uint8_t> code);
 
   /// Runs one scheduler slice (up to kInstructionsPerSlice instructions)
   /// for a ready agent, accumulating simulated cost into `cost`.
@@ -178,9 +176,6 @@ class VmDispatcher {
 
   [[nodiscard]] const CacheStats& cache_stats() const {
     return cache_stats_;
-  }
-  [[nodiscard]] std::size_t cached_programs() const {
-    return by_hash_.size();
   }
 
  private:
@@ -206,30 +201,17 @@ class VmDispatcher {
   /// Dispatches one decoded instruction through the reference switch.
   StepResult execute(Agent& agent, const DecodedInsn& d, sim::SimTime& cost);
 
-  /// Fetch + decode at the agent's PC through the CodePool chain. Returns
+  /// Fetch + decode at the agent's PC from the program's bytes. Returns
   /// false when the PC is out of range (the agent died; not profiled).
-  bool fetch_decode(Agent& agent, DecodedInsn* out);
+  bool fetch_decode(Agent& agent, const DecodedProgram& program,
+                    DecodedInsn* out);
 
-  void run_slice_switch(Agent& agent, sim::SimTime& cost);
+  void run_slice_switch(Agent& agent, const DecodedProgram& program,
+                        sim::SimTime& cost);
   void run_slice_threaded(Agent& agent, const DecodedProgram& program,
                           sim::SimTime& cost);
 
-  [[nodiscard]] static std::uint32_t handle_key(CodeHandle handle) {
-    return (static_cast<std::uint32_t>(
-                static_cast<std::uint16_t>(handle.first_block))
-            << 16) |
-           handle.size;
-  }
-
   AgillaEngine& e_;
-  /// Live handle -> its decoded template (keeps the template alive).
-  std::unordered_map<std::uint32_t, std::shared_ptr<const DecodedProgram>>
-      by_handle_;
-  /// Content hash -> templates with that hash (collision chain; bytes are
-  /// compared before reuse).
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::shared_ptr<const DecodedProgram>>>
-      by_hash_;
   CacheStats cache_stats_;
 };
 

@@ -2,6 +2,8 @@
 // middleware stacks over a (possibly lossy) simulated radio.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -10,6 +12,7 @@
 
 #include "core/injector.h"
 #include "core/middleware.h"
+#include "core/vm_dispatch.h"
 #include "sim/topology.h"
 
 namespace agilla::testing {
@@ -53,6 +56,24 @@ inline std::string to_text(const sim::Event& e) {
       << e.frame.receiver.value << ":" << e.frame.lost
       << " down=" << static_cast<int>(e.down);
   return out.str();
+}
+
+/// The code-memory identity: the mote's code pool has exactly the blocks
+/// its live agents' code needs reserved — no leaked blocks from a reject,
+/// a kill or a migration, and none missing.
+inline ::testing::AssertionResult code_memory_balanced(
+    core::AgillaMiddleware& mote) {
+  std::size_t needed = 0;
+  for (const auto& agent : mote.agents().agents()) {
+    needed += core::CodePool::blocks_needed(agent->program()->size());
+  }
+  const std::size_t used = mote.code_pool().used_blocks();
+  if (used == needed) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "code pool uses " << used << " blocks; the "
+         << mote.agents().count() << " live agents need " << needed;
 }
 
 struct MeshOptions {

@@ -5,7 +5,7 @@
 namespace agilla::core {
 namespace {
 
-Agent make_agent() { return Agent(AgentId{7}, CodeHandle{0, 10}); }
+Agent make_agent() { return Agent(AgentId{7}, nullptr); }
 
 TEST(Agent, InitialRegisters) {
   Agent a = make_agent();

@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "core/code_pool.h"
+
 namespace agilla::core {
 namespace {
 

@@ -2,17 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <vector>
-
 namespace agilla::core {
 namespace {
-
-std::vector<std::uint8_t> pattern(std::size_t n) {
-  std::vector<std::uint8_t> v(n);
-  std::iota(v.begin(), v.end(), std::uint8_t{1});
-  return v;
-}
 
 TEST(CodePool, DefaultMatchesPaper) {
   CodePool pool;
@@ -21,35 +12,13 @@ TEST(CodePool, DefaultMatchesPaper) {
   EXPECT_EQ(CodePool::kBlockSize, 22u);
 }
 
-TEST(CodePool, StoreAndFetch) {
-  CodePool pool;
-  const auto code = pattern(10);
-  const auto handle = pool.store(code);
-  ASSERT_TRUE(handle.has_value());
-  for (std::uint16_t i = 0; i < 10; ++i) {
-    bool ok = false;
-    EXPECT_EQ(pool.fetch(*handle, i, &ok), code[i]);
-    EXPECT_TRUE(ok);
-  }
-}
-
-TEST(CodePool, FetchPastEndFails) {
-  CodePool pool;
-  const auto handle = pool.store(pattern(10));
-  bool ok = true;
-  EXPECT_EQ(pool.fetch(*handle, 10, &ok), 0u);
-  EXPECT_FALSE(ok);
-}
-
 TEST(CodePool, MinimalBlocksAllocated) {
   CodePool pool;
-  EXPECT_EQ(pool.store(pattern(1)).has_value(), true);
+  EXPECT_TRUE(pool.reserve(1));
   EXPECT_EQ(pool.used_blocks(), 1u);
-  const auto h2 = pool.store(pattern(22));
-  ASSERT_TRUE(h2.has_value());
+  ASSERT_TRUE(pool.reserve(22));
   EXPECT_EQ(pool.used_blocks(), 2u);
-  const auto h3 = pool.store(pattern(23));
-  ASSERT_TRUE(h3.has_value());
+  ASSERT_TRUE(pool.reserve(23));
   EXPECT_EQ(pool.used_blocks(), 4u);
 }
 
@@ -60,90 +29,56 @@ TEST(CodePool, BlocksNeededHelper) {
   EXPECT_EQ(CodePool::blocks_needed(440), 20u);
 }
 
-TEST(CodePool, MultiBlockFetchCrossesBoundaries) {
-  CodePool pool;
-  const auto code = pattern(100);
-  const auto handle = pool.store(code);
-  ASSERT_TRUE(handle.has_value());
-  for (std::uint16_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(pool.fetch(*handle, i), code[i]) << i;
-  }
-}
-
 TEST(CodePool, ExhaustionRejectsStore) {
   CodePool pool(2);
-  EXPECT_TRUE(pool.store(pattern(44)).has_value());
-  EXPECT_FALSE(pool.store(pattern(1)).has_value());
+  EXPECT_TRUE(pool.reserve(44));
+  EXPECT_FALSE(pool.reserve(1));
+  EXPECT_EQ(pool.used_blocks(), 2u);  // a refused reserve takes nothing
 }
 
 TEST(CodePool, OversizedRejected) {
   CodePool pool;
-  EXPECT_FALSE(pool.store(pattern(441)).has_value());
-  EXPECT_FALSE(pool.store({}).has_value());
+  EXPECT_FALSE(pool.reserve(441));
+  EXPECT_FALSE(pool.reserve(0));
+  EXPECT_EQ(pool.used_blocks(), 0u);
 }
 
 TEST(CodePool, ReleaseRecyclesBlocks) {
   CodePool pool(3);
-  const auto a = pool.store(pattern(44));  // 2 blocks
-  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(pool.reserve(44));  // 2 blocks
   EXPECT_EQ(pool.free_blocks(), 1u);
-  pool.release(*a);
+  pool.release(44);
   EXPECT_EQ(pool.free_blocks(), 3u);
-  EXPECT_TRUE(pool.store(pattern(60)).has_value());  // 3 blocks now fit
-}
-
-TEST(CodePool, ReleaseInvalidHandleIsNoOp) {
-  CodePool pool;
-  pool.release(CodeHandle{});
-  EXPECT_EQ(pool.free_blocks(), 20u);
+  EXPECT_TRUE(pool.reserve(60));  // 3 blocks now fit
 }
 
 TEST(CodePool, InterleavedAllocationsIndependent) {
   CodePool pool;
-  const auto a = pool.store(pattern(30));
-  auto b_code = pattern(30);
-  for (auto& byte : b_code) {
-    byte = static_cast<std::uint8_t>(byte + 100);
-  }
-  const auto b = pool.store(b_code);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  pool.release(*a);
-  // b remains intact after a's blocks are freed.
-  for (std::uint16_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(pool.fetch(*b, i), b_code[i]);
-  }
+  ASSERT_TRUE(pool.reserve(30));  // 2 blocks
+  ASSERT_TRUE(pool.reserve(50));  // 3 blocks
+  pool.release(30);
+  // The other reservation keeps its blocks after the first is returned.
+  EXPECT_EQ(pool.used_blocks(), 3u);
+  pool.release(50);
+  EXPECT_EQ(pool.used_blocks(), 0u);
 }
 
 TEST(CodePool, FragmentedPoolStillUsable) {
   CodePool pool(4);
-  const auto a = pool.store(pattern(22));
-  const auto b = pool.store(pattern(22));
-  const auto c = pool.store(pattern(22));
-  const auto d = pool.store(pattern(22));
-  ASSERT_TRUE(a && b && c && d);
-  pool.release(*a);
-  pool.release(*c);  // non-adjacent free blocks
-  const auto e = pool.store(pattern(44));  // needs 2 scattered blocks
-  ASSERT_TRUE(e.has_value());
-  const auto out = pool.copy_out(*e);
-  EXPECT_EQ(out, pattern(44));
-}
-
-TEST(CodePool, CopyOutRoundTrip) {
-  CodePool pool;
-  const auto code = pattern(77);
-  const auto handle = pool.store(code);
-  ASSERT_TRUE(handle.has_value());
-  EXPECT_EQ(pool.copy_out(*handle), code);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(pool.reserve(22));
+  }
+  pool.release(22);
+  pool.release(22);  // two single blocks come back
+  EXPECT_TRUE(pool.reserve(44));  // a 2-block image fits in them
+  EXPECT_EQ(pool.free_blocks(), 0u);
 }
 
 TEST(CodePool, ExactCapacityFits) {
   CodePool pool;
-  const auto handle = pool.store(pattern(440));
-  ASSERT_TRUE(handle.has_value());
+  ASSERT_TRUE(pool.reserve(440));
   EXPECT_EQ(pool.free_blocks(), 0u);
-  EXPECT_EQ(pool.copy_out(*handle).size(), 440u);
+  EXPECT_FALSE(pool.reserve(1));
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,8 +49,12 @@ std::string observable_state(core::AgillaMiddleware& mote) {
       << " migrations=" << s.migrations_started << "/"
       << s.migrations_failed << " remote=" << s.remote_ops
       << " reactions=" << s.reactions_fired << "\n";
+  const core::VmDispatcher::CacheStats& cache =
+      mote.engine().dispatcher().cache_stats();
   out << "leds=" << static_cast<int>(mote.engine().leds())
-      << " pool_blocks=" << mote.code_pool().used_blocks() << "\n";
+      << " pool_blocks=" << mote.code_pool().used_blocks()
+      << " programs_compiled=" << cache.programs_compiled
+      << " cache_hits=" << cache.cache_hits << "\n";
   for (const auto& agent : mote.agents().agents()) {
     out << "agent#" << agent->id().value << " pc=" << agent->pc()
         << " cond=" << agent->condition()
@@ -67,6 +73,15 @@ std::string observable_state(core::AgillaMiddleware& mote) {
     out << "tuple " << tuple.to_string() << "\n";
   }
   return out.str();
+}
+
+/// How many distinct programs the mote's live agents hold.
+std::size_t distinct_programs(core::AgillaMiddleware& mote) {
+  std::set<const core::DecodedProgram*> programs;
+  for (const auto& agent : mote.agents().agents()) {
+    programs.insert(agent->program().get());
+  }
+  return programs.size();
 }
 
 /// Runs `programs` on a fresh mesh under `mode` and returns the merged
@@ -190,29 +205,20 @@ TEST(DispatchEquivalence, TemplateCacheReusedAcrossClones) {
       mesh.at(0).engine().dispatcher().cache_stats();
   EXPECT_EQ(stats.programs_compiled, 1u);
   EXPECT_EQ(stats.cache_hits, 2u);
-  EXPECT_EQ(mesh.at(0).engine().dispatcher().cached_programs(), 1u);
+  EXPECT_EQ(distinct_programs(mesh.at(0)), 1u);
+  const std::weak_ptr<const core::DecodedProgram> shared =
+      mesh.at(0).agents().agents().front()->program();
 
   // A different image compiles separately.
   mesh.at(0).inject(core::assemble_or_die("pushc 2\nsleep\nhalt\n"));
   EXPECT_EQ(mesh.at(0).engine().dispatcher().cache_stats().programs_compiled,
             2u);
+  EXPECT_EQ(distinct_programs(mesh.at(0)), 2u);
 
-  // Templates are released with their last agent.
+  // Programs die with their last agent.
   mesh.sim.run_for(60 * sim::kSecond);
   ASSERT_EQ(mesh.at(0).agents().count(), 0u);
-  EXPECT_EQ(mesh.at(0).engine().dispatcher().cached_programs(), 0u);
-}
-
-TEST(DispatchEquivalence, SwitchModeCompilesNothing) {
-  MeshOptions options;
-  options.width = 1;
-  options.height = 1;
-  options.config.engine.dispatch = core::DispatchMode::kSwitch;
-  AgillaMesh mesh(options);
-  mesh.at(0).inject(core::assemble_or_die("pushc 1\nsleep\nhalt\n"));
-  EXPECT_EQ(mesh.at(0).engine().dispatcher().cache_stats().programs_compiled,
-            0u);
-  EXPECT_EQ(mesh.at(0).engine().dispatcher().cached_programs(), 0u);
+  EXPECT_TRUE(shared.expired());
 }
 
 TEST(DispatchEquivalence, BatchSizeDoesNotChangeOutcomes) {

@@ -12,6 +12,7 @@ namespace agilla::core {
 namespace {
 
 using agilla::testing::AgillaMesh;
+using agilla::testing::code_memory_balanced;
 using agilla::testing::MeshOptions;
 
 TEST(FailureInjection, DestinationDiesMidMigration) {
@@ -142,6 +143,7 @@ TEST(FailureInjection, CodePoolChurnDoesNotLeak) {
     ASSERT_TRUE(mesh.at(0).inject(assemble_or_die(source)).has_value())
         << "round " << round;
     mesh.sim.run_for(1 * sim::kSecond);
+    ASSERT_TRUE(code_memory_balanced(mesh.at(0))) << "round " << round;
     ASSERT_EQ(mesh.at(0).code_pool().used_blocks(), 0u) << "round " << round;
   }
   EXPECT_EQ(mesh.at(0).engine().stats().agents_halted, 40u);
@@ -200,15 +202,19 @@ TEST(FailureInjection, AgentStormDoesNotCrashOrLeak) {
         halt
     )"));
     mesh.sim.run_for(1 * sim::kSecond);
+    // Code pool usage matches live agents on both motes after every
+    // injection (no leaked blocks from rejects or completed moves).
+    for (std::size_t node = 0; node < 2; ++node) {
+      ASSERT_TRUE(code_memory_balanced(mesh.at(node)))
+          << "injection " << i << ", node " << node;
+    }
   }
   mesh.sim.run_for(10 * sim::kSecond);
   // No more agents anywhere than slots allow; rejections were counted.
   EXPECT_LE(mesh.at(1).agents().count(), 2u);
   EXPECT_GT(mesh.at(1).engine().stats().agents_rejected, 0u);
-  // Code pool usage matches live agents (no leaked blocks from rejects).
-  if (mesh.at(1).agents().count() == 0) {
-    EXPECT_EQ(mesh.at(1).code_pool().used_blocks(), 0u);
-  }
+  EXPECT_TRUE(code_memory_balanced(mesh.at(0)));
+  EXPECT_TRUE(code_memory_balanced(mesh.at(1)));
 }
 
 }  // namespace

@@ -3,14 +3,17 @@
 // rejected or contained (a dying agent frees everything it held).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "agilla_test_helpers.h"
+#include "api/events.h"
 #include "core/agent_library.h"
 #include "core/agent_serializer.h"
 #include "core/assembler.h"
+#include "core/gateway.h"
 #include "mate/capsule.h"
 #include "net/packet.h"
 #include "sim/rng.h"
@@ -20,6 +23,7 @@ namespace agilla {
 namespace {
 
 using agilla::testing::AgillaMesh;
+using agilla::testing::code_memory_balanced;
 using agilla::testing::MeshOptions;
 
 std::vector<std::uint8_t> random_bytes(sim::Rng& rng, std::size_t max_len) {
@@ -188,17 +192,14 @@ TEST_P(ParserFuzz, VmContainsRandomBytecode) {
   for (int round = 0; round < 60; ++round) {
     auto code = random_bytes(rng, 64);
     if (code.empty()) {
-      code.push_back(0x00);
+      code.assign(1, 0x00);
     }
     mesh.at(0).inject(code);
     mesh.sim.run_for(5 * sim::kSecond);
     // Whatever the agent did, it must be gone (halt, vm error, or a
     // migration attempt that failed and ran to exhaustion) or asleep on a
     // legitimate sleep — and resources must balance.
-    if (mesh.at(0).agents().count() == 0) {
-      ASSERT_EQ(mesh.at(0).code_pool().used_blocks(), 0u)
-          << "round " << round;
-    }
+    ASSERT_TRUE(code_memory_balanced(mesh.at(0))) << "round " << round;
     // Clean the slate for the next round.
     mesh.sim.run_for(60 * sim::kSecond);
     for (const auto& agent : mesh.at(0).agents().agents()) {
@@ -210,6 +211,137 @@ TEST_P(ParserFuzz, VmContainsRandomBytecode) {
                   agent->run_state() == core::AgentRunState::kBlockedOp);
     }
   }
+}
+
+/// The console's own token split: what `>>` skips in the C locale.
+std::vector<std::string> split_tokens(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream stream(line);
+  std::string token;
+  while (stream >> token) {
+    tokens.push_back(token);
+  }
+  return tokens;
+}
+
+/// One random edit of a console command line: a byte flip, a dropped or
+/// duplicated token, a truncation, or a number swapped for a hostile one.
+std::string mutate_command(sim::Rng& rng, std::string line) {
+  static const char* const kHostileNumbers[] = {"1e308", "-0", "nan",
+                                                "0x7fffffff", "--5"};
+  std::vector<std::string> tokens = split_tokens(line);
+  const auto join = [&tokens] {
+    std::string out;
+    for (const std::string& token : tokens) {
+      out += (out.empty() ? "" : " ") + token;
+    }
+    return out;
+  };
+  switch (rng.uniform(5)) {
+    case 0:  // byte flip
+      if (!line.empty()) {
+        line[rng.uniform(line.size())] ^=
+            static_cast<char>(1u << rng.uniform(8));
+      }
+      return line;
+    case 1:  // token drop
+      if (!tokens.empty()) {
+        tokens.erase(tokens.begin() +
+                     static_cast<std::ptrdiff_t>(rng.uniform(tokens.size())));
+      }
+      return join();
+    case 2:  // token duplicate
+      if (!tokens.empty()) {
+        const std::size_t at = rng.uniform(tokens.size());
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(at),
+                      tokens[at]);
+      }
+      return join();
+    case 3:  // truncation
+      line.resize(rng.uniform(line.size() + 1));
+      return line;
+    default: {  // a number (or the value after a "type:") made hostile
+      std::vector<std::size_t> numeric;
+      for (std::size_t i = 0; i < tokens.size(); ++i) {
+        if (tokens[i].find_first_of("0123456789") != std::string::npos) {
+          numeric.push_back(i);
+        }
+      }
+      if (numeric.empty()) {
+        return line;
+      }
+      std::string& token = tokens[numeric[rng.uniform(numeric.size())]];
+      const std::string hostile = kHostileNumbers[rng.uniform(5)];
+      const std::size_t colon = token.rfind(':');
+      token = colon == std::string::npos ? hostile
+                                         : token.substr(0, colon + 1) + hostile;
+      return join();
+    }
+  }
+}
+
+TEST_P(ParserFuzz, ConsoleSurvivesMutatedCommands) {
+  // The console's text grammar is a trust boundary: remote clients drive
+  // it through the gateway daemon. Mutants of every command form the
+  // console tests use must each get a response, never an exception, with
+  // the deployment running between batches.
+  const std::vector<std::string> corpus = {
+      "inject asm pushc 9; pushc 1; out; halt",
+      "inject agent blinker",
+      "inject agent firedetector 2 2",
+      "inject at 3 1 asm pushn arr; pushc 1; out; halt",
+      "inject at 2 3 asm pushloc 1 1; smove; halt",
+      "rout 3 1 str:cmd num:7",
+      "rout 2 2 reading:0,5 loc:1,2 agent:7",
+      "rrdp 3 1 str:cmd ?num",
+      "rinp 3 1 ?num",
+      "region 2 1 1.2 all str:evc num:1",
+      "region 2 2 1.5 any str:x",
+      "subscribe node",
+      "subscribe agent",
+      "subscribe tuple",
+      "unsubscribe node",
+      "unsubscribe",
+      "status",
+      "help",
+  };
+  sim::Rng rng(GetParam() + 6);
+  AgillaMesh mesh;  // 3x3
+  mesh.env.set_field(sim::SensorType::kTemperature,
+                     std::make_unique<sim::ConstantField>(21.0));
+  mesh.warm();
+  core::BaseStation base(mesh.at(0));
+  api::EventBus bus(&mesh.sim);
+  core::GatewayConsole console(base);
+  console.attach_bus(bus);
+  std::size_t async_results = 0;
+  std::size_t events = 0;
+  console.set_async_sink(
+      [&](std::uint64_t, bool, const std::string&) { async_results++; });
+  console.set_event_sink(
+      [&](const std::string&, const std::string&, sim::SimTime) { events++; });
+
+  constexpr int kBatches = 20;
+  constexpr int kPerBatch = 25;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (int i = 0; i < kPerBatch; ++i) {
+      std::string line = corpus[rng.uniform(corpus.size())];
+      const std::uint64_t edits = 1 + rng.uniform(3);
+      for (std::uint64_t e = 0; e < edits; ++e) {
+        line = mutate_command(rng, line);
+      }
+      std::string response;
+      ASSERT_NO_THROW(response = console.execute(line)) << line;
+      // Only a line with no token is answered with nothing.
+      EXPECT_EQ(response.empty(), split_tokens(line).empty())
+          << "batch " << batch << ": '" << line << "'";
+    }
+    mesh.sim.run_for(2 * sim::kSecond);
+  }
+  console.execute("unsubscribe");
+  EXPECT_EQ(bus.observer_count(), 0u);
+  // The run did reach the network, not only the parsers.
+  EXPECT_GT(async_results + events, 0u);
 }
 
 TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
