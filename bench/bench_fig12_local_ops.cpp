@@ -24,12 +24,13 @@ struct ProfileRig {
   sim::Simulator simulator{123};
   sim::Network network{simulator};
   sim::SensorEnvironment environment;
+  core::ProgramTable programs;
   std::unique_ptr<core::AgillaMiddleware> mote;
 
   ProfileRig() {
     const sim::NodeId id = network.add_node({1, 1});
     mote = std::make_unique<core::AgillaMiddleware>(network, id,
-                                                    &environment);
+                                                    &environment, programs);
     // NOT started: radio stays silent. Seed the acquaintance list by hand
     // so getnbr/randnbr/numnbrs have data to work on.
     mote->neighbors().insert(sim::NodeId{1}, {2, 1});

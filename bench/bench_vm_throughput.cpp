@@ -61,7 +61,8 @@ double measure(core::DispatchMode mode, const Workload& workload,
   core::AgillaConfig config;
   config.engine.dispatch = mode;
   const sim::NodeId id = network.add_node({1, 1});
-  core::AgillaMiddleware mote(network, id, &environment, config);
+  core::ProgramTable programs;
+  core::AgillaMiddleware mote(network, id, &environment, programs, config);
   const auto code = core::assemble_or_die(workload.source);
   for (int i = 0; i < workload.agents; ++i) {
     if (!mote.inject(code).has_value()) {

@@ -45,7 +45,7 @@ Deployment::Deployment(DeploymentOptions options,
   motes_.reserve(topology_.nodes.size());
   for (const sim::NodeId id : topology_.nodes) {
     motes_.push_back(std::make_unique<core::AgillaMiddleware>(
-        network_, id, &environment_, options_.config));
+        network_, id, &environment_, programs_, options_.config));
     motes_.back()->start();
   }
 

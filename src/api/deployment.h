@@ -31,6 +31,7 @@
 #include "api/events.h"
 #include "core/injector.h"
 #include "core/middleware.h"
+#include "core/program_table.h"
 #include "sim/environment.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -176,6 +177,7 @@ class Deployment {
   sim::Topology topology_;
   LifecycleLog lifecycle_;  ///< declared before the bus: outlives it
   EventBus bus_;
+  core::ProgramTable programs_;  ///< declared before the motes: outlives them
   std::vector<std::unique_ptr<core::AgillaMiddleware>> motes_;
 };
 

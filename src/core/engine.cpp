@@ -28,9 +28,8 @@ AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
                            CodePool& code_pool, ts::TupleSpace& tuple_space,
                            ContextManager& context, SensorBoard& sensors,
                            MigrationManager& migration,
-                           RemoteTsManager& remote_ts)
+                           RemoteTsManager& remote_ts, ProgramTable& programs)
     : sim_(sim),
-      node_(node),
       options_(options),
       agents_(agents),
       code_pool_(code_pool),
@@ -39,7 +38,8 @@ AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
       sensors_(sensors),
       migration_(migration),
       remote_ts_(remote_ts),
-      dispatcher_(std::make_unique<VmDispatcher>(*this)) {}
+      dispatcher_(std::make_unique<VmDispatcher>(*this, programs)),
+      node_(node) {}
 
 AgillaEngine::~AgillaEngine() = default;
 

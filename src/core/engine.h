@@ -34,6 +34,7 @@
 
 namespace agilla::core {
 
+class ProgramTable;
 class VmDispatcher;
 
 /// How the engine executes bytecode. Both modes produce byte-identical
@@ -94,11 +95,13 @@ class AgillaEngine {
     std::size_t batch_slices = 8;
   };
 
+  /// `programs` is the deployment's program table (core/program_table.h),
+  /// shared by every engine of the deployment; it must outlive the engine.
   AgillaEngine(sim::Simulator& sim, sim::NodeId node, Options options,
                AgentManager& agents, CodePool& code_pool,
                ts::TupleSpace& tuple_space, ContextManager& context,
                SensorBoard& sensors, MigrationManager& migration,
-               RemoteTsManager& remote_ts);
+               RemoteTsManager& remote_ts, ProgramTable& programs);
   ~AgillaEngine();
 
   AgillaEngine(const AgillaEngine&) = delete;
@@ -169,7 +172,6 @@ class AgillaEngine {
                         const ts::Tuple& tuple);
 
   sim::Simulator& sim_;
-  sim::NodeId node_;
   Options options_;
   AgentManager& agents_;
   CodePool& code_pool_;
@@ -182,8 +184,11 @@ class AgillaEngine {
   std::unique_ptr<VmDispatcher> dispatcher_;
 
   sim::Fifo<AgentId> ready_;
+  // The small members sit together: no padding between them.
   bool tick_scheduled_ = false;
   bool in_tick_ = false;  ///< make_ready defers scheduling to the batch end
+  std::uint8_t leds_ = 0;
+  sim::NodeId node_;
   std::unordered_map<std::uint16_t, sim::EventHandle> sleep_timers_;
   struct PendingReaction {
     ts::Reaction reaction;
@@ -191,7 +196,6 @@ class AgillaEngine {
   };
   std::unordered_map<std::uint16_t, sim::Fifo<PendingReaction>>
       pending_reactions_;
-  std::uint8_t leds_ = 0;
   EngineStats stats_;
   /// One slot per defined opcode, indexed by opcode_index() (precomputed
   /// as DecodedInsn::profile_key): a single indexed add on the instruction

@@ -4,7 +4,7 @@ namespace agilla::core {
 
 AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
                                    const sim::SensorEnvironment* environment,
-                                   AgillaConfig config)
+                                   ProgramTable& programs, AgillaConfig config)
     : network_(network),
       self_(self),
       location_(network.info(self).location),
@@ -28,7 +28,7 @@ AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
                                             tuple_space_, location_);
   engine_ = std::make_unique<AgillaEngine>(
       network_.simulator(), self_, config_.engine, agents_, code_pool_,
-      tuple_space_, *context_, sensors_, *migration_, *remote_ts_);
+      tuple_space_, *context_, sensors_, *migration_, *remote_ts_, programs);
 
   // Wire the upcalls: reactions and wakeups flow from the tuple space to
   // the engine; arriving agents flow from the migration manager.

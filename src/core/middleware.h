@@ -12,6 +12,7 @@
 #include "core/engine.h"
 #include "core/memory_budget.h"
 #include "core/migration.h"
+#include "core/program_table.h"
 #include "core/region_ops.h"
 #include "core/remote_ts.h"
 #include "net/geo_router.h"
@@ -37,9 +38,13 @@ struct AgillaConfig {
 class AgillaMiddleware {
  public:
   /// Creates the middleware stack for node `self`. `environment` may be
-  /// nullptr (no sensors). The instance must outlive the simulation run.
+  /// nullptr (no sensors). `programs` is the program table the node's
+  /// agents share with every other node built on it (one per deployment);
+  /// it must outlive the instance. The instance must outlive the
+  /// simulation run.
   AgillaMiddleware(sim::Network& network, sim::NodeId self,
                    const sim::SensorEnvironment* environment,
+                   ProgramTable& programs,
                    AgillaConfig config = AgillaConfig());
 
   AgillaMiddleware(const AgillaMiddleware&) = delete;

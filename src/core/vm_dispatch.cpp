@@ -105,8 +105,9 @@ std::uint64_t hash_code_bytes(std::span<const std::uint8_t> code) {
   return h;
 }
 
-DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code)
-    : bytes_(code.begin(), code.end()), hash_(hash_code_bytes(code)) {
+DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code,
+                               std::uint64_t hash)
+    : bytes_(code.begin(), code.end()), hash_(hash) {
   insns_.reserve(bytes_.size());
   for (std::size_t pc = 0; pc < bytes_.size(); ++pc) {
     std::array<std::uint8_t, 4> operand{};
@@ -123,11 +124,42 @@ DecodedProgram::DecodedProgram(std::span<const std::uint8_t> code)
 // Program sharing
 // --------------------------------------------------------------------------
 
+std::shared_ptr<const DecodedProgram> ProgramTable::intern(
+    std::span<const std::uint8_t> code, std::uint64_t hash) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto [it, end] = entries_.equal_range(hash);
+  while (it != end) {
+    if (std::shared_ptr<const DecodedProgram> program = it->second.lock()) {
+      if (std::ranges::equal(program->bytes(), code)) {
+        return program;
+      }
+      ++it;
+    } else {
+      it = entries_.erase(it);
+    }
+  }
+  // Expired entries of other hashes go in sweeps spaced by the table's
+  // growth, so each insert costs amortized O(1).
+  if (entries_.size() >= sweep_at_) {
+    std::erase_if(entries_,
+                  [](const auto& entry) { return entry.second.expired(); });
+    sweep_at_ = std::max(kFirstSweep, 2 * entries_.size());
+  }
+  auto program = std::make_shared<const DecodedProgram>(code, hash);
+  entries_.emplace(hash, program);
+  return program;
+}
+
+std::size_t ProgramTable::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
+
 std::shared_ptr<const DecodedProgram> VmDispatcher::program_for(
     std::span<const std::uint8_t> code) {
   // A live agent on this engine (at most max_agents) may already hold
-  // these bytes: clones share its program. A program dies with its last
-  // holder, so nothing is ever evicted.
+  // these bytes: clones share its program without taking the table's
+  // lock. A program dies with its last holder, so nothing is evicted.
   const std::uint64_t hash = hash_code_bytes(code);
   for (const auto& agent : e_.agents_.agents()) {
     const std::shared_ptr<const DecodedProgram>& program = agent->program();
@@ -138,7 +170,7 @@ std::shared_ptr<const DecodedProgram> VmDispatcher::program_for(
     }
   }
   cache_stats_.programs_compiled++;
-  return std::make_shared<const DecodedProgram>(code);
+  return programs_.intern(code, hash);
 }
 
 // --------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "core/agent.h"
 #include "core/agent_serializer.h"
 #include "core/isa.h"
+#include "core/program_table.h"
 #include "core/vm_costs.h"
 #include "sim/types.h"
 #include "tuplespace/tuple.h"
@@ -103,18 +104,21 @@ DecodedInsn decode_insn(std::uint8_t raw,
                         std::size_t operands_available);
 
 /// FNV-1a over the code bytes: compared before the bytes when a new agent
-/// looks for a live program to share.
+/// looks for a live program to share, and the program table's key.
 [[nodiscard]] std::uint64_t hash_code_bytes(
     std::span<const std::uint8_t> code);
 
 /// An agent's code: the image bytes, decoded at EVERY byte offset, and
-/// their content hash; immutable once built. Agilla jump targets are
-/// arbitrary byte addresses (jumps pops any number), so pre-decoding only
-/// at instruction boundaries would diverge from the reference interpreter;
-/// with ≤440-byte images, one DecodedInsn per offset is cheap.
+/// their content hash; immutable once built, and shared by every agent of
+/// the deployment with the same bytes (core/program_table.h). Agilla jump
+/// targets are arbitrary byte addresses (jumps pops any number), so
+/// pre-decoding only at instruction boundaries would diverge from the
+/// reference interpreter; with ≤440-byte images, one DecodedInsn per
+/// offset is cheap.
 class DecodedProgram {
  public:
-  explicit DecodedProgram(std::span<const std::uint8_t> code);
+  /// `hash` must be hash_code_bytes(code), computed once by the caller.
+  DecodedProgram(std::span<const std::uint8_t> code, std::uint64_t hash);
 
   [[nodiscard]] std::uint16_t size() const {
     return static_cast<std::uint16_t>(insns_.size());
@@ -133,10 +137,10 @@ class DecodedProgram {
   std::uint64_t hash_ = 0;
 };
 
-/// Executes agent slices for one engine. Builds each admitted agent's
-/// program (shared with any live agent on this engine that has the same
-/// bytes, so clones decode once) and runs both dispatch front-ends over a
-/// single set of opcode handlers:
+/// Executes agent slices for one engine. Finds each admitted agent's
+/// program — among this engine's live agents, then in the deployment's
+/// program table, so clones anywhere in the deployment decode once — and
+/// runs both dispatch front-ends over a single set of opcode handlers:
 ///   - run_slice_switch: fetches the opcode and operand bytes at the PC
 ///     from the program's bytes, decodes them on every execution and
 ///     dispatches through a switch — the reference interpreter.
@@ -159,14 +163,18 @@ class VmDispatcher {
     std::uint64_t cache_hits = 0;  ///< an admitted image reused a program
   };
 
-  explicit VmDispatcher(AgillaEngine& engine) : e_(engine) {}
+  VmDispatcher(AgillaEngine& engine, ProgramTable& programs)
+      : e_(engine), programs_(programs) {}
 
   VmDispatcher(const VmDispatcher&) = delete;
   VmDispatcher& operator=(const VmDispatcher&) = delete;
 
-  /// The program for a new agent with `code`: a live agent's on this
-  /// engine when one holds equal bytes (hash compared first; counts a
-  /// cache hit), else a fresh decode (counts a compile).
+  /// The program for a new agent with `code`, hashed once and found in a
+  /// fixed order: a live agent's on this engine when one holds equal
+  /// bytes (hash compared first; counts a cache hit, takes no lock), else
+  /// the deployment table's live program with these bytes, else a fresh
+  /// decode entered into the table. Both of the latter count a compile:
+  /// the counts are this engine's alone, as if every mote decoded its own.
   std::shared_ptr<const DecodedProgram> program_for(
       std::span<const std::uint8_t> code);
 
@@ -212,6 +220,7 @@ class VmDispatcher {
                           sim::SimTime& cost);
 
   AgillaEngine& e_;
+  ProgramTable& programs_;
   CacheStats cache_stats_;
 };
 

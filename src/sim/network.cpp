@@ -93,6 +93,11 @@ NodeId Network::add_node(Location loc) {
   return id;
 }
 
+void Network::reserve(std::size_t count) {
+  nodes_.reserve(count);
+  sim_.reserve_node_streams(count);
+}
+
 void Network::set_receiver(NodeId id, ReceiveHandler handler) {
   nodes_.at(id.value).receiver = std::move(handler);
 }

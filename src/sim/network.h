@@ -146,6 +146,11 @@ class Network {
   /// no other node occupies.
   NodeId add_node(Location loc);
 
+  /// Room for `count` nodes in all, so adding them one add_node at a
+  /// time never reallocates the per-node tables (make_grid knows its
+  /// size up front).
+  void reserve(std::size_t count);
+
   /// Install the (single) receive upcall for a node. The net/ layer
   /// dispatches by AM type from here.
   void set_receiver(NodeId id, ReceiveHandler handler);

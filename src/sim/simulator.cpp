@@ -128,7 +128,8 @@ void Simulator::ensure_node_streams(std::size_t count) {
   assert(!shards_configured_ &&
          "nodes must be added before configure_shards()");
   assert(current_context() == nullptr);
-  streams_.reserve(count + 1);
+  // Nodes arrive one add_node at a time: push_back's geometric growth
+  // keeps the set-up linear (an exact reserve here reallocated per node).
   while (streams_.size() < count + 1) {
     const std::uint64_t idx = streams_.size();
     SplitMix64 mix(seed_ ^ (kStreamSalt * idx));

@@ -73,6 +73,12 @@ class Simulator {
   /// are added; setup-time only.
   void ensure_node_streams(std::size_t count);
 
+  /// Room for streams for nodes [0, count), so a topology that knows its
+  /// size adds its nodes without reallocating; creates none.
+  void reserve_node_streams(std::size_t count) {
+    streams_.reserve(count + 1);
+  }
+
   /// Schedule `cb` to run `delay` microseconds from now, in the current
   /// context's stream (kernel when called outside any event).
   EventHandle schedule_in(SimTime delay, EventQueue::Callback cb);

@@ -9,6 +9,7 @@ namespace agilla::sim {
 Topology make_grid(Network& net, std::size_t width, std::size_t height) {
   Topology topo;
   topo.nodes.reserve(width * height);
+  net.reserve(net.node_count() + width * height);
   for (std::size_t row = 0; row < height; ++row) {
     for (std::size_t col = 0; col < width; ++col) {
       topo.nodes.push_back(net.add_node(

@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "api/deployment.h"
+#include "core/agent_library.h"
 #include "core/injector.h"
 #include "core/middleware.h"
 #include "core/vm_dispatch.h"
+#include "sim/environment.h"
 #include "sim/topology.h"
 
 namespace agilla::testing {
@@ -94,7 +97,7 @@ class AgillaMesh {
     topo = sim::make_grid(net, options.width, options.height);
     for (sim::NodeId id : topo.nodes) {
       nodes.push_back(std::make_unique<core::AgillaMiddleware>(
-          net, id, &env, options.config));
+          net, id, &env, programs, options.config));
       if (options.start) {
         nodes.back()->start();
       }
@@ -129,7 +132,41 @@ class AgillaMesh {
   sim::Network net;
   sim::SensorEnvironment env;
   sim::Topology topo;
+  core::ProgramTable programs;  ///< the mesh's, shared by every node
   std::vector<std::unique_ptr<core::AgillaMiddleware>> nodes;
 };
+
+/// A 16x16 mesh with the fire_tracking agents: FIREDETECTOR flood-clones
+/// over every mote, and the FIRETRACKER swarm clones toward a fire that
+/// ignites at the far corner 15 s after injection; returned 60 s in.
+inline std::unique_ptr<api::Deployment> spread_fire_agents(
+    std::size_t shards) {
+  api::DeploymentOptions options;
+  options.width = 16;
+  options.height = 16;
+  options.seed = 5;
+  options.sim_shards = shards;
+  auto mesh = std::make_unique<api::Deployment>(options);
+  mesh->environment().set_field(
+      sim::SensorType::kTemperature,
+      std::make_unique<sim::FireField>(sim::FireField::Options{
+          .ignition_point = {16, 16},
+          .ignition_time = mesh->simulator().now() + 15 * sim::kSecond,
+          .extinction_time = 0,
+          .spread_speed = 0.1,
+          .peak = 500.0,
+          .ambient = 25.0,
+          .edge_decay = 0.45,
+          .ring_width = 1.6,
+          .burned_over = 40.0}));
+  core::BaseStation base = mesh->base();
+  base.inject(core::agents::fire_tracker(/*threshold=*/180,
+                                         /*nap_ticks=*/16));
+  base.inject(core::agents::fire_detector(/*alert_to=*/{1, 1},
+                                          /*threshold=*/200,
+                                          /*sample_ticks=*/32));
+  mesh->run_for(60 * sim::kSecond);
+  return mesh;
+}
 
 }  // namespace agilla::testing

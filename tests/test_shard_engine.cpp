@@ -1,16 +1,20 @@
 // Sharded event engine (DESIGN.md "Sharded event engine"): shard-count
 // outcome invariance, cross-shard ordering at the lookahead boundary,
 // churn across shard borders, the observer record stream's serial order
-// at any shard count, and the slab queue's handle semantics.
+// at any shard count, programs shared by clones across shard borders, and
+// the slab queue's handle semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "agilla_test_helpers.h"
 #include "api/deployment.h"
 #include "core/assembler.h"
+#include "core/vm_dispatch.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 
@@ -276,6 +280,56 @@ TEST(ShardEngine, ObserversSeeTheSerialRecordStreamAtAnyShardCount) {
       [&](const sim::Event& e) {
         return e.node.valid() && sharded.shard_of(e.node) > 0;
       }));
+}
+
+/// Each mote's live agents and its engine's program counts, as text.
+std::string program_state(api::Deployment& mesh) {
+  std::string out;
+  for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
+    const core::VmDispatcher::CacheStats& stats =
+        mesh.mote(i).engine().dispatcher().cache_stats();
+    out += std::to_string(mesh.mote(i).agents().count()) + ":" +
+           std::to_string(stats.programs_compiled) + "/" +
+           std::to_string(stats.cache_hits) + " ";
+  }
+  return out;
+}
+
+/// Distinct programs held by live agents across the deployment.
+std::size_t distinct_programs(api::Deployment& mesh) {
+  std::set<const core::DecodedProgram*> programs;
+  for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
+    for (const auto& agent : mesh.mote(i).agents().agents()) {
+      programs.insert(agent->program().get());
+    }
+  }
+  return programs.size();
+}
+
+TEST(ShardEngine, SharedProgramsInvariantAcrossShardCounts) {
+  // Detector clones flood across every strip border and trackers clone
+  // toward the fire, so at K>1 shard workers intern programs in the
+  // deployment's table concurrently.
+  const auto serial = testing::spread_fire_agents(1);
+  const auto two = testing::spread_fire_agents(2);
+  const auto four = testing::spread_fire_agents(4);
+  expect_same_outcome(*serial, *two);
+  expect_same_outcome(*serial, *four);
+  EXPECT_EQ(program_state(*serial), program_state(*two));
+  EXPECT_EQ(program_state(*serial), program_state(*four));
+  EXPECT_EQ(distinct_programs(*serial), 2u);
+  EXPECT_EQ(distinct_programs(*two), 2u);
+  EXPECT_EQ(distinct_programs(*four), 2u);
+
+  // Agents really run on every worker shard.
+  std::set<std::uint32_t> shards_hosting;
+  for (std::size_t i = 0; i < four->mote_count(); ++i) {
+    if (four->mote(i).agents().count() > 0) {
+      shards_hosting.insert(
+          four->simulator().shard_of(four->mote(i).node_id()));
+    }
+  }
+  EXPECT_EQ(shards_hosting.size(), 4u);
 }
 
 }  // namespace
