@@ -128,8 +128,9 @@ void Simulator::ensure_node_streams(std::size_t count) {
   assert(!shards_configured_ &&
          "nodes must be added before configure_shards()");
   assert(current_context() == nullptr);
-  // Nodes arrive one add_node at a time: push_back's geometric growth
-  // keeps the set-up linear (an exact reserve here reallocated per node).
+  // No reserve here: nodes arrive one add_node at a time, so an exact
+  // reserve per call would reallocate every time. make_grid reserves the
+  // whole grid up front (Network::reserve).
   while (streams_.size() < count + 1) {
     const std::uint64_t idx = streams_.size();
     SplitMix64 mix(seed_ ^ (kStreamSalt * idx));
