@@ -117,12 +117,12 @@ void AgillaEngine::make_ready(Agent& agent) {
   }
   ready_.push_back(agent.id());
   // Deliver one queued reaction now that the agent can accept it.
-  auto pending = pending_reactions_.find(agent.id().value);
-  if (pending != pending_reactions_.end() && !pending->second.empty()) {
-    PendingReaction next = std::move(pending->second.front());
-    pending->second.pop_front();
-    if (pending->second.empty()) {
-      pending_reactions_.erase(pending);
+  if (auto* queue = pending_reactions_.find(agent.id().value);
+      queue != nullptr && !queue->empty()) {
+    PendingReaction next = std::move(queue->front());
+    queue->pop_front();
+    if (queue->empty()) {
+      pending_reactions_.erase(agent.id().value);
     }
     deliver_reaction(agent, next.reaction, next.tuple);
   }
@@ -240,10 +240,10 @@ void AgillaEngine::tick() {
 }
 
 void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
-  if (const auto timer = sleep_timers_.find(id.value);
-      timer != sleep_timers_.end()) {
-    timer->second.cancel();
-    sleep_timers_.erase(timer);
+  if (sim::EventHandle* timer = sleep_timers_.find(id.value);
+      timer != nullptr) {
+    timer->cancel();
+    sleep_timers_.erase(id.value);
   }
   pending_reactions_.erase(id.value);
   if (drop_reactions) {
@@ -307,10 +307,10 @@ void AgillaEngine::on_reaction(const ts::Reaction& reaction,
       make_ready(*agent);
       return;
     case AgentRunState::kSleeping: {
-      if (const auto timer = sleep_timers_.find(reaction.agent_id);
-          timer != sleep_timers_.end()) {
-        timer->second.cancel();
-        sleep_timers_.erase(timer);
+      if (sim::EventHandle* timer = sleep_timers_.find(reaction.agent_id);
+          timer != nullptr) {
+        timer->cancel();
+        sleep_timers_.erase(reaction.agent_id);
       }
       deliver_reaction(*agent, reaction, tuple);
       make_ready(*agent);

@@ -31,6 +31,7 @@
 #include "energy/battery.h"
 #include "sim/fifo.h"
 #include "sim/simulator.h"
+#include "sim/small_map.h"
 
 namespace agilla::core {
 
@@ -189,12 +190,13 @@ class AgillaEngine {
   bool in_tick_ = false;  ///< make_ready defers scheduling to the batch end
   std::uint8_t leds_ = 0;
   sim::NodeId node_;
-  std::unordered_map<std::uint16_t, sim::EventHandle> sleep_timers_;
+  sim::SmallMap<std::uint16_t, sim::EventHandle> sleep_timers_;  // by agent
   struct PendingReaction {
     ts::Reaction reaction;
     ts::Tuple tuple;
   };
-  std::unordered_map<std::uint16_t, sim::Fifo<PendingReaction>>
+  /// Reactions that fired while their agent was blocked, by agent.
+  sim::SmallMap<std::uint16_t, sim::Fifo<PendingReaction>>
       pending_reactions_;
   EngineStats stats_;
   /// One slot per defined opcode, indexed by opcode_index() (precomputed

@@ -4,7 +4,6 @@
 // and remote-op protocols, and the engine.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "core/agent_manager.h"
@@ -71,18 +70,18 @@ class AgillaMiddleware {
   [[nodiscard]] sim::Location location() const { return location_; }
   [[nodiscard]] sim::Simulator& simulator() { return network_.simulator(); }
 
-  [[nodiscard]] AgillaEngine& engine() { return *engine_; }
-  [[nodiscard]] const AgillaEngine& engine() const { return *engine_; }
+  [[nodiscard]] AgillaEngine& engine() { return engine_; }
+  [[nodiscard]] const AgillaEngine& engine() const { return engine_; }
   [[nodiscard]] ts::TupleSpace& tuple_space() { return tuple_space_; }
   [[nodiscard]] AgentManager& agents() { return agents_; }
   [[nodiscard]] CodePool& code_pool() { return code_pool_; }
-  [[nodiscard]] ContextManager& context() { return *context_; }
-  [[nodiscard]] net::LinkLayer& link() { return *link_; }
-  [[nodiscard]] net::NeighborTable& neighbors() { return *neighbors_; }
-  [[nodiscard]] net::GeoRouter& router() { return *router_; }
-  [[nodiscard]] MigrationManager& migration() { return *migration_; }
-  [[nodiscard]] RemoteTsManager& remote_ts() { return *remote_ts_; }
-  [[nodiscard]] RegionOps& region_ops() { return *region_ops_; }
+  [[nodiscard]] ContextManager& context() { return context_; }
+  [[nodiscard]] net::LinkLayer& link() { return link_; }
+  [[nodiscard]] net::NeighborTable& neighbors() { return neighbors_; }
+  [[nodiscard]] net::GeoRouter& router() { return router_; }
+  [[nodiscard]] MigrationManager& migration() { return migration_; }
+  [[nodiscard]] RemoteTsManager& remote_ts() { return remote_ts_; }
+  [[nodiscard]] RegionOps& region_ops() { return region_ops_; }
   [[nodiscard]] const AgillaConfig& config() const { return config_; }
 
   /// The data-RAM ledger for this node's configuration (paper's 3.59 KB
@@ -95,20 +94,21 @@ class AgillaMiddleware {
   sim::Location location_;
   AgillaConfig config_;
 
-  // Construction order matters: each layer takes references to the ones
-  // before it.
-  std::unique_ptr<net::LinkLayer> link_;
-  std::unique_ptr<net::NeighborTable> neighbors_;
-  std::unique_ptr<net::GeoRouter> router_;
+  // The layers live inline, so a mote is one allocation. Declaration
+  // order is construction order, and it matters: each layer takes
+  // references to the ones before it.
   ts::TupleSpace tuple_space_;
   CodePool code_pool_;
   AgentManager agents_;
   SensorBoard sensors_;
-  std::unique_ptr<ContextManager> context_;
-  std::unique_ptr<MigrationManager> migration_;
-  std::unique_ptr<RemoteTsManager> remote_ts_;
-  std::unique_ptr<RegionOps> region_ops_;
-  std::unique_ptr<AgillaEngine> engine_;
+  net::LinkLayer link_;
+  net::NeighborTable neighbors_;
+  net::GeoRouter router_;
+  ContextManager context_;
+  MigrationManager migration_;
+  RemoteTsManager remote_ts_;
+  RegionOps region_ops_;
+  AgillaEngine engine_;
 };
 
 }  // namespace agilla::core

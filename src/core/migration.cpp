@@ -141,19 +141,14 @@ bool MigrationManager::on_message(sim::AmType am, sim::NodeId /*from*/,
     battery_->drain(energy::EnergyComponent::kCpu, energy::kMigrationMsgMj);
   }
 
-  auto it = incoming_.find(agent_id);
-  if (it != incoming_.end() &&
-      it->second.assembler.transfer_id() != transfer_id) {
+  if (Incoming* stale = incoming_.find(agent_id);
+      stale != nullptr && stale->assembler.transfer_id() != transfer_id) {
     // A fresh transfer for the same agent supersedes a stale partial one
     // (e.g. the sender aborted and retried after our abort timer fired).
-    it->second.abort_timer.cancel();
-    incoming_.erase(it);
-    it = incoming_.end();
+    stale->abort_timer.cancel();
+    incoming_.erase(agent_id);
   }
-  if (it == incoming_.end()) {
-    it = incoming_.emplace(agent_id, Incoming{}).first;
-  }
-  Incoming& incoming = it->second;
+  Incoming& incoming = incoming_[agent_id];
 
   if (!incoming.assembler.feed(am, payload)) {
     // Unacceptable (typically a mid-transfer message after we aborted the
@@ -161,7 +156,7 @@ bool MigrationManager::on_message(sim::AmType am, sim::NodeId /*from*/,
     // a future retry starts clean, and withhold the ack.
     if (!incoming.assembler.has_state()) {
       incoming.abort_timer.cancel();
-      incoming_.erase(it);
+      incoming_.erase(agent_id);
     }
     return false;
   }
@@ -177,18 +172,14 @@ bool MigrationManager::on_message(sim::AmType am, sim::NodeId /*from*/,
 }
 
 void MigrationManager::abort_incoming(std::uint16_t agent_id) {
-  const auto it = incoming_.find(agent_id);
-  if (it == incoming_.end()) {
-    return;
-  }
-  incoming_.erase(it);
+  incoming_.erase(agent_id);
 }
 
 void MigrationManager::finish_incoming(std::uint16_t agent_id) {
-  auto it = incoming_.find(agent_id);
-  assert(it != incoming_.end());
-  AgentImage image = it->second.assembler.take();
-  incoming_.erase(it);
+  Incoming* incoming = incoming_.find(agent_id);
+  assert(incoming != nullptr);
+  AgentImage image = incoming->assembler.take();
+  incoming_.erase(agent_id);
 
   if (within(self_, image.dest, sim::kAddressEpsilon)) {
     deliver(std::move(image), true);

@@ -12,12 +12,12 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <unordered_map>
 
 #include "core/agent_serializer.h"
 #include "energy/battery.h"
 #include "net/geo_router.h"
 #include "net/link_layer.h"
+#include "sim/small_map.h"
 
 namespace agilla::core {
 
@@ -111,7 +111,7 @@ class MigrationManager {
   energy::Battery* battery_ = nullptr;
   ArrivalHandler arrival_;
   std::list<Outgoing> outgoing_;
-  std::unordered_map<std::uint16_t, Incoming> incoming_;  // by agent id
+  sim::SmallMap<std::uint16_t, Incoming> incoming_;  // by agent id
   std::uint8_t next_transfer_id_ = 0;
   Stats stats_;
 };

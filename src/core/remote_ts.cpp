@@ -92,9 +92,9 @@ void RemoteTsManager::dispatch(std::uint16_t request_id, sim::Location dest,
 }
 
 void RemoteTsManager::transmit(std::uint16_t request_id) {
-  auto it = pending_.find(request_id);
-  assert(it != pending_.end());
-  Pending& p = it->second;
+  Pending* found = pending_.find(request_id);
+  assert(found != nullptr);
+  Pending& p = *found;
   // Arm the reply timer BEFORE sending: a request addressed to this very
   // node is served by the geo router's synchronous local delivery, so the
   // reply handler can erase the pending entry (cancelling this timer)
@@ -106,20 +106,19 @@ void RemoteTsManager::transmit(std::uint16_t request_id) {
 }
 
 void RemoteTsManager::on_timeout(std::uint16_t request_id) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) {
+  Pending* p = pending_.find(request_id);
+  if (p == nullptr) {
     return;
   }
-  Pending& p = it->second;
-  if (p.attempts <= kMaxRetries) {
-    p.attempts++;
+  if (p->attempts <= kMaxRetries) {
+    p->attempts++;
     stats_.retransmissions++;
     transmit(request_id);
     return;
   }
   stats_.timeouts++;
-  auto done = std::move(p.done);
-  pending_.erase(it);
+  auto done = std::move(p->done);
+  pending_.erase(request_id);
   if (done) {
     done(false, std::nullopt);
   }
@@ -193,17 +192,17 @@ void RemoteTsManager::on_reply(const net::GeoHeader& /*header*/,
   if (!r.ok()) {
     return;
   }
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) {
+  Pending* p = pending_.find(request_id);
+  if (p == nullptr) {
     return;  // duplicate or stale reply
   }
   std::optional<ts::Tuple> result;
   if (status == kStatusOk && r.remaining() > 0) {
     result = ts::Tuple::decode(r);
   }
-  it->second.timer.cancel();
-  auto done = std::move(it->second.done);
-  pending_.erase(it);
+  p->timer.cancel();
+  auto done = std::move(p->done);
+  pending_.erase(request_id);
   stats_.completions++;
   if (done) {
     done(status == kStatusOk, std::move(result));

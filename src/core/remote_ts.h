@@ -15,11 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <variant>
 
 #include "net/geo_router.h"
 #include "sim/fifo.h"
+#include "sim/small_map.h"
 #include "tuplespace/tuple_space.h"
 
 namespace agilla::core {
@@ -101,7 +101,7 @@ class RemoteTsManager {
   ts::TupleSpace& local_;
   sim::Location self_;
   Options options_;
-  std::unordered_map<std::uint16_t, Pending> pending_;
+  sim::SmallMap<std::uint16_t, Pending> pending_;  // by request id
   sim::Fifo<CachedReply> replay_;
   std::uint16_t next_request_id_ = 1;
   Stats stats_;

@@ -49,7 +49,7 @@ void record_energy_stats(api::Deployment& mesh, TrialMetrics& metrics) {
     return;
   }
   double total = 0.0;
-  for (const auto [component, key] :
+  for (const auto& [component, key] :
        {std::pair{energy::EnergyComponent::kRadioTx, "e_tx_mj"},
         std::pair{energy::EnergyComponent::kRadioRx, "e_rx_mj"},
         std::pair{energy::EnergyComponent::kRadioIdle, "e_idle_mj"},

@@ -1,15 +1,15 @@
 // The flat AM-type -> handler table behind LinkLayer and GeoRouter
 // dispatch. A node registers a handful of handlers (eight on the link, three
-// on the router), so a linear scan of one small vector beats hashing and
-// costs one allocation for the whole table instead of a node per entry
-// (DESIGN.md "Per-mote footprint").
+// on the router), so a linear scan of one small vector (sim::SmallMap)
+// beats hashing and costs one allocation for the whole table instead of a
+// node per entry (DESIGN.md "Per-mote footprint").
 #pragma once
 
 #include <cassert>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
+#include "sim/small_map.h"
 #include "sim/types.h"
 
 namespace agilla::net {
@@ -22,13 +22,7 @@ class AmTable {
   /// would move the callable that is executing.
   void set(sim::AmType am, Handler handler) {
     assert(!dispatching_ && "AM handler registered from inside a handler");
-    for (Entry& entry : entries_) {
-      if (entry.am == am) {
-        entry.handler = std::move(handler);
-        return;
-      }
-    }
-    entries_.push_back(Entry{am, std::move(handler)});
+    handlers_[am] = std::move(handler);
   }
 
   /// Calls the handler for `am` with `args`. Returns false when no
@@ -36,35 +30,24 @@ class AmTable {
   /// result, or true for a void handler.
   template <typename... Args>
   bool dispatch(sim::AmType am, Args&&... args) {
-    for (Entry& entry : entries_) {
-      if (entry.am != am) {
-        continue;
-      }
-      if (!entry.handler) {
-        return false;
-      }
-      const bool outer = dispatching_;
-      dispatching_ = true;
-      bool result = true;
-      if constexpr (std::is_void_v<
-                        std::invoke_result_t<Handler&, Args...>>) {
-        entry.handler(std::forward<Args>(args)...);
-      } else {
-        result = entry.handler(std::forward<Args>(args)...);
-      }
-      dispatching_ = outer;
-      return result;
+    Handler* handler = handlers_.find(am);
+    if (handler == nullptr || !*handler) {
+      return false;
     }
-    return false;
+    const bool outer = dispatching_;
+    dispatching_ = true;
+    bool result = true;
+    if constexpr (std::is_void_v<std::invoke_result_t<Handler&, Args...>>) {
+      (*handler)(std::forward<Args>(args)...);
+    } else {
+      result = (*handler)(std::forward<Args>(args)...);
+    }
+    dispatching_ = outer;
+    return result;
   }
 
  private:
-  struct Entry {
-    sim::AmType am;
-    Handler handler;
-  };
-
-  std::vector<Entry> entries_;
+  sim::SmallMap<sim::AmType, Handler> handlers_;
   bool dispatching_ = false;  ///< a handler of this table is running
 };
 

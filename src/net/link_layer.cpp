@@ -39,11 +39,11 @@ std::vector<std::uint8_t> LinkLayer::frame_payload(
 
 void LinkLayer::send_frame(sim::NodeId dst, sim::AmType am,
                            std::vector<std::uint8_t> payload) {
-  sim::Frame frame{self_, dst, am, std::move(payload)};
+  std::optional<sim::SimTime> preamble;
   if (preamble_oracle_) {
-    frame.preamble = preamble_oracle_(dst);
+    preamble = preamble_oracle_(dst);
   }
-  network_.send(std::move(frame));
+  network_.send(sim::Frame{self_, dst, am, std::move(payload), preamble});
 }
 
 void LinkLayer::send_unacked(sim::NodeId dst, sim::AmType am,
@@ -66,9 +66,9 @@ void LinkLayer::send_acked(sim::NodeId dst, sim::AmType am,
 }
 
 void LinkLayer::transmit(std::uint8_t seq) {
-  auto it = pending_.find(seq);
-  assert(it != pending_.end());
-  Pending& p = it->second;
+  Pending* found = pending_.find(seq);
+  assert(found != nullptr);
+  Pending& p = *found;
   p.attempts++;
   if (p.attempts > 1) {
     stats_.retransmissions++;
@@ -79,18 +79,17 @@ void LinkLayer::transmit(std::uint8_t seq) {
 }
 
 void LinkLayer::on_timeout(std::uint8_t seq) {
-  auto it = pending_.find(seq);
-  if (it == pending_.end()) {
+  Pending* p = pending_.find(seq);
+  if (p == nullptr) {
     return;
   }
-  Pending& p = it->second;
-  if (p.attempts <= options_.max_retries) {
+  if (p->attempts <= options_.max_retries) {
     transmit(seq);
     return;
   }
   stats_.send_failures++;
-  auto done = std::move(p.done);
-  pending_.erase(it);
+  auto done = std::move(p->done);
+  pending_.erase(seq);
   if (done) {
     done(false);
   }
@@ -105,25 +104,25 @@ void LinkLayer::send_ack(sim::NodeId to, std::uint8_t seq) {
 
 bool* LinkLayer::find_duplicate(sim::NodeId from, std::uint8_t seq,
                                 bool acked) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from.value) << 8) | seq;
   const sim::SimTime now = network_.simulator().now();
-  const auto it =
-      std::find_if(dedup_.begin(), dedup_.end(),
-                   [key](const DedupEntry& e) { return e.key == key; });
+  const DedupEntry entry{from.value, seq, acked, now};
+  const auto it = std::find_if(
+      dedup_.begin(), dedup_.end(), [&entry](const DedupEntry& e) {
+        return e.src == entry.src && e.seq == entry.seq;
+      });
   if (it != dedup_.end()) {
     if (now - it->seen_at <= kDedupWindow) {
       it->seen_at = now;
       return &it->acked;
     }
     // Stale entry: the 8-bit sequence space wrapped. Treat as new.
-    *it = DedupEntry{key, acked, now};
+    *it = entry;
     return nullptr;
   }
   if (dedup_.size() < kDedupCache) {
-    dedup_.push_back(DedupEntry{key, acked, now});
+    dedup_.push_back(entry);
   } else if (!dedup_.empty()) {
-    dedup_[dedup_next_] = DedupEntry{key, acked, now};
+    dedup_[dedup_next_] = entry;
     dedup_next_ = (dedup_next_ + 1) % dedup_.size();
   }
   return nullptr;
@@ -135,13 +134,13 @@ void LinkLayer::on_ack(const sim::Frame& frame) {
   if (!r.ok()) {
     return;
   }
-  auto it = pending_.find(ack.acked_seq);
-  if (it == pending_.end() || it->second.dst != frame.src) {
+  Pending* p = pending_.find(ack.acked_seq);
+  if (p == nullptr || p->dst != frame.src) {
     return;  // stale or foreign ack
   }
-  it->second.timer.cancel();
-  auto done = std::move(it->second.done);
-  pending_.erase(it);
+  p->timer.cancel();
+  auto done = std::move(p->done);
+  pending_.erase(ack.acked_seq);
   if (done) {
     done(true);
   }

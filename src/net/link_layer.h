@@ -9,12 +9,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/am_table.h"
 #include "net/packet.h"
 #include "sim/network.h"
+#include "sim/small_map.h"
 
 namespace agilla::net {
 
@@ -128,17 +128,20 @@ class LinkLayer {
   sim::Network& network_;
   sim::NodeId self_;
   Options options_;
+  /// One remembered (src, seq) pair, packed into 16 bytes.
   struct DedupEntry {
-    std::uint64_t key = 0;  // (src << 8) | seq
+    std::uint32_t src = 0;
+    std::uint8_t seq = 0;
     bool acked = false;
     sim::SimTime seen_at = 0;
   };
+  static_assert(sizeof(DedupEntry) == 16);
 
   AmTable<Handler> handlers_;
   PreambleOracle preamble_oracle_;
   PiggybackProvider piggyback_provider_;
   PiggybackSink piggyback_sink_;
-  std::unordered_map<std::uint8_t, Pending> pending_;
+  sim::SmallMap<std::uint8_t, Pending> pending_;  // by seq
   std::vector<DedupEntry> dedup_;  // ring buffer
   std::size_t dedup_next_ = 0;
   std::uint8_t next_seq_ = 0;

@@ -72,6 +72,9 @@ NodeId Network::add_node(Location loc) {
   if (!on_lattice(loc.x) || !on_lattice(loc.y)) {
     throw std::invalid_argument("add_node: not an integer lattice point");
   }
+  if (energy_.has_value()) {
+    throw std::logic_error("add_node: after attach_energy");
+  }
   const auto x = static_cast<std::int32_t>(loc.x);
   const auto y = static_cast<std::int32_t>(loc.y);
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
@@ -104,7 +107,7 @@ void Network::set_receiver(NodeId id, ReceiveHandler handler) {
 
 void Network::set_radio_enabled(NodeId id, bool enabled) {
   auto& node = nodes_.at(id.value);
-  if (node.battery != nullptr &&
+  if (node.battery.has_value() &&
       enabled != node.info.radio_enabled) {
     // Pause/resume the idle-listen draw across the outage.
     node.battery->settle(sim_.now());
@@ -204,8 +207,7 @@ void Network::attach_energy(const energy::EnergyOptions& options) {
     if (options.gateway_powered && node.info.id.value == 0) {
       continue;
     }
-    node.battery =
-        std::make_unique<energy::Battery>(options.battery_mj, sim_.now());
+    node.battery.emplace(options.battery_mj, sim_.now());
     node.battery->set_idle_draw_mw(
         node.info.radio_enabled
             ? energy::radio_listen_mw(node.duty.listen_fraction())
@@ -218,19 +220,21 @@ energy::Battery* Network::battery(NodeId id) {
   if (id.value >= nodes_.size()) {
     return nullptr;
   }
-  return nodes_[id.value].battery.get();
+  auto& battery = nodes_[id.value].battery;
+  return battery ? &*battery : nullptr;
 }
 
 const energy::Battery* Network::battery(NodeId id) const {
   if (id.value >= nodes_.size()) {
     return nullptr;
   }
-  return nodes_[id.value].battery.get();
+  auto& battery = nodes_[id.value].battery;
+  return battery ? &*battery : nullptr;
 }
 
 void Network::settle_batteries() {
   for (NodeState& node : nodes_) {
-    if (node.battery != nullptr) {
+    if (node.battery.has_value()) {
       node.battery->settle(sim_.now());
     }
   }
@@ -253,7 +257,7 @@ void Network::schedule_settle_tick() {
           node.tx_queue.size() + (node.in_flight ? 1 : 0));
       const bool fraction_changed =
           node.alive && node.duty.observe(heard, tx_pending);
-      if (node.battery == nullptr) {
+      if (!node.battery.has_value()) {
         continue;
       }
       node.battery->settle(sim_.now());
@@ -272,7 +276,7 @@ void Network::schedule_settle_tick() {
 
 void Network::charge(NodeState& node, energy::EnergyComponent component,
                      double mj) {
-  if (node.battery == nullptr) {
+  if (!node.battery.has_value()) {
     return;
   }
   node.battery->drain(component, mj);
@@ -282,7 +286,7 @@ void Network::charge(NodeState& node, energy::EnergyComponent component,
     const NodeId id = node.info.id;
     sim_.schedule_in(0, id, [this, id] {
       auto& n = nodes_.at(id.value);
-      if (n.alive && n.battery != nullptr && n.battery->depleted()) {
+      if (n.alive && n.battery.has_value() && n.battery->depleted()) {
         kill_node(id, NodeDownReason::kBatteryDepleted);
       }
     });
@@ -353,7 +357,7 @@ void Network::revive_node(NodeId id) {
   if (node.alive) {
     return;
   }
-  if (node.battery != nullptr && node.battery->depleted()) {
+  if (node.battery.has_value() && node.battery->depleted()) {
     return;  // nothing to boot with
   }
   node.alive = true;

@@ -143,7 +143,7 @@ class Network {
   /// Registers a node at `loc` and links it with the nodes one unit
   /// away. Returns its dense id. Throws std::invalid_argument unless
   /// `loc` is an integer lattice point (coordinates within +-2^30) that
-  /// no other node occupies.
+  /// no other node occupies, and energy is not attached yet.
   NodeId add_node(Location loc);
 
   /// Room for `count` nodes in all, so adding them one add_node at a
@@ -182,9 +182,10 @@ class Network {
 
   // ------------------------------------------------------------- energy
   /// Creates per-node batteries (unless battery_mj <= 0) and starts
-  /// charging TX/RX/idle energy. Call once, after all nodes are added;
-  /// nodes added later get no battery. With gateway_powered, node 0 is
-  /// mains-powered (no battery).
+  /// charging TX/RX/idle energy. Call once, after all nodes are added:
+  /// batteries live inline in the node table, whose addresses battery()
+  /// hands out, so add_node refuses afterwards. With gateway_powered,
+  /// node 0 is mains-powered (no battery).
   void attach_energy(const energy::EnergyOptions& options);
 
   /// The node's battery; nullptr when energy is not attached, for the
@@ -257,7 +258,7 @@ class Network {
     /// delivery events). Non-null == transmitting.
     std::shared_ptr<const Frame> in_flight;
     bool alive = true;
-    std::unique_ptr<energy::Battery> battery;
+    std::optional<energy::Battery> battery;
     /// Per-node LPL schedule (meaningful only when energy is attached;
     /// moves per node under the adaptive controller).
     energy::DutyCycler duty;

@@ -138,9 +138,10 @@ class AgillaMesh {
 
 /// A 16x16 mesh with the fire_tracking agents: FIREDETECTOR flood-clones
 /// over every mote, and the FIRETRACKER swarm clones toward a fire that
-/// ignites at the far corner 15 s after injection; returned 60 s in.
+/// ignites at the far corner 15 s after injection; returned `duration`
+/// (default 60 s) in.
 inline std::unique_ptr<api::Deployment> spread_fire_agents(
-    std::size_t shards) {
+    std::size_t shards, sim::SimTime duration = 60 * sim::kSecond) {
   api::DeploymentOptions options;
   options.width = 16;
   options.height = 16;
@@ -165,7 +166,7 @@ inline std::unique_ptr<api::Deployment> spread_fire_agents(
   base.inject(core::agents::fire_detector(/*alert_to=*/{1, 1},
                                           /*threshold=*/200,
                                           /*sample_ticks=*/32));
-  mesh->run_for(60 * sim::kSecond);
+  mesh->run_for(duration);
   return mesh;
 }
 

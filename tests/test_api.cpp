@@ -113,7 +113,7 @@ TEST(KnobRegistry, BuilderRejectsBadKnobs) {
   SimulationBuilder builder;
   EXPECT_THROW(builder.set("no_such_knob", 1.0), std::invalid_argument);
   EXPECT_THROW(builder.set("duty_cycle", 2.0), std::invalid_argument);
-  EXPECT_THROW(builder.knob("no_such_knob"), std::invalid_argument);
+  EXPECT_THROW((void)builder.knob("no_such_knob"), std::invalid_argument);
 }
 
 TEST(KnobRegistry, ScenarioKnobListsDeriveFromRegistry) {

@@ -304,6 +304,86 @@ TEST(EngineBasic, AgentSlotsExhausted) {
   EXPECT_EQ(s.node().engine().stats().agents_rejected, 1u);
 }
 
+/// Installs `source` as a weakly migrated agent under `id` (reusing the id
+/// of an agent that was killed).
+bool install_as(AgillaMiddleware& node, AgentId id,
+                const std::string& source) {
+  AgentImage image;
+  image.agent_id = id.value;
+  image.op = MigrationOp::kWMove;
+  image.code = assemble_or_die(source);
+  return node.engine().install(std::move(image), /*reached_dest=*/true);
+}
+
+TEST(EngineBasic, KilledSleeperLeavesNoWakeupBehind) {
+  SingleNode s;
+  // Sleeps 10 s.
+  const auto id = s.node().inject(assemble_or_die("pushc 80\nsleep\nhalt"));
+  ASSERT_TRUE(id.has_value());
+  s.mesh.sim.run_for(100 * sim::kMillisecond);
+  ASSERT_EQ(s.node().agents().find(*id)->run_state(),
+            AgentRunState::kSleeping);
+  const std::size_t armed = s.mesh.sim.pending_events();
+  s.node().engine().kill_all_agents();
+  EXPECT_EQ(s.mesh.sim.pending_events(), armed - 1);
+
+  // An agent under the same id sleeps its own 20 s: a stale timer of the
+  // killed agent would wake it at 10 s.
+  ASSERT_TRUE(install_as(s.node(), *id,
+                         "pushc 160\nsleep\npushc 1\npushc 1\nout\nhalt"));
+  s.mesh.sim.run_for(15 * sim::kSecond);
+  EXPECT_FALSE(s.result_number().has_value());
+  s.mesh.sim.run_for(6 * sim::kSecond);
+  EXPECT_TRUE(s.result_number().has_value());
+}
+
+/// Registers a reaction on <"rxn">, then blocks in an rinp that has no
+/// route from a lone mote (it times out after 3 x 2 s).
+constexpr const char* kBlockedWithReaction = R"(
+        pushn rxn
+        pushc 1
+        pushc HIT
+        regrxn
+        pusht NUMBER
+        pushc 1
+        pushloc 9 9
+        rinp
+        halt
+  HIT   halt
+)";
+
+TEST(EngineBasic, BlockedAgentGetsItsQueuedReactionOnResume) {
+  SingleNode s;
+  const auto id = s.node().inject(assemble_or_die(kBlockedWithReaction));
+  ASSERT_TRUE(id.has_value());
+  s.mesh.sim.run_for(100 * sim::kMillisecond);
+  ASSERT_EQ(s.node().agents().find(*id)->run_state(),
+            AgentRunState::kBlockedOp);
+  s.node().tuple_space().out(ts::Tuple{ts::Value::string("rxn")});
+  EXPECT_EQ(s.node().engine().stats().reactions_fired, 0u);  // queued
+  s.mesh.sim.run_for(7 * sim::kSecond);  // the rinp times out
+  EXPECT_EQ(s.node().engine().stats().reactions_fired, 1u);
+  EXPECT_EQ(s.node().agents().count(), 0u);
+}
+
+TEST(EngineBasic, PowerDownDropsQueuedReactions) {
+  SingleNode s;
+  const auto id = s.node().inject(assemble_or_die(kBlockedWithReaction));
+  ASSERT_TRUE(id.has_value());
+  s.mesh.sim.run_for(100 * sim::kMillisecond);
+  s.node().tuple_space().out(ts::Tuple{ts::Value::string("rxn")});
+  s.node().tuple_space().out(ts::Tuple{ts::Value::string("rxn")});
+  s.node().power_down();
+  EXPECT_EQ(s.node().agents().count(), 0u);
+
+  // A queued reaction left behind would be delivered to the next agent
+  // made ready under the same id.
+  ASSERT_TRUE(install_as(s.node(), *id, "pushc 1\npushc 1\nout\nhalt"));
+  s.mesh.sim.run_for(100 * sim::kMillisecond);
+  EXPECT_EQ(s.node().engine().stats().reactions_fired, 0u);
+  EXPECT_EQ(s.result_number(), 1);
+}
+
 TEST(EngineBasic, CodePoolExhaustionRejectsInjection) {
   SingleNode s;
   std::string big;

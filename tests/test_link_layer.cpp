@@ -284,5 +284,39 @@ TEST(LinkLayer, AckedFrameForUnregisteredAmIsNeitherDeliveredNorAcked) {
   EXPECT_EQ(f.link_a->stats().send_failures, 1u);
 }
 
+TEST(LinkLayer, IgnoresAcksForUnknownSeqOrFromTheWrongSender) {
+  LinkFixture f;
+  const sim::NodeId c = f.net.add_node({1, 2});  // hears a, not b
+  // b refuses every message, so it never acks on its own.
+  f.link_b->register_handler(
+      sim::AmType::kAgentState,
+      [](sim::NodeId, std::span<const std::uint8_t>) { return false; });
+  int calls = 0;
+  bool delivered = true;
+  f.link_a->send_acked(f.b, sim::AmType::kAgentState, {1}, [&](bool ok) {
+    ++calls;
+    delivered = ok;
+  });  // seq 0
+  // The right seq from the wrong sender, and an unknown seq from b.
+  f.net.send(sim::Frame{c, f.a, sim::AmType::kAck, {0}, {}});
+  f.net.send(sim::Frame{f.b, f.a, sim::AmType::kAck, {9}, {}});
+  f.sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(f.link_a->stats().retransmissions, 4u);
+  EXPECT_EQ(f.link_a->stats().send_failures, 1u);
+
+  // The right seq from the addressed node completes the send at once.
+  f.link_a->send_acked(f.b, sim::AmType::kAgentState, {2}, [&](bool ok) {
+    ++calls;
+    delivered = ok;
+  });  // seq 1
+  f.net.send(sim::Frame{f.b, f.a, sim::AmType::kAck, {1}, {}});
+  f.sim.run();
+  EXPECT_EQ(calls, 2);
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(f.link_a->stats().retransmissions, 4u);
+}
+
 }  // namespace
 }  // namespace agilla::net

@@ -340,6 +340,30 @@ TEST(Migration, ArrivalRejectedWhenAgentSlotsFull) {
   EXPECT_EQ(mesh.at(1).agents().count(), 1u);  // just the sleeper
 }
 
+TEST(Migration, DropInFlightCancelsEveryIncomingAbortTimer) {
+  AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
+  mesh.warm();
+  // Two partial transfers into node 1: each state message arms a 0.25 s
+  // receiver-abort timer that waits for the rest of its agent.
+  for (const std::uint16_t agent_id : {7, 8}) {
+    AgentImage image;
+    image.agent_id = agent_id;
+    image.op = MigrationOp::kWMove;
+    image.dest = {2, 1};
+    image.code = assemble_or_die("pushc 1\npushc 1\nout\nhalt");
+    const auto messages = to_messages(image, /*transfer_id=*/0);
+    ASSERT_GT(messages.size(), 1u);
+    mesh.at(0).link().send_acked(mesh.at(1).node_id(), messages[0].am,
+                                 messages[0].payload, nullptr);
+  }
+  mesh.sim.run_for(100 * sim::kMillisecond);
+  const std::size_t armed = mesh.sim.pending_events();
+  mesh.at(1).migration().drop_in_flight();
+  EXPECT_EQ(mesh.sim.pending_events(), armed - 2);
+  mesh.sim.run_for(1 * sim::kSecond);
+  EXPECT_EQ(mesh.at(1).agents().count(), 0u);
+}
+
 TEST(Migration, MigrationTimeIsHundredsOfMilliseconds) {
   // Paper Sec. 4: one-hop migration ~0.3 s at minimum cadence.
   AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});

@@ -36,7 +36,7 @@ TEST(Network, UnicastDeliversToNeighbor) {
   f.net.set_receiver(b, [&](const Frame& frame) {
     received = frame.payload;
   });
-  f.net.send(Frame{a, b, AmType::kBeacon, {1, 2, 3}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {1, 2, 3}, {}});
   f.sim.run();
   EXPECT_EQ(received, (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(f.net.stats().frames_delivered, 1u);
@@ -48,7 +48,7 @@ TEST(Network, DeliveryTakesAirTime) {
   const NodeId b = f.net.add_node({2, 1});
   SimTime arrival = 0;
   f.net.set_receiver(b, [&](const Frame&) { arrival = f.sim.now(); });
-  f.net.send(Frame{a, b, AmType::kBeacon, {0}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {0}, {}});
   f.sim.run();
   EXPECT_GE(arrival, air_time(1));
 }
@@ -60,7 +60,7 @@ TEST(Network, NonNeighborUnreachable) {
   const NodeId c = f.net.add_node({3, 1});
   bool received = false;
   f.net.set_receiver(c, [&](const Frame&) { received = true; });
-  f.net.send(Frame{a, c, AmType::kBeacon, {}});
+  f.net.send(Frame{a, c, AmType::kBeacon, {}, {}});
   f.sim.run();
   EXPECT_FALSE(received);
   EXPECT_EQ(f.net.stats().frames_unreachable, 1u);
@@ -76,7 +76,7 @@ TEST(Network, BroadcastReachesAllNeighbors) {
       receivers.push_back(i);
     });
   }
-  f.net.send(Frame{center, kBroadcastNode, AmType::kBeacon, {}});
+  f.net.send(Frame{center, kBroadcastNode, AmType::kBeacon, {}, {}});
   f.sim.run();
   // The 4-connected centre hears its 4 neighbours, in the pinned order
   // left, down, up, right: same-time events take their sequence numbers
@@ -92,8 +92,8 @@ TEST(Network, TransmissionsSerializePerNode) {
   f.net.set_receiver(b, [&](const Frame&) {
     arrivals.push_back(f.sim.now());
   });
-  f.net.send(Frame{a, b, AmType::kBeacon, {0}});
-  f.net.send(Frame{a, b, AmType::kBeacon, {1}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {0}, {}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {1}, {}});
   f.sim.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // The second frame waits for the first to finish transmitting.
@@ -108,7 +108,7 @@ TEST(Network, LossyChannelDropsRoughlyAtConfiguredRate) {
   f.net.set_receiver(b, [&](const Frame&) { ++received; });
   constexpr int kFrames = 2000;
   for (int i = 0; i < kFrames; ++i) {
-    f.net.send(Frame{a, b, AmType::kBeacon, {}});
+    f.net.send(Frame{a, b, AmType::kBeacon, {}, {}});
   }
   f.sim.run();
   EXPECT_NEAR(static_cast<double>(received) / kFrames, 0.7, 0.05);
@@ -124,13 +124,13 @@ TEST(Network, DisabledRadioNeitherSendsNorReceives) {
   f.net.set_receiver(b, [&](const Frame&) { received = true; });
 
   f.net.set_radio_enabled(b, false);
-  f.net.send(Frame{a, b, AmType::kBeacon, {}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {}, {}});
   f.sim.run();
   EXPECT_FALSE(received);
 
   f.net.set_radio_enabled(b, true);
   f.net.set_radio_enabled(a, false);
-  f.net.send(Frame{a, b, AmType::kBeacon, {}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {}, {}});
   f.sim.run();
   EXPECT_FALSE(received);  // sender stalled
 
@@ -145,9 +145,9 @@ TEST(Network, StatsCountByType) {
   const NodeId a = f.net.add_node({1, 1});
   const NodeId b = f.net.add_node({2, 1});
   f.net.set_receiver(b, [](const Frame&) {});
-  f.net.send(Frame{a, b, AmType::kBeacon, {}});
-  f.net.send(Frame{a, b, AmType::kTsRequest, {}});
-  f.net.send(Frame{a, b, AmType::kTsRequest, {}});
+  f.net.send(Frame{a, b, AmType::kBeacon, {}, {}});
+  f.net.send(Frame{a, b, AmType::kTsRequest, {}, {}});
+  f.net.send(Frame{a, b, AmType::kTsRequest, {}, {}});
   f.sim.run();
   EXPECT_EQ(f.net.stats().sent(AmType::kBeacon), 1u);
   EXPECT_EQ(f.net.stats().sent(AmType::kTsRequest), 2u);

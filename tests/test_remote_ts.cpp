@@ -237,6 +237,32 @@ TEST(RemoteTs, ConcurrentRequestsFromTwoNodes) {
   EXPECT_EQ(mesh.at(1).tuple_space().store().tuple_count(), 0u);
 }
 
+TEST(RemoteTs, ReplyAfterTheTimeoutIsIgnored) {
+  // A 1 ms reply timeout: every attempt times out long before its reply
+  // (~50 ms) comes back.
+  MeshOptions options{.width = 2, .height = 1};
+  options.config.remote_ts.reply_timeout = 1 * sim::kMillisecond;
+  AgillaMesh mesh(options);
+  mesh.warm();
+  int calls = 0;
+  bool succeeded = true;
+  mesh.at(0).remote_ts().request_out(
+      {2, 1}, ts::Tuple{ts::Value::number(1)},
+      [&](bool success, std::optional<ts::Tuple>) {
+        ++calls;
+        succeeded = success;
+      });
+  mesh.sim.run_for(1 * sim::kSecond);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(succeeded);
+  const RemoteTsManager::Stats& stats = mesh.at(0).remote_ts().stats();
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.completions, 0u);
+  // The replies did come back to node 0.
+  EXPECT_EQ(mesh.at(1).remote_ts().stats().requests_served, 1u);
+  EXPECT_GE(mesh.at(0).router().stats().delivered, 1u);
+}
+
 TEST(RemoteTs, LatencyIsTensOfMilliseconds) {
   // Paper Fig. 11: one-hop rout ~55 ms (request + op + reply).
   AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});

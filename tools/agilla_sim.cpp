@@ -33,11 +33,12 @@ namespace {
 
 // Rough per-mote host footprint, used only to warn before very large
 // meshes are attempted — the sharded engine handles 100k-mote grids, but
-// they need host RAM. `bench_scale --grid 100 --grid 200` (battery + churn
-// mesh, no agents; x86-64 Release, glibc malloc) peaks at 6.7-6.8 KiB per
-// mote at 100x100 and 6.5-6.6 KiB at 200x200 over shards 1-8. Motes that
-// host agents add their decoded programs on top.
-constexpr double kApproxBytesPerMote = 7.0 * 1024.0;
+// they need host RAM. `bench_scale --grid 100 --grid 200 --grid 316`
+// (battery + churn mesh, no agents; x86-64 Release, glibc malloc) peaks
+// at 5.2-5.3 KiB per mote at 100x100 and 5.0 KiB at 200x200 and 316x316
+// over shards 1-8. Motes that host agents add their decoded programs on
+// top.
+constexpr double kApproxBytesPerMote = 5.5 * 1024.0;
 constexpr std::size_t kWarnGridMotes = 64 * 64;
 
 void print_usage() {
