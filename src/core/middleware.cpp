@@ -21,10 +21,9 @@ AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
       remote_ts_(network_.simulator(), router_, tuple_space_, location_,
                  config_.remote_ts),
       region_ops_(network_, link_, router_, tuple_space_, location_),
-      engine_(network_.simulator(), self_, config_.engine, agents_,
-              code_pool_, tuple_space_, context_, sensors_, migration_,
-              remote_ts_, programs) {
-
+      engine_(network_.simulator(), self_, config_.engine, agents_, code_pool_,
+              tuple_space_, context_, sensors_, migration_, remote_ts_,
+              programs) {
   // Wire the upcalls: reactions and wakeups flow from the tuple space to
   // the engine; arriving agents flow from the migration manager.
   tuple_space_.set_reaction_callback(

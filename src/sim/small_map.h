@@ -1,17 +1,16 @@
 // A map for the handful of keys one mote tracks at a time: outstanding
 // acked sends, partial incoming agents, remote-op requests, sleeping
-// agents and their queued reactions. Entries live in one vector searched
-// linearly. Unlike std::unordered_map it has no bucket array and no
-// per-entry node, and an empty map holds no storage: it allocates on the
-// first insert and frees when its last entry goes, so a mote keeps
-// nothing between bursts (DESIGN.md "Per-mote footprint").
+// agents and their queued reactions, AM handlers. Entries live in one
+// vector searched linearly. Unlike std::unordered_map it has no bucket
+// array and no per-entry node, and an empty map holds no storage: it
+// allocates on the first insert and frees when its last entry goes, so
+// a mote keeps nothing between bursts (DESIGN.md "Per-mote footprint").
 //
 // erase moves the last entry into the hole: iteration order is
 // unspecified, and insert and erase invalidate pointers to entries.
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -21,9 +20,6 @@ template <typename K, typename V>
 class SmallMap {
  public:
   using Entry = std::pair<K, V>;
-
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// The value under `key`, or nullptr.
   [[nodiscard]] V* find(K key) {

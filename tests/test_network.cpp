@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "energy/energy_model.h"
 #include "sim/topology.h"
 
 namespace agilla::sim {
@@ -114,6 +116,21 @@ TEST(Network, LossyChannelDropsRoughlyAtConfiguredRate) {
   EXPECT_NEAR(static_cast<double>(received) / kFrames, 0.7, 0.05);
   EXPECT_EQ(f.net.stats().frames_lost + f.net.stats().frames_delivered,
             static_cast<std::uint64_t>(kFrames));
+}
+
+TEST(Network, NoNodeJoinsAfterBatteriesAreAttached) {
+  NetFixture f;
+  f.net.add_node({1, 1});  // node 0: the mains-powered gateway
+  const NodeId b = f.net.add_node({2, 1});
+  energy::EnergyOptions options;
+  options.battery_mj = 100.0;
+  f.net.attach_energy(options);
+  EXPECT_EQ(f.net.battery(NodeId{0}), nullptr);
+  const energy::Battery* battery = f.net.battery(b);
+  ASSERT_NE(battery, nullptr);
+  // Batteries live in the node table, so a new node could move them.
+  EXPECT_THROW(f.net.add_node({3, 1}), std::logic_error);
+  EXPECT_EQ(f.net.battery(b), battery);
 }
 
 TEST(Network, DisabledRadioNeitherSendsNorReceives) {

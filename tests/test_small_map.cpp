@@ -27,16 +27,13 @@ Entries sorted(SmallMap<std::uint16_t, int>& map) {
 
 TEST(SmallMap, FindsInsertsAndReplaces) {
   SmallMap<std::uint16_t, int> map;
-  EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.find(3), nullptr);
   map[3] = 30;
   map[5] = 50;
   map[3] = 31;  // an insert under a present key replaces its value
-  EXPECT_EQ(map.size(), 2u);
-  ASSERT_NE(map.find(3), nullptr);
-  EXPECT_EQ(*map.find(3), 31);
+  EXPECT_EQ(sorted(map), (Entries{{3, 31}, {5, 50}}));
   EXPECT_EQ(map[7], 0);  // absent: value-initialised, then present
-  EXPECT_EQ(map.size(), 3u);
+  EXPECT_EQ(sorted(map), (Entries{{3, 31}, {5, 50}, {7, 0}}));
 }
 
 TEST(SmallMap, EraseKeepsTheOtherEntries) {
@@ -50,7 +47,6 @@ TEST(SmallMap, EraseKeepsTheOtherEntries) {
   EXPECT_EQ(sorted(map), (Entries{{0, 0}, {2, 20}, {3, 30}}));
   EXPECT_EQ(map.find(1), nullptr);
   map.clear();
-  EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.begin(), map.end());
 }
 
