@@ -4,19 +4,17 @@
 # `bench/suite/run.py --workload W --seed 7 --seconds 10 --trace 0` runs
 # between them, N pairs per workload (the side that runs first swaps from
 # pair to pair, so a drifting host load hits both alike). Per end-to-end
-# metric it prints each side's median [q1, q3] (Python's
-# statistics.quantiles(values, n=4), as record_bench.sh), the pairs the
-# change won (by the metric's "better" direction in BENCHMARK.json), the
-# median gap against the base's IQR, and a verdict:
-#   gain   the change won >= 90% of the pairs and its median beats the
-#          base's by more than the base's IQR;
-#   worse  the change's median is worse than the base's by more than the
-#          metric's relative bound in BENCHMARK.json;
-#   same   otherwise.
-# Every run of both sides must report the same outcome_digest and no
-# failed operations, or the script exits 1 after writing its report. It
-# writes one JSON file holding every run, the per-metric summary, and the
-# digests.
+# metric it prints each side's median [q1, q3], the pairs the change won
+# (by the metric's "better" direction in BENCHMARK.json), the median gap
+# against the base's IQR, and a verdict: gain, worse, unresolved (the
+# base's own spread is wider than the metric's bound) or same, by the
+# rules in scripts/bench_stats.py, which also reads the runs for
+# record_bench.sh. Every run of both sides must report the same
+# outcome_digest and no failed operations, and no metric may be worse,
+# or the script exits 1 after writing its report. It writes one JSON
+# file holding every run, the per-metric summary, the digests and the
+# unresolved metrics; `scripts/bench_stats.py resummarize FILE`
+# recomputes the summary of a written report.
 #
 # Each side is a `git archive` export, so the repository's own checkout
 # and .git are never touched; the exports build their own
@@ -104,95 +102,5 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-BASE="$base" CHANGE="$change" PAIRS="$pairs" SCRATCH="$scratch" \
-  NPROC="$(nproc)" python3 - "$out" "${workloads[@]}" <<'EOF'
-import json
-import os
-import statistics
-import sys
-
-out, workloads = sys.argv[1], sys.argv[2:]
-pairs = int(os.environ["PAIRS"])
-with open("BENCHMARK.json") as f:
-    spec = {m["name"]: m for m in json.load(f)["end_to_end"]}
-
-
-def load(workload, side, pair):
-    path = os.path.join(os.environ["SCRATCH"], "runs",
-                        f"{workload}.{side}.{pair}.out")
-    with open(path) as f:
-        lines = f.read().strip().splitlines()
-    digest = [l.split(":", 1)[1].strip() for l in lines
-              if l.startswith("outcome_digest:")]
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = None
-    return {"outcome_digest": digest[0] if digest else None,
-            "result": result}
-
-
-def spread(values):
-    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                 else values * 3)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3,
-            "values": values}
-
-
-ok = True
-report = {"base": os.environ["BASE"], "change": os.environ["CHANGE"],
-          "pairs": pairs, "nproc": int(os.environ["NPROC"]),
-          "workloads": {}}
-for workload in workloads:
-    runs = {side: [load(workload, side, p) for p in range(1, pairs + 1)]
-            for side in ("base", "change")}
-    digests = {side: [r["outcome_digest"] for r in rs]
-               for side, rs in runs.items()}
-    digests_equal = (None not in digests["base"] + digests["change"] and
-                     len(set(digests["base"] + digests["change"])) == 1)
-    failed = {side: sum(r["result"]["failed"] if r["result"] else 1
-                        for r in rs) for side, rs in runs.items()}
-    complete = all(r["result"] for rs in runs.values() for r in rs)
-    ok = ok and digests_equal and complete and not any(failed.values())
-    print(f"== {workload}: digests {'equal' if digests_equal else 'DIFFER'}"
-          f" {sorted(set(d for ds in digests.values() for d in ds if d))}"
-          f", failed ops base {failed['base']} change {failed['change']}")
-    metrics = {}
-    for name, m in spec.items() if complete else []:
-        lower = m["better"] == "lower"
-        values = {side: [r["result"]["metrics"][name]["value"] for r in rs]
-                  for side, rs in runs.items()}
-        base, change = spread(values["base"]), spread(values["change"])
-        wins = sum((c < b) if lower else (c > b)
-                   for b, c in zip(values["base"], values["change"]))
-        gain = (base["median"] - change["median"] if lower
-                else change["median"] - base["median"])
-        iqr = base["q3"] - base["q1"]
-        if wins >= 0.9 * pairs and gain > iqr:
-            verdict = "gain"
-        elif -gain > m["bound"] * abs(base["median"]):
-            verdict = "worse"
-            ok = False
-        else:
-            verdict = "same"
-        metrics[name] = {"unit": m["unit"], "better": m["better"],
-                         "bound": m["bound"], "base": base,
-                         "change": change, "wins": wins, "gap": gain,
-                         "base_iqr": iqr, "verdict": verdict}
-        print(f"  {name:13s} base {base['median']:.6g} [{base['q1']:.6g}, "
-              f"{base['q3']:.6g}]  change {change['median']:.6g} "
-              f"[{change['q1']:.6g}, {change['q3']:.6g}] {m['unit']}  "
-              f"wins {wins}/{pairs}  gap {gain:.4g} vs IQR {iqr:.4g}  "
-              f"{verdict}")
-    report["workloads"][workload] = {
-        "digests_equal": digests_equal, "failed": failed,
-        "outcome_digests": digests, "metrics": metrics,
-        "runs": {side: [r["result"] for r in rs]
-                 for side, rs in runs.items()}}
-report["ok"] = ok
-with open(out, "w") as f:
-    json.dump(report, f, indent=1)
-    f.write("\n")
-print(f"wrote {out}")
-sys.exit(0 if ok else 1)
-EOF
+python3 scripts/bench_stats.py ab "$out" "$scratch/runs" "$base" "$change" \
+  "$pairs" "$(nproc)" "${workloads[@]}"

@@ -5,8 +5,7 @@
 # commit, the host's core count (`nproc`), the first run's `stamp:` line,
 # each run's outcome_digest, attempted and failed operations and final
 # JSON line, and per end-to-end metric the median and quartiles over the
-# runs (Python's statistics.quantiles(values, n=4), as bench/suite/README.md
-# measures noise). Run it on a clean tree, so the recorded commit is the
+# runs (scripts/bench_stats.py, shared with ab_bench.sh). Run it on a clean tree, so the recorded commit is the
 # code measured, and commit the files after it.
 # Usage: scripts/record_bench.sh [--reps N] [WORKLOAD...]
 #        (default: 1 run of every workload BENCHMARK.json lists)
@@ -41,55 +40,14 @@ trap 'rm -rf "$runs"' EXIT
 
 for workload in "${workloads[@]}"; do
   echo "== $workload ($reps runs) =="
+  logs=()
   for rep in $(seq 1 "$reps"); do
     python3 bench/suite/run.py --workload "$workload" --seed 7 \
       --seconds 10 --trace 0 --label "$commit" > "$runs/$rep.out"
     grep '^outcome_digest:' "$runs/$rep.out" | sed "s/^/run $rep: /"
+    logs+=("$runs/$rep.out")
   done
-  COMMIT="$commit" NPROC="$(nproc)" REPS="$reps" RUNS="$runs" \
-    python3 - "BENCH_$workload.json" <<'EOF'
-import json
-import os
-import statistics
-import sys
-
-runs = []
-for rep in range(1, int(os.environ["REPS"]) + 1):
-    with open(os.path.join(os.environ["RUNS"], f"{rep}.out")) as f:
-        lines = f.read().strip().splitlines()
-    digest = next(line for line in lines if line.startswith("outcome_digest:"))
-    runs.append({
-        "stamp": next(line for line in lines if line.startswith("stamp:")),
-        "outcome_digest": digest.split(":", 1)[1].strip(),
-        "result": json.loads(lines[-1]),
-    })
-
-metrics = {}
-for name, first in runs[0]["result"]["metrics"].items():
-    values = [run["result"]["metrics"][name]["value"] for run in runs]
-    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                 else values * 3)
-    median = statistics.median(values)
-    metrics[name] = {"unit": first["unit"], "median": median, "q1": q1,
-                     "q3": q3, "values": values}
-
-record = {
-    "commit": os.environ["COMMIT"],
-    "nproc": int(os.environ["NPROC"]),
-    "stamp": runs[0]["stamp"],
-    "reps": len(runs),
-    "correct": all(run["result"]["correct"] for run in runs),
-    "failed": sum(run["result"]["failed"] for run in runs),
-    "outcome_digests": [run["outcome_digest"] for run in runs],
-    "metrics": metrics,
-    "runs": [run["result"] for run in runs],
-}
-with open(sys.argv[1], "w") as out:
-    json.dump(record, out, indent=1)
-    out.write("\n")
-for name, m in metrics.items():
-    print(f"  {name}: median {m['median']:.6g} (q1 {m['q1']:.6g}, "
-          f"q3 {m['q3']:.6g}) {m['unit']}")
-EOF
+  python3 scripts/bench_stats.py record "BENCH_$workload.json" "$commit" \
+    "$(nproc)" "${logs[@]}"
   echo "wrote BENCH_$workload.json"
 done

@@ -92,9 +92,9 @@ void RemoteTsManager::dispatch(std::uint16_t request_id, sim::Location dest,
 }
 
 void RemoteTsManager::transmit(std::uint16_t request_id) {
-  Pending* found = pending_.find(request_id);
-  assert(found != nullptr);
-  Pending& p = *found;
+  auto it = pending_.find(request_id);
+  assert(it != pending_.end());
+  Pending& p = it->second;
   // Arm the reply timer BEFORE sending: a request addressed to this very
   // node is served by the geo router's synchronous local delivery, so the
   // reply handler can erase the pending entry (cancelling this timer)
@@ -106,19 +106,20 @@ void RemoteTsManager::transmit(std::uint16_t request_id) {
 }
 
 void RemoteTsManager::on_timeout(std::uint16_t request_id) {
-  Pending* p = pending_.find(request_id);
-  if (p == nullptr) {
+  auto it = pending_.find(request_id);
+  if (it == pending_.end()) {
     return;
   }
-  if (p->attempts <= kMaxRetries) {
-    p->attempts++;
+  Pending& p = it->second;
+  if (p.attempts <= kMaxRetries) {
+    p.attempts++;
     stats_.retransmissions++;
     transmit(request_id);
     return;
   }
   stats_.timeouts++;
-  auto done = std::move(p->done);
-  pending_.erase(request_id);
+  auto done = std::move(p.done);
+  pending_.erase(it);
   if (done) {
     done(false, std::nullopt);
   }
@@ -192,17 +193,17 @@ void RemoteTsManager::on_reply(const net::GeoHeader& /*header*/,
   if (!r.ok()) {
     return;
   }
-  Pending* p = pending_.find(request_id);
-  if (p == nullptr) {
+  auto it = pending_.find(request_id);
+  if (it == pending_.end()) {
     return;  // duplicate or stale reply
   }
   std::optional<ts::Tuple> result;
   if (status == kStatusOk && r.remaining() > 0) {
     result = ts::Tuple::decode(r);
   }
-  p->timer.cancel();
-  auto done = std::move(p->done);
-  pending_.erase(request_id);
+  it->second.timer.cancel();
+  auto done = std::move(it->second.done);
+  pending_.erase(it);
   stats_.completions++;
   if (done) {
     done(status == kStatusOk, std::move(result));

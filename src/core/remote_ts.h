@@ -15,11 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <variant>
 
 #include "net/geo_router.h"
 #include "sim/fifo.h"
-#include "sim/small_map.h"
 #include "tuplespace/tuple_space.h"
 
 namespace agilla::core {
@@ -101,7 +101,11 @@ class RemoteTsManager {
   ts::TupleSpace& local_;
   sim::Location self_;
   Options options_;
-  sim::SmallMap<std::uint16_t, Pending> pending_;  // by request id
+  // By request id. A hash map, not a sim::SmallMap: the gateway mote
+  // issues every client's rout/rinp/rrdp, so its table holds thousands of
+  // outstanding requests under agilla_loadgen (DESIGN.md "Per-mote
+  // footprint").
+  std::unordered_map<std::uint16_t, Pending> pending_;
   sim::Fifo<CachedReply> replay_;
   std::uint16_t next_request_id_ = 1;
   Stats stats_;

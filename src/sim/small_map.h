@@ -1,10 +1,11 @@
 // A map for the handful of keys one mote tracks at a time: outstanding
-// acked sends, partial incoming agents, remote-op requests, sleeping
-// agents and their queued reactions, AM handlers. Entries live in one
-// vector searched linearly. Unlike std::unordered_map it has no bucket
-// array and no per-entry node, and an empty map holds no storage: it
-// allocates on the first insert and frees when its last entry goes, so
-// a mote keeps nothing between bursts (DESIGN.md "Per-mote footprint").
+// acked sends, partial incoming agents, sleeping agents and their queued
+// reactions, AM handlers. Entries live in one vector searched linearly,
+// so it suits only tables that stay a few entries long. Unlike
+// std::unordered_map it has no bucket array and no per-entry node, and
+// an empty map holds no storage: it allocates on the first insert and
+// frees when its last entry goes, so a mote keeps nothing between
+// bursts (DESIGN.md "Per-mote footprint").
 //
 // erase moves the last entry into the hole: iteration order is
 // unspecified, and insert and erase invalidate pointers to entries.
