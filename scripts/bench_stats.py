@@ -20,8 +20,10 @@ in the metric's better direction and `bound` its relative bound in
 BENCHMARK.json:
   gain        the change won >= 90% of the pairs and gap > the base's IQR;
   worse       -gap > bound * |base median|;
-  unresolved  neither, and the base's IQR > bound * |base median|: the
-              base's own spread hides a regression up to the bound;
+  unresolved  neither, the base's IQR > bound * |base median| (the
+              base's own spread hides a regression up to the bound), and
+              not every run of the change reads better than every run
+              of the base;
   same        otherwise.
 A report is ok when every run of both sides completed with the same
 outcome_digest and no failed operation, and no metric is worse; it lists
@@ -84,13 +86,16 @@ def record(out, commit, nproc, paths):
               f"q3 {m['q3']:.6g}) {m['unit']}")
 
 
-def verdict(m, base, wins, pairs, gap, iqr):
+def verdict(m, base, change, wins, pairs, gap, iqr):
     noise_floor = m["bound"] * abs(base["median"])
     if wins >= 0.9 * pairs and gap > iqr:
         return "gain"
     if -gap > noise_floor:
         return "worse"
-    if iqr > noise_floor:
+    separated = (max(change["values"]) < min(base["values"])
+                 if m["better"] == "lower"
+                 else min(change["values"]) > max(base["values"]))
+    if iqr > noise_floor and not separated:
         return "unresolved"
     return "same"
 
@@ -126,7 +131,7 @@ def summarize(report):
             gap = (base["median"] - change["median"] if lower
                    else change["median"] - base["median"])
             iqr = base["q3"] - base["q1"]
-            v = verdict(m, base, wins, pairs, gap, iqr)
+            v = verdict(m, base, change, wins, pairs, gap, iqr)
             ok = ok and v != "worse"
             if v == "unresolved":
                 unresolved.append(f"{workload}/{name}")
