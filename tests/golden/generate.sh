@@ -30,6 +30,26 @@ for scenario in fire_tracking intruder_pursuit smove rout store_ops \
     --out "$out/sim_$scenario.json" > /dev/null
 done
 
+# Non-default paths: clamped hop counts, a duty-cycled alert-once
+# detector, fast churn, a non-square grid, max-min routing on a small
+# battery.
+variant() {  # $1 = golden name, $2 = scenario, $3 = grid, rest = flags
+  local name=$1 scenario=$2 grid=$3
+  shift 3
+  "$build/agilla_sim" --scenario "$scenario" --grid "$grid" --trials 2 \
+    --duration 60 --seed 3 --threads 1 "$@" \
+    --out "$out/sim_$name.json" > /dev/null
+}
+variant smove_hops smove 6x6 --axis hops=1,5,12
+variant rout_hops rout 6x6 --axis hops=1,5,12
+variant network_lifetime_lpl network_lifetime 6x6 --param alert_repeat_s=0 \
+  --param duty_cycle=0.2 --param adaptive_lpl=1
+variant churn_pursuit_fast churn_pursuit 6x6 --param churn_rate=0.02 \
+  --param churn_reboot_s=5
+variant intruder_pursuit_8x4 intruder_pursuit 8x4
+variant report_collection_maxmin report_collection 6x6 \
+  --param route_policy=1 --param battery_mj=800
+
 "$build/agilla_loadgen" --loopback --grid 8x8 --seed 7 --clients 64 \
   --smoke --out "$out/loadgen_loopback.json" > /dev/null
 
