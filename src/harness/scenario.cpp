@@ -123,21 +123,55 @@ void record_residual_stats(api::Deployment& mesh, TrialMetrics& metrics) {
   }
 }
 
+/// The battery family's outcome: node deaths, the first death, the
+/// surviving fraction and live agents, then the residual spread, energy
+/// draw and network stats. Returns the node lifetimes (virtual seconds
+/// from boot to death), in death order.
+sim::Summary record_battery_outcome(api::Deployment& mesh,
+                                    TrialMetrics& metrics) {
+  sim::Summary lifetimes;
+  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
+    lifetimes.add(static_cast<double>(death.at) / 1e6);
+  }
+  metrics.set("deaths", static_cast<double>(lifetimes.count()));
+  if (!lifetimes.empty()) {
+    metrics.set("first_death_s", lifetimes.min());
+  }
+  metrics.set("alive_frac",
+              static_cast<double>(mesh.network().alive_count()) /
+                  static_cast<double>(mesh.mote_count()));
+  metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
+  record_residual_stats(mesh, metrics);
+  record_energy_stats(mesh, metrics);
+  record_network_stats(mesh.network(), metrics);
+  return lifetimes;
+}
+
 // ----------------------------------------------------------- fire_tracking
 
-/// The Sec. 5 burning world: ignite at the far corner 15 s after
-/// `inject_time`, spread speed scaled so the front crosses ~80 % of the
+/// The fire family's run, shared by fire_tracking and network_lifetime.
+/// Builds the Sec. 5 burning world on `mesh`: ignition at the far corner
+/// 15 s from now, spread speed scaled so the front crosses ~80 % of the
 /// diagonal within the trial whatever the grid size (overridable via the
-/// "spread_speed" knob). Shared by fire_tracking and network_lifetime.
-sim::FireField::Options fire_options_for(const TrialSpec& trial,
-                                         sim::SimTime inject_time) {
+/// "spread_speed" knob). Injects the FIRETRACKER swarm, then the
+/// FIREDETECTOR flood (re-alerting every `alert_every_ticks`, 0 = the
+/// paper's alert-once), and runs the trial in 5 s steps, calling
+/// `each_step` after each. Sets success (the first <"trk", loc> perimeter
+/// mark appeared), first_track_s, perimeter_marks and live_agents;
+/// returns the fire, the ground truth for the rest.
+sim::FireField::Options track_fire(api::Deployment& mesh,
+                                   const TrialSpec& trial,
+                                   int alert_every_ticks,
+                                   const std::function<void()>& each_step,
+                                   TrialMetrics& metrics) {
+  const sim::SimTime inject_time = mesh.simulator().now();
   const double w = static_cast<double>(trial.grid.width);
   const double h = static_cast<double>(trial.grid.height);
   const double duration_s = static_cast<double>(trial.duration) / 1e6;
   const double diagonal = std::hypot(w - 1.0, h - 1.0);
   const double default_speed =
       0.8 * std::max(diagonal, 1.0) / std::max(duration_s - 15.0, 10.0);
-  return sim::FireField::Options{
+  const sim::FireField::Options fire{
       .ignition_point = {w, h},
       .ignition_time = inject_time + 15 * sim::kSecond,
       .extinction_time = 0,
@@ -147,32 +181,18 @@ sim::FireField::Options fire_options_for(const TrialSpec& trial,
       .edge_decay = 0.45,
       .ring_width = 1.6,
       .burned_over = 40.0};
-}
-
-/// Paper Sec. 5 end to end, on an arbitrary WxH mesh: FIREDETECTOR agents
-/// flood the grid, a fire ignites at the far corner and spreads, the
-/// FIRETRACKER swarm marks the perimeter. Success = the first <"trk", loc>
-/// perimeter mark appears before the trial ends.
-TrialMetrics run_fire_tracking(const TrialSpec& trial) {
-  api::Deployment mesh(deployment_options(trial));
-  const sim::SimTime inject_time = mesh.simulator().now();
-  const sim::FireField::Options fire_options =
-      fire_options_for(trial, inject_time);
-  const sim::SimTime ignition = fire_options.ignition_time;
-  mesh.environment().set_field(
-      sim::SensorType::kTemperature,
-      std::make_unique<sim::FireField>(fire_options));
-  const sim::FireField fire(fire_options);  // ground truth for metrics
+  mesh.environment().set_field(sim::SensorType::kTemperature,
+                               std::make_unique<sim::FireField>(fire));
 
   const int threshold = static_cast<int>(knob_param(trial, "alert_threshold"));
   core::BaseStation base = mesh.base();
   base.inject(core::agents::fire_tracker(threshold, /*nap_ticks=*/16));
   base.inject(core::agents::fire_detector(/*alert_to=*/{1, 1},
                                           /*threshold=*/200,
-                                          /*sample_ticks=*/32));
+                                          /*sample_ticks=*/32,
+                                          alert_every_ticks));
 
   const ts::Template trk = marker_template("trk");
-  const ts::Template det = marker_template("det");
   const sim::SimTime deadline = inject_time + trial.duration;
   std::optional<sim::SimTime> first_track;
   while (mesh.simulator().now() < deadline) {
@@ -180,22 +200,37 @@ TrialMetrics run_fire_tracking(const TrialSpec& trial) {
     if (!first_track && mesh.tuples_matching(trk) > 0) {
       first_track = mesh.simulator().now();
     }
+    if (each_step) {
+      each_step();
+    }
   }
 
-  TrialMetrics metrics;
   metrics.set("success", first_track ? 1.0 : 0.0);
   if (first_track) {
     metrics.set("first_track_s",
-                static_cast<double>(*first_track - ignition) / 1e6);
+                static_cast<double>(*first_track - fire.ignition_time) / 1e6);
   }
-  metrics.set("detector_coverage",
-              static_cast<double>(mesh.motes_matching(det)) /
-                  static_cast<double>(mesh.mote_count()));
   metrics.set("perimeter_marks",
               static_cast<double>(mesh.tuples_matching(trk)));
   metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
+  return fire;
+}
+
+/// Paper Sec. 5 end to end, on an arbitrary WxH mesh: FIREDETECTOR agents
+/// flood the grid, a fire ignites at the far corner and spreads, the
+/// FIRETRACKER swarm marks the perimeter.
+TrialMetrics run_fire_tracking(const TrialSpec& trial) {
+  api::Deployment mesh(deployment_options(trial));
+  TrialMetrics metrics;
+  const sim::FireField fire(
+      track_fire(mesh, trial, /*alert_every_ticks=*/0, {}, metrics));
+  const ts::Template det = marker_template("det");
+  metrics.set("detector_coverage",
+              static_cast<double>(mesh.motes_matching(det)) /
+                  static_cast<double>(mesh.mote_count()));
 
   // Of the nodes burning at the end, how many have a tracker mark?
+  const ts::Template trk = marker_template("trk");
   const sim::SimTime end = mesh.simulator().now();
   std::size_t burning = 0;
   std::size_t burning_tracked = 0;
@@ -219,20 +254,6 @@ TrialMetrics run_fire_tracking(const TrialSpec& trial) {
 
 // -------------------------------------------------------- intruder_pursuit
 
-/// The Sec. 1 intruder: a moving magnetometer bump patrolling the mesh
-/// perimeter. Shared by intruder_pursuit and churn_pursuit.
-sim::MovingBumpField::Options intruder_options_for(const TrialSpec& trial) {
-  const double w = static_cast<double>(trial.grid.width);
-  const double h = static_cast<double>(trial.grid.height);
-  return sim::MovingBumpField::Options{
-      .waypoints = {{1, 1}, {w, 1}, {w, h}, {1, h}},
-      .speed = knob_param(trial, "intruder_speed"),
-      .peak = 400.0,
-      .sigma = 1.0,
-      .ambient = 5.0,
-      .loop = true};
-}
-
 /// The pursuer is wherever two agents share a node (sentinel + pursuer).
 std::optional<sim::Location> pursuer_location(api::Deployment& mesh) {
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
@@ -243,13 +264,68 @@ std::optional<sim::Location> pursuer_location(api::Deployment& mesh) {
   return std::nullopt;
 }
 
-/// Injects the sentinel flood, lets it claim the grid, then releases the
-/// pursuer (the shared opening of both pursuit scenarios).
-void deploy_pursuit_agents(api::Deployment& mesh) {
+/// One pursuit, polled every 10 s: the pursuer's distance from the
+/// intruder at each poll that found it.
+struct Track {
+  sim::Summary distance;
+  std::size_t captures = 0;  ///< polls with the pursuer within one hop
+  std::size_t polls = 0;
+  std::optional<sim::SimTime> last_seen;
+  sim::SimTime deadline = 0;  ///< the pursuit's end
+};
+
+/// The intruder family's run, shared by intruder_pursuit and
+/// churn_pursuit: the Sec. 1 intruder, a moving magnetometer bump, patrols
+/// the mesh perimeter; the sentinel flood claims the grid for 30 s, then
+/// one pursuer chases the loudest signal until the trial ends. Sets
+/// mean_distance, min_distance and capture_frac when the pursuer was ever
+/// found.
+Track pursue(api::Deployment& mesh, const TrialSpec& trial,
+             TrialMetrics& metrics) {
+  const double w = static_cast<double>(trial.grid.width);
+  const double h = static_cast<double>(trial.grid.height);
+  const sim::MovingBumpField::Options intruder_options{
+      .waypoints = {{1, 1}, {w, 1}, {w, h}, {1, h}},
+      .speed = knob_param(trial, "intruder_speed"),
+      .peak = 400.0,
+      .sigma = 1.0,
+      .ambient = 5.0,
+      .loop = true};
+  mesh.environment().set_field(
+      sim::SensorType::kMagnetometer,
+      std::make_unique<sim::MovingBumpField>(intruder_options));
+  const sim::MovingBumpField intruder(intruder_options);
   core::BaseStation base = mesh.base();
   base.inject(core::agents::sentinel(/*sample_ticks=*/8));
   mesh.simulator().run_for(30 * sim::kSecond);  // sentinels claim the grid
   base.inject(core::agents::pursuer(/*nap_ticks=*/8));
+
+  Track track;
+  track.deadline = mesh.simulator().now() + trial.duration;
+  while (mesh.simulator().now() < track.deadline) {
+    mesh.simulator().run_for(10 * sim::kSecond);
+    ++track.polls;
+    const std::optional<sim::Location> at = pursuer_location(mesh);
+    if (!at) {
+      continue;
+    }
+    track.last_seen = mesh.simulator().now();
+    const double d =
+        distance(intruder.center(mesh.simulator().now()), *at);
+    track.distance.add(d);
+    if (d <= 1.0) {
+      ++track.captures;
+    }
+  }
+
+  if (!track.distance.empty()) {
+    metrics.set("mean_distance", track.distance.mean());
+    metrics.set("min_distance", track.distance.min());
+    metrics.set("capture_frac",
+                static_cast<double>(track.captures) /
+                    static_cast<double>(track.distance.count()));
+  }
+  return track;
 }
 
 /// Paper Sec. 1 tracking claim: SENTINELs publish magnetometer readings,
@@ -257,44 +333,9 @@ void deploy_pursuit_agents(api::Deployment& mesh) {
 /// perimeter; metrics score how closely the pursuer shadows it.
 TrialMetrics run_intruder_pursuit(const TrialSpec& trial) {
   api::Deployment mesh(deployment_options(trial));
-  const sim::MovingBumpField::Options intruder_options =
-      intruder_options_for(trial);
-  mesh.environment().set_field(
-      sim::SensorType::kMagnetometer,
-      std::make_unique<sim::MovingBumpField>(intruder_options));
-  const sim::MovingBumpField intruder(intruder_options);
-  deploy_pursuit_agents(mesh);
-
-  const sim::SimTime deadline = mesh.simulator().now() + trial.duration;
-  sim::Summary distance_track;
-  std::size_t captures = 0;
-  std::size_t samples = 0;
-  std::optional<sim::Location> last_seen;
-  while (mesh.simulator().now() < deadline) {
-    mesh.simulator().run_for(10 * sim::kSecond);
-    const std::optional<sim::Location> at = pursuer_location(mesh);
-    if (!at) {
-      continue;
-    }
-    last_seen = at;
-    const double d =
-        distance(intruder.center(mesh.simulator().now()), *at);
-    distance_track.add(d);
-    ++samples;
-    if (d <= 1.0) {
-      ++captures;
-    }
-  }
-
   TrialMetrics metrics;
-  metrics.set("success", last_seen.has_value() ? 1.0 : 0.0);
-  if (!distance_track.empty()) {
-    metrics.set("mean_distance", distance_track.mean());
-    metrics.set("min_distance", distance_track.min());
-    metrics.set("capture_frac",
-                static_cast<double>(captures) /
-                    static_cast<double>(samples));
-  }
+  const Track track = pursue(mesh, trial, metrics);
+  metrics.set("success", track.last_seen.has_value() ? 1.0 : 0.0);
   metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
   record_network_stats(mesh.network(), metrics);
   return metrics;
@@ -325,10 +366,15 @@ int default_hops(const GridSize& grid) {
   return std::min<int>(4, static_cast<int>(grid.width) - 1);
 }
 
-/// Fig. 8 (top): strong-move `hops` out and back. One trial = one fresh
-/// mesh + one agent; success when the round trip completes. Latency is
-/// halved for the double migration (paper Sec. 4).
-TrialMetrics run_smove(const TrialSpec& trial) {
+/// One Fig. 8 trial on a fresh mesh: `agent(target)` goes from the corner
+/// to the node `hops` away, and the trial succeeds when `done` appears on
+/// the corner mote within timeout_s (default `default_timeout_s`). The
+/// latency is divided by `legs`, so smove's out-and-back round trip
+/// reports one migration (paper Sec. 4).
+TrialMetrics run_fig8(const TrialSpec& trial,
+                      std::string (*agent)(sim::Location),
+                      const ts::Template& done, double default_timeout_s,
+                      double legs) {
   api::Deployment mesh(deployment_options(trial));
   // Clamp unrealizable hop counts and report the realized value, so a
   // cell whose axis asks for more hops than the grid has is
@@ -338,44 +384,17 @@ TrialMetrics run_smove(const TrialSpec& trial) {
       max_hops(trial.grid));
   const sim::Location target = hop_target(hops, trial.grid);
   const sim::SimTime start = mesh.simulator().now();
-  mesh.base().inject(core::agents::smove_trial(target));
+  mesh.base().inject(agent(target));
   const sim::SimTime timeout = static_cast<sim::SimTime>(
-      trial.param("timeout_s", 15.0) * 1e6);
-  const auto done = mesh.await_tuple(
-      mesh.mote(0), ts::Template{ts::Value::number(7)}, timeout);
+      trial.param("timeout_s", default_timeout_s) * 1e6);
+  const auto finished = mesh.await_tuple(mesh.mote(0), done, timeout);
 
   TrialMetrics metrics;
   metrics.set("hops_realized", hops);
-  metrics.set("success", done ? 1.0 : 0.0);
-  if (done) {
+  metrics.set("success", finished ? 1.0 : 0.0);
+  if (finished) {
     metrics.set("latency_ms",
-                static_cast<double>(*done - start) / 1000.0 / 2.0);
-  }
-  record_network_stats(mesh.network(), metrics);
-  return metrics;
-}
-
-/// Fig. 8 (bottom): rout a tuple onto the node `hops` away; success when
-/// the acknowledged remote op completes.
-TrialMetrics run_rout(const TrialSpec& trial) {
-  api::Deployment mesh(deployment_options(trial));
-  const int hops = std::min(
-      static_cast<int>(trial.param("hops", default_hops(trial.grid))),
-      max_hops(trial.grid));
-  const sim::Location target = hop_target(hops, trial.grid);
-  const sim::SimTime start = mesh.simulator().now();
-  mesh.base().inject(core::agents::rout_trial(target));
-  const sim::SimTime timeout = static_cast<sim::SimTime>(
-      trial.param("timeout_s", 10.0) * 1e6);
-  const auto done = mesh.await_tuple(
-      mesh.mote(0),
-      ts::Template{ts::Value::string("ack"), ts::Value::number(7)}, timeout);
-
-  TrialMetrics metrics;
-  metrics.set("hops_realized", hops);
-  metrics.set("success", done ? 1.0 : 0.0);
-  if (done) {
-    metrics.set("latency_ms", static_cast<double>(*done - start) / 1000.0);
+                static_cast<double>(*finished - start) / 1000.0 / legs);
   }
   record_network_stats(mesh.network(), metrics);
   return metrics;
@@ -454,50 +473,22 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
   trial.params.try_emplace("battery_mj", 2000.0);
   api::Deployment mesh(deployment_options(trial));
   const std::size_t nodes = mesh.mote_count();
-
   const sim::SimTime inject_time = mesh.simulator().now();
-  const sim::FireField::Options fire_options =
-      fire_options_for(trial, inject_time);
-  mesh.environment().set_field(
-      sim::SensorType::kTemperature,
-      std::make_unique<sim::FireField>(fire_options));
 
-  const int threshold = static_cast<int>(knob_param(trial, "alert_threshold"));
   // Periodic sense-and-report: burning nodes re-alert every
   // `alert_repeat_s` (converge-cast toward the gateway corner — the
   // relay-corridor load the route_policy axis redistributes). 0 restores
   // the paper's alert-once detector.
   const double alert_repeat_s = knob_param(trial, "alert_repeat_s");
-  core::BaseStation base = mesh.base();
-  base.inject(core::agents::fire_tracker(threshold, /*nap_ticks=*/16));
-  base.inject(core::agents::fire_detector(
-      /*alert_to=*/{1, 1},
-      /*threshold=*/200,
-      /*sample_ticks=*/32,
-      /*alert_every_ticks=*/static_cast<int>(alert_repeat_s * 8.0)));
-
-  const ts::Template trk = marker_template("trk");
-  const sim::SimTime deadline = inject_time + trial.duration;
-  std::optional<sim::SimTime> first_track;
   std::optional<sim::SimTime> first_partition;
-  while (mesh.simulator().now() < deadline) {
-    mesh.simulator().run_for(5 * sim::kSecond);
-    if (!first_track && mesh.tuples_matching(trk) > 0) {
-      first_track = mesh.simulator().now();
-    }
+  const auto note_partition = [&] {
     if (!first_partition && mesh_partitioned(mesh)) {
       first_partition = mesh.simulator().now();
     }
-  }
-
+  };
   TrialMetrics metrics;
-  metrics.set("success", first_track ? 1.0 : 0.0);
-  if (first_track) {
-    metrics.set("first_track_s",
-                static_cast<double>(*first_track -
-                                    fire_options.ignition_time) /
-                    1e6);
-  }
+  track_fire(mesh, trial, static_cast<int>(alert_repeat_s * 8.0),
+             note_partition, metrics);
   // Time-to-first-partition (absent when the mesh stayed connected):
   // the headline metric for the route_policy ablation.
   if (first_partition) {
@@ -505,18 +496,9 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
                 static_cast<double>(*first_partition - inject_time) / 1e6);
   }
 
-  // Lifetime accounting: node lifetimes (virtual seconds from boot to
-  // death) across this trial's deaths, in death order.
-  sim::Summary lifetimes;
-  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
-    lifetimes.add(static_cast<double>(death.at) / 1e6);
-  }
-  metrics.set("deaths", static_cast<double>(lifetimes.count()));
-  metrics.set("alive_frac",
-              static_cast<double>(mesh.network().alive_count()) /
-                  static_cast<double>(nodes));
+  // Lifetime accounting: percentiles over this trial's deaths.
+  const sim::Summary lifetimes = record_battery_outcome(mesh, metrics);
   if (!lifetimes.empty()) {
-    metrics.set("first_death_s", lifetimes.min());
     metrics.set("lifetime_p50_s", lifetimes.p50());
     metrics.set("lifetime_p95_s", lifetimes.p95());
     metrics.set("lifetime_p99_s", lifetimes.p99());
@@ -529,12 +511,6 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
             mesh.death_log()[nodes - nodes / 2 - 1].at) /
             1e6);
   }
-  metrics.set("perimeter_marks",
-              static_cast<double>(mesh.tuples_matching(trk)));
-  metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
-  record_residual_stats(mesh, metrics);
-  record_energy_stats(mesh, metrics);
-  record_network_stats(mesh.network(), metrics);
   return metrics;
 }
 
@@ -592,21 +568,7 @@ TrialMetrics run_report_collection(const TrialSpec& trial) {
     metrics.set("first_partition_s",
                 static_cast<double>(*first_partition - start) / 1e6);
   }
-  sim::Summary lifetimes;
-  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
-    lifetimes.add(static_cast<double>(death.at) / 1e6);
-  }
-  metrics.set("deaths", static_cast<double>(lifetimes.count()));
-  if (!lifetimes.empty()) {
-    metrics.set("first_death_s", lifetimes.min());
-  }
-  metrics.set("alive_frac",
-              static_cast<double>(mesh.network().alive_count()) /
-                  static_cast<double>(mesh.mote_count()));
-  metrics.set("live_agents", static_cast<double>(mesh.agent_count()));
-  record_residual_stats(mesh, metrics);
-  record_energy_stats(mesh, metrics);
-  record_network_stats(mesh.network(), metrics);
+  record_battery_outcome(mesh, metrics);
   return metrics;
 }
 
@@ -623,56 +585,18 @@ TrialMetrics run_churn_pursuit(const TrialSpec& trial_in) {
   trial.params.try_emplace("churn_rate", 0.004);
   trial.params.try_emplace("churn_reboot_s", 20.0);
   api::Deployment mesh(deployment_options(trial));
-  const sim::MovingBumpField::Options intruder_options =
-      intruder_options_for(trial);
-  mesh.environment().set_field(
-      sim::SensorType::kMagnetometer,
-      std::make_unique<sim::MovingBumpField>(intruder_options));
-  const sim::MovingBumpField intruder(intruder_options);
-  deploy_pursuit_agents(mesh);
-
-  const sim::SimTime pursuit_start = mesh.simulator().now();
-  const sim::SimTime deadline = pursuit_start + trial.duration;
-  sim::Summary distance_track;
-  std::size_t captures = 0;
-  std::size_t polls = 0;
-  std::size_t sightings = 0;
-  std::optional<sim::SimTime> last_seen_at;
-  while (mesh.simulator().now() < deadline) {
-    mesh.simulator().run_for(10 * sim::kSecond);
-    ++polls;
-    const std::optional<sim::Location> at = pursuer_location(mesh);
-    if (!at) {
-      continue;
-    }
-    ++sightings;
-    last_seen_at = mesh.simulator().now();
-    const double d =
-        distance(intruder.center(mesh.simulator().now()), *at);
-    distance_track.add(d);
-    if (d <= 1.0) {
-      ++captures;
-    }
-  }
-
   TrialMetrics metrics;
+  const Track track = pursue(mesh, trial, metrics);
   // Survived: the pursuer was still observable in the trial's last
   // quarter despite the churn underneath it.
   const bool survived =
-      last_seen_at.has_value() &&
-      *last_seen_at >= deadline - trial.duration / 4;
+      track.last_seen.has_value() &&
+      *track.last_seen >= track.deadline - trial.duration / 4;
   metrics.set("success", survived ? 1.0 : 0.0);
-  if (polls > 0) {
+  if (track.polls > 0) {
     metrics.set("pursuer_seen_frac",
-                static_cast<double>(sightings) /
-                    static_cast<double>(polls));
-  }
-  if (!distance_track.empty()) {
-    metrics.set("mean_distance", distance_track.mean());
-    metrics.set("min_distance", distance_track.min());
-    metrics.set("capture_frac",
-                static_cast<double>(captures) /
-                    static_cast<double>(distance_track.count()));
+                static_cast<double>(track.distance.count()) /
+                    static_cast<double>(track.polls));
   }
 
   // Churn + failure-path accounting, summed across the mesh.
@@ -728,10 +652,21 @@ std::vector<ScenarioInfo>& registry() {
        run_intruder_pursuit, api::scenario_knob_names("intruder_pursuit")},
       {"smove",
        "Fig. 8 strong-move round trip (axis: hops)",
-       run_smove, api::scenario_knob_names("smove")},
+       [](const TrialSpec& trial) {
+         return run_fig8(trial, core::agents::smove_trial,
+                         ts::Template{ts::Value::number(7)},
+                         /*default_timeout_s=*/15.0, /*legs=*/2.0);
+       },
+       api::scenario_knob_names("smove")},
       {"rout",
        "Fig. 8 remote out with acknowledgement (axis: hops)",
-       run_rout, api::scenario_knob_names("rout")},
+       [](const TrialSpec& trial) {
+         return run_fig8(trial, core::agents::rout_trial,
+                         ts::Template{ts::Value::string("ack"),
+                                      ts::Value::number(7)},
+                         /*default_timeout_s=*/10.0, /*legs=*/1.0);
+       },
+       api::scenario_knob_names("rout")},
       {"store_ops",
        "Sec. 3.2 ablation: tuple-store probe/remove cost (axis: fillers)",
        run_store_ops,

@@ -21,10 +21,8 @@
 //   report_collection periodic converge-cast to the gateway (params:
 //                    report_s, ...): delivery, corridor drain, partition
 //
-// Every mesh-backed scenario additionally understands the energy-aware
-// networking knobs (route_policy, energy_weight, adaptive_lpl, duty_min,
-// duty_max, beacon_suppression) — see docs/MANUAL.md for units, defaults,
-// and valid ranges (kept in sync by the CI docs-consistency gate).
+// The knobs each scenario understands, with units, defaults and ranges,
+// come from the knob registry: run `agilla_sim --list-knobs`.
 #pragma once
 
 #include <functional>

@@ -62,12 +62,19 @@ void GatewayService::pump() {
   if (shut_down_) {
     return;
   }
-  TransportCallbacks callbacks;
-  callbacks.on_connect = [this](ConnId conn) { on_connect(conn); };
-  callbacks.on_data = [this](ConnId conn, const std::uint8_t* data,
-                             std::size_t size) { on_data(conn, data, size); };
-  callbacks.on_disconnect = [this](ConnId conn) { on_disconnect(conn); };
-  transport_.poll(callbacks);
+  for (const TransportEvent& event : transport_.poll()) {
+    switch (event.kind) {
+      case TransportEvent::Kind::kConnect:
+        on_connect(event.conn);
+        break;
+      case TransportEvent::Kind::kData:
+        on_data(event.conn, event.bytes.data(), event.bytes.size());
+        break;
+      case TransportEvent::Kind::kDisconnect:
+        on_disconnect(event.conn);
+        break;
+    }
+  }
   flush();
 }
 

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace agilla::svc {
 namespace {
@@ -95,32 +96,9 @@ void TcpTransport::wake() {
   }
 }
 
-void TcpTransport::poll(const TransportCallbacks& callbacks) {
-  std::deque<Event> batch;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch.swap(events_);
-  }
-  for (Event& event : batch) {
-    switch (event.kind) {
-      case EventKind::kConnect:
-        if (callbacks.on_connect) {
-          callbacks.on_connect(event.conn);
-        }
-        break;
-      case EventKind::kData:
-        if (callbacks.on_data) {
-          callbacks.on_data(event.conn, event.bytes.data(),
-                            event.bytes.size());
-        }
-        break;
-      case EventKind::kDisconnect:
-        if (callbacks.on_disconnect) {
-          callbacks.on_disconnect(event.conn);
-        }
-        break;
-    }
-  }
+std::vector<TransportEvent> TcpTransport::poll() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return std::exchange(events_, {});
 }
 
 void TcpTransport::send(ConnId conn, const std::uint8_t* data,
@@ -193,7 +171,8 @@ void TcpTransport::io_loop() {
         std::lock_guard<std::mutex> lock(mutex_);
         const ConnId id = next_id_++;
         conns_[id].fd = fd;
-        events_.push_back(Event{EventKind::kConnect, id, {}});
+        events_.push_back(
+            TransportEvent{TransportEvent::Kind::kConnect, id, {}});
       }
     }
     for (std::size_t i = 2; i < fds.size(); ++i) {
@@ -208,8 +187,8 @@ void TcpTransport::io_loop() {
           const ssize_t n = ::read(fds[i].fd, buf, sizeof(buf));
           if (n > 0) {
             std::lock_guard<std::mutex> lock(mutex_);
-            events_.push_back(Event{
-                EventKind::kData, id,
+            events_.push_back(TransportEvent{
+                TransportEvent::Kind::kData, id,
                 std::vector<std::uint8_t>(buf, buf + n)});
           } else if (n == 0) {
             dead = true;
@@ -253,7 +232,8 @@ void TcpTransport::io_loop() {
           ::close(it->second.fd);
           conns_.erase(it);
           if (!server_initiated) {
-            events_.push_back(Event{EventKind::kDisconnect, id, {}});
+            events_.push_back(
+                TransportEvent{TransportEvent::Kind::kDisconnect, id, {}});
           }
         }
       }

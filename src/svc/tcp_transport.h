@@ -10,7 +10,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,18 +41,12 @@ class TcpTransport final : public Transport {
   /// The bound port (resolves 0 to the kernel-chosen ephemeral port).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  void poll(const TransportCallbacks& callbacks) override;
+  [[nodiscard]] std::vector<TransportEvent> poll() override;
   void send(ConnId conn, const std::uint8_t* data,
             std::size_t size) override;
   void close(ConnId conn) override;
 
  private:
-  enum class EventKind : std::uint8_t { kConnect, kData, kDisconnect };
-  struct Event {
-    EventKind kind;
-    ConnId conn;
-    std::vector<std::uint8_t> bytes;
-  };
   struct Conn {
     int fd = -1;
     std::vector<std::uint8_t> write_buf;
@@ -71,7 +64,7 @@ class TcpTransport final : public Transport {
   std::atomic<bool> running_{false};
 
   std::mutex mutex_;
-  std::deque<Event> events_;
+  std::vector<TransportEvent> events_;
   std::unordered_map<ConnId, Conn> conns_;
   ConnId next_id_ = 1;
 };

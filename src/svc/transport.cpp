@@ -1,5 +1,7 @@
 #include "svc/transport.h"
 
+#include <utility>
+
 namespace agilla::svc {
 
 Transport::~Transport() = default;
@@ -9,36 +11,15 @@ Transport::~Transport() = default;
 LoopbackTransport::Client LoopbackTransport::connect() {
   const ConnId id = next_id_++;
   endpoints_.emplace(id, Endpoint{});
-  pending_.push_back(Event{EventKind::kConnect, id, {}});
+  pending_.push_back(TransportEvent{TransportEvent::Kind::kConnect, id, {}});
   return Client(this, id);
 }
 
-void LoopbackTransport::poll(const TransportCallbacks& callbacks) {
-  // Swap first: a callback may enqueue new client traffic (e.g. a test
-  // reacting synchronously), which then waits for the next poll — the
-  // same one-batch-per-poll shape the TCP transport has.
-  std::deque<Event> batch;
-  batch.swap(pending_);
-  for (Event& event : batch) {
-    switch (event.kind) {
-      case EventKind::kConnect:
-        if (callbacks.on_connect) {
-          callbacks.on_connect(event.conn);
-        }
-        break;
-      case EventKind::kData:
-        if (callbacks.on_data) {
-          callbacks.on_data(event.conn, event.bytes.data(),
-                            event.bytes.size());
-        }
-        break;
-      case EventKind::kDisconnect:
-        if (callbacks.on_disconnect) {
-          callbacks.on_disconnect(event.conn);
-        }
-        break;
-    }
-  }
+std::vector<TransportEvent> LoopbackTransport::poll() {
+  // Hand over the whole queue: traffic enqueued while the caller handles
+  // this batch (e.g. a test reacting synchronously) waits for the next
+  // poll — the same one-batch-per-poll shape the TCP transport has.
+  return std::exchange(pending_, {});
 }
 
 void LoopbackTransport::send(ConnId conn, const std::uint8_t* data,
@@ -64,7 +45,7 @@ void LoopbackTransport::Client::send(
     return;
   }
   transport_->pending_.push_back(
-      Event{EventKind::kData, id_, bytes});
+      TransportEvent{TransportEvent::Kind::kData, id_, bytes});
 }
 
 std::vector<std::uint8_t> LoopbackTransport::Client::drain() {
@@ -83,7 +64,8 @@ void LoopbackTransport::Client::disconnect() {
     return;
   }
   transport_->endpoints_[id_].open = false;
-  transport_->pending_.push_back(Event{EventKind::kDisconnect, id_, {}});
+  transport_->pending_.push_back(
+      TransportEvent{TransportEvent::Kind::kDisconnect, id_, {}});
 }
 
 bool LoopbackTransport::Client::closed() const {

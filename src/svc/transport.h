@@ -18,8 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -27,19 +25,22 @@ namespace agilla::svc {
 
 using ConnId = std::uint64_t;
 
-struct TransportCallbacks {
-  std::function<void(ConnId)> on_connect;
-  std::function<void(ConnId, const std::uint8_t*, std::size_t)> on_data;
-  std::function<void(ConnId)> on_disconnect;
+/// One connection event, queued by a transport until the service polls.
+struct TransportEvent {
+  enum class Kind : std::uint8_t { kConnect, kData, kDisconnect };
+  Kind kind = Kind::kConnect;
+  ConnId conn = 0;
+  std::vector<std::uint8_t> bytes;  ///< kData only
 };
 
 class Transport {
  public:
   virtual ~Transport();
 
-  /// Delivers every queued connect/data/disconnect event, in arrival
-  /// order, on the calling (simulation) thread.
-  virtual void poll(const TransportCallbacks& callbacks) = 0;
+  /// Hands over every queued connect/data/disconnect event, in arrival
+  /// order, on the calling (simulation) thread. Traffic that arrives
+  /// while the caller handles the batch waits for the next poll().
+  [[nodiscard]] virtual std::vector<TransportEvent> poll() = 0;
 
   /// Queues bytes toward the client. No-op on a closed connection.
   virtual void send(ConnId conn, const std::uint8_t* data,
@@ -83,7 +84,7 @@ class LoopbackTransport final : public Transport {
   /// Opens a new connection; the service learns of it at the next poll().
   [[nodiscard]] Client connect();
 
-  void poll(const TransportCallbacks& callbacks) override;
+  [[nodiscard]] std::vector<TransportEvent> poll() override;
   void send(ConnId conn, const std::uint8_t* data,
             std::size_t size) override;
   void close(ConnId conn) override;
@@ -94,15 +95,8 @@ class LoopbackTransport final : public Transport {
     bool open = true;
   };
 
-  enum class EventKind : std::uint8_t { kConnect, kData, kDisconnect };
-  struct Event {
-    EventKind kind;
-    ConnId conn;
-    std::vector<std::uint8_t> bytes;
-  };
-
   std::unordered_map<ConnId, Endpoint> endpoints_;
-  std::deque<Event> pending_;
+  std::vector<TransportEvent> pending_;
   ConnId next_id_ = 1;
 };
 

@@ -28,8 +28,14 @@ namespace {
 using agilla::testing::AgillaMesh;
 using agilla::testing::MeshOptions;
 
+/// A random program of up to `max_len` bytes; a zero-length draw yields
+/// the one-byte `halt` program, since an agent needs at least one byte.
 std::vector<std::uint8_t> random_bytes(sim::Rng& rng, std::size_t max_len) {
-  std::vector<std::uint8_t> out(rng.uniform(max_len + 1));
+  const std::size_t len = rng.uniform(max_len + 1);
+  if (len == 0) {
+    return {0x00};
+  }
+  std::vector<std::uint8_t> out(len);
   for (auto& b : out) {
     b = static_cast<std::uint8_t>(rng.uniform(256));
   }
@@ -175,11 +181,7 @@ TEST(DispatchEquivalence, RandomBytecodeCorpusByteIdentical) {
     sim::Rng rng(seed);
     std::vector<std::vector<std::uint8_t>> corpus;
     for (int i = 0; i < 40; ++i) {
-      auto code = random_bytes(rng, 64);
-      if (code.empty()) {
-        code.push_back(0x00);
-      }
-      corpus.push_back(std::move(code));
+      corpus.push_back(random_bytes(rng, 64));
     }
     for (const auto& program : corpus) {
       const std::vector<std::vector<std::uint8_t>> one = {program};

@@ -251,8 +251,10 @@ TEST(GatewayService, MalformedBytesAreConnectionFatal) {
   ServiceFixture f;
   auto client = f.connect();
   // A complete 16-byte frame (empty payload) whose magic is wrong.
-  std::vector<std::uint8_t> garbage = {0x10, 0x00, 0x00, 0x00, 'X', 'Y'};
-  garbage.resize(4 + wire::kHeaderBytes, 0x00);
+  std::vector<std::uint8_t> garbage(4 + wire::kHeaderBytes, 0x00);
+  garbage[0] = 0x10;
+  garbage[4] = 'X';
+  garbage[5] = 'Y';
   client.io.send(garbage);
   const auto frames = f.exchange(client);
   ASSERT_EQ(frames.size(), 1u);
