@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 namespace agilla::svc {
 namespace {
@@ -96,9 +95,11 @@ void TcpTransport::wake() {
   }
 }
 
-std::vector<TransportEvent> TcpTransport::poll() {
+std::deque<TransportEvent> TcpTransport::poll() {
+  std::deque<TransportEvent> batch;
   std::lock_guard<std::mutex> lock(mutex_);
-  return std::exchange(events_, {});
+  batch.swap(events_);
+  return batch;
 }
 
 void TcpTransport::send(ConnId conn, const std::uint8_t* data,

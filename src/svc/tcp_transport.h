@@ -41,7 +41,7 @@ class TcpTransport final : public Transport {
   /// The bound port (resolves 0 to the kernel-chosen ephemeral port).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  [[nodiscard]] std::vector<TransportEvent> poll() override;
+  [[nodiscard]] std::deque<TransportEvent> poll() override;
   void send(ConnId conn, const std::uint8_t* data,
             std::size_t size) override;
   void close(ConnId conn) override;
@@ -64,7 +64,7 @@ class TcpTransport final : public Transport {
   std::atomic<bool> running_{false};
 
   std::mutex mutex_;
-  std::vector<TransportEvent> events_;
+  std::deque<TransportEvent> events_;
   std::unordered_map<ConnId, Conn> conns_;
   ConnId next_id_ = 1;
 };

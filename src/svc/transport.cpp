@@ -1,7 +1,5 @@
 #include "svc/transport.h"
 
-#include <utility>
-
 namespace agilla::svc {
 
 Transport::~Transport() = default;
@@ -15,11 +13,13 @@ LoopbackTransport::Client LoopbackTransport::connect() {
   return Client(this, id);
 }
 
-std::vector<TransportEvent> LoopbackTransport::poll() {
+std::deque<TransportEvent> LoopbackTransport::poll() {
   // Hand over the whole queue: traffic enqueued while the caller handles
   // this batch (e.g. a test reacting synchronously) waits for the next
   // poll — the same one-batch-per-poll shape the TCP transport has.
-  return std::exchange(pending_, {});
+  std::deque<TransportEvent> batch;
+  batch.swap(pending_);
+  return batch;
 }
 
 void LoopbackTransport::send(ConnId conn, const std::uint8_t* data,
