@@ -499,6 +499,31 @@ TEST_P(OpcodeProfilePin, UndefinedBytesKeepTheirRawKey) {
                       {0x4c, 1, 0}, {0x60, 2, 144}, {0xff, 2, 0}}));
 }
 
+TEST_P(OpcodeProfilePin, EmptyUntilAnAgentIsAdmitted) {
+  MeshOptions options{.width = 1, .height = 1};
+  options.config.engine.dispatch = GetParam();
+  AgillaMesh mesh(options);
+  // An image larger than the code pool is refused before admission.
+  EXPECT_FALSE(
+      mesh.at(0).inject(std::vector<std::uint8_t>(1024, 0x00)).has_value());
+  mesh.sim.run_for(1 * sim::kSecond);
+  EXPECT_EQ(mesh.at(0).engine().stats().agents_rejected, 1u);
+  EXPECT_TRUE(mesh.at(0).engine().opcode_profile().empty());
+}
+
+TEST_P(OpcodeProfilePin, KillingEveryAgentKeepsTheProfile) {
+  std::vector<ProfileRow> at_kill;
+  const auto rows = profile_after(
+      GetParam(), {assemble_or_die("LOOP pushc 1\npop\nrjump LOOP")},
+      [&](AgillaMesh& mesh) {
+        at_kill = sorted_profile(mesh.at(0).engine());
+        mesh.at(0).engine().kill_all_agents();
+        EXPECT_FALSE(mesh.at(0).engine().busy());
+      });
+  EXPECT_EQ(at_kill.size(), 3u);
+  EXPECT_EQ(rows, at_kill);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDispatchModes, OpcodeProfilePin,
                          ::testing::Values(DispatchMode::kSwitch,
                                            DispatchMode::kThreaded));
