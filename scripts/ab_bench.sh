@@ -9,17 +9,21 @@
 # against the base's IQR, and a verdict: gain, worse, unresolved (the
 # base's own spread is wider than the metric's bound) or same, by the
 # rules in scripts/bench_stats.py, which also reads the runs for
-# record_bench.sh. Every run of both sides must report the same
-# outcome_digest and no failed operations, and no metric may be worse,
-# or the script exits 1 after writing its report. It writes one JSON
-# file holding every run, the per-metric summary, the digests and the
-# unresolved metrics; `scripts/bench_stats.py resummarize FILE`
-# recomputes the summary of a written report.
+# record_bench.sh. Each run's process-tree CPU seconds are recorded too,
+# and printed per workload as CPU seconds per attempted operation: a
+# diagnostic beside the verdicts (time spent descheduled on a loaded host
+# does not count), not a verdict itself. Every run of both sides must
+# report the same outcome_digest and no failed operations, and no metric
+# may be worse, or the script exits 1 after writing its report. It
+# writes one JSON file holding every run, the per-metric summary, the
+# digests and the unresolved metrics; `scripts/bench_stats.py
+# resummarize FILE` recomputes the summary of a written report.
 #
 # Each side is a `git archive` export, so the repository's own checkout
-# and .git are never touched; the exports build their own
-# .bench_build/ trees (about 20 s each, once). BASE and CHANGE are any
-# commit-ish (for uncommitted work: CHANGE=$(git stash create)).
+# and .git are never touched; the exports build their own .bench_build/
+# trees (about 20 s each) before the first pair, so no timed run
+# includes a build. BASE and CHANGE are any commit-ish (for uncommitted
+# work: CHANGE=$(git stash create)).
 #
 # Usage: scripts/ab_bench.sh BASE CHANGE [--workload W]... [--pairs N]
 #                            [--scratch DIR] [--out FILE]
@@ -80,13 +84,20 @@ for side in base change; do
 done
 echo "base   $base -> $scratch/base"
 echo "change $change -> $scratch/change"
+for side in base change; do
+  python3 -c 'import sys; sys.path.insert(0, sys.argv[1]); import run
+sys.exit(0 if run.build() else 1)' "$scratch/$side/bench/suite" ||
+    { echo "ab_bench.sh: building $side failed" >&2; exit 1; }
+done
 
 run_one() {  # $1 = side, $2 = workload, $3 = pair
   local log="$scratch/runs/$2.$1.$3.out"
-  python3 "$scratch/$1/bench/suite/run.py" --workload "$2" --seed 7 \
-    --seconds 10 --trace 0 --label "$1" > "$log" ||
+  python3 scripts/bench_stats.py timed "$log" \
+    python3 "$scratch/$1/bench/suite/run.py" --workload "$2" --seed 7 \
+    --seconds 10 --trace 0 --label "$1" ||
     echo "ab_bench.sh: $1 run $3 of $2 exited $?" >&2
-  echo "  pair $3 $1: $(grep '^outcome_digest:' "$log" || echo 'no digest')"
+  echo "  pair $3 $1: $(grep '^outcome_digest:' "$log" || echo 'no digest')" \
+    "$(grep '^cpu_s:' "$log")"
 }
 
 for workload in "${workloads[@]}"; do

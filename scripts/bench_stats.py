@@ -3,10 +3,15 @@
 ab_bench.sh so both read a run and compute a spread the same way.
 
 A run's output ends with its outcome_digest line and a final JSON line
-({correct, attempted, failed, metrics}). A metric's spread over runs is
-its median and quartiles by Python's statistics.quantiles(values, n=4),
-the rule bench/suite/README.md measures noise with.
+({correct, attempted, failed, metrics}); a log written by `timed` also
+holds a `cpu_s:` line. A metric's spread over runs is its median and
+quartiles by Python's statistics.quantiles(values, n=4), the rule
+bench/suite/README.md measures noise with.
 
+  bench_stats.py timed LOG CMD...
+      runs CMD and writes its output to LOG behind a `cpu_s:` line, the
+      user + system CPU seconds of CMD's whole process tree
+      (getrusage(RUSAGE_CHILDREN)); exits with CMD's status
   bench_stats.py record OUT COMMIT NPROC RUN...
       writes the BENCH_<workload>.json record of the run logs RUN...
   bench_stats.py ab OUT RUNS BASE CHANGE PAIRS NPROC WORKLOAD...
@@ -27,31 +32,55 @@ BENCHMARK.json:
   same        otherwise.
 A report is ok when every run of both sides completed with the same
 outcome_digest and no failed operation, and no metric is worse; it lists
-its unresolved metrics as "workload/metric".
+its unresolved metrics as "workload/metric". When the runs carry their
+CPU seconds, each workload also gets a cpu_s_per_op diagnostic (CPU
+seconds over attempted operations; time spent descheduled does not
+count): both sides' median [q1, q3] and the pairs the change won, with
+no verdict and no say in ok.
 """
 import json
 import os
+import resource
 import statistics
+import subprocess
 import sys
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                          "BENCHMARK.json")
 
 
+def timed(log, cmd):
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = (after.ru_utime - before.ru_utime +
+             after.ru_stime - before.ru_stime)
+    with open(log, "w") as f:
+        f.write(f"cpu_s: {cpu_s:.6f}\n{run.stdout}")
+    return run.returncode
+
+
+def field(lines, name):
+    """The text after `name:` on the first line that starts with it."""
+    return next((line.split(":", 1)[1].strip() for line in lines
+                 if line.startswith(name + ":")), None)
+
+
 def read_run(path):
-    """{stamp, outcome_digest, result} of one run.py log; a field the log
-    lacks (a crashed or cut run) is None."""
+    """{stamp, outcome_digest, cpu_s, result} of one run.py log; a field
+    the log lacks (a crashed or cut run, an untimed one) is None."""
     with open(path) as f:
         lines = f.read().strip().splitlines()
-    digest = next((line.split(":", 1)[1].strip() for line in lines
-                   if line.startswith("outcome_digest:")), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
+    cpu_s = field(lines, "cpu_s")
     return {"stamp": next((line for line in lines
                            if line.startswith("stamp:")), None),
-            "outcome_digest": digest, "result": result}
+            "outcome_digest": field(lines, "outcome_digest"),
+            "cpu_s": None if cpu_s is None else float(cpu_s),
+            "result": result}
 
 
 def spread(values):
@@ -146,12 +175,35 @@ def summarize(report):
                   f"gap {gap:.4g} vs IQR {iqr:.4g}  {v}")
         w.update(digests_equal=digests_equal, failed=failed,
                  metrics=metrics)
+        cpu = cpu_per_op(w, pairs) if complete else None
+        if cpu:
+            w["cpu_s_per_op"] = cpu
     report["ok"] = ok
     report["unresolved"] = unresolved
     if unresolved:
         print("unresolved (base spread wider than the bound): " +
               ", ".join(unresolved))
     return report
+
+
+def cpu_per_op(w, pairs):
+    """The cpu_s_per_op diagnostic of a workload's runs, or None when a
+    run lacks its CPU seconds or attempted no operation."""
+    values = {}
+    for side, rs in w["runs"].items():
+        cpu = w.get("cpu_s", {}).get(side, [])
+        if len(cpu) != len(rs) or None in cpu or any(
+                not r["attempted"] for r in rs):
+            return None
+        values[side] = [c / r["attempted"] for c, r in zip(cpu, rs)]
+    base, change = spread(values["base"]), spread(values["change"])
+    wins = sum(c < b for b, c in zip(values["base"], values["change"]))
+    print(f"  {'cpu_s_per_op':13s} base {base['median']:.6g} "
+          f"[{base['q1']:.6g}, {base['q3']:.6g}]  change "
+          f"{change['median']:.6g} [{change['q1']:.6g}, "
+          f"{change['q3']:.6g}] s  wins {wins}/{pairs}  (diagnostic)")
+    return {"unit": "s", "better": "lower", "base": base, "change": change,
+            "wins": wins}
 
 
 def ab(out, runs_dir, base, change, pairs, nproc, workloads):
@@ -166,6 +218,8 @@ def ab(out, runs_dir, base, change, pairs, nproc, workloads):
         report["workloads"][workload] = {
             "outcome_digests": {side: [r["outcome_digest"] for r in rs]
                                 for side, rs in runs.items()},
+            "cpu_s": {side: [r["cpu_s"] for r in rs]
+                      for side, rs in runs.items()},
             "runs": {side: [r["result"] for r in rs]
                      for side, rs in runs.items()}}
     return write_report(out, summarize(report))
@@ -180,6 +234,8 @@ def write_report(out, report):
 
 
 def main(argv):
+    if len(argv) >= 3 and argv[0] == "timed":
+        return timed(argv[1], argv[2:])
     if len(argv) >= 5 and argv[0] == "record":
         record(argv[1], argv[2], argv[3], argv[4:])
         return 0

@@ -150,7 +150,7 @@ class Deployment {
   /// Node deaths (battery + churn) across the whole run, in the serial
   /// engine's order whatever sim_shards is: an internal bus observer
   /// records the kNodeDown records. Call between run() calls.
-  [[nodiscard]] std::vector<DeathEvent> death_log() const {
+  [[nodiscard]] const std::vector<DeathEvent>& death_log() const {
     return lifecycle_.deaths;
   }
   [[nodiscard]] std::size_t reboot_count() const {

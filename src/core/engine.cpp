@@ -68,6 +68,9 @@ Agent* AgillaEngine::admit(std::span<const std::uint8_t> code,
     stats_.agents_rejected++;
     return nullptr;
   }
+  if (profile_ == nullptr) {
+    profile_ = std::make_unique<OpcodeTable>();
+  }
   return agents_.create(agent_id, dispatcher_->program_for(code));
 }
 
@@ -200,7 +203,7 @@ void AgillaEngine::tick() {
           static_cast<std::uint8_t>(probe.remove ? Opcode::kIn : Opcode::kRd);
       const sim::SimTime probe_cost = instruction_cost(
           probe_raw, tuple_space_.store().last_op_bytes_touched(), true);
-      OpcodeProfile& entry = profile_[opcode_index(probe_raw)];
+      OpcodeProfile& entry = (*profile_)[opcode_index(probe_raw)];
       entry.count++;
       entry.total_cost += probe_cost;
       cost += probe_cost;
@@ -266,10 +269,13 @@ void AgillaEngine::die(Agent& agent, const char* reason) {
 std::unordered_map<std::uint8_t, OpcodeProfile>
 AgillaEngine::opcode_profile() const {
   std::unordered_map<std::uint8_t, OpcodeProfile> out;
+  if (profile_ == nullptr) {
+    return out;
+  }
   for (std::size_t index = 0; index < kDefinedOpcodes; ++index) {
-    if (profile_[index].count > 0) {
+    if ((*profile_)[index].count > 0) {
       out.emplace(static_cast<std::uint8_t>(opcode_at(index)),
-                  profile_[index]);
+                  (*profile_)[index]);
     }
   }
   for (const auto& [raw, count] : undefined_profile_) {

@@ -134,7 +134,7 @@ class AgillaEngine {
   /// Per-opcode execution profile (key: raw opcode byte; getvar/setvar
   /// collapse onto their base opcode). Materialized from the engine's
   /// dense per-opcode table and its undefined-byte list; only executed
-  /// opcodes appear.
+  /// opcodes appear; empty until the engine has admitted an agent.
   [[nodiscard]] std::unordered_map<std::uint8_t, OpcodeProfile>
   opcode_profile() const;
 
@@ -203,8 +203,11 @@ class AgillaEngine {
   /// as DecodedInsn::profile_key): a single indexed add on the instruction
   /// hot path. The extra last slot absorbs undefined bytes, whose exact
   /// per-byte counts live in undefined_profile_ (they kill the agent and
-  /// cost nothing, so a count per byte is the whole record).
-  std::array<OpcodeProfile, kDefinedOpcodes + 1> profile_{};
+  /// cost nothing, so a count per byte is the whole record). Allocated by
+  /// the first admit(), so it exists whenever an agent does, and kept
+  /// after the agents die.
+  using OpcodeTable = std::array<OpcodeProfile, kDefinedOpcodes + 1>;
+  std::unique_ptr<OpcodeTable> profile_;
   std::vector<std::pair<std::uint8_t, std::uint64_t>> undefined_profile_;
 };
 

@@ -247,7 +247,7 @@ void VmDispatcher::run_slice_switch(Agent& agent,
       e_.stats_.instructions++;
     }
     result = execute(agent, d, cost);
-    OpcodeProfile& entry = e_.profile_[d.profile_key];
+    OpcodeProfile& entry = (*e_.profile_)[d.profile_key];
     entry.count++;
     entry.total_cost += cost - cost_before;
   }
@@ -297,7 +297,7 @@ next_insn : {
 #undef AGILLA_OP_CLASS_LABEL
 
 insn_done : {
-  OpcodeProfile& entry = e_.profile_[d->profile_key];
+  OpcodeProfile& entry = (*e_.profile_)[d->profile_key];
   entry.count++;
   entry.total_cost += cost - cost_before;
   if (result == StepResult::kContinue && ++executed < per_slice) {

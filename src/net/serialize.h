@@ -7,12 +7,19 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace agilla::net {
 
 class Writer {
  public:
+  Writer() = default;
+  /// Appends after `bytes`, adopting its storage: writing into a buffer
+  /// whose capacity already fits the output allocates nothing.
+  explicit Writer(std::vector<std::uint8_t>&& bytes)
+      : bytes_(std::move(bytes)) {}
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u16(std::uint16_t v);
   void i16(std::int16_t v) { u16(static_cast<std::uint16_t>(v)); }

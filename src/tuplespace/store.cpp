@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <utility>
 
 namespace agilla::ts {
 
 LinearTupleStore::LinearTupleStore(std::size_t capacity_bytes)
-    : buffer_(capacity_bytes, 0) {}
+    : capacity_(capacity_bytes) {}
 
 bool LinearTupleStore::insert(const Tuple& tuple) {
   last_op_bytes_ = 0;
@@ -15,21 +15,24 @@ bool LinearTupleStore::insert(const Tuple& tuple) {
     return false;
   }
   const std::size_t size = tuple.wire_size();
-  if (size > kMaxTupleWireBytes) {
+  const std::size_t needed = buffer_.size() + 1 + size;
+  if (size > kMaxTupleWireBytes || needed > capacity_) {
     return false;
   }
-  if (used_ + 1 + size > buffer_.size()) {
-    return false;
+  if (needed > buffer_.capacity()) {
+    // Geometric growth from 16 B (a couple of records), capped.
+    const std::size_t grown = std::max<std::size_t>(2 * buffer_.capacity(), 16);
+    buffer_.reserve(std::min(capacity_, std::max(grown, needed)));
   }
-  net::Writer w;
+  // Encode the record straight onto the buffer's tail.
+  net::Writer w(std::move(buffer_));
   w.u8(static_cast<std::uint8_t>(size));
   tuple.encode(w);
-  std::copy(w.data().begin(), w.data().end(),
-            buffer_.begin() + static_cast<std::ptrdiff_t>(used_));
-  used_ += w.size();
+  buffer_ = w.take();
+  assert(buffer_.size() == needed);
   records_.push_back(RecordMeta{fingerprint_of(tuple),
-                                static_cast<std::uint8_t>(w.size())});
-  last_op_bytes_ = w.size();
+                                static_cast<std::uint8_t>(1 + size)});
+  last_op_bytes_ = 1 + size;
   return true;
 }
 
@@ -45,7 +48,7 @@ std::optional<LinearTupleStore::Found> LinearTupleStore::find(
   std::size_t scanned = 0;
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const RecordMeta& meta = records_[i];
-    assert(offset + meta.size <= used_);
+    assert(offset + meta.size <= buffer_.size());
     scanned += meta.size;
     if (!templ.key_rejects(meta.fp) &&
         templ.matches(record_ref(offset, meta.size))) {
@@ -67,14 +70,11 @@ std::optional<Tuple> LinearTupleStore::take(const CompiledTemplate& templ) {
                                  .materialize();
   assert(out.has_value());  // insert only writes well-formed records
   // Shift all following tuples forward (paper Sec. 3.2).
-  const std::size_t tail_start = found->offset + found->size;
-  const std::size_t tail_len = used_ - tail_start;
-  if (tail_len > 0) {
-    std::memmove(buffer_.data() + found->offset, buffer_.data() + tail_start,
-                 tail_len);
-    last_op_bytes_ += tail_len;
-  }
-  used_ -= found->size;
+  const auto first =
+      buffer_.begin() + static_cast<std::ptrdiff_t>(found->offset);
+  const auto last = first + static_cast<std::ptrdiff_t>(found->size);
+  last_op_bytes_ += static_cast<std::size_t>(buffer_.end() - last);
+  buffer_.erase(first, last);
   records_.erase(records_.begin() +
                  static_cast<std::ptrdiff_t>(found->index));
   return out;
@@ -121,7 +121,7 @@ std::vector<Tuple> LinearTupleStore::snapshot() const {
 }
 
 void LinearTupleStore::clear() {
-  used_ = 0;
+  buffer_.clear();
   records_.clear();
   last_op_bytes_ = 0;
 }

@@ -6,7 +6,10 @@
 // We reproduce the layout faithfully because the Fig. 12 latencies of the
 // tuple-space instructions are dominated by exactly this scan/shift work;
 // the store reports bytes touched per operation so the VM cost model can
-// charge for it. On the host, matching runs zero-copy: a per-record
+// charge for it. On the host the buffer is allocated as it fills (growing
+// geometrically up to the configured capacity), so an empty store costs
+// no buffer at all; the capacity rules are the mote's either way. On the
+// host, matching runs zero-copy: a per-record
 // Fingerprint (computed at insertion) rejects most candidates with one
 // integer compare, survivors are matched in place against their wire bytes
 // (tuple_match.h), and a Tuple is only materialized for a hit.
@@ -44,9 +47,11 @@ class LinearTupleStore final : public TupleStore {
   [[nodiscard]] std::size_t tuple_count() const override {
     return records_.size();
   }
-  [[nodiscard]] std::size_t used_bytes() const override { return used_; }
-  [[nodiscard]] std::size_t capacity_bytes() const override {
+  [[nodiscard]] std::size_t used_bytes() const override {
     return buffer_.size();
+  }
+  [[nodiscard]] std::size_t capacity_bytes() const override {
+    return capacity_;
   }
 
   /// Decoded copy of every stored tuple, in buffer order.
@@ -81,11 +86,11 @@ class LinearTupleStore final : public TupleStore {
                                     std::size_t size) const;
 
   // Buffer layout: a sequence of records [len u8][tuple bytes], packed from
-  // offset 0; used_ marks the end of live data. records_ mirrors the
-  // record sequence in order.
+  // offset 0; its size is the live data, its allocation at most
+  // capacity_. records_ mirrors the record sequence in order.
   std::vector<std::uint8_t> buffer_;
   std::vector<RecordMeta> records_;
-  std::size_t used_ = 0;
+  std::size_t capacity_;
   mutable std::size_t last_op_bytes_ = 0;
 };
 

@@ -310,10 +310,10 @@ TEST(BatteryDeath, DepletedNodeDiesNeighborsEvictAndMigrationsFail) {
   // Beacons stopped: the survivor evicted the dead node.
   EXPECT_FALSE(mesh.mote(0).neighbors().by_id(victim).has_value());
   // The death was logged for lifetime metrics.
-  ASSERT_EQ(mesh.death_log().size(), 1u);
-  EXPECT_EQ(mesh.death_log()[0].node, victim);
-  EXPECT_EQ(mesh.death_log()[0].reason,
-            sim::NodeDownReason::kBatteryDepleted);
+  const auto& deaths = mesh.death_log();
+  ASSERT_EQ(deaths.size(), 1u);
+  EXPECT_EQ(deaths[0].node, victim);
+  EXPECT_EQ(deaths[0].reason, sim::NodeDownReason::kBatteryDepleted);
 }
 
 TEST(BatteryDeath, RelayDyingMidForwardDoesNotResurrectTheAgent) {
@@ -373,12 +373,14 @@ TEST(Churn, CrashScheduleIsDeterministicForAFixedSeed) {
   api::Deployment b(churn_options(42));
   a.simulator().run_for(60 * sim::kSecond);
   b.simulator().run_for(60 * sim::kSecond);
-  ASSERT_GT(a.death_log().size(), 0u);
-  ASSERT_EQ(a.death_log().size(), b.death_log().size());
-  for (std::size_t i = 0; i < a.death_log().size(); ++i) {
-    EXPECT_EQ(a.death_log()[i].node, b.death_log()[i].node);
-    EXPECT_EQ(a.death_log()[i].at, b.death_log()[i].at);
-    EXPECT_EQ(a.death_log()[i].reason, sim::NodeDownReason::kChurnCrash);
+  const auto& deaths_a = a.death_log();
+  const auto& deaths_b = b.death_log();
+  ASSERT_GT(deaths_a.size(), 0u);
+  ASSERT_EQ(deaths_a.size(), deaths_b.size());
+  for (std::size_t i = 0; i < deaths_a.size(); ++i) {
+    EXPECT_EQ(deaths_a[i].node, deaths_b[i].node);
+    EXPECT_EQ(deaths_a[i].at, deaths_b[i].at);
+    EXPECT_EQ(deaths_a[i].reason, sim::NodeDownReason::kChurnCrash);
   }
   EXPECT_EQ(a.reboot_count(), b.reboot_count());
   EXPECT_GT(a.reboot_count(), 0u);

@@ -22,6 +22,18 @@ namespace {
 
 std::atomic<long long> g_live_bytes{0};
 std::atomic<long long> g_live_blocks{0};
+/// Live blocks by requested size, for sizes below kSizedBlocks.
+constexpr std::size_t kSizedBlocks = 1024;
+std::atomic<long long> g_live_blocks_of[kSizedBlocks]{};
+
+void count_block(std::size_t size, long long delta) {
+  g_live_bytes.fetch_add(static_cast<long long>(size) * delta,
+                         std::memory_order_relaxed);
+  g_live_blocks.fetch_add(delta, std::memory_order_relaxed);
+  if (size < kSizedBlocks) {
+    g_live_blocks_of[size].fetch_add(delta, std::memory_order_relaxed);
+  }
+}
 
 /// Room in front of each block for its requested size; keeps the
 /// default new alignment.
@@ -33,9 +45,7 @@ void* counted_alloc(std::size_t size) {
     throw std::bad_alloc();
   }
   *reinterpret_cast<std::size_t*>(block) = size;
-  g_live_bytes.fetch_add(static_cast<long long>(size),
-                         std::memory_order_relaxed);
-  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  count_block(size, 1);
   return block + kHeader;
 }
 
@@ -44,10 +54,7 @@ void counted_free(void* ptr) noexcept {
     return;
   }
   unsigned char* block = static_cast<unsigned char*>(ptr) - kHeader;
-  g_live_bytes.fetch_sub(
-      static_cast<long long>(*reinterpret_cast<std::size_t*>(block)),
-      std::memory_order_relaxed);
-  g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
+  count_block(*reinterpret_cast<std::size_t*>(block), -1);
   std::free(block);
 }
 
@@ -89,19 +96,25 @@ long long live_blocks() {
   return g_live_blocks.load(std::memory_order_relaxed);
 }
 
+long long live_blocks_of(std::size_t size) {
+  return g_live_blocks_of[size].load(std::memory_order_relaxed);
+}
+
 constexpr long long kMotes = 16 * 16;
 
 /// The paper's motes have 4 KiB of RAM. A default built mote holds
-/// 4,955 B (DESIGN.md "Per-mote footprint"); the bound is that figure
-/// rounded up to 256 B.
-constexpr long long kMaxBytesPerMote = 5 * 1024;
+/// 3,451 B (DESIGN.md "Per-mote footprint"); the bound is that figure
+/// rounded up to 256 B, and stays within the paper's 4 KiB.
+constexpr long long kMaxBytesPerMote = 3584;
+static_assert(kMaxBytesPerMote <= 4096);
 /// The middleware is one block with its layers inline; the rest are the
-/// tuple store, the agent and neighbour tables, the dispatcher and the
-/// radio's and the wiring's small blocks: 10.1 per mote.
+/// tuple store and its first small buffer (each neighbour discovery puts
+/// and takes a tuple), the agent and neighbour tables, the dispatcher and
+/// the radio's and the wiring's small blocks: 10.1 per mote.
 constexpr long long kMaxBlocksPerMote = 12;
 /// FIREDETECTOR on every mote and the FIRETRACKER swarm, 30 virtual s
-/// after injection: 6,029 B per mote, rounded up to 256 B.
-constexpr long long kMaxWarmBytesPerMote = 6 * 1024;
+/// after injection: 5,453 B per mote, rounded up to 256 B.
+constexpr long long kMaxWarmBytesPerMote = 5632;
 
 TEST(Footprint, DefaultMeshStaysUnderBudgetPerMote) {
   const long long bytes_before = live_bytes();
@@ -124,6 +137,23 @@ TEST(Footprint, WarmFireMeshStaysUnderBudgetPerMote) {
               per_mote);
   RecordProperty("warm_bytes_per_mote", static_cast<int>(per_mote));
   EXPECT_LE(per_mote, kMaxWarmBytesPerMote);
+}
+
+TEST(Footprint, AgentFreeMeshHoldsNoProfileOrFullStoreBlock) {
+  // The blocks a mote allocates only once it uses them: the engine's
+  // opcode profile (first admitted agent) and the tuple store's buffer
+  // (first tuple, grown as needed).
+  constexpr std::size_t kProfileBlock =
+      (core::kDefinedOpcodes + 1) * sizeof(core::OpcodeProfile);
+  constexpr std::size_t kStoreBlock = 600;
+  static_assert(kProfileBlock < kSizedBlocks);
+  const long long profiles_before = live_blocks_of(kProfileBlock);
+  const long long stores_before = live_blocks_of(kStoreBlock);
+  const auto mesh = api::SimulationBuilder().grid(16, 16).build();
+  mesh->run_for(10 * sim::kSecond);
+  ASSERT_EQ(mesh->agent_count(), 0u);
+  EXPECT_EQ(live_blocks_of(kProfileBlock) - profiles_before, 0);
+  EXPECT_EQ(live_blocks_of(kStoreBlock) - stores_before, 0);
 }
 
 TEST(Footprint, EmptyFifoAllocatesNothing) {

@@ -150,8 +150,8 @@ void expect_same_outcome(api::Deployment& a, api::Deployment& b) {
   EXPECT_EQ(sa.node_reboots, sb.node_reboots);
   EXPECT_EQ(sa.sent_by_type, sb.sent_by_type);
 
-  const auto deaths_a = a.death_log();
-  const auto deaths_b = b.death_log();
+  const auto& deaths_a = a.death_log();
+  const auto& deaths_b = b.death_log();
   ASSERT_EQ(deaths_a.size(), deaths_b.size());
   for (std::size_t i = 0; i < deaths_a.size(); ++i) {
     EXPECT_EQ(deaths_a[i].node, deaths_b[i].node);

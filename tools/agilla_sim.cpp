@@ -35,10 +35,10 @@ namespace {
 // meshes are attempted — the sharded engine handles 100k-mote grids, but
 // they need host RAM. `bench_scale --grid 100 --grid 200 --grid 316`
 // (battery + churn mesh, no agents; x86-64 Release, glibc malloc) peaks
-// at 5.2-5.3 KiB per mote at 100x100 and 5.0 KiB at 200x200 and 316x316
-// over shards 1-8. Motes that host agents add their decoded programs on
-// top.
-constexpr double kApproxBytesPerMote = 5.5 * 1024.0;
+// at 3.8 KiB per mote at 100x100, 3.6 KiB at 200x200 and 3.5-3.6 KiB at
+// 316x316 over shards 1-8. Motes that host agents add their decoded
+// programs and opcode profiles on top.
+constexpr double kApproxBytesPerMote = 4.0 * 1024.0;
 constexpr std::size_t kWarnGridMotes = 64 * 64;
 
 void print_usage() {
