@@ -6,13 +6,13 @@
 // We reproduce the layout faithfully because the Fig. 12 latencies of the
 // tuple-space instructions are dominated by exactly this scan/shift work;
 // the store reports bytes touched per operation so the VM cost model can
-// charge for it. On the host the buffer is allocated as it fills (growing
-// geometrically up to the configured capacity), so an empty store costs
-// no buffer at all; the capacity rules are the mote's either way. On the
-// host, matching runs zero-copy: a per-record
-// Fingerprint (computed at insertion) rejects most candidates with one
-// integer compare, survivors are matched in place against their wire bytes
-// (tuple_match.h), and a Tuple is only materialized for a hit.
+// charge for it. On the host, the buffer is allocated as it fills
+// (growing geometrically up to the configured capacity), so a store
+// never written to holds no buffer; the capacity rules are the mote's.
+// Matching runs zero-copy: a per-record Fingerprint (computed at
+// insertion) rejects most candidates with one integer compare, survivors
+// are matched in place against their wire bytes (tuple_match.h), and a
+// Tuple is only materialized for a hit.
 #pragma once
 
 #include <cstdint>
