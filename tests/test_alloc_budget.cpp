@@ -1,0 +1,128 @@
+// Steady-state allocation budget of the event path (DESIGN.md "Sharded
+// event engine"). This binary replaces the global operator new with one
+// that counts calls, runs a 32x32 network_lifetime-shaped deployment
+// (battery attached, the fire world, the tracker and detector agents)
+// past its warm-up, and divides the allocations of the next 20 virtual
+// seconds by the events run_for executed in them. Beacons, radio frames,
+// deliveries and timers must not touch the heap: frames carry their
+// payload inline and event callbacks live inside the queue's slots.
+// The count is exact and deterministic, so the bound holds on any host
+// and in sanitizer builds alike.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "api/deployment.h"
+#include "core/agent_library.h"
+#include "sim/environment.h"
+
+namespace {
+
+std::atomic<long long> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* block = std::malloc(size == 0 ? 1 : size);
+  if (block == nullptr) {
+    throw std::bad_alloc();
+  }
+  return block;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+
+namespace agilla {
+namespace {
+
+/// What is left per event is the agents' work (tuple ops, migration
+/// buffers) and the occasional growth of a queue or table; the radio and
+/// the event queue contribute nothing.
+constexpr double kMaxAllocationsPerEvent = 0.25;
+
+constexpr std::size_t kSide = 32;
+constexpr int kWarmupSeconds = 10;
+constexpr int kMeasuredSeconds = 20;
+
+long long allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// The lifetime benchmark's world on a 32x32 mesh: ignition at the far
+/// corner 15 s after injection, a fire detector flood and a tracker.
+std::unique_ptr<api::Deployment> build_lifetime_mesh() {
+  api::SimulationBuilder builder;
+  builder.grid(kSide, kSide).seed(7).set("battery_mj", 4000.0);
+  auto mesh = builder.build();
+  const sim::SimTime inject_time = mesh->simulator().now();
+  const double side = static_cast<double>(kSide);
+  const double diagonal = std::hypot(side - 1.0, side - 1.0);
+  mesh->environment().set_field(
+      sim::SensorType::kTemperature,
+      std::make_unique<sim::FireField>(sim::FireField::Options{
+          .ignition_point = {side, side},
+          .ignition_time = inject_time + 15 * sim::kSecond,
+          .extinction_time = 0,
+          .spread_speed = 0.8 * diagonal / 85.0,
+          .peak = 500.0,
+          .ambient = 25.0,
+          .edge_decay = 0.45,
+          .ring_width = 1.6,
+          .burned_over = 40.0}));
+  core::BaseStation base = mesh->base();
+  base.inject(core::agents::fire_tracker(180, 16));
+  base.inject(core::agents::fire_detector({1, 1}, 200, 32, 32));
+  return mesh;
+}
+
+TEST(AllocBudget, LifetimeMeshSteadyStateAllocatesAlmostNothingPerEvent) {
+  auto mesh = build_lifetime_mesh();
+  sim::Simulator& sim = mesh->simulator();
+  for (int s = 0; s < kWarmupSeconds; ++s) {
+    sim.run_for(sim::kSecond);
+  }
+  std::size_t events = 0;
+  const long long before = allocations();
+  for (int s = 0; s < kMeasuredSeconds; ++s) {
+    events += sim.run_for(sim::kSecond);
+  }
+  const long long allocated = allocations() - before;
+  ASSERT_GT(events, 100'000u) << "the mesh should be busy";
+  EXPECT_TRUE(mesh->death_log().empty());
+  const double per_event =
+      static_cast<double>(allocated) / static_cast<double>(events);
+  std::printf("alloc budget: %lld allocations over %zu events = %.4f per "
+              "event (bound %.2f)\n",
+              allocated, events, per_event, kMaxAllocationsPerEvent);
+  EXPECT_LE(per_event, kMaxAllocationsPerEvent);
+}
+
+}  // namespace
+}  // namespace agilla
