@@ -61,6 +61,8 @@ std::vector<MigrationMessage> to_messages(const AgentImage& image,
   std::vector<MigrationMessage> out;
   const std::size_t code_msgs =
       CodePool::blocks_needed(image.code.size());
+  out.reserve(1 + code_msgs + stack_messages(image) + heap_messages(image) +
+              image.reactions.size());
 
   // --- state message (paper Fig. 5: 20 bytes) -------------------------------
   {
@@ -78,7 +80,7 @@ std::vector<MigrationMessage> to_messages(const AgentImage& image,
     w.u8(static_cast<std::uint8_t>(image.reactions.size()));
     w.zeros(2);
     assert(w.size() == kStateMessageBytes);
-    out.push_back({sim::AmType::kAgentState, w.take()});
+    out.push_back({sim::AmType::kAgentState, w.payload()});
   }
 
   // --- code messages: one 22-byte block each (28 bytes) ----------------------
@@ -95,7 +97,7 @@ std::vector<MigrationMessage> to_messages(const AgentImage& image,
     w.bytes(std::span<const std::uint8_t>(image.code.data() + offset, chunk));
     w.zeros(CodePool::kBlockSize - chunk);
     assert(w.size() == kCodeMessageBytes);
-    out.push_back({sim::AmType::kAgentCode, w.take()});
+    out.push_back({sim::AmType::kAgentCode, w.payload()});
   }
 
   // --- stack messages: four variables each (30 bytes) ------------------------
@@ -119,7 +121,7 @@ std::vector<MigrationMessage> to_messages(const AgentImage& image,
       }
     }
     assert(w.size() == kStackMessageBytes);
-    out.push_back({sim::AmType::kAgentStack, w.take()});
+    out.push_back({sim::AmType::kAgentStack, w.payload()});
   }
 
   // --- heap messages: four (address, variable) pairs each (32 bytes) ---------
@@ -143,7 +145,7 @@ std::vector<MigrationMessage> to_messages(const AgentImage& image,
       }
     }
     assert(w.size() == kHeapMessageBytes);
-    out.push_back({sim::AmType::kAgentHeap, w.take()});
+    out.push_back({sim::AmType::kAgentHeap, w.payload()});
   }
 
   // --- reaction messages: one reaction each (36 bytes) -----------------------
@@ -165,7 +167,7 @@ std::vector<MigrationMessage> to_messages(const AgentImage& image,
     }
     w.zeros(4);
     assert(w.size() == kReactionMessageBytes);
-    out.push_back({sim::AmType::kAgentReaction, w.take()});
+    out.push_back({sim::AmType::kAgentReaction, w.payload()});
   }
 
   return out;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/agent.h"
+#include "sim/frame.h"
 #include "sim/types.h"
 #include "tuplespace/reaction.h"
 
@@ -54,10 +55,11 @@ struct AgentImage {
   void weaken();
 };
 
-/// One migration message: the AM type plus its payload.
+/// One migration message: the AM type plus its payload, frame-sized and
+/// inline.
 struct MigrationMessage {
   sim::AmType am = sim::AmType::kAgentState;
-  std::vector<std::uint8_t> payload;
+  sim::FramePayload payload;
 };
 
 /// Exact payload sizes (paper Fig. 5).

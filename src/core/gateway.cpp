@@ -300,8 +300,11 @@ void GatewayConsole::deliver_async(std::uint64_t id, bool ok,
   // Completions run inside the gateway mote's events — on a shard worker
   // under sim_shards > 1 — so results join the bus records' serial order
   // (and the driving thread) through defer().
+  // `text` is captured as a mutable copy: a deferred call must be
+  // nothrow-movable (sim::EventCallback), and a const member would copy.
   base_.gateway().simulator().defer(
-      [this, alive = std::weak_ptr<bool>(alive_), id, ok, text] {
+      [this, alive = std::weak_ptr<bool>(alive_), id, ok,
+       text = std::string(text)] {
         const auto guard = alive.lock();
         if (guard == nullptr || !*guard) {
           return;

@@ -66,7 +66,7 @@ void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
     handle_region_payload(w.data());
     return;
   }
-  router_.send(center, radius, sim::AmType::kRegionOut, w.take(), self_);
+  router_.send(center, radius, sim::AmType::kRegionOut, w.payload(), self_);
 }
 
 void RegionOps::on_seed(const net::GeoHeader& /*header*/,
@@ -123,7 +123,7 @@ void RegionOps::handle_region_payload(
     w.bytes(ref.bytes().first(*tuple_size));
     stats_.floods_relayed++;
     link_.send_unacked(sim::kBroadcastNode, sim::AmType::kRegionFlood,
-                       w.take());
+                       w.payload());
   }
 }
 

@@ -64,7 +64,7 @@ void RemoteTsManager::request_out(sim::Location dest, const ts::Tuple& tuple,
   w.u16(id);
   w.u8(static_cast<std::uint8_t>(RemoteOp::kOut));
   tuple.encode(w);
-  dispatch(id, dest, w.take(), std::move(done));
+  dispatch(id, dest, w.data(), std::move(done));
 }
 
 void RemoteTsManager::request_probe(RemoteOp op, sim::Location dest,
@@ -76,15 +76,15 @@ void RemoteTsManager::request_probe(RemoteOp op, sim::Location dest,
   w.u16(id);
   w.u8(static_cast<std::uint8_t>(op));
   templ.encode(w);
-  dispatch(id, dest, w.take(), std::move(done));
+  dispatch(id, dest, w.data(), std::move(done));
 }
 
 void RemoteTsManager::dispatch(std::uint16_t request_id, sim::Location dest,
-                               std::vector<std::uint8_t> request,
+                               std::span<const std::uint8_t> request,
                                Completion done) {
   Pending pending;
   pending.dest = dest;
-  pending.request = std::move(request);
+  pending.request.assign(request.begin(), request.end());
   pending.done = std::move(done);
   pending_[request_id] = std::move(pending);
   stats_.requests_sent++;
@@ -177,12 +177,13 @@ void RemoteTsManager::on_request(const net::GeoHeader& header,
   }
 
   stats_.requests_served++;
-  replay_.push_back(CachedReply{key, reply.data()});
+  replay_.push_back(CachedReply{
+      key, std::vector<std::uint8_t>(reply.data().begin(), reply.data().end())});
   while (replay_.size() > kReplayCache) {
     replay_.pop_front();
   }
   router_.send(header.origin, sim::kAddressEpsilon, sim::AmType::kTsReply,
-               reply.take(), self_);
+               reply.payload(), self_);
 }
 
 void RemoteTsManager::on_reply(const net::GeoHeader& /*header*/,

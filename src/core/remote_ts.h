@@ -86,7 +86,7 @@ class RemoteTsManager {
   };
 
   void dispatch(std::uint16_t request_id, sim::Location dest,
-                std::vector<std::uint8_t> request, Completion done);
+                std::span<const std::uint8_t> request, Completion done);
   void transmit(std::uint16_t request_id);
   void on_timeout(std::uint16_t request_id);
   void on_request(const net::GeoHeader& header,

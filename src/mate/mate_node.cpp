@@ -90,7 +90,7 @@ void MateNode::broadcast_capsules() {
     slot->write(w);
     stats_.capsules_broadcast++;
     link_.send_unacked(sim::kBroadcastNode, sim::AmType::kMateCapsule,
-                       w.take());
+                       w.payload());
   }
 }
 

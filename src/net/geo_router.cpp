@@ -91,7 +91,7 @@ GeoRouter::Decision GeoRouter::decide(sim::Location dest,
 }
 
 void GeoRouter::send(sim::Location dest, double epsilon,
-                     sim::AmType inner_am, std::vector<std::uint8_t> payload,
+                     sim::AmType inner_am, const sim::FramePayload& payload,
                      sim::Location origin) {
   GeoHeader header;
   header.inner_am = inner_am;
@@ -121,7 +121,7 @@ void GeoRouter::forward(const GeoHeader& header,
       next.write(w);
       w.bytes(inner);
       stats_.forwarded++;
-      link_.send_unacked(decision.next_hop, sim::AmType::kGeo, w.take());
+      link_.send_unacked(decision.next_hop, sim::AmType::kGeo, w.payload());
       return;
     }
     case Decision::Kind::kNoRoute: {

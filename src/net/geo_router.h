@@ -74,7 +74,7 @@ class GeoRouter {
   /// Delivered to the first node within `epsilon` of `dest` along the
   /// greedy path; silently dropped on routing failure (best effort).
   void send(sim::Location dest, double epsilon, sim::AmType inner_am,
-            std::vector<std::uint8_t> payload, sim::Location origin);
+            const sim::FramePayload& payload, sim::Location origin);
 
   struct Decision {
     enum class Kind { kDeliverLocal, kForward, kNoRoute };

@@ -21,45 +21,48 @@ void LinkLayer::register_handler(sim::AmType am, Handler handler) {
   handlers_.set(am, std::move(handler));
 }
 
-std::vector<std::uint8_t> LinkLayer::frame_payload(
-    std::uint8_t seq, bool wants_ack, sim::AmType am,
-    std::span<const std::uint8_t> payload) const {
-  std::vector<std::uint8_t> piggyback;
-  if (piggyback_provider_ && am != sim::AmType::kBeacon &&
+Writer LinkLayer::frame_payload(std::uint8_t seq, bool wants_ack,
+                               sim::AmType am,
+                               std::span<const std::uint8_t> payload) const {
+  const bool piggyback =
+      piggyback_provider_ && am != sim::AmType::kBeacon &&
       LinkHeader::kWireSize + payload.size() + BeaconPayload::kWireSize <=
-          kMaxPayloadBytes) {
-    piggyback = piggyback_provider_();
-  }
+          kMaxPayloadBytes;
   Writer w;
-  LinkHeader{seq, wants_ack, /*has_piggyback=*/!piggyback.empty()}.write(w);
+  LinkHeader{seq, wants_ack, piggyback}.write(w);
   w.bytes(payload);
-  w.bytes(piggyback);
-  return w.take();
+  if (piggyback) {
+    piggyback_provider_().write(w);
+  }
+  return w;
 }
 
 void LinkLayer::send_frame(sim::NodeId dst, sim::AmType am,
-                           std::vector<std::uint8_t> payload) {
+                           const sim::FramePayload& payload) {
   std::optional<sim::SimTime> preamble;
   if (preamble_oracle_) {
     preamble = preamble_oracle_(dst);
   }
-  network_.send(sim::Frame{self_, dst, am, std::move(payload), preamble});
+  network_.send(sim::Frame{self_, dst, am, payload, preamble});
 }
 
 void LinkLayer::send_unacked(sim::NodeId dst, sim::AmType am,
-                             std::vector<std::uint8_t> payload) {
+                             const sim::FramePayload& payload) {
   send_frame(dst, am,
-             frame_payload(next_seq_++, /*wants_ack=*/false, am, payload));
+             frame_payload(next_seq_++, /*wants_ack=*/false, am, payload)
+                 .payload());
 }
 
 void LinkLayer::send_acked(sim::NodeId dst, sim::AmType am,
-                           std::vector<std::uint8_t> payload,
+                           const sim::FramePayload& payload,
                            SendCallback done) {
   const std::uint8_t seq = next_seq_++;
   Pending pending;
   pending.dst = dst;
   pending.am = am;
-  pending.payload = frame_payload(seq, /*wants_ack=*/true, am, payload);
+  pending.payload =
+      frame_payload(seq, /*wants_ack=*/true, am, payload).payload();
+  pending.send_id = next_send_id_++;
   pending.done = std::move(done);
   pending_[seq] = std::move(pending);
   transmit(seq);
@@ -99,7 +102,7 @@ void LinkLayer::send_ack(sim::NodeId to, std::uint8_t seq) {
   Writer w;
   AckPayload{seq}.write(w);
   stats_.acks_sent++;
-  send_frame(to, sim::AmType::kAck, w.take());
+  send_frame(to, sim::AmType::kAck, w.payload());
 }
 
 bool* LinkLayer::find_duplicate(sim::NodeId from, std::uint8_t seq,
@@ -139,10 +142,19 @@ void LinkLayer::on_ack(const sim::Frame& frame) {
     return;  // stale or foreign ack
   }
   p->timer.cancel();
+  // Complete before erasing: a sender that queues its next acked message
+  // from `done` (a migration does, message by message) then reuses this
+  // entry's storage instead of the table freeing and reallocating it.
+  // `done` may have reused this very sequence number for its new send,
+  // which the send id tells apart.
+  const std::uint32_t send_id = p->send_id;
   auto done = std::move(p->done);
-  pending_.erase(ack.acked_seq);
   if (done) {
     done(true);
+  }
+  if (const Pending* q = pending_.find(ack.acked_seq);
+      q != nullptr && q->send_id == send_id) {
+    pending_.erase(ack.acked_seq);
   }
 }
 

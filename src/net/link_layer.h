@@ -59,9 +59,9 @@ class LinkLayer {
       std::function<std::optional<sim::SimTime>(sim::NodeId dst)>;
 
   /// Beacon suppression: the provider supplies the node's current
-  /// BeaconPayload bytes to append to outgoing data frames (empty = skip),
+  /// BeaconPayload, which the link layer appends to outgoing data frames;
   /// the sink consumes one arriving piggybacked on a neighbour's frame.
-  using PiggybackProvider = std::function<std::vector<std::uint8_t>()>;
+  using PiggybackProvider = std::function<BeaconPayload()>;
   using PiggybackSink =
       std::function<void(sim::NodeId from, std::span<const std::uint8_t>)>;
 
@@ -78,12 +78,12 @@ class LinkLayer {
   /// Fire-and-forget send (no ack, no retransmission). `dst` may be
   /// kBroadcastNode.
   void send_unacked(sim::NodeId dst, sim::AmType am,
-                    std::vector<std::uint8_t> payload);
+                    const sim::FramePayload& payload);
 
   /// Reliable one-hop send: retransmits on ack timeout, then reports
   /// success/failure through `done`. Multiple sends may be outstanding.
   void send_acked(sim::NodeId dst, sim::AmType am,
-                  std::vector<std::uint8_t> payload, SendCallback done);
+                  const sim::FramePayload& payload, SendCallback done);
 
   /// Must be called once after construction (wires the radio upcall).
   void attach();
@@ -103,7 +103,9 @@ class LinkLayer {
   struct Pending {
     sim::NodeId dst;
     sim::AmType am;
-    std::vector<std::uint8_t> payload;  // includes link header
+    sim::FramePayload payload;  ///< link header included
+    /// Tells this send apart from a later one that reused its sequence.
+    std::uint32_t send_id = 0;
     int attempts = 0;
     SendCallback done;
     sim::EventHandle timer;
@@ -112,13 +114,14 @@ class LinkLayer {
   void on_frame(const sim::Frame& frame);
   void on_ack(const sim::Frame& frame);
   void transmit(std::uint8_t seq);
-  /// Builds the frame payload: link header (+ piggybacked beacon when the
-  /// provider is set, the frame is not a beacon, and the budget allows).
-  [[nodiscard]] std::vector<std::uint8_t> frame_payload(
+  /// Writes the frame payload: link header, `payload`, and a piggybacked
+  /// beacon when the provider is set, the frame is not a beacon, and the
+  /// frame has room.
+  [[nodiscard]] Writer frame_payload(
       std::uint8_t seq, bool wants_ack, sim::AmType am,
       std::span<const std::uint8_t> payload) const;
   void send_frame(sim::NodeId dst, sim::AmType am,
-                  std::vector<std::uint8_t> payload);
+                  const sim::FramePayload& payload);
   void on_timeout(std::uint8_t seq);
   void send_ack(sim::NodeId to, std::uint8_t seq);
   /// Returns the acked-flag slot for a remembered (src, seq), or nullptr
@@ -145,6 +148,7 @@ class LinkLayer {
   std::vector<DedupEntry> dedup_;  // ring buffer
   std::size_t dedup_next_ = 0;
   std::uint8_t next_seq_ = 0;
+  std::uint32_t next_send_id_ = 0;
   Stats stats_;
 };
 

@@ -111,28 +111,26 @@ void NeighborTable::send_beacon() {
     table_changed_ = false;
   }
   last_advertised_ = state;
-  link_.send_unacked(sim::kBroadcastNode, sim::AmType::kBeacon,
-                     payload_for(state));
+  Writer w;
+  beacon_for(state).write(w);
+  link_.send_unacked(sim::kBroadcastNode, sim::AmType::kBeacon, w.payload());
   expire();
   beacon_timer_ = network_.simulator().schedule_in(
       current_beacon_interval(), link_.self(), [this] { send_beacon(); });
 }
 
-std::vector<std::uint8_t> NeighborTable::payload_for(
-    const BeaconSelfState& state) const {
+BeaconPayload NeighborTable::beacon_for(const BeaconSelfState& state) const {
   BeaconPayload beacon;
   beacon.location = self_;
   beacon.residual = state.residual;
   beacon.period_units = state.period_units;
   beacon.backoff_exp = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(backoff_exp_, 255));
-  Writer w;
-  beacon.write(w);
-  return w.take();
+  return beacon;
 }
 
-std::vector<std::uint8_t> NeighborTable::make_piggyback() const {
-  return payload_for(advertised_state());
+BeaconPayload NeighborTable::make_piggyback() const {
+  return beacon_for(advertised_state());
 }
 
 void NeighborTable::on_beacon(sim::NodeId from,

@@ -125,8 +125,8 @@ class NeighborTable {
   [[nodiscard]] std::optional<sim::SimTime> preamble_extension_for(
       sim::NodeId dst) const;
 
-  /// The node's current beacon payload bytes (piggyback provider).
-  [[nodiscard]] std::vector<std::uint8_t> make_piggyback() const;
+  /// The node's current beacon payload (piggyback provider).
+  [[nodiscard]] BeaconPayload make_piggyback() const;
   /// Consumes a piggybacked beacon from a data frame (piggyback sink).
   void on_piggyback(sim::NodeId from, std::span<const std::uint8_t> bytes);
 
@@ -153,8 +153,7 @@ class NeighborTable {
   void send_beacon();
   void on_beacon(sim::NodeId from, std::span<const std::uint8_t> payload);
   void upsert(sim::NodeId from, const BeaconPayload& beacon);
-  [[nodiscard]] std::vector<std::uint8_t> payload_for(
-      const BeaconSelfState& state) const;
+  [[nodiscard]] BeaconPayload beacon_for(const BeaconSelfState& state) const;
   void expire();
   void schedule_expiry_sweep();
   [[nodiscard]] BeaconSelfState advertised_state() const;

@@ -3,8 +3,9 @@
 // The paper's MICA2 TinyOS stack carries 27-byte payloads by default; the
 // real Agilla distribution raised TOSH_DATA_LENGTH so that a maximal tuple
 // plus headers fits in one frame. We allow 48-byte payloads for the same
-// reason and document it in DESIGN.md; the air-time model always charges
-// for the actual bytes transmitted, so radio timing stays honest.
+// reason (sim::kFramePayloadBytes) and document it in DESIGN.md; the
+// air-time model always charges for the actual bytes transmitted, so
+// radio timing stays honest.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +21,9 @@ namespace agilla::net {
 /// bytes "to fit within the 27 byte payload of a single TinyOS message").
 inline constexpr std::size_t kTinyOsPayloadBytes = 27;
 
-/// Our extended payload budget (see file comment).
-inline constexpr std::size_t kMaxPayloadBytes = 48;
+/// Our extended payload budget (see file comment): the frame's inline
+/// payload capacity.
+inline constexpr std::size_t kMaxPayloadBytes = sim::kFramePayloadBytes;
 
 /// Locations travel as Q10.6 fixed point: int16 = round(coordinate * 64).
 /// Grid coordinates in the paper are small integers, so this is exact for

@@ -5,8 +5,9 @@
 namespace agilla::net {
 
 void Writer::u16(std::uint16_t v) {
-  bytes_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
+  std::uint8_t* at = bytes_.extend(2);
+  at[0] = static_cast<std::uint8_t>(v & 0xFF);
+  at[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
 void Writer::u32(std::uint32_t v) {
@@ -15,10 +16,10 @@ void Writer::u32(std::uint32_t v) {
 }
 
 void Writer::bytes(std::span<const std::uint8_t> data) {
-  bytes_.insert(bytes_.end(), data.begin(), data.end());
+  std::copy(data.begin(), data.end(), bytes_.extend(data.size()));
 }
 
-void Writer::zeros(std::size_t n) { bytes_.insert(bytes_.end(), n, 0); }
+void Writer::zeros(std::size_t n) { std::fill_n(bytes_.extend(n), n, 0); }
 
 bool Reader::ensure(std::size_t n) {
   if (pos_ + n > data_.size()) {

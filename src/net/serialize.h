@@ -6,21 +6,17 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <utility>
-#include <vector>
+
+#include "sim/frame.h"
 
 namespace agilla::net {
 
+/// Writes into a frame-sized inline buffer (sim::FramePayload): every
+/// wire struct in the program fits one radio frame, so writing allocates
+/// nothing, and writing past the frame throws std::length_error.
 class Writer {
  public:
-  Writer() = default;
-  /// Appends after `bytes`, adopting its storage: writing into a buffer
-  /// whose capacity already fits the output allocates nothing.
-  explicit Writer(std::vector<std::uint8_t>&& bytes)
-      : bytes_(std::move(bytes)) {}
-
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
+  void u8(std::uint8_t v) { *bytes_.extend(1) = v; }
   void u16(std::uint16_t v);
   void i16(std::int16_t v) { u16(static_cast<std::uint16_t>(v)); }
   void u32(std::uint32_t v);
@@ -29,13 +25,11 @@ class Writer {
   void zeros(std::size_t n);
 
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const {
-    return bytes_;
-  }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
+  [[nodiscard]] std::span<const std::uint8_t> data() const { return bytes_; }
+  [[nodiscard]] const sim::FramePayload& payload() const { return bytes_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  sim::FramePayload bytes_;
 };
 
 class Reader {

@@ -1,10 +1,15 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <cassert>
-#include <utility>
+#include <stdexcept>
 
 namespace agilla::sim {
+
+namespace {
+/// A 4-ary heap: children of i are 4i+1 .. 4i+4. Half the depth of a
+/// binary heap, and a node's children share one or two cache lines.
+constexpr std::size_t kArity = 4;
+}  // namespace
 
 void EventHandle::cancel() {
   if (queue_ != nullptr) {
@@ -21,81 +26,132 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
                   std::move(cb));
 }
 
-EventHandle EventQueue::schedule(EventKey key, StreamId target, Callback cb) {
+EventHandle EventQueue::schedule(const EventKey& key, StreamId target,
+                                 Callback&& cb) {
+  if ((key.stream >> kStreamBits) != 0 || (key.seq >> kSeqBits) != 0) {
+    throw std::overflow_error(
+        "EventQueue: stream or sequence past the packed key's range");
+  }
+  if (!cb) {
+    throw std::invalid_argument("EventQueue: empty callback");
+  }
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    if (slot_count_ % kPageSlots == 0) {
+      pages_.push_back(std::make_unique<Slot[]>(kPageSlots));
+    }
+    slot = slot_count_++;
   }
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.callback = std::move(cb);
   s.target = target;
-  s.live = true;
-  heap_.push_back(HeapEntry{key, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  // Sift up from the new leaf.
+  const Entry entry{key.time,
+                    (std::uint64_t{key.stream} << kSeqBits) | key.seq, slot,
+                    s.generation};
+  std::size_t i = heap_.size();
+  heap_.emplace_back();
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(entry, heap_[parent])) {
+      break;
+    }
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = entry;
   ++live_;
   return EventHandle(this, slot, s.generation);
 }
 
+void EventQueue::pop_root() const {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  // Sift the former last entry down from the root.
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) {
+      break;
+    }
+    const std::size_t end = first + kArity < n ? first + kArity : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      best = before(heap_[c], heap_[best]) ? c : best;
+    }
+    if (!before(heap_[best], last)) {
+      break;
+    }
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
+void EventQueue::recycle(std::uint32_t slot) {
+  slot_at(slot).generation++;
+  free_slots_.push_back(slot);
+}
+
 void EventQueue::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
-  if (slot >= slots_.size()) {
+  if (slot >= slot_count_) {
     return;
   }
-  Slot& s = slots_[slot];
-  if (s.generation != generation || !s.live) {
+  Slot& s = slot_at(slot);
+  if (s.generation != generation) {
     return;
   }
-  // Release the closure eagerly; the heap entry stays until it surfaces,
-  // at which point the slot is recycled.
-  s.live = false;
-  s.callback = nullptr;
+  // Release the closure and the slot now; the heap entry stays until it
+  // surfaces, dead by its stale generation.
+  s.callback.reset();
+  recycle(slot);
   assert(live_ > 0);
   --live_;
 }
 
 bool EventQueue::slot_pending(std::uint32_t slot,
                               std::uint32_t generation) const {
-  return slot < slots_.size() && slots_[slot].generation == generation &&
-         slots_[slot].live;
+  return slot < slot_count_ && slot_at(slot).generation == generation;
 }
 
 void EventQueue::prune_dead_head() const {
-  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
-    const std::uint32_t slot = heap_.front().slot;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    slots_[slot].generation++;
-    free_slots_.push_back(slot);
+  while (!heap_.empty() && !live(heap_.front())) {
+    pop_root();
   }
 }
 
 SimTime EventQueue::next_time() const {
   prune_dead_head();
   assert(!heap_.empty());
-  return heap_.front().key.time;
+  return heap_.front().time;
 }
 
 const EventKey* EventQueue::peek_key() const {
   prune_dead_head();
-  return heap_.empty() ? nullptr : &heap_.front().key;
+  if (heap_.empty()) {
+    return nullptr;
+  }
+  head_key_ = key_of(heap_.front());
+  return &head_key_;
 }
 
 EventQueue::Fired EventQueue::pop() {
   prune_dead_head();
   assert(!heap_.empty());
-  const HeapEntry head = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  Slot& s = slots_[head.slot];
-  assert(s.live);
-  Fired fired{head.key.time, head.key, s.target, std::move(s.callback)};
-  s.callback = nullptr;
-  s.live = false;
-  s.generation++;
-  free_slots_.push_back(head.slot);
+  const Entry head = heap_.front();
+  pop_root();
+  Slot& s = slot_at(head.slot);
+  assert(s.callback);
+  const EventKey key = key_of(head);
+  Fired fired{key.time, key, s.target, std::move(s.callback)};
+  recycle(head.slot);
   assert(live_ > 0);
   --live_;
   return fired;

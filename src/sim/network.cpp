@@ -149,6 +149,7 @@ void Network::configure_shards(std::size_t shards) {
   }
   sim_.configure_shards(shards, std::move(map), min_frame_latency());
   shard_stats_.assign(sim_.shard_count(), NetworkStats{});
+  tx_pools_.assign(sim_.shard_count(), TxPool{});
 }
 
 NetworkStats& Network::stats_for(NodeId id) {
@@ -254,7 +255,7 @@ void Network::schedule_settle_tick() {
       // frames plus the one on air) counts toward "busy" so a loaded
       // node does not widen its check period mid-burst.
       const auto tx_pending = static_cast<std::uint32_t>(
-          node.tx_queue.size() + (node.in_flight ? 1 : 0));
+          node.tx_queued + (node.transmitting ? 1 : 0));
       const bool fraction_changed =
           node.alive && node.duty.observe(heard, tx_pending);
       if (!node.battery.has_value()) {
@@ -340,7 +341,7 @@ void Network::kill_node(NodeId id, NodeDownReason reason) {
   // Queued-but-unstarted frames die with the node. A frame already on
   // the air completes: its fate (and its receivers' events) was sealed
   // at transmit start — see DESIGN.md "Sharded event engine".
-  node.tx_queue.clear();
+  clear_tx(node);
   stats_for(id).node_deaths++;
   if (node_down_) {
     node_down_(id, reason);
@@ -361,7 +362,7 @@ void Network::revive_node(NodeId id) {
     return;  // nothing to boot with
   }
   node.alive = true;
-  node.tx_queue.clear();  // a fresh boot forgets queued frames
+  clear_tx(node);  // a fresh boot forgets queued frames
   if (energy_) {
     // The adaptive LPL controller's state lived in the wiped RAM: the
     // rebooted MAC restarts from the configured schedule.
@@ -398,8 +399,58 @@ const NodeInfo& Network::info(NodeId id) const {
 
 void Network::send(Frame frame) {
   auto& node = nodes_.at(frame.src.value);
-  node.tx_queue.push_back(std::move(frame));
-  try_start_tx(node);
+  if (node.transmitting || node.tx_queued != 0 || !node.info.radio_enabled) {
+    enqueue_tx(node, frame);
+    return;
+  }
+  start_tx(node, frame);
+}
+
+Network::TxPool& Network::tx_pool_for(NodeId id) {
+  if (tx_pools_.size() == 1) {
+    return tx_pools_.front();
+  }
+  return tx_pools_[sim_.shard_of(id)];
+}
+
+void Network::enqueue_tx(NodeState& node, const Frame& frame) {
+  TxPool& pool = tx_pool_for(node.info.id);
+  std::uint32_t cell = pool.free;
+  if (cell != kNoCell) {
+    pool.free = pool.cells[cell].next;
+    pool.cells[cell] = TxCell{frame, kNoCell};
+  } else {
+    cell = static_cast<std::uint32_t>(pool.cells.size());
+    pool.cells.push_back(TxCell{frame, kNoCell});
+  }
+  if (node.tx_tail == kNoCell) {
+    node.tx_head = cell;
+  } else {
+    pool.cells[node.tx_tail].next = cell;
+  }
+  node.tx_tail = cell;
+  ++node.tx_queued;
+}
+
+Frame Network::dequeue_tx(NodeState& node) {
+  assert(node.tx_queued > 0);
+  TxPool& pool = tx_pool_for(node.info.id);
+  const std::uint32_t cell = node.tx_head;
+  TxCell& entry = pool.cells[cell];
+  node.tx_head = entry.next;
+  if (node.tx_head == kNoCell) {
+    node.tx_tail = kNoCell;
+  }
+  --node.tx_queued;
+  entry.next = pool.free;
+  pool.free = cell;
+  return entry.frame;
+}
+
+void Network::clear_tx(NodeState& node) {
+  while (node.tx_queued > 0) {
+    (void)dequeue_tx(node);
+  }
 }
 
 SimTime Network::preamble_for(const NodeState& sender,
@@ -408,33 +459,38 @@ SimTime Network::preamble_for(const NodeState& sender,
 }
 
 void Network::try_start_tx(NodeState& node) {
-  if (node.in_flight != nullptr || node.tx_queue.empty() ||
-      !node.info.radio_enabled) {
+  if (node.transmitting || node.tx_queued == 0 || !node.info.radio_enabled) {
     return;
   }
-  node.in_flight =
-      std::make_shared<const Frame>(std::move(node.tx_queue.front()));
-  node.tx_queue.pop_front();
-  const Frame& frame = *node.in_flight;
+  start_tx(node, dequeue_tx(node));
+}
+
+void Network::start_tx(NodeState& node, const Frame& frame) {
+  node.transmitting = true;
   // MAC jitter from the sender's stream: every duration is therefore
   // >= min_frame_latency(), the sharded engine's lookahead.
   const SimTime duration = air_time(frame.payload.size()) +
                            preamble_for(node, frame) +
                            sim_.node_rng(frame.src).uniform(kMaxJitter + 1);
-  launch_frame(node, sim_.now() + duration);
+  launch_frame(node, frame, sim_.now() + duration);
 }
 
-void Network::launch_frame(NodeState& node, SimTime arrival) {
+void Network::launch_frame(const NodeState& node, const Frame& frame,
+                           SimTime arrival) {
   // The frame's fate is decided here, at transmit start: each of the
   // sender's fixed receivers gets a delivery event in its own stream at
   // the arrival time. Receiver-local conditions (radio off, channel loss)
   // are evaluated at delivery, in the receiver's context.
-  const std::shared_ptr<const Frame> frame = node.in_flight;
-  if (frame->dst.is_broadcast()) {
+  const auto deliver = [this, &frame, arrival](NodeId rx, RxRole role) {
+    auto event = [this, frame, rx, role] { deliver_at(frame, rx, role); };
+    // The delivery event is the largest capture in the program; the
+    // event queue's inline callback capacity is sized to it.
+    static_assert(sizeof(event) == EventQueue::Callback::kCapacity);
+    sim_.schedule_at(arrival, rx, std::move(event));
+  };
+  if (frame.dst.is_broadcast()) {
     for (const NodeId rx : node.receivers()) {
-      sim_.schedule_at(arrival, rx, [this, frame, rx] {
-        deliver_at(frame, rx, RxRole::kBroadcast);
-      });
+      deliver(rx, RxRole::kBroadcast);
     }
   } else {
     // Overhearing (energy option, off in the paper model): every awake
@@ -444,31 +500,24 @@ void Network::launch_frame(NodeState& node, SimTime arrival) {
     // adaptive-LPL controller acts on), no records, no randomness.
     if (energy_ && energy_->options.overhearing) {
       for (const NodeId rx : node.receivers()) {
-        if (rx == frame->dst) {
-          continue;
+        if (rx != frame.dst) {
+          deliver(rx, RxRole::kOverhear);
         }
-        sim_.schedule_at(arrival, rx, [this, frame, rx] {
-          deliver_at(frame, rx, RxRole::kOverhear);
-        });
       }
     }
-    if (node.hears(frame->dst)) {
-      const NodeId rx = frame->dst;
-      sim_.schedule_at(arrival, rx, [this, frame, rx] {
-        deliver_at(frame, rx, RxRole::kUnicast);
-      });
+    if (node.hears(frame.dst)) {
+      deliver(frame.dst, RxRole::kUnicast);
     }
     // Out-of-range / invalid destinations are counted unreachable at
     // finish_tx, sender-side.
   }
-  const NodeId src = node.info.id;
-  sim_.schedule_at(arrival, src, [this, src] { finish_tx(src); });
+  sim_.schedule_at(arrival, frame.src, [this, frame] { finish_tx(frame); });
 }
 
-void Network::finish_tx(NodeId id) {
+void Network::finish_tx(const Frame& frame) {
+  const NodeId id = frame.src;
   auto& node = nodes_.at(id.value);
-  assert(node.in_flight != nullptr);
-  const Frame& frame = *node.in_flight;
+  assert(node.transmitting);
   NetworkStats& stats = stats_for(id);
   stats.frames_sent++;
   stats.sent_by_type[static_cast<std::uint8_t>(frame.am)]++;
@@ -482,7 +531,7 @@ void Network::finish_tx(NodeId id) {
                                preamble_for(node, frame)));
   }
   emit_frame(EventKind::kFrameTx, frame, id, false);
-  node.in_flight.reset();
+  node.transmitting = false;
   try_start_tx(node);
 }
 
@@ -499,8 +548,7 @@ void Network::emit_frame(EventKind kind, const Frame& frame, NodeId node,
   sim_.emit(event);
 }
 
-void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
-                         NodeId rx_id, RxRole role) {
+void Network::deliver_at(const Frame& frame, NodeId rx_id, RxRole role) {
   auto& rx = nodes_.at(rx_id.value);
   if (!rx.info.radio_enabled) {
     if (role == RxRole::kUnicast) {
@@ -508,8 +556,7 @@ void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
     }
     return;
   }
-  const SimTime decode_time =
-      serialization_time(frame->payload.size());
+  const SimTime decode_time = serialization_time(frame.payload.size());
   if (role == RxRole::kOverhear) {
     charge(rx, energy::EnergyComponent::kRadioRx,
            energy::radio_rx_mj(decode_time));
@@ -522,16 +569,16 @@ void Network::deliver_at(const std::shared_ptr<const Frame>& frame,
   }
   // Loss draws from the receiver's stream: which frames a node loses is a
   // fact about that node's channel, invariant across shard layouts.
-  const std::size_t on_air = frame->payload.size() + kHeaderBytes;
+  const std::size_t on_air = frame.payload.size() + kHeaderBytes;
   if (sim_.node_rng(rx_id).chance(loss_.probability(on_air))) {
     stats_for(rx_id).frames_lost++;
-    emit_frame(EventKind::kFrameRx, *frame, rx_id, /*lost=*/true);
+    emit_frame(EventKind::kFrameRx, frame, rx_id, /*lost=*/true);
     return;
   }
   stats_for(rx_id).frames_delivered++;
-  emit_frame(EventKind::kFrameRx, *frame, rx_id, /*lost=*/false);
+  emit_frame(EventKind::kFrameRx, frame, rx_id, /*lost=*/false);
   if (rx.receiver) {
-    rx.receiver(*frame);
+    rx.receiver(frame);
   }
 }
 

@@ -28,7 +28,9 @@
 // RNG), RX energy, and the upcall all happen there. Since every
 // frame costs at least min_frame_latency() of virtual time, that latency
 // is the conservative lookahead window the sharded simulator synchronizes
-// on. A frame's fate is sealed when it starts: a sender killed mid-flight
+// on. Each of those events carries its own copy of the flat frame (see
+// sim/frame.h), so nothing is shared between receivers, shards or the
+// sender, and a cross-shard delivery is self-contained in the outbox. A frame's fate is sealed when it starts: a sender killed mid-flight
 // no longer dooms the frame (the pre-death queue is dropped at kill time
 // instead) — see DESIGN.md for why zero-lookahead sender/receiver
 // coupling cannot shard.
@@ -47,7 +49,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -55,7 +56,7 @@
 
 #include "energy/battery.h"
 #include "energy/energy_model.h"
-#include "sim/fifo.h"
+#include "sim/frame.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
 
@@ -74,18 +75,6 @@ struct ChannelLoss {
   double per_byte_loss = 0.0;  ///< additional loss per on-air byte
 
   [[nodiscard]] double probability(std::size_t on_air_bytes) const;
-};
-
-/// A radio-level packet. Payload layouts are defined by the net/ layer.
-struct Frame {
-  NodeId src;
-  NodeId dst;  ///< kBroadcastNode for beacons
-  AmType am = AmType::kAck;
-  std::vector<std::uint8_t> payload;
-  /// LPL preamble extension for THIS frame, set by the sender's net layer
-  /// when it knows the receiver's advertised check period (adaptive LPL).
-  /// nullopt = use the node's own duty-cycler extension (static LPL).
-  std::optional<SimTime> preamble;
 };
 
 // Radio timing.
@@ -156,7 +145,9 @@ class Network {
   void set_receiver(NodeId id, ReceiveHandler handler);
 
   /// Queue a frame for transmission from frame.src. Takes effect in virtual
-  /// time; the call itself returns immediately.
+  /// time; the call itself returns immediately. A payload over
+  /// kFramePayloadBytes cannot reach the radio: building the frame throws
+  /// std::length_error (FramePayload checks every byte it takes in).
   void send(Frame frame);
 
   /// Turn a node's radio on/off. A disabled node neither starts
@@ -250,13 +241,19 @@ class Network {
   [[nodiscard]] NetworkStats stats() const;
 
  private:
+  static constexpr std::uint32_t kNoCell = 0xFFFFFFFF;
+
   struct NodeState {
     NodeInfo info;
     ReceiveHandler receiver;
-    Fifo<Frame> tx_queue;
-    /// The frame currently on the air (shared with its per-receiver
-    /// delivery events). Non-null == transmitting.
-    std::shared_ptr<const Frame> in_flight;
+    /// Frames waiting for the radio: a list through the shard's TX pool
+    /// (first and last cell, kNoCell when empty). A send to an idle radio
+    /// goes on the air at once and never queues.
+    std::uint32_t tx_head = kNoCell;
+    std::uint32_t tx_tail = kNoCell;
+    std::uint32_t tx_queued = 0;
+    /// A frame is on the air (its finish event carries the frame).
+    bool transmitting = false;
     bool alive = true;
     std::optional<energy::Battery> battery;
     /// Per-node LPL schedule (meaningful only when energy is attached;
@@ -291,18 +288,40 @@ class Network {
     kOverhear,    ///< in-range bystander: RX energy for the decode only
   };
 
+  /// Frames queued behind busy radios, one pool per shard: a cell holds a
+  /// frame and the next cell of its node's queue (or of the free list).
+  /// A pool keeps the most cells its shard ever had queued at once,
+  /// rather than every node keeping the capacity of its longest queue.
+  struct TxCell {
+    Frame frame;
+    std::uint32_t next = kNoCell;
+  };
+  struct TxPool {
+    std::vector<TxCell> cells;
+    std::uint32_t free = kNoCell;
+  };
+  [[nodiscard]] TxPool& tx_pool_for(NodeId id);
+  void enqueue_tx(NodeState& node, const Frame& frame);
+  /// Removes and returns the node's oldest queued frame (queue not empty).
+  [[nodiscard]] Frame dequeue_tx(NodeState& node);
+  /// Drops every frame the node has queued.
+  void clear_tx(NodeState& node);
+  /// Puts the next queued frame on the air if the radio is free.
   void try_start_tx(NodeState& node);
+  /// Puts `frame` on the air now: draws the MAC jitter and launches it.
+  void start_tx(NodeState& node, const Frame& frame);
   /// Enumerates receivers and schedules their delivery events plus the
-  /// sender-side finish, all at `arrival`.
-  void launch_frame(NodeState& node, SimTime arrival);
-  void finish_tx(NodeId id);
+  /// sender-side finish, all at `arrival`, each with its own copy of the
+  /// frame.
+  void launch_frame(const NodeState& node, const Frame& frame,
+                    SimTime arrival);
+  void finish_tx(const Frame& frame);
   /// kFrameTx (node = sender) or kFrameRx (node = receiver) record.
   void emit_frame(EventKind kind, const Frame& frame, NodeId node, bool lost);
   /// Receiver-side delivery: runs in the receiver's stream at arrival
   /// time — alive/radio checks, loss draw from the receiver's RNG, RX
   /// energy, stats, and the upcall.
-  void deliver_at(const std::shared_ptr<const Frame>& frame, NodeId rx,
-                  RxRole role);
+  void deliver_at(const Frame& frame, NodeId rx, RxRole role);
   /// The LPL preamble extension this frame pays: its per-receiver
   /// override when the net layer set one, the sender's own schedule
   /// otherwise.
@@ -327,6 +346,7 @@ class Network {
   NodeUpHandler node_up_;
   /// One counter block per shard; stats() sums them.
   std::vector<NetworkStats> shard_stats_{1};
+  std::vector<TxPool> tx_pools_{1};
 };
 
 }  // namespace agilla::sim

@@ -139,7 +139,7 @@ void Simulator::ensure_node_streams(std::size_t count) {
 }
 
 EventHandle Simulator::schedule_key(SimTime at, StreamId target,
-                                    EventQueue::Callback cb) {
+                                    EventQueue::Callback&& cb) {
   ExecContext* ctx = current_context();
   const StreamId origin = ctx != nullptr ? ctx->stream : kKernelStream;
   assert(target < streams_.size());
@@ -255,10 +255,10 @@ void Simulator::deliver(const Event& event) {
     return;
   }
   shards_[ctx->shard].emitted.push_back(
-      Emitted{ctx->key, ctx->emitted++, event, nullptr});
+      Emitted{ctx->key, ctx->emitted++, event, {}});
 }
 
-void Simulator::defer(std::function<void()> call) {
+void Simulator::defer(EventQueue::Callback call) {
   ExecContext* ctx = current_context();
   if (ctx == nullptr || shards_.size() == 1) {
     call();
@@ -278,13 +278,13 @@ void Simulator::flush_emitted() {
   }
   std::vector<std::size_t> cursor(shards_.size(), 0);
   for (;;) {
-    const Emitted* next = nullptr;
+    Emitted* next = nullptr;
     std::size_t from = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (cursor[s] == shards_[s].emitted.size()) {
         continue;
       }
-      const Emitted& head = shards_[s].emitted[cursor[s]];
+      Emitted& head = shards_[s].emitted[cursor[s]];
       if (next == nullptr ||
           std::tie(head.key, head.index) < std::tie(next->key, next->index)) {
         next = &head;

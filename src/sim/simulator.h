@@ -35,7 +35,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -156,7 +155,7 @@ class Simulator {
   /// at its place in the same serial order as emit(): at once from
   /// kernel context or with one shard, at the next barrier, on the
   /// driving thread, inside a K>1 epoch.
-  void defer(std::function<void()> call);
+  void defer(EventQueue::Callback call);
 
  private:
   struct Stream {
@@ -180,7 +179,7 @@ class Simulator {
     EventKey key;         ///< the emitting event's intrinsic key
     std::uint32_t index;  ///< emission order within that event
     Event event;
-    std::function<void()> call;  ///< set for defer(), empty for emit()
+    EventQueue::Callback call;  ///< set for defer(), empty for emit()
   };
 
   /// Cache-line aligned: each worker writes its shard's counters on every
@@ -208,7 +207,7 @@ class Simulator {
 
   [[nodiscard]] ExecContext* current_context() const;
   EventHandle schedule_key(SimTime at, StreamId target,
-                           EventQueue::Callback cb);
+                           EventQueue::Callback&& cb);
   std::size_t drain(SimTime deadline);
   /// Executes shard events with key < bound; worker body and the inline
   /// single-shard path.

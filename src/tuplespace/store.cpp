@@ -24,11 +24,12 @@ bool LinearTupleStore::insert(const Tuple& tuple) {
     const std::size_t grown = std::max<std::size_t>(2 * buffer_.capacity(), 16);
     buffer_.reserve(std::min(capacity_, std::max(grown, needed)));
   }
-  // Encode the record straight onto the buffer's tail.
-  net::Writer w(std::move(buffer_));
+  // Encode the record inline, then append it: the buffer keeps its own
+  // exact growth policy instead of a frame-sized one.
+  net::Writer w;
   w.u8(static_cast<std::uint8_t>(size));
   tuple.encode(w);
-  buffer_ = w.take();
+  buffer_.insert(buffer_.end(), w.data().begin(), w.data().end());
   assert(buffer_.size() == needed);
   records_.push_back(RecordMeta{fingerprint_of(tuple),
                                 static_cast<std::uint8_t>(1 + size)});

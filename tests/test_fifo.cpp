@@ -103,19 +103,20 @@ TEST(Fifo, EraseByValueKeepsTheRestInOrder) {
   EXPECT_EQ(fifo.front(), 5);
 }
 
-TEST(Fifo, MovesFramesWithoutCopying) {
+TEST(Fifo, KeepsFlatFramesInOrder) {
   Fifo<Frame> fifo;
   for (std::uint8_t i = 0; i < 6; ++i) {
     Frame frame;
     frame.src = NodeId{i};
-    frame.payload.assign(40, i);
+    frame.payload = std::vector<std::uint8_t>(40, i);
     fifo.push_back(std::move(frame));
   }
   for (std::uint8_t i = 0; i < 6; ++i) {
     const Frame frame = std::move(fifo.front());
     fifo.pop_front();
     EXPECT_EQ(frame.src, NodeId{i});
-    EXPECT_EQ(frame.payload, std::vector<std::uint8_t>(40, i));
+    EXPECT_EQ(frame.payload,
+              FramePayload(std::vector<std::uint8_t>(40, i)));
   }
   EXPECT_TRUE(fifo.empty());
 }

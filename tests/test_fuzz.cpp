@@ -419,7 +419,8 @@ TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
     }
     net::Writer w;
     valid.encode(w);
-    const std::vector<std::uint8_t> encoded = w.take();
+    const std::vector<std::uint8_t> encoded(w.data().begin(),
+                                            w.data().end());
     check_all(encoded);  // the untouched encoding must agree too
 
     std::vector<std::uint8_t> truncated(

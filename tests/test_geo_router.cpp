@@ -195,7 +195,7 @@ TEST(GeoRouter, TtlBoundsForwarding) {
   Writer w;
   header.write(w);
   mesh.links[0]->send_unacked(mesh.topo.nodes[1], sim::AmType::kGeo,
-                              w.take());
+                              w.payload());
   mesh.sim.run_for(3 * sim::kSecond);
   EXPECT_EQ(delivered, 0);
   std::uint64_t expired = 0;

@@ -36,12 +36,31 @@ TEST(Network, UnicastDeliversToNeighbor) {
   const NodeId b = f.net.add_node({2, 1});
   std::vector<std::uint8_t> received;
   f.net.set_receiver(b, [&](const Frame& frame) {
-    received = frame.payload;
+    received.assign(frame.payload.begin(), frame.payload.end());
   });
   f.net.send(Frame{a, b, AmType::kBeacon, {1, 2, 3}, {}});
   f.sim.run();
   EXPECT_EQ(received, (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(f.net.stats().frames_delivered, 1u);
+}
+
+TEST(Network, SendCarriesAFullFrameAndRefusesALongerPayload) {
+  NetFixture f;
+  const NodeId a = f.net.add_node({1, 1});
+  const NodeId b = f.net.add_node({2, 1});
+  std::size_t received = 0;
+  f.net.set_receiver(b, [&](const Frame& frame) {
+    received = frame.payload.size();
+  });
+  const std::vector<std::uint8_t> full(kFramePayloadBytes, 0xAB);
+  f.net.send(Frame{a, b, AmType::kTsRequest, full, {}});
+  const std::vector<std::uint8_t> over(kFramePayloadBytes + 1, 0xCD);
+  EXPECT_THROW(f.net.send(Frame{a, b, AmType::kTsRequest, over, {}}),
+               std::length_error);
+  f.sim.run();
+  EXPECT_EQ(received, kFramePayloadBytes);
+  EXPECT_EQ(f.net.stats().frames_sent, 1u) << "the long frame never aired";
+  EXPECT_EQ(f.net.stats().bytes_on_air, kFramePayloadBytes + kHeaderBytes);
 }
 
 TEST(Network, DeliveryTakesAirTime) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace agilla::net {
 namespace {
+
+constexpr std::size_t kFrameBytes = sim::kFramePayloadBytes;
 
 TEST(Writer, LittleEndianLayout) {
   Writer w;
@@ -90,11 +94,22 @@ TEST(Reader, SkipAndRemaining) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(Writer, TakeMovesBuffer) {
+TEST(Writer, PayloadHoldsTheWrittenBytes) {
   Writer w;
   w.u8(7);
-  const std::vector<std::uint8_t> taken = w.take();
-  EXPECT_EQ(taken, (std::vector<std::uint8_t>{7}));
+  EXPECT_EQ(w.payload(), (sim::FramePayload{7}));
+}
+
+TEST(Writer, FillsOneFrameAndThrowsPastIt) {
+  Writer w;
+  w.zeros(kFrameBytes - 2);
+  w.u16(0xBEEF);
+  EXPECT_EQ(w.size(), kFrameBytes);
+  EXPECT_THROW(w.u8(1), std::length_error);
+  EXPECT_EQ(w.size(), kFrameBytes) << "a refused write leaves no bytes";
+  Writer v;
+  EXPECT_THROW(v.zeros(kFrameBytes + 1), std::length_error);
+  EXPECT_EQ(v.size(), 0u);
 }
 
 }  // namespace

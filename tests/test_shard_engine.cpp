@@ -16,6 +16,7 @@
 #include "core/assembler.h"
 #include "core/vm_dispatch.h"
 #include "sim/event_queue.h"
+#include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace agilla {
@@ -121,6 +122,89 @@ TEST(ShardEngine, ShardOfFollowsConfiguredMap) {
   EXPECT_EQ(sim.lookahead(), 500u);
   EXPECT_EQ(sim.shard_of(NodeId{0}), 0u);
   EXPECT_EQ(sim.shard_of(NodeId{3}), 1u);
+}
+
+// ------------------------------------ flat frames across shard outboxes
+
+/// What a receiver saw: arrival time, header and every payload byte.
+struct Heard {
+  SimTime at = 0;
+  NodeId src;
+  NodeId dst;
+  sim::AmType am = sim::AmType::kAck;
+  std::vector<std::uint8_t> payload;
+
+  friend bool operator==(const Heard&, const Heard&) = default;
+};
+
+/// An 8x2 strip of bare radios: every node sends six frames (broadcasts
+/// and unicasts to its right-hand neighbour, payloads from 0 to the full
+/// 48 bytes, every byte a function of sender and index) from its own
+/// stream, and every receiver logs what it heard. Each delivery event
+/// carries its own copy of the frame, so frames crossing a strip border
+/// ride the outbox by value; the sender's buffer is gone by then.
+std::vector<std::vector<Heard>> run_flat_frames(std::size_t shards,
+                                                std::size_t* crossed) {
+  constexpr std::uint32_t kNodes = 16;
+  Simulator sim(11);
+  sim::Network net(sim);
+  for (std::uint32_t x = 0; x < kNodes / 2; ++x) {
+    net.add_node({static_cast<double>(x), 0.0});
+    net.add_node({static_cast<double>(x), 1.0});
+  }
+  net.configure_shards(shards);
+  std::vector<std::vector<Heard>> heard(kNodes);
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    net.set_receiver(NodeId{n}, [&, n](const sim::Frame& frame) {
+      heard[n].push_back(Heard{sim.now(), frame.src, frame.dst, frame.am,
+                               {frame.payload.begin(), frame.payload.end()}});
+    });
+  }
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    sim.schedule_at(n * 100, NodeId{n}, [&net, n] {
+      for (std::uint32_t k = 0; k < 6; ++k) {
+        sim::Frame frame;
+        frame.src = NodeId{n};
+        const bool unicast = k % 2 == 1 && n + 2 < kNodes;
+        frame.dst = unicast ? NodeId{n + 2} : sim::kBroadcastNode;
+        frame.am = unicast ? sim::AmType::kTsRequest : sim::AmType::kBeacon;
+        const std::size_t length =
+            k == 5 ? sim::kFramePayloadBytes : (n * 7 + k * 11) % 40;
+        std::vector<std::uint8_t> bytes(length);
+        for (std::size_t i = 0; i < length; ++i) {
+          bytes[i] = static_cast<std::uint8_t>(n * 31 + k * 7 + i);
+        }
+        frame.payload = bytes;
+        net.send(frame);
+      }
+    });
+  }
+  sim.run();
+  *crossed = 0;
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    for (const Heard& h : heard[n]) {
+      *crossed += sim.shard_of(h.src) != sim.shard_of(NodeId{n}) ? 1 : 0;
+    }
+  }
+  return heard;
+}
+
+TEST(ShardEngine, FlatFramesCrossShardOutboxesByValue) {
+  std::size_t crossed = 0;
+  const auto serial = run_flat_frames(1, &crossed);
+  EXPECT_EQ(crossed, 0u);
+  std::size_t full_frames = 0;
+  for (const auto& log : serial) {
+    for (const Heard& h : log) {
+      full_frames += h.payload.size() == sim::kFramePayloadBytes ? 1 : 0;
+    }
+  }
+  EXPECT_GT(full_frames, 16u);
+  for (const std::size_t shards : {2u, 4u}) {
+    const auto sharded = run_flat_frames(shards, &crossed);
+    EXPECT_GT(crossed, 0u) << shards << " shards";
+    EXPECT_EQ(sharded, serial) << shards << " shards";
+  }
 }
 
 // --------------------------------------- whole-deployment invariance

@@ -48,7 +48,7 @@ TEST(Tuple, DecodeRejectsTruncated) {
   const Tuple t{Value::number(5)};
   net::Writer w;
   t.encode(w);
-  auto bytes = w.take();
+  std::vector<std::uint8_t> bytes(w.data().begin(), w.data().end());
   bytes.pop_back();
   net::Reader r(bytes);
   EXPECT_FALSE(Tuple::decode(r).has_value());

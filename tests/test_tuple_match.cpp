@@ -17,7 +17,7 @@ namespace {
 std::vector<std::uint8_t> encode(const Tuple& t) {
   net::Writer w;
   t.encode(w);
-  return w.take();
+  return {w.data().begin(), w.data().end()};
 }
 
 TupleRef ref_of(const std::vector<std::uint8_t>& bytes) {
