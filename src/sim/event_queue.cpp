@@ -74,17 +74,29 @@ void EventQueue::pop_root() const {
   if (n == 0) {
     return;
   }
-  // Sift the former last entry down from the root.
+  // Sift the former last entry down from the root. A full group of four
+  // children is reduced as a tournament (two independent compares, then
+  // one), which keeps the compares off each other's critical path.
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = kArity * i + 1;
     if (first >= n) {
       break;
     }
-    const std::size_t end = first + kArity < n ? first + kArity : n;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      best = before(heap_[c], heap_[best]) ? c : best;
+    std::size_t best;
+    if (first + kArity <= n) {
+      const std::size_t left = before(heap_[first + 1], heap_[first])
+                                   ? first + 1
+                                   : first;
+      const std::size_t right = before(heap_[first + 3], heap_[first + 2])
+                                    ? first + 3
+                                    : first + 2;
+      best = before(heap_[right], heap_[left]) ? right : left;
+    } else {
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        best = before(heap_[c], heap_[best]) ? c : best;
+      }
     }
     if (!before(heap_[best], last)) {
       break;

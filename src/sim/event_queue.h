@@ -21,6 +21,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -101,12 +102,17 @@ class EventCallback {
   /// Destroys the held callable (its captures are released now).
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(storage_);
+      }
       ops_ = nullptr;
     }
   }
 
  private:
+  /// A trivially copyable capture (a delivery event's frame, most
+  /// timers' `this`) has no relocate or destroy: moving it is a
+  /// fixed-size copy of the storage, destroying it is nothing.
   struct Ops {
     void (*invoke)(void*);
     /// Move-constructs into `to` and destroys the source.
@@ -115,23 +121,34 @@ class EventCallback {
   };
 
   template <typename D>
+  static constexpr bool kTrivial = std::is_trivially_copyable_v<D> &&
+                                   std::is_trivially_destructible_v<D>;
+
+  template <typename D>
   static constexpr Ops kOps{
       [](void* p) { (*static_cast<D*>(p))(); },
-      [](void* from, void* to) {
-        D* src = static_cast<D*>(from);
-        ::new (to) D(std::move(*src));
-        src->~D();
-      },
-      [](void* p) { static_cast<D*>(p)->~D(); }};
+      kTrivial<D> ? nullptr
+                  : +[](void* from, void* to) {
+                      D* src = static_cast<D*>(from);
+                      ::new (to) D(std::move(*src));
+                      src->~D();
+                    },
+      kTrivial<D> ? nullptr
+                  : +[](void* p) { static_cast<D*>(p)->~D(); }};
 
   void take(EventCallback& other) noexcept {
     if (other.ops_ != nullptr) {
-      other.ops_->relocate(other.storage_, storage_);
+      if (other.ops_->relocate != nullptr) {
+        other.ops_->relocate(other.storage_, storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, kCapacity);
+      }
       ops_ = std::exchange(other.ops_, nullptr);
     }
   }
 
-  alignas(kAlign) unsigned char storage_[kCapacity];
+  /// Zeroed so a trivial relocation never copies indeterminate bytes.
+  alignas(kAlign) unsigned char storage_[kCapacity] = {};
   const Ops* ops_ = nullptr;
 };
 
@@ -228,12 +245,11 @@ class EventQueue {
   };
   static_assert(sizeof(Entry) <= 24);
 
-  /// Strict key order, computed without data-dependent branches.
+  /// Strict key order: one 128-bit (time, order) compare, which compiles
+  /// to a compare and a subtract-with-borrow, no branch.
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
-    return static_cast<bool>(
-        static_cast<int>(a.time < b.time) |
-        (static_cast<int>(a.time == b.time) &
-         static_cast<int>(a.order < b.order)));
+    __extension__ using Key = unsigned __int128;
+    return ((Key{a.time} << 64) | a.order) < ((Key{b.time} << 64) | b.order);
   }
   [[nodiscard]] static EventKey key_of(const Entry& e) {
     return EventKey{e.time, static_cast<StreamId>(e.order >> kSeqBits),

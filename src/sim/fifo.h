@@ -1,5 +1,5 @@
-// A vector-backed FIFO for the short per-mote queues (radio TX queue,
-// engine ready and pending-reaction queues, replay and flood caches).
+// A vector-backed FIFO for the short per-mote queues (engine ready and
+// pending-reaction queues, replay and flood caches).
 // Unlike std::deque, which allocates a 512-byte node plus its map even
 // while empty, it allocates nothing until the first push: most of these
 // queues sit empty on most motes (DESIGN.md "Per-mote footprint").
