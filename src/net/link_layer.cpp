@@ -21,9 +21,9 @@ void LinkLayer::register_handler(sim::AmType am, Handler handler) {
   handlers_.set(am, std::move(handler));
 }
 
-Writer LinkLayer::frame_payload(std::uint8_t seq, bool wants_ack,
-                               sim::AmType am,
-                               std::span<const std::uint8_t> payload) const {
+sim::FramePayload LinkLayer::frame_payload(
+    std::uint8_t seq, bool wants_ack, sim::AmType am,
+    std::span<const std::uint8_t> payload) const {
   const bool piggyback =
       piggyback_provider_ && am != sim::AmType::kBeacon &&
       LinkHeader::kWireSize + payload.size() + BeaconPayload::kWireSize <=
@@ -34,7 +34,7 @@ Writer LinkLayer::frame_payload(std::uint8_t seq, bool wants_ack,
   if (piggyback) {
     piggyback_provider_().write(w);
   }
-  return w;
+  return w.payload();
 }
 
 void LinkLayer::send_frame(sim::NodeId dst, sim::AmType am,
@@ -49,8 +49,7 @@ void LinkLayer::send_frame(sim::NodeId dst, sim::AmType am,
 void LinkLayer::send_unacked(sim::NodeId dst, sim::AmType am,
                              const sim::FramePayload& payload) {
   send_frame(dst, am,
-             frame_payload(next_seq_++, /*wants_ack=*/false, am, payload)
-                 .payload());
+             frame_payload(next_seq_++, /*wants_ack=*/false, am, payload));
 }
 
 void LinkLayer::send_acked(sim::NodeId dst, sim::AmType am,
@@ -60,8 +59,7 @@ void LinkLayer::send_acked(sim::NodeId dst, sim::AmType am,
   Pending pending;
   pending.dst = dst;
   pending.am = am;
-  pending.payload =
-      frame_payload(seq, /*wants_ack=*/true, am, payload).payload();
+  pending.payload = frame_payload(seq, /*wants_ack=*/true, am, payload);
   pending.send_id = next_send_id_++;
   pending.done = std::move(done);
   pending_[seq] = std::move(pending);

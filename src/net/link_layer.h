@@ -117,7 +117,7 @@ class LinkLayer {
   /// Writes the frame payload: link header, `payload`, and a piggybacked
   /// beacon when the provider is set, the frame is not a beacon, and the
   /// frame has room.
-  [[nodiscard]] Writer frame_payload(
+  [[nodiscard]] sim::FramePayload frame_payload(
       std::uint8_t seq, bool wants_ack, sim::AmType am,
       std::span<const std::uint8_t> payload) const;
   void send_frame(sim::NodeId dst, sim::AmType am,
