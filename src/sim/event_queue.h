@@ -11,11 +11,12 @@
 // Storage is a slab: each event's callback lives inline in a recycled
 // slot (EventCallback holds its capture in the slot itself, never on the
 // heap; slots sit in fixed pages that never move), and a 4-ary min-heap
-// orders 24-byte (time, stream|seq, slot) entries. EventHandles carry a (slot, generation) pair instead of a
-// heap-allocated alive flag; a cancelled handle whose slot has been
-// recycled simply sees a stale generation and becomes inert. Once the
-// slot pool and the heap have grown to the run's peak, scheduling,
-// cancelling and firing an event allocate nothing.
+// orders 24-byte (time, stream|seq, slot, generation) entries.
+// EventHandles carry a (slot, generation) pair instead of a heap-allocated
+// alive flag; a slot is recycled as soon as its event fires or is
+// cancelled, and a handle or heap entry from an earlier generation is
+// inert. Once the slot pool and the heap have grown to the run's peak,
+// scheduling, cancelling and firing an event allocate nothing.
 #pragma once
 
 #include <compare>
