@@ -61,13 +61,9 @@ class FramePayload {
 
   [[nodiscard]] const std::uint8_t* data() const { return bytes_.data(); }
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] const std::uint8_t* begin() const { return bytes_.data(); }
   [[nodiscard]] const std::uint8_t* end() const {
     return bytes_.data() + size_;
-  }
-  [[nodiscard]] std::uint8_t operator[](std::size_t i) const {
-    return bytes_[i];
   }
   operator std::span<const std::uint8_t>() const {
     return {bytes_.data(), size_};
