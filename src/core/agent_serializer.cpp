@@ -56,6 +56,14 @@ void AgentImage::weaken() {
   reactions.clear();
 }
 
+// Every migration message, the largest being a reaction, goes out as one
+// acked link frame.
+static_assert(std::max({kStateMessageBytes, kCodeMessageBytes,
+                        kHeapMessageBytes, kStackMessageBytes,
+                        kReactionMessageBytes}) +
+                  net::LinkHeader::kWireSize <=
+              net::kMaxPayloadBytes);
+
 std::vector<MigrationMessage> to_messages(const AgentImage& image,
                                           std::uint8_t transfer_id) {
   std::vector<MigrationMessage> out;

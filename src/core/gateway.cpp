@@ -521,7 +521,11 @@ std::string GatewayConsole::cmd_region(
   if (!parse_tuple(tokens, 5, &tuple, &error)) {
     return "error: " + error;
   }
-  base_.out_region(tuple, center, radius, mode);
+  if (!base_.out_region(tuple, center, radius, mode)) {
+    return "error: region tuple is " + std::to_string(tuple.wire_size()) +
+           " bytes, over the " + std::to_string(RegionOps::kMaxTupleBytes) +
+           "-byte region frame budget";
+  }
   return "ok: region out dispatched";
 }
 

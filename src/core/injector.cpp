@@ -31,9 +31,9 @@ void BaseStation::rout(sim::Location dest, const ts::Tuple& tuple,
   gateway_.remote_ts().request_out(dest, tuple, std::move(done));
 }
 
-void BaseStation::out_region(const ts::Tuple& tuple, sim::Location center,
+bool BaseStation::out_region(const ts::Tuple& tuple, sim::Location center,
                              double radius, RegionMode mode) {
-  gateway_.region_ops().out_region(tuple, center, radius, mode);
+  return gateway_.region_ops().out_region(tuple, center, radius, mode);
 }
 
 void BaseStation::rinp(sim::Location dest, const ts::Template& templ,

@@ -35,8 +35,10 @@ class BaseStation {
             RemoteTsManager::Completion done = nullptr);
 
   /// Region operation (Sec. 2.2 generalization): insert `tuple` on one or
-  /// all nodes within `radius` of `center`. Best effort, no reply.
-  void out_region(const ts::Tuple& tuple, sim::Location center,
+  /// all nodes within `radius` of `center`. Best effort, no reply; false
+  /// when the tuple is too large for a region frame
+  /// (RegionOps::kMaxTupleBytes).
+  bool out_region(const ts::Tuple& tuple, sim::Location center,
                   double radius, RegionMode mode = RegionMode::kAllNodes);
   void rinp(sim::Location dest, const ts::Template& templ,
             RemoteTsManager::Completion done);

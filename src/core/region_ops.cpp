@@ -1,5 +1,7 @@
 #include "core/region_ops.h"
 
+#include <cassert>
+
 #include "net/packet.h"
 #include "tuplespace/tuple_match.h"
 
@@ -49,8 +51,16 @@ bool RegionOps::remember(std::uint64_t key) {
   return true;
 }
 
-void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
+// A relayed flood carries the largest storable tuple in one frame.
+static_assert(net::LinkHeader::kWireSize + RegionOps::kHeaderBytes +
+                  ts::kMaxTupleWireBytes <=
+              net::kMaxPayloadBytes);
+
+bool RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
                            double radius, RegionMode mode) {
+  if (tuple.wire_size() > kMaxTupleBytes) {
+    return false;
+  }
   net::Writer w;
   w.u16(next_flood_id_++);
   net::write_location(w, self_);
@@ -62,11 +72,13 @@ void RegionOps::out_region(const ts::Tuple& tuple, sim::Location center,
 
   // Widening the geo epsilon to the region radius makes "deliver to the
   // first node inside the region" fall out of the ordinary routing rule.
+  assert(w.size() == kHeaderBytes + tuple.wire_size());
   if (within(self_, center, radius)) {
     handle_region_payload(w.data());
-    return;
+    return true;
   }
   router_.send(center, radius, sim::AmType::kRegionOut, w.payload(), self_);
+  return true;
 }
 
 void RegionOps::on_seed(const net::GeoHeader& /*header*/,

@@ -52,9 +52,18 @@ class RegionOps {
   RegionOps(const RegionOps&) = delete;
   RegionOps& operator=(const RegionOps&) = delete;
 
+  /// Region header bytes ahead of the tuple (wire layout below).
+  static constexpr std::size_t kHeaderBytes = 13;
+  /// Largest tuple (Tuple::wire_size) a region op carries: the geo-routed
+  /// seed must fit one frame, which leaves 22 of kMaxTupleWireBytes.
+  static constexpr std::size_t kMaxTupleBytes =
+      net::GeoRouter::kMaxInnerBytes - kHeaderBytes;
+
   /// Inserts `tuple` into the tuple space of node(s) within `radius` of
   /// `center`. Best-effort (like every Agilla remote op); no reply.
-  void out_region(const ts::Tuple& tuple, sim::Location center,
+  /// Returns false, sending nothing, when the tuple is over
+  /// kMaxTupleBytes.
+  bool out_region(const ts::Tuple& tuple, sim::Location center,
                   double radius, RegionMode mode);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -12,6 +12,9 @@ namespace {
 // Reply payload:    request_id(2) status(1) [tuple]
 constexpr std::uint8_t kStatusFail = 0;
 constexpr std::uint8_t kStatusOk = 1;
+// Both carry at most one tuple or template, so every request and reply
+// fits one geo-routed frame.
+static_assert(3 + ts::kMaxTupleWireBytes <= net::GeoRouter::kMaxInnerBytes);
 
 }  // namespace
 
@@ -64,7 +67,7 @@ void RemoteTsManager::request_out(sim::Location dest, const ts::Tuple& tuple,
   w.u16(id);
   w.u8(static_cast<std::uint8_t>(RemoteOp::kOut));
   tuple.encode(w);
-  dispatch(id, dest, w.data(), std::move(done));
+  dispatch(id, dest, w.payload(), std::move(done));
 }
 
 void RemoteTsManager::request_probe(RemoteOp op, sim::Location dest,
@@ -76,15 +79,15 @@ void RemoteTsManager::request_probe(RemoteOp op, sim::Location dest,
   w.u16(id);
   w.u8(static_cast<std::uint8_t>(op));
   templ.encode(w);
-  dispatch(id, dest, w.data(), std::move(done));
+  dispatch(id, dest, w.payload(), std::move(done));
 }
 
 void RemoteTsManager::dispatch(std::uint16_t request_id, sim::Location dest,
-                               std::span<const std::uint8_t> request,
+                               const sim::FramePayload& request,
                                Completion done) {
   Pending pending;
   pending.dest = dest;
-  pending.request.assign(request.begin(), request.end());
+  pending.request = request;
   pending.done = std::move(done);
   pending_[request_id] = std::move(pending);
   stats_.requests_sent++;
@@ -177,8 +180,7 @@ void RemoteTsManager::on_request(const net::GeoHeader& header,
   }
 
   stats_.requests_served++;
-  replay_.push_back(CachedReply{
-      key, std::vector<std::uint8_t>(reply.data().begin(), reply.data().end())});
+  replay_.push_back(CachedReply{key, reply.payload()});
   while (replay_.size() > kReplayCache) {
     replay_.pop_front();
   }

@@ -75,18 +75,18 @@ class RemoteTsManager {
  private:
   struct Pending {
     sim::Location dest;
-    std::vector<std::uint8_t> request;  // full request payload
+    sim::FramePayload request;  // full request payload
     Completion done;
     int attempts = 1;
     sim::EventHandle timer;
   };
   struct CachedReply {
     std::uint64_t key = 0;
-    std::vector<std::uint8_t> reply;
+    sim::FramePayload reply;
   };
 
   void dispatch(std::uint16_t request_id, sim::Location dest,
-                std::span<const std::uint8_t> request, Completion done);
+                const sim::FramePayload& request, Completion done);
   void transmit(std::uint16_t request_id);
   void on_timeout(std::uint16_t request_id);
   void on_request(const net::GeoHeader& header,

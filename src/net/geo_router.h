@@ -70,9 +70,17 @@ class GeoRouter {
   /// replacing any earlier one. Not from inside a handler (asserted).
   void register_handler(sim::AmType inner_am, Handler handler);
 
+  /// Largest inner payload send() takes: a frame minus the link and geo
+  /// headers. Forwarding keeps the header size, so a datagram that left
+  /// its origin fits every hop.
+  static constexpr std::size_t kMaxInnerBytes =
+      kMaxPayloadBytes - LinkHeader::kWireSize - GeoHeader::kWireSize;
+
   /// Originate a geographically-addressed datagram toward `dest`.
   /// Delivered to the first node within `epsilon` of `dest` along the
   /// greedy path; silently dropped on routing failure (best effort).
+  /// A payload over kMaxInnerBytes throws std::length_error: callers
+  /// bound what they put in (RegionOps refuses large tuples).
   void send(sim::Location dest, double epsilon, sim::AmType inner_am,
             const sim::FramePayload& payload, sim::Location origin);
 

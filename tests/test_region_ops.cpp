@@ -145,6 +145,35 @@ TEST(RegionOps, TriggersReactionsOnRegionNodes) {
                   .has_value());
 }
 
+TEST(RegionOps, TupleMustFitTheGeoRoutedFrame) {
+  // The seed crosses the mesh as link header + geo header + region
+  // header + tuple in one frame, which leaves 22 of a tuple's 25 bytes.
+  AgillaMesh mesh(MeshOptions{.width = 5, .height = 5});
+  mesh.warm();
+  const ts::Value loc = ts::Value::location({1, 1});
+  const ts::Tuple largest{loc, loc, loc, ts::Value::number(7),
+                          ts::Value::number(8)};
+  ASSERT_EQ(largest.wire_size(), RegionOps::kMaxTupleBytes);
+  const ts::Tuple over{loc, loc, loc, loc, ts::Value::number(9)};
+  ASSERT_GT(over.wire_size(), RegionOps::kMaxTupleBytes);
+
+  EXPECT_TRUE(mesh.at(0).region_ops().out_region(largest, {4, 4}, 1.2,
+                                                 RegionMode::kAllNodes));
+  // Refused whether or not the origin lies inside the region.
+  EXPECT_FALSE(mesh.at(0).region_ops().out_region(over, {4, 4}, 1.2,
+                                                  RegionMode::kAnyNode));
+  EXPECT_FALSE(mesh.at(0).region_ops().out_region(over, {0, 0}, 1.2,
+                                                  RegionMode::kAllNodes));
+  mesh.sim.run_for(5 * sim::kSecond);
+  EXPECT_EQ(nodes_holding(mesh, ts::Template{loc, loc, loc,
+                                             ts::Value::number(7),
+                                             ts::Value::number(8)}),
+            5u);
+  EXPECT_EQ(nodes_holding(mesh, ts::Template{loc, loc, loc, loc,
+                                             ts::Value::number(9)}),
+            0u);
+}
+
 TEST(RegionOps, BaseStationFacade) {
   AgillaMesh mesh(MeshOptions{.width = 3, .height = 1});
   mesh.warm();
