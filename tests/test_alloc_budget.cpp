@@ -1,11 +1,16 @@
 // Steady-state allocation budget of the event path (DESIGN.md "Sharded
 // event engine"). This binary replaces the global operator new with one
-// that counts calls, runs a 32x32 network_lifetime-shaped deployment
-// (battery attached, the fire world, the tracker and detector agents)
-// past its warm-up, and divides the allocations of the next 20 virtual
-// seconds by the events run_for executed in them. Beacons, radio frames,
-// deliveries and timers must not touch the heap: frames carry their
-// payload inline and event callbacks live inside the queue's slots.
+// that counts calls, runs a deployment past its warm-up, and divides the
+// allocations of the measured virtual seconds by the events run_for
+// executed in them. Two deployments:
+//  * a 32x32 network_lifetime-shaped mesh (battery attached, the fire
+//    world, the tracker and detector agents): beacons, radio frames,
+//    deliveries and timers must not touch the heap, since frames carry
+//    their payload inline and event callbacks live inside the queue's
+//    slots;
+//  * a 16x16 agent_dense-shaped mesh (a compute loop plus a tuple writer
+//    or rdp reader on every mote): the VM's operand stack, its tuple
+//    operands and the store's hit path must not touch the heap either.
 // The count is exact and deterministic, so the bound holds on any host
 // and in sanitizer builds alike.
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 
 #include "api/deployment.h"
 #include "core/agent_library.h"
+#include "core/assembler.h"
 #include "sim/environment.h"
 
 namespace {
@@ -75,6 +81,24 @@ long long allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+/// Allocations per event over `seconds` virtual seconds of `sim`.
+double allocations_per_event(sim::Simulator& sim, int seconds,
+                             std::size_t min_events) {
+  std::size_t events = 0;
+  const long long before = allocations();
+  for (int s = 0; s < seconds; ++s) {
+    events += sim.run_for(sim::kSecond);
+  }
+  const long long allocated = allocations() - before;
+  EXPECT_GT(events, min_events) << "the mesh should be busy";
+  const double per_event =
+      static_cast<double>(allocated) / static_cast<double>(events);
+  std::printf("alloc budget: %lld allocations over %zu events = %.4f per "
+              "event (bound %.2f)\n",
+              allocated, events, per_event, kMaxAllocationsPerEvent);
+  return per_event;
+}
+
 /// The lifetime benchmark's world on a 32x32 mesh: ignition at the far
 /// corner 15 s after injection, a fire detector flood and a tracker.
 std::unique_ptr<api::Deployment> build_lifetime_mesh() {
@@ -108,20 +132,105 @@ TEST(AllocBudget, LifetimeMeshSteadyStateAllocatesAlmostNothingPerEvent) {
   for (int s = 0; s < kWarmupSeconds; ++s) {
     sim.run_for(sim::kSecond);
   }
-  std::size_t events = 0;
-  const long long before = allocations();
-  for (int s = 0; s < kMeasuredSeconds; ++s) {
-    events += sim.run_for(sim::kSecond);
-  }
-  const long long allocated = allocations() - before;
-  ASSERT_GT(events, 100'000u) << "the mesh should be busy";
+  EXPECT_LE(allocations_per_event(sim, kMeasuredSeconds, 100'000),
+            kMaxAllocationsPerEvent);
   EXPECT_TRUE(mesh->death_log().empty());
-  const double per_event =
-      static_cast<double>(allocated) / static_cast<double>(events);
-  std::printf("alloc budget: %lld allocations over %zu events = %.4f per "
-              "event (bound %.2f)\n",
-              allocated, events, per_event, kMaxAllocationsPerEvent);
-  EXPECT_LE(per_event, kMaxAllocationsPerEvent);
+}
+
+// The agent_dense benchmark's agents: an endless arithmetic loop, and a
+// tuple agent that either churns its own tuple with out/inp or probes 20
+// stored fillers with rdp, half of the probes missing.
+constexpr const char* kComputeLoop = R"(
+BEGIN   pushc 0
+        setvar 0
+LOOP    getvar 0
+        inc
+        pushcl 1000
+        mod
+        copy
+        setvar 0
+        pushc 7
+        mul
+        pushc 3
+        add
+        pop
+        rjump LOOP
+)";
+
+constexpr const char* kTupleWriter = R"(
+BEGIN   pushc 0
+        setvar 0
+LOOP    pushn wr
+        getvar 0
+        pushc 2
+        out
+        pushn wr
+        getvar 0
+        pushc 2
+        inp
+        pop
+        pop
+        getvar 0
+        inc
+        pushcl 1000
+        mod
+        setvar 0
+        rjump LOOP
+)";
+
+constexpr const char* kTupleReader = R"(
+BEGIN   pushc 0
+        setvar 0
+FILL    pushn fil
+        getvar 0
+        pushc 2
+        out
+        getvar 0
+        inc
+        copy
+        setvar 0
+        pushc 20
+        ceq
+        rjumpc PROBE
+        rjump FILL
+PROBE   pushc 0
+        setvar 0
+LOOP    pushn fil
+        getvar 0
+        pushc 2
+        rdp
+        rjumpc HIT
+        rjump NEXT
+HIT     pop
+        pop
+NEXT    getvar 0
+        inc
+        pushc 40
+        mod
+        setvar 0
+        rjump LOOP
+)";
+
+TEST(AllocBudget, AgentDenseMeshTupleOpsAllocateAlmostNothingPerEvent) {
+  const auto compute = core::assemble_or_die(kComputeLoop);
+  const auto writer = core::assemble_or_die(kTupleWriter);
+  const auto reader = core::assemble_or_die(kTupleReader);
+  api::SimulationBuilder builder;
+  builder.grid(16, 16).seed(7).warmup(2 * sim::kSecond);
+  auto mesh = builder.build();
+  for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
+    core::AgillaMiddleware& mote = mesh->mote(i);
+    ASSERT_TRUE(mote.inject(compute).has_value());
+    ASSERT_TRUE(mote.inject(i % 2 == 1 ? writer : reader).has_value());
+  }
+  sim::Simulator& sim = mesh->simulator();
+  sim.run_for(2 * sim::kSecond);
+  EXPECT_LE(allocations_per_event(sim, 5, 10'000), kMaxAllocationsPerEvent);
+  std::size_t alive = 0;
+  for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
+    alive += mesh->mote(i).engine().agents().count();
+  }
+  EXPECT_EQ(alive, 2 * mesh->mote_count()) << "every agent should survive";
 }
 
 }  // namespace
