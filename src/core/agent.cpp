@@ -1,13 +1,9 @@
 #include "core/agent.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace agilla::core {
-namespace {
-
-const ts::Value kInvalidValue{};
-
-}  // namespace
 
 const char* to_string(AgentRunState s) {
   switch (s) {
@@ -28,54 +24,11 @@ const char* to_string(AgentRunState s) {
 }
 
 Agent::Agent(AgentId id, std::shared_ptr<const DecodedProgram> program)
-    : id_(id), program_(std::move(program)) {
-  stack_.reserve(kStackDepth);
-}
+    : id_(id), program_(std::move(program)) {}
 
-bool Agent::push(const ts::Value& v) {
-  if (stack_.size() >= kStackDepth) {
-    return false;
-  }
-  stack_.push_back(v);
-  return true;
-}
-
-ts::Value Agent::pop() {
-  if (stack_.empty()) {
-    return kInvalidValue;
-  }
-  ts::Value v = stack_.back();
-  stack_.pop_back();
-  return v;
-}
-
-const ts::Value& Agent::peek(std::size_t depth_from_top) const {
-  if (depth_from_top >= stack_.size()) {
-    return kInvalidValue;
-  }
-  return stack_[stack_.size() - 1 - depth_from_top];
-}
-
-void Agent::restore_stack(std::vector<ts::Value> values) {
-  if (values.size() > kStackDepth) {
-    values.resize(kStackDepth);
-  }
-  stack_ = std::move(values);
-}
-
-const ts::Value& Agent::heap(std::size_t slot) const {
-  if (slot >= heap_.size()) {
-    return kInvalidValue;
-  }
-  return heap_[slot];
-}
-
-bool Agent::set_heap(std::size_t slot, const ts::Value& v) {
-  if (slot >= heap_.size()) {
-    return false;
-  }
-  heap_[slot] = v;
-  return true;
+void Agent::restore_stack(std::span<const ts::Value> values) {
+  depth_ = static_cast<std::uint8_t>(std::min(values.size(), kStackDepth));
+  std::copy_n(values.begin(), depth_, stack_.begin());
 }
 
 std::vector<std::pair<std::uint8_t, ts::Value>> Agent::heap_entries() const {

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/isa.h"
+#include "sim/event_queue.h"
 #include "tuplespace/tuple.h"
 #include "tuplespace/tuple_match.h"
 
@@ -58,23 +60,47 @@ class Agent {
 
   // --- operand stack ---------------------------------------------------------
   /// False on overflow (a VM error; the engine kills the agent).
-  [[nodiscard]] bool push(const ts::Value& v);
+  [[nodiscard]] bool push(const ts::Value& v) {
+    if (depth_ >= kStackDepth) {
+      return false;
+    }
+    stack_[depth_++] = v;
+    return true;
+  }
   /// Invalid Value on underflow.
-  ts::Value pop();
-  [[nodiscard]] const ts::Value& peek(std::size_t depth_from_top = 0) const;
-  [[nodiscard]] std::size_t stack_depth() const { return stack_.size(); }
-  [[nodiscard]] const std::vector<ts::Value>& stack() const { return stack_; }
-  void clear_stack() { stack_.clear(); }
+  ts::Value pop() { return depth_ == 0 ? ts::Value{} : stack_[--depth_]; }
+  [[nodiscard]] const ts::Value& peek(std::size_t depth_from_top = 0) const {
+    return depth_from_top < depth_ ? stack_[depth_ - 1 - depth_from_top]
+                                   : kNoValue;
+  }
+  [[nodiscard]] std::size_t stack_depth() const { return depth_; }
+  /// The live entries, bottom first.
+  [[nodiscard]] std::span<const ts::Value> stack() const {
+    return {stack_.data(), depth_};
+  }
+  void clear_stack() { depth_ = 0; }
   /// Replaces the whole stack (migration restore); excess entries dropped.
-  void restore_stack(std::vector<ts::Value> values);
+  void restore_stack(std::span<const ts::Value> values);
 
   // --- heap -------------------------------------------------------------------
-  [[nodiscard]] const ts::Value& heap(std::size_t slot) const;
-  bool set_heap(std::size_t slot, const ts::Value& v);
+  [[nodiscard]] const ts::Value& heap(std::size_t slot) const {
+    return slot < heap_.size() ? heap_[slot] : kNoValue;
+  }
+  bool set_heap(std::size_t slot, const ts::Value& v) {
+    if (slot >= heap_.size()) {
+      return false;
+    }
+    heap_[slot] = v;
+    return true;
+  }
   /// Slots holding valid values, as (slot, value) pairs (migration image).
   [[nodiscard]] std::vector<std::pair<std::uint8_t, ts::Value>>
   heap_entries() const;
   void clear_heap();
+
+  /// The pending wakeup while the agent is in `sleep`; cancelled when a
+  /// reaction wakes it early or the agent dies.
+  [[nodiscard]] sim::EventHandle& sleep_timer() { return sleep_timer_; }
 
   // --- run state ---------------------------------------------------------------
   [[nodiscard]] AgentRunState run_state() const { return run_state_; }
@@ -102,14 +128,19 @@ class Agent {
   }
 
  private:
+  /// What peek/heap return for an empty stack slot or a bad heap slot.
+  static constexpr ts::Value kNoValue{};
+
   AgentId id_;
   std::uint16_t pc_ = 0;
   std::int16_t condition_ = 0;
-  std::vector<ts::Value> stack_;
+  std::array<ts::Value, kStackDepth> stack_{};
   std::array<ts::Value, kHeapSlots> heap_{};
+  std::uint8_t depth_ = 0;
   AgentRunState run_state_ = AgentRunState::kReady;
   std::optional<BlockedProbe> blocked_probe_;
   std::shared_ptr<const DecodedProgram> program_;
+  sim::EventHandle sleep_timer_;
 };
 
 }  // namespace agilla::core

@@ -94,7 +94,7 @@ bool AgillaEngine::install(AgentImage image, bool reached_dest) {
   agent->set_pc(image.pc);
   agent->set_condition(reached_dest ? 1 : 0);
   if (is_strong(image.op)) {
-    agent->restore_stack(std::move(image.stack));
+    agent->restore_stack(image.stack);
     for (const auto& [slot, value] : image.heap) {
       agent->set_heap(slot, value);
     }
@@ -243,16 +243,12 @@ void AgillaEngine::tick() {
 }
 
 void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
-  if (sim::EventHandle* timer = sleep_timers_.find(id.value);
-      timer != nullptr) {
-    timer->cancel();
-    sleep_timers_.erase(id.value);
-  }
   pending_reactions_.erase(id.value);
   if (drop_reactions) {
     tuple_space_.extract_reactions(id.value);
   }
   if (Agent* agent = agents_.find(id); agent != nullptr) {
+    agent->sleep_timer().cancel();
     agent->set_run_state(AgentRunState::kDead);
     code_pool_.release(agent->program()->size());
     agents_.destroy(id);
@@ -312,16 +308,11 @@ void AgillaEngine::on_reaction(const ts::Reaction& reaction,
       deliver_reaction(*agent, reaction, tuple);
       make_ready(*agent);
       return;
-    case AgentRunState::kSleeping: {
-      if (sim::EventHandle* timer = sleep_timers_.find(reaction.agent_id);
-          timer != nullptr) {
-        timer->cancel();
-        sleep_timers_.erase(reaction.agent_id);
-      }
+    case AgentRunState::kSleeping:
+      agent->sleep_timer().cancel();
       deliver_reaction(*agent, reaction, tuple);
       make_ready(*agent);
       return;
-    }
     case AgentRunState::kBlockedTs:
     case AgentRunState::kBlockedOp: {
       auto& queue = pending_reactions_[reaction.agent_id];

@@ -190,7 +190,6 @@ class AgillaEngine {
   bool in_tick_ = false;  ///< make_ready defers scheduling to the batch end
   std::uint8_t leds_ = 0;
   sim::NodeId node_;
-  sim::SmallMap<std::uint16_t, sim::EventHandle> sleep_timers_;  // by agent
   struct PendingReaction {
     ts::Reaction reaction;
     ts::Tuple tuple;

@@ -23,6 +23,14 @@ bool values_equal(const ts::Value& a, const ts::Value& b) {
   return a.as_number() == b.as_number();
 }
 
+/// Adds `fields` in order to a Tuple or a Template; false at the first
+/// field that does not fit.
+template <typename Fields>
+bool add_all(Fields& out, std::span<const ts::Value> fields) {
+  return std::ranges::all_of(
+      fields, [&out](const ts::Value& f) { return out.add(f); });
+}
+
 /// Dense opcode index -> handler class: the dispatcher's byte-to-class
 /// map, generated from the instruction table in core/isa.h.
 constexpr std::array<OpClass, kDefinedOpcodes> kClassByIndex = {
@@ -420,8 +428,7 @@ VmDispatcher::StepResult VmDispatcher::h_sleep(Agent& agent,
       ticks <= 0 ? 0 : static_cast<sim::SimTime>(ticks) * kSleepTick;
   e_.block_agent(agent, AgentRunState::kSleeping, "sleep");
   const AgentId id = agent.id();
-  e_.sleep_timers_[id.value] = e_.sim_.schedule_in(duration, [this, id] {
-    e_.sleep_timers_.erase(id.value);
+  agent.sleep_timer() = e_.sim_.schedule_in(duration, [this, id] {
     Agent* a = e_.agents_.find(id);
     if (a != nullptr && a->run_state() == AgentRunState::kSleeping) {
       e_.make_ready(*a);
@@ -746,7 +753,17 @@ VmDispatcher::StepResult VmDispatcher::h_truncated(Agent& agent,
 // Composite instruction groups
 // --------------------------------------------------------------------------
 
-bool VmDispatcher::pop_fields(Agent& agent, std::vector<ts::Value>* out) {
+bool VmDispatcher::push_fields(Agent& agent, const ts::Tuple& tuple) {
+  for (std::size_t i = tuple.arity(); i-- > 0;) {
+    if (!agent.push(tuple.field(i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool VmDispatcher::pop_fields(Agent& agent, FieldBuffer& buf,
+                              std::span<const ts::Value>* out) {
   const ts::Value count_value = agent.pop();
   const std::int16_t count = count_value.as_number();
   if (!count_value.valid() || count < 0 ||
@@ -754,18 +771,17 @@ bool VmDispatcher::pop_fields(Agent& agent, std::vector<ts::Value>* out) {
     e_.die(agent, "bad field count for tuple operation");
     return false;
   }
-  std::vector<ts::Value> reversed;
-  reversed.reserve(static_cast<std::size_t>(count));
-  for (std::int16_t i = 0; i < count; ++i) {
-    ts::Value v = agent.pop();
-    if (!v.valid()) {
+  // Popped last-pushed-first, so filling from the back leaves field 0
+  // first.
+  for (auto i = static_cast<std::size_t>(count); i-- > 0;) {
+    buf[i] = agent.pop();
+    if (!buf[i].valid()) {
       e_.die(agent, "stack underflow building tuple");
       return false;
     }
-    reversed.push_back(std::move(v));
   }
-  // Popped last-pushed-first; restore push order (field 0 first).
-  out->assign(reversed.rbegin(), reversed.rend());
+  *out = std::span<const ts::Value>(buf.data(),
+                                    static_cast<std::size_t>(count));
   return true;
 }
 
@@ -779,7 +795,7 @@ AgentImage VmDispatcher::make_image(Agent& agent, MigrationOp op,
   image.condition = agent.condition();
   image.code = agent.program()->bytes();
   if (is_strong(op)) {
-    image.stack = agent.stack();
+    image.stack.assign(agent.stack().begin(), agent.stack().end());
     image.heap = agent.heap_entries();
     image.reactions =
         e_.tuple_space_.reactions().owned_by(agent.id().value);
@@ -799,16 +815,15 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
 
   switch (op) {
     case Opcode::kOut: {
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
+      FieldBuffer buf;
+      std::span<const ts::Value> fields;
+      if (!pop_fields(agent, buf, &fields)) {
         return StepResult::kGone;
       }
       ts::Tuple tuple;
-      for (const ts::Value& f : fields) {
-        if (!tuple.add(f)) {
-          e_.die(agent, "field not storable in a tuple (out)");
-          return StepResult::kGone;
-        }
+      if (!add_all(tuple, fields)) {
+        e_.die(agent, "field not storable in a tuple (out)");
+        return StepResult::kGone;
       }
       const bool ok = e_.tuple_space_.out(tuple);
       agent.set_condition(ok ? 1 : 0);
@@ -820,16 +835,15 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
     case Opcode::kIn:
     case Opcode::kRd:
     case Opcode::kTCount: {
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
+      FieldBuffer buf;
+      std::span<const ts::Value> fields;
+      if (!pop_fields(agent, buf, &fields)) {
         return StepResult::kGone;
       }
       ts::Template templ;
-      for (const ts::Value& f : fields) {
-        if (!templ.add(f)) {
-          e_.die(agent, "template too large");
-          return StepResult::kGone;
-        }
+      if (!add_all(templ, fields)) {
+        e_.die(agent, "template too large");
+        return StepResult::kGone;
       }
       // Compile once; the probe (and any blocked re-probes) reuse it.
       ts::CompiledTemplate compiled(templ);
@@ -848,11 +862,7 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
                                   : e_.tuple_space_.rdp(compiled);
       charge(blocking);
       if (result.has_value()) {
-        bool ok = true;
-        for (std::size_t i = result->arity(); i-- > 0;) {
-          ok = ok && agent.push(result->field(i));
-        }
-        if (!ok) {
+        if (!push_fields(agent, *result)) {
           e_.die(agent, "stack overflow pushing tuple result");
           return StepResult::kGone;
         }
@@ -875,8 +885,9 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
         e_.die(agent, "stack underflow (regrxn handler)");
         return StepResult::kGone;
       }
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
+      FieldBuffer buf;
+      std::span<const ts::Value> fields;
+      if (!pop_fields(agent, buf, &fields)) {
         return StepResult::kGone;
       }
       if (fields.size() > kMaxReactionTemplateFields) {
@@ -886,22 +897,21 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
       ts::Reaction reaction;
       reaction.agent_id = agent.id().value;
       reaction.handler_pc = static_cast<std::uint16_t>(handler.as_number());
-      for (const ts::Value& f : fields) {
-        reaction.templ.add(f);
-      }
+      add_all(reaction.templ, fields);
       const bool ok = e_.tuple_space_.register_reaction(std::move(reaction));
       agent.set_condition(ok ? 1 : 0);
       cost += instruction_cost(static_cast<std::uint8_t>(op), 0, false);
       return StepResult::kContinue;
     }
     case Opcode::kDeregRxn: {
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
+      FieldBuffer buf;
+      std::span<const ts::Value> fields;
+      if (!pop_fields(agent, buf, &fields)) {
         return StepResult::kGone;
       }
       ts::Template templ;
       for (const ts::Value& f : fields) {
-        templ.add(f);
+        templ.add(f);  // a field that does not fit is skipped
       }
       const bool ok =
           e_.tuple_space_.deregister_reaction(agent.id().value, templ);
@@ -998,8 +1008,9 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
     return StepResult::kGone;
   }
   const sim::Location dest = dest_value.as_location();
-  std::vector<ts::Value> fields;
-  if (!pop_fields(agent, &fields)) {
+  FieldBuffer buf;
+  std::span<const ts::Value> fields;
+  if (!pop_fields(agent, buf, &fields)) {
     return StepResult::kGone;
   }
 
@@ -1012,15 +1023,9 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
     if (a == nullptr) {
       return;
     }
-    if (success && result.has_value()) {
-      bool ok = true;
-      for (std::size_t i = result->arity(); i-- > 0;) {
-        ok = ok && a->push(result->field(i));
-      }
-      if (!ok) {
-        e_.die(*a, "stack overflow pushing remote result");
-        return;
-      }
+    if (success && result.has_value() && !push_fields(*a, *result)) {
+      e_.die(*a, "stack overflow pushing remote result");
+      return;
     }
     a->set_condition(success ? 1 : 0);
     e_.make_ready(*a);
@@ -1028,20 +1033,16 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
 
   if (op == Opcode::kROut) {
     ts::Tuple tuple;
-    for (const ts::Value& f : fields) {
-      if (!tuple.add(f)) {
-        e_.die(agent, "field not storable in a tuple (rout)");
-        return StepResult::kGone;
-      }
+    if (!add_all(tuple, fields)) {
+      e_.die(agent, "field not storable in a tuple (rout)");
+      return StepResult::kGone;
     }
     e_.remote_ts_.request_out(dest, tuple, std::move(completion));
   } else {
     ts::Template templ;
-    for (const ts::Value& f : fields) {
-      if (!templ.add(f)) {
-        e_.die(agent, "template too large (remote probe)");
-        return StepResult::kGone;
-      }
+    if (!add_all(templ, fields)) {
+      e_.die(agent, "template too large (remote probe)");
+      return StepResult::kGone;
     }
     e_.remote_ts_.request_probe(
         op == Opcode::kRInp ? RemoteOp::kInp : RemoteOp::kRdp, dest, templ,

@@ -199,7 +199,15 @@ class VmDispatcher {
   StepResult exec_tuple_op(Agent& agent, Opcode op, sim::SimTime& cost);
   StepResult exec_migration(Agent& agent, Opcode op);
   StepResult exec_remote(Agent& agent, Opcode op);
-  bool pop_fields(Agent& agent, std::vector<ts::Value>* out);
+  /// Pushes a result tuple's fields, last first; false on overflow.
+  static bool push_fields(Agent& agent, const ts::Tuple& tuple);
+  /// Room for the most fields one tuple operation can pop.
+  using FieldBuffer = std::array<ts::Value, Agent::kStackDepth>;
+  /// Pops a field count and that many fields into `buf`, back to front,
+  /// and points `*out` at them in push order (field 0 first). False once
+  /// it has killed the agent (bad count or underflow).
+  bool pop_fields(Agent& agent, FieldBuffer& buf,
+                  std::span<const ts::Value>* out);
   AgentImage make_image(Agent& agent, MigrationOp op, sim::Location dest);
   bool push_or_die(Agent& agent, const ts::Value& v);
 

@@ -121,6 +121,9 @@ bool* LinkLayer::find_duplicate(sim::NodeId from, std::uint8_t seq,
     return nullptr;
   }
   if (dedup_.size() < kDedupCache) {
+    if (dedup_.empty()) {
+      dedup_.reserve(kDedupCache);
+    }
     dedup_.push_back(entry);
   } else if (!dedup_.empty()) {
     dedup_[dedup_next_] = entry;

@@ -75,7 +75,7 @@ std::optional<Tuple> IndexedTupleStore::take(const CompiledTemplate& templ) {
     return std::nullopt;
   }
   Entry& entry = entries_[index];
-  std::optional<Tuple> out = entry.ref().materialize();
+  std::optional<Tuple> out = templ.hit(entry.ref());
   assert(out.has_value());  // insert only writes well-formed records
   entry.live = false;
   used_ -= entry.record_bytes();
@@ -95,7 +95,7 @@ std::optional<Tuple> IndexedTupleStore::read(
   if (index == kNpos) {
     return std::nullopt;
   }
-  return entries_[index].ref().materialize();
+  return templ.hit(entries_[index].ref());
 }
 
 std::size_t IndexedTupleStore::count_matching(

@@ -67,8 +67,7 @@ std::optional<Tuple> LinearTupleStore::take(const CompiledTemplate& templ) {
   if (!found.has_value()) {
     return std::nullopt;
   }
-  std::optional<Tuple> out = record_ref(found->offset, found->size)
-                                 .materialize();
+  std::optional<Tuple> out = templ.hit(record_ref(found->offset, found->size));
   assert(out.has_value());  // insert only writes well-formed records
   // Shift all following tuples forward (paper Sec. 3.2).
   const auto first =
@@ -87,7 +86,7 @@ std::optional<Tuple> LinearTupleStore::read(
   if (!found.has_value()) {
     return std::nullopt;
   }
-  return record_ref(found->offset, found->size).materialize();
+  return templ.hit(record_ref(found->offset, found->size));
 }
 
 std::size_t LinearTupleStore::count_matching(

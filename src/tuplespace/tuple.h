@@ -34,27 +34,12 @@ inline constexpr std::size_t kMaxTupleWireBytes = 25;
 inline constexpr std::size_t kMaxTupleFields = (kMaxTupleWireBytes - 1) / 2;
 
 namespace detail {
-using FieldArray = std::array<Value, kMaxTupleFields>;
 
-std::size_t fields_wire_size(std::span<const Value> fields);
-void encode_fields(net::Writer& w, std::span<const Value> fields);
-/// Reads [count u8][fields...]; false when the stream truncates or the
-/// count exceeds kMaxTupleFields (no such encoding fits the wire budget).
-bool decode_fields(net::Reader& r, FieldArray& out, std::uint8_t& count);
-std::string fields_to_string(std::span<const Value> fields);
-}  // namespace detail
-
-class Tuple {
+/// The inline field list Tuple and Template share, encoded as
+/// [count u8][fields...].
+class FieldList {
  public:
-  Tuple() = default;
-  Tuple(std::initializer_list<Value> fields);
-
-  /// Appends a field. Returns false (and leaves the tuple unchanged) if the
-  /// field is not concrete or the tuple would exceed kMaxTupleWireBytes.
-  bool add(const Value& field);
-
   [[nodiscard]] std::size_t arity() const { return count_; }
-  [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] const Value& field(std::size_t i) const { return fields_[i]; }
   [[nodiscard]] std::span<const Value> fields() const {
     return {fields_.data(), count_};
@@ -62,47 +47,57 @@ class Tuple {
 
   /// Compact serialized size: 1 count byte + fields.
   [[nodiscard]] std::size_t wire_size() const;
-
   void encode(net::Writer& w) const;
-  static std::optional<Tuple> decode(net::Reader& r);
-
   [[nodiscard]] std::string to_string() const;
 
-  friend bool operator==(const Tuple& a, const Tuple& b) = default;
+  bool operator==(const FieldList&) const = default;
+
+ protected:
+  FieldList() = default;
+  /// Appends `field` unless that passes kMaxTupleFields or
+  /// kMaxTupleWireBytes.
+  bool append(const Value& field);
+  /// Reads [count u8][fields...]; false when the stream truncates or the
+  /// count exceeds kMaxTupleFields (no such encoding fits the wire budget).
+  bool decode_from(net::Reader& r);
 
  private:
-  detail::FieldArray fields_{};
+  std::array<Value, kMaxTupleFields> fields_{};
   std::uint8_t count_ = 0;
 };
 
-class Template {
+}  // namespace detail
+
+class Tuple : public detail::FieldList {
+ public:
+  Tuple() = default;
+  Tuple(std::initializer_list<Value> fields);
+
+  /// Appends a field. Returns false (and leaves the tuple unchanged) if the
+  /// field is not concrete or the tuple would exceed kMaxTupleWireBytes.
+  bool add(const Value& field) { return field.concrete() && append(field); }
+
+  [[nodiscard]] bool empty() const { return arity() == 0; }
+
+  static std::optional<Tuple> decode(net::Reader& r);
+
+  friend bool operator==(const Tuple& a, const Tuple& b) = default;
+};
+
+class Template : public detail::FieldList {
  public:
   Template() = default;
   Template(std::initializer_list<Value> fields);
 
   /// Appends a field (concrete or wildcard). Returns false if the template
   /// would exceed kMaxTupleWireBytes.
-  bool add(const Value& field);
-
-  [[nodiscard]] std::size_t arity() const { return count_; }
-  [[nodiscard]] const Value& field(std::size_t i) const { return fields_[i]; }
-  [[nodiscard]] std::span<const Value> fields() const {
-    return {fields_.data(), count_};
-  }
+  bool add(const Value& field) { return field.valid() && append(field); }
 
   [[nodiscard]] bool matches(const Tuple& tuple) const;
 
-  [[nodiscard]] std::size_t wire_size() const;
-  void encode(net::Writer& w) const;
   static std::optional<Template> decode(net::Reader& r);
 
-  [[nodiscard]] std::string to_string() const;
-
   friend bool operator==(const Template& a, const Template& b) = default;
-
- private:
-  detail::FieldArray fields_{};
-  std::uint8_t count_ = 0;
 };
 
 }  // namespace agilla::ts

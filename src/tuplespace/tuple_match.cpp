@@ -37,6 +37,13 @@ constexpr bool pins_field_content(ValueType t) {
   return t != ValueType::kReadingType && t != ValueType::kTypeWildcard;
 }
 
+/// True when template field `f` is exact (see the header). Not kInvalid:
+/// every unknown type byte decodes to it.
+bool compares_by_bytes(const Value& f) {
+  return pins_field_content(f.type()) && f.type() != ValueType::kInvalid &&
+         f.compact_canonical();
+}
+
 }  // namespace
 
 Fingerprint fingerprint_of(const Tuple& tuple) {
@@ -76,6 +83,9 @@ CompiledTemplate::CompiledTemplate(const Template& templ) : templ_(templ) {
   want_ = templ_.arity() & kArityMask;
   for (std::size_t i = 0; i < templ_.arity(); ++i) {
     const Value& f = templ_.field(i);
+    if (compares_by_bytes(f)) {
+      by_bytes_ |= static_cast<std::uint16_t>(1u << i);
+    }
     if (!pins_field_type(f.type())) {
       continue;
     }
@@ -93,20 +103,40 @@ CompiledTemplate::CompiledTemplate(const Template& templ) : templ_(templ) {
 }
 
 bool CompiledTemplate::matches(TupleRef ref) const {
-  net::Reader r(ref.bytes());
-  const std::uint8_t count = r.u8();
-  if (!r.ok() || count != templ_.arity()) {
+  const std::span<const std::uint8_t> bytes = ref.bytes();
+  if (bytes.empty() || bytes[0] != templ_.arity()) {
     return false;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!templ_.field(i).matches(Value::decode_compact(r))) {
+  std::size_t at = 1;
+  for (std::size_t i = 0; i < templ_.arity(); ++i) {
+    const Value& f = templ_.field(i);
+    if ((by_bytes_ >> i) & 1u) {
+      const std::size_t size = f.compact_prefix(bytes.subspan(at));
+      if (size == 0) {
+        return false;
+      }
+      at += size;
+      continue;
+    }
+    net::Reader r(bytes.subspan(at));
+    // A mutated stream can truncate inside a field that still compares
+    // equal (Reader zero-fills on underrun); the eager path fails
+    // Tuple::decode there, so the lazy path must report no-match too.
+    if (!f.matches(Value::decode_compact(r)) || !r.ok()) {
       return false;
     }
+    at = bytes.size() - r.remaining();
   }
-  // A mutated stream can truncate inside a field AFTER every prefix field
-  // compared equal (Reader zero-fills on underrun); the eager path fails
-  // Tuple::decode there, so the lazy path must report no-match too.
-  return r.ok();
+  return true;
+}
+
+std::optional<Tuple> CompiledTemplate::hit(TupleRef ref) const {
+  if (by_bytes_ + 1u != 1u << templ_.arity()) {
+    return ref.materialize();
+  }
+  Tuple tuple;
+  static_cast<detail::FieldList&>(tuple) = templ_;  // copies the fields
+  return tuple;
 }
 
 }  // namespace agilla::ts

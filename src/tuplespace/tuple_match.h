@@ -16,10 +16,21 @@
 //                       single integer compare and the rest are matched
 //                       field-by-field straight off the wire.
 //
+// Two rules keep the hit path decode-free:
+//  * byte compare — a template field that matches by value alone (not a
+//    type wildcard or a reading-type designator) and encodes canonically
+//    (Value::compact_canonical) is EXACT: its compact encoding is compared
+//    with the candidate's bytes, with no decode. Values decode_padded
+//    built with stray payload bits (a number's second half, a sensor byte
+//    over 255) keep the decode path, where they match nothing;
+//  * an exact hit is the template — when every field is exact, hit()
+//    returns the template's own fields without reading the record.
+//
 // Equivalence contract (enforced by test_fuzz.cpp): for ANY byte string b
 // and template t,
 //     CompiledTemplate(t).matches(TupleRef(b))
-//  == (Tuple::decode(b) succeeds && t.matches(*Tuple::decode(b))).
+//  == (Tuple::decode(b) succeeds && t.matches(*Tuple::decode(b))),
+// and on a match, hit(TupleRef(b)) == Tuple::decode(b).
 #pragma once
 
 #include <cstdint>
@@ -92,9 +103,14 @@ class CompiledTemplate {
     return (fp & mask_) != want_;
   }
 
-  /// Matches directly against wire bytes via a lazy field cursor; never
-  /// allocates and never reads past `ref.bytes()`.
+  /// Matches directly against wire bytes; never allocates and never reads
+  /// past `ref.bytes()`. Exact fields compare their encoding with the
+  /// candidate's bytes, the others decode one field at a time.
   [[nodiscard]] bool matches(TupleRef ref) const;
+
+  /// The tuple a hit on `ref` found: the template's own fields when every
+  /// field is exact, the decoded record otherwise.
+  [[nodiscard]] std::optional<Tuple> hit(TupleRef ref) const;
 
   /// Matches an already-decoded tuple (reaction dispatch path).
   [[nodiscard]] bool matches(const Tuple& tuple) const {
@@ -103,6 +119,9 @@ class CompiledTemplate {
 
  private:
   Template templ_;
+  /// Bit i set when field i is exact: it is compared by its wire bytes.
+  std::uint16_t by_bytes_ = 0;
+  static_assert(kMaxTupleFields <= 16);
   Fingerprint mask_ = 0;
   Fingerprint want_ = 0;
 };

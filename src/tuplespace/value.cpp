@@ -57,8 +57,6 @@ std::string unpack_string(std::uint16_t packed) {
   return out;
 }
 
-Value Value::number(std::int16_t v) { return Value(ValueType::kNumber, v, 0); }
-
 Value Value::string(std::string_view s) {
   return packed_string(pack_string(s));
 }
@@ -89,18 +87,6 @@ Value Value::agent_id(std::uint16_t id) {
 Value Value::reading_type(sim::SensorType sensor) {
   return Value(ValueType::kReadingType,
                static_cast<std::int16_t>(sensor), 0);
-}
-
-std::int16_t Value::as_number() const {
-  switch (type_) {
-    case ValueType::kNumber:
-    case ValueType::kReading:
-      return a_;
-    case ValueType::kAgentId:
-      return a_;
-    default:
-      return 0;
-  }
 }
 
 std::uint16_t Value::as_packed_string() const {
@@ -157,43 +143,15 @@ bool Value::matches(const Value& v) const {
   }
 }
 
-std::size_t Value::compact_size() const {
-  switch (type_) {
-    case ValueType::kInvalid:
-      return 1;
-    case ValueType::kLocation:
-      return 5;  // type + x + y
-    case ValueType::kReading:
-      return 4;  // type + sensor + value
-    case ValueType::kReadingType:
-    case ValueType::kTypeWildcard:
-      return 2;  // type + designator
-    default:
-      return 3;  // type + 16-bit payload
-  }
+bool Value::compact_canonical() const {
+  const auto bytes = compact_bytes();
+  net::Reader r{std::span(bytes).first(compact_size())};
+  return decode_compact(r) == *this;
 }
 
 void Value::encode_compact(net::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(type_));
-  switch (type_) {
-    case ValueType::kInvalid:
-      break;
-    case ValueType::kLocation:
-      w.i16(a_);
-      w.i16(b_);
-      break;
-    case ValueType::kReading:
-      w.u8(static_cast<std::uint8_t>(b_));
-      w.i16(a_);
-      break;
-    case ValueType::kReadingType:
-    case ValueType::kTypeWildcard:
-      w.u8(static_cast<std::uint8_t>(a_));
-      break;
-    default:
-      w.i16(a_);
-      break;
-  }
+  const auto bytes = compact_bytes();
+  w.bytes(std::span(bytes).first(compact_size()));
 }
 
 Value Value::decode_compact(net::Reader& r) {

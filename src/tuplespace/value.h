@@ -13,7 +13,10 @@
 //               match paper Fig. 5 (heap 32 B, stack 30 B).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -48,7 +51,9 @@ class Value {
 
   constexpr Value() = default;
 
-  static Value number(std::int16_t v);
+  static Value number(std::int16_t v) {
+    return Value(ValueType::kNumber, v, 0);
+  }
   static Value string(std::string_view s);
   static Value packed_string(std::uint16_t packed);
   static Value type_wildcard(ValueType wrapped);
@@ -60,8 +65,14 @@ class Value {
   [[nodiscard]] ValueType type() const { return type_; }
   [[nodiscard]] bool valid() const { return type_ != ValueType::kInvalid; }
 
-  /// Numeric view: kNumber -> value, kReading -> reading value, others 0.
-  [[nodiscard]] std::int16_t as_number() const;
+  /// Numeric view: kNumber -> value, kReading -> reading value, kAgentId
+  /// -> id, others 0.
+  [[nodiscard]] std::int16_t as_number() const {
+    const bool numeric = type_ == ValueType::kNumber ||
+                         type_ == ValueType::kReading ||
+                         type_ == ValueType::kAgentId;
+    return numeric ? a_ : 0;
+  }
   [[nodiscard]] std::uint16_t as_packed_string() const;
   [[nodiscard]] sim::Location as_location() const;
   [[nodiscard]] std::uint16_t as_agent_id() const;
@@ -82,7 +93,31 @@ class Value {
   /// True for field types that can appear in a stored tuple.
   [[nodiscard]] bool concrete() const;
 
-  [[nodiscard]] std::size_t compact_size() const;  // includes type byte
+  /// Compact encoding size: the type byte plus a 16-bit payload; x + y
+  /// for a location, sensor + value for a reading, one designator byte for
+  /// a wildcard or a reading type, nothing for kInvalid.
+  [[nodiscard]] std::size_t compact_size() const {
+    constexpr std::array<std::uint8_t, 8> kSizeByType = {1, 3, 3, 2,
+                                                         4, 5, 3, 2};
+    const auto t = static_cast<std::size_t>(type_);
+    return t < kSizeByType.size() ? kSizeByType[t] : 3;
+  }
+  /// True when decode_compact(encode_compact(v)) == v: the compact form
+  /// keeps every payload bit. decode_padded can build values it does not
+  /// (a number's second half, a sensor byte over 255, an unknown type).
+  [[nodiscard]] bool compact_canonical() const;
+  /// compact_size() when `wire` begins with this value's compact encoding,
+  /// else 0. Reads nothing past `wire`.
+  [[nodiscard]] std::size_t compact_prefix(
+      std::span<const std::uint8_t> wire) const {
+    const std::size_t size = compact_size();
+    const auto bytes = compact_bytes();
+    if (wire.size() < size ||
+        !std::equal(bytes.begin(), bytes.begin() + size, wire.begin())) {
+      return 0;
+    }
+    return size;
+  }
   void encode_compact(net::Writer& w) const;
   static Value decode_compact(net::Reader& r);
 
@@ -94,6 +129,23 @@ class Value {
   friend bool operator==(const Value& a, const Value& b) = default;
 
  private:
+  /// The compact encoding in its first compact_size() bytes: the type
+  /// byte, then the payload, little-endian.
+  [[nodiscard]] std::array<std::uint8_t, 5> compact_bytes() const {
+    const auto t = static_cast<std::uint8_t>(type_);
+    const auto lo = [](std::int16_t v) { return static_cast<std::uint8_t>(v); };
+    const auto hi = [](std::int16_t v) {
+      return static_cast<std::uint8_t>(static_cast<std::uint16_t>(v) >> 8);
+    };
+    switch (type_) {
+      case ValueType::kLocation:
+        return {t, lo(a_), hi(a_), lo(b_), hi(b_)};
+      case ValueType::kReading:
+        return {t, lo(b_), lo(a_), hi(a_), 0};
+      default:  // a designator is one byte, kInvalid none
+        return {t, lo(a_), hi(a_), 0, 0};
+    }
+  }
   Value(ValueType type, std::int16_t a, std::int16_t b)
       : type_(type), a_(a), b_(b) {}
 

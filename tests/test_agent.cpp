@@ -82,15 +82,18 @@ TEST(Agent, ClearHeapAndStack) {
 
 TEST(Agent, RestoreStackBottomFirst) {
   Agent a = make_agent();
-  a.restore_stack({ts::Value::number(1), ts::Value::number(2)});
+  const std::vector<ts::Value> values{ts::Value::number(1),
+                                      ts::Value::number(2)};
+  a.restore_stack(values);
   EXPECT_EQ(a.pop().as_number(), 2);  // last element is top
   EXPECT_EQ(a.pop().as_number(), 1);
 }
 
 TEST(Agent, RestoreStackTruncatesOversize) {
   Agent a = make_agent();
-  std::vector<ts::Value> big(Agent::kStackDepth + 5, ts::Value::number(1));
-  a.restore_stack(std::move(big));
+  const std::vector<ts::Value> big(Agent::kStackDepth + 5,
+                                   ts::Value::number(1));
+  a.restore_stack(big);
   EXPECT_EQ(a.stack_depth(), Agent::kStackDepth);
 }
 

@@ -3,6 +3,7 @@
 // rejected or contained (a dying agent frees everything it held).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -346,14 +347,19 @@ TEST_P(ParserFuzz, ConsoleSurvivesMutatedCommands) {
 
 TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
   // The tuple_match.h equivalence contract over an adversarial corpus:
-  // random bytes, truncations of valid encodings, and single-byte
-  // mutations of valid encodings. For every (bytes, template) pair the
-  // zero-copy wire match must equal eager decode-then-match, and (under
-  // ASan) must never read outside the span.
+  // random bytes, truncations of valid encodings, valid encodings with
+  // trailing bytes, and single-byte mutations of valid encodings. For
+  // every (bytes, template) pair the zero-copy wire match must equal
+  // eager decode-then-match, a hit must return the decoded tuple, and
+  // (under ASan) nothing may read outside the span. The templates cover
+  // both matcher paths: exact fields compared by their wire bytes (up to
+  // 12 of them, int16 extremes included) and wildcard, reading-type and
+  // non-canonical fields that decode.
   sim::Rng rng(GetParam() + 5);
 
   auto random_concrete = [&rng]() -> ts::Value {
-    switch (rng.uniform(5)) {
+    constexpr std::array<std::int16_t, 3> kExtremes = {-32768, -1, 32767};
+    switch (rng.uniform(6)) {
       case 0:
         return ts::Value::number(static_cast<std::int16_t>(rng.uniform(8)));
       case 1:
@@ -364,11 +370,48 @@ TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
       case 3:
         return ts::Value::reading(sim::SensorType::kPhoto,
                                   static_cast<std::int16_t>(rng.uniform(4)));
-      default:
+      case 4:
         return ts::Value::agent_id(
             static_cast<std::uint16_t>(rng.uniform(4)));
+      default: {
+        const std::int16_t v = kExtremes[rng.uniform(kExtremes.size())];
+        switch (rng.uniform(3)) {
+          case 0:
+            return ts::Value::number(v);
+          case 1:
+            return ts::Value::reading(sim::SensorType::kPhoto, v);
+          default:
+            return ts::Value::agent_id(static_cast<std::uint16_t>(v));
+        }
+      }
     }
   };
+
+  // [count][fields...] for any number of fields: past the 25-byte tuple
+  // budget only the decoders accept them, which is how a wire record or
+  // a remote template can carry up to 12 exact fields.
+  auto encode_record = [](const std::vector<ts::Value>& fields) {
+    std::vector<std::uint8_t> out{static_cast<std::uint8_t>(fields.size())};
+    for (const ts::Value& f : fields) {
+      net::Writer w;
+      f.encode_compact(w);
+      out.insert(out.end(), w.data().begin(), w.data().end());
+    }
+    return out;
+  };
+  auto padded = [](std::initializer_list<std::uint8_t> bytes) {
+    const std::vector<std::uint8_t> wire(bytes);
+    net::Reader r(wire);
+    return ts::Value::decode_padded(r);
+  };
+  // Non-canonical values the compact form cannot carry: a number with a
+  // nonzero second half and a reading whose sensor is over 255. A byte
+  // compare would take them for number 3 and a sensor-44 reading of 2.
+  const ts::Value odd_number = padded({1, 3, 0, 1, 0, 0});
+  const ts::Value odd_reading = padded({4, 2, 0, 0x2C, 0x01, 0});
+  const ts::Value number3 = ts::Value::number(3);
+  const ts::Value reading44 =
+      ts::Value::reading(static_cast<sim::SensorType>(0x2C), 2);
 
   // A pool of templates compiled once, fuzzed bytes matched against all.
   std::vector<ts::Template> templates;
@@ -390,6 +433,24 @@ TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
     }
     templates.push_back(t);
   }
+  // All-exact templates of 1..12 fields, each with its own record (a hit).
+  std::vector<std::vector<std::uint8_t>> exact_records;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<ts::Value> fields(1 + static_cast<std::size_t>(i));
+    for (ts::Value& f : fields) {
+      f = random_concrete();
+    }
+    exact_records.push_back(encode_record(fields));
+    net::Reader r(exact_records.back());
+    const auto t = ts::Template::decode(r);
+    ASSERT_TRUE(t.has_value());
+    templates.push_back(*t);
+  }
+  const std::size_t first_odd = templates.size();
+  templates.push_back(ts::Template{odd_number});
+  templates.push_back(ts::Template{odd_number, number3});
+  templates.push_back(ts::Template{odd_reading});
+  templates.push_back(ts::Template{number3, odd_reading});
   std::vector<ts::CompiledTemplate> compiled(templates.begin(),
                                              templates.end());
 
@@ -406,22 +467,42 @@ TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
       ASSERT_EQ(compiled[i].matches(ref), expected)
           << templates[i].to_string() << " over "
           << (eager ? eager->to_string() : "<malformed>");
+      ASSERT_FALSE(expected && i >= first_odd)
+          << "a non-canonical template field matched";
+      if (expected) {
+        ASSERT_EQ(compiled[i].hit(ref), eager);
+      }
     }
   };
+
+  // The records a byte compare of the non-canonical fields would hit.
+  check_all(encode_record({number3}));
+  check_all(encode_record({number3, number3}));
+  check_all(encode_record({reading44}));
+  check_all(encode_record({number3, reading44}));
 
   for (int round = 0; round < 400; ++round) {
     check_all(random_bytes(rng, 32));
 
-    ts::Tuple valid;
-    const std::size_t arity = 1 + rng.uniform(3);
-    for (std::size_t f = 0; f < arity; ++f) {
-      valid.add(random_concrete());
+    std::vector<std::uint8_t> encoded;
+    if (round % 4 == 0) {
+      encoded = exact_records[rng.uniform(exact_records.size())];
+    } else {
+      ts::Tuple valid;
+      const std::size_t arity = 1 + rng.uniform(3);
+      for (std::size_t f = 0; f < arity; ++f) {
+        valid.add(random_concrete());
+      }
+      net::Writer w;
+      valid.encode(w);
+      encoded.assign(w.data().begin(), w.data().end());
     }
-    net::Writer w;
-    valid.encode(w);
-    const std::vector<std::uint8_t> encoded(w.data().begin(),
-                                            w.data().end());
     check_all(encoded);  // the untouched encoding must agree too
+
+    std::vector<std::uint8_t> trailing = encoded;
+    const std::vector<std::uint8_t> tail = random_bytes(rng, 4);
+    trailing.insert(trailing.end(), tail.begin(), tail.end());
+    check_all(trailing);
 
     std::vector<std::uint8_t> truncated(
         encoded.begin(),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace agilla::ts {
 namespace {
 
@@ -126,6 +129,43 @@ TEST(CompactWire, SizesMatchSpec) {
   EXPECT_EQ(Value::type_wildcard(ValueType::kNumber).compact_size(), 2u);
   EXPECT_EQ(
       Value::reading_type(sim::SensorType::kTemperature).compact_size(), 2u);
+}
+
+TEST(CompactWire, CanonicalValuesAreExactlyTheirEncoding) {
+  // Every type byte (and one past the enum) against payload halves that
+  // the compact form keeps or drops, built the way migration builds them.
+  const std::int16_t halves[] = {0, 1, 255, 256, -1, -32768};
+  for (std::uint8_t type = 0; type <= 8; ++type) {
+    for (const std::int16_t a : halves) {
+      for (const std::int16_t b : halves) {
+        net::Writer padded;
+        padded.u8(type);
+        padded.i16(a);
+        padded.i16(b);
+        padded.zeros(1);
+        net::Reader pr(padded.data());
+        const Value v = Value::decode_padded(pr);
+        net::Writer w;
+        v.encode_compact(w);
+        net::Reader r(w.data());
+        ASSERT_EQ(v.compact_canonical(), Value::decode_compact(r) == v)
+            << int{type} << " " << a << " " << b;
+        if (!v.compact_canonical()) {
+          continue;
+        }
+        const std::vector<std::uint8_t> wire(w.data().begin(),
+                                             w.data().end());
+        EXPECT_EQ(v.compact_prefix(wire), v.compact_size());
+        EXPECT_EQ(v.compact_prefix(std::span(wire).first(wire.size() - 1)),
+                  0u);
+        for (std::size_t at = 0; at < wire.size(); ++at) {
+          std::vector<std::uint8_t> mutated = wire;
+          mutated[at] ^= 0x10;
+          EXPECT_EQ(v.compact_prefix(mutated), 0u) << v.to_string();
+        }
+      }
+    }
+  }
 }
 
 TEST(PaddedWire, AlwaysSixBytes) {
