@@ -67,6 +67,16 @@ class Agent {
     stack_[depth_++] = v;
     return true;
   }
+  /// Pushes a tuple's fields last first, so field 0 ends on top; false on
+  /// overflow.
+  [[nodiscard]] bool push_fields(const ts::Tuple& tuple) {
+    for (std::size_t i = tuple.arity(); i-- > 0;) {
+      if (!push(tuple.field(i))) {
+        return false;
+      }
+    }
+    return true;
+  }
   /// Invalid Value on underflow.
   ts::Value pop() { return depth_ == 0 ? ts::Value{} : stack_[--depth_]; }
   [[nodiscard]] const ts::Value& peek(std::size_t depth_from_top = 0) const {

@@ -213,10 +213,7 @@ void AgillaEngine::tick() {
         continue;
       }
       agent->set_blocked_probe(std::nullopt);
-      bool ok = true;
-      for (std::size_t i = result->arity(); i-- > 0;) {
-        ok = ok && agent->push(result->field(i));
-      }
+      const bool ok = agent->push_fields(*result);
       agent->set_condition(1);
       if (!ok) {
         die(*agent, "stack overflow resuming blocked in/rd");
@@ -333,11 +330,9 @@ void AgillaEngine::deliver_reaction(Agent& agent,
   // Save the interrupted PC so the handler can `jumps` back, then push the
   // matched tuple's fields in reverse order (field 0 on top) — the only
   // convention under which paper Fig. 2's `pop; sclone` sequence works.
-  bool ok = agent.push(ts::Value::number(
-      static_cast<std::int16_t>(agent.pc())));
-  for (std::size_t i = tuple.arity(); i-- > 0;) {
-    ok = ok && agent.push(tuple.field(i));
-  }
+  const bool ok = agent.push(ts::Value::number(
+                      static_cast<std::int16_t>(agent.pc()))) &&
+                  agent.push_fields(tuple);
   if (!ok) {
     die(agent, "stack overflow delivering reaction");
     return;

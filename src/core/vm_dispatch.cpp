@@ -753,15 +753,6 @@ VmDispatcher::StepResult VmDispatcher::h_truncated(Agent& agent,
 // Composite instruction groups
 // --------------------------------------------------------------------------
 
-bool VmDispatcher::push_fields(Agent& agent, const ts::Tuple& tuple) {
-  for (std::size_t i = tuple.arity(); i-- > 0;) {
-    if (!agent.push(tuple.field(i))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool VmDispatcher::pop_fields(Agent& agent, FieldBuffer& buf,
                               std::span<const ts::Value>* out) {
   const ts::Value count_value = agent.pop();
@@ -862,7 +853,7 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
                                   : e_.tuple_space_.rdp(compiled);
       charge(blocking);
       if (result.has_value()) {
-        if (!push_fields(agent, *result)) {
+        if (!agent.push_fields(*result)) {
           e_.die(agent, "stack overflow pushing tuple result");
           return StepResult::kGone;
         }
@@ -1023,7 +1014,7 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
     if (a == nullptr) {
       return;
     }
-    if (success && result.has_value() && !push_fields(*a, *result)) {
+    if (success && result.has_value() && !a->push_fields(*result)) {
       e_.die(*a, "stack overflow pushing remote result");
       return;
     }

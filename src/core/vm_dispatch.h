@@ -199,8 +199,6 @@ class VmDispatcher {
   StepResult exec_tuple_op(Agent& agent, Opcode op, sim::SimTime& cost);
   StepResult exec_migration(Agent& agent, Opcode op);
   StepResult exec_remote(Agent& agent, Opcode op);
-  /// Pushes a result tuple's fields, last first; false on overflow.
-  static bool push_fields(Agent& agent, const ts::Tuple& tuple);
   /// Room for the most fields one tuple operation can pop.
   using FieldBuffer = std::array<ts::Value, Agent::kStackDepth>;
   /// Pops a field count and that many fields into `buf`, back to front,

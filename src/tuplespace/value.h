@@ -146,6 +146,7 @@ class Value {
         return {t, lo(a_), hi(a_), 0, 0};
     }
   }
+
   Value(ValueType type, std::int16_t a, std::int16_t b)
       : type_(type), a_(a), b_(b) {}
 
