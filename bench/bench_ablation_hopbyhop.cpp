@@ -37,8 +37,8 @@ bool end_to_end_trial(Testbed& bed, int hops, std::int16_t trial_id) {
   image.dest = dst.location();
   image.code = core::assemble_or_die(source);
 
-  // Destination side: reassemble and install (registered once per mote in
-  // main(), via this shared assembler map).
+  // Destination side: reassemble and install (each mote's E2eReceiver,
+  // set up once in main(), shares one assembler map).
   for (const auto& message : core::to_messages(image, 1)) {
     src.router().send(dst.location(), 0.3, message.am, message.payload,
                       src.location());
@@ -66,37 +66,62 @@ bool hop_by_hop_trial(Testbed& bed, int hops, std::int16_t trial_id) {
   return done.has_value();
 }
 
-/// Wires an end-to-end reassembly handler onto every mote's geo router.
-void install_e2e_receivers(
-    Testbed& bed,
-    std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers) {
-  const sim::AmType kinds[] = {
-      sim::AmType::kAgentState, sim::AmType::kAgentCode,
-      sim::AmType::kAgentStack, sim::AmType::kAgentHeap,
-      sim::AmType::kAgentReaction};
-  for (std::size_t i = 0; i < bed.mote_count(); ++i) {
-    auto& mote = bed.mote(i);
-    for (const sim::AmType am : kinds) {
-      mote.router().register_handler(
-          am, [&mote, &assemblers, am](const net::GeoHeader&,
-                                       std::span<const std::uint8_t> p) {
-            net::Reader peek(p);
-            const std::uint16_t agent_id = peek.u16();
-            if (!peek.ok()) {
-              return;
-            }
-            auto& assembler = assemblers[agent_id];
-            if (!assembler.feed(am, p)) {
-              return;
-            }
-            if (assembler.complete()) {
-              core::AgentImage image = assembler.take();
-              assemblers.erase(agent_id);
-              mote.engine().install(std::move(image), true);
-            }
-          });
+/// One mote's end-to-end receiver: reassembles and installs agents from
+/// the five migration AM types that arrive as geo datagrams, and passes
+/// every other datagram on to the mote.
+class E2eReceiver final : public net::GeoRouter::Receiver {
+ public:
+  E2eReceiver(
+      core::AgillaMiddleware& mote,
+      std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers)
+      : mote_(mote), assemblers_(assemblers) {}
+
+  void on_geo_message(const net::GeoHeader& header,
+                      std::span<const std::uint8_t> p) override {
+    switch (header.inner_am) {
+      case sim::AmType::kAgentState:
+      case sim::AmType::kAgentCode:
+      case sim::AmType::kAgentStack:
+      case sim::AmType::kAgentHeap:
+      case sim::AmType::kAgentReaction:
+        break;
+      default:
+        static_cast<net::GeoRouter::Receiver&>(mote_).on_geo_message(header,
+                                                                     p);
+        return;
+    }
+    net::Reader peek(p);
+    const std::uint16_t agent_id = peek.u16();
+    if (!peek.ok()) {
+      return;
+    }
+    auto& assembler = assemblers_[agent_id];
+    if (!assembler.feed(header.inner_am, p)) {
+      return;
+    }
+    if (assembler.complete()) {
+      core::AgentImage image = assembler.take();
+      assemblers_.erase(agent_id);
+      mote_.engine().install(std::move(image), true);
     }
   }
+
+ private:
+  core::AgillaMiddleware& mote_;
+  std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers_;
+};
+
+/// Points every mote's geo router at an end-to-end receiver.
+std::vector<std::unique_ptr<E2eReceiver>> install_e2e_receivers(
+    Testbed& bed,
+    std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers) {
+  std::vector<std::unique_ptr<E2eReceiver>> receivers;
+  for (std::size_t i = 0; i < bed.mote_count(); ++i) {
+    auto& mote = bed.mote(i);
+    receivers.push_back(std::make_unique<E2eReceiver>(mote, assemblers));
+    mote.router().set_receiver(*receivers.back());
+  }
+  return receivers;
 }
 
 }  // namespace
@@ -129,7 +154,7 @@ int main(int argc, char** argv) {
       {
         Testbed bed(args.seed + 31 + hops, loss);
         std::unordered_map<std::uint16_t, core::ImageAssembler> assemblers;
-        install_e2e_receivers(bed, assemblers);
+        const auto receivers = install_e2e_receivers(bed, assemblers);
         for (int t = 0; t < args.trials; ++t) {
           e2e.record(end_to_end_trial(
               bed, hops, static_cast<std::int16_t>(t + 1)));

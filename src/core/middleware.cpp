@@ -9,91 +9,97 @@ AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
       self_(self),
       location_(network.info(self).location),
       config_(config),
-      tuple_space_(config.tuple_space, &network.simulator(), self),
+      tuple_space_(config.tuple_space, &network.simulator(), self, this),
       code_pool_(config.code_pool_blocks),
       agents_(self, config.agents),
       sensors_(environment, location_),
-      link_(network_, self_, config_.link),
-      neighbors_(network_, link_, location_, config_.neighbors),
-      router_(network_, link_, neighbors_, location_, config_.routing),
+      link_(network_, self_, *this, &neighbors_, config_.link),
+      neighbors_(network_, link_, location_, config_.neighbors, this),
+      router_(link_, neighbors_, location_, *this, config_.routing),
       context_(location_, neighbors_),
-      migration_(network_, link_, router_, location_, config_.migration),
+      migration_(network_, link_, router_, engine_, location_,
+                 config_.migration),
       remote_ts_(network_.simulator(), router_, tuple_space_, location_,
                  config_.remote_ts),
-      region_ops_(network_, link_, router_, tuple_space_, location_),
+      region_ops_(link_, router_, tuple_space_, location_),
       engine_(network_.simulator(), self_, config_.engine, agents_, code_pool_,
               tuple_space_, context_, sensors_, migration_, remote_ts_,
-              programs) {
-  // Wire the upcalls: reactions and wakeups flow from the tuple space to
-  // the engine; arriving agents flow from the migration manager.
-  tuple_space_.set_reaction_callback(
-      [this](const ts::Reaction& r, const ts::Tuple& t) {
-        engine_.on_reaction(r, t);
-      });
-  tuple_space_.set_insertion_callback(
-      [this](const ts::Tuple& t) { engine_.on_tuple_inserted(t); });
-  migration_.set_arrival_handler(
-      [this](AgentImage image, bool reached_dest) {
-        engine_.install(std::move(image), reached_dest);
-      });
+              programs) {}
+
+bool AgillaMiddleware::on_link_message(sim::AmType am, sim::NodeId from,
+                                       std::span<const std::uint8_t> payload) {
+  switch (am) {
+    case sim::AmType::kBeacon:
+      neighbors_.on_beacon(from, payload);
+      return true;
+    case sim::AmType::kGeo:
+      router_.on_geo_frame(payload);
+      return true;
+    case sim::AmType::kAgentState:
+    case sim::AmType::kAgentCode:
+    case sim::AmType::kAgentHeap:
+    case sim::AmType::kAgentStack:
+    case sim::AmType::kAgentReaction:
+      return migration_.on_message(am, from, payload);
+    case sim::AmType::kRegionFlood:
+      region_ops_.on_flood(from, payload);
+      return true;
+    default:
+      return false;  // not an Agilla message (e.g. a Mate capsule)
+  }
+}
+
+void AgillaMiddleware::on_geo_message(const net::GeoHeader& header,
+                                      std::span<const std::uint8_t> payload) {
+  switch (header.inner_am) {
+    case sim::AmType::kTsRequest:
+      remote_ts_.on_request(header, payload);
+      return;
+    case sim::AmType::kTsReply:
+      remote_ts_.on_reply(header, payload);
+      return;
+    case sim::AmType::kRegionOut:
+      region_ops_.on_seed(header, payload);
+      return;
+    default:
+      return;
+  }
+}
+
+void AgillaMiddleware::on_neighbor_discovered(sim::NodeId /*id*/,
+                                              sim::Location location) {
   // A NEW acquaintance (first discovery, or a rebooted node re-appearing
   // after eviction) drops a fresh <"ctx", loc> tuple into the local
   // space. Deployment agents (FIREDETECTOR / SENTINEL) register a
   // reaction on it and re-flood clones — the self-healing path for nodes
-  // that reboot agent-less after churn.
-  neighbors_.set_discovery_handler(
-      [this](sim::NodeId, sim::Location loc) {
-        // The tuple is an event, not state: out() fires the reactions
-        // (handlers get a copy of the fields), then the tuple is removed
-        // so discoveries never eat into the 600-byte store.
-        tuple_space_.out(ts::Tuple{ts::Value::string("ctx"),
-                                   ts::Value::location(loc)});
-        tuple_space_.inp(ts::CompiledTemplate(
-            ts::Template{ts::Value::string("ctx"),
-                         ts::Value::location(loc)}));
-      });
+  // that reboot agent-less after churn. The tuple is an event, not state:
+  // out() fires the reactions (handlers get a copy of the fields), then
+  // the tuple is removed so discoveries never eat into the 600-byte store.
+  tuple_space_.out(
+      ts::Tuple{ts::Value::string("ctx"), ts::Value::location(location)});
+  tuple_space_.inp(ts::CompiledTemplate(
+      ts::Template{ts::Value::string("ctx"), ts::Value::location(location)}));
+}
+
+void AgillaMiddleware::on_reaction(const ts::Reaction& reaction,
+                                   const ts::Tuple& tuple) {
+  engine_.on_reaction(reaction, tuple);
+}
+
+void AgillaMiddleware::on_tuple_inserted(const ts::Tuple& tuple) {
+  engine_.on_tuple_inserted(tuple);
 }
 
 void AgillaMiddleware::start() {
   link_.attach();
-  // Beacons advertise this node's energy state: residual battery (full
-  // for mains-powered / battery-less nodes) and the current LPL check
-  // period, read fresh at every beacon/piggyback.
-  neighbors_.set_self_state([this] {
-    net::BeaconSelfState state;
-    if (energy::Battery* battery = network_.battery(self_)) {
-      battery->settle(network_.simulator().now());
-      state.residual = net::encode_residual(battery->remaining_mj() /
-                                            battery->capacity_mj());
-    }
-    state.period_units = network_.node_duty(self_).period_units();
-    return state;
-  });
-  if (neighbors_.suppressing()) {
-    // Beacon suppression: data frames double as beacons.
-    link_.set_piggyback(
-        [this] { return neighbors_.make_piggyback(); },
-        [this](sim::NodeId from, std::span<const std::uint8_t> bytes) {
-          neighbors_.on_piggyback(from, bytes);
-        });
-  }
   neighbors_.start();
   context_.seed_context_tuples(tuple_space_, sensors_);
   // Energy wiring: when the network runs the energy subsystem, the VM and
   // the migration protocol charge this node's battery (nullptr for the
   // mains-powered gateway — charging no-ops).
-  if (const energy::EnergyOptions* energy = network_.energy_options();
-      energy != nullptr) {
+  if (network_.energy_options() != nullptr) {
     engine_.set_energy(network_.battery(self_));
     migration_.set_energy(network_.battery(self_));
-    if (energy->duty.adaptive) {
-      // Per-receiver preamble tracking: size each frame's preamble for
-      // the destination's advertised check period instead of a global
-      // constant (the sender's own schedule is the broadcast fallback).
-      link_.set_preamble_oracle([this](sim::NodeId dst) {
-        return neighbors_.preamble_extension_for(dst);
-      });
-    }
   }
 }
 

@@ -2,6 +2,11 @@
 // manager of paper Fig. 4 — link layer, neighbour discovery, geographic
 // routing, tuple space, agent/context/instruction managers, the migration
 // and remote-op protocols, and the engine.
+//
+// It is the one owner of the mote's upcalls: the link layer, the geo
+// router, the neighbour table and the tuple space each report to it, and
+// it alone decides which manager handles which AM type (one switch per
+// layer in middleware.cpp).
 #pragma once
 
 #include <optional>
@@ -34,7 +39,10 @@ struct AgillaConfig {
   AgillaEngine::Options engine{};            ///< dispatch mode, batching
 };
 
-class AgillaMiddleware {
+class AgillaMiddleware final : public net::LinkLayer::Receiver,
+                               public net::GeoRouter::Receiver,
+                               public net::NeighborTable::Listener,
+                               public ts::TupleSpace::Listener {
  public:
   /// Creates the middleware stack for node `self`. `environment` may be
   /// nullptr (no sensors). `programs` is the program table the node's
@@ -89,6 +97,17 @@ class AgillaMiddleware {
   [[nodiscard]] MemoryBudget memory_budget() const;
 
  private:
+  // The upcalls: each routes to the layer that handles it.
+  bool on_link_message(sim::AmType am, sim::NodeId from,
+                       std::span<const std::uint8_t> payload) override;
+  void on_geo_message(const net::GeoHeader& header,
+                      std::span<const std::uint8_t> payload) override;
+  void on_neighbor_discovered(sim::NodeId id,
+                              sim::Location location) override;
+  void on_reaction(const ts::Reaction& reaction,
+                   const ts::Tuple& tuple) override;
+  void on_tuple_inserted(const ts::Tuple& tuple) override;
+
   sim::Network& network_;
   sim::NodeId self_;
   sim::Location location_;
@@ -96,7 +115,10 @@ class AgillaMiddleware {
 
   // The layers live inline, so a mote is one allocation. Declaration
   // order is construction order, and it matters: each layer takes
-  // references to the ones before it.
+  // references to the ones before it. Two take a forward reference they
+  // only use once the mote runs: the link layer asks the neighbour table
+  // for piggybacks and preambles, and migration installs arrivals on the
+  // engine.
   ts::TupleSpace tuple_space_;
   CodePool code_pool_;
   AgentManager agents_;

@@ -3,35 +3,22 @@
 #include <cassert>
 #include <utility>
 
+#include "core/engine.h"
 #include "energy/energy_model.h"
 
 namespace agilla::core {
-namespace {
-
-constexpr sim::AmType kMigrationTypes[] = {
-    sim::AmType::kAgentState, sim::AmType::kAgentCode,
-    sim::AmType::kAgentHeap, sim::AmType::kAgentStack,
-    sim::AmType::kAgentReaction,
-};
-
-}  // namespace
 
 MigrationManager::MigrationManager(sim::Network& network,
                                    net::LinkLayer& link,
                                    const net::GeoRouter& router,
-                                   sim::Location self, Options options)
+                                   AgillaEngine& engine, sim::Location self,
+                                   Options options)
     : network_(network),
       link_(link),
       router_(router),
+      engine_(engine),
       self_(self),
-      options_(options) {
-  for (const sim::AmType am : kMigrationTypes) {
-    link_.register_handler(
-        am, [this, am](sim::NodeId from, std::span<const std::uint8_t> p) {
-          return on_message(am, from, p);
-        });
-  }
-}
+      options_(options) {}
 
 void MigrationManager::deliver(AgentImage image, bool reached_dest) {
   if (reached_dest) {
@@ -39,9 +26,7 @@ void MigrationManager::deliver(AgentImage image, bool reached_dest) {
   } else {
     stats_.custody_resumes++;
   }
-  if (arrival_) {
-    arrival_(std::move(image), reached_dest);
-  }
+  engine_.install(std::move(image), reached_dest);
 }
 
 void MigrationManager::send(AgentImage image, HopCompletion done) {

@@ -21,6 +21,8 @@
 
 namespace agilla::core {
 
+class AgillaEngine;
+
 class MigrationManager {
  public:
   struct Options {
@@ -42,22 +44,16 @@ class MigrationManager {
   /// delivered locally.
   using HopCompletion = std::function<void(bool success)>;
 
-  /// Invoked when an agent lands on this node. `reached_dest` is false for
-  /// custody resumes (the agent is stranded short of its destination; the
-  /// engine installs it with condition 0).
-  using ArrivalHandler =
-      std::function<void(AgentImage image, bool reached_dest)>;
-
+  /// An agent that lands on this node is installed on `engine`, with
+  /// condition 0 for a custody resume (the agent is stranded short of its
+  /// destination). The engine may still be under construction: it is
+  /// first used when an agent arrives.
   MigrationManager(sim::Network& network, net::LinkLayer& link,
-                   const net::GeoRouter& router, sim::Location self,
-                   Options options);
+                   const net::GeoRouter& router, AgillaEngine& engine,
+                   sim::Location self, Options options);
 
   MigrationManager(const MigrationManager&) = delete;
   MigrationManager& operator=(const MigrationManager&) = delete;
-
-  void set_arrival_handler(ArrivalHandler handler) {
-    arrival_ = std::move(handler);
-  }
 
   /// Connects the node's battery: every migration message built or
   /// accepted charges energy::kMigrationMsgMj of CPU (serialization work)
@@ -75,6 +71,13 @@ class MigrationManager {
   /// callbacks of already-sent messages still fire; with nothing to
   /// deliver they only erase their bookkeeping entry.
   void drop_in_flight();
+
+  /// One migration message (the five agent AM types) from the link.
+  /// Returns false when the message cannot be accepted (e.g. it belongs to
+  /// a transfer whose state message was never seen — typically after a
+  /// receiver abort); the link layer then withholds the ack.
+  bool on_message(sim::AmType am, sim::NodeId from,
+                  std::span<const std::uint8_t> payload);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -94,11 +97,6 @@ class MigrationManager {
   };
 
   void send_next(std::list<Outgoing>::iterator it);
-  /// Returns false when the message cannot be accepted (e.g. it belongs to
-  /// a transfer whose state message was never seen — typically after a
-  /// receiver abort); the link layer then withholds the ack.
-  bool on_message(sim::AmType am, sim::NodeId from,
-                  std::span<const std::uint8_t> payload);
   void finish_incoming(std::uint16_t agent_id);
   void abort_incoming(std::uint16_t agent_id);
   void deliver(AgentImage image, bool reached_dest);
@@ -106,10 +104,10 @@ class MigrationManager {
   sim::Network& network_;
   net::LinkLayer& link_;
   const net::GeoRouter& router_;
+  AgillaEngine& engine_;
   sim::Location self_;
   Options options_;
   energy::Battery* battery_ = nullptr;
-  ArrivalHandler arrival_;
   std::list<Outgoing> outgoing_;
   sim::SmallMap<std::uint16_t, Incoming> incoming_;  // by agent id
   std::uint8_t next_transfer_id_ = 0;

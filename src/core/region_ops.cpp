@@ -17,26 +17,12 @@ std::uint64_t flood_key(sim::Location origin, std::uint16_t flood_id) {
 
 }  // namespace
 
-RegionOps::RegionOps(sim::Network& network, net::LinkLayer& link,
-                     net::GeoRouter& router, ts::TupleSpace& space,
-                     sim::Location self)
-    : network_(network),
-      link_(link),
+RegionOps::RegionOps(net::LinkLayer& link, net::GeoRouter& router,
+                     ts::TupleSpace& space, sim::Location self)
+    : link_(link),
       router_(router),
       space_(space),
-      self_(self) {
-  router_.register_handler(
-      sim::AmType::kRegionOut,
-      [this](const net::GeoHeader& h, std::span<const std::uint8_t> p) {
-        on_seed(h, p);
-      });
-  link_.register_handler(
-      sim::AmType::kRegionFlood,
-      [this](sim::NodeId from, std::span<const std::uint8_t> p) {
-        on_flood(from, p);
-        return true;
-      });
-}
+      self_(self) {}
 
 bool RegionOps::remember(std::uint64_t key) {
   for (const std::uint64_t seen : seen_) {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/geo_router.h"
 #include "sim/fifo.h"
@@ -45,9 +44,8 @@ class RegionOps {
     std::uint64_t duplicates_dropped = 0;
   };
 
-  RegionOps(sim::Network& network, net::LinkLayer& link,
-            net::GeoRouter& router, ts::TupleSpace& space,
-            sim::Location self);
+  RegionOps(net::LinkLayer& link, net::GeoRouter& router,
+            ts::TupleSpace& space, sim::Location self);
 
   RegionOps(const RegionOps&) = delete;
   RegionOps& operator=(const RegionOps&) = delete;
@@ -66,18 +64,20 @@ class RegionOps {
   bool out_region(const ts::Tuple& tuple, sim::Location center,
                   double radius, RegionMode mode);
 
+  // Wire: flood_id(2) origin(4) center(4) radius(1, epsilon-coded)
+  //       mode(1) ttl(1) tuple...
+  /// A geo-routed kRegionOut seed that reached the region.
+  void on_seed(const net::GeoHeader& header,
+               std::span<const std::uint8_t> payload);
+  /// A kRegionFlood rebroadcast from a one-hop neighbour.
+  void on_flood(sim::NodeId from, std::span<const std::uint8_t> payload);
+
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  // Wire: flood_id(2) origin(4) center(4) radius(1, epsilon-coded)
-  //       mode(1) ttl(1) tuple...
-  void on_seed(const net::GeoHeader& header,
-               std::span<const std::uint8_t> payload);
-  void on_flood(sim::NodeId from, std::span<const std::uint8_t> payload);
   void handle_region_payload(std::span<const std::uint8_t> payload);
   [[nodiscard]] bool remember(std::uint64_t key);
 
-  sim::Network& network_;
   net::LinkLayer& link_;
   net::GeoRouter& router_;
   ts::TupleSpace& space_;

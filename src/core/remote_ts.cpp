@@ -37,18 +37,7 @@ RemoteTsManager::RemoteTsManager(sim::Simulator& sim, net::GeoRouter& router,
       router_(router),
       local_(local),
       self_(self),
-      options_(options) {
-  router_.register_handler(
-      sim::AmType::kTsRequest,
-      [this](const net::GeoHeader& h, std::span<const std::uint8_t> p) {
-        on_request(h, p);
-      });
-  router_.register_handler(
-      sim::AmType::kTsReply,
-      [this](const net::GeoHeader& h, std::span<const std::uint8_t> p) {
-        on_reply(h, p);
-      });
-}
+      options_(options) {}
 
 std::uint64_t RemoteTsManager::replay_key(sim::Location origin,
                                           std::uint16_t request_id) {

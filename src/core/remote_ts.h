@@ -70,6 +70,13 @@ class RemoteTsManager {
   void request_probe(RemoteOp op, sim::Location dest,
                      const ts::Template& templ, Completion done);
 
+  /// A geo-routed kTsRequest for this node's tuple space.
+  void on_request(const net::GeoHeader& header,
+                  std::span<const std::uint8_t> payload);
+  /// A geo-routed kTsReply to one of this node's requests.
+  void on_reply(const net::GeoHeader& header,
+                std::span<const std::uint8_t> payload);
+
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
@@ -89,10 +96,6 @@ class RemoteTsManager {
                 const sim::FramePayload& request, Completion done);
   void transmit(std::uint16_t request_id);
   void on_timeout(std::uint16_t request_id);
-  void on_request(const net::GeoHeader& header,
-                  std::span<const std::uint8_t> payload);
-  void on_reply(const net::GeoHeader& header,
-                std::span<const std::uint8_t> payload);
   [[nodiscard]] static std::uint64_t replay_key(sim::Location origin,
                                                 std::uint16_t request_id);
 

@@ -816,9 +816,15 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
         e_.die(agent, "field not storable in a tuple (out)");
         return StepResult::kGone;
       }
+      const AgentId id = agent.id();
       const bool ok = e_.tuple_space_.out(tuple);
-      agent.set_condition(ok ? 1 : 0);
       charge(false);
+      // The write may fire this agent's own reactions, and a delivery that
+      // overflows its stack kills it (and frees it).
+      if (e_.agents_.find(id) == nullptr) {
+        return StepResult::kGone;
+      }
+      agent.set_condition(ok ? 1 : 0);
       return StepResult::kContinue;
     }
     case Opcode::kInp:

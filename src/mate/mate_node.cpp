@@ -9,13 +9,15 @@ MateNode::MateNode(sim::Network& network, sim::NodeId self,
     : network_(network),
       self_(self),
       environment_(environment),
-      link_(network, self) {
-  link_.register_handler(
-      sim::AmType::kMateCapsule,
-      [this](sim::NodeId from, std::span<const std::uint8_t> p) {
-        on_capsule(from, p);
-        return true;
-      });
+      link_(network, self, *this) {}
+
+bool MateNode::on_link_message(sim::AmType am, sim::NodeId /*from*/,
+                               std::span<const std::uint8_t> payload) {
+  if (am != sim::AmType::kMateCapsule) {
+    return false;
+  }
+  on_capsule(payload);
+  return true;
 }
 
 void MateNode::start() {
@@ -94,8 +96,7 @@ void MateNode::broadcast_capsules() {
   }
 }
 
-void MateNode::on_capsule(sim::NodeId /*from*/,
-                          std::span<const std::uint8_t> payload) {
+void MateNode::on_capsule(std::span<const std::uint8_t> payload) {
   net::Reader r(payload);
   const Capsule received = Capsule::read(r);
   if (!r.ok()) {

@@ -19,7 +19,7 @@
 
 namespace agilla::mate {
 
-class MateNode {
+class MateNode final : public net::LinkLayer::Receiver {
  public:
   /// Clock capsule cadence.
   static constexpr sim::SimTime kClockPeriod = 1 * sim::kSecond;
@@ -50,9 +50,12 @@ class MateNode {
   [[nodiscard]] sim::NodeId node_id() const { return self_; }
 
  private:
+  /// The link's one upcall: Mate handles only kMateCapsule.
+  bool on_link_message(sim::AmType am, sim::NodeId from,
+                       std::span<const std::uint8_t> payload) override;
   void run_clock();
   void broadcast_capsules();
-  void on_capsule(sim::NodeId from, std::span<const std::uint8_t> payload);
+  void on_capsule(std::span<const std::uint8_t> payload);
 
   sim::Network& network_;
   sim::NodeId self_;

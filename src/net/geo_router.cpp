@@ -1,32 +1,18 @@
 #include "net/geo_router.h"
 
-#include <utility>
-
 namespace agilla::net {
 
-GeoRouter::GeoRouter(sim::Network& network, LinkLayer& link,
-                     const NeighborTable& neighbors, sim::Location self)
-    : GeoRouter(network, link, neighbors, self, Options{}) {}
+GeoRouter::GeoRouter(LinkLayer& link, const NeighborTable& neighbors,
+                     sim::Location self, Receiver& receiver)
+    : GeoRouter(link, neighbors, self, receiver, Options{}) {}
 
-GeoRouter::GeoRouter(sim::Network& network, LinkLayer& link,
-                     const NeighborTable& neighbors, sim::Location self,
-                     Options options)
-    : network_(network),
-      link_(link),
+GeoRouter::GeoRouter(LinkLayer& link, const NeighborTable& neighbors,
+                     sim::Location self, Receiver& receiver, Options options)
+    : link_(link),
       neighbors_(neighbors),
       self_(self),
-      options_(options) {
-  link_.register_handler(
-      sim::AmType::kGeo,
-      [this](sim::NodeId from, std::span<const std::uint8_t> payload) {
-        on_geo_frame(from, payload);
-        return true;
-      });
-}
-
-void GeoRouter::register_handler(sim::AmType inner_am, Handler handler) {
-  handlers_.set(inner_am, std::move(handler));
-}
+      receiver_(&receiver),
+      options_(options) {}
 
 std::optional<sim::NodeId> GeoRouter::max_min_next_hop(
     sim::Location dest, double self_distance) const {
@@ -107,7 +93,7 @@ void GeoRouter::forward(const GeoHeader& header,
   switch (decision.kind) {
     case Decision::Kind::kDeliverLocal: {
       stats_.delivered++;
-      handlers_.dispatch(header.inner_am, header, inner);
+      receiver_->on_geo_message(header, inner);
       return;
     }
     case Decision::Kind::kForward: {
@@ -131,8 +117,7 @@ void GeoRouter::forward(const GeoHeader& header,
   }
 }
 
-void GeoRouter::on_geo_frame(sim::NodeId /*from*/,
-                             std::span<const std::uint8_t> payload) {
+void GeoRouter::on_geo_frame(std::span<const std::uint8_t> payload) {
   Reader r(payload);
   const GeoHeader header = GeoHeader::read(r);
   if (!r.ok()) {

@@ -5,15 +5,12 @@
 // Two services share the same next-hop policy:
 //  * decide()         — used by agent migration, which transfers the agent
 //                       reliably hop by hop and picks each hop itself;
-//  * send()/handlers  — a datagram service for geographically-addressed
+//  * send()/Receiver — a datagram service for geographically-addressed
 //                       payloads (remote tuple-space ops). Packets are
 //                       wrapped in a GeoHeader and forwarded without link
 //                       acks, end-to-end (paper Sec. 3.2).
 #pragma once
 
-#include <functional>
-
-#include "net/am_table.h"
 #include "net/neighbor_table.h"
 #include "net/packet.h"
 
@@ -52,23 +49,32 @@ class GeoRouter {
     std::uint64_t ttl_expired = 0;
   };
 
-  /// Delivered packets hand the inner payload plus the origin location (so
-  /// the receiver can reply without knowing sender node ids).
-  using Handler = std::function<void(const GeoHeader&,
-                                     std::span<const std::uint8_t>)>;
+  /// The router's owner: every datagram delivered here, whatever its
+  /// inner AM type, with the inner payload plus the header (whose origin
+  /// lets the receiver reply without knowing sender node ids).
+  class Receiver {
+   public:
+    virtual void on_geo_message(const GeoHeader& header,
+                                std::span<const std::uint8_t> payload) = 0;
 
-  GeoRouter(sim::Network& network, LinkLayer& link,
-            const NeighborTable& neighbors, sim::Location self);
-  GeoRouter(sim::Network& network, LinkLayer& link,
-            const NeighborTable& neighbors, sim::Location self,
-            Options options);
+   protected:
+    ~Receiver() = default;
+  };
+
+  GeoRouter(LinkLayer& link, const NeighborTable& neighbors,
+            sim::Location self, Receiver& receiver);
+  GeoRouter(LinkLayer& link, const NeighborTable& neighbors,
+            sim::Location self, Receiver& receiver, Options options);
 
   GeoRouter(const GeoRouter&) = delete;
   GeoRouter& operator=(const GeoRouter&) = delete;
 
-  /// Register the upcall for an inner AM type (kTsRequest / kTsReply),
-  /// replacing any earlier one. Not from inside a handler (asserted).
-  void register_handler(sim::AmType inner_am, Handler handler);
+  /// Hands later deliveries to `receiver` instead (an experiment that
+  /// intercepts some inner AM types and passes the rest on).
+  void set_receiver(Receiver& receiver) { receiver_ = &receiver; }
+
+  /// A kGeo frame's payload from the link: deliver it here or forward it.
+  void on_geo_frame(std::span<const std::uint8_t> payload);
 
   /// Largest inner payload send() takes: a frame minus the link and geo
   /// headers. Forwarding keeps the header size, so a datagram that left
@@ -101,17 +107,15 @@ class GeoRouter {
   [[nodiscard]] const Options& options() const { return options_; }
 
  private:
-  void on_geo_frame(sim::NodeId from, std::span<const std::uint8_t> payload);
   void forward(const GeoHeader& header, std::span<const std::uint8_t> inner);
   [[nodiscard]] std::optional<sim::NodeId> max_min_next_hop(
       sim::Location dest, double self_distance) const;
 
-  sim::Network& network_;
   LinkLayer& link_;
   const NeighborTable& neighbors_;
   sim::Location self_;
+  Receiver* receiver_;
   Options options_;
-  AmTable<Handler> handlers_;
   Stats stats_;
 };
 

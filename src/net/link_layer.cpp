@@ -4,35 +4,47 @@
 #include <cassert>
 #include <utility>
 
+#include "net/neighbor_table.h"
+
 namespace agilla::net {
 
-LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self)
-    : LinkLayer(network, self, Options{}) {}
+LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self,
+                     Receiver& receiver, NeighborTable* neighbors)
+    : LinkLayer(network, self, receiver, neighbors, Options{}) {}
 
-LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self, Options options)
-    : network_(network), self_(self), options_(options) {}
+LinkLayer::LinkLayer(sim::Network& network, sim::NodeId self,
+                     Receiver& receiver, NeighborTable* neighbors,
+                     Options options)
+    : network_(network),
+      self_(self),
+      options_(options),
+      receiver_(receiver),
+      neighbors_(neighbors) {}
 
 void LinkLayer::attach() {
   network_.set_receiver(self_,
                         [this](const sim::Frame& f) { on_frame(f); });
-}
-
-void LinkLayer::register_handler(sim::AmType am, Handler handler) {
-  handlers_.set(am, std::move(handler));
+  // Beacon suppression: data frames double as beacons. Adaptive LPL:
+  // size each frame's preamble for the destination's advertised check
+  // period instead of the sender's own schedule.
+  const energy::EnergyOptions* energy = network_.energy_options();
+  piggyback_ = neighbors_ != nullptr && neighbors_->suppressing();
+  adaptive_preamble_ =
+      neighbors_ != nullptr && energy != nullptr && energy->duty.adaptive;
 }
 
 sim::FramePayload LinkLayer::frame_payload(
     std::uint8_t seq, bool wants_ack, sim::AmType am,
     std::span<const std::uint8_t> payload) const {
   const bool piggyback =
-      piggyback_provider_ && am != sim::AmType::kBeacon &&
+      piggyback_ && am != sim::AmType::kBeacon &&
       LinkHeader::kWireSize + payload.size() + BeaconPayload::kWireSize <=
           kMaxPayloadBytes;
   Writer w;
   LinkHeader{seq, wants_ack, piggyback}.write(w);
   w.bytes(payload);
   if (piggyback) {
-    piggyback_provider_().write(w);
+    neighbors_->make_piggyback().write(w);
   }
   return w.payload();
 }
@@ -40,8 +52,8 @@ sim::FramePayload LinkLayer::frame_payload(
 void LinkLayer::send_frame(sim::NodeId dst, sim::AmType am,
                            const sim::FramePayload& payload) {
   std::optional<sim::SimTime> preamble;
-  if (preamble_oracle_) {
-    preamble = preamble_oracle_(dst);
+  if (adaptive_preamble_) {
+    preamble = neighbors_->preamble_extension_for(dst);
   }
   network_.send(sim::Frame{self_, dst, am, payload, preamble});
 }
@@ -180,12 +192,12 @@ void LinkLayer::on_frame(const sim::Frame& frame) {
     // first, so the frame's own handler sees the refreshed entry.
     const auto piggyback = inner.last(BeaconPayload::kWireSize);
     inner = inner.first(inner.size() - BeaconPayload::kWireSize);
-    if (piggyback_sink_) {
-      piggyback_sink_(frame.src, piggyback);
+    if (piggyback_) {
+      neighbors_->on_beacon(frame.src, piggyback);
     }
   }
   if (!header.wants_ack) {
-    handlers_.dispatch(frame.am, frame.src, inner);
+    receiver_.on_link_message(frame.am, frame.src, inner);
     return;
   }
 
@@ -199,7 +211,7 @@ void LinkLayer::on_frame(const sim::Frame& frame) {
     }
     return;
   }
-  const bool accepted = handlers_.dispatch(frame.am, frame.src, inner);
+  const bool accepted = receiver_.on_link_message(frame.am, frame.src, inner);
   if (accepted) {
     send_ack(frame.src, header.seq);
   }

@@ -1,5 +1,7 @@
-// The link layer: AM dispatch, optional per-hop acknowledgements with
-// retransmission, and duplicate suppression.
+// The link layer: optional per-hop acknowledgements with retransmission,
+// duplicate suppression, and delivery of every inbound message to the one
+// Receiver that owns the link (the mote decides which layer handles which
+// AM type).
 //
 // Parameters follow paper Sec. 3.2: "If a one-hop acknowledgement is not
 // received within 0.1 seconds, the message is retransmitted. This repeats
@@ -8,15 +10,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "net/am_table.h"
 #include "net/packet.h"
 #include "sim/network.h"
 #include "sim/small_map.h"
 
 namespace agilla::net {
+
+class NeighborTable;
 
 class LinkLayer {
  public:
@@ -41,39 +43,37 @@ class LinkLayer {
     std::uint64_t duplicates_dropped = 0;
   };
 
-  /// `frame.src` is the one-hop sender; handlers get the de-duplicated
-  /// inner payload (link header already stripped). The return value
-  /// controls acknowledgement of acked sends: a handler that cannot accept
-  /// the message returns false and NO ack is sent, so the sender's
+  /// The link's owner. `from` is the one-hop sender and `payload` the
+  /// de-duplicated inner payload (link header and any piggybacked beacon
+  /// already stripped). The return value controls acknowledgement of
+  /// acked sends: an owner that does not handle `am`, or cannot accept the
+  /// message, returns false and NO ack is sent, so the sender's
   /// retransmissions eventually report failure (this is how a migration
   /// receiver that aborted a stalled transfer pushes the failure back to
   /// the node holding the agent).
-  using Handler =
-      std::function<bool(sim::NodeId from, std::span<const std::uint8_t>)>;
+  class Receiver {
+   public:
+    virtual bool on_link_message(sim::AmType am, sim::NodeId from,
+                                 std::span<const std::uint8_t> payload) = 0;
+
+   protected:
+    ~Receiver() = default;
+  };
+
   using SendCallback = std::function<void(bool delivered)>;
 
-  /// Per-destination LPL preamble extension (adaptive LPL: size the
-  /// preamble for the receiver's advertised check period, not a global
-  /// constant). nullopt = fall back to the sender's own schedule.
-  using PreambleOracle =
-      std::function<std::optional<sim::SimTime>(sim::NodeId dst)>;
-
-  /// Beacon suppression: the provider supplies the node's current
-  /// BeaconPayload, which the link layer appends to outgoing data frames;
-  /// the sink consumes one arriving piggybacked on a neighbour's frame.
-  using PiggybackProvider = std::function<BeaconPayload()>;
-  using PiggybackSink =
-      std::function<void(sim::NodeId from, std::span<const std::uint8_t>)>;
-
-  LinkLayer(sim::Network& network, sim::NodeId self);
-  LinkLayer(sim::Network& network, sim::NodeId self, Options options);
+  /// `neighbors` is the mote's acquaintance list, or nullptr (Mate motes,
+  /// bare links). With it, attach() turns on what the network asks for:
+  /// under beacon suppression, data frames carry the table's beacon and
+  /// arriving piggybacks refresh it; under adaptive LPL, each frame's
+  /// preamble is sized for the destination's advertised check period.
+  LinkLayer(sim::Network& network, sim::NodeId self, Receiver& receiver,
+            NeighborTable* neighbors = nullptr);
+  LinkLayer(sim::Network& network, sim::NodeId self, Receiver& receiver,
+            NeighborTable* neighbors, Options options);
 
   LinkLayer(const LinkLayer&) = delete;
   LinkLayer& operator=(const LinkLayer&) = delete;
-
-  /// Registers the upcall for `am`, replacing any earlier one. Not from
-  /// inside a handler (asserted): nodes register while they are built.
-  void register_handler(sim::AmType am, Handler handler);
 
   /// Fire-and-forget send (no ack, no retransmission). `dst` may be
   /// kBroadcastNode.
@@ -85,16 +85,9 @@ class LinkLayer {
   void send_acked(sim::NodeId dst, sim::AmType am,
                   const sim::FramePayload& payload, SendCallback done);
 
-  /// Must be called once after construction (wires the radio upcall).
+  /// Must be called once after construction: wires the radio upcall and
+  /// reads the network's suppression and adaptive-LPL settings.
   void attach();
-
-  void set_preamble_oracle(PreambleOracle oracle) {
-    preamble_oracle_ = std::move(oracle);
-  }
-  void set_piggyback(PiggybackProvider provider, PiggybackSink sink) {
-    piggyback_provider_ = std::move(provider);
-    piggyback_sink_ = std::move(sink);
-  }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] sim::NodeId self() const { return self_; }
@@ -115,7 +108,7 @@ class LinkLayer {
   void on_ack(const sim::Frame& frame);
   void transmit(std::uint8_t seq);
   /// Writes the frame payload: link header, `payload`, and a piggybacked
-  /// beacon when the provider is set, the frame is not a beacon, and the
+  /// beacon when piggybacking is on, the frame is not a beacon, and the
   /// frame has room.
   [[nodiscard]] sim::FramePayload frame_payload(
       std::uint8_t seq, bool wants_ack, sim::AmType am,
@@ -140,14 +133,14 @@ class LinkLayer {
   };
   static_assert(sizeof(DedupEntry) == 16);
 
-  AmTable<Handler> handlers_;
-  PreambleOracle preamble_oracle_;
-  PiggybackProvider piggyback_provider_;
-  PiggybackSink piggyback_sink_;
+  Receiver& receiver_;
+  NeighborTable* neighbors_;
   sim::SmallMap<std::uint8_t, Pending> pending_;  // by seq
   std::vector<DedupEntry> dedup_;  // ring buffer
   std::size_t dedup_next_ = 0;
   std::uint8_t next_seq_ = 0;
+  bool piggyback_ = false;          ///< beacon suppression is on
+  bool adaptive_preamble_ = false;  ///< adaptive LPL is on
   std::uint32_t next_send_id_ = 0;
   Stats stats_;
 };

@@ -11,18 +11,13 @@ NeighborTable::NeighborTable(sim::Network& network, LinkLayer& link,
     : NeighborTable(network, link, self, Options{}) {}
 
 NeighborTable::NeighborTable(sim::Network& network, LinkLayer& link,
-                             sim::Location self, Options options)
+                             sim::Location self, Options options,
+                             Listener* listener)
     : network_(network),
       link_(link),
       self_(self),
-      options_(options) {
-  link_.register_handler(
-      sim::AmType::kBeacon,
-      [this](sim::NodeId from, std::span<const std::uint8_t> payload) {
-        on_beacon(from, payload);
-        return true;
-      });
-}
+      options_(options),
+      listener_(listener) {}
 
 void NeighborTable::start() {
   if (running_) {
@@ -71,8 +66,17 @@ void NeighborTable::schedule_expiry_sweep() {
       });
 }
 
-BeaconSelfState NeighborTable::advertised_state() const {
-  return self_state_ ? self_state_() : BeaconSelfState{};
+NeighborTable::SelfState NeighborTable::advertised_state() const {
+  // Residual battery (full for mains-powered / battery-less nodes) and
+  // the current LPL check period.
+  SelfState state;
+  if (energy::Battery* battery = network_.battery(link_.self())) {
+    battery->settle(network_.simulator().now());
+    state.residual = encode_residual(battery->remaining_mj() /
+                                     battery->capacity_mj());
+  }
+  state.period_units = network_.node_duty(link_.self()).period_units();
+  return state;
 }
 
 sim::SimTime NeighborTable::interval_for_exp(std::uint32_t exp) const {
@@ -92,7 +96,7 @@ void NeighborTable::send_beacon() {
   if (!running_) {
     return;
   }
-  const BeaconSelfState state = advertised_state();
+  const SelfState state = advertised_state();
   if (suppressing()) {
     // Stability check: any membership change, or a material self-state
     // change (period moved, or the residual dropped a rebeacon step),
@@ -119,7 +123,7 @@ void NeighborTable::send_beacon() {
       current_beacon_interval(), link_.self(), [this] { send_beacon(); });
 }
 
-BeaconPayload NeighborTable::beacon_for(const BeaconSelfState& state) const {
+BeaconPayload NeighborTable::beacon_for(const SelfState& state) const {
   BeaconPayload beacon;
   beacon.location = self_;
   beacon.residual = state.residual;
@@ -141,11 +145,6 @@ void NeighborTable::on_beacon(sim::NodeId from,
     return;
   }
   upsert(from, beacon);
-}
-
-void NeighborTable::on_piggyback(sim::NodeId from,
-                                 std::span<const std::uint8_t> bytes) {
-  on_beacon(from, bytes);
 }
 
 void NeighborTable::insert(sim::NodeId id, sim::Location location) {
@@ -193,8 +192,8 @@ void NeighborTable::upsert(sim::NodeId id, const BeaconPayload& beacon) {
             [](const NeighborEntry& a, const NeighborEntry& b) {
               return a.id < b.id;
             });
-  if (discovery_) {
-    discovery_(id, beacon.location);
+  if (listener_ != nullptr) {
+    listener_->on_neighbor_discovered(id, beacon.location);
   }
 }
 

@@ -15,12 +15,11 @@
 //    the beacon so listeners scale their expiry horizon to the sender's
 //    actual interval.
 //  * piggybacking: outgoing data frames carry the same 7-byte payload
-//    (wired through LinkLayer::set_piggyback by the middleware), so
-//    active neighbours stay fresh without any beacon at all.
+//    (the mote's LinkLayer asks this table for it), so active neighbours
+//    stay fresh without any beacon at all.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -44,13 +43,6 @@ struct NeighborEntry {
   [[nodiscard]] double residual_frac() const {
     return decode_residual(residual);
   }
-};
-
-/// What this node advertises about itself in beacons and piggybacks
-/// (location is added by the table; freshness comes from the provider).
-struct BeaconSelfState {
-  std::uint8_t residual = BeaconPayload::kResidualFull;
-  std::uint8_t period_units = 1;
 };
 
 /// Beacon suppression setting (the `beacon_suppression` knob's values).
@@ -83,26 +75,27 @@ class NeighborTable {
     Suppression suppression = Suppression::kAuto;
   };
 
-  using SelfStateFn = std::function<BeaconSelfState()>;
-  /// Fired when a NEW neighbour enters the table (not on refresh) — the
+  /// Told when a NEW neighbour enters the table (not on refresh) — the
   /// middleware turns this into a fresh <"ctx", loc> tuple so deployment
   /// agents can re-flood onto rebooted nodes.
-  using DiscoveryHandler =
-      std::function<void(sim::NodeId, sim::Location)>;
+  class Listener {
+   public:
+    virtual void on_neighbor_discovered(sim::NodeId id,
+                                        sim::Location location) = 0;
 
+   protected:
+    ~Listener() = default;
+  };
+
+  /// `listener` may be nullptr (nobody is told of discoveries).
   NeighborTable(sim::Network& network, LinkLayer& link, sim::Location self);
   NeighborTable(sim::Network& network, LinkLayer& link, sim::Location self,
-                Options options);
+                Options options, Listener* listener = nullptr);
 
   /// Start periodic beaconing (first beacon after a random sub-period
   /// offset so co-located nodes do not synchronize).
   void start();
   void stop();
-
-  void set_self_state(SelfStateFn fn) { self_state_ = std::move(fn); }
-  void set_discovery_handler(DiscoveryHandler handler) {
-    discovery_ = std::move(handler);
-  }
 
   /// Entries sorted by node id (stable order for the getnbr instruction).
   [[nodiscard]] const std::vector<NeighborEntry>& entries() const {
@@ -125,10 +118,11 @@ class NeighborTable {
   [[nodiscard]] std::optional<sim::SimTime> preamble_extension_for(
       sim::NodeId dst) const;
 
-  /// The node's current beacon payload (piggyback provider).
+  /// The node's current beacon payload (what a data frame piggybacks).
   [[nodiscard]] BeaconPayload make_piggyback() const;
-  /// Consumes a piggybacked beacon from a data frame (piggyback sink).
-  void on_piggyback(sim::NodeId from, std::span<const std::uint8_t> bytes);
+  /// Consumes a beacon payload from `from`: a kBeacon frame, or one
+  /// piggybacked on a data frame.
+  void on_beacon(sim::NodeId from, std::span<const std::uint8_t> payload);
 
   /// Force-insert an entry (tests / warm start).
   void insert(sim::NodeId id, sim::Location location);
@@ -150,21 +144,27 @@ class NeighborTable {
   [[nodiscard]] bool suppressing() const;
 
  private:
+  /// What this node advertises about itself in beacons and piggybacks
+  /// (the table adds its location).
+  struct SelfState {
+    std::uint8_t residual = BeaconPayload::kResidualFull;
+    std::uint8_t period_units = 1;
+  };
+
   void send_beacon();
-  void on_beacon(sim::NodeId from, std::span<const std::uint8_t> payload);
   void upsert(sim::NodeId from, const BeaconPayload& beacon);
-  [[nodiscard]] BeaconPayload beacon_for(const BeaconSelfState& state) const;
+  [[nodiscard]] BeaconPayload beacon_for(const SelfState& state) const;
   void expire();
   void schedule_expiry_sweep();
-  [[nodiscard]] BeaconSelfState advertised_state() const;
+  /// Read fresh from the network at every beacon and piggyback.
+  [[nodiscard]] SelfState advertised_state() const;
   [[nodiscard]] sim::SimTime interval_for_exp(std::uint32_t exp) const;
 
   sim::Network& network_;
   LinkLayer& link_;
   sim::Location self_;
   Options options_;
-  SelfStateFn self_state_;
-  DiscoveryHandler discovery_;
+  Listener* listener_;
   std::vector<NeighborEntry> entries_;
   sim::EventHandle beacon_timer_;
   sim::EventHandle expiry_timer_;
@@ -173,7 +173,7 @@ class NeighborTable {
   // table changed since the last beacon, and what that beacon advertised.
   std::uint32_t backoff_exp_ = 0;
   bool table_changed_ = false;
-  BeaconSelfState last_advertised_;
+  SelfState last_advertised_;
 };
 
 }  // namespace agilla::net

@@ -5,14 +5,6 @@
 namespace agilla::ts {
 namespace detail {
 
-std::size_t FieldList::wire_size() const {
-  std::size_t total = 1;  // count byte
-  for (const Value& f : fields()) {
-    total += f.compact_size();
-  }
-  return total;
-}
-
 void FieldList::encode(net::Writer& w) const {
   w.u8(count_);
   for (const Value& f : fields()) {
@@ -25,13 +17,16 @@ bool FieldList::decode_from(net::Reader& r) {
   if (!r.ok() || n > kMaxTupleFields) {
     return false;
   }
+  std::size_t bytes = 1;  // count byte
   for (std::uint8_t i = 0; i < n; ++i) {
     fields_[i] = Value::decode_compact(r);
+    bytes += fields_[i].compact_size();
   }
   if (!r.ok()) {
     return false;
   }
   count_ = n;
+  wire_bytes_ = static_cast<std::uint8_t>(bytes);
   return true;
 }
 
@@ -49,11 +44,12 @@ std::string FieldList::to_string() const {
 }
 
 bool FieldList::append(const Value& field) {
-  if (count_ >= kMaxTupleFields ||
-      wire_size() + field.compact_size() > kMaxTupleWireBytes) {
+  const std::size_t bytes = wire_bytes_ + field.compact_size();
+  if (count_ >= kMaxTupleFields || bytes > kMaxTupleWireBytes) {
     return false;
   }
   fields_[count_++] = field;
+  wire_bytes_ = static_cast<std::uint8_t>(bytes);
   return true;
 }
 

@@ -46,7 +46,7 @@ class FieldList {
   }
 
   /// Compact serialized size: 1 count byte + fields.
-  [[nodiscard]] std::size_t wire_size() const;
+  [[nodiscard]] std::size_t wire_size() const { return wire_bytes_; }
   void encode(net::Writer& w) const;
   [[nodiscard]] std::string to_string() const;
 
@@ -64,6 +64,8 @@ class FieldList {
  private:
   std::array<Value, kMaxTupleFields> fields_{};
   std::uint8_t count_ = 0;
+  /// wire_size(), kept as fields are added; fills the padding byte.
+  std::uint8_t wire_bytes_ = 1;
 };
 
 }  // namespace detail
@@ -99,5 +101,10 @@ class Template : public detail::FieldList {
 
   friend bool operator==(const Template& a, const Template& b) = default;
 };
+
+// Twelve 6-byte fields, the count and the byte count: the running size
+// costs no space.
+static_assert(sizeof(Tuple) == 74);
+static_assert(sizeof(Template) == 74);
 
 }  // namespace agilla::ts

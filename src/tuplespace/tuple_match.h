@@ -126,4 +126,6 @@ class CompiledTemplate {
   Fingerprint want_ = 0;
 };
 
+static_assert(sizeof(CompiledTemplate) == 96);
+
 }  // namespace agilla::ts

@@ -40,9 +40,10 @@ std::optional<StoreKind> store_kind_from_string(std::string_view name) {
 TupleSpace::TupleSpace() : TupleSpace(Options{}) {}
 
 TupleSpace::TupleSpace(Options options, sim::Simulator* sim,
-                       sim::NodeId node)
+                       sim::NodeId node, Listener* listener)
     : store_(make_store(options.store_kind, options.store_capacity_bytes)),
       registry_(options.registry),
+      listener_(listener),
       sim_(sim),
       node_(node) {}
 
@@ -64,15 +65,13 @@ bool TupleSpace::out(const Tuple& tuple) {
   if (!store_->insert(tuple)) {
     return false;
   }
-  if (on_reaction_) {
-    // Snapshot first: a reaction callback may register/deregister.
+  if (listener_ != nullptr) {
+    // Snapshot first: a reaction handler may register/deregister.
     const std::vector<Reaction> fired = registry_.matches(tuple);
     for (const Reaction& r : fired) {
-      on_reaction_(r, tuple);
+      listener_->on_reaction(r, tuple);
     }
-  }
-  if (on_insertion_) {
-    on_insertion_(tuple);
+    listener_->on_tuple_inserted(tuple);
   }
   emit(sim::TupleOp::kOut, tuple);
   return true;

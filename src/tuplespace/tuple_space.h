@@ -7,7 +7,6 @@
 // agent on the insertion hook.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -35,21 +34,31 @@ class TupleSpace {
     StoreKind store_kind = StoreKind::kLinear;
   };
 
-  /// Called for each reaction whose template matches a freshly inserted
-  /// tuple, with the matched tuple.
-  using ReactionCallback =
-      std::function<void(const Reaction&, const Tuple&)>;
-  /// Called after every successful insertion; the engine uses it to wake
-  /// agents blocked in `in`/`rd` so they can re-probe.
-  using InsertionCallback = std::function<void(const Tuple&)>;
+  /// Told of every successful insertion (the middleware passes it on to
+  /// the engine).
+  class Listener {
+   public:
+    /// For each reaction whose template matches a freshly inserted
+    /// tuple, with the matched tuple.
+    virtual void on_reaction(const Reaction& reaction,
+                             const Tuple& tuple) = 0;
+    /// After the reactions: the engine wakes agents blocked in `in`/`rd`
+    /// so they can re-probe.
+    virtual void on_tuple_inserted(const Tuple& tuple) = 0;
+
+   protected:
+    ~Listener() = default;
+  };
 
   TupleSpace();
   /// With `sim`, every successful out/inp emits a kTupleOp record for
-  /// `node` (after the reactions and insertion hook have run).
+  /// `node` (after the listener has been told). `listener` may be
+  /// nullptr (nobody is told, and reactions are not matched).
   explicit TupleSpace(Options options, sim::Simulator* sim = nullptr,
-                      sim::NodeId node = {});
+                      sim::NodeId node = {}, Listener* listener = nullptr);
 
-  /// Linda out: insert. Fires matching reactions and the insertion hook.
+  /// Linda out: insert. Tells the listener of matching reactions and of
+  /// the insertion.
   /// Returns false when the store rejects the tuple (full / oversized).
   bool out(const Tuple& tuple);
 
@@ -74,13 +83,6 @@ class TupleSpace {
     return registry_;
   }
 
-  void set_reaction_callback(ReactionCallback cb) {
-    on_reaction_ = std::move(cb);
-  }
-  void set_insertion_callback(InsertionCallback cb) {
-    on_insertion_ = std::move(cb);
-  }
-
   [[nodiscard]] const TupleStore& store() const { return *store_; }
   [[nodiscard]] TupleStore& store() { return *store_; }
 
@@ -89,8 +91,7 @@ class TupleSpace {
 
   std::unique_ptr<TupleStore> store_;
   ReactionRegistry registry_;
-  ReactionCallback on_reaction_;
-  InsertionCallback on_insertion_;
+  Listener* listener_;
   sim::Simulator* sim_;
   sim::NodeId node_;
 };

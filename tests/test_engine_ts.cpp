@@ -215,6 +215,55 @@ TEST(EngineTs, ReactionFiresOnInsert) {
   EXPECT_EQ(s.node().engine().stats().reactions_fired, 1u);
 }
 
+TEST(EngineTs, OutThatKillsItsWriterStopsTheWriter) {
+  // Two of the agent's own reactions match the tuple it writes. With 14
+  // values left on its stack, the first delivery (pc + one field) fills
+  // it and the second overflows it, which kills the agent inside `out`:
+  // exactly one VM error, and nothing touches the dead agent.
+  const char* const kSource = R"(
+      pushn abc
+      pushc 1
+      pushc RX
+      regrxn
+      pusht STRING
+      pushc 1
+      pushc RX
+      regrxn
+      pushc 1
+      pushc 2
+      pushc 3
+      pushc 4
+      pushc 5
+      pushc 6
+      pushc 7
+      pushc 8
+      pushc 9
+      pushc 10
+      pushc 11
+      pushc 12
+      pushc 13
+      pushc 14
+      pushn abc
+      pushc 1
+      out
+      halt
+  RX  halt
+  )";
+  for (const DispatchMode mode :
+       {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
+    AgillaConfig config;
+    config.engine.dispatch = mode;
+    AgillaMesh mesh(
+        MeshOptions{.width = 1, .height = 1, .config = config});
+    mesh.at(0).inject(assemble_or_die(kSource));
+    mesh.sim.run_for(1 * sim::kSecond);
+    const EngineStats& stats = mesh.at(0).engine().stats();
+    EXPECT_EQ(stats.agents_launched, 1u) << to_string(mode);
+    EXPECT_EQ(stats.vm_errors, 1u) << to_string(mode);
+    EXPECT_EQ(mesh.at(0).agents().count(), 0u) << to_string(mode);
+  }
+}
+
 TEST(EngineTs, ReactionInterruptsRunningAgent) {
   SingleNode s;
   // The agent registers a reaction and then spins; the reaction must

@@ -103,18 +103,19 @@ long long live_blocks_of(std::size_t size) {
 constexpr long long kMotes = 16 * 16;
 
 /// The paper's motes have 4 KiB of RAM. A default built mote holds
-/// 3,451 B (DESIGN.md "Per-mote footprint"); the bound is that figure
+/// 2,672 B (DESIGN.md "Per-mote footprint"); the bound is that figure
 /// rounded up to 256 B, and stays within the paper's 4 KiB.
-constexpr long long kMaxBytesPerMote = 3584;
+constexpr long long kMaxBytesPerMote = 2816;
 static_assert(kMaxBytesPerMote <= 4096);
-/// The middleware is one block with its layers inline; the rest are the
-/// tuple store and its first small buffer (each neighbour discovery puts
-/// and takes a tuple), the agent and neighbour tables, the dispatcher and
-/// the radio's and the wiring's small blocks: 10.1 per mote.
-constexpr long long kMaxBlocksPerMote = 12;
+/// The middleware is one block with its layers inline, wired by direct
+/// calls; the rest are the tuple store and its first small buffer (each
+/// neighbour discovery puts and takes a tuple), the agent and neighbour
+/// tables, the dispatcher and the radio's small blocks: 7.05 per mote,
+/// rounded up.
+constexpr long long kMaxBlocksPerMote = 8;
 /// FIREDETECTOR on every mote and the FIRETRACKER swarm, 30 virtual s
-/// after injection: 5,453 B per mote, rounded up to 256 B.
-constexpr long long kMaxWarmBytesPerMote = 5632;
+/// after injection: 4,585 B per mote, rounded up to 256 B.
+constexpr long long kMaxWarmBytesPerMote = 4608;
 
 TEST(Footprint, DefaultMeshStaysUnderBudgetPerMote) {
   const long long bytes_before = live_bytes();

@@ -5,45 +5,42 @@
 #include <memory>
 #include <vector>
 
+#include "net_test_mote.h"
 #include "sim/topology.h"
 
 namespace agilla::net {
 namespace {
 
+using testing::TestMote;
+
 struct RoutedMesh {
   sim::Simulator sim{99};
   sim::Network net;
   sim::Topology topo;
-  std::vector<std::unique_ptr<LinkLayer>> links;
-  std::vector<std::unique_ptr<NeighborTable>> tables;
-  std::vector<std::unique_ptr<GeoRouter>> routers;
+  std::vector<std::unique_ptr<TestMote>> motes;
 
   RoutedMesh(std::size_t w, std::size_t h, double loss = 0.0)
       : net(sim, sim::ChannelLoss{.packet_loss = loss}) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
-      const sim::Location loc = net.info(id).location;
-      links.push_back(std::make_unique<LinkLayer>(net, id));
-      tables.push_back(
-          std::make_unique<NeighborTable>(net, *links.back(), loc));
-      routers.push_back(std::make_unique<GeoRouter>(
-          net, *links.back(), *tables.back(), loc));
-      links.back()->attach();
-      tables.back()->start();
+      motes.push_back(std::make_unique<TestMote>(net, id));
+      motes.back()->start();
     }
     sim.run_for(5 * sim::kSecond);  // warm the neighbour tables
   }
+
+  GeoRouter& router(std::size_t i) { return motes[i]->router; }
 };
 
 TEST(GeoRouter, DecideDeliversWhenWithinEpsilon) {
   RoutedMesh mesh(3, 1);
-  const auto d = mesh.routers[0]->decide({1.05, 1.0}, 0.3);
+  const auto d = mesh.router(0).decide({1.05, 1.0}, 0.3);
   EXPECT_EQ(d.kind, GeoRouter::Decision::Kind::kDeliverLocal);
 }
 
 TEST(GeoRouter, DecideForwardsToCloserNeighbor) {
   RoutedMesh mesh(3, 1);
-  const auto d = mesh.routers[0]->decide({3.0, 1.0}, 0.3);
+  const auto d = mesh.router(0).decide({3.0, 1.0}, 0.3);
   ASSERT_EQ(d.kind, GeoRouter::Decision::Kind::kForward);
   EXPECT_EQ(d.next_hop, mesh.topo.nodes[1]);
 }
@@ -51,7 +48,7 @@ TEST(GeoRouter, DecideForwardsToCloserNeighbor) {
 TEST(GeoRouter, DecideNoRouteWhenNoProgressPossible) {
   RoutedMesh mesh(2, 1);
   // Destination far to the LEFT of node 0: node 1 is farther, so no route.
-  const auto d = mesh.routers[0]->decide({-10.0, 1.0}, 0.3);
+  const auto d = mesh.router(0).decide({-10.0, 1.0}, 0.3);
   EXPECT_EQ(d.kind, GeoRouter::Decision::Kind::kNoRoute);
 }
 
@@ -59,58 +56,36 @@ TEST(GeoRouter, DeliversAcrossMultipleHops) {
   RoutedMesh mesh(5, 1);
   std::vector<std::uint8_t> got;
   sim::Location origin{0, 0};
-  mesh.routers[4]->register_handler(
-      sim::AmType::kTsRequest,
+  mesh.motes[4]->geo_handlers[sim::AmType::kTsRequest] =
       [&](const GeoHeader& h, std::span<const std::uint8_t> p) {
         got.assign(p.begin(), p.end());
         origin = h.origin;
-      });
-  mesh.routers[0]->send({5, 1}, 0.3, sim::AmType::kTsRequest, {7, 7},
-                        {1, 1});
+      };
+  mesh.router(0).send({5, 1}, 0.3, sim::AmType::kTsRequest, {7, 7}, {1, 1});
   mesh.sim.run_for(2 * sim::kSecond);
   EXPECT_EQ(got, (std::vector<std::uint8_t>{7, 7}));
   EXPECT_EQ(origin, (sim::Location{1, 1}));
-  EXPECT_EQ(mesh.routers[4]->stats().delivered, 1u);
+  EXPECT_EQ(mesh.router(4).stats().delivered, 1u);
 }
 
-TEST(GeoRouter, ReRegistrationReplacesTheHandler) {
-  RoutedMesh mesh(3, 1);
-  int first = 0;
-  int second = 0;
-  mesh.routers[2]->register_handler(
-      sim::AmType::kTsRequest,
-      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++first; });
-  mesh.routers[0]->send({3, 1}, 0.3, sim::AmType::kTsRequest, {1}, {1, 1});
-  mesh.sim.run_for(1 * sim::kSecond);
-  mesh.routers[2]->register_handler(
-      sim::AmType::kTsRequest,
-      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++second; });
-  mesh.routers[0]->send({3, 1}, 0.3, sim::AmType::kTsRequest, {2}, {1, 1});
-  mesh.sim.run_for(1 * sim::kSecond);
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 1);
-}
-
-TEST(GeoRouter, UnregisteredInnerAmReachesNoHandler) {
+TEST(GeoRouter, InnerAmTheOwnerDoesNotHandleReachesNoHandler) {
   RoutedMesh mesh(3, 1);
   int requests = 0;
-  mesh.routers[2]->register_handler(
-      sim::AmType::kTsRequest,
-      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++requests; });
-  mesh.routers[0]->send({3, 1}, 0.3, sim::AmType::kTsReply, {1}, {1, 1});
+  mesh.motes[2]->geo_handlers[sim::AmType::kTsRequest] =
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++requests; };
+  mesh.router(0).send({3, 1}, 0.3, sim::AmType::kTsReply, {1}, {1, 1});
   mesh.sim.run_for(1 * sim::kSecond);
   EXPECT_EQ(requests, 0);
   // Routing still counts the arrival; only the upcall is missing.
-  EXPECT_EQ(mesh.routers[2]->stats().delivered, 1u);
+  EXPECT_EQ(mesh.router(2).stats().delivered, 1u);
 }
 
 TEST(GeoRouter, RoutesAroundTwoDimensions) {
   RoutedMesh mesh(4, 4);
   int delivered = 0;
-  mesh.routers[15]->register_handler(
-      sim::AmType::kTsRequest,
-      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++delivered; });
-  mesh.routers[0]->send({4, 4}, 0.3, sim::AmType::kTsRequest, {1}, {1, 1});
+  mesh.motes[15]->geo_handlers[sim::AmType::kTsRequest] =
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++delivered; };
+  mesh.router(0).send({4, 4}, 0.3, sim::AmType::kTsRequest, {1}, {1, 1});
   mesh.sim.run_for(3 * sim::kSecond);
   EXPECT_EQ(delivered, 1);
 }
@@ -118,46 +93,43 @@ TEST(GeoRouter, RoutesAroundTwoDimensions) {
 TEST(GeoRouter, ReplyFlowsBackToOrigin) {
   RoutedMesh mesh(5, 1);
   int replies = 0;
-  mesh.routers[4]->register_handler(
-      sim::AmType::kTsRequest,
+  mesh.motes[4]->geo_handlers[sim::AmType::kTsRequest] =
       [&](const GeoHeader& h, std::span<const std::uint8_t>) {
-        mesh.routers[4]->send(h.origin, 0.3, sim::AmType::kTsReply, {1},
-                              {5, 1});
-      });
-  mesh.routers[0]->register_handler(
-      sim::AmType::kTsReply,
-      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++replies; });
-  mesh.routers[0]->send({5, 1}, 0.3, sim::AmType::kTsRequest, {}, {1, 1});
+        mesh.router(4).send(h.origin, 0.3, sim::AmType::kTsReply, {1},
+                            {5, 1});
+      };
+  mesh.motes[0]->geo_handlers[sim::AmType::kTsReply] =
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++replies; };
+  mesh.router(0).send({5, 1}, 0.3, sim::AmType::kTsRequest, {}, {1, 1});
   mesh.sim.run_for(3 * sim::kSecond);
   EXPECT_EQ(replies, 1);
 }
 
 TEST(GeoRouter, ForwardCountMatchesHops) {
   RoutedMesh mesh(5, 1);
-  mesh.routers[4]->register_handler(
-      sim::AmType::kTsRequest,
-      [](const GeoHeader&, std::span<const std::uint8_t>) {});
-  mesh.routers[0]->send({5, 1}, 0.3, sim::AmType::kTsRequest, {}, {1, 1});
+  mesh.motes[4]->geo_handlers[sim::AmType::kTsRequest] =
+      [](const GeoHeader&, std::span<const std::uint8_t>) {};
+  mesh.router(0).send({5, 1}, 0.3, sim::AmType::kTsRequest, {}, {1, 1});
   mesh.sim.run_for(3 * sim::kSecond);
   // Origin counts 1 originated + 1 forward (to first hop); intermediate
   // nodes 1..3 each forward once.
   std::uint64_t forwards = 0;
-  for (const auto& r : mesh.routers) {
-    forwards += r->stats().forwarded;
+  for (const auto& mote : mesh.motes) {
+    forwards += mote->router.stats().forwarded;
   }
   EXPECT_EQ(forwards, 4u);  // 4 radio hops for 4 links
 }
 
 TEST(GeoRouter, NoRouteCountsWhenStuck) {
   RoutedMesh mesh(2, 1);
-  mesh.routers[0]->send({-10, 1}, 0.3, sim::AmType::kTsRequest, {}, {1, 1});
+  mesh.router(0).send({-10, 1}, 0.3, sim::AmType::kTsRequest, {}, {1, 1});
   mesh.sim.run_for(1 * sim::kSecond);
-  EXPECT_EQ(mesh.routers[0]->stats().no_route, 1u);
+  EXPECT_EQ(mesh.router(0).stats().no_route, 1u);
 }
 
 TEST(GeoRouter, EpsilonZeroRequiresExactNode) {
   RoutedMesh mesh(3, 1);
-  const auto d = mesh.routers[0]->decide({1.2, 1.0}, 0.0);
+  const auto d = mesh.router(0).decide({1.2, 1.0}, 0.0);
   // 0.2 away from node 0, all neighbours farther -> no route, not deliver.
   EXPECT_EQ(d.kind, GeoRouter::Decision::Kind::kNoRoute);
 }
@@ -165,15 +137,14 @@ TEST(GeoRouter, EpsilonZeroRequiresExactNode) {
 TEST(GeoRouter, LargeEpsilonDeliversEarly) {
   RoutedMesh mesh(5, 1);
   int delivered_at_3 = 0;
-  mesh.routers[3]->register_handler(
-      sim::AmType::kTsRequest,
+  mesh.motes[3]->geo_handlers[sim::AmType::kTsRequest] =
       [&](const GeoHeader&, std::span<const std::uint8_t>) {
         ++delivered_at_3;
-      });
+      };
   // Destination (4.6, 1): node 4 at (5,1) is within 0.5... but node 3 at
   // (4,1) is too (0.6 > 0.5, not). Use dest 4.3: node 3 is 0.3 away.
-  mesh.routers[0]->send({4.3, 1.0}, 0.35, sim::AmType::kTsRequest, {},
-                        {1, 1});
+  mesh.router(0).send({4.3, 1.0}, 0.35, sim::AmType::kTsRequest, {},
+                      {1, 1});
   mesh.sim.run_for(2 * sim::kSecond);
   EXPECT_EQ(delivered_at_3, 1);
 }
@@ -181,9 +152,8 @@ TEST(GeoRouter, LargeEpsilonDeliversEarly) {
 TEST(GeoRouter, TtlBoundsForwarding) {
   RoutedMesh mesh(5, 1);
   int delivered = 0;
-  mesh.routers[4]->register_handler(
-      sim::AmType::kTsRequest,
-      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++delivered; });
+  mesh.motes[4]->geo_handlers[sim::AmType::kTsRequest] =
+      [&](const GeoHeader&, std::span<const std::uint8_t>) { ++delivered; };
   // Hand-craft an envelope with ttl = 1: it can take exactly one more hop
   // after the origin's send, far short of the 4 links to (5,1).
   GeoHeader header;
@@ -194,13 +164,13 @@ TEST(GeoRouter, TtlBoundsForwarding) {
   header.ttl = 1;
   Writer w;
   header.write(w);
-  mesh.links[0]->send_unacked(mesh.topo.nodes[1], sim::AmType::kGeo,
+  mesh.motes[0]->link.send_unacked(mesh.topo.nodes[1], sim::AmType::kGeo,
                               w.payload());
   mesh.sim.run_for(3 * sim::kSecond);
   EXPECT_EQ(delivered, 0);
   std::uint64_t expired = 0;
-  for (const auto& r : mesh.routers) {
-    expired += r->stats().ttl_expired;
+  for (const auto& mote : mesh.motes) {
+    expired += mote->router.stats().ttl_expired;
   }
   EXPECT_EQ(expired, 1u);
 }
@@ -218,18 +188,13 @@ TEST(GeoRouter, DefaultTtlSufficesForGridDiameters) {
 struct PolicyFixture {
   sim::Simulator sim{7};
   sim::Network net;
-  sim::NodeId self;
-  LinkLayer link;
-  NeighborTable table;
-  GeoRouter router;
+  TestMote mote;
+  NeighborTable& table = mote.table;
+  GeoRouter& router = mote.router;
 
   explicit PolicyFixture(GeoRouter::Options options,
                          sim::Location at = {5, 5})
-      : net(sim),
-        self(net.add_node(at)),
-        link(net, self),
-        table(net, link, at),
-        router(net, link, table, at, options) {}
+      : net(sim), mote(net, net.add_node(at), {}, options) {}
 };
 
 TEST(MaxMinRouting, PrefersChargedNeighborAmongEqualProgress) {

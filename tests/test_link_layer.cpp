@@ -2,16 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 
 namespace agilla::net {
 namespace {
+
+/// Stands in for the mote that owns a link: hands each AM type to the
+/// handler the test installed for it, and handles no other type.
+struct Owner final : LinkLayer::Receiver {
+  using Handler =
+      std::function<bool(sim::NodeId, std::span<const std::uint8_t>)>;
+  std::map<sim::AmType, Handler> handlers;
+
+  bool on_link_message(sim::AmType am, sim::NodeId from,
+                       std::span<const std::uint8_t> payload) override {
+    const auto it = handlers.find(am);
+    return it != handlers.end() && it->second(from, payload);
+  }
+};
 
 struct LinkFixture {
   sim::Simulator sim{77};
   sim::Network net;
   sim::NodeId a;
   sim::NodeId b;
+  Owner owner_a;
+  Owner owner_b;
   std::unique_ptr<LinkLayer> link_a;
   std::unique_ptr<LinkLayer> link_b;
 
@@ -19,8 +37,8 @@ struct LinkFixture {
       net(sim, sim::ChannelLoss{.packet_loss = loss}) {
     a = net.add_node({1, 1});
     b = net.add_node({2, 1});
-    link_a = std::make_unique<LinkLayer>(net, a);
-    link_b = std::make_unique<LinkLayer>(net, b);
+    link_a = std::make_unique<LinkLayer>(net, a, owner_a);
+    link_b = std::make_unique<LinkLayer>(net, b, owner_b);
     link_a->attach();
     link_b->attach();
   }
@@ -30,13 +48,12 @@ TEST(LinkLayer, UnackedDeliveryStripsHeader) {
   LinkFixture f;
   std::vector<std::uint8_t> got;
   sim::NodeId from;
-  f.link_b->register_handler(
-      sim::AmType::kTsRequest,
+  f.owner_b.handlers[sim::AmType::kTsRequest] =
       [&](sim::NodeId src, std::span<const std::uint8_t> p) {
         from = src;
         got.assign(p.begin(), p.end());
         return true;
-      });
+      };
   f.link_a->send_unacked(f.b, sim::AmType::kTsRequest, {10, 20, 30});
   f.sim.run();
   EXPECT_EQ(from, f.a);
@@ -45,8 +62,8 @@ TEST(LinkLayer, UnackedDeliveryStripsHeader) {
 
 TEST(LinkLayer, AckedSendSucceedsOnCleanChannel) {
   LinkFixture f;
-  f.link_b->register_handler(sim::AmType::kAgentState,
-                             [](sim::NodeId, std::span<const std::uint8_t>) { return true; });
+  f.owner_b.handlers[sim::AmType::kAgentState] =
+      [](sim::NodeId, std::span<const std::uint8_t>) { return true; };
   bool delivered = false;
   bool called = false;
   f.link_a->send_acked(f.b, sim::AmType::kAgentState, {1}, [&](bool ok) {
@@ -89,8 +106,8 @@ TEST(LinkLayer, RetransmitsUntilSuccessOnLossyChannel) {
   // 50% loss: nearly every transfer needs at least one retransmission but
   // 5 attempts nearly always get through.
   LinkFixture f(0.5);
-  f.link_b->register_handler(sim::AmType::kAgentState,
-                             [](sim::NodeId, std::span<const std::uint8_t>) { return true; });
+  f.owner_b.handlers[sim::AmType::kAgentState] =
+      [](sim::NodeId, std::span<const std::uint8_t>) { return true; };
   int ok = 0;
   int done = 0;
   for (int i = 0; i < 40; ++i) {
@@ -115,12 +132,11 @@ TEST(LinkLayer, DuplicateDataSuppressedButReAcked) {
   // transmissions received.
   LinkFixture f(0.4);
   int handled = 0;
-  f.link_b->register_handler(
-      sim::AmType::kAgentState,
+  f.owner_b.handlers[sim::AmType::kAgentState] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++handled;
         return true;
-      });
+      };
   for (int i = 0; i < 30; ++i) {
     f.link_a->send_acked(f.b, sim::AmType::kAgentState,
                          {static_cast<std::uint8_t>(i)}, nullptr);
@@ -135,8 +151,8 @@ TEST(LinkLayer, DuplicateDataSuppressedButReAcked) {
 
 TEST(LinkLayer, ManyOutstandingAckedSends) {
   LinkFixture f;
-  f.link_b->register_handler(sim::AmType::kAgentCode,
-                             [](sim::NodeId, std::span<const std::uint8_t>) { return true; });
+  f.owner_b.handlers[sim::AmType::kAgentCode] =
+      [](sim::NodeId, std::span<const std::uint8_t>) { return true; };
   int completions = 0;
   for (int i = 0; i < 10; ++i) {
     f.link_a->send_acked(f.b, sim::AmType::kAgentCode,
@@ -151,18 +167,16 @@ TEST(LinkLayer, HandlersDispatchByAmType) {
   LinkFixture f;
   int beacons = 0;
   int requests = 0;
-  f.link_b->register_handler(
-      sim::AmType::kBeacon,
+  f.owner_b.handlers[sim::AmType::kBeacon] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++beacons;
         return true;
-      });
-  f.link_b->register_handler(
-      sim::AmType::kTsRequest,
+      };
+  f.owner_b.handlers[sim::AmType::kTsRequest] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++requests;
         return true;
-      });
+      };
   f.link_a->send_unacked(f.b, sim::AmType::kBeacon, {});
   f.link_a->send_unacked(f.b, sim::AmType::kTsRequest, {});
   f.sim.run();
@@ -173,12 +187,11 @@ TEST(LinkLayer, HandlersDispatchByAmType) {
 TEST(LinkLayer, BroadcastGoesUnacked) {
   LinkFixture f;
   int received = 0;
-  f.link_b->register_handler(
-      sim::AmType::kBeacon,
+  f.owner_b.handlers[sim::AmType::kBeacon] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++received;
         return true;
-      });
+      };
   f.link_a->send_unacked(sim::kBroadcastNode, sim::AmType::kBeacon, {});
   f.sim.run();
   EXPECT_EQ(received, 1);
@@ -192,12 +205,11 @@ TEST(LinkLayer, SequenceWraparoundDoesNotSuppressNewMessages) {
   // which once cost a migrating agent its life (see DESIGN.md).
   LinkFixture f;
   int handled = 0;
-  f.link_b->register_handler(
-      sim::AmType::kAgentState,
+  f.owner_b.handlers[sim::AmType::kAgentState] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++handled;
         return true;
-      });
+      };
   // Message with seq 0.
   f.link_a->send_acked(f.b, sim::AmType::kAgentState, {1}, nullptr);
   f.sim.run();
@@ -222,12 +234,11 @@ TEST(LinkLayer, DuplicateWithinWindowStillSuppressed) {
   // The wraparound fix must not break genuine duplicate suppression.
   LinkFixture f(0.4);
   int handled = 0;
-  f.link_b->register_handler(
-      sim::AmType::kAgentState,
+  f.owner_b.handlers[sim::AmType::kAgentState] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++handled;
         return true;
-      });
+      };
   for (int i = 0; i < 30; ++i) {
     f.link_a->send_acked(f.b, sim::AmType::kAgentState,
                          {static_cast<std::uint8_t>(i)}, nullptr);
@@ -237,39 +248,15 @@ TEST(LinkLayer, DuplicateWithinWindowStillSuppressed) {
   EXPECT_GT(f.link_b->stats().duplicates_dropped, 0u);
 }
 
-TEST(LinkLayer, ReRegistrationReplacesTheHandler) {
-  LinkFixture f;
-  int first = 0;
-  int second = 0;
-  f.link_b->register_handler(
-      sim::AmType::kTsRequest,
-      [&](sim::NodeId, std::span<const std::uint8_t>) {
-        ++first;
-        return true;
-      });
-  f.link_a->send_unacked(f.b, sim::AmType::kTsRequest, {1});
-  f.sim.run();
-  f.link_b->register_handler(
-      sim::AmType::kTsRequest,
-      [&](sim::NodeId, std::span<const std::uint8_t>) {
-        ++second;
-        return true;
-      });
-  f.link_a->send_unacked(f.b, sim::AmType::kTsRequest, {2});
-  f.sim.run();
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 1);
-}
-
-TEST(LinkLayer, AckedFrameForUnregisteredAmIsNeitherDeliveredNorAcked) {
+TEST(LinkLayer,
+     AckedFrameForAnAmTheOwnerDoesNotHandleIsNeitherDeliveredNorAcked) {
   LinkFixture f;
   int handled = 0;
-  f.link_b->register_handler(
-      sim::AmType::kAgentState,
+  f.owner_b.handlers[sim::AmType::kAgentState] =
       [&](sim::NodeId, std::span<const std::uint8_t>) {
         ++handled;
         return true;
-      });
+      };
   bool called = false;
   bool delivered = true;
   f.link_a->send_acked(f.b, sim::AmType::kAgentCode, {1}, [&](bool ok) {
@@ -288,9 +275,8 @@ TEST(LinkLayer, IgnoresAcksForUnknownSeqOrFromTheWrongSender) {
   LinkFixture f;
   const sim::NodeId c = f.net.add_node({1, 2});  // hears a, not b
   // b refuses every message, so it never acks on its own.
-  f.link_b->register_handler(
-      sim::AmType::kAgentState,
-      [](sim::NodeId, std::span<const std::uint8_t>) { return false; });
+  f.owner_b.handlers[sim::AmType::kAgentState] =
+      [](sim::NodeId, std::span<const std::uint8_t>) { return false; };
   int calls = 0;
   bool delivered = true;
   f.link_a->send_acked(f.b, sim::AmType::kAgentState, {1}, [&](bool ok) {

@@ -69,6 +69,25 @@ TEST(Middleware, AgentLifecycleReachesTheEventLog) {
   EXPECT_EQ(mesh.events.count(sim::EventKind::kAgentKill, "halt"), 1u);
 }
 
+TEST(Middleware, AckedFrameOfAnotherStackIsNeitherDeliveredNorAcked) {
+  // The mote routes only Agilla AM types: a Mate capsule sent acked is
+  // refused, so the sender's retransmissions run out.
+  AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
+  bool called = false;
+  bool delivered = true;
+  mesh.at(0).link().send_acked(mesh.at(1).node_id(),
+                               sim::AmType::kMateCapsule, {1, 2, 3},
+                               [&](bool ok) {
+                                 called = true;
+                                 delivered = ok;
+                               });
+  mesh.sim.run_for(2 * sim::kSecond);
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(mesh.at(1).link().stats().acks_sent, 0u);
+  EXPECT_EQ(mesh.at(0).link().stats().send_failures, 1u);
+}
+
 TEST(Middleware, NodesAreIsolatedStacks) {
   AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
   mesh.at(0).tuple_space().out(ts::Tuple{ts::Value::number(1)});

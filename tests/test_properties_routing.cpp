@@ -7,35 +7,32 @@
 #include <vector>
 
 #include "net/geo_router.h"
+#include "net_test_mote.h"
 #include "sim/topology.h"
 
 namespace agilla::net {
 namespace {
 
+using testing::TestMote;
+
 struct RoutedMesh {
   sim::Simulator sim;
   sim::Network net;
   sim::Topology topo;
-  std::vector<std::unique_ptr<LinkLayer>> links;
-  std::vector<std::unique_ptr<NeighborTable>> tables;
-  std::vector<std::unique_ptr<GeoRouter>> routers;
+  std::vector<std::unique_ptr<TestMote>> motes;
 
   RoutedMesh(std::size_t w, std::size_t h, std::uint64_t seed)
       : sim(seed),
         net(sim) {
     topo = sim::make_grid(net, w, h);
     for (sim::NodeId id : topo.nodes) {
-      const sim::Location loc = net.info(id).location;
-      links.push_back(std::make_unique<LinkLayer>(net, id));
-      tables.push_back(
-          std::make_unique<NeighborTable>(net, *links.back(), loc));
-      routers.push_back(std::make_unique<GeoRouter>(
-          net, *links.back(), *tables.back(), loc));
-      links.back()->attach();
-      tables.back()->start();
+      motes.push_back(std::make_unique<TestMote>(net, id));
+      motes.back()->start();
     }
     sim.run_for(5 * sim::kSecond);
   }
+
+  GeoRouter& router(std::size_t i) { return motes[i]->router; }
 };
 
 class RoutingSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -54,7 +51,7 @@ TEST_P(RoutingSweep, GreedyPathMakesStrictProgress) {
     std::size_t hops = 0;
     while (true) {
       ASSERT_LT(hops, mesh.topo.size()) << "routing loop detected";
-      const auto decision = mesh.routers[current]->decide(dest_loc, 0.3);
+      const auto decision = mesh.router(current).decide(dest_loc, 0.3);
       if (decision.kind == GeoRouter::Decision::Kind::kDeliverLocal) {
         EXPECT_EQ(current, dst);
         break;
@@ -81,11 +78,8 @@ TEST_P(RoutingSweep, EveryPairDeliversOnLosslessGrid) {
   RoutedMesh mesh(4, 4, GetParam());
   int delivered = 0;
   for (std::size_t dst = 0; dst < mesh.topo.size(); ++dst) {
-    mesh.routers[dst]->register_handler(
-        sim::AmType::kTsRequest,
-        [&](const GeoHeader&, std::span<const std::uint8_t>) {
-          ++delivered;
-        });
+    mesh.motes[dst]->geo_handlers[sim::AmType::kTsRequest] =
+        [&](const GeoHeader&, std::span<const std::uint8_t>) { ++delivered; };
   }
   int sent = 0;
   for (std::size_t src = 0; src < mesh.topo.size(); ++src) {
@@ -93,7 +87,7 @@ TEST_P(RoutingSweep, EveryPairDeliversOnLosslessGrid) {
       if (src == dst) {
         continue;
       }
-      mesh.routers[src]->send(
+      mesh.router(src).send(
           mesh.net.info(mesh.topo.nodes[dst]).location, 0.3,
           sim::AmType::kTsRequest, {},
           mesh.net.info(mesh.topo.nodes[src]).location);
@@ -109,7 +103,7 @@ TEST_P(RoutingSweep, HolesCauseNoRouteNotLoops) {
   RoutedMesh mesh(5, 1, GetParam());
   mesh.net.set_radio_enabled(mesh.topo.nodes[2], false);
   mesh.sim.run_for(10 * sim::kSecond);  // let the entry expire
-  const auto d = mesh.routers[1]->decide({5, 1}, 0.3);
+  const auto d = mesh.router(1).decide({5, 1}, 0.3);
   // Node 1's only remaining neighbour (node 0) is farther from (5,1).
   EXPECT_EQ(d.kind, GeoRouter::Decision::Kind::kNoRoute);
 }

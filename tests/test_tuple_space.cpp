@@ -2,10 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace agilla::ts {
 namespace {
+
+/// Records what the space tells its listener; `then` runs after each
+/// reaction is recorded.
+struct Recorder final : TupleSpace::Listener {
+  std::vector<std::pair<Reaction, Tuple>> fired;
+  std::vector<Tuple> inserted;
+  std::function<void(const Reaction&)> then;
+
+  void on_reaction(const Reaction& reaction, const Tuple& tuple) override {
+    fired.emplace_back(reaction, tuple);
+    if (then) {
+      then(reaction);
+    }
+  }
+  void on_tuple_inserted(const Tuple& tuple) override {
+    inserted.push_back(tuple);
+  }
+};
 
 TEST(TupleSpace, OutInpRdpBasics) {
   TupleSpace space;
@@ -23,39 +43,34 @@ TEST(TupleSpace, TCount) {
   EXPECT_EQ(space.tcount(Template{Value::number(2)}), 0u);
 }
 
-TEST(TupleSpace, InsertionCallbackFires) {
-  TupleSpace space;
-  std::vector<Tuple> inserted;
-  space.set_insertion_callback(
-      [&](const Tuple& t) { inserted.push_back(t); });
+TEST(TupleSpace, ListenerHearsEveryInsertion) {
+  Recorder listener;
+  TupleSpace space(TupleSpace::Options(), nullptr, {}, &listener);
   space.out(Tuple{Value::number(1)});
   space.out(Tuple{Value::number(2)});
-  ASSERT_EQ(inserted.size(), 2u);
-  EXPECT_EQ(inserted[1].field(0).as_number(), 2);
+  ASSERT_EQ(listener.inserted.size(), 2u);
+  EXPECT_EQ(listener.inserted[1].field(0).as_number(), 2);
 }
 
 TEST(TupleSpace, RejectedInsertFiresNothing) {
-  TupleSpace space(TupleSpace::Options{.store_capacity_bytes = 4,
-                                       .registry = {}});
-  int insertions = 0;
-  space.set_insertion_callback([&](const Tuple&) { ++insertions; });
+  Recorder listener;
+  TupleSpace space(
+      TupleSpace::Options{.store_capacity_bytes = 4, .registry = {}},
+      nullptr, {}, &listener);
   EXPECT_FALSE(space.out(Tuple{Value::number(1)}));
-  EXPECT_EQ(insertions, 0);
+  EXPECT_TRUE(listener.inserted.empty());
 }
 
 TEST(TupleSpace, ReactionFiresOnMatchingInsert) {
-  TupleSpace space;
+  Recorder listener;
+  TupleSpace space(TupleSpace::Options(), nullptr, {}, &listener);
   Reaction r;
   r.agent_id = 9;
   r.templ = Template{Value::string("fir"),
                      Value::type_wildcard(ValueType::kLocation)};
   r.handler_pc = 42;
   ASSERT_TRUE(space.register_reaction(r));
-
-  std::vector<std::pair<Reaction, Tuple>> fired;
-  space.set_reaction_callback([&](const Reaction& rx, const Tuple& t) {
-    fired.emplace_back(rx, t);
-  });
+  const auto& fired = listener.fired;
 
   space.out(Tuple{Value::number(1)});  // no match
   EXPECT_TRUE(fired.empty());
@@ -66,28 +81,27 @@ TEST(TupleSpace, ReactionFiresOnMatchingInsert) {
 }
 
 TEST(TupleSpace, ReactionDoesNotConsumeTuple) {
-  TupleSpace space;
+  Recorder listener;
+  TupleSpace space(TupleSpace::Options(), nullptr, {}, &listener);
   Reaction r;
   r.agent_id = 1;
   r.templ = Template{Value::type_wildcard(ValueType::kNumber)};
   space.register_reaction(r);
-  space.set_reaction_callback([](const Reaction&, const Tuple&) {});
   space.out(Tuple{Value::number(3)});
+  EXPECT_EQ(listener.fired.size(), 1u);
   EXPECT_TRUE(space.rdp(Template{Value::number(3)}).has_value());
 }
 
 TEST(TupleSpace, DeregisteredReactionSilent) {
-  TupleSpace space;
+  Recorder listener;
+  TupleSpace space(TupleSpace::Options(), nullptr, {}, &listener);
   Reaction r;
   r.agent_id = 1;
   r.templ = Template{Value::number(7)};
   space.register_reaction(r);
-  int fired = 0;
-  space.set_reaction_callback(
-      [&](const Reaction&, const Tuple&) { ++fired; });
   EXPECT_TRUE(space.deregister_reaction(1, Template{Value::number(7)}));
   space.out(Tuple{Value::number(7)});
-  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(listener.fired.empty());
 }
 
 TEST(TupleSpace, ExtractReactionsForMigration) {
@@ -111,36 +125,35 @@ TEST(TupleSpace, ExtractReactionsForMigration) {
 TEST(TupleSpace, CallbackMayRegisterDuringFire) {
   // A reaction handler that registers another reaction must not corrupt
   // the firing iteration (snapshot semantics).
-  TupleSpace space;
+  Recorder listener;
+  TupleSpace space(TupleSpace::Options(), nullptr, {}, &listener);
   Reaction first;
   first.agent_id = 1;
   first.templ = Template{Value::number(1)};
   space.register_reaction(first);
-  int fired = 0;
-  space.set_reaction_callback([&](const Reaction& r, const Tuple&) {
-    ++fired;
+  listener.then = [&](const Reaction& r) {
     if (r.agent_id == 1) {
       Reaction second;
       second.agent_id = 2;
       second.templ = Template{Value::number(1)};
       space.register_reaction(second);
     }
-  });
+  };
   space.out(Tuple{Value::number(1)});
-  EXPECT_EQ(fired, 1);  // the new reaction only sees future insertions
+  // The new reaction only sees future insertions.
+  EXPECT_EQ(listener.fired.size(), 1u);
   space.out(Tuple{Value::number(1)});
-  EXPECT_EQ(fired, 3);  // now both fire
+  EXPECT_EQ(listener.fired.size(), 3u);  // now both fire
 }
 
 TEST(TupleSpace, BlockingSemanticsBuildOnProbes) {
   // The engine implements in/rd by retrying inp/rdp; the space just needs
   // probes + the insertion hook. Verify the retry pattern works.
-  TupleSpace space;
-  bool woken = false;
-  space.set_insertion_callback([&](const Tuple&) { woken = true; });
+  Recorder listener;
+  TupleSpace space(TupleSpace::Options(), nullptr, {}, &listener);
   EXPECT_FALSE(space.inp(Template{Value::number(1)}).has_value());
   space.out(Tuple{Value::number(1)});
-  EXPECT_TRUE(woken);
+  EXPECT_EQ(listener.inserted.size(), 1u);
   EXPECT_TRUE(space.inp(Template{Value::number(1)}).has_value());
 }
 
