@@ -74,7 +74,7 @@ class E2eReceiver final : public net::GeoRouter::Receiver {
   E2eReceiver(
       core::AgillaMiddleware& mote,
       std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers)
-      : mote_(mote), assemblers_(assemblers) {}
+      : mote_(mote), engine_(mote.engine()), assemblers_(assemblers) {}
 
   void on_geo_message(const net::GeoHeader& header,
                       std::span<const std::uint8_t> p) override {
@@ -86,8 +86,7 @@ class E2eReceiver final : public net::GeoRouter::Receiver {
       case sim::AmType::kAgentReaction:
         break;
       default:
-        static_cast<net::GeoRouter::Receiver&>(mote_).on_geo_message(header,
-                                                                     p);
+        mote_.on_geo_message(header, p);
         return;
     }
     net::Reader peek(p);
@@ -102,12 +101,13 @@ class E2eReceiver final : public net::GeoRouter::Receiver {
     if (assembler.complete()) {
       core::AgentImage image = assembler.take();
       assemblers_.erase(agent_id);
-      mote_.engine().install(std::move(image), true);
+      engine_.install(std::move(image), true);
     }
   }
 
  private:
-  core::AgillaMiddleware& mote_;
+  net::GeoRouter::Receiver& mote_;
+  core::AgillaEngine& engine_;
   std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers_;
 };
 

@@ -11,8 +11,7 @@
 
 namespace agilla::net::testing {
 
-class TestMote final : public LinkLayer::Receiver,
-                       public GeoRouter::Receiver {
+class TestMote final : public LinkLayer::Receiver, public GeoRouter::Receiver {
  public:
   using LinkHandler =
       std::function<bool(sim::NodeId, std::span<const std::uint8_t>)>;

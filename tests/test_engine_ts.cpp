@@ -253,8 +253,7 @@ TEST(EngineTs, OutThatKillsItsWriterStopsTheWriter) {
        {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
     AgillaConfig config;
     config.engine.dispatch = mode;
-    AgillaMesh mesh(
-        MeshOptions{.width = 1, .height = 1, .config = config});
+    AgillaMesh mesh(MeshOptions{.width = 1, .height = 1, .config = config});
     mesh.at(0).inject(assemble_or_die(kSource));
     mesh.sim.run_for(1 * sim::kSecond);
     const EngineStats& stats = mesh.at(0).engine().stats();

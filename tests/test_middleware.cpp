@@ -75,12 +75,12 @@ TEST(Middleware, AckedFrameOfAnotherStackIsNeitherDeliveredNorAcked) {
   AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
   bool called = false;
   bool delivered = true;
-  mesh.at(0).link().send_acked(mesh.at(1).node_id(),
-                               sim::AmType::kMateCapsule, {1, 2, 3},
-                               [&](bool ok) {
-                                 called = true;
-                                 delivered = ok;
-                               });
+  const auto done = [&](bool ok) {
+    called = true;
+    delivered = ok;
+  };
+  const sim::NodeId to = mesh.at(1).node_id();
+  mesh.at(0).link().send_acked(to, sim::AmType::kMateCapsule, {1, 2, 3}, done);
   mesh.sim.run_for(2 * sim::kSecond);
   EXPECT_TRUE(called);
   EXPECT_FALSE(delivered);
