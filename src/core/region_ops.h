@@ -44,8 +44,8 @@ class RegionOps {
     std::uint64_t duplicates_dropped = 0;
   };
 
-  RegionOps(net::LinkLayer& link, net::GeoRouter& router,
-            ts::TupleSpace& space, sim::Location self);
+  RegionOps(net::LinkLayer& link, net::GeoRouter& router, ts::TupleSpace& space,
+            sim::Location self);
 
   RegionOps(const RegionOps&) = delete;
   RegionOps& operator=(const RegionOps&) = delete;

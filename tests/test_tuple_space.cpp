@@ -54,9 +54,8 @@ TEST(TupleSpace, ListenerHearsEveryInsertion) {
 
 TEST(TupleSpace, RejectedInsertFiresNothing) {
   Recorder listener;
-  TupleSpace space(
-      TupleSpace::Options{.store_capacity_bytes = 4, .registry = {}},
-      nullptr, {}, &listener);
+  const TupleSpace::Options tiny{.store_capacity_bytes = 4, .registry = {}};
+  TupleSpace space(tiny, nullptr, {}, &listener);
   EXPECT_FALSE(space.out(Tuple{Value::number(1)}));
   EXPECT_TRUE(listener.inserted.empty());
 }
