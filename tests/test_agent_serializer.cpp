@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "core/code_pool.h"
+#include "sim/rng.h"
 
 namespace agilla::core {
 namespace {
@@ -244,6 +246,119 @@ TEST(Serializer, FullStackAndHeapRoundTrip) {
   const AgentImage copy = assembler.take();
   EXPECT_EQ(copy.stack.size(), Agent::kStackDepth);
   EXPECT_EQ(copy.heap.size(), kHeapSlots);
+}
+
+ts::Value random_value(sim::Rng& rng) {
+  const auto half = [&rng] {
+    return static_cast<std::int16_t>(rng.uniform_int(-32768, 32767));
+  };
+  switch (rng.uniform(6)) {
+    case 0:
+      return ts::Value::number(half());
+    case 1:
+      return ts::Value::packed_string(
+          static_cast<std::uint16_t>(rng.uniform(1u << 15)));
+    case 2:
+      return ts::Value::location({static_cast<double>(rng.uniform(64)),
+                                  static_cast<double>(rng.uniform(64))});
+    case 3:
+      return ts::Value::reading(sim::SensorType::kTemperature, half());
+    case 4:
+      return ts::Value::agent_id(
+          static_cast<std::uint16_t>(rng.uniform(1u << 16)));
+    default:
+      return ts::Value::type_wildcard(ts::ValueType::kLocation);
+  }
+}
+
+/// An image within the paper's limits: 1-440 code bytes, 0-16 stack
+/// values (some of them invalid, as an agent's stack may hold), any subset
+/// of the 12 heap slots, and 0-10 reactions of 0-4 template fields.
+AgentImage random_image(sim::Rng& rng) {
+  AgentImage image;
+  image.agent_id = static_cast<std::uint16_t>(rng.uniform(1u << 16));
+  image.op = static_cast<MigrationOp>(rng.uniform(4));
+  image.dest = {static_cast<double>(rng.uniform(32)),
+                static_cast<double>(rng.uniform(32))};
+  image.pc = static_cast<std::uint16_t>(rng.uniform(440));
+  image.condition = static_cast<std::int16_t>(rng.uniform_int(-2, 2));
+  image.code.resize(1 + rng.uniform(440));
+  for (auto& byte : image.code) {
+    byte = static_cast<std::uint8_t>(rng.uniform(256));
+  }
+  const std::size_t depth = rng.uniform(Agent::kStackDepth + 1);
+  for (std::size_t i = 0; i < depth; ++i) {
+    image.stack.push_back(rng.chance(0.1) ? ts::Value{} : random_value(rng));
+  }
+  for (std::uint8_t slot = 0; slot < kHeapSlots; ++slot) {
+    if (rng.chance(0.5)) {
+      image.heap.emplace_back(slot, random_value(rng));
+    }
+  }
+  const std::size_t reactions = rng.uniform(11);
+  for (std::size_t i = 0; i < reactions; ++i) {
+    ts::Reaction rxn;
+    rxn.agent_id = image.agent_id;
+    rxn.handler_pc = static_cast<std::uint16_t>(rng.uniform(440));
+    const std::size_t fields = rng.uniform(kMaxReactionTemplateFields + 1);
+    for (std::size_t f = 0; f < fields; ++f) {
+      rxn.templ.add(random_value(rng));
+    }
+    image.reactions.push_back(rxn);
+  }
+  return image;
+}
+
+void expect_same_image(const AgentImage& got, const AgentImage& want) {
+  EXPECT_EQ(got.agent_id, want.agent_id);
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.dest, want.dest);
+  EXPECT_EQ(got.pc, want.pc);
+  EXPECT_EQ(got.condition, want.condition);
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(got.stack, want.stack);
+  // The heap in slot order (the sender lists it ascending; arrivals may
+  // not be).
+  auto heap = got.heap;
+  std::sort(heap.begin(), heap.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(heap, want.heap);
+  EXPECT_EQ(got.reactions, want.reactions);
+}
+
+TEST(Serializer, RandomImagesSurviveShuffledDuplicatedDelivery) {
+  // State first, then every other message in a random order, with random
+  // retransmissions of messages already delivered. The assembler must
+  // rebuild the sent image exactly and report completion on the last new
+  // message, never earlier.
+  sim::Rng rng(0x5EED);
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE(round);
+    const AgentImage sent = random_image(rng);
+    const auto messages =
+        to_messages(sent, static_cast<std::uint8_t>(rng.uniform(256)));
+    std::vector<std::size_t> order(messages.size() - 1);
+    std::iota(order.begin(), order.end(), std::size_t{1});
+    std::shuffle(order.begin(), order.end(), rng);
+
+    ImageAssembler assembler;
+    std::vector<std::size_t> delivered = {0};
+    ASSERT_TRUE(assembler.feed(messages[0].am, messages[0].payload));
+    std::size_t fresh_left = order.size();
+    EXPECT_EQ(assembler.complete(), fresh_left == 0);
+    for (const std::size_t next : order) {
+      while (rng.chance(0.3)) {
+        const auto& again = messages[delivered[rng.uniform(delivered.size())]];
+        ASSERT_TRUE(assembler.feed(again.am, again.payload));
+        EXPECT_FALSE(assembler.complete());
+      }
+      ASSERT_TRUE(assembler.feed(messages[next].am, messages[next].payload));
+      delivered.push_back(next);
+      --fresh_left;
+      ASSERT_EQ(assembler.complete(), fresh_left == 0);
+    }
+    expect_same_image(assembler.take(), sent);
+  }
 }
 
 }  // namespace
