@@ -39,7 +39,8 @@ bool end_to_end_trial(Testbed& bed, int hops, std::int16_t trial_id) {
 
   // Destination side: reassemble and install (each mote's E2eReceiver,
   // set up once in main(), shares one assembler map).
-  for (const auto& message : core::to_messages(image, 1)) {
+  for (std::size_t i = 0; i < core::message_counts(image).total(); ++i) {
+    const core::MigrationMessage message = core::encode_message(image, 1, i);
     src.router().send(dst.location(), 0.3, message.am, message.payload,
                       src.location());
   }

@@ -30,10 +30,11 @@ const char* am_name(sim::AmType am) {
 }
 
 void describe(const char* title, const core::AgentImage& image) {
-  const auto messages = core::to_messages(image, 1);
+  const std::size_t count = core::message_counts(image).total();
   std::size_t total = 0;
-  std::printf("%s -> %zu messages:", title, messages.size());
-  for (const auto& m : messages) {
+  std::printf("%s -> %zu messages:", title, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const core::MigrationMessage m = core::encode_message(image, 1, i);
     std::printf(" %s(%zuB)", am_name(m.am), m.payload.size());
     total += m.payload.size();
   }
@@ -92,8 +93,9 @@ int main() {
   tracker.agent_id = 3;
   tracker.op = core::MigrationOp::kSClone;
   tracker.code = core::assemble_or_die(core::agents::fire_tracker());
-  tracker.stack = {ts::Value::number(1)};
-  tracker.heap = {{0, ts::Value::location({3, 3})}};
+  tracker.stack_depth = 1;
+  tracker.stack[0] = ts::Value::number(1);
+  tracker.heap[0] = ts::Value::location({3, 3});
   ts::Reaction rxn;
   rxn.agent_id = 3;
   rxn.templ = ts::Template{ts::Value::string("fir"),

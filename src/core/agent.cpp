@@ -31,16 +31,6 @@ void Agent::restore_stack(std::span<const ts::Value> values) {
   std::copy_n(values.begin(), depth_, stack_.begin());
 }
 
-std::vector<std::pair<std::uint8_t, ts::Value>> Agent::heap_entries() const {
-  std::vector<std::pair<std::uint8_t, ts::Value>> out;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (heap_[i].valid()) {
-      out.emplace_back(static_cast<std::uint8_t>(i), heap_[i]);
-    }
-  }
-  return out;
-}
-
 void Agent::clear_heap() { heap_.fill(ts::Value{}); }
 
 }  // namespace agilla::core

@@ -14,7 +14,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "core/isa.h"
 #include "sim/event_queue.h"
@@ -103,9 +102,6 @@ class Agent {
     heap_[slot] = v;
     return true;
   }
-  /// Slots holding valid values, as (slot, value) pairs (migration image).
-  [[nodiscard]] std::vector<std::pair<std::uint8_t, ts::Value>>
-  heap_entries() const;
   void clear_heap();
 
   /// The pending wakeup while the agent is in `sleep`; cancelled when a

@@ -11,8 +11,9 @@
 // migration requires two messages: one state and one code."
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,8 +39,11 @@ enum class MigrationOp : std::uint8_t {
   return op == MigrationOp::kSClone || op == MigrationOp::kWClone;
 }
 
-/// Everything needed to reconstruct an agent on another node. Weak images
-/// carry code only (pc/stack/heap/reactions reset, paper Sec. 2.2).
+/// Everything needed to reconstruct an agent on another node, laid out as
+/// Agent holds it. Weak images carry code only (pc/stack/heap/reactions
+/// reset, paper Sec. 2.2). One image travels per migration: the sender
+/// encodes each message from it as the message goes out, and the receiver
+/// assembles the arriving messages into its own image in place.
 struct AgentImage {
   std::uint16_t agent_id = 0;
   MigrationOp op = MigrationOp::kSMove;
@@ -47,9 +51,17 @@ struct AgentImage {
   std::uint16_t pc = 0;
   std::int16_t condition = 0;
   std::vector<std::uint8_t> code;
-  std::vector<ts::Value> stack;  // bottom first
-  std::vector<std::pair<std::uint8_t, ts::Value>> heap;
+  std::array<ts::Value, Agent::kStackDepth> stack{};  ///< bottom first
+  std::uint8_t stack_depth = 0;
+  /// By slot; an invalid Value is an empty slot.
+  std::array<ts::Value, kHeapSlots> heap{};
   std::vector<ts::Reaction> reactions;
+
+  [[nodiscard]] std::span<const ts::Value> live_stack() const {
+    return {stack.data(), stack_depth};
+  }
+  /// Slots holding a valid value.
+  [[nodiscard]] std::size_t heap_slots() const;
 
   /// Strips state for weak operations (code + entry point only).
   void weaken();
@@ -73,23 +85,50 @@ inline constexpr std::size_t kReactionMessageBytes = 36;
 inline constexpr std::size_t kVarsPerMessage = 4;
 inline constexpr std::size_t kMaxReactionTemplateFields = 4;
 
-/// Splits an image into messages: state first, then code blocks, stack,
-/// heap, reactions. `transfer_id` ties the messages of one transfer
+/// How many messages each section of a transfer takes. A transfer is the
+/// state message, then the code blocks, stack, heap and reactions, in that
+/// order; message i of it is numbered i on both sides.
+struct MessageCounts {
+  std::size_t code = 0;
+  std::size_t stack = 0;
+  std::size_t heap = 0;
+  std::size_t reactions = 0;
+
+  [[nodiscard]] std::size_t total() const {
+    return 1 + code + stack + heap + reactions;
+  }
+};
+
+/// The section counts of a transfer whose state message declares these
+/// sizes.
+[[nodiscard]] MessageCounts message_counts(MigrationOp op,
+                                           std::size_t code_bytes,
+                                           std::size_t stack_values,
+                                           std::size_t heap_slots,
+                                           std::size_t reactions);
+[[nodiscard]] MessageCounts message_counts(const AgentImage& image);
+
+/// Encodes message `index` (0 = state, below message_counts(image).total())
+/// of `image`'s transfer. `transfer_id` ties the messages of one transfer
 /// together across retransmissions.
-std::vector<MigrationMessage> to_messages(const AgentImage& image,
-                                          std::uint8_t transfer_id);
+[[nodiscard]] MigrationMessage encode_message(const AgentImage& image,
+                                              std::uint8_t transfer_id,
+                                              std::size_t index);
 
 /// Reassembles an AgentImage from migration messages (receiver side).
 /// Tolerates arbitrary arrival order but requires the state message before
 /// completeness can be determined.
 class ImageAssembler {
  public:
-  /// Feeds one message. Returns false if the payload is malformed or
-  /// belongs to a different (agent, transfer).
+  /// Feeds one message. Returns false if the payload is malformed,
+  /// belongs to a different (agent, transfer), or carries other than its
+  /// share of its section.
   bool feed(sim::AmType am, std::span<const std::uint8_t> payload);
 
-  [[nodiscard]] bool has_state() const { return state_seen_; }
-  [[nodiscard]] bool complete() const;
+  [[nodiscard]] bool has_state() const { return seen_.test(0); }
+  [[nodiscard]] bool complete() const {
+    return has_state() && seen_.count() == counts_.total();
+  }
 
   /// Key of the transfer this assembler is locked onto (valid once any
   /// message has been fed).
@@ -100,25 +139,23 @@ class ImageAssembler {
   [[nodiscard]] AgentImage take();
 
  private:
+  /// The state message counts each section in one byte, and the stack and
+  /// heap take at most four and three messages.
+  static constexpr std::size_t kMaxMessages = 1 + 255 + 4 + 3 + 255;
+
   bool accept_key(std::uint16_t agent_id, std::uint8_t transfer_id);
+  /// Marks message `index` arrived; false if it already had (a
+  /// retransmission, accepted without being applied again).
+  bool first_arrival(std::size_t index);
 
   bool any_seen_ = false;
-  bool state_seen_ = false;
   std::uint16_t agent_id_ = 0;
   std::uint8_t transfer_id_ = 0;
+  std::uint8_t heap_slots_ = 0;
   AgentImage image_;
-  std::size_t expected_code_messages_ = 0;
-  std::size_t expected_stack_ = 0;
-  std::size_t expected_heap_ = 0;
-  std::size_t expected_reactions_ = 0;
-  std::vector<bool> code_seen_;
-  std::vector<std::optional<ts::Value>> stack_slots_;
-  std::vector<bool> stack_msg_seen_;
-  std::vector<std::pair<std::uint8_t, ts::Value>> heap_entries_;
-  std::vector<bool> heap_msg_seen_;
-  std::vector<std::optional<ts::Reaction>> reactions_;
-  std::vector<std::uint8_t> code_;
-  std::uint16_t code_size_ = 0;
+  MessageCounts counts_;
+  /// Which messages of the transfer have arrived, by number.
+  std::bitset<kMaxMessages> seen_;
 };
 
 }  // namespace agilla::core

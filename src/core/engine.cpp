@@ -94,9 +94,9 @@ bool AgillaEngine::install(AgentImage image, bool reached_dest) {
   agent->set_pc(image.pc);
   agent->set_condition(reached_dest ? 1 : 0);
   if (is_strong(image.op)) {
-    agent->restore_stack(image.stack);
-    for (const auto& [slot, value] : image.heap) {
-      agent->set_heap(slot, value);
+    agent->restore_stack(image.live_stack());
+    for (std::size_t slot = 0; slot < kHeapSlots; ++slot) {
+      agent->set_heap(slot, image.heap[slot]);
     }
     for (ts::Reaction reaction : image.reactions) {
       reaction.agent_id = image.agent_id;

@@ -55,21 +55,17 @@ void MigrationManager::send(AgentImage image, HopCompletion done) {
       break;
   }
 
-  Outgoing transfer;
-  transfer.messages = to_messages(image, next_transfer_id_++);
-  transfer.hop = decision.next_hop;
-  transfer.done = std::move(done);
-  if (!transfer.done) {
-    transfer.custody_image = std::move(image);
-  }
-  outgoing_.push_back(std::move(transfer));
+  outgoing_.push_back({.image = std::move(image),
+                       .transfer_id = next_transfer_id_++,
+                       .hop = decision.next_hop,
+                       .done = std::move(done)});
   send_next(std::prev(outgoing_.end()));
 }
 
 void MigrationManager::drop_in_flight() {
   for (Outgoing& transfer : outgoing_) {
     transfer.done = nullptr;
-    transfer.custody_image.reset();
+    transfer.dropped = true;
   }
   for (auto& [agent_id, incoming] : incoming_) {
     incoming.abort_timer.cancel();
@@ -79,7 +75,7 @@ void MigrationManager::drop_in_flight() {
 
 void MigrationManager::send_next(std::list<Outgoing>::iterator it) {
   Outgoing& transfer = *it;
-  if (transfer.next >= transfer.messages.size()) {
+  if (transfer.next >= message_counts(transfer.image).total()) {
     // Every message acked: custody now belongs to the next hop.
     stats_.hops_completed++;
     auto done = std::move(transfer.done);
@@ -89,7 +85,8 @@ void MigrationManager::send_next(std::list<Outgoing>::iterator it) {
     }
     return;
   }
-  const MigrationMessage& msg = transfer.messages[transfer.next];
+  const MigrationMessage msg =
+      encode_message(transfer.image, transfer.transfer_id, transfer.next);
   stats_.messages_sent++;
   if (battery_ != nullptr) {
     battery_->drain(energy::EnergyComponent::kCpu, energy::kMigrationMsgMj);
@@ -98,13 +95,12 @@ void MigrationManager::send_next(std::list<Outgoing>::iterator it) {
       transfer.hop, msg.am, msg.payload, [this, it](bool delivered) {
         if (!delivered) {
           stats_.hop_failures++;
-          auto done = std::move(it->done);
-          auto custody = std::move(it->custody_image);
+          Outgoing failed = std::move(*it);
           outgoing_.erase(it);
-          if (done) {
-            done(false);
-          } else if (custody.has_value()) {
-            deliver(std::move(*custody), false);
+          if (failed.done) {
+            failed.done(false);
+          } else if (!failed.dropped) {
+            deliver(std::move(failed.image), false);
           }
           return;
         }

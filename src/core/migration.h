@@ -64,12 +64,12 @@ class MigrationManager {
   /// outcome; pass nullptr for forwarded transfers.
   void send(AgentImage image, HopCompletion done);
 
-  /// Node death: drops every in-flight transfer's custody image, hop
-  /// callback, and partial incoming assembly — the agent copies lived in
-  /// the mote's RAM. Without this, a forwarded transfer's ack timeout
-  /// would later "resume" an agent onto the dead node. The link-layer
-  /// callbacks of already-sent messages still fire; with nothing to
-  /// deliver they only erase their bookkeeping entry.
+  /// Node death: drops every in-flight transfer's custody, hop callback,
+  /// and partial incoming assembly — the agent copies lived in the mote's
+  /// RAM. Without this, a forwarded transfer's ack timeout would later
+  /// "resume" an agent onto the dead node. The link-layer callbacks of
+  /// already-sent messages still fire; with nothing to deliver they only
+  /// erase their bookkeeping entry.
   void drop_in_flight();
 
   /// One migration message (the five agent AM types) from the link.
@@ -82,14 +82,19 @@ class MigrationManager {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// One agent in transit to the next hop: the image it left as, from
+  /// which each message is encoded when it is sent, and on a forwarded
+  /// transfer (done == nullptr) the copy a hop failure resumes here
+  /// (custody semantics).
   struct Outgoing {
-    std::vector<MigrationMessage> messages;
-    std::size_t next = 0;
+    AgentImage image;
+    std::uint8_t transfer_id = 0;
+    std::size_t next = 0;  ///< index of the next message to send
     sim::NodeId hop;
     HopCompletion done;
-    /// For forwarded transfers (done == nullptr): the agent image retained
-    /// so a hop failure can resume it on this node (custody semantics).
-    std::optional<AgentImage> custody_image;
+    /// Set when the node dies: a later hop failure must not resume the
+    /// agent onto the dead node.
+    bool dropped = false;
   };
   struct Incoming {
     ImageAssembler assembler;

@@ -786,8 +786,11 @@ AgentImage VmDispatcher::make_image(Agent& agent, MigrationOp op,
   image.condition = agent.condition();
   image.code = agent.program()->bytes();
   if (is_strong(op)) {
-    image.stack.assign(agent.stack().begin(), agent.stack().end());
-    image.heap = agent.heap_entries();
+    image.stack_depth = static_cast<std::uint8_t>(agent.stack_depth());
+    std::ranges::copy(agent.stack(), image.stack.begin());
+    for (std::size_t slot = 0; slot < kHeapSlots; ++slot) {
+      image.heap[slot] = agent.heap(slot);
+    }
     image.reactions =
         e_.tuple_space_.reactions().owned_by(agent.id().value);
   } else {

@@ -63,11 +63,11 @@ TEST(Agent, HeapEntriesOnlyValidSlots) {
   Agent a = make_agent();
   a.set_heap(2, ts::Value::number(20));
   a.set_heap(7, ts::Value::location({1, 2}));
-  const auto entries = a.heap_entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].first, 2);
-  EXPECT_EQ(entries[1].first, 7);
-  EXPECT_EQ(entries[1].second.as_location(), (sim::Location{1, 2}));
+  for (std::size_t slot = 0; slot < kHeapSlots; ++slot) {
+    EXPECT_EQ(a.heap(slot).valid(), slot == 2 || slot == 7) << slot;
+  }
+  EXPECT_EQ(a.heap(2).as_number(), 20);
+  EXPECT_EQ(a.heap(7).as_location(), (sim::Location{1, 2}));
 }
 
 TEST(Agent, ClearHeapAndStack) {
@@ -77,7 +77,9 @@ TEST(Agent, ClearHeapAndStack) {
   a.clear_stack();
   a.clear_heap();
   EXPECT_EQ(a.stack_depth(), 0u);
-  EXPECT_TRUE(a.heap_entries().empty());
+  for (std::size_t slot = 0; slot < kHeapSlots; ++slot) {
+    EXPECT_FALSE(a.heap(slot).valid()) << slot;
+  }
 }
 
 TEST(Agent, RestoreStackBottomFirst) {

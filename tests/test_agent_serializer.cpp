@@ -23,8 +23,9 @@ AgentImage sample_image() {
   image.stack = {ts::Value::number(4), ts::Value::location({2, 2}),
                  ts::Value::string("abc"), ts::Value::number(-9),
                  ts::Value::agent_id(3)};
-  image.heap = {{1, ts::Value::number(10)},
-                {5, ts::Value::reading(sim::SensorType::kPhoto, 7)}};
+  image.stack_depth = 5;
+  image.heap[1] = ts::Value::number(10);
+  image.heap[5] = ts::Value::reading(sim::SensorType::kPhoto, 7);
   ts::Reaction rxn;
   rxn.agent_id = 0x0305;
   rxn.templ = ts::Template{ts::Value::string("fir"),
@@ -32,6 +33,16 @@ AgentImage sample_image() {
   rxn.handler_pc = 11;
   image.reactions = {rxn};
   return image;
+}
+
+/// Every message of `image`'s transfer, in sending order.
+std::vector<MigrationMessage> to_messages(const AgentImage& image,
+                                          std::uint8_t transfer_id) {
+  std::vector<MigrationMessage> messages;
+  for (std::size_t i = 0; i < message_counts(image).total(); ++i) {
+    messages.push_back(encode_message(image, transfer_id, i));
+  }
+  return messages;
 }
 
 AgentImage round_trip(const AgentImage& image) {
@@ -111,8 +122,8 @@ TEST(Serializer, StrongOpsAlwaysShipStackAndHeapMessages) {
   }
   ASSERT_TRUE(assembler.complete());
   const AgentImage copy = assembler.take();
-  EXPECT_TRUE(copy.stack.empty());
-  EXPECT_TRUE(copy.heap.empty());
+  EXPECT_EQ(copy.stack_depth, 0u);
+  EXPECT_EQ(copy.heap_slots(), 0u);
 }
 
 TEST(Serializer, RoundTripPreservesEverything) {
@@ -123,13 +134,13 @@ TEST(Serializer, RoundTripPreservesEverything) {
   EXPECT_EQ(copy.dest, original.dest);
   EXPECT_EQ(copy.pc, original.pc);
   EXPECT_EQ(copy.code, original.code);
-  ASSERT_EQ(copy.stack.size(), original.stack.size());
-  for (std::size_t i = 0; i < copy.stack.size(); ++i) {
+  ASSERT_EQ(copy.stack_depth, original.stack_depth);
+  for (std::size_t i = 0; i < copy.stack_depth; ++i) {
     EXPECT_EQ(copy.stack[i], original.stack[i]) << i;
   }
-  ASSERT_EQ(copy.heap.size(), original.heap.size());
-  EXPECT_EQ(copy.heap[0].first, 1);
-  EXPECT_EQ(copy.heap[1].second.sensor(), sim::SensorType::kPhoto);
+  EXPECT_EQ(copy.heap_slots(), original.heap_slots());
+  EXPECT_EQ(copy.heap[1], ts::Value::number(10));
+  EXPECT_EQ(copy.heap[5].sensor(), sim::SensorType::kPhoto);
   ASSERT_EQ(copy.reactions.size(), 1u);
   EXPECT_EQ(copy.reactions[0].handler_pc, 11);
   EXPECT_TRUE(copy.reactions[0].templ.matches(
@@ -141,8 +152,8 @@ TEST(Serializer, WeakImageCarriesOnlyCode) {
   image.op = MigrationOp::kWClone;
   image.weaken();
   EXPECT_EQ(image.pc, 0);
-  EXPECT_TRUE(image.stack.empty());
-  EXPECT_TRUE(image.heap.empty());
+  EXPECT_EQ(image.stack_depth, 0u);
+  EXPECT_EQ(image.heap_slots(), 0u);
   EXPECT_TRUE(image.reactions.empty());
   const auto messages = to_messages(image, 3);
   EXPECT_EQ(messages.size(), 1u + CodePool::blocks_needed(image.code.size()));
@@ -187,8 +198,9 @@ TEST(Serializer, DuplicateMessagesAreIdempotent) {
   }
   ASSERT_TRUE(assembler.complete());
   const AgentImage image = assembler.take();
-  EXPECT_EQ(image.heap.size(), 2u);  // not duplicated
-  EXPECT_EQ(image.stack.size(), 5u);
+  EXPECT_EQ(image.heap_slots(), 2u);
+  EXPECT_EQ(image.stack_depth, 5u);
+  EXPECT_EQ(image.reactions.size(), 1u);
 }
 
 TEST(Serializer, ForeignTransferRejected) {
@@ -215,6 +227,47 @@ TEST(Serializer, TruncatedPayloadRejected) {
   EXPECT_FALSE(assembler.feed(sim::AmType::kAgentState, cut));
 }
 
+TEST(Serializer, CodeBlockShortOfItsShareIsRejected) {
+  // A 30-byte weak agent: block 0 carries 22 bytes and block 1 the last 8.
+  // A block that claims fewer valid bytes than its share would leave code
+  // bytes that were never sent; its ack is withheld.
+  AgentImage image;
+  image.agent_id = 4;
+  image.op = MigrationOp::kWMove;
+  image.code.assign(30, 0x21);
+  const auto messages = to_messages(image, 2);
+  ASSERT_EQ(messages.size(), 3u);
+  for (const std::uint8_t valid : {0, 21, 23}) {
+    SCOPED_TRACE(static_cast<int>(valid));
+    ImageAssembler assembler;
+    ASSERT_TRUE(assembler.feed(messages[0].am, messages[0].payload));
+    std::vector<std::uint8_t> block0(messages[1].payload.begin(),
+                                     messages[1].payload.end());
+    block0[4] = valid;  // after agent id, transfer id and block index
+    EXPECT_FALSE(assembler.feed(messages[1].am, block0));
+    EXPECT_TRUE(assembler.feed(messages[2].am, messages[2].payload));
+    EXPECT_FALSE(assembler.complete());
+    EXPECT_TRUE(assembler.feed(messages[1].am, messages[1].payload));
+    ASSERT_TRUE(assembler.complete());
+    EXPECT_EQ(assembler.take().code, image.code);
+  }
+}
+
+TEST(Serializer, UnknownMigrationOpIsRejected) {
+  // The state message's op byte names one of the four migration
+  // operations; any other value is malformed, not a weak move.
+  const auto messages = to_messages(sample_image(), 5);
+  for (int op = 4; op < 256; ++op) {
+    SCOPED_TRACE(op);
+    std::vector<std::uint8_t> state(messages[0].payload.begin(),
+                                    messages[0].payload.end());
+    state[3] = static_cast<std::uint8_t>(op);
+    ImageAssembler assembler;
+    EXPECT_FALSE(assembler.feed(sim::AmType::kAgentState, state));
+    EXPECT_FALSE(assembler.has_state());
+  }
+}
+
 TEST(Serializer, MigrationOpNames) {
   EXPECT_STREQ(to_string(MigrationOp::kSMove), "smove");
   EXPECT_STREQ(to_string(MigrationOp::kWClone), "wclone");
@@ -229,11 +282,12 @@ TEST(Serializer, FullStackAndHeapRoundTrip) {
   image.agent_id = 2;
   image.op = MigrationOp::kSClone;
   image.code = {0x00};
+  image.stack_depth = Agent::kStackDepth;
   for (std::size_t i = 0; i < Agent::kStackDepth; ++i) {
-    image.stack.push_back(ts::Value::number(static_cast<std::int16_t>(i)));
+    image.stack[i] = ts::Value::number(static_cast<std::int16_t>(i));
   }
-  for (std::uint8_t i = 0; i < kHeapSlots; ++i) {
-    image.heap.emplace_back(i, ts::Value::number(i));
+  for (std::size_t i = 0; i < kHeapSlots; ++i) {
+    image.heap[i] = ts::Value::number(static_cast<std::int16_t>(i));
   }
   const auto messages = to_messages(image, 1);
   // 1 state + 1 code + 4 stack (16/4) + 3 heap (12/4).
@@ -244,8 +298,8 @@ TEST(Serializer, FullStackAndHeapRoundTrip) {
   }
   ASSERT_TRUE(assembler.complete());
   const AgentImage copy = assembler.take();
-  EXPECT_EQ(copy.stack.size(), Agent::kStackDepth);
-  EXPECT_EQ(copy.heap.size(), kHeapSlots);
+  EXPECT_EQ(copy.stack_depth, Agent::kStackDepth);
+  EXPECT_EQ(copy.heap_slots(), kHeapSlots);
 }
 
 ts::Value random_value(sim::Rng& rng) {
@@ -286,13 +340,14 @@ AgentImage random_image(sim::Rng& rng) {
   for (auto& byte : image.code) {
     byte = static_cast<std::uint8_t>(rng.uniform(256));
   }
-  const std::size_t depth = rng.uniform(Agent::kStackDepth + 1);
-  for (std::size_t i = 0; i < depth; ++i) {
-    image.stack.push_back(rng.chance(0.1) ? ts::Value{} : random_value(rng));
+  image.stack_depth =
+      static_cast<std::uint8_t>(rng.uniform(Agent::kStackDepth + 1));
+  for (std::size_t i = 0; i < image.stack_depth; ++i) {
+    image.stack[i] = rng.chance(0.1) ? ts::Value{} : random_value(rng);
   }
-  for (std::uint8_t slot = 0; slot < kHeapSlots; ++slot) {
+  for (ts::Value& slot : image.heap) {
     if (rng.chance(0.5)) {
-      image.heap.emplace_back(slot, random_value(rng));
+      slot = random_value(rng);
     }
   }
   const std::size_t reactions = rng.uniform(11);
@@ -316,13 +371,8 @@ void expect_same_image(const AgentImage& got, const AgentImage& want) {
   EXPECT_EQ(got.pc, want.pc);
   EXPECT_EQ(got.condition, want.condition);
   EXPECT_EQ(got.code, want.code);
-  EXPECT_EQ(got.stack, want.stack);
-  // The heap in slot order (the sender lists it ascending; arrivals may
-  // not be).
-  auto heap = got.heap;
-  std::sort(heap.begin(), heap.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  EXPECT_EQ(heap, want.heap);
+  EXPECT_TRUE(std::ranges::equal(got.live_stack(), want.live_stack()));
+  EXPECT_EQ(got.heap, want.heap);
   EXPECT_EQ(got.reactions, want.reactions);
 }
 

@@ -11,6 +11,8 @@
 //  * a 16x16 agent_dense-shaped mesh (a compute loop plus a tuple writer
 //    or rdp reader on every mote): the VM's operand stack, its tuple
 //    operands and the store's hit path must not touch the heap either.
+// A third case bounds migration per completed hop rather than per event:
+// a strong-move ping-pong on a lossless 2x1 mesh.
 // The count is exact and deterministic, so the bound holds on any host
 // and in sanitizer builds alike.
 #include <gtest/gtest.h>
@@ -231,6 +233,69 @@ TEST(AllocBudget, AgentDenseMeshTupleOpsAllocateAlmostNothingPerEvent) {
     alive += mesh->mote(i).engine().agents().count();
   }
   EXPECT_EQ(alive, 2 * mesh->mote_count()) << "every agent should survive";
+}
+
+// An agent with two stack values, two heap slots and one reaction that
+// strong-moves back and forth between the two motes of a 2x1 mesh.
+constexpr const char* kPingPong = R"(
+BEGIN   pushc 5
+        setvar 0
+        pushn abc
+        setvar 7
+        pushn pin
+        pusht NUMBER
+        pushc 2
+        pushc HAND
+        regrxn
+        pushc 1
+        pushloc 1 1
+LOOP    pushloc 2 1
+        smove
+        pushloc 1 1
+        smove
+        rjump LOOP
+HAND    jumps
+)";
+
+/// A hop moves one image: the sender encodes each message from it and the
+/// receiver assembles the arrivals into its own. What a hop still
+/// allocates is that image's code and reaction list on each side, the
+/// outgoing transfer, the incoming entry, the installed agent, the link
+/// layer's pending-ack table (two growths, freed when it empties) and the
+/// departed agent's reaction list: 10.0 per hop, 23.0 with a copy of
+/// every message and seven assembly buffers.
+constexpr double kMaxAllocationsPerHop = 10.25;
+
+TEST(AllocBudget, StrongMovePingPongAllocatesAFewBlocksPerHop) {
+  api::SimulationBuilder builder;
+  builder.grid(2, 1).seed(7).packet_loss(0.0).warmup(2 * sim::kSecond);
+  auto mesh = builder.build();
+  ASSERT_TRUE(mesh->mote(0).inject(core::assemble_or_die(kPingPong)));
+  sim::Simulator& sim = mesh->simulator();
+  const auto hops = [&mesh] {
+    std::uint64_t completed = 0;
+    for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
+      completed += mesh->mote(i).migration().stats().hops_completed;
+    }
+    return completed;
+  };
+  sim.run_for(2 * sim::kSecond);
+  const std::uint64_t hops_before = hops();
+  const long long before = allocations();
+  sim.run_for(20 * sim::kSecond);
+  const long long allocated = allocations() - before;
+  const std::uint64_t completed = hops() - hops_before;
+  ASSERT_GT(completed, 20u) << "the agent should keep moving";
+  const double per_hop =
+      static_cast<double>(allocated) / static_cast<double>(completed);
+  std::printf("alloc budget: %lld allocations over %llu hops = %.2f per "
+              "hop (bound %.2f)\n",
+              allocated, static_cast<unsigned long long>(completed), per_hop,
+              kMaxAllocationsPerHop);
+  EXPECT_LE(per_hop, kMaxAllocationsPerHop);
+  for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
+    EXPECT_EQ(mesh->mote(i).migration().stats().hop_failures, 0u);
+  }
 }
 
 }  // namespace

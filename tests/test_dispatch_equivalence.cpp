@@ -70,8 +70,10 @@ std::string observable_state(core::AgillaMiddleware& mote) {
       out << v.to_string() << ",";
     }
     out << "] heap=[";
-    for (const auto& [slot, value] : agent->heap_entries()) {
-      out << static_cast<int>(slot) << ":" << value.to_string() << ",";
+    for (std::size_t slot = 0; slot < core::kHeapSlots; ++slot) {
+      if (agent->heap(slot).valid()) {
+        out << slot << ":" << agent->heap(slot).to_string() << ",";
+      }
     }
     out << "]\n";
   }

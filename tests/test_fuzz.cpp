@@ -100,6 +100,103 @@ TEST_P(ParserFuzz, ImageAssemblerRejectsGarbage) {
   }
 }
 
+TEST_P(ParserFuzz, ImageAssemblerSurvivesFieldEdgeMutants) {
+  // Valid transfers with one or two messages mutated at a field's edge:
+  // heap addresses 11, 12 and 0xFF; stack starts 12 and 16 with counts 4
+  // and 5; a code block index equal to the block count and valid-byte
+  // counts 22 and 23; a reaction index equal to the reaction count and
+  // template field counts 4 and 5. feed must never crash or throw, and an
+  // image that completes must stay within the agent's bounds.
+  sim::Rng rng(GetParam() + 7);
+  int completed = 0;
+  for (int round = 0; round < 300; ++round) {
+    core::AgentImage image;
+    image.agent_id = static_cast<std::uint16_t>(rng.uniform(1u << 16));
+    image.op = static_cast<core::MigrationOp>(rng.uniform(4));
+    image.code.assign(1 + rng.uniform(440), 0x07);
+    image.stack_depth =
+        static_cast<std::uint8_t>(rng.uniform(core::Agent::kStackDepth + 1));
+    for (std::size_t i = 0; i < image.stack_depth; ++i) {
+      image.stack[i] = ts::Value::number(static_cast<std::int16_t>(i));
+    }
+    for (ts::Value& slot : image.heap) {
+      if (rng.chance(0.5)) {
+        slot = ts::Value::number(3);
+      }
+    }
+    image.reactions.resize(rng.uniform(4));
+    for (ts::Reaction& rxn : image.reactions) {
+      rxn.agent_id = image.agent_id;
+      for (std::size_t f = rng.uniform(5); f > 0; --f) {
+        rxn.templ.add(ts::Value::type_wildcard(ts::ValueType::kNumber));
+      }
+    }
+    const core::MessageCounts counts = core::message_counts(image);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::vector<sim::AmType> kinds;
+    for (std::size_t i = 0; i < counts.total(); ++i) {
+      const core::MigrationMessage m = core::encode_message(image, 1, i);
+      payloads.emplace_back(m.payload.begin(), m.payload.end());
+      kinds.push_back(m.am);
+    }
+    // Byte offsets after the agent id and transfer id.
+    for (int mutation = 1 + static_cast<int>(rng.uniform(2)); mutation > 0;
+         --mutation) {
+      const std::size_t i = 1 + rng.uniform(payloads.size() - 1);
+      std::vector<std::uint8_t>& p = payloads[i];
+      const auto pick = [&rng](std::initializer_list<std::uint8_t> edges) {
+        return edges.begin()[rng.uniform(edges.size())];
+      };
+      switch (kinds[i]) {
+        case sim::AmType::kAgentHeap:
+          p[4 + 7 * rng.uniform(core::kVarsPerMessage)] =
+              pick({11, 12, 0xFF});
+          break;
+        case sim::AmType::kAgentStack:
+          if (rng.chance(0.5)) {
+            p[3] = pick({12, 16});
+          }
+          if (rng.chance(0.5)) {
+            p[4] = pick({4, 5});
+          }
+          break;
+        case sim::AmType::kAgentCode:
+          if (rng.chance(0.5)) {
+            p[3] = static_cast<std::uint8_t>(counts.code);
+          } else {
+            p[4] = pick({22, 23});
+          }
+          break;
+        case sim::AmType::kAgentReaction:
+          if (rng.chance(0.5)) {
+            p[3] = static_cast<std::uint8_t>(image.reactions.size());
+          } else {
+            p[6] = pick({4, 5});
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    core::ImageAssembler assembler;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      EXPECT_NO_THROW(assembler.feed(kinds[i], payloads[i]));
+    }
+    if (assembler.complete()) {
+      ++completed;
+      const core::AgentImage got = assembler.take();
+      EXPECT_LE(got.stack_depth, core::Agent::kStackDepth);
+      EXPECT_LE(got.heap_slots(), core::kHeapSlots);
+      EXPECT_EQ(got.code.size(), image.code.size());
+      for (const ts::Reaction& rxn : got.reactions) {
+        EXPECT_LE(rxn.templ.arity(), core::kMaxReactionTemplateFields);
+      }
+    }
+  }
+  // Some mutants stay within their message's share and complete.
+  EXPECT_GT(completed, 0);
+}
+
 TEST_P(ParserFuzz, AssemblerSurvivesRandomText) {
   sim::Rng rng(GetParam() + 3);
   const char charset[] =

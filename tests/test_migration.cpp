@@ -351,10 +351,11 @@ TEST(Migration, DropInFlightCancelsEveryIncomingAbortTimer) {
     image.op = MigrationOp::kWMove;
     image.dest = {2, 1};
     image.code = assemble_or_die("pushc 1\npushc 1\nout\nhalt");
-    const auto messages = to_messages(image, /*transfer_id=*/0);
-    ASSERT_GT(messages.size(), 1u);
-    mesh.at(0).link().send_acked(mesh.at(1).node_id(), messages[0].am,
-                                 messages[0].payload, nullptr);
+    ASSERT_GT(message_counts(image).total(), 1u);
+    const MigrationMessage state =
+        encode_message(image, /*transfer_id=*/0, /*index=*/0);
+    mesh.at(0).link().send_acked(mesh.at(1).node_id(), state.am,
+                                 state.payload, nullptr);
   }
   mesh.sim.run_for(100 * sim::kMillisecond);
   const std::size_t armed = mesh.sim.pending_events();
