@@ -262,8 +262,7 @@ HAND    jumps
 /// allocates is that image's code and reaction list on each side, the
 /// outgoing transfer, the incoming entry, the installed agent, the link
 /// layer's pending-ack table (two growths, freed when it empties) and the
-/// departed agent's reaction list: 10.0 per hop, 23.0 with a copy of
-/// every message and seven assembly buffers.
+/// departed agent's reaction list: 10.0 per hop.
 constexpr double kMaxAllocationsPerHop = 10.25;
 
 TEST(AllocBudget, StrongMovePingPongAllocatesAFewBlocksPerHop) {
