@@ -50,7 +50,7 @@ int main() {
 
   // A smaller configuration for extremely constrained motes.
   core::AgillaConfig lean;
-  lean.agents.max_agents = 2;
+  lean.engine.max_agents = 2;
   lean.code_pool_blocks = 10;
   lean.tuple_space.store_capacity_bytes = 300;
   lean.tuple_space.registry.capacity_bytes = 200;

@@ -91,7 +91,7 @@ int main() {
     core::AgillaMiddleware& mote = net->mote(i);
     std::printf("  mote (%.0f,%.0f): %zu agents, %zu habitat readings kept\n",
                 mote.location().x, mote.location().y,
-                mote.agents().count(),
+                mote.engine().agents().size(),
                 mote.tuple_space().tcount(hab_log));
   }
   return 0;

@@ -28,7 +28,7 @@ constexpr std::size_t kGrid = 5;
 /// The pursuer is wherever two agents share a node (sentinel + pursuer).
 int pursuer_index(api::Deployment& net) {
   for (std::size_t i = 0; i < net.mote_count(); ++i) {
-    if (net.mote(i).agents().count() >= 2) {
+    if (net.mote(i).engine().agents().size() >= 2) {
       return static_cast<int>(i);
     }
   }

@@ -125,7 +125,7 @@ std::size_t Deployment::tuples_matching(const ts::Template& templ) const {
 std::size_t Deployment::agent_count() const {
   std::size_t count = 0;
   for (const auto& mote : motes_) {
-    count += mote->agents().count();
+    count += mote->engine().agents().size();
   }
   return count;
 }

@@ -17,8 +17,6 @@ const char* to_string(AgentRunState s) {
       return "waiting-rxn";
     case AgentRunState::kBlockedOp:
       return "blocked-op";
-    case AgentRunState::kDead:
-      return "dead";
   }
   return "unknown";
 }

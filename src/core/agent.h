@@ -17,6 +17,7 @@
 
 #include "core/isa.h"
 #include "sim/event_queue.h"
+#include "sim/fifo.h"
 #include "tuplespace/tuple.h"
 #include "tuplespace/tuple_match.h"
 
@@ -38,7 +39,6 @@ enum class AgentRunState : std::uint8_t {
   kBlockedTs,   ///< blocked in `in`/`rd`, re-probes on insertion
   kWaitingRxn,  ///< in `wait`; a firing reaction resumes it
   kBlockedOp,   ///< a migration / remote op is in flight
-  kDead,
 };
 
 [[nodiscard]] const char* to_string(AgentRunState s);
@@ -108,6 +108,16 @@ class Agent {
   /// reaction wakes it early or the agent dies.
   [[nodiscard]] sim::EventHandle& sleep_timer() { return sleep_timer_; }
 
+  /// A reaction that fired while the agent was blocked: delivered, one per
+  /// wakeup, when the agent next becomes ready.
+  struct PendingReaction {
+    std::uint16_t handler_pc = 0;
+    ts::Tuple tuple;
+  };
+  [[nodiscard]] sim::Fifo<PendingReaction>& pending_reactions() {
+    return pending_reactions_;
+  }
+
   // --- run state ---------------------------------------------------------------
   [[nodiscard]] AgentRunState run_state() const { return run_state_; }
   void set_run_state(AgentRunState s) { run_state_ = s; }
@@ -147,6 +157,7 @@ class Agent {
   std::optional<BlockedProbe> blocked_probe_;
   std::shared_ptr<const DecodedProgram> program_;
   sim::EventHandle sleep_timer_;
+  sim::Fifo<PendingReaction> pending_reactions_;
 };
 
 }  // namespace agilla::core

@@ -24,14 +24,13 @@ const char* to_string(DispatchMode mode) {
 }
 
 AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
-                           Options options, AgentManager& agents,
-                           CodePool& code_pool, ts::TupleSpace& tuple_space,
+                           Options options, CodePool& code_pool,
+                           ts::TupleSpace& tuple_space,
                            ContextManager& context, SensorBoard& sensors,
                            MigrationManager& migration,
                            RemoteTsManager& remote_ts, ProgramTable& programs)
     : sim_(sim),
       options_(options),
-      agents_(agents),
       code_pool_(code_pool),
       tuple_space_(tuple_space),
       context_(context),
@@ -62,8 +61,8 @@ Agent* AgillaEngine::admit(std::span<const std::uint8_t> code,
     stats_.agents_rejected++;
     return nullptr;
   }
-  const AgentId agent_id = id.has_value() ? *id : agents_.next_id();
-  if (!agents_.accepts(agent_id)) {
+  const AgentId agent_id = id.has_value() ? *id : next_id();
+  if (agents_.size() >= options_.max_agents || find(agent_id) != nullptr) {
     code_pool_.release(code.size());
     stats_.agents_rejected++;
     return nullptr;
@@ -71,7 +70,18 @@ Agent* AgillaEngine::admit(std::span<const std::uint8_t> code,
   if (profile_ == nullptr) {
     profile_ = std::make_unique<OpcodeTable>();
   }
-  return agents_.create(agent_id, dispatcher_->program_for(code));
+  agents_.push_back(
+      std::make_unique<Agent>(agent_id, dispatcher_->program_for(code)));
+  return agents_.back().get();
+}
+
+Agent* AgillaEngine::find(AgentId id) {
+  for (const std::unique_ptr<Agent>& agent : agents_) {
+    if (agent->id() == id) {
+      return agent.get();
+    }
+  }
+  return nullptr;
 }
 
 std::optional<AgentId> AgillaEngine::launch(
@@ -110,24 +120,18 @@ bool AgillaEngine::install(AgentImage image, bool reached_dest) {
 }
 
 void AgillaEngine::make_ready(Agent& agent) {
-  if (agent.run_state() == AgentRunState::kDead) {
-    return;
-  }
   const bool was_blocked = agent.run_state() != AgentRunState::kReady;
   agent.set_run_state(AgentRunState::kReady);
   if (was_blocked) {
     emit_agent(sim::EventKind::kAgentResume, agent.id());
   }
-  ready_.push_back(agent.id());
-  // Deliver one queued reaction now that the agent can accept it.
-  if (auto* queue = pending_reactions_.find(agent.id().value);
-      queue != nullptr && !queue->empty()) {
-    PendingReaction next = std::move(queue->front());
-    queue->pop_front();
-    if (queue->empty()) {
-      pending_reactions_.erase(agent.id().value);
-    }
-    deliver_reaction(agent, next.reaction, next.tuple);
+  ready_.push_back(&agent);
+  // Deliver one queued reaction now that the agent can accept it. The
+  // delivery can kill the agent, so it works on its own copy.
+  if (auto& queue = agent.pending_reactions(); !queue.empty()) {
+    const Agent::PendingReaction next = queue.front();
+    queue.pop_front();
+    deliver_reaction(agent, next.handler_pc, next.tuple);
   }
   // From inside tick() the end-of-batch reschedule picks the agent up with
   // the batch's accumulated cost as delay; scheduling a zero-delay tick
@@ -145,15 +149,11 @@ void AgillaEngine::block_agent(Agent& agent, AgentRunState state,
 }
 
 void AgillaEngine::kill_all_agents() {
-  std::vector<AgentId> ids;
-  ids.reserve(agents_.count());
-  for (const auto& agent : agents_.agents()) {
-    ids.push_back(agent->id());
-  }
-  for (const AgentId id : ids) {
+  while (!agents_.empty()) {
+    Agent& agent = *agents_.front();
     stats_.agents_power_lost++;
-    emit_agent(sim::EventKind::kAgentKill, id, "power");
-    destroy(id, /*drop_reactions=*/true);
+    emit_agent(sim::EventKind::kAgentKill, agent.id(), "power");
+    destroy(agent);
   }
 }
 
@@ -187,10 +187,9 @@ void AgillaEngine::tick() {
   std::size_t drained = 0;
   in_tick_ = true;
   while (drained < max_slices && !ready_.empty()) {
-    const AgentId id = ready_.front();
+    Agent* agent = ready_.front();
     ready_.pop_front();
-    Agent* agent = agents_.find(id);
-    if (agent == nullptr || agent->run_state() != AgentRunState::kReady) {
+    if (agent->run_state() != AgentRunState::kReady) {
       continue;  // stale queue entry
     }
 
@@ -223,12 +222,13 @@ void AgillaEngine::tick() {
     }
 
     stats_.slices++;
+    running_ = agent;
     dispatcher_->run_slice(*agent, cost);
-    // The slice may have destroyed the agent; re-resolve before requeueing.
-    if (Agent* after = agents_.find(id);
-        after != nullptr && after->run_state() == AgentRunState::kReady) {
-      ready_.push_back(id);
+    // A slice that destroyed its agent cleared running_.
+    if (running_ != nullptr && agent->run_state() == AgentRunState::kReady) {
+      ready_.push_back(agent);
     }
+    running_ = nullptr;
     cost += kContextSwitchCost;
     drained++;
   }
@@ -239,24 +239,23 @@ void AgillaEngine::tick() {
   }
 }
 
-void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
-  pending_reactions_.erase(id.value);
-  if (drop_reactions) {
-    tuple_space_.extract_reactions(id.value);
+void AgillaEngine::destroy(Agent& agent) {
+  tuple_space_.drop_reactions(agent.id().value);
+  agent.sleep_timer().cancel();
+  code_pool_.release(agent.program()->size());
+  ready_.erase(&agent);
+  if (running_ == &agent) {
+    running_ = nullptr;
   }
-  if (Agent* agent = agents_.find(id); agent != nullptr) {
-    agent->sleep_timer().cancel();
-    agent->set_run_state(AgentRunState::kDead);
-    code_pool_.release(agent->program()->size());
-    agents_.destroy(id);
-  }
-  ready_.erase(id);
+  std::erase_if(agents_, [&agent](const std::unique_ptr<Agent>& held) {
+    return held.get() == &agent;
+  });
 }
 
 void AgillaEngine::die(Agent& agent, const char* reason) {
   stats_.vm_errors++;
   emit_agent(sim::EventKind::kAgentKill, agent.id(), reason);
-  destroy(agent.id(), true);
+  destroy(agent);
 }
 
 std::unordered_map<std::uint8_t, OpcodeProfile>
@@ -284,47 +283,52 @@ AgillaEngine::opcode_profile() const {
 void AgillaEngine::on_tuple_inserted(const ts::Tuple& /*tuple*/) {
   // Wake every agent blocked in in/rd so it can re-probe (paper Sec. 3.3:
   // "the agents in this queue are notified and can re-check for a match").
-  for (const auto& agent : agents_.agents()) {
-    if (agent->run_state() == AgentRunState::kBlockedTs) {
-      make_ready(*agent);
+  // Waking an agent can deliver a queued reaction that overflows its stack
+  // and kills it; its slot then holds the next agent, which is visited
+  // next.
+  for (std::size_t i = 0; i < agents_.size();) {
+    Agent& agent = *agents_[i];
+    if (agent.run_state() == AgentRunState::kBlockedTs) {
+      make_ready(agent);
+    }
+    if (i < agents_.size() && agents_[i].get() == &agent) {
+      ++i;
     }
   }
 }
 
 void AgillaEngine::on_reaction(const ts::Reaction& reaction,
                                const ts::Tuple& tuple) {
-  Agent* agent = agents_.find(AgentId{reaction.agent_id});
+  Agent* agent = find(AgentId{reaction.agent_id});
   if (agent == nullptr) {
     return;
   }
   switch (agent->run_state()) {
     case AgentRunState::kReady:
-      deliver_reaction(*agent, reaction, tuple);
+      deliver_reaction(*agent, reaction.handler_pc, tuple);
       return;
     case AgentRunState::kWaitingRxn:
-      deliver_reaction(*agent, reaction, tuple);
-      make_ready(*agent);
+      if (deliver_reaction(*agent, reaction.handler_pc, tuple)) {
+        make_ready(*agent);
+      }
       return;
     case AgentRunState::kSleeping:
       agent->sleep_timer().cancel();
-      deliver_reaction(*agent, reaction, tuple);
-      make_ready(*agent);
-      return;
-    case AgentRunState::kBlockedTs:
-    case AgentRunState::kBlockedOp: {
-      auto& queue = pending_reactions_[reaction.agent_id];
-      if (queue.size() < kMaxPendingReactions) {
-        queue.push_back(PendingReaction{reaction, tuple});
+      if (deliver_reaction(*agent, reaction.handler_pc, tuple)) {
+        make_ready(*agent);
       }
       return;
-    }
-    case AgentRunState::kDead:
+    case AgentRunState::kBlockedTs:
+    case AgentRunState::kBlockedOp:
+      if (auto& queue = agent->pending_reactions();
+          queue.size() < kMaxPendingReactions) {
+        queue.push_back(Agent::PendingReaction{reaction.handler_pc, tuple});
+      }
       return;
   }
 }
 
-void AgillaEngine::deliver_reaction(Agent& agent,
-                                    const ts::Reaction& reaction,
+bool AgillaEngine::deliver_reaction(Agent& agent, std::uint16_t handler_pc,
                                     const ts::Tuple& tuple) {
   stats_.reactions_fired++;
   // Save the interrupted PC so the handler can `jumps` back, then push the
@@ -335,9 +339,10 @@ void AgillaEngine::deliver_reaction(Agent& agent,
                   agent.push_fields(tuple);
   if (!ok) {
     die(agent, "stack overflow delivering reaction");
-    return;
+    return false;
   }
-  agent.set_pc(reaction.handler_pc);
+  agent.set_pc(handler_pc);
+  return true;
 }
 
 }  // namespace agilla::core

@@ -2,7 +2,9 @@
 // that runs every agent on a node with round-robin scheduling, "each agent
 // can execute a fixed number of instructions (default 4) before switching
 // context", yielding immediately on long-running instructions (sleep,
-// sense, wait, migration, remote tuple-space ops, blocked in/rd).
+// sense, wait, migration, remote tuple-space ops, blocked in/rd). It is
+// also the paper's Agent Manager: it owns the node's agents, their slots
+// (default 4 per node) and their ids.
 //
 // This header is the embedding-facing surface: lifecycle (launch/install),
 // stats, and knob-style Options. Agent lifecycle and every dispatched
@@ -15,11 +17,12 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/agent_manager.h"
+#include "core/agent.h"
 #include "core/agent_serializer.h"
 #include "core/code_pool.h"
 #include "core/context_manager.h"
@@ -31,7 +34,6 @@
 #include "energy/battery.h"
 #include "sim/fifo.h"
 #include "sim/simulator.h"
-#include "sim/small_map.h"
 
 namespace agilla::core {
 
@@ -94,12 +96,14 @@ class AgillaEngine {
     /// batch, so timer timestamps can shift by microseconds relative to
     /// batch_slices = 1; outcomes are invariant (tested).
     std::size_t batch_slices = 8;
+    /// Agent slots on the node (paper Sec. 3.2 default).
+    std::size_t max_agents = 4;
   };
 
   /// `programs` is the deployment's program table (core/program_table.h),
   /// shared by every engine of the deployment; it must outlive the engine.
   AgillaEngine(sim::Simulator& sim, sim::NodeId node, Options options,
-               AgentManager& agents, CodePool& code_pool,
+               CodePool& code_pool,
                ts::TupleSpace& tuple_space, ContextManager& context,
                SensorBoard& sensors, MigrationManager& migration,
                RemoteTsManager& remote_ts, ProgramTable& programs);
@@ -139,7 +143,22 @@ class AgillaEngine {
   opcode_profile() const;
 
   [[nodiscard]] std::uint8_t leds() const { return leds_; }
-  [[nodiscard]] AgentManager& agents() { return agents_; }
+
+  /// Live agents in creation order.
+  [[nodiscard]] std::span<const std::unique_ptr<Agent>> agents() const {
+    return agents_;
+  }
+  /// The live agent with `id`, or nullptr.
+  [[nodiscard]] Agent* find(AgentId id);
+
+  /// Fresh network-unique id for an agent created by this node: the high
+  /// byte derives from the node, the low byte counts creations (16-bit ids
+  /// as in paper Fig. 6; wraparound after 256 creations is documented in
+  /// DESIGN.md).
+  [[nodiscard]] AgentId next_id() {
+    const auto high = static_cast<std::uint16_t>((node_.value & 0xFF) << 8);
+    return AgentId{static_cast<std::uint16_t>(high | id_counter_++)};
+  }
 
   /// The decode/execute layer (engine-internal; include
   /// core/vm_dispatch.h to use it, e.g. to read program-sharing stats).
@@ -148,14 +167,15 @@ class AgillaEngine {
   }
 
   /// True when any agent is alive on this node.
-  [[nodiscard]] bool busy() const { return agents_.count() > 0; }
+  [[nodiscard]] bool busy() const { return !agents_.empty(); }
 
  private:
   friend class VmDispatcher;
 
   /// Reserves `code`'s blocks and creates its agent (a fresh id unless
   /// `id` is given) holding its program; nullptr, counted as a rejection,
-  /// when the pool or the agent slots refuse it.
+  /// when the pool refuses it, every slot is taken or an agent with that
+  /// id lives here.
   Agent* admit(std::span<const std::uint8_t> code, std::optional<AgentId> id);
   void make_ready(Agent& agent);
   /// Emits one agent-lifecycle record for this node (`reason` must be a
@@ -167,14 +187,17 @@ class AgillaEngine {
   void tick();
   void charge_cpu(sim::SimTime cost);
   void die(Agent& agent, const char* reason);
-  void destroy(AgentId id, bool drop_reactions);
+  /// Drops the agent's reactions, cancels its wakeup, releases its code
+  /// blocks and frees it.
+  void destroy(Agent& agent);
 
-  void deliver_reaction(Agent& agent, const ts::Reaction& reaction,
+  /// Pushes the return PC and the tuple's fields and jumps to the
+  /// handler; false when that overflows the stack and kills the agent.
+  bool deliver_reaction(Agent& agent, std::uint16_t handler_pc,
                         const ts::Tuple& tuple);
 
   sim::Simulator& sim_;
   Options options_;
-  AgentManager& agents_;
   CodePool& code_pool_;
   ts::TupleSpace& tuple_space_;
   ContextManager& context_;
@@ -184,19 +207,22 @@ class AgillaEngine {
   energy::Battery* battery_ = nullptr;
   std::unique_ptr<VmDispatcher> dispatcher_;
 
-  sim::Fifo<AgentId> ready_;
+  /// The live agents in creation order, one block each. An agent leaves
+  /// only through destroy(), which erases it at once: a walk over them
+  /// that can kill the agent it visits checks that slot again.
+  std::vector<std::unique_ptr<Agent>> agents_;
+  /// Round-robin order. destroy() erases an agent's entries, so every
+  /// entry names a live agent.
+  sim::Fifo<Agent*> ready_;
+  /// The agent whose slice tick() is running; destroy() clears it, so
+  /// tick() and the slice's handlers see a death without a lookup.
+  Agent* running_ = nullptr;
   // The small members sit together: no padding between them.
   bool tick_scheduled_ = false;
   bool in_tick_ = false;  ///< make_ready defers scheduling to the batch end
   std::uint8_t leds_ = 0;
+  std::uint8_t id_counter_ = 0;  ///< low byte of the next fresh id
   sim::NodeId node_;
-  struct PendingReaction {
-    ts::Reaction reaction;
-    ts::Tuple tuple;
-  };
-  /// Reactions that fired while their agent was blocked, by agent.
-  sim::SmallMap<std::uint16_t, sim::Fifo<PendingReaction>>
-      pending_reactions_;
   EngineStats stats_;
   /// One slot per defined opcode, indexed by opcode_index() (precomputed
   /// as DecodedInsn::profile_key): a single indexed add on the instruction

@@ -533,8 +533,8 @@ std::string GatewayConsole::cmd_status() const {
   auto& gw = base_.gateway();
   std::ostringstream os;
   os << "gateway node " << gw.node_id() << " at (" << gw.location().x << ","
-     << gw.location().y << "): " << gw.agents().count() << "/"
-     << gw.agents().capacity() << " agents, "
+     << gw.location().y << "): " << gw.engine().agents().size()
+     << "/" << gw.config().engine.max_agents << " agents, "
      << gw.tuple_space().store().tuple_count() << " tuples, "
      << gw.neighbors().size() << " neighbours; launched "
      << gw.engine().stats().agents_launched << ", migrations "

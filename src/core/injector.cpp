@@ -19,7 +19,7 @@ void BaseStation::inject_at(std::span<const std::uint8_t> code,
                             sim::Location dest,
                             std::function<void(bool)> done) {
   AgentImage image;
-  image.agent_id = gateway_.agents().next_id().value;
+  image.agent_id = gateway_.engine().next_id().value;
   image.op = MigrationOp::kWMove;  // fresh agent: starts from pc 0
   image.dest = dest;
   image.code.assign(code.begin(), code.end());

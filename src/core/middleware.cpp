@@ -11,7 +11,6 @@ AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
       config_(config),
       tuple_space_(config.tuple_space, &network.simulator(), self, this),
       code_pool_(config.code_pool_blocks),
-      agents_(self, config.agents),
       sensors_(environment, location_),
       link_(network_, self_, *this, &neighbors_, config_.link),
       neighbors_(network_, link_, location_, config_.neighbors, this),
@@ -22,7 +21,7 @@ AgillaMiddleware::AgillaMiddleware(sim::Network& network, sim::NodeId self,
       remote_ts_(network_.simulator(), router_, tuple_space_, location_,
                  config_.remote_ts),
       region_ops_(link_, router_, tuple_space_, location_),
-      engine_(network_.simulator(), self_, config_.engine, agents_, code_pool_,
+      engine_(network_.simulator(), self_, config_.engine, code_pool_,
               tuple_space_, context_, sensors_, migration_, remote_ts_,
               programs) {}
 
@@ -140,9 +139,9 @@ MemoryBudget AgillaMiddleware::memory_budget() const {
       Agent::kStackDepth * kValueBytes +  // operand stack
       kHeapSlots * kValueBytes +          // heap
       10;                                 // id, pc, condition, code handle
-  budget.add("agent contexts (" + std::to_string(config_.agents.max_agents) +
+  budget.add("agent contexts (" + std::to_string(config_.engine.max_agents) +
                  " x " + std::to_string(per_agent) + ")",
-             config_.agents.max_agents * per_agent);
+             config_.engine.max_agents * per_agent);
   budget.add("acquaintance list (" +
                  std::to_string(net::NeighborTable::kCapacity) + " entries)",
              net::NeighborTable::kCapacity * kNeighborBytes);

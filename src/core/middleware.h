@@ -1,7 +1,7 @@
 // AgillaMiddleware: the per-node facade that instantiates and wires every
 // manager of paper Fig. 4 — link layer, neighbour discovery, geographic
-// routing, tuple space, agent/context/instruction managers, the migration
-// and remote-op protocols, and the engine.
+// routing, tuple space, context/instruction managers, the migration and
+// remote-op protocols, and the engine (which also manages the agents).
 //
 // It is the one owner of the mote's upcalls: the link layer, the geo
 // router, the neighbour table and the tuple space each report to it, and
@@ -11,7 +11,6 @@
 
 #include <optional>
 
-#include "core/agent_manager.h"
 #include "core/context_manager.h"
 #include "core/engine.h"
 #include "core/memory_budget.h"
@@ -29,14 +28,13 @@ namespace agilla::core {
 
 struct AgillaConfig {
   std::size_t code_pool_blocks = CodePool::kDefaultBlocks;  ///< 440 bytes
-  AgentManager::Options agents{};            ///< 4 agents (paper default)
   ts::TupleSpace::Options tuple_space{};     ///< 600 B store, 400 B registry
   net::LinkLayer::Options link{};            ///< 0.1 s ack timeout, 4 retries
   net::NeighborTable::Options neighbors{};
   net::GeoRouter::Options routing{};         ///< greedy-geo vs max-min residual
   MigrationManager::Options migration{};     ///< 0.25 s receiver abort
   RemoteTsManager::Options remote_ts{};      ///< 2 s reply timeout
-  AgillaEngine::Options engine{};            ///< dispatch mode, batching
+  AgillaEngine::Options engine{};            ///< dispatch, 4 agent slots
 };
 
 class AgillaMiddleware final : public net::LinkLayer::Receiver,
@@ -81,7 +79,6 @@ class AgillaMiddleware final : public net::LinkLayer::Receiver,
   [[nodiscard]] AgillaEngine& engine() { return engine_; }
   [[nodiscard]] const AgillaEngine& engine() const { return engine_; }
   [[nodiscard]] ts::TupleSpace& tuple_space() { return tuple_space_; }
-  [[nodiscard]] AgentManager& agents() { return agents_; }
   [[nodiscard]] CodePool& code_pool() { return code_pool_; }
   [[nodiscard]] ContextManager& context() { return context_; }
   [[nodiscard]] net::LinkLayer& link() { return link_; }
@@ -121,7 +118,6 @@ class AgillaMiddleware final : public net::LinkLayer::Receiver,
   // engine.
   ts::TupleSpace tuple_space_;
   CodePool code_pool_;
-  AgentManager agents_;
   SensorBoard sensors_;
   net::LinkLayer link_;
   net::NeighborTable neighbors_;

@@ -169,7 +169,7 @@ std::shared_ptr<const DecodedProgram> VmDispatcher::program_for(
   // these bytes: clones share its program without taking the table's
   // lock. A program dies with its last holder, so nothing is evicted.
   const std::uint64_t hash = hash_code_bytes(code);
-  for (const auto& agent : e_.agents_.agents()) {
+  for (const auto& agent : e_.agents_) {
     const std::shared_ptr<const DecodedProgram>& program = agent->program();
     if (program->content_hash() == hash &&
         std::ranges::equal(program->bytes(), code)) {
@@ -348,7 +348,7 @@ VmDispatcher::StepResult VmDispatcher::h_halt(Agent& agent,
                                               sim::SimTime& /*cost*/) {
   e_.stats_.agents_halted++;
   e_.emit_agent(sim::EventKind::kAgentKill, agent.id(), "halt");
-  e_.destroy(agent.id(), true);
+  e_.destroy(agent);
   return StepResult::kGone;
 }
 
@@ -427,10 +427,10 @@ VmDispatcher::StepResult VmDispatcher::h_sleep(Agent& agent,
   const sim::SimTime duration =
       ticks <= 0 ? 0 : static_cast<sim::SimTime>(ticks) * kSleepTick;
   e_.block_agent(agent, AgentRunState::kSleeping, "sleep");
-  const AgentId id = agent.id();
-  agent.sleep_timer() = e_.sim_.schedule_in(duration, [this, id] {
-    Agent* a = e_.agents_.find(id);
-    if (a != nullptr && a->run_state() == AgentRunState::kSleeping) {
+  // The agent cancels this timer when it dies, so the pointer is live
+  // whenever the wakeup runs.
+  agent.sleep_timer() = e_.sim_.schedule_in(duration, [this, a = &agent] {
+    if (a->run_state() == AgentRunState::kSleeping) {
       e_.make_ready(*a);
     }
   });
@@ -819,12 +819,11 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
         e_.die(agent, "field not storable in a tuple (out)");
         return StepResult::kGone;
       }
-      const AgentId id = agent.id();
       const bool ok = e_.tuple_space_.out(tuple);
       charge(false);
       // The write may fire this agent's own reactions, and a delivery that
-      // overflows its stack kills it (and frees it).
-      if (e_.agents_.find(id) == nullptr) {
+      // overflows its stack kills it (and frees it, clearing running_).
+      if (e_.running_ != &agent) {
         return StepResult::kGone;
       }
       agent.set_condition(ok ? 1 : 0);
@@ -956,7 +955,7 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
   if (within(e_.context_.location(), dest, sim::kAddressEpsilon)) {
     if (is_clone(mop)) {
       AgentImage image = make_image(agent, mop, dest);
-      image.agent_id = e_.agents_.next_id().value;
+      image.agent_id = e_.next_id().value;
       e_.install(std::move(image), true);
       agent.set_condition(2);
     } else {
@@ -969,12 +968,12 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
   e_.emit_agent(sim::EventKind::kAgentMigrate, agent.id(), nullptr, dest);
   AgentImage image = make_image(agent, mop, dest);
   if (is_clone(mop)) {
-    image.agent_id = e_.agents_.next_id().value;
+    image.agent_id = e_.next_id().value;
   }
   e_.block_agent(agent, AgentRunState::kBlockedOp, "migrate");
   const AgentId id = agent.id();
   e_.migration_.send(std::move(image), [this, id, mop](bool success) {
-    Agent* a = e_.agents_.find(id);
+    Agent* a = e_.find(id);
     if (a == nullptr) {
       return;
     }
@@ -991,7 +990,7 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
     // Moves: on success the agent now lives on the next hop.
     if (success) {
       e_.emit_agent(sim::EventKind::kAgentKill, id, "migrated");
-      e_.destroy(id, /*drop_reactions=*/true);
+      e_.destroy(*a);
       return;
     }
     e_.stats_.migrations_failed++;
@@ -1019,7 +1018,7 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
   const AgentId id = agent.id();
   auto completion = [this, id](bool success,
                                std::optional<ts::Tuple> result) {
-    Agent* a = e_.agents_.find(id);
+    Agent* a = e_.find(id);
     if (a == nullptr) {
       return;
     }

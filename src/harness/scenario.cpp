@@ -257,7 +257,7 @@ TrialMetrics run_fire_tracking(const TrialSpec& trial) {
 /// The pursuer is wherever two agents share a node (sentinel + pursuer).
 std::optional<sim::Location> pursuer_location(api::Deployment& mesh) {
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
-    if (mesh.mote(i).agents().count() >= 2) {
+    if (mesh.mote(i).engine().agents().size() >= 2) {
       return mesh.mote(i).location();
     }
   }
@@ -615,7 +615,7 @@ TrialMetrics run_churn_pursuit(const TrialSpec& trial_in) {
         static_cast<double>(mote.engine().stats().migrations_failed);
     agents_power_lost +=
         static_cast<double>(mote.engine().stats().agents_power_lost);
-    if (mote.agents().count() >= 1) {
+    if (mote.engine().agents().size() >= 1) {
       ++sentinels;
     }
   }

@@ -21,7 +21,6 @@ bool ReactionRegistry::add(Reaction reaction) {
     return false;
   }
   CompiledTemplate compiled(reaction.templ);
-  by_arity_[compiled.arity()].push_back(entries_.size());
   entries_.push_back(Entry{std::move(reaction), std::move(compiled)});
   return true;
 }
@@ -35,35 +34,19 @@ bool ReactionRegistry::remove(std::uint16_t agent_id, const Template& templ) {
     return false;
   }
   entries_.erase(it);
-  reindex();
   return true;
 }
 
-std::vector<Reaction> ReactionRegistry::extract_all(std::uint16_t agent_id) {
-  std::vector<Reaction> out;
-  auto it = entries_.begin();
-  while (it != entries_.end()) {
-    if (it->reaction.agent_id == agent_id) {
-      out.push_back(std::move(it->reaction));
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!out.empty()) {
-    reindex();
-  }
-  return out;
+void ReactionRegistry::remove_all(std::uint16_t agent_id) {
+  std::erase_if(entries_, [agent_id](const Entry& e) {
+    return e.reaction.agent_id == agent_id;
+  });
 }
 
 std::vector<Reaction> ReactionRegistry::matches(const Tuple& tuple) const {
   std::vector<Reaction> out;
-  if (tuple.arity() >= by_arity_.size()) {
-    return out;
-  }
   const Fingerprint fp = fingerprint_of(tuple);
-  for (const std::size_t index : by_arity_[tuple.arity()]) {
-    const Entry& entry = entries_[index];
+  for (const Entry& entry : entries_) {
     if (!entry.compiled.key_rejects(fp) && entry.compiled.matches(tuple)) {
       out.push_back(entry.reaction);
     }
@@ -82,18 +65,6 @@ std::vector<Reaction> ReactionRegistry::owned_by(
   return out;
 }
 
-void ReactionRegistry::clear() {
-  entries_.clear();
-  reindex();
-}
-
-void ReactionRegistry::reindex() {
-  for (auto& bucket : by_arity_) {
-    bucket.clear();
-  }
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    by_arity_[entries_[i].compiled.arity()].push_back(i);
-  }
-}
+void ReactionRegistry::clear() { entries_.clear(); }
 
 }  // namespace agilla::ts

@@ -4,13 +4,12 @@
 // (default 400 bytes / 10 reactions, paper Sec. 3.2) and reactions travel
 // with the agent on strong migration.
 //
-// Dispatch is keyed, not scanned: each template is compiled once at
-// registration (tuple_match.h) and bucketed by arity, so firing an
-// insertion looks up one bucket and prefilters the bucket's entries with a
-// fingerprint compare before any field-by-field match runs.
+// Each template is compiled once at registration (tuple_match.h). Firing
+// an insertion scans the (at most ten) entries in registration order, and
+// a one-compare fingerprint prefilter, which also checks the arity, skips
+// every entry that cannot match before any field-by-field match runs.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -48,13 +47,11 @@ class ReactionRegistry {
   /// Removes the reaction with this agent and template; false if absent.
   bool remove(std::uint16_t agent_id, const Template& templ);
 
-  /// Removes and returns every reaction owned by `agent_id` (used when an
-  /// agent migrates or dies), in registration order.
-  std::vector<Reaction> extract_all(std::uint16_t agent_id);
+  /// Removes every reaction owned by `agent_id` (the agent died or left).
+  void remove_all(std::uint16_t agent_id);
 
   /// All reactions whose template matches `tuple`, in registration order:
-  /// one arity-bucket lookup, fingerprint prefilter, then a full match per
-  /// surviving entry.
+  /// fingerprint prefilter, then a full match per surviving entry.
   [[nodiscard]] std::vector<Reaction> matches(const Tuple& tuple) const;
 
   /// Copies of the reactions owned by `agent_id`, in registration order
@@ -75,17 +72,8 @@ class ReactionRegistry {
     CompiledTemplate compiled;
   };
 
-  /// Rebuilds by_arity_ from entries_ (after any removal; the registry
-  /// holds at most ~10 entries, so rebuild beats bookkeeping).
-  void reindex();
-
   Options options_;
   std::vector<Entry> entries_;  // registration order
-  /// Template arity -> indices into entries_, in registration order. A
-  /// tuple only ever fires the bucket of its own arity, and arity is
-  /// bounded by the wire budget, so the lookup is one indexed load (same
-  /// shape as IndexedTupleStore's index).
-  std::array<std::vector<std::size_t>, kMaxTupleFields + 1> by_arity_;
 };
 
 }  // namespace agilla::ts

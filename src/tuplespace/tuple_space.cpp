@@ -102,8 +102,4 @@ bool TupleSpace::deregister_reaction(std::uint16_t agent_id,
   return registry_.remove(agent_id, templ);
 }
 
-std::vector<Reaction> TupleSpace::extract_reactions(std::uint16_t agent_id) {
-  return registry_.extract_all(agent_id);
-}
-
 }  // namespace agilla::ts

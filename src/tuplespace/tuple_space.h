@@ -76,7 +76,10 @@ class TupleSpace {
 
   bool register_reaction(Reaction reaction);
   bool deregister_reaction(std::uint16_t agent_id, const Template& templ);
-  std::vector<Reaction> extract_reactions(std::uint16_t agent_id);
+  /// Drops every registration of `agent_id` (the agent died or left).
+  void drop_reactions(std::uint16_t agent_id) {
+    registry_.remove_all(agent_id);
+  }
   /// Drops every registration (node death wipes the mote's RAM).
   void clear_reactions() { registry_.clear(); }
   [[nodiscard]] const ReactionRegistry& reactions() const {

@@ -67,7 +67,7 @@ inline std::string to_text(const sim::Event& e) {
 inline ::testing::AssertionResult code_memory_balanced(
     core::AgillaMiddleware& mote) {
   std::size_t needed = 0;
-  for (const auto& agent : mote.agents().agents()) {
+  for (const auto& agent : mote.engine().agents()) {
     needed += core::CodePool::blocks_needed(agent->program()->size());
   }
   const std::size_t used = mote.code_pool().used_blocks();
@@ -76,7 +76,7 @@ inline ::testing::AssertionResult code_memory_balanced(
   }
   return ::testing::AssertionFailure()
          << "code pool uses " << used << " blocks; the "
-         << mote.agents().count() << " live agents need " << needed;
+         << mote.engine().agents().size() << " live agents need " << needed;
 }
 
 struct MeshOptions {
@@ -122,7 +122,7 @@ class AgillaMesh {
   [[nodiscard]] std::size_t total_agents() const {
     std::size_t n = 0;
     for (const auto& node : nodes) {
-      n += node->agents().count();
+      n += node->engine().agents().size();
     }
     return n;
   }

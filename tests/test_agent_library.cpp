@@ -222,13 +222,13 @@ TEST(AgentLibrary, HabitatMonitorLogsAndDiesOnFireAlert) {
                 ts::Value::string("hab"),
                 ts::Value::type_wildcard(ts::ValueType::kReading)}),
             1u);
-  EXPECT_EQ(mesh.at(0).agents().count(), 1u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 1u);
   // A fire alert appears: the habitat monitor voluntarily dies
   // (paper Sec. 2.2 decoupling scenario).
   mesh.at(0).tuple_space().out(
       ts::Tuple{ts::Value::string("fir"), ts::Value::location({1, 1})});
   mesh.sim.run_for(3 * sim::kSecond);
-  EXPECT_EQ(mesh.at(0).agents().count(), 0u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u);
 }
 
 TEST(AgentLibrary, RoutAgentMatchesPaperFig8) {

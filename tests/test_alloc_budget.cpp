@@ -230,7 +230,7 @@ TEST(AllocBudget, AgentDenseMeshTupleOpsAllocateAlmostNothingPerEvent) {
   EXPECT_LE(allocations_per_event(sim, 5, 10'000), kMaxAllocationsPerEvent);
   std::size_t alive = 0;
   for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
-    alive += mesh->mote(i).engine().agents().count();
+    alive += mesh->mote(i).engine().agents().size();
   }
   EXPECT_EQ(alive, 2 * mesh->mote_count()) << "every agent should survive";
 }
@@ -260,10 +260,10 @@ HAND    jumps
 /// A hop moves one image: the sender encodes each message from it and the
 /// receiver assembles the arrivals into its own. What a hop still
 /// allocates is that image's code and reaction list on each side, the
-/// outgoing transfer, the incoming entry, the installed agent, the link
-/// layer's pending-ack table (two growths, freed when it empties) and the
-/// departed agent's reaction list: 10.0 per hop.
-constexpr double kMaxAllocationsPerHop = 10.25;
+/// outgoing transfer, the incoming entry, the installed agent and the link
+/// layer's pending-ack table (two growths, freed when it empties): 9.0
+/// per hop.
+constexpr double kMaxAllocationsPerHop = 9.25;
 
 TEST(AllocBudget, StrongMovePingPongAllocatesAFewBlocksPerHop) {
   api::SimulationBuilder builder;

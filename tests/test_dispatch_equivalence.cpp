@@ -61,7 +61,7 @@ std::string observable_state(core::AgillaMiddleware& mote) {
       << " pool_blocks=" << mote.code_pool().used_blocks()
       << " programs_compiled=" << cache.programs_compiled
       << " cache_hits=" << cache.cache_hits << "\n";
-  for (const auto& agent : mote.agents().agents()) {
+  for (const auto& agent : mote.engine().agents()) {
     out << "agent#" << agent->id().value << " pc=" << agent->pc()
         << " cond=" << agent->condition()
         << " state=" << core::to_string(agent->run_state())
@@ -86,7 +86,7 @@ std::string observable_state(core::AgillaMiddleware& mote) {
 /// How many distinct programs the mote's live agents hold.
 std::size_t distinct_programs(core::AgillaMiddleware& mote) {
   std::set<const core::DecodedProgram*> programs;
-  for (const auto& agent : mote.agents().agents()) {
+  for (const auto& agent : mote.engine().agents()) {
     programs.insert(agent->program().get());
   }
   return programs.size();
@@ -211,7 +211,7 @@ TEST(DispatchEquivalence, TemplateCacheReusedAcrossClones) {
   EXPECT_EQ(stats.cache_hits, 2u);
   EXPECT_EQ(distinct_programs(mesh.at(0)), 1u);
   const std::weak_ptr<const core::DecodedProgram> shared =
-      mesh.at(0).agents().agents().front()->program();
+      mesh.at(0).engine().agents().front()->program();
 
   // A different image compiles separately.
   mesh.at(0).inject(core::assemble_or_die("pushc 2\nsleep\nhalt\n"));
@@ -221,7 +221,7 @@ TEST(DispatchEquivalence, TemplateCacheReusedAcrossClones) {
 
   // Programs die with their last agent.
   mesh.sim.run_for(60 * sim::kSecond);
-  ASSERT_EQ(mesh.at(0).agents().count(), 0u);
+  ASSERT_EQ(mesh.at(0).engine().agents().size(), 0u);
   EXPECT_TRUE(shared.expired());
 }
 

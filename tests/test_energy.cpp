@@ -284,7 +284,7 @@ TEST(BatteryDeath, DepletedNodeDiesNeighborsEvictAndMigrationsFail) {
   mesh.simulator().run_for(1100 * sim::kMillisecond);
   EXPECT_FALSE(mesh.network().alive(victim));
   EXPECT_EQ(mesh.network().stats().node_deaths, 1u);
-  EXPECT_EQ(mesh.mote(1).agents().count(), 0u);
+  EXPECT_EQ(mesh.mote(1).engine().agents().size(), 0u);
 
   // The neighbour entry is still fresh, so a migration is attempted —
   // and must fail cleanly: the agent resumes at the origin with cond 0.
@@ -342,7 +342,7 @@ TEST(BatteryDeath, RelayDyingMidForwardDoesNotResurrectTheAgent) {
   mesh.simulator().run_for(15 * sim::kSecond);
 
   EXPECT_EQ(mesh.mote(1).engine().stats().agents_installed, 0u);
-  EXPECT_EQ(mesh.mote(1).agents().count(), 0u);
+  EXPECT_EQ(mesh.mote(1).engine().agents().size(), 0u);
   const ts::Template end_marker{
       ts::Value::string("end"),
       ts::Value::type_wildcard(ts::ValueType::kLocation)};
@@ -399,11 +399,11 @@ TEST(Churn, RebootedNodeRejoinsWithEmptyRam) {
   mesh.mote(1).inject(
       core::assemble_or_die("pushcl 400\nsleep\nhalt"));
   mesh.simulator().run_for(1 * sim::kSecond);
-  ASSERT_EQ(mesh.mote(1).agents().count(), 1u);
+  ASSERT_EQ(mesh.mote(1).engine().agents().size(), 1u);
 
   mesh.network().kill_node(mesh.topology().nodes[1],
                            sim::NodeDownReason::kChurnCrash);
-  EXPECT_EQ(mesh.mote(1).agents().count(), 0u);
+  EXPECT_EQ(mesh.mote(1).engine().agents().size(), 0u);
   EXPECT_EQ(mesh.mote(1).engine().stats().agents_power_lost, 1u);
   EXPECT_EQ(mesh.mote(1).neighbors().size(), 0u);
 
@@ -543,7 +543,7 @@ TEST(Reflood, RebootedNodeGetsTheDeploymentAgentBack) {
 
   const sim::NodeId victim = mesh.topology().nodes[2];
   mesh.network().kill_node(victim, sim::NodeDownReason::kChurnCrash);
-  EXPECT_EQ(mesh.mote(2).agents().count(), 0u);
+  EXPECT_EQ(mesh.mote(2).engine().agents().size(), 0u);
   // Long enough for the survivors to evict the corpse (3 beacon periods).
   mesh.simulator().run_for(8 * sim::kSecond);
   EXPECT_FALSE(mesh.mote(1).neighbors().by_id(victim).has_value());
@@ -552,7 +552,7 @@ TEST(Reflood, RebootedNodeGetsTheDeploymentAgentBack) {
   mesh.simulator().run_for(15 * sim::kSecond);
   // Rediscovery fired the <"ctx"> reaction on a surviving claimer, which
   // re-cloned the sentinel onto the empty node.
-  EXPECT_GE(mesh.mote(2).agents().count(), 1u);
+  EXPECT_GE(mesh.mote(2).engine().agents().size(), 1u);
   EXPECT_TRUE(mesh.mote(2).tuple_space().rdp(claimed).has_value());
   EXPECT_EQ(mesh.motes_matching(claimed), 3u);
 }

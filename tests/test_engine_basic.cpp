@@ -86,7 +86,7 @@ TEST(EngineBasic, ModByZeroKillsAgent) {
   s.run("pushc 5\npushc 0\nmod\npushc 1\nout\nhalt");
   EXPECT_FALSE(s.result_number().has_value());
   EXPECT_EQ(s.node().engine().stats().vm_errors, 1u);
-  EXPECT_EQ(s.node().agents().count(), 0u);
+  EXPECT_EQ(s.node().engine().agents().size(), 0u);
 }
 
 TEST(EngineBasic, EqPushesBoolean) {
@@ -218,7 +218,7 @@ TEST(EngineBasic, AbsoluteJumpAndJumps) {
 TEST(EngineBasic, HaltFreesAllResources) {
   SingleNode s;
   s.run("halt");
-  EXPECT_EQ(s.node().agents().count(), 0u);
+  EXPECT_EQ(s.node().engine().agents().size(), 0u);
   EXPECT_EQ(s.node().code_pool().used_blocks(), 0u);
   EXPECT_EQ(s.node().engine().stats().agents_halted, 1u);
 }
@@ -227,7 +227,7 @@ TEST(EngineBasic, StackUnderflowKillsAgent) {
   SingleNode s;
   s.run("pop\nhalt");
   EXPECT_EQ(s.node().engine().stats().vm_errors, 1u);
-  EXPECT_EQ(s.node().agents().count(), 0u);
+  EXPECT_EQ(s.node().engine().agents().size(), 0u);
 }
 
 TEST(EngineBasic, StackOverflowKillsAgent) {
@@ -321,7 +321,7 @@ TEST(EngineBasic, KilledSleeperLeavesNoWakeupBehind) {
   const auto id = s.node().inject(assemble_or_die("pushc 80\nsleep\nhalt"));
   ASSERT_TRUE(id.has_value());
   s.mesh.sim.run_for(100 * sim::kMillisecond);
-  ASSERT_EQ(s.node().agents().find(*id)->run_state(),
+  ASSERT_EQ(s.node().engine().find(*id)->run_state(),
             AgentRunState::kSleeping);
   const std::size_t armed = s.mesh.sim.pending_events();
   s.node().engine().kill_all_agents();
@@ -357,13 +357,13 @@ TEST(EngineBasic, BlockedAgentGetsItsQueuedReactionOnResume) {
   const auto id = s.node().inject(assemble_or_die(kBlockedWithReaction));
   ASSERT_TRUE(id.has_value());
   s.mesh.sim.run_for(100 * sim::kMillisecond);
-  ASSERT_EQ(s.node().agents().find(*id)->run_state(),
+  ASSERT_EQ(s.node().engine().find(*id)->run_state(),
             AgentRunState::kBlockedOp);
   s.node().tuple_space().out(ts::Tuple{ts::Value::string("rxn")});
   EXPECT_EQ(s.node().engine().stats().reactions_fired, 0u);  // queued
   s.mesh.sim.run_for(7 * sim::kSecond);  // the rinp times out
   EXPECT_EQ(s.node().engine().stats().reactions_fired, 1u);
-  EXPECT_EQ(s.node().agents().count(), 0u);
+  EXPECT_EQ(s.node().engine().agents().size(), 0u);
 }
 
 TEST(EngineBasic, PowerDownDropsQueuedReactions) {
@@ -374,7 +374,7 @@ TEST(EngineBasic, PowerDownDropsQueuedReactions) {
   s.node().tuple_space().out(ts::Tuple{ts::Value::string("rxn")});
   s.node().tuple_space().out(ts::Tuple{ts::Value::string("rxn")});
   s.node().power_down();
-  EXPECT_EQ(s.node().agents().count(), 0u);
+  EXPECT_EQ(s.node().engine().agents().size(), 0u);
 
   // A queued reaction left behind would be delivered to the next agent
   // made ready under the same id.

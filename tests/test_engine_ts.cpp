@@ -129,13 +129,13 @@ TEST(EngineTs, BlockingInWaitsForInsertion) {
       halt
   )"));
   s.mesh.sim.run_for(1 * sim::kSecond);
-  EXPECT_EQ(s.node().agents().count(), 1u);  // still blocked
+  EXPECT_EQ(s.node().engine().agents().size(), 1u);  // still blocked
   s.space().out(ts::Tuple{ts::Value::number(55)});
   s.mesh.sim.run_for(1 * sim::kSecond);
   const auto got = s.space().rdp(ts::Template{
       ts::Value::string("got"), ts::Value::number(55)});
   EXPECT_TRUE(got.has_value());
-  EXPECT_EQ(s.node().agents().count(), 0u);
+  EXPECT_EQ(s.node().engine().agents().size(), 0u);
   // The matched tuple was REMOVED by `in`.
   EXPECT_EQ(s.space().tcount(ts::Template{ts::Value::number(55)}), 0u);
 }
@@ -179,7 +179,7 @@ TEST(EngineTs, BlockedAgentIgnoresNonMatchingInsertions) {
   s.mesh.sim.run_for(500 * sim::kMillisecond);
   s.space().out(ts::Tuple{ts::Value::number(1)});  // wrong shape
   s.mesh.sim.run_for(500 * sim::kMillisecond);
-  EXPECT_EQ(s.node().agents().count(), 1u);  // still blocked
+  EXPECT_EQ(s.node().engine().agents().size(), 1u);  // still blocked
   s.space().out(ts::Tuple{ts::Value::string("key"), ts::Value::number(2)});
   s.mesh.sim.run_for(500 * sim::kMillisecond);
   EXPECT_TRUE(s.space()
@@ -259,7 +259,122 @@ TEST(EngineTs, OutThatKillsItsWriterStopsTheWriter) {
     const EngineStats& stats = mesh.at(0).engine().stats();
     EXPECT_EQ(stats.agents_launched, 1u) << to_string(mode);
     EXPECT_EQ(stats.vm_errors, 1u) << to_string(mode);
-    EXPECT_EQ(mesh.at(0).agents().count(), 0u) << to_string(mode);
+    EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u) << to_string(mode);
+  }
+}
+
+/// 14 values under a 1-field reaction: delivering it (pc + two fields)
+/// overflows the 16-entry stack.
+constexpr const char* kFourteenValues = R"(
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+      pushc 1
+)";
+
+TEST(EngineTs, WakeUpWalkSurvivesAnAgentItKills) {
+  // Three agents, in creation order: a victim and a reader blocked in
+  // in/rd, then a writer. The writer's <"a", 0> queues the victim's
+  // reaction; waking the victim delivers it onto 14 stacked values and
+  // kills it in the middle of the wake-up walk, which must still wake the
+  // reader behind it.
+  const std::string victim = std::string(R"(
+      pushn a
+      pusht NUMBER
+      pushc 2
+      pushc RX
+      regrxn
+  )") + kFourteenValues + R"(
+      pushn b
+      pushc 1
+      in          // <"b"> never comes
+      halt
+  RX  jumps
+  )";
+  const std::string reader = R"(
+      pushn a
+      pusht NUMBER
+      pushc 2
+      rd          // woken by the same insertion
+      pushn got
+      pushc 1
+      out
+      halt
+  )";
+  const std::string writer = R"(
+      pushc 8
+      sleep
+      pushn a
+      pushc 0
+      pushc 2
+      out
+      pushn don
+      pushc 1
+      out
+      halt
+  )";
+  for (const DispatchMode mode :
+       {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
+    AgillaConfig config;
+    config.engine.dispatch = mode;
+    AgillaMesh mesh(MeshOptions{.width = 1, .height = 1, .config = config});
+    for (const std::string& source : {victim, reader, writer}) {
+      ASSERT_TRUE(mesh.at(0).inject(assemble_or_die(source)).has_value());
+    }
+    mesh.sim.run_for(3 * sim::kSecond);
+    const EngineStats& stats = mesh.at(0).engine().stats();
+    EXPECT_EQ(stats.vm_errors, 1u) << to_string(mode);
+    EXPECT_EQ(stats.agents_halted, 2u) << to_string(mode);
+    EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u) << to_string(mode);
+    ts::TupleSpace& space = mesh.at(0).tuple_space();
+    EXPECT_TRUE(space.rdp(ts::Template{ts::Value::string("got")})
+                    .has_value())
+        << to_string(mode);
+    EXPECT_TRUE(space.rdp(ts::Template{ts::Value::string("don")})
+                    .has_value())
+        << to_string(mode);
+  }
+}
+
+TEST(EngineTs, ReactionThatKillsAWaitingAgentWakesNothing) {
+  // An agent in `wait` over 14 stacked values: the reaction that should
+  // resume it overflows its stack instead, and the engine must not go on
+  // to resume the agent it just freed.
+  const std::string waiter = std::string(R"(
+      pushn a
+      pusht NUMBER
+      pushc 2
+      pushc RX
+      regrxn
+  )") + kFourteenValues + R"(
+      wait
+      halt
+  RX  jumps
+  )";
+  for (const DispatchMode mode :
+       {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
+    AgillaConfig config;
+    config.engine.dispatch = mode;
+    AgillaMesh mesh(MeshOptions{.width = 1, .height = 1, .config = config});
+    ASSERT_TRUE(mesh.at(0).inject(assemble_or_die(waiter)).has_value());
+    mesh.sim.run_for(500 * sim::kMillisecond);
+    mesh.at(0).tuple_space().out(
+        ts::Tuple{ts::Value::string("a"), ts::Value::number(0)});
+    mesh.sim.run_for(1 * sim::kSecond);
+    EXPECT_EQ(mesh.at(0).engine().stats().vm_errors, 1u) << to_string(mode);
+    EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u) << to_string(mode);
+    EXPECT_EQ(mesh.events.count(sim::EventKind::kAgentResume), 0u)
+        << to_string(mode);
   }
 }
 

@@ -174,7 +174,7 @@ TEST(FailureInjection, DeadNodesAgentsAreGoneButNetworkContinues) {
   mesh.warm();
   mesh.at(1).inject(assemble_or_die(agents::habitat_monitor(8)));
   mesh.sim.run_for(3 * sim::kSecond);
-  EXPECT_EQ(mesh.at(1).agents().count(), 1u);
+  EXPECT_EQ(mesh.at(1).engine().agents().size(), 1u);
   mesh.net.set_radio_enabled(mesh.topo.nodes[1], false);  // node 1 "dies"
   mesh.sim.run_for(10 * sim::kSecond);
   // The remaining nodes still route around... a 3x1 line has no alternate
@@ -190,7 +190,7 @@ TEST(FailureInjection, DeadNodesAgentsAreGoneButNetworkContinues) {
 TEST(FailureInjection, AgentStormDoesNotCrashOrLeak) {
   // Saturate a node with more migrations than it has slots for.
   core::AgillaConfig config;
-  config.agents.max_agents = 2;
+  config.engine.max_agents = 2;
   AgillaMesh mesh(MeshOptions{.width = 2, .height = 1, .config = config});
   mesh.warm();
   for (int i = 0; i < 6; ++i) {
@@ -211,7 +211,7 @@ TEST(FailureInjection, AgentStormDoesNotCrashOrLeak) {
   }
   mesh.sim.run_for(10 * sim::kSecond);
   // No more agents anywhere than slots allow; rejections were counted.
-  EXPECT_LE(mesh.at(1).agents().count(), 2u);
+  EXPECT_LE(mesh.at(1).engine().agents().size(), 2u);
   EXPECT_GT(mesh.at(1).engine().stats().agents_rejected, 0u);
   EXPECT_TRUE(code_memory_balanced(mesh.at(0)));
   EXPECT_TRUE(code_memory_balanced(mesh.at(1)));

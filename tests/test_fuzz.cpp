@@ -300,7 +300,7 @@ TEST_P(ParserFuzz, VmContainsRandomBytecode) {
     ASSERT_TRUE(code_memory_balanced(mesh.at(0))) << "round " << round;
     // Clean the slate for the next round.
     mesh.sim.run_for(60 * sim::kSecond);
-    for (const auto& agent : mesh.at(0).agents().agents()) {
+    for (const auto& agent : mesh.at(0).engine().agents()) {
       // Long sleepers are acceptable; nothing else should linger. 16-bit
       // tick sleeps cap at ~2.3 hours, so just drop them explicitly.
       EXPECT_TRUE(agent->run_state() == core::AgentRunState::kSleeping ||

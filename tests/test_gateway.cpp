@@ -61,6 +61,35 @@ TEST(Gateway, InjectAsmRunsAgent) {
                   .has_value());
 }
 
+TEST(Gateway, InjectAsmSurvivesAnAgentKilledWhileBeingWoken) {
+  // tests/agents/wake_kill.aga from a console client: a strong clone's
+  // write wakes the original, whose queued reaction overflows its stack
+  // and kills it while the engine is waking blocked agents. The console
+  // must answer, and keep answering.
+  ConsoleFixture f;
+  std::string program =
+      "inject asm loc; sclone; cpush; pushc 1; ceq; rjumpc WRITER; "
+      "pushn a; pusht NUMBER; pushc 2; pushc HAND; regrxn; ";
+  for (int i = 0; i < 14; ++i) {
+    program += "pushc 1; ";
+  }
+  program +=
+      "pushn b; pushc 1; in; halt; "
+      "WRITER pushc 8; sleep; pushn a; pushc 0; pushc 2; out; "
+      "pushn don; pushc 1; out; halt; "
+      "HAND jumps";
+  const std::string response = f.console.execute(program);
+  EXPECT_NE(response.find("ok"), std::string::npos) << response;
+  f.mesh.sim.run_for(3 * sim::kSecond);
+  EXPECT_EQ(f.mesh.at(0).engine().stats().vm_errors, 1u);
+  EXPECT_TRUE(f.mesh.at(0)
+                  .tuple_space()
+                  .rdp(ts::Template{ts::Value::string("don")})
+                  .has_value());
+  const std::string status = f.console.execute("status");
+  EXPECT_NE(status.find("0/4 agents"), std::string::npos) << status;
+}
+
 TEST(Gateway, InjectAsmReportsAssemblyErrors) {
   ConsoleFixture f;
   const std::string response = f.console.execute("inject asm bogus op");
@@ -103,7 +132,7 @@ TEST(Gateway, InjectRejectsMalformedCoordinates) {
     EXPECT_EQ(f.console.execute(command), "error: bad destination")
         << command;
   }
-  EXPECT_EQ(f.mesh.at(0).agents().count(), 0u);
+  EXPECT_EQ(f.mesh.at(0).engine().agents().size(), 0u);
 }
 
 TEST(Gateway, RejectsNonFiniteAndOutOfRangeNumbers) {
@@ -128,7 +157,7 @@ TEST(Gateway, RejectsNonFiniteAndOutOfRangeNumbers) {
   }
   const std::string asm_nan = f.console.execute("inject asm pushloc nan 1");
   EXPECT_EQ(asm_nan.rfind("error", 0), 0u) << asm_nan;
-  EXPECT_EQ(f.mesh.at(0).agents().count(), 0u);
+  EXPECT_EQ(f.mesh.at(0).engine().agents().size(), 0u);
 
   // The edges of each range still parse, truncating toward zero.
   ts::Tuple tuple;

@@ -26,7 +26,7 @@ TEST(Injector, RejectsBadAssembly) {
   AgillaMesh mesh(MeshOptions{.width = 1, .height = 1});
   BaseStation base(mesh.at(0));
   EXPECT_FALSE(base.inject("bogus nonsense").has_value());
-  EXPECT_EQ(mesh.at(0).agents().count(), 0u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u);
 }
 
 TEST(Injector, InjectAtRemoteLocation) {
@@ -42,7 +42,7 @@ TEST(Injector, InjectAtRemoteLocation) {
                   .tuple_space()
                   .rdp(ts::Template{ts::Value::string("arr")})
                   .has_value());
-  EXPECT_EQ(mesh.at(0).agents().count(), 0u);  // only passed through
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u);  // only passed through
 }
 
 TEST(Injector, RemoteInjectionStartsAtPcZero) {

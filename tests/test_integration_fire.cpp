@@ -103,7 +103,7 @@ TEST(FireCaseStudy, PaperFig2ReactionChain) {
   mesh.warm();
   mesh.at(0).inject(assemble_or_die(agents::fire_tracker(180, 8)));
   mesh.sim.run_for(2 * sim::kSecond);
-  EXPECT_EQ(mesh.at(0).agents().count(), 1u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 1u);
 
   // A "detector" on node (3,1) routs the alert to (1,1).
   mesh.at(2).inject(assemble_or_die(R"(
@@ -118,7 +118,7 @@ TEST(FireCaseStudy, PaperFig2ReactionChain) {
   // The tracker cloned to (3,1) (everything is hot, so it stays and marks).
   EXPECT_TRUE(mesh.at(2).tuple_space().rdp(kTrackMark).has_value());
   // The original is still waiting at the base for further alerts.
-  EXPECT_GE(mesh.at(0).agents().count(), 1u);
+  EXPECT_GE(mesh.at(0).engine().agents().size(), 1u);
 }
 
 TEST(FireCaseStudy, TrackersDieWhenFireEnds) {
@@ -148,8 +148,8 @@ TEST(FireCaseStudy, TrackersDieWhenFireEnds) {
   // the tracker at (2,1) halts and removes its marker. Only the original
   // tracker (still waiting at base) remains.
   EXPECT_FALSE(mesh.at(1).tuple_space().rdp(kTrackMark).has_value());
-  EXPECT_EQ(mesh.at(1).agents().count(), 0u);
-  EXPECT_EQ(mesh.at(0).agents().count(), 1u);
+  EXPECT_EQ(mesh.at(1).engine().agents().size(), 0u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 1u);
 }
 
 TEST(FireCaseStudy, WorksUnderPacketLoss) {

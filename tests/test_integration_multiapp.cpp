@@ -20,7 +20,7 @@ TEST(MultiApp, HabitatMonitorAndBlinkerCoexist) {
   mesh.at(0).inject(assemble_or_die(agents::habitat_monitor(8)));
   mesh.at(0).inject(assemble_or_die(agents::blinker(4)));
   mesh.sim.run_for(10 * sim::kSecond);
-  EXPECT_EQ(mesh.at(0).agents().count(), 2u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 2u);
   EXPECT_GE(mesh.at(0).tuple_space().tcount(ts::Template{
                 ts::Value::string("hab"),
                 ts::Value::type_wildcard(ts::ValueType::kReading)}),
@@ -38,7 +38,7 @@ TEST(MultiApp, FireAlertKillsHabitatMonitorViaTupleSpace) {
   mesh.warm();
   mesh.at(0).inject(assemble_or_die(agents::habitat_monitor(8)));
   mesh.sim.run_for(2 * sim::kSecond);
-  ASSERT_EQ(mesh.at(0).agents().count(), 1u);
+  ASSERT_EQ(mesh.at(0).engine().agents().size(), 1u);
   // A detector on node 2 routs a fire alert onto node 1's tuple space.
   mesh.at(1).inject(assemble_or_die(R"(
       pushn fir
@@ -49,7 +49,7 @@ TEST(MultiApp, FireAlertKillsHabitatMonitorViaTupleSpace) {
       halt
   )"));
   mesh.sim.run_for(10 * sim::kSecond);
-  EXPECT_EQ(mesh.at(0).agents().count(), 0u);  // monitor self-terminated
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u);  // monitor self-terminated
 }
 
 TEST(MultiApp, AgentsFromDifferentAppsShareTupleSpaceSafely) {
@@ -111,7 +111,7 @@ TEST(MultiApp, InNetworkReprogrammingByInjectingNewAgents) {
                   .tuple_space()
                   .rdp(ts::Template{ts::Value::string("ap1")})
                   .has_value());
-  EXPECT_EQ(mesh.at(1).agents().count(), 0u);  // app 1 finished and died
+  EXPECT_EQ(mesh.at(1).engine().agents().size(), 0u);  // app 1 finished and died
   base.inject_at(assemble_or_die("pushn ap2\npushc 1\nout\nhalt"), {2, 1});
   mesh.sim.run_for(5 * sim::kSecond);
   EXPECT_TRUE(mesh.at(1)

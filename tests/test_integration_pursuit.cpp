@@ -15,7 +15,7 @@ using agilla::testing::MeshOptions;
 /// The pursuer is wherever 2 agents coexist (sentinel + pursuer).
 int pursuer_node(AgillaMesh& mesh) {
   for (std::size_t i = 0; i < mesh.nodes.size(); ++i) {
-    if (mesh.at(i).agents().count() >= 2) {
+    if (mesh.at(i).engine().agents().size() >= 2) {
       return static_cast<int>(i);
     }
   }

@@ -52,7 +52,7 @@ TEST(MemoryBudget, ScalesWithConfig) {
   AgillaConfig small;
   small.tuple_space.store_capacity_bytes = 100;
   small.code_pool_blocks = 5;
-  small.agents.max_agents = 1;
+  small.engine.max_agents = 1;
   AgillaMesh small_mesh(
       MeshOptions{.width = 1, .height = 1, .config = small});
   AgillaMesh default_mesh(MeshOptions{.width = 1, .height = 1});

@@ -14,7 +14,7 @@ TEST(Middleware, DefaultsMatchPaper) {
   AgillaMesh mesh(MeshOptions{.width = 1, .height = 1});
   const AgillaConfig& config = mesh.at(0).config();
   EXPECT_EQ(config.code_pool_blocks, 20u);                      // 440 B
-  EXPECT_EQ(config.agents.max_agents, 4u);
+  EXPECT_EQ(config.engine.max_agents, 4u);
   EXPECT_EQ(config.tuple_space.store_capacity_bytes, 600u);
   EXPECT_EQ(config.tuple_space.registry.capacity_bytes, 400u);
   EXPECT_EQ(config.link.ack_timeout, 100 * sim::kMillisecond);
@@ -52,13 +52,18 @@ TEST(Middleware, InjectRunsAgent) {
 
 TEST(Middleware, CustomConfigHonored) {
   AgillaConfig config;
-  config.agents.max_agents = 2;
+  config.engine.max_agents = 2;
   config.code_pool_blocks = 5;
   config.tuple_space.store_capacity_bytes = 100;
   AgillaMesh mesh(MeshOptions{.width = 1, .height = 1, .config = config});
-  EXPECT_EQ(mesh.at(0).agents().capacity(), 2u);
   EXPECT_EQ(mesh.at(0).code_pool().capacity_bytes(), 110u);
   EXPECT_EQ(mesh.at(0).tuple_space().store().capacity_bytes(), 100u);
+  // Two agent slots: a third agent is refused.
+  const auto sleeper = assemble_or_die("pushc 100\nsleep\nhalt");
+  EXPECT_TRUE(mesh.at(0).inject(sleeper).has_value());
+  EXPECT_TRUE(mesh.at(0).inject(sleeper).has_value());
+  EXPECT_FALSE(mesh.at(0).inject(sleeper).has_value());
+  EXPECT_EQ(mesh.at(0).engine().stats().agents_rejected, 1u);
 }
 
 TEST(Middleware, AgentLifecycleReachesTheEventLog) {

@@ -39,7 +39,7 @@ TEST(Migration, SMoveOneHop) {
   mesh.sim.run_for(3 * sim::kSecond);
   EXPECT_TRUE(has_string_tuple(mesh.at(1), "arr"));
   EXPECT_FALSE(has_string_tuple(mesh.at(0), "arr"));
-  EXPECT_EQ(mesh.at(0).agents().count(), 0u);
+  EXPECT_EQ(mesh.at(0).engine().agents().size(), 0u);
   // The origin's code pool was freed after the move.
   EXPECT_EQ(mesh.at(0).code_pool().used_blocks(), 0u);
 }
@@ -238,7 +238,7 @@ TEST(Migration, MultiHopSMoveAcrossLine) {
   EXPECT_TRUE(has_string_tuple(mesh.at(4), "arr"));
   // Intermediate nodes hosted the agent only transiently.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(mesh.at(static_cast<std::size_t>(i)).agents().count(), 0u);
+    EXPECT_EQ(mesh.at(static_cast<std::size_t>(i)).engine().agents().size(), 0u);
   }
 }
 
@@ -326,7 +326,7 @@ TEST(Migration, DeadNextHopResumesSenderWithConditionZero) {
 
 TEST(Migration, ArrivalRejectedWhenAgentSlotsFull) {
   core::AgillaConfig config;
-  config.agents.max_agents = 1;
+  config.engine.max_agents = 1;
   AgillaMesh mesh(MeshOptions{
       .width = 2, .height = 1, .config = config});
   mesh.warm();
@@ -337,7 +337,7 @@ TEST(Migration, ArrivalRejectedWhenAgentSlotsFull) {
   mesh.at(0).inject(assemble_or_die(agents::move_once("smove", {2, 1})));
   mesh.sim.run_for(3 * sim::kSecond);
   EXPECT_EQ(mesh.at(1).engine().stats().agents_rejected, 1u);
-  EXPECT_EQ(mesh.at(1).agents().count(), 1u);  // just the sleeper
+  EXPECT_EQ(mesh.at(1).engine().agents().size(), 1u);  // just the sleeper
 }
 
 TEST(Migration, DropInFlightCancelsEveryIncomingAbortTimer) {
@@ -362,7 +362,7 @@ TEST(Migration, DropInFlightCancelsEveryIncomingAbortTimer) {
   mesh.at(1).migration().drop_in_flight();
   EXPECT_EQ(mesh.sim.pending_events(), armed - 2);
   mesh.sim.run_for(1 * sim::kSecond);
-  EXPECT_EQ(mesh.at(1).agents().count(), 0u);
+  EXPECT_EQ(mesh.at(1).engine().agents().size(), 0u);
 }
 
 TEST(Migration, MigrationTimeIsHundredsOfMilliseconds) {

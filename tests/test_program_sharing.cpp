@@ -45,7 +45,7 @@ std::size_t holders(api::Deployment& mesh,
                     const core::DecodedProgram* program) {
   std::size_t n = 0;
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
-    for (const auto& agent : mesh.mote(i).agents().agents()) {
+    for (const auto& agent : mesh.mote(i).engine().agents()) {
       n += agent->program().get() == program ? 1 : 0;
     }
   }
@@ -60,8 +60,8 @@ TEST(ProgramSharing, ClonesShareOneProgramPerDeployment) {
   std::set<std::string> images;  // distinct code images
   std::size_t hosts = 0;
   for (std::size_t i = 0; i < mesh->mote_count(); ++i) {
-    hosts += mesh->mote(i).agents().count() > 0 ? 1 : 0;
-    for (const auto& agent : mesh->mote(i).agents().agents()) {
+    hosts += mesh->mote(i).engine().agents().size() > 0 ? 1 : 0;
+    for (const auto& agent : mesh->mote(i).engine().agents()) {
       programs.emplace(agent->program().get(), agent->program());
       const std::vector<std::uint8_t>& bytes = agent->program()->bytes();
       images.emplace(bytes.begin(), bytes.end());

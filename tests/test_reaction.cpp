@@ -56,13 +56,12 @@ TEST(ReactionRegistry, RemoveRequiresMatchingAgent) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
-TEST(ReactionRegistry, ExtractAllForAgent) {
+TEST(ReactionRegistry, RemoveAllForAgent) {
   ReactionRegistry reg;
   reg.add(make(1, 7, 100));
   reg.add(make(2, 8, 200));
   reg.add(make(1, 9, 300));
-  const auto extracted = reg.extract_all(1);
-  EXPECT_EQ(extracted.size(), 2u);
+  reg.remove_all(1);
   EXPECT_EQ(reg.size(), 1u);
   EXPECT_TRUE(reg.matches(Tuple{Value::number(8)}).size() == 1);
   EXPECT_TRUE(reg.matches(Tuple{Value::number(7)}).empty());
@@ -82,11 +81,11 @@ TEST(ReactionRegistry, MultipleMatchesInRegistrationOrder) {
   EXPECT_EQ(hits[1].agent_id, 3);
 }
 
-TEST(ReactionRegistry, KeyedDispatchPreservesRegistrationOrder) {
-  // The keyed rewrite buckets templates by arity and prefilters with a
-  // fingerprint; firing order must still be registration order. Interleave
-  // arity-1 and arity-2 registrations from several agents so a stable sort
-  // by bucket would be detectable.
+TEST(ReactionRegistry, MixedAritiesFireInRegistrationOrder) {
+  // The fingerprint prefilter skips entries of another arity; firing order
+  // must still be registration order. Interleave arity-1 and arity-2
+  // registrations from several agents so grouping by arity would be
+  // detectable.
   ReactionRegistry reg;
   Reaction wild;
   wild.agent_id = 5;
@@ -115,17 +114,20 @@ TEST(ReactionRegistry, KeyedDispatchPreservesRegistrationOrder) {
   EXPECT_EQ(after[1].handler_pc, 300);
 }
 
-TEST(ReactionRegistry, ExtractAllOnMigrationLeavesDispatchConsistent) {
-  // Strong migration extracts the agent's reactions; the keyed index must
-  // neither fire the extracted entries nor disturb the remaining ones.
+TEST(ReactionRegistry, RemoveAllOnMigrationLeavesDispatchConsistent) {
+  // Strong migration copies the agent's reactions into its image and drops
+  // them when the agent leaves; the registry must neither fire the dropped
+  // entries nor disturb the remaining ones.
   ReactionRegistry reg;
   reg.add(make(1, 7, 100));
   reg.add(make(2, 7, 200));
   reg.add(make(1, 8, 300));
-  const auto extracted = reg.extract_all(1);
+  const auto extracted = reg.owned_by(1);
+  reg.remove_all(1);
   ASSERT_EQ(extracted.size(), 2u);
   EXPECT_EQ(extracted[0].handler_pc, 100);  // registration order preserved
   EXPECT_EQ(extracted[1].handler_pc, 300);
+  EXPECT_EQ(reg.size(), 1u);
 
   const auto hits = reg.matches(Tuple{Value::number(7)});
   ASSERT_EQ(hits.size(), 1u);
@@ -150,12 +152,12 @@ TEST(ReactionRegistry, OwnedByCopiesWithoutRemoving) {
   ASSERT_EQ(owned.size(), 2u);
   EXPECT_EQ(owned[0].handler_pc, 100);
   EXPECT_EQ(owned[1].handler_pc, 300);
-  EXPECT_EQ(reg.size(), 3u);  // unlike extract_all, nothing is removed
+  EXPECT_EQ(reg.size(), 3u);  // unlike remove_all, nothing is removed
 }
 
 TEST(ReactionRegistry, CapacityRejectionAcrossMixedArities) {
-  // Fill to capacity with templates landing in different arity buckets;
-  // the budget is global, not per bucket.
+  // Fill to capacity with templates of two arities; the budget counts
+  // every entry, whatever its arity.
   ReactionRegistry reg;
   for (std::int16_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(reg.add(make(1, i, 0)));

@@ -372,7 +372,7 @@ std::string program_state(api::Deployment& mesh) {
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
     const core::VmDispatcher::CacheStats& stats =
         mesh.mote(i).engine().dispatcher().cache_stats();
-    out += std::to_string(mesh.mote(i).agents().count()) + ":" +
+    out += std::to_string(mesh.mote(i).engine().agents().size()) + ":" +
            std::to_string(stats.programs_compiled) + "/" +
            std::to_string(stats.cache_hits) + " ";
   }
@@ -383,7 +383,7 @@ std::string program_state(api::Deployment& mesh) {
 std::size_t distinct_programs(api::Deployment& mesh) {
   std::set<const core::DecodedProgram*> programs;
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
-    for (const auto& agent : mesh.mote(i).agents().agents()) {
+    for (const auto& agent : mesh.mote(i).engine().agents()) {
       programs.insert(agent->program().get());
     }
   }
@@ -408,7 +408,7 @@ TEST(ShardEngine, SharedProgramsInvariantAcrossShardCounts) {
   // Agents really run on every worker shard.
   std::set<std::uint32_t> shards_hosting;
   for (std::size_t i = 0; i < four->mote_count(); ++i) {
-    if (four->mote(i).agents().count() > 0) {
+    if (four->mote(i).engine().agents().size() > 0) {
       shards_hosting.insert(
           four->simulator().shard_of(four->mote(i).node_id()));
     }

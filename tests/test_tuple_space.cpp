@@ -103,7 +103,7 @@ TEST(TupleSpace, DeregisteredReactionSilent) {
   EXPECT_TRUE(listener.fired.empty());
 }
 
-TEST(TupleSpace, ExtractReactionsForMigration) {
+TEST(TupleSpace, DropReactionsOfOneAgent) {
   TupleSpace space;
   for (std::int16_t i = 0; i < 3; ++i) {
     Reaction r;
@@ -116,9 +116,9 @@ TEST(TupleSpace, ExtractReactionsForMigration) {
   other.templ = Template{Value::number(99)};
   space.register_reaction(other);
 
-  const auto extracted = space.extract_reactions(5);
-  EXPECT_EQ(extracted.size(), 3u);
+  space.drop_reactions(5);
   EXPECT_EQ(space.reactions().size(), 1u);
+  EXPECT_TRUE(space.reactions().owned_by(5).empty());
 }
 
 TEST(TupleSpace, CallbackMayRegisterDuringFire) {
