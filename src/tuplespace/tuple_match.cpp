@@ -10,18 +10,28 @@ constexpr std::size_t kTypeShiftBase = 4;
 constexpr std::size_t kTypeBits = 3;
 constexpr Fingerprint kTypeMask = 0x7;
 constexpr std::size_t kHashShift = 40;
-constexpr Fingerprint kHashMask = Fingerprint{0xFFFFFF} << kHashShift;
+constexpr std::size_t kLaneBits = 12;
+constexpr std::size_t kHashedFields = 2;
+constexpr Fingerprint kLaneMask = (Fingerprint{1} << kLaneBits) - 1;
+static_assert(kHashShift + kLaneBits * kHashedFields == 64);
 
 constexpr Fingerprint type_shift(std::size_t i) {
   return kTypeShiftBase + kTypeBits * i;
 }
 
-/// 24-bit mix of one field's type + payload, positioned at kHashShift.
-Fingerprint field_hash(const Value& v) {
+constexpr Fingerprint lane_shift(std::size_t i) {
+  return kHashShift + kLaneBits * i;
+}
+
+/// 12-bit mix of field i's stored form (type + payload), positioned in
+/// lane i. The stored form, not the value: the store keeps only the
+/// compact bytes, and a template compares against what it decodes.
+Fingerprint lane_hash(const Value& v, std::size_t i) {
+  const Value stored = v.stored_form();
   std::uint64_t x =
-      (static_cast<std::uint64_t>(v.type()) << 32) | v.payload_bits();
+      (static_cast<std::uint64_t>(stored.type()) << 32) | stored.payload_bits();
   x *= 0x9E3779B97F4A7C15ULL;  // SplitMix64 finalizer constant
-  return (x >> kHashShift) << kHashShift;
+  return (x >> (64 - kLaneBits)) << lane_shift(i);
 }
 
 /// True when a template field of this type accepts tuple fields of exactly
@@ -32,7 +42,7 @@ constexpr bool pins_field_type(ValueType t) {
 }
 
 /// True when a template field of this type matches by value equality only
-/// (so field 0's content hash can join the fingerprint mask).
+/// (so the field's lane, if it has one, can join the fingerprint mask).
 constexpr bool pins_field_content(ValueType t) {
   return t != ValueType::kReadingType && t != ValueType::kTypeWildcard;
 }
@@ -52,8 +62,8 @@ Fingerprint fingerprint_of(const Tuple& tuple) {
     fp |= (static_cast<Fingerprint>(tuple.field(i).type()) & kTypeMask)
           << type_shift(i);
   }
-  if (tuple.arity() > 0) {
-    fp |= field_hash(tuple.field(0));
+  for (std::size_t i = 0; i < std::min(tuple.arity(), kHashedFields); ++i) {
+    fp |= lane_hash(tuple.field(i), i);
   }
   return fp;
 }
@@ -86,6 +96,10 @@ CompiledTemplate::CompiledTemplate(const Template& templ) : templ_(templ) {
     if (compares_by_bytes(f)) {
       by_bytes_ |= static_cast<std::uint16_t>(1u << i);
     }
+    if (i < kHashedFields && pins_field_content(f.type())) {
+      mask_ |= kLaneMask << lane_shift(i);
+      want_ |= lane_hash(f, i);
+    }
     if (!pins_field_type(f.type())) {
       continue;
     }
@@ -95,10 +109,6 @@ CompiledTemplate::CompiledTemplate(const Template& templ) : templ_(templ) {
     mask_ |= kTypeMask << type_shift(i);
     want_ |= (static_cast<Fingerprint>(required) & kTypeMask)
              << type_shift(i);
-  }
-  if (templ_.arity() > 0 && pins_field_content(templ_.field(0).type())) {
-    mask_ |= kHashMask;
-    want_ |= field_hash(templ_.field(0));
   }
 }
 

@@ -8,8 +8,8 @@
 //
 // Three pieces:
 //  * Fingerprint      — a 64-bit summary of a stored tuple (arity, per-field
-//                       type codes, a hash of field 0) computed once at
-//                       insertion time;
+//                       type codes, a hash of each of fields 0 and 1)
+//                       computed once at insertion time;
 //  * TupleRef         — a non-owning view of one encoded tuple record;
 //  * CompiledTemplate — a template pre-lowered to (mask, want) over the
 //                       fingerprint, so most candidates are rejected with a
@@ -44,7 +44,13 @@ namespace agilla::ts {
 /// 64-bit tuple summary. Layout:
 ///   bits  0..3   arity (stored tuples have <= kMaxTupleFields fields)
 ///   bits  4..39  3-bit ValueType code of field i at bits [4+3i, 7+3i)
-///   bits 40..63  24-bit hash of field 0 (type + payload)
+///   bits 40..51  12-bit hash of field 0 (type + payload)
+///   bits 52..63  12-bit hash of field 1 (type + payload)
+/// Each hash is taken over the field's Value::stored_form(), what the store
+/// keeps, so a stored tuple's fingerprint agrees with every template that
+/// matches its decoded fields. A template that pins field 0 or 1 by value
+/// adds that lane to its mask: a probe for <"fil", k> rejects a stored
+/// <"fil", i> (i != k) with one compare, short of a 1-in-4096 collision.
 using Fingerprint = std::uint64_t;
 
 /// Fingerprint of a concrete tuple; computed once per insertion.

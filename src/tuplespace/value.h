@@ -13,7 +13,6 @@
 //               match paper Fig. 5 (heap 32 B, stack 30 B).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -83,8 +82,8 @@ class Value {
   /// the concrete field `v`?
   [[nodiscard]] bool matches(const Value& v) const;
 
-  /// Both payload halves as one word — the fingerprint hash input
-  /// (tuple_match.h). Equal values always produce equal bits.
+  /// Both payload halves as one word; the fingerprint hashes it from
+  /// stored_form() (tuple_match.h). Equal values always produce equal bits.
   [[nodiscard]] std::uint32_t payload_bits() const {
     return (static_cast<std::uint32_t>(static_cast<std::uint16_t>(a_)) << 16) |
            static_cast<std::uint16_t>(b_);
@@ -102,19 +101,30 @@ class Value {
     const auto t = static_cast<std::size_t>(type_);
     return t < kSizeByType.size() ? kSizeByType[t] : 3;
   }
-  /// True when decode_compact(encode_compact(v)) == v: the compact form
-  /// keeps every payload bit. decode_padded can build values it does not
-  /// (a number's second half, a sensor byte over 255, an unknown type).
-  [[nodiscard]] bool compact_canonical() const;
+  /// decode_compact(encode_compact(v)) without the round trip: the value
+  /// the compact form keeps. decode_padded can build values with bits it
+  /// drops: an unused second half is zeroed, a reading's sensor and a
+  /// designator are masked to 8 bits, and an unknown type becomes Value{}.
+  [[nodiscard]] Value stored_form() const;
+  /// True when the compact form keeps every payload bit.
+  [[nodiscard]] bool compact_canonical() const {
+    return stored_form() == *this;
+  }
   /// compact_size() when `wire` begins with this value's compact encoding,
   /// else 0. Reads nothing past `wire`.
   [[nodiscard]] std::size_t compact_prefix(
       std::span<const std::uint8_t> wire) const {
     const std::size_t size = compact_size();
-    const auto bytes = compact_bytes();
-    if (wire.size() < size ||
-        !std::equal(bytes.begin(), bytes.begin() + size, wire.begin())) {
+    if (wire.size() < size) {
       return 0;
+    }
+    // At most 5 bytes, compared inline: std::equal over a run-time length
+    // becomes a libc memcmp call per field.
+    const auto bytes = compact_bytes();
+    for (std::size_t i = 0; i < size; ++i) {
+      if (bytes[i] != wire[i]) {
+        return 0;
+      }
     }
     return size;
   }

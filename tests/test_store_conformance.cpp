@@ -8,6 +8,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -21,6 +23,18 @@ std::size_t record_bytes(const Tuple& t) { return 1 + t.wire_size(); }
 
 Tuple keyed(const char* tag, std::int16_t n) {
   return Tuple{Value::string(tag), Value::number(n)};
+}
+
+/// A value as Value::decode_padded builds it from a migration image, with
+/// whatever halves the image carries, kept by the compact form or not.
+Value padded(ValueType type, std::int16_t a, std::int16_t b) {
+  net::Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.i16(a);
+  w.i16(b);
+  w.zeros(1);
+  net::Reader r(w.data());
+  return Value::decode_padded(r);
 }
 
 TEST(StoreConformance, ScriptedSequenceAgreesAcrossBackends) {
@@ -275,6 +289,222 @@ TEST(StoreConformance, BytesTouchedTraceIsPinned) {
       "85 6 10 31 6 5 6 95 9 5 17 20 6";
   EXPECT_EQ(bytes_touched_trace(StoreKind::kLinear), parse_trace(linear));
   EXPECT_EQ(bytes_touched_trace(StoreKind::kIndexed), parse_trace(indexed));
+}
+
+TEST(StoreConformance, StrayBitValuesStayFindable) {
+  // A stored tuple keeps only its fields' compact bytes. A value built
+  // with bits the compact form drops (a number's unused half, a sensor
+  // byte over 255, as a radio-delivered agent image can carry) is stored
+  // as its stored_form(), and a probe for that form must find it, in
+  // field 0 and in field 1.
+  const Value stray_number = padded(ValueType::kNumber, 5, 7);
+  const Value stray_reading = padded(ValueType::kReading, 9, 0x0102);
+  const Value stray_designator = padded(ValueType::kReadingType, 0x0203, 4);
+  ASSERT_NE(stray_number, Value::number(5));
+  const Value reading =
+      Value::reading(sim::SensorType::kMicrophone, 9);
+  const Value designator =
+      Value::reading_type(sim::SensorType::kMagnetometer);
+  ASSERT_EQ(stray_reading.stored_form(), reading);
+  ASSERT_EQ(stray_designator.stored_form(), designator);
+
+  const std::vector<std::pair<Tuple, Tuple>> cases = {
+      {Tuple{stray_number}, Tuple{Value::number(5)}},
+      {Tuple{stray_number, Value::string("fil")},
+       Tuple{Value::number(5), Value::string("fil")}},
+      {Tuple{Value::string("fil"), stray_number},
+       Tuple{Value::string("fil"), Value::number(5)}},
+      {Tuple{stray_reading, stray_designator}, Tuple{reading, designator}},
+      {Tuple{stray_designator, stray_reading, stray_number},
+       Tuple{designator, reading, Value::number(5)}},
+  };
+  for (const StoreKind kind : {StoreKind::kLinear, StoreKind::kIndexed}) {
+    for (const auto& [written, kept] : cases) {
+      const auto store = make_store(kind, 600);
+      ASSERT_TRUE(store->insert(written));
+      ASSERT_EQ(store->snapshot(), std::vector<Tuple>{kept});
+      Template exact;
+      for (const Value& field : kept.fields()) {
+        exact.add(field);
+      }
+      ASSERT_TRUE(exact.matches(store->snapshot()[0]));
+      const CompiledTemplate templ(exact);
+      EXPECT_EQ(store->read(templ), kept)
+          << to_string(kind) << " " << kept.to_string();
+      EXPECT_EQ(store->count_matching(templ), 1u)
+          << to_string(kind) << " " << kept.to_string();
+      EXPECT_EQ(store->take(templ), kept)
+          << to_string(kind) << " " << kept.to_string();
+      EXPECT_EQ(store->tuple_count(), 0u) << to_string(kind);
+    }
+  }
+}
+
+/// One field for the differential test: a small domain, so stores share
+/// tags and templates hit; every fourth number, reading or designator
+/// carries stray bits the compact form drops.
+Value random_field(sim::Rng& rng) {
+  const bool stray = rng.uniform(4) == 0;
+  const auto small = [&rng](std::uint64_t n) {
+    return static_cast<std::int16_t>(rng.uniform(n));
+  };
+  switch (rng.uniform(6)) {
+    case 0: {
+      static constexpr const char* kTags[] = {"fil", "key", "fir"};
+      return Value::string(kTags[rng.uniform(3)]);
+    }
+    case 1:
+      return stray ? padded(ValueType::kNumber, small(3), 1 + small(300))
+                   : Value::number(small(3));
+    case 2: {
+      const std::int16_t sensor = small(2);
+      return stray ? padded(ValueType::kReading, small(2),
+                            static_cast<std::int16_t>(0x100 | sensor))
+                   : Value::reading(static_cast<sim::SensorType>(sensor),
+                                    small(2));
+    }
+    case 3:
+      return Value::location({static_cast<double>(rng.uniform(2)),
+                              static_cast<double>(rng.uniform(2))});
+    case 4:
+      return Value::agent_id(static_cast<std::uint16_t>(rng.uniform(2)));
+    default: {
+      const std::int16_t sensor = small(2);
+      return stray ? padded(ValueType::kReadingType,
+                            static_cast<std::int16_t>(0x300 | sensor),
+                            small(9))
+                   : Value::reading_type(static_cast<sim::SensorType>(sensor));
+    }
+  }
+}
+
+/// A template over `base`'s arity: each field the base's own value (stray
+/// bits and all), a type wildcard, a reading-type field for the base's
+/// sensor, or a fresh random value.
+Template random_template(sim::Rng& rng, const Tuple& base) {
+  Template templ;
+  for (const Value& field : base.fields()) {
+    switch (rng.uniform(5)) {
+      case 0:
+      case 1:
+        templ.add(field);
+        break;
+      case 2:
+        templ.add(Value::type_wildcard(field.type()));
+        break;
+      case 3:
+        templ.add(Value::reading_type(field.type() == ValueType::kReading
+                                          ? field.stored_form().sensor()
+                                          : sim::SensorType::kPhoto));
+        break;
+      default:
+        templ.add(random_field(rng));
+        break;
+    }
+  }
+  return templ;
+}
+
+/// The reference store: a scan over snapshot() with Template::matches,
+/// charged by the last_op_bytes_touched() contract. `same_arity_only` is
+/// the indexed store's arity bucket; `moves` the linear store's shift.
+struct ReferenceScan {
+  std::optional<std::size_t> first;  ///< index of the first match
+  std::size_t count = 0;
+  std::size_t scanned_to_first = 0;  ///< bytes walked by read/take
+  std::size_t scanned_all = 0;       ///< bytes walked by count
+  std::size_t after_first = 0;       ///< bytes behind the first match
+};
+
+ReferenceScan reference_scan(const std::vector<Tuple>& stored,
+                             const Template& templ, bool same_arity_only) {
+  ReferenceScan ref;
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    const std::size_t bytes = record_bytes(stored[i]);
+    if (ref.first.has_value()) {
+      ref.after_first += bytes;
+    }
+    if (same_arity_only && stored[i].arity() != templ.arity()) {
+      continue;
+    }
+    ref.scanned_all += bytes;
+    if (templ.matches(stored[i])) {
+      ++ref.count;
+      if (!ref.first.has_value()) {
+        ref.first = i;
+        ref.scanned_to_first = ref.scanned_all;
+      }
+    }
+  }
+  if (!ref.first.has_value()) {
+    ref.scanned_to_first = ref.scanned_all;
+  }
+  return ref;
+}
+
+TEST(StoreConformance, ProbesEqualAReferenceScanOfTheSnapshot) {
+  // Differential test: seeded stores of 1-4-field tuples (shared tags,
+  // stray-bit values, readings, locations) probed with random templates.
+  // Every probe must return what a plain scan of snapshot() with
+  // Template::matches returns, and charge exactly the bytes that scan
+  // walks: the prefilter decides only how cheaply a record is passed.
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (const StoreKind kind : {StoreKind::kLinear, StoreKind::kIndexed}) {
+    const bool indexed = kind == StoreKind::kIndexed;
+    for (const std::uint64_t seed : {3ULL, 17ULL, 41ULL}) {
+      sim::Rng rng(seed);
+      const auto store = make_store(kind, 300);
+      for (int step = 0; step < 600; ++step) {
+        Tuple base;
+        const std::size_t arity = 1 + rng.uniform(4);
+        for (std::size_t f = 0; f < arity; ++f) {
+          base.add(random_field(rng));
+        }
+        const std::vector<Tuple> stored = store->snapshot();
+        if (stored.empty() || rng.uniform(3) == 0) {
+          static_cast<void>(store->insert(base));
+          continue;
+        }
+        // Half the templates are drawn from a stored tuple, so they hit.
+        const Tuple& shape =
+            rng.chance(0.5) ? stored[rng.uniform(stored.size())] : base;
+        const Template templ = random_template(rng, shape);
+        const CompiledTemplate compiled(templ);
+        const ReferenceScan ref = reference_scan(stored, templ, indexed);
+        const auto expected = ref.first.has_value()
+                                  ? std::optional<Tuple>(stored[*ref.first])
+                                  : std::nullopt;
+        const std::string what = std::string(to_string(kind)) + " seed " +
+                                 std::to_string(seed) + " step " +
+                                 std::to_string(step) + " " +
+                                 templ.to_string();
+        (ref.first.has_value() ? hits : misses) += 1;
+        switch (rng.uniform(3)) {
+          case 0:
+            ASSERT_EQ(store->read(compiled), expected) << what;
+            ASSERT_EQ(store->last_op_bytes_touched(), ref.scanned_to_first)
+                << what;
+            break;
+          case 1:
+            ASSERT_EQ(store->take(compiled), expected) << what;
+            ASSERT_EQ(store->last_op_bytes_touched(),
+                      ref.scanned_to_first +
+                          (indexed || !ref.first ? 0 : ref.after_first))
+                << what;
+            break;
+          default:
+            ASSERT_EQ(store->count_matching(compiled), ref.count) << what;
+            ASSERT_EQ(store->last_op_bytes_touched(), ref.scanned_all)
+                << what;
+            break;
+        }
+      }
+    }
+  }
+  // The script must exercise both outcomes.
+  EXPECT_GT(hits, 100u);
+  EXPECT_GT(misses, 100u);
 }
 
 TEST(StoreConformance, RandomOpSequencesStayInLockstep) {
