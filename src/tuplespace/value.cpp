@@ -143,28 +143,6 @@ bool Value::matches(const Value& v) const {
   }
 }
 
-Value Value::stored_form() const {
-  const auto low_byte = [](std::int16_t v) {
-    return static_cast<std::int16_t>(static_cast<std::uint8_t>(v));
-  };
-  switch (type_) {
-    case ValueType::kInvalid:
-      break;
-    case ValueType::kLocation:
-      return *this;
-    case ValueType::kReading:
-      return Value(type_, a_, low_byte(b_));
-    case ValueType::kReadingType:
-    case ValueType::kTypeWildcard:
-      return Value(type_, low_byte(a_), 0);
-    case ValueType::kNumber:
-    case ValueType::kString:
-    case ValueType::kAgentId:
-      return Value(type_, a_, 0);
-  }
-  return Value{};
-}
-
 void Value::encode_compact(net::Writer& w) const {
   const auto bytes = compact_bytes();
   w.bytes(std::span(bytes).first(compact_size()));

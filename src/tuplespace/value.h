@@ -105,7 +105,27 @@ class Value {
   /// the compact form keeps. decode_padded can build values with bits it
   /// drops: an unused second half is zeroed, a reading's sensor and a
   /// designator are masked to 8 bits, and an unknown type becomes Value{}.
-  [[nodiscard]] Value stored_form() const;
+  [[nodiscard]] Value stored_form() const {
+    const auto low_byte = [](std::int16_t v) {
+      return static_cast<std::int16_t>(static_cast<std::uint8_t>(v));
+    };
+    switch (type_) {
+      case ValueType::kInvalid:
+        break;
+      case ValueType::kLocation:
+        return *this;
+      case ValueType::kReading:
+        return Value(type_, a_, low_byte(b_));
+      case ValueType::kReadingType:
+      case ValueType::kTypeWildcard:
+        return Value(type_, low_byte(a_), 0);
+      case ValueType::kNumber:
+      case ValueType::kString:
+      case ValueType::kAgentId:
+        return Value(type_, a_, 0);
+    }
+    return Value{};
+  }
   /// True when the compact form keeps every payload bit.
   [[nodiscard]] bool compact_canonical() const {
     return stored_form() == *this;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/rng.h"
@@ -30,7 +31,19 @@ TEST(Fingerprint, EqualTuplesShareAFingerprint) {
   EXPECT_EQ(fingerprint_of(a), fingerprint_of(b));
 }
 
-TEST(Fingerprint, ArityAndTypesAndFirstFieldAllContribute) {
+/// A value as Value::decode_padded builds it from a migration image, with
+/// payload halves the compact form may drop.
+Value padded(ValueType type, std::int16_t a, std::int16_t b) {
+  net::Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.i16(a);
+  w.i16(b);
+  w.zeros(1);
+  net::Reader r(w.data());
+  return Value::decode_padded(r);
+}
+
+TEST(Fingerprint, ArityTypesAndFirstTwoFieldsContribute) {
   const Fingerprint base =
       fingerprint_of(Tuple{Value::string("fir"), Value::number(7)});
   EXPECT_NE(base, fingerprint_of(Tuple{Value::string("fir")}));
@@ -38,57 +51,99 @@ TEST(Fingerprint, ArityAndTypesAndFirstFieldAllContribute) {
             fingerprint_of(Tuple{Value::string("fir"), Value::string("ab")}));
   EXPECT_NE(base,
             fingerprint_of(Tuple{Value::string("ice"), Value::number(7)}));
+  EXPECT_NE(base,
+            fingerprint_of(Tuple{Value::string("fir"), Value::number(8)}));
+}
+
+TEST(Fingerprint, HashesWhatTheStoreKeeps) {
+  // Bits the compact encoding drops do not reach the fingerprint: a tuple
+  // written with them shares the fingerprint of the tuple stored.
+  const Tuple written{padded(ValueType::kNumber, 5, 7),
+                      padded(ValueType::kReading, 9, 0x0102)};
+  const Tuple kept{Value::number(5),
+                   Value::reading(sim::SensorType::kMicrophone, 9)};
+  ASSERT_NE(written, kept);
+  const auto bytes = encode(written);
+  ASSERT_EQ(ref_of(bytes).materialize(), kept);
+  EXPECT_EQ(fingerprint_of(written), fingerprint_of(kept));
 }
 
 TEST(CompiledTemplate, NeverRejectsAMatchingTuple) {
   // Soundness sweep: random template/tuple pairs; whenever the eager match
   // succeeds, the fingerprint prefilter must have let the tuple through.
+  // Both kinds of match count: the tuple as written (reaction dispatch)
+  // and the tuple a store decodes from its bytes (probes), each against
+  // the fingerprint of the tuple as written.
   sim::Rng rng(2026);
   auto random_value = [&rng]() -> Value {
+    // Every fourth number or reading carries stray bits the compact
+    // encoding drops, as a radio-delivered agent image can.
+    const bool stray = rng.uniform(4) == 0;
     switch (rng.uniform(5)) {
-      case 0:
-        return Value::number(static_cast<std::int16_t>(rng.uniform(4)));
+      case 0: {
+        const auto n = static_cast<std::int16_t>(rng.uniform(4));
+        return stray ? padded(ValueType::kNumber, n, 3) : Value::number(n);
+      }
       case 1:
         return Value::string(std::string(1, 'a' + rng.uniform(2)));
       case 2:
         return Value::location({static_cast<double>(rng.uniform(2)), 1.0});
-      case 3:
-        return Value::reading(sim::SensorType::kPhoto,
-                              static_cast<std::int16_t>(rng.uniform(3)));
+      case 3: {
+        const auto n = static_cast<std::int16_t>(rng.uniform(3));
+        return stray ? padded(ValueType::kReading, n, 0x0101)
+                     : Value::reading(sim::SensorType::kPhoto, n);
+      }
       default:
         return Value::agent_id(static_cast<std::uint16_t>(rng.uniform(3)));
     }
   };
   std::size_t matched = 0;
+  std::size_t matched_stored = 0;
   for (int i = 0; i < 5000; ++i) {
     Tuple tuple;
     const std::size_t arity = 1 + rng.uniform(3);
     for (std::size_t f = 0; f < arity; ++f) {
       tuple.add(random_value());
     }
+    const auto bytes = encode(tuple);
+    const Tuple stored = *ref_of(bytes).materialize();
     Template templ;
-    const std::size_t templ_arity = 1 + rng.uniform(3);
+    const std::size_t templ_arity =
+        rng.chance(0.5) ? arity : 1 + rng.uniform(3);
     for (std::size_t f = 0; f < templ_arity; ++f) {
-      switch (rng.uniform(3)) {
+      switch (rng.uniform(5)) {
         case 0:
           templ.add(Value::type_wildcard(random_value().type()));
           break;
         case 1:
           templ.add(Value::reading_type(sim::SensorType::kPhoto));
           break;
+        case 2:
+          // Exact field values, field 1 included, as written or as stored.
+          if (f < arity) {
+            templ.add(rng.chance(0.5) ? tuple.field(f) : stored.field(f));
+            break;
+          }
+          [[fallthrough]];
         default:
           templ.add(random_value());
           break;
       }
     }
     const CompiledTemplate compiled(templ);
+    const std::string what = templ.to_string() + " vs " + tuple.to_string();
     if (templ.matches(tuple)) {
       ++matched;
-      EXPECT_FALSE(compiled.key_rejects(fingerprint_of(tuple)))
-          << templ.to_string() << " vs " << tuple.to_string();
+      EXPECT_FALSE(compiled.key_rejects(fingerprint_of(tuple))) << what;
+    }
+    if (templ.matches(stored)) {
+      ++matched_stored;
+      EXPECT_FALSE(compiled.key_rejects(fingerprint_of(tuple))) << what;
     }
   }
-  EXPECT_GT(matched, 0u);  // the sweep must actually exercise matches
+  // The sweep must actually exercise matches.
+  EXPECT_GT(matched, 200u);
+  EXPECT_GT(matched_stored, 200u);
 }
 
 TEST(CompiledTemplate, RejectsDifferentFirstFieldWithoutScanning) {
@@ -99,6 +154,21 @@ TEST(CompiledTemplate, RejectsDifferentFirstFieldWithoutScanning) {
   EXPECT_TRUE(compiled.key_rejects(fingerprint_of(Tuple{Value::number(1)})));
   EXPECT_FALSE(compiled.key_rejects(
       fingerprint_of(Tuple{Value::string("key"), Value::number(1)})));
+}
+
+TEST(CompiledTemplate, RejectsDifferentSecondFieldWithoutScanning) {
+  // The agent_dense probe: <"fil", 99> against twenty <"fil", i> fillers
+  // fails on the prefilter alone, while <"fil", ?number> passes them all.
+  const CompiledTemplate miss(
+      Template{Value::string("fil"), Value::number(99)});
+  const CompiledTemplate any(Template{
+      Value::string("fil"), Value::type_wildcard(ValueType::kNumber)});
+  for (std::int16_t i = 0; i < 20; ++i) {
+    const Fingerprint filler =
+        fingerprint_of(Tuple{Value::string("fil"), Value::number(i)});
+    EXPECT_TRUE(miss.key_rejects(filler)) << i;
+    EXPECT_FALSE(any.key_rejects(filler)) << i;
+  }
 }
 
 TEST(CompiledTemplate, ReadingTypeFieldDoesNotPinTheFieldType) {

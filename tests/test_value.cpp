@@ -168,6 +168,33 @@ TEST(CompactWire, CanonicalValuesAreExactlyTheirEncoding) {
   }
 }
 
+TEST(CompactWire, StoredFormIsTheCompactRoundTrip) {
+  // stored_form() must be exactly what the compact encoding keeps, for
+  // every type byte and payload halves at the edges it masks.
+  const std::int16_t edges[] = {0,  255, 256, -1, INT16_MIN, INT16_MAX};
+  for (int type = 0; type <= 255; ++type) {
+    for (const std::int16_t a : edges) {
+      for (const std::int16_t b : edges) {
+        net::Writer padded;
+        padded.u8(static_cast<std::uint8_t>(type));
+        padded.i16(a);
+        padded.i16(b);
+        padded.zeros(1);
+        net::Reader pr(padded.data());
+        const Value v = Value::decode_padded(pr);
+        net::Writer w;
+        v.encode_compact(w);
+        net::Reader r(w.data());
+        const Value round_trip = Value::decode_compact(r);
+        ASSERT_EQ(v.stored_form(), round_trip) << type << " " << a << " " << b;
+        ASSERT_EQ(v.compact_canonical(), round_trip == v)
+            << type << " " << a << " " << b;
+        ASSERT_EQ(round_trip.stored_form(), round_trip);
+      }
+    }
+  }
+}
+
 TEST(PaddedWire, AlwaysSixBytes) {
   const Value values[] = {
       Value::number(-5),
